@@ -48,10 +48,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# race-concurrent runs every parallel engine path — the mtm concurrent
-# backend, the shard-parallel round engine (including the root package's
-# n=10k all-algorithms/all-adversaries workload), the adversary schedules
-# driven through them, the observer/trace layers that tap them, the
+# race-concurrent runs the engine's one parallel path — the sharded round
+# loop of internal/mtm (including the root package's n=10k
+# all-algorithms/all-adversaries workload) — the adversary schedules
+# driven through it, the observer/trace layers that tap it, the
 # profiling read side (live /metrics scrapes and histogram reads against
 # a profiled parallel session), and the daemon's full-service traffic mix
 # (create/step/evict/revive/follow/delete under concurrent scrapes) —

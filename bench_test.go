@@ -218,7 +218,8 @@ func BenchmarkPPUSH(b *testing.B) {
 // -benchtime (the gate uses 500x) so the round distribution is identical
 // between baseline and fresh runs, and refresh the baseline with
 // `make bench-baseline` after intentional performance changes. The
-// sequential backend must report 0 allocs/op in steady state.
+// seq_* rows run the engine's default one-range round, which must report
+// 0 allocs/op in steady state.
 //
 // The sess_* rows step the same workload through the public session API
 // (Simulation.Step, which also publishes on the event bus and samples φ
@@ -243,15 +244,13 @@ func BenchmarkEngineRound(b *testing.B) {
 	cases := []struct {
 		name string
 		n, k int
-		conc bool
 	}{
 		// k = n at the small size: gossip needs Θ(kn) rounds, so the run
 		// cannot solve inside any realistic -benchtime window and every op
 		// stays a real round (guarded below).
-		{"seq_n256_k256", 256, 256, false},
-		{"seq_n4096_k64", 4096, 64, false},
-		{"seq_n10000_k64", 10000, 64, false},
-		{"conc_n10000_k64", 10000, 64, true},
+		{"seq_n256_k256", 256, 256},
+		{"seq_n4096_k64", 4096, 64},
+		{"seq_n10000_k64", 10000, 64},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -263,7 +262,7 @@ func BenchmarkEngineRound(b *testing.B) {
 			proto := core.NewSharedBit(st, prand.NewSharedString(99))
 			g := graph.RandomRegular(tc.n, 4, prand.New(7))
 			eng := mtm.NewEngine(dyngraph.NewStatic(g), proto, mtm.Config{
-				Seed: 3, MaxRounds: b.N, Concurrent: tc.conc,
+				Seed: 3, MaxRounds: b.N,
 			})
 			b.ResetTimer()
 			res, err := eng.Run()
@@ -323,12 +322,12 @@ func BenchmarkEngineRound(b *testing.B) {
 // speedup (≥3× expected at 4+ cores; phases are embarrassingly parallel
 // and the deterministic reduction is O(workers)).
 //
-// The rows use fixed worker counts (no GOMAXPROCS row): the goroutine
-// fan-out allocates per shard per phase, so allocs/op is a machine-
-// independent function of the worker count and stays gateable, while a
-// hardware-dependent row would pin the baseline machine's core count into
-// BENCH_core.json. The w1 row rides the sequential path and must stay at
-// 0 allocs/op.
+// The rows use fixed worker counts (no GOMAXPROCS row): the fan-out
+// allocates once per goroutine launched (w−1 per phase), so allocs/op is
+// a machine-independent function of the worker count and stays gateable,
+// while a hardware-dependent row would pin the baseline machine's core
+// count into BENCH_core.json. The w1 row is the one-range round, run
+// inline with no goroutine, and must stay at 0 allocs/op.
 func BenchmarkEngineRoundParallel(b *testing.B) {
 	const n, k = 100000, 64
 	g := graph.RandomRegular(n, 4, prand.New(7))

@@ -293,7 +293,7 @@ func writeConfig(w *ckpt.Writer, cfg Config) {
 	w.Int(cfg.TagBits)
 	w.U64(cfg.Seed)
 	w.Int(cfg.MaxRounds)
-	w.Bool(cfg.Concurrent)
+	w.Bool(false) // v3 keeps the slot of the removed Config.Concurrent option
 	w.F64(cfg.TransferEps)
 	w.Int(cfg.CrowdedBin.Beta)
 	w.Int(cfg.CrowdedBin.Gamma)
@@ -339,7 +339,7 @@ func readConfig(r *ckpt.Reader) (Config, error) {
 	cfg.TagBits = r.Int()
 	cfg.Seed = r.U64()
 	cfg.MaxRounds = r.Int()
-	cfg.Concurrent = r.Bool()
+	r.Bool() // the removed option's slot (see writeConfig): read and discarded
 	cfg.TransferEps = r.F64()
 	cfg.CrowdedBin.Beta = r.Int()
 	cfg.CrowdedBin.Gamma = r.Int()

@@ -25,11 +25,9 @@ type CreateRequest struct {
 	TagBits   int          `json:"tag_bits,omitempty"`
 	Seed      uint64       `json:"seed"`
 	MaxRounds int          `json:"max_rounds,omitempty"`
-	// Concurrent and EngineWorkers tune the engine backend; like
-	// everywhere else in the module they change wall-clock only, never
-	// results.
-	Concurrent    bool `json:"concurrent,omitempty"`
-	EngineWorkers int  `json:"engine_workers,omitempty"`
+	// EngineWorkers sets the engine's shard count; like everywhere else
+	// in the module it changes wall-clock only, never results.
+	EngineWorkers int `json:"engine_workers,omitempty"`
 	// Profile attaches the timing sidecar (round_profile events, health
 	// in the session state).
 	Profile bool `json:"profile,omitempty"`

@@ -130,7 +130,6 @@ func run(args []string) error {
 		seed      = fs.Uint64("seed", 1, "run seed (fully determines the execution, sweep or single)")
 		maxRounds = fs.Int("maxrounds", 0, "abort after this many rounds (0 = engine default)")
 		trace     = fs.Int("trace", 0, "print φ(r) every this many rounds (0 = off, single runs only)")
-		conc      = fs.Bool("concurrent", false, "use the goroutine-per-connection engine backend")
 		engineW   = fs.Int("engineworkers", 0, "shard-parallel engine workers: 0 = auto (GOMAXPROCS, large runs only), 1 = sequential, >=2 exact; results identical at any value")
 		relabelF  = fs.String("relabel", "none", "cache-aware vertex relabeling for generated topologies: "+strings.Join(mobilegossip.RelabelKindNames(), "|"))
 		tagBits   = fs.Int("b", 0, "tag length for -alg sharedbit (>=2 runs the multi-bit generalization)")
@@ -216,7 +215,6 @@ func run(args []string) error {
 			Epsilon:       *epsilon,
 			TagBits:       *tagBits,
 			MaxRounds:     *maxRounds,
-			Concurrent:    *conc,
 			EngineWorkers: *engineW,
 		}
 	}
@@ -347,7 +345,6 @@ func wireRequest(cfg mobilegossip.Config, recordEvents bool) client.CreateReques
 		TagBits:       cfg.TagBits,
 		Seed:          cfg.Seed,
 		MaxRounds:     cfg.MaxRounds,
-		Concurrent:    cfg.Concurrent,
 		EngineWorkers: cfg.EngineWorkers,
 		Profile:       cfg.Profile,
 		TransferEps:   cfg.TransferEps,

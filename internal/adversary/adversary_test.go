@@ -319,7 +319,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 }
 
 // randProto is a minimal protocol (propose to a uniform neighbor with
-// probability 1/2) exercising the engine's concurrent backend over an
+// probability 1/2) exercising the engine's sharded rounds over an
 // adversarial schedule; the -race CI job runs this test with the race
 // detector on.
 type randProto struct{}
@@ -337,16 +337,16 @@ func (p *randProto) Decide(_ int, _ mtm.NodeID, view []mtm.Neighbor, rng *prand.
 	return mtm.Propose(view[rng.Intn(len(view))].ID)
 }
 
-// TestConcurrentEngineOverAdversary drives the goroutine-per-connection
-// backend over an adaptive adversarial schedule and requires the meters to
-// match the sequential backend exactly (the package's determinism contract
-// under concurrency).
+// TestConcurrentEngineOverAdversary drives sharded rounds (4 workers)
+// over an adaptive adversarial schedule and requires the meters to match
+// the one-worker engine exactly (the package's determinism contract under
+// concurrency).
 func TestConcurrentEngineOverAdversary(t *testing.T) {
-	run := func(concurrent bool) mtm.Result {
+	run := func(workers int) mtm.Result {
 		adv := New(mobileBase(40, 1, 77), CutRich(), Options{Tau: 1, Seed: 79, Budget: 10})
 		adv.Bind(fakeReader{shift: 2})
 		eng := mtm.NewEngine(adv, &randProto{}, mtm.Config{
-			Seed: 81, MaxRounds: 40, Concurrent: concurrent,
+			Seed: 81, MaxRounds: 40, Workers: workers,
 		})
 		res, err := eng.Run()
 		if err != nil {
@@ -354,9 +354,9 @@ func TestConcurrentEngineOverAdversary(t *testing.T) {
 		}
 		return res
 	}
-	seq, conc := run(false), run(true)
-	if seq != conc {
-		t.Fatalf("concurrent backend diverged over adversary:\n seq  %+v\n conc %+v", seq, conc)
+	seq, par := run(1), run(4)
+	if seq != par {
+		t.Fatalf("sharded engine diverged over adversary:\n w=1 %+v\n w=4 %+v", seq, par)
 	}
 }
 

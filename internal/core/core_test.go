@@ -311,21 +311,21 @@ func TestEpsilonGossipSolvesEarlierThanFull(t *testing.T) {
 }
 
 func TestGossipDeterministicAcrossBackends(t *testing.T) {
-	run := func(concurrent bool) (mtm.Result, int) {
+	run := func(workers int) (mtm.Result, int) {
 		st, err := NewState(14, OneTokenPerNode(14, 3), 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := NewSharedBit(st, prand.NewSharedString(4))
 		res, err := mtm.NewEngine(dyngraph.RotatingRing(14, 2, 6), p,
-			mtm.Config{Seed: 13, MaxRounds: 1 << 20, Concurrent: concurrent}).Run()
+			mtm.Config{Seed: 13, MaxRounds: 1 << 20, Workers: workers}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, st.Potential()
 	}
-	seqRes, seqPhi := run(false)
-	parRes, parPhi := run(true)
+	seqRes, seqPhi := run(1)
+	parRes, parPhi := run(4)
 	if seqRes != parRes || seqPhi != parPhi {
 		t.Fatalf("backends diverged: %+v/%d vs %+v/%d", seqRes, seqPhi, parRes, parPhi)
 	}

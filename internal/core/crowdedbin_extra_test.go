@@ -95,7 +95,7 @@ func TestCrowdedBinStaysWithinBudget(t *testing.T) {
 
 func TestCrowdedBinDeterministicAcrossBackends(t *testing.T) {
 	const n, k = 16, 4
-	run := func(concurrent bool) mtm.Result {
+	run := func(workers int) mtm.Result {
 		st := mustState(t, n, OneTokenPerNode(n, k))
 		cb, err := NewCrowdedBin(st, CrowdedBinConfig{}, prand.New(8))
 		if err != nil {
@@ -103,17 +103,17 @@ func TestCrowdedBinDeterministicAcrossBackends(t *testing.T) {
 		}
 		g := graph.RandomRegular(n, 4, prand.New(6))
 		res, err := mtm.NewEngine(dyngraph.NewStatic(g), cb, mtm.Config{
-			Seed: 13, Concurrent: concurrent,
+			Seed: 13, Workers: workers,
 		}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Completed {
-			t.Fatalf("unsolved after %d rounds (concurrent=%v)", res.Rounds, concurrent)
+			t.Fatalf("unsolved after %d rounds (workers=%d)", res.Rounds, workers)
 		}
 		return res
 	}
-	if seq, conc := run(false), run(true); seq != conc {
-		t.Errorf("backends diverged:\n  seq:  %+v\n  conc: %+v", seq, conc)
+	if seq, par := run(1), run(4); seq != par {
+		t.Errorf("worker counts diverged:\n  w=1: %+v\n  w=4: %+v", seq, par)
 	}
 }

@@ -30,7 +30,7 @@ type SimSharedBit struct {
 	lead  *leader.Protocol
 	space *prand.SeedSpace
 	// strings caches the materialized R′ member per seed index. Tag and
-	// Decide consult it for any node, so under the parallel engine backends
+	// Decide consult it for any node, so under a sharded engine
 	// the cache is the one piece of cross-node shared state these phases
 	// touch; mu makes the lazy materialization safe. The cached value for a
 	// seed is a pure function of the seed, so fill order cannot affect

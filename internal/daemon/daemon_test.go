@@ -456,7 +456,7 @@ func TestDaemonFollowEvents(t *testing.T) {
 }
 
 func TestDaemonHTTPErrors(t *testing.T) {
-	_, c := newTestDaemon(t, Config{})
+	d, c := newTestDaemon(t, Config{})
 	ctx := context.Background()
 
 	cases := []struct {
@@ -504,13 +504,21 @@ func TestDaemonHTTPErrors(t *testing.T) {
 		}
 	}
 
-	// Unknown JSON fields and trailing garbage are rejected.
-	for _, body := range []string{
-		`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"fitler":"x"}`,
-		`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"}} extra`,
+	// Unknown JSON fields and trailing garbage are rejected with a 400
+	// that names the problem — including "concurrent", the wire name of a
+	// removed engine option, which is an unknown field like any other.
+	for _, tc := range []struct{ body, want string }{
+		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"fitler":"x"}`, `unknown field "fitler"`},
+		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"}} extra`, `trailing data`},
+		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"concurrent":true}`, `unknown field "concurrent"`},
 	} {
-		if _, err := decodeCreateRequest([]byte(body)); err == nil {
-			t.Fatalf("decodeCreateRequest accepted %q", body)
+		if _, err := decodeCreateRequest([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("decodeCreateRequest(%q) = %v, want an error naming %s", tc.body, err, tc.want)
+		}
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST /v1/sessions %q: status %d, want 400", tc.body, rec.Code)
 		}
 	}
 }

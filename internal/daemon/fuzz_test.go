@@ -25,6 +25,7 @@ func FuzzCreateRequest(f *testing.F) {
 	f.Add([]byte(`{}trailing`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"concurrent":true}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeCreateRequest(body)
 		if err != nil {

@@ -71,7 +71,6 @@ func configFromWire(req client.CreateRequest) (mobilegossip.Config, error) {
 		TagBits:       req.TagBits,
 		Seed:          req.Seed,
 		MaxRounds:     req.MaxRounds,
-		Concurrent:    req.Concurrent,
 		EngineWorkers: req.EngineWorkers,
 		Profile:       req.Profile,
 		TransferEps:   req.TransferEps,

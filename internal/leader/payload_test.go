@@ -79,10 +79,12 @@ func TestPayloadQuickManySeeds(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineLeavesNoGoroutines: the concurrent backend must join
-// all its workers before Run returns.
+// TestConcurrentEngineLeavesNoGoroutines: the sharded engine must join
+// every goroutine a phase launched before Run returns, so the count is
+// back at its baseline after sharded runs. n is large enough that the
+// exchange phase fans out too.
 func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
-	const n = 24
+	const n = 400
 	before := runtime.NumGoroutine()
 	for seed := uint64(1); seed <= 8; seed++ {
 		ids := make([]int, n)
@@ -91,7 +93,7 @@ func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
 		}
 		p := New(ids, make([]uint64, n))
 		dyn := dyngraph.NewStatic(graph.RandomRegular(n, 4, prand.New(seed)))
-		if _, err := mtm.NewEngine(dyn, p, mtm.Config{Seed: seed, Concurrent: true}).Run(); err != nil {
+		if _, err := mtm.NewEngine(dyn, p, mtm.Config{Seed: seed, Workers: 4}).Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +105,7 @@ func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after concurrent runs", before, after)
+			t.Fatalf("goroutines grew from %d to %d after sharded runs", before, after)
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)

@@ -11,9 +11,10 @@
 // The Engine enforces every model constraint: one proposal per node,
 // proposer-cannot-receive, uniform acceptance, matching-only connections,
 // per-connection communication budgets, and the τ-stability of the topology
-// schedule. Three interchangeable backends (sequential, concurrent
-// goroutine-per-connection, and shard-parallel — see shard.go) produce
-// bit-identical executions because all randomness is drawn from per-node
+// schedule. There is one round loop: every phase is written once over a
+// range (shard.go), and a round runs it over one range inline or over
+// Config.Workers ranges in parallel. Any worker count produces the
+// bit-identical execution because all randomness is drawn from per-node
 // streams and per-round connections are vertex-disjoint.
 package mtm
 
@@ -21,10 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/dyngraph"
+	"mobilegossip/internal/graph"
 	"mobilegossip/internal/prand"
 	"mobilegossip/internal/profile"
 )
@@ -53,10 +56,10 @@ func Propose(target NodeID) Action { return Action{Propose: true, Target: target
 
 // Protocol is a distributed algorithm in the mobile telephone model. A
 // Protocol owns the state of all nodes; the engine calls its methods with
-// explicit node ids. Contract required for the concurrent backend (and
-// checked by this package's determinism tests): Tag and Decide for node u
-// read/write only u's state; Exchange reads/writes only the two endpoint
-// states of its connection.
+// explicit node ids. Contract required for running a round's ranges in
+// parallel (and checked by this package's determinism tests): Tag and
+// Decide for node u read/write only u's state; Exchange reads/writes only
+// the two endpoint states of its connection.
 type Protocol interface {
 	// TagBits returns the tag length b >= 0 the protocol uses.
 	TagBits() int
@@ -135,16 +138,13 @@ type Config struct {
 	Seed uint64
 	// MaxRounds aborts the run if the protocol is not Done by then.
 	MaxRounds int
-	// Concurrent selects the goroutine-per-connection backend.
-	Concurrent bool
-	// Workers selects the shard-parallel backend: the node range is split
-	// into Workers contiguous degree-balanced shards and every round phase
-	// (tag, decide, deliver, accept, exchange) runs shard-parallel with a
-	// deterministic cross-shard reduction, producing executions
-	// byte-identical to the sequential engine at any worker count or
-	// GOMAXPROCS (see DESIGN.md §11). Workers ≤ 1 keeps the sequential
-	// round loop (and its 0 allocs/op steady state); Workers ≥ 2
-	// supersedes Concurrent.
+	// Workers is the number of contiguous degree-balanced shards the node
+	// range is split into: every round phase (tag, decide, deliver, accept,
+	// exchange) runs over the shards in parallel with a deterministic
+	// cross-shard reduction, producing byte-identical executions at any
+	// worker count or GOMAXPROCS (see DESIGN.md §11). Workers ≤ 1 is the
+	// one-shard round, run inline on the caller with no goroutine (the
+	// 0 allocs/op steady state).
 	Workers int
 	// BitLimit overrides the per-connection control-bit budget
 	// (default 64·(⌈log₂ N⌉+1)³, a generous polylog(N)).
@@ -194,10 +194,10 @@ type RoundStats struct {
 //
 // All per-round working state lives in scratch buffers owned by the engine
 // and allocated once in NewEngine: tag and action arrays, the flat proposal
-// inbox (CSR-style counts + offsets + one backing array), the accepted
-// connection pairs, and the Conn records themselves. The round loop
-// therefore performs zero steady-state heap allocations — see DESIGN.md
-// §"Scratch-buffer lifecycle".
+// inbox (CSR-style counts + offsets + one backing array), the per-shard
+// scan views and accepted pairs, and the Conn records themselves. The
+// one-shard round loop therefore performs zero steady-state heap
+// allocations — see DESIGN.md §"Scratch-buffer lifecycle".
 type Engine struct {
 	dyn   dyngraph.Dynamic
 	proto Protocol
@@ -221,31 +221,25 @@ type Engine struct {
 	inCnt   []int32  // valid proposals per target node
 	inOff   []int32  // prefix offsets into inbox (len n+1)
 	inbox   []int32  // flat proposal inbox: proposers grouped by target
-	pairs   [][2]int32
 	conns   []Conn
-	view    []Neighbor   // sequential-backend scan view
-	views   [][]Neighbor // concurrent/sharded per-worker scan views
 
-	// Sharded-backend state (see shard.go).
-	workers    int          // resolved shard count (1 = sequential)
-	cuts       []int32      // per-round shard boundaries (len shards+1)
-	testCuts   []int32      // test hook: fixed boundaries override cuts
-	shardPairs [][][2]int32 // per-shard accepted pairs, merged in shard order
-	shardProps []int64      // per-shard proposal counts
-	shardBase  []int32      // per-shard inbox base offsets (len shards+1)
-	shardErrs  []error      // per-shard first tag-width violation
+	// The round's ranges and the fan-out that runs them (see shard.go).
+	g        *graph.Graph   // this round's topology
+	workers  int            // resolved shard count (≥ 1)
+	cuts     []int32        // per-round shard boundaries (len shards+1)
+	exCuts   []int32        // per-round exchange chunk boundaries
+	testCuts []int32        // test hook: fixed boundaries override cuts
+	shards   []shard        // per-range scratch
+	wg       sync.WaitGroup // the phase barrier
 
 	// Profiling sidecar (nil = off; see internal/profile and DESIGN.md
 	// §13). Timing is read-only: it draws no randomness and mutates no
 	// simulation state, so profiled and unprofiled runs are
-	// byte-identical. profShardNs accumulates each shard's compute time
-	// over the round's node-sharded phases (written by exactly one shard
-	// each, like shardErrs); profParNs the wall time of those parallel
-	// phases; profRedNs the sequential cross-shard reductions.
-	prof        *profile.Recorder
-	profShardNs []int64
-	profParNs   int64
-	profRedNs   int64
+	// byte-identical. profParNs accumulates, over the round's phases that
+	// ran in parallel, wall time × ranges launched — the goroutine-time the
+	// barrier accounting compares against the shards' compute time.
+	prof      *profile.Recorder
+	profParNs int64
 }
 
 // ErrBudgetExceeded is returned when any connection exceeded its
@@ -280,14 +274,14 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 		inCnt:   make([]int32, n),
 		inOff:   make([]int32, n+1),
 		inbox:   make([]int32, n),
-		pairs:   make([][2]int32, 0, n/2+1),
 		conns:   make([]Conn, 0, n/2+1),
-		view:    make([]Neighbor, 0, 64),
+		cuts:    make([]int32, 0, 2),
+		exCuts:  make([]int32, 0, 2),
+		// Shard 0 is sized for a whole matching so the one-shard round
+		// never grows it; further shards are added by ensureShards.
+		shards: []shard{{view: make([]Neighbor, 0, 64), pairs: make([][2]int32, 0, n/2+1)}},
 	}
-	e.workers = cfg.Workers
-	if e.workers < 1 {
-		e.workers = 1
-	}
+	e.SetWorkers(cfg.Workers)
 	for u := 0; u < n; u++ {
 		e.rngs[u] = prand.New(prand.Mix64(cfg.Seed ^ (uint64(u)+1)*0xd6e8feb86659fd93))
 	}
@@ -330,11 +324,11 @@ func (e *Engine) SetDynamic(dyn dyngraph.Dynamic) {
 	e.deltaDyn, _ = dyn.(dyngraph.DeltaDynamic)
 }
 
-// SetWorkers retunes the shard-parallel backend at a round boundary
-// (w ≤ 1 selects the sequential path). Worker count affects wall-clock
-// only, never results, so it is valid to change mid-run or after a
-// restore: checkpoints do not record it, and sequential and parallel
-// engines produce interchangeable, byte-identical checkpoints.
+// SetWorkers retunes the shard count at a round boundary (w ≤ 1 is the
+// one-shard round, run inline). Worker count affects wall-clock only,
+// never results, so it is valid to change mid-run or after a restore:
+// checkpoints do not record it, and engines at any worker count produce
+// interchangeable, byte-identical checkpoints.
 func (e *Engine) SetWorkers(w int) {
 	if w < 1 {
 		w = 1
@@ -394,6 +388,11 @@ func (e *Engine) OverBudget() bool { return e.overBudget }
 
 // Step executes exactly one round and returns its per-round stats. Calling
 // Step on a finished run returns ErrRunFinished.
+//
+// Every phase runs through runPhase over this round's shard boundaries —
+// one range [0, n) inline on this goroutine, or several in parallel — and
+// the cross-shard reductions between phases run here, sequentially in
+// shard order, so the round is the same computation at any shard count.
 func (e *Engine) Step() (RoundStats, error) {
 	e.start()
 	if e.completed || e.round >= e.cfg.MaxRounds {
@@ -403,22 +402,16 @@ func (e *Engine) Step() (RoundStats, error) {
 		return RoundStats{Round: e.round}, e.failed
 	}
 
-	n := e.dyn.N()
-	tags, acts := e.tags, e.acts
 	r := e.round + 1
 	stats := RoundStats{Round: r}
 
 	// Profiling marks (no-ops when prof is nil). Timing reads the clock
 	// and writes profiling scratch only, so the simulated round below is
 	// identical with or without it.
-	prof := e.prof
+	prof := e.prof != nil
 	var tRound, tPhase time.Time
 	var phaseNs [profile.NumPhases]int64
-	if prof != nil {
-		for i := range e.profShardNs {
-			e.profShardNs[i] = 0
-		}
-		e.profParNs, e.profRedNs = 0, 0
+	if prof {
 		tRound = time.Now()
 		tPhase = tRound
 	}
@@ -431,138 +424,74 @@ func (e *Engine) Step() (RoundStats, error) {
 		e.res.EdgesAdded += int64(stats.EdgesAdded)
 		e.res.EdgesRemoved += int64(stats.EdgesRemoved)
 	}
-	if prof != nil {
-		now := time.Now()
-		phaseNs[profile.PhaseChurn] = now.Sub(tPhase).Nanoseconds()
-		tPhase = now
+	phaseNs[profile.PhaseChurn] = lap(prof, &tPhase)
+
+	e.g = g
+	cuts := e.roundCuts(g, g.N())
+	w := len(cuts) - 1
+	e.ensureShards(w)
+	shards := e.shards[:w]
+	// Empty shards run no phase, so their reduction inputs are cleared here.
+	for s := range shards {
+		sh := &shards[s]
+		sh.pairs, sh.props, sh.arrivals, sh.ns = sh.pairs[:0], 0, 0, 0
 	}
+	e.profParNs = 0
 
-	// The sharded backend partitions [0, n) into contiguous shards and runs
-	// every phase below shard-parallel, byte-identical to this sequential
-	// path (cuts == nil selects the sequential round loop).
-	cuts := e.roundCuts(g, n)
-
-	// Advertise: every node picks its b-bit tag.
-	if cuts != nil {
-		if err := e.tagSharded(r, cuts); err != nil {
+	// Advertise: every node picks its b-bit tag. A violation poisons the
+	// run, so every shard's err is nil on entry.
+	e.runPhase(phaseTag, cuts)
+	for s := range shards {
+		if err := shards[s].err; err != nil {
+			e.failed = err
 			return stats, err
-		}
-	} else {
-		for u := 0; u < n; u++ {
-			tags[u] = e.proto.Tag(r, u)
-			if tags[u]&^e.tagMask != 0 {
-				e.failed = fmt.Errorf("%w: node %d round %d tag %#x with b=%d",
-					ErrTagTooWide, u, r, tags[u], e.proto.TagBits())
-				return stats, e.failed
-			}
 		}
 	}
 
 	// Scan + decide.
-	switch {
-	case cuts != nil:
-		e.decideSharded(r, g, tags, acts, cuts)
-	case e.cfg.Concurrent:
-		e.decideConcurrent(r, g, tags, acts)
-	default:
-		view := e.view
-		for u := 0; u < n; u++ {
-			view = view[:0]
-			for _, v := range g.Adjacency(u) {
-				view = append(view, Neighbor{ID: int(v), Tag: tags[v]})
-			}
-			acts[u] = e.proto.Decide(r, u, view, e.rngs[u])
-		}
-		e.view = view[:0] // keep any growth for the next round
-	}
+	e.runPhase(phaseDecide, cuts)
 
-	// Deliver proposals into the flat inbox, then accept: each listener
-	// with proposals picks one uniformly with its own randomness, so
-	// connections form a matching.
-	var pairs [][2]int32
-	if cuts != nil {
-		e.deliverSharded(g, acts, cuts, &stats)
-		pairs = e.acceptSharded(cuts)
-	} else {
-		// A proposer cannot receive, and proposals to proposers are lost
-		// (the target is busy sending). Pass 1 validates each proposal and
-		// counts per-target arrivals; pass 2 prefix-sums the counts into
-		// offsets and groups the proposers by target — in ascending
-		// proposer order, exactly the arrival order of the old per-target
-		// append lists.
-		for u := 0; u < n; u++ {
-			e.inCnt[u] = 0
-			e.targets[u] = -1
-		}
-		for u := 0; u < n; u++ {
-			if !acts[u].Propose {
-				continue
-			}
-			stats.Proposals++
-			t := acts[u].Target
-			if t < 0 || t >= n || t == u || !g.HasEdge(u, t) {
-				continue // malformed proposal is simply lost
-			}
-			if acts[t].Propose {
-				continue // target is itself proposing; cannot receive
-			}
-			e.targets[u] = int32(t)
-			e.inCnt[t]++
-		}
-		e.inOff[0] = 0
-		for v := 0; v < n; v++ {
-			e.inOff[v+1] = e.inOff[v] + e.inCnt[v]
-			e.inCnt[v] = 0 // reused as the fill cursor below
-		}
-		for u := 0; u < n; u++ {
-			if t := e.targets[u]; t >= 0 {
-				e.inbox[e.inOff[t]+e.inCnt[t]] = int32(u)
-				e.inCnt[t]++
-			}
-		}
-
-		pairs = e.pairs[:0]
-		for v := 0; v < n; v++ {
-			in := e.inbox[e.inOff[v]:e.inOff[v+1]]
-			if len(in) == 0 {
-				continue
-			}
-			u := in[e.rngs[v].Intn(len(in))]
-			pairs = append(pairs, [2]int32{u, int32(v)})
-		}
+	// Deliver proposals into the flat inbox: validate each against the
+	// complete action array, count arrivals per target, and turn the
+	// per-shard totals into inbox base offsets — the layout of one prefix
+	// sum over all nodes.
+	e.runPhase(phaseValidate, cuts)
+	e.runPhase(phaseCount, cuts)
+	// A one-shard round has nothing to reduce: its reduction time is 0.
+	timeRed := prof && w > 1
+	var tRed time.Time
+	lap(timeRed, &tRed)
+	base := int32(0)
+	for s := range shards {
+		sh := &shards[s]
+		stats.Proposals += sh.props
+		sh.base = base
+		base += sh.arrivals
 	}
-	e.pairs = pairs[:0] // keep any growth for the next round
-	if prof != nil {
-		now := time.Now()
-		// The sequential cross-shard reductions accumulated into
-		// profRedNs are attributed to the reduction phase, not proposal.
-		phaseNs[profile.PhaseProposal] = now.Sub(tPhase).Nanoseconds() - e.profRedNs
-		phaseNs[profile.PhaseReduction] = e.profRedNs
-		tPhase = now
-	}
+	redNs := lap(timeRed, &tRed)
 
-	// Communicate over each accepted connection; the Conn records live
-	// in the engine's reusable slice.
+	// Accept: each listener with proposals picks one uniformly with its own
+	// randomness, so connections form a matching.
+	e.runPhase(phaseAccept, cuts)
+	phaseNs[profile.PhaseProposal] = lap(prof, &tPhase) - redNs
+	phaseNs[profile.PhaseReduction] = redNs
+
+	// Communicate over each accepted connection. Reading the per-shard pair
+	// lists in shard order is ascending responder order at any shard count;
+	// the Conn records live in the engine's reusable slice.
 	conns := e.conns[:0]
-	for _, p := range pairs {
-		u, v := int(p[0]), int(p[1])
-		conns = append(conns, Conn{
-			Round: r, Initiator: u, Responder: v,
-			InitRNG: e.rngs[u], RespRNG: e.rngs[v],
-			bitLimit: e.cfg.BitLimit, tokenLimit: e.cfg.TokenLimit,
-		})
-	}
-	e.conns = conns[:0] // keep any growth for the next round
-	switch {
-	case cuts != nil:
-		e.exchangeSharded(r, conns, len(cuts)-1)
-	case e.cfg.Concurrent:
-		e.exchangeConcurrent(r, conns)
-	default:
-		for i := range conns {
-			e.proto.Exchange(r, &conns[i])
+	for s := range shards {
+		for _, p := range shards[s].pairs {
+			u, v := int(p[0]), int(p[1])
+			conns = append(conns, Conn{
+				Round: r, Initiator: u, Responder: v,
+				InitRNG: e.rngs[u], RespRNG: e.rngs[v],
+				bitLimit: e.cfg.BitLimit, tokenLimit: e.cfg.TokenLimit,
+			})
 		}
 	}
+	e.conns = conns
+	e.runPhase(phaseExchange, e.exchangeCuts(len(conns), w))
 	for i := range conns {
 		c := &conns[i]
 		stats.Connections++
@@ -576,9 +505,7 @@ func (e *Engine) Step() (RoundStats, error) {
 	e.res.Proposals += int64(stats.Proposals)
 	e.res.ControlBits += stats.ControlBits
 	e.res.TokensMoved += stats.TokensMoved
-	if prof != nil {
-		phaseNs[profile.PhaseExchange] = time.Since(tPhase).Nanoseconds()
-	}
+	phaseNs[profile.PhaseExchange] = lap(prof, &tPhase)
 
 	e.round = r
 	e.res.Rounds = r
@@ -590,14 +517,22 @@ func (e *Engine) Step() (RoundStats, error) {
 		e.res.Completed = true
 		stats.Done = true
 	}
-	if prof != nil {
-		w := 1
-		if cuts != nil {
-			w = len(cuts) - 1
-		}
+	if prof {
 		e.recordProfile(r, time.Since(tRound).Nanoseconds(), phaseNs, w)
 	}
 	return stats, nil
+}
+
+// lap returns the nanoseconds since *t and restarts *t at now; with on
+// false it reads no clock and returns 0.
+func lap(on bool, t *time.Time) int64 {
+	if !on {
+		return 0
+	}
+	now := time.Now()
+	ns := now.Sub(*t).Nanoseconds()
+	*t = now
+	return ns
 }
 
 // recordProfile folds the finished round's timing into the recorder,
@@ -605,10 +540,10 @@ func (e *Engine) Step() (RoundStats, error) {
 // sharded. It writes only profiling state and never allocates.
 func (e *Engine) recordProfile(r int, totalNs int64, phaseNs [profile.NumPhases]int64, workers int) {
 	rp := profile.RoundProfile{Round: r, TotalNs: totalNs, PhaseNs: phaseNs, Workers: workers}
-	if workers > 1 && workers <= len(e.profShardNs) {
-		minNs, maxNs, sum := e.profShardNs[0], e.profShardNs[0], int64(0)
-		for s := 0; s < workers; s++ {
-			ns := e.profShardNs[s]
+	if workers > 1 {
+		minNs, maxNs, sum := e.shards[0].ns, e.shards[0].ns, int64(0)
+		for s := range e.shards[:workers] {
+			ns := e.shards[s].ns
 			sum += ns
 			if ns > maxNs {
 				maxNs = ns
@@ -619,10 +554,10 @@ func (e *Engine) recordProfile(r int, totalNs int64, phaseNs [profile.NumPhases]
 		}
 		rp.MaxShardNs, rp.MinShardNs = maxNs, minNs
 		rp.MeanShardNs = sum / int64(workers)
-		// Total time shards spent waiting at phase barriers: each of the
-		// workers goroutines was live for the parallel-phase wall time,
-		// and whatever it did not spend computing it spent waiting.
-		if wait := int64(workers)*e.profParNs - sum; wait > 0 {
+		// Total time ranges spent waiting at phase barriers: every range a
+		// parallel phase launched was live for that phase's wall time, and
+		// whatever it did not spend computing it spent waiting.
+		if wait := e.profParNs - sum; wait > 0 {
 			rp.BarrierNs = wait
 		}
 	}

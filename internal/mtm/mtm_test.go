@@ -119,18 +119,18 @@ func TestRunSeedsDiffer(t *testing.T) {
 }
 
 func TestBackendsIdentical(t *testing.T) {
-	run := func(concurrent bool) Result {
+	run := func(workers int) Result {
 		dyn := dyngraph.RotatingRegular(18, 3, 2, 7)
 		p := newMinSpread(18)
-		res, err := NewEngine(dyn, p, Config{Seed: 11, MaxRounds: 50000, Concurrent: concurrent}).Run()
+		res, err := NewEngine(dyn, p, Config{Seed: 11, MaxRounds: 50000, Workers: workers}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq, par := run(false), run(true)
+	seq, par := run(1), run(4)
 	if seq != par {
-		t.Fatalf("sequential %+v != concurrent %+v", seq, par)
+		t.Fatalf("workers=1 %+v != workers=4 %+v", seq, par)
 	}
 }
 

@@ -21,7 +21,7 @@ func runProfiled(t *testing.T, mkDyn func() dyngraph.Dynamic, n int, cfg Config,
 	roundStart := 0
 	cfg.OnRound = func(int) {
 		seg := append([][2]int(nil), p.sawConnections[roundStart:]...)
-		// Concurrent exchange records pairs in scheduling order;
+		// A sharded exchange records pairs in scheduling order;
 		// canonicalize by responder like runSharded does.
 		sort.Slice(seg, func(i, j int) bool { return seg[i][1] < seg[j][1] })
 		out.rounds = append(out.rounds, seg)
@@ -164,23 +164,28 @@ func TestProfileRecordsSharded(t *testing.T) {
 	}
 }
 
-// TestProfiledStepAllocs pins the overhead contract: the sequential round
-// loop stays 0 allocs/op with profiling ON.
+// TestProfiledStepAllocs pins the overhead contract: a one-range round
+// (Workers: 1) takes no goroutine and no closure, so Step stays at
+// 0 allocs/op — with profiling off and with it ON.
 func TestProfiledStepAllocs(t *testing.T) {
-	dyn := dyngraph.NewStatic(graph.Star(256))
-	e := NewEngine(dyn, &hubFlood{}, Config{Seed: 1, MaxRounds: 1 << 30})
-	e.SetProfiler(profile.NewRecorder())
-	for i := 0; i < 8; i++ { // settle scratch growth
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
+	for _, profiled := range []bool{false, true} {
+		dyn := dyngraph.NewStatic(graph.Star(256))
+		e := NewEngine(dyn, &hubFlood{}, Config{Seed: 1, MaxRounds: 1 << 30, Workers: 1})
+		if profiled {
+			e.SetProfiler(profile.NewRecorder())
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 8; i++ { // settle scratch growth
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("profiled sequential Step allocated %.1f/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("one-range Step (profiled=%v) allocated %.1f/op, want 0", profiled, allocs)
+		}
 	}
 }

@@ -1,39 +1,39 @@
 package mtm
 
-// Shard-parallel round backend: one execution spread across cores with
-// results byte-identical to the sequential engine.
+// The round's phases, each written once over a range, and the one fan-out
+// that runs them. A round is one range — the whole node set, run inline on
+// the caller — or several run in parallel with results byte-identical to
+// the one-range round.
 //
 // The node range [0, n) is partitioned each round into Workers contiguous
 // shards whose boundaries balance estimated round cost (degree + fixed
-// per-node work; graph.BalancedCutsInto). Every phase then runs
-// shard-parallel over per-shard scratch, with a full barrier between
-// phases so each phase reads a complete snapshot of the previous one:
+// per-node work; graph.BalancedCutsInto). Every phase runs over per-shard
+// scratch, with a full barrier between phases so each phase reads a
+// complete snapshot of the previous one:
 //
 //	tag      — u-shards write tags[lo:hi]; lowest-u tag-width violation wins
 //	decide   — u-shards read the full tag array, write acts[lo:hi],
 //	           drawing only from the rngs of their own nodes
-//	deliver  — u-shards validate proposals into targets[lo:hi];
-//	           then v-shards count arrivals into their own inCnt range and
-//	           a tiny sequential pass turns per-shard totals into inbox
-//	           base offsets (the deterministic reduction)
+//	validate — u-shards validate proposals into targets[lo:hi]
+//	count    — v-shards count arrivals into their own inCnt range; a tiny
+//	           sequential pass turns per-shard totals into inbox base
+//	           offsets (the deterministic reduction)
 //	accept   — v-shards fill their inbox region in ascending proposer
 //	           order and draw each listener's uniform choice from the
-//	           listener's own stream; per-shard pair lists concatenate in
-//	           shard order, which is ascending responder order — exactly
-//	           the sequential engine's pair order
+//	           listener's own stream; per-shard pair lists are read in
+//	           shard order, which is ascending responder order
 //	exchange — accepted connections are vertex-disjoint (a matching), so
-//	           contiguous chunks of the pair list are safe to run in
+//	           contiguous chunks of the connection list are safe to run in
 //	           parallel under the Protocol locality contract
 //
 // Determinism therefore needs no atomics and no locks: every array cell is
 // written by exactly one shard, every RNG stream is advanced by exactly the
-// same calls in the same order as the sequential path, and the only
-// cross-shard reductions (proposal totals, inbox bases, pair concatenation)
-// run sequentially in shard order. See DESIGN.md §11.
+// same calls in the same order at any shard count, and the only cross-shard
+// reductions (proposal totals, inbox bases, the walk over the pair lists,
+// the tag error) run sequentially in shard order in Step. See DESIGN.md §11.
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"mobilegossip/internal/graph"
@@ -46,188 +46,165 @@ import (
 const shardNodeWeight = 8
 
 // shardMinConns is the connection count below which the exchange phase runs
-// sequentially — goroutine fan-out costs more than the handful of calls.
+// as one range — goroutine fan-out costs more than the handful of calls.
 const shardMinConns = 64
 
-// roundCuts returns this round's shard boundaries, or nil when the round
-// should take the sequential path. The boundaries are recomputed from the
-// round's graph (dynamic schedules change degrees) into a reusable buffer,
-// so the steady state allocates nothing beyond the goroutine fan-out.
+// phase names one round phase for runPhase. Phases are dispatched by id
+// rather than passed as func values: a closure handed to a function that
+// go-launches it escapes, which would cost an allocation per phase per
+// round even on the inline one-range path.
+type phase uint8
+
+const (
+	phaseTag      phase = iota // node range
+	phaseDecide                // node range
+	phaseValidate              // node range (proposers)
+	phaseCount                 // node range (responders)
+	phaseAccept                // node range (responders)
+	phaseExchange              // connection-index range
+)
+
+// shard is the scratch one range of a phase owns: written by exactly one
+// goroutine per phase, read by Step's reductions after the barrier.
+type shard struct {
+	view     []Neighbor // scan view, reused across nodes and rounds
+	pairs    [][2]int32 // accepted (proposer, responder) pairs, ascending responder
+	props    int        // proposals sent from this range
+	arrivals int32      // valid proposals aimed into this range
+	base     int32      // inbox offset of this range's first node
+	err      error      // first tag-width violation in this range
+	ns       int64      // profiling: compute time over the round's launched phases
+}
+
+// roundCuts returns this round's shard boundaries: one range [0, n) at
+// Workers ≤ 1. The boundaries are recomputed from the round's graph
+// (dynamic schedules change degrees) into a reusable buffer.
 func (e *Engine) roundCuts(g *graph.Graph, n int) []int32 {
 	if e.testCuts != nil {
 		return e.testCuts
 	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return nil
-	}
-	e.cuts = g.BalancedCutsInto(w, shardNodeWeight, e.cuts)
+	e.cuts = g.BalancedCutsInto(min(e.workers, n), shardNodeWeight, e.cuts)
 	return e.cuts
 }
 
-// ensureShardScratch sizes the per-shard scratch for w shards.
-func (e *Engine) ensureShardScratch(w int) {
-	for len(e.views) < w {
-		e.views = append(e.views, make([]Neighbor, 0, 64))
+// exchangeCuts partitions the m accepted connections into at most w
+// contiguous chunks. The connections form a matching, so any partition is
+// endpoint-disjoint; chunk boundaries need not align with node shards.
+func (e *Engine) exchangeCuts(m, w int) []int32 {
+	cuts := append(e.exCuts[:0], 0)
+	if w > 1 && m >= shardMinConns {
+		chunk := (m + w - 1) / w
+		for lo := chunk; lo < m; lo += chunk {
+			cuts = append(cuts, int32(lo))
+		}
 	}
-	for len(e.shardPairs) < w {
-		e.shardPairs = append(e.shardPairs, make([][2]int32, 0, 16))
+	e.exCuts = append(cuts, int32(m))
+	return e.exCuts
+}
+
+// ensureShards sizes the per-range scratch for w ranges.
+func (e *Engine) ensureShards(w int) {
+	for len(e.shards) < w {
+		e.shards = append(e.shards, shard{
+			view:  make([]Neighbor, 0, 64),
+			pairs: make([][2]int32, 0, 16),
+		})
 	}
-	for len(e.shardProps) < w {
-		e.shardProps = append(e.shardProps, 0)
+}
+
+// runPhase runs phase ph over every non-empty range [cuts[s], cuts[s+1])
+// and returns when all are done (the phase barrier). A single range runs
+// inline on the caller: no goroutine, no clock read. Several run
+// concurrently, the last on the calling goroutine; with a recorder attached
+// each range's compute time accumulates into its shard's ns and the phase's
+// wall time, once per launched range, into profParNs.
+func (e *Engine) runPhase(ph phase, cuts []int32) {
+	last, live := -1, 0
+	for s := 0; s+1 < len(cuts); s++ {
+		if cuts[s] < cuts[s+1] {
+			last = s
+			live++
+		}
 	}
-	for len(e.shardErrs) < w {
-		e.shardErrs = append(e.shardErrs, nil)
+	if live == 0 {
+		return
 	}
-	for len(e.shardBase) < w+1 {
-		e.shardBase = append(e.shardBase, 0)
+	if live == 1 {
+		e.phaseRange(ph, last, int(cuts[last]), int(cuts[last+1]))
+		return
 	}
+	var t0 time.Time
 	if e.prof != nil {
-		for len(e.profShardNs) < w {
-			e.profShardNs = append(e.profShardNs, 0)
-		}
+		t0 = time.Now()
 	}
-}
-
-// runShards runs fn(s, lo, hi) for every non-empty shard [cuts[s], cuts[s+1])
-// concurrently and waits for all of them (the phase barrier). The last
-// non-empty shard runs on the calling goroutine.
-func runShards(cuts []int32, fn func(s, lo, hi int)) {
-	last := -1
-	for s := 0; s+1 < len(cuts); s++ {
-		if cuts[s] < cuts[s+1] {
-			last = s
-		}
-	}
-	if last < 0 {
-		return
-	}
-	var wg sync.WaitGroup
+	e.wg.Add(live)
 	for s := 0; s < last; s++ {
-		lo, hi := int(cuts[s]), int(cuts[s+1])
-		if lo >= hi {
-			continue
+		if cuts[s] < cuts[s+1] {
+			go e.runRange(ph, s, int(cuts[s]), int(cuts[s+1]))
 		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
 	}
-	fn(last, int(cuts[last]), int(cuts[last+1]))
-	wg.Wait()
+	e.runRange(ph, last, int(cuts[last]), int(cuts[last+1]))
+	e.wg.Wait()
+	if e.prof != nil {
+		e.profParNs += int64(live) * time.Since(t0).Nanoseconds()
+	}
 }
 
-// runShardsTimed is runShards plus the profiling sidecar: with a recorder
-// attached it accumulates each shard's compute time into profShardNs
-// (each shard writes only its own slot, like shardErrs) and the phase's
-// wall time into profParNs; without one it is exactly runShards. The
-// fan-out loop is duplicated rather than wrapped in a timing closure so
-// profiling adds clock reads but no allocations beyond runShards' own
-// goroutine launches.
-func (e *Engine) runShardsTimed(cuts []int32, fn func(s, lo, hi int)) {
+// runRange is one launched range of a parallel phase.
+func (e *Engine) runRange(ph phase, s, lo, hi int) {
+	defer e.wg.Done()
 	if e.prof == nil {
-		runShards(cuts, fn)
+		e.phaseRange(ph, s, lo, hi)
 		return
 	}
-	t0 := time.Now()
-	last := -1
-	for s := 0; s+1 < len(cuts); s++ {
-		if cuts[s] < cuts[s+1] {
-			last = s
-		}
-	}
-	if last < 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < last; s++ {
-		lo, hi := int(cuts[s]), int(cuts[s+1])
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			ts := time.Now()
-			fn(s, lo, hi)
-			e.profShardNs[s] += time.Since(ts).Nanoseconds()
-		}(s, lo, hi)
-	}
-	ts := time.Now()
-	fn(last, int(cuts[last]), int(cuts[last+1]))
-	e.profShardNs[last] += time.Since(ts).Nanoseconds()
-	wg.Wait()
-	e.profParNs += time.Since(t0).Nanoseconds()
+	t := time.Now()
+	e.phaseRange(ph, s, lo, hi)
+	e.shards[s].ns += time.Since(t).Nanoseconds()
 }
 
-// tagSharded runs the advertise phase shard-parallel. Each shard records its
-// first tag-width violation; the lowest shard's wins, which — because each
-// shard scans ascending — is exactly the lowest-u violation the sequential
-// path would have reported.
-func (e *Engine) tagSharded(r int, cuts []int32) error {
-	w := len(cuts) - 1
-	e.ensureShardScratch(w)
-	for s := 0; s < w; s++ {
-		e.shardErrs[s] = nil
-	}
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
+// phaseRange is the one implementation of every phase, over range s =
+// [lo, hi). Each case hoists the arrays it walks into locals: indexing
+// them through the receiver in these loops measurably slows rounds that
+// are all fixed cost.
+func (e *Engine) phaseRange(ph phase, s, lo, hi int) {
+	r := e.round + 1
+	sh := &e.shards[s]
+	switch ph {
+	case phaseTag:
+		// Each range stops at its first violation and the lowest range's
+		// wins, which — ranges being ascending — is the lowest-u violation.
+		tags, proto, mask := e.tags, e.proto, e.tagMask
 		for u := lo; u < hi; u++ {
-			e.tags[u] = e.proto.Tag(r, u)
-			if e.tags[u]&^e.tagMask != 0 && e.shardErrs[s] == nil {
-				e.shardErrs[s] = fmt.Errorf("%w: node %d round %d tag %#x with b=%d",
-					ErrTagTooWide, u, r, e.tags[u], e.proto.TagBits())
+			tags[u] = proto.Tag(r, u)
+			if tags[u]&^mask != 0 {
+				sh.err = fmt.Errorf("%w: node %d round %d tag %#x with b=%d",
+					ErrTagTooWide, u, r, tags[u], proto.TagBits())
+				return
 			}
 		}
-	})
-	for s := 0; s < w; s++ {
-		if err := e.shardErrs[s]; err != nil {
-			e.failed = err
-			return err
-		}
-	}
-	return nil
-}
 
-// decideSharded runs the scan+decide phase shard-parallel: each shard reads
-// the complete tag array written before the phase barrier, builds views in
-// its own persistent buffer, and draws only from its own nodes' streams.
-func (e *Engine) decideSharded(r int, g *graph.Graph, tags []uint64, acts []Action, cuts []int32) {
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
-		view := e.views[s]
+	case phaseDecide:
+		// Reads the complete tag array written before the barrier; draws
+		// only from this range's own streams.
+		g, tags, acts, rngs, proto := e.g, e.tags, e.acts, e.rngs, e.proto
+		view := sh.view
 		for u := lo; u < hi; u++ {
 			view = view[:0]
 			for _, v := range g.Adjacency(u) {
 				view = append(view, Neighbor{ID: int(v), Tag: tags[v]})
 			}
-			acts[u] = e.proto.Decide(r, u, view, e.rngs[u])
+			acts[u] = proto.Decide(r, u, view, rngs[u])
 		}
-		e.views[s] = view[:0] // keep any growth for the next round
-	})
-}
+		sh.view = view[:0] // keep any growth for the next round
 
-// deliverSharded validates proposals and lays out the flat inbox.
-// Sub-phase 1 (u-shards): validate each proposal against the complete
-// action array into targets[lo:hi], counting proposals per shard.
-// Sub-phase 2 (v-shards): each shard scans the full target array and counts
-// only arrivals aimed at its own node range — O(n) per shard wall-clock,
-// but cache-friendly and write-disjoint. A tiny sequential reduction over
-// the per-shard totals then fixes each shard's inbox base offset, making
-// the final layout identical to the sequential prefix sum.
-func (e *Engine) deliverSharded(g *graph.Graph, acts []Action, cuts []int32, stats *RoundStats) {
-	n := len(e.targets)
-	w := len(cuts) - 1
-	for s := 0; s < w; s++ {
-		e.shardProps[s] = 0
-		e.shardBase[s+1] = 0
-	}
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
-		props := int64(0)
+	case phaseValidate:
+		// A proposer cannot receive, and proposals to proposers are lost
+		// (the target is busy sending).
+		g, acts, targets := e.g, e.acts, e.targets
+		n := len(targets)
+		props := 0
 		for u := lo; u < hi; u++ {
-			e.targets[u] = -1
+			targets[u] = -1
 			if !acts[u].Propose {
 				continue
 			}
@@ -239,131 +216,64 @@ func (e *Engine) deliverSharded(g *graph.Graph, acts []Action, cuts []int32, sta
 			if acts[t].Propose {
 				continue // target is itself proposing; cannot receive
 			}
-			e.targets[u] = int32(t)
+			targets[u] = int32(t)
 		}
-		e.shardProps[s] = props
-	})
-	var tRed time.Time
-	if e.prof != nil {
-		tRed = time.Now()
-	}
-	for s := 0; s < w; s++ {
-		stats.Proposals += int(e.shardProps[s])
-	}
-	if e.prof != nil {
-		e.profRedNs += time.Since(tRed).Nanoseconds()
-	}
+		sh.props = props
 
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
+	case phaseCount:
+		// Scans the full target array and counts only arrivals aimed at
+		// this range — O(n) per range, but cache-friendly and
+		// write-disjoint.
+		targets, inCnt := e.targets, e.inCnt
 		for v := lo; v < hi; v++ {
-			e.inCnt[v] = 0
+			inCnt[v] = 0
 		}
 		total := int32(0)
 		lo32, hi32 := int32(lo), int32(hi)
-		for u := 0; u < n; u++ {
-			if t := e.targets[u]; t >= lo32 && t < hi32 {
-				e.inCnt[t]++
+		for _, t := range targets {
+			if t >= lo32 && t < hi32 {
+				inCnt[t]++
 				total++
 			}
 		}
-		e.shardBase[s+1] = total
-	})
-	if e.prof != nil {
-		tRed = time.Now()
-	}
-	e.shardBase[0] = 0
-	for s := 0; s < w; s++ {
-		e.shardBase[s+1] += e.shardBase[s] // per-shard totals → base offsets
-	}
-	if e.prof != nil {
-		e.profRedNs += time.Since(tRed).Nanoseconds()
-	}
-}
+		sh.arrivals = total
 
-// acceptSharded fills the inbox and draws the acceptances, shard-parallel
-// over responder shards, then concatenates the per-shard pair lists in shard
-// order — ascending responder order, the sequential engine's pair order.
-//
-// Each shard derives its nodes' inbox offsets from its base and the counts
-// of sub-phase 2, reusing inCnt as the fill cursor exactly like the
-// sequential path. The accept loop reads inbox[inOff[v] : inOff[v]+inCnt[v]]
-// rather than inOff[v+1]: for a shard's last node, inOff[v+1] belongs to the
-// next shard and may not be written yet.
-func (e *Engine) acceptSharded(cuts []int32) [][2]int32 {
-	n := len(e.targets)
-	w := len(cuts) - 1
-	for s := 0; s < w; s++ {
-		e.shardPairs[s] = e.shardPairs[s][:0]
-	}
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
-		off := e.shardBase[s]
+	case phaseAccept:
+		// Offsets follow from the range's base and the counts; inCnt is
+		// then reused as the fill cursor, so proposers group by target in
+		// ascending proposer order. The accept loop reads
+		// inbox[inOff[v] : inOff[v]+inCnt[v]] rather than up to inOff[v+1]:
+		// for a range's last node that cell belongs to the next range.
+		targets, inCnt, inOff, inbox, rngs := e.targets, e.inCnt, e.inOff, e.inbox, e.rngs
+		off := sh.base
 		for v := lo; v < hi; v++ {
-			e.inOff[v] = off
-			off += e.inCnt[v]
-			e.inCnt[v] = 0 // reused as the fill cursor below
+			inOff[v] = off
+			off += inCnt[v]
+			inCnt[v] = 0
 		}
 		lo32, hi32 := int32(lo), int32(hi)
-		for u := 0; u < n; u++ {
-			if t := e.targets[u]; t >= lo32 && t < hi32 {
-				e.inbox[e.inOff[t]+e.inCnt[t]] = int32(u)
-				e.inCnt[t]++
+		for u, t := range targets {
+			if t >= lo32 && t < hi32 {
+				inbox[inOff[t]+inCnt[t]] = int32(u)
+				inCnt[t]++
 			}
 		}
-		pairs := e.shardPairs[s]
+		pairs := sh.pairs[:0]
 		for v := lo; v < hi; v++ {
-			in := e.inbox[e.inOff[v] : e.inOff[v]+e.inCnt[v]]
+			in := inbox[inOff[v] : inOff[v]+inCnt[v]]
 			if len(in) == 0 {
 				continue
 			}
-			u := in[e.rngs[v].Intn(len(in))]
+			// Uniform acceptance from the listener's own stream.
+			u := in[rngs[v].Intn(len(in))]
 			pairs = append(pairs, [2]int32{u, int32(v)})
 		}
-		e.shardPairs[s] = pairs
-	})
-	var tRed time.Time
-	if e.prof != nil {
-		tRed = time.Now()
-	}
-	merged := e.pairs[:0]
-	for s := 0; s < w; s++ {
-		merged = append(merged, e.shardPairs[s]...)
-	}
-	if e.prof != nil {
-		e.profRedNs += time.Since(tRed).Nanoseconds()
-	}
-	return merged
-}
+		sh.pairs = pairs
 
-// exchangeSharded runs the exchange phase over contiguous chunks of the
-// connection list. The connections form a matching, so any partition is
-// endpoint-disjoint; chunk boundaries need not align with node shards.
-func (e *Engine) exchangeSharded(r int, conns []Conn, w int) {
-	if len(conns) < shardMinConns || w <= 1 {
-		for i := range conns {
-			e.proto.Exchange(r, &conns[i])
+	case phaseExchange:
+		conns, proto := e.conns, e.proto
+		for i := lo; i < hi; i++ {
+			proto.Exchange(r, &conns[i])
 		}
-		return
 	}
-	if w > len(conns) {
-		w = len(conns)
-	}
-	chunk := (len(conns) + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := chunk; lo < len(conns); lo += chunk {
-		hi := lo + chunk
-		if hi > len(conns) {
-			hi = len(conns)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				e.proto.Exchange(r, &conns[i])
-			}
-		}(lo, hi)
-	}
-	for i := 0; i < chunk; i++ {
-		e.proto.Exchange(r, &conns[i])
-	}
-	wg.Wait()
 }

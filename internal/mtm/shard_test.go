@@ -29,7 +29,7 @@ func runSharded(t *testing.T, mkDyn func() dyngraph.Dynamic, n int, cfg Config, 
 	roundStart := 0
 	cfg.OnRound = func(int) {
 		seg := append([][2]int(nil), p.sawConnections[roundStart:]...)
-		// The concurrent exchange records pairs in scheduling order; the
+		// A sharded exchange records pairs in scheduling order; the
 		// matching itself is the deterministic object, so canonicalize by
 		// responder (each responder appears at most once per round).
 		sort.Slice(seg, func(i, j int) bool { return seg[i][1] < seg[j][1] })

@@ -30,9 +30,9 @@ const (
 	// PhaseExchange: pairwise communication over the accepted
 	// connections plus the per-connection meter fold.
 	PhaseExchange
-	// PhaseReduction: the sequential cross-shard reductions of the
-	// sharded backend (proposal-count prefix sums, inbox base offsets,
-	// pair-list concatenation); 0 on the sequential path.
+	// PhaseReduction: the sequential cross-shard reductions of a sharded
+	// round (proposal totals, inbox base offsets); 0 for a one-shard
+	// round.
 	PhaseReduction
 
 	NumPhases

@@ -21,7 +21,7 @@ type Protocol struct {
 	// left counts uninformed nodes. Exchange decrements it atomically: the
 	// round's connections form a matching, so the informed[] writes are
 	// endpoint-disjoint, but the counter is the one piece of state every
-	// exchange shares under the parallel engine backends. The decrement is
+	// exchange shares under a sharded engine. The decrement is
 	// commutative, so the count — and Done — stay deterministic.
 	left atomic.Int64
 }

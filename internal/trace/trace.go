@@ -31,8 +31,9 @@ type Event struct {
 	Tokens int    `json:"tokens,omitempty"`
 }
 
-// Recorder sinks events to an io.Writer as JSON lines. It is safe for the
-// concurrent engine backend (Exchange may run from multiple goroutines).
+// Recorder sinks events to an io.Writer as JSON lines. It is safe under a
+// sharded engine (mtm.Config.Workers ≥ 2), where Decide and Exchange run
+// from multiple goroutines.
 type Recorder struct {
 	mu     sync.Mutex
 	enc    *json.Encoder

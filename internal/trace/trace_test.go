@@ -15,11 +15,12 @@ import (
 	"mobilegossip/internal/prand"
 )
 
-// runTraced executes a small SharedBit gossip with tracing and returns the
-// engine result plus parsed events.
-func runTraced(t *testing.T, concurrent bool) (mtm.Result, []Event, *Recorder) {
+// runTraced executes a SharedBit gossip over n nodes with tracing, at the
+// given engine worker count, and returns the engine result plus parsed
+// events.
+func runTraced(t *testing.T, n, workers int) (mtm.Result, []Event, *Recorder) {
 	t.Helper()
-	const n, k = 16, 4
+	const k = 4
 	st, err := core.NewState(n, core.OneTokenPerNode(n, k), 1e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +30,7 @@ func runTraced(t *testing.T, concurrent bool) (mtm.Result, []Event, *Recorder) {
 	rec := NewRecorder(&buf)
 	g := graph.RandomRegular(n, 4, prand.New(3))
 	res, err := mtm.NewEngine(dyngraph.NewStatic(g), Wrap(proto, rec), mtm.Config{
-		Seed: 8, Concurrent: concurrent,
+		Seed: 8, Workers: workers,
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func runTraced(t *testing.T, concurrent bool) (mtm.Result, []Event, *Recorder) {
 }
 
 func TestRecorderCountsMatchEngineTotals(t *testing.T) {
-	res, events, rec := runTraced(t, false)
+	res, events, rec := runTraced(t, 16, 1)
 	if !res.Completed {
 		t.Fatal("gossip unsolved")
 	}
@@ -81,7 +82,7 @@ func TestRecorderCountsMatchEngineTotals(t *testing.T) {
 }
 
 func TestEventsWellFormed(t *testing.T) {
-	res, events, _ := runTraced(t, false)
+	res, events, _ := runTraced(t, 16, 1)
 	for _, e := range events {
 		if e.Round < 1 || e.Round > res.Rounds {
 			t.Errorf("event round %d outside [1, %d]", e.Round, res.Rounds)
@@ -120,14 +121,30 @@ func TestWrappedExecutionIdenticalToBare(t *testing.T) {
 	}
 }
 
+// TestConcurrentBackendSafeAndEquivalent runs the recorder under a sharded
+// engine: Decide and Exchange record from several goroutines at once, so
+// the recorder's mutex is what keeps the stream well-formed (run under
+// -race by make race-concurrent). n is large enough that rounds accept at
+// least 64 connections, the engine's cut-over to a chunked exchange phase.
 func TestConcurrentBackendSafeAndEquivalent(t *testing.T) {
-	seqRes, seqEvents, _ := runTraced(t, false)
-	concRes, concEvents, _ := runTraced(t, true)
-	if seqRes != concRes {
-		t.Errorf("backends diverged under tracing: %+v vs %+v", seqRes, concRes)
+	seqRes, seqEvents, _ := runTraced(t, 400, 1)
+	parRes, parEvents, _ := runTraced(t, 400, 4)
+	if seqRes != parRes {
+		t.Errorf("worker counts diverged under tracing: %+v vs %+v", seqRes, parRes)
 	}
-	if len(seqEvents) != len(concEvents) {
-		t.Errorf("event counts differ: %d vs %d", len(seqEvents), len(concEvents))
+	if len(seqEvents) != len(parEvents) {
+		t.Errorf("event counts differ: %d vs %d", len(seqEvents), len(parEvents))
+	}
+	perRound := map[int]int{}
+	widest := 0
+	for _, e := range parEvents {
+		if e.Kind == "connect" {
+			perRound[e.Round]++
+			widest = max(widest, perRound[e.Round])
+		}
+	}
+	if widest < 64 {
+		t.Errorf("widest round accepted %d connections; the sharded exchange needs ≥ 64 to run in parallel", widest)
 	}
 }
 

@@ -100,24 +100,20 @@ type Config struct {
 	Seed uint64
 	// MaxRounds aborts unfinished runs (default 2^22).
 	MaxRounds int
-	// Concurrent selects the goroutine-per-connection engine backend.
-	Concurrent bool
-	// EngineWorkers selects the deterministic shard-parallel round engine:
-	// the node range is split into EngineWorkers contiguous, degree-balanced
-	// shards and every round phase runs shard-parallel, byte-identical to
-	// the sequential engine at any worker count or GOMAXPROCS (DESIGN.md
-	// §11).
+	// EngineWorkers is the shard count of the round engine: the node range
+	// is split into EngineWorkers contiguous, degree-balanced shards and
+	// every round phase runs over them in parallel, byte-identical at any
+	// worker count or GOMAXPROCS (DESIGN.md §11).
 	//
 	//	0  — auto: GOMAXPROCS, capped so every shard keeps ≥ ~2048 nodes
-	//	     (small runs stay on the sequential 0 allocs/op path);
-	//	1  — force the sequential engine;
+	//	     (small runs stay on the one-shard 0 allocs/op path);
+	//	1  — one shard, run inline with no goroutine (the sequential engine);
 	//	≥2 — exactly that many shard workers (capped at N).
 	//
 	// Worker count changes wall-clock only, never results, and is therefore
 	// not part of the checkpoint: sequential and parallel runs write
 	// interchangeable, byte-identical checkpoints, and a resumed session
 	// re-resolves its own worker count (override with SetEngineWorkers).
-	// When ≥ 2 it supersedes Concurrent.
 	EngineWorkers int
 	// Profile attaches the timing sidecar (internal/profile, DESIGN.md
 	// §13): per-round phase spans and shard timing aggregated into

@@ -6,6 +6,8 @@ package mobilegossip_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"runtime"
 	"testing"
 
 	"mobilegossip"
@@ -202,5 +204,44 @@ func TestObserveMidRun(t *testing.T) {
 	}
 	if events[0] != "round" || events[len(events)-1] != "end" {
 		t.Fatalf("event kinds: %v", events)
+	}
+}
+
+// TestObserveTraceAutoEngineWorkers: attaching a protocol-tapping observer
+// drops an auto-resolved session to one worker, and the session remembers
+// it — re-resolving auto with SetEngineWorkers(0) must not re-parallelise
+// the tapped run (trace order would follow goroutine scheduling again). An
+// explicit count ≥ 2 is still honoured.
+func TestObserveTraceAutoEngineWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sim, err := mobilegossip.New(mobilegossip.Config{
+		Algorithm: mobilegossip.AlgSharedBit, N: 8192, K: 2,
+		Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
+		Seed:     8, Profile: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepWorkers := func() int {
+		t.Helper()
+		if _, err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Profiler().Last().Workers
+	}
+	if w := stepWorkers(); w != 4 { // GOMAXPROCS 4, 8192/2048 = 4
+		t.Fatalf("auto resolved to %d workers, want 4", w)
+	}
+	sim.Observe(mobilegossip.NewTraceObserver(io.Discard))
+	if w := stepWorkers(); w != 1 {
+		t.Fatalf("tapped auto session ran %d workers, want 1", w)
+	}
+	sim.SetEngineWorkers(0)
+	if w := stepWorkers(); w != 1 {
+		t.Fatalf("SetEngineWorkers(0) re-parallelised the tapped session to %d workers", w)
+	}
+	sim.SetEngineWorkers(3)
+	if w := stepWorkers(); w != 3 {
+		t.Fatalf("explicit EngineWorkers 3 ran %d workers", w)
 	}
 }

@@ -39,7 +39,7 @@ func (t tokenCounts) TokenCount(u int) int { return t.st.Set(u).Len() }
 // Resume on another process — byte-identically to an uninterrupted run.
 //
 // A Simulation is not safe for concurrent use; drive it from one
-// goroutine (Config.Concurrent parallelism happens inside Step).
+// goroutine (Config.EngineWorkers parallelism happens inside Step).
 type Simulation struct {
 	cfg   Config
 	st    *core.State
@@ -52,6 +52,7 @@ type Simulation struct {
 	legacyRec *trace.Recorder // Config.TraceWriter recorder, for Run's error contract
 	began     bool
 	finished  bool
+	tapped    bool // a protocol-tapping observer is attached: auto workers resolve to 1
 
 	bus          *events.Bus
 	fanAttached  bool              // observer pipeline registered on the bus
@@ -143,10 +144,9 @@ func New(cfg Config) (*Simulation, error) {
 		s.lastAdvEpoch = adv.Epoch()
 	}
 	s.eng = mtm.NewEngine(dyn, s.proto, mtm.Config{
-		Seed:       prand.Mix64(cfg.Seed ^ 0x51afd7ed558ccd6d),
-		MaxRounds:  cfg.MaxRounds,
-		Concurrent: cfg.Concurrent,
-		Workers:    resolveEngineWorkers(cfg.EngineWorkers, cfg.N),
+		Seed:      prand.Mix64(cfg.Seed ^ 0x51afd7ed558ccd6d),
+		MaxRounds: cfg.MaxRounds,
+		Workers:   resolveEngineWorkers(cfg.EngineWorkers, cfg.N, false),
 	})
 
 	if cfg.Profile {
@@ -170,14 +170,16 @@ func New(cfg Config) (*Simulation, error) {
 const autoShardMinNodes = 2048
 
 // resolveEngineWorkers maps the Config.EngineWorkers knob to an exact
-// mtm worker count: 0 = auto (GOMAXPROCS, shard-size capped), otherwise the
+// mtm worker count: 0 = auto (GOMAXPROCS, shard-size capped — or 1 while a
+// protocol-tapping observer is attached, see Observe), otherwise the
 // requested count capped at n.
-func resolveEngineWorkers(w, n int) int {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if byN := n / autoShardMinNodes; byN < w {
-			w = byN
-		}
+func resolveEngineWorkers(w, n int, tapped bool) int {
+	switch {
+	case w > 0: // explicit
+	case tapped:
+		w = 1
+	default:
+		w = min(runtime.GOMAXPROCS(0), n/autoShardMinNodes)
 	}
 	if w > n {
 		w = n
@@ -188,13 +190,13 @@ func resolveEngineWorkers(w, n int) int {
 	return w
 }
 
-// SetEngineWorkers retunes the shard-parallel engine at a round boundary
+// SetEngineWorkers retunes the engine's shard count at a round boundary
 // (same knob as Config.EngineWorkers: 0 = auto, 1 = sequential, ≥2 exact).
 // Worker count changes wall-clock only, never results, so it is valid
 // mid-run and on resumed sessions — checkpoints do not record it.
 func (s *Simulation) SetEngineWorkers(w int) {
 	s.cfg.EngineWorkers = w
-	s.eng.SetWorkers(resolveEngineWorkers(w, s.cfg.N))
+	s.eng.SetWorkers(resolveEngineWorkers(w, s.cfg.N, s.tapped))
 }
 
 // Rebind swaps the session's topology schedule at a round boundary: the
@@ -299,8 +301,9 @@ func (s *Simulation) Bus() *events.Bus { return s.bus }
 // Protocol-tapping observers record events from inside the engine's round
 // phases, so under a parallel engine their per-round event order follows
 // goroutine scheduling. Attaching one therefore drops an auto-resolved
-// (EngineWorkers = 0) session back to the sequential engine, keeping trace
-// streams byte-stable; an explicit EngineWorkers ≥ 2 is honored, with
+// (EngineWorkers = 0) session back to one worker — for the rest of the
+// session, including a later SetEngineWorkers(0) — keeping trace streams
+// byte-stable; an explicit EngineWorkers ≥ 2 is honored, with
 // order-insensitive trace comparison left to the caller.
 func (s *Simulation) Observe(obs ...Observer) {
 	for _, o := range obs {
@@ -310,9 +313,8 @@ func (s *Simulation) Observe(obs ...Observer) {
 		if pw, ok := o.(protocolWrapper); ok {
 			s.proto = pw.wrapProtocol(s.proto)
 			s.eng.SetProtocol(s.proto)
-			if s.cfg.EngineWorkers == 0 {
-				s.eng.SetWorkers(1)
-			}
+			s.tapped = true
+			s.SetEngineWorkers(s.cfg.EngineWorkers)
 		}
 		if !s.fanAttached {
 			s.fanAttached = true

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"mobilegossip"
@@ -205,6 +206,62 @@ func TestCheckpointResumeMatchesRun(t *testing.T) {
 				t.Fatalf("original run diverged after checkpoint:\n got %+v\nwant %+v", gotOrig, want)
 			}
 		})
+	}
+}
+
+// TestResumeCheckpointWithRemovedConcurrentBit resumes a v3 checkpoint
+// written by the last build that still had Config.Concurrent, with the bit
+// set (gossipsim -concurrent -alg sharedbit -n 16 -k 4 -tau 1 -seed 3
+// -checkpoint ... -checkpointat 3). The slot is read and discarded: the
+// run finishes as that build finished it and as a fresh uninterrupted run
+// of the same config does, and re-checkpointing the resumed state
+// reproduces the fixture except for the one slot byte, now always 0 — the
+// v3 format is otherwise unchanged.
+func TestResumeCheckpointWithRemovedConcurrentBit(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/ckpt_v3_concurrent.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := mobilegossip.Resume(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if sim.Round() != 3 {
+		t.Fatalf("resumed at round %d, want 3", sim.Round())
+	}
+
+	var again bytes.Buffer
+	if err := sim.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.Len() != len(fixture) {
+		t.Fatalf("re-checkpoint is %d bytes, fixture %d", again.Len(), len(fixture))
+	}
+	var diff []int
+	for i, b := range again.Bytes() {
+		if b != fixture[i] {
+			diff = append(diff, i)
+		}
+	}
+	if len(diff) != 1 || fixture[diff[0]] != 1 || again.Bytes()[diff[0]] != 0 {
+		t.Fatalf("re-checkpoint differs from the fixture at offsets %v, want only the set Concurrent slot cleared", diff)
+	}
+
+	got, err := sim.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mobilegossip.Run(sim.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("resumed run diverged from a fresh run:\n got %+v\nwant %+v", got, want)
+	}
+	// What the build that wrote the fixture went on to report.
+	if !got.Solved || got.Rounds != 20 || got.Connections != 60 || got.Proposals != 94 ||
+		got.ControlBits != 23880 || got.TokensMoved != 60 {
+		t.Fatalf("resumed run finished differently from the build that wrote it: %+v", got)
 	}
 }
 
