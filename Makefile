@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # daemon's concurrency tests cover a few timing-dependent branches.)
 COVER_MIN ?= 86.0
 
-.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-core bench-gate bench-baseline determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify ci
+.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify ci
 
 all: build
 
@@ -93,6 +93,14 @@ fuzz:
 # without benchmark-grade runtimes.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# bench-smoke runs the benchmark harness's own tests (bench/ is its own
+# module, so `go test ./...` from the root does not reach it): TestSmoke
+# drives all five BENCHMARK.json workloads at smoke scale — gossipsim run
+# against bench/golden/*.table.txt, and the client/gossipd round trip —
+# in a few seconds.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # bench-core runs the fixed-round suites the regression gate consumes
 # (fixed BENCHTIME so baseline and fresh runs execute the same round
@@ -255,5 +263,5 @@ examples:
 	done
 	@echo "examples: all scenarios ran clean in -short mode"
 
-ci: build vet fmt lint docs-verify examples race race-concurrent test cover bench determinism-matrix determinism-remote scenario-conformance load-test bench-gate
+ci: build vet fmt lint docs-verify examples race race-concurrent test cover bench bench-smoke determinism-matrix determinism-remote scenario-conformance load-test bench-gate
 	$(MAKE) fuzz FUZZTIME=5s

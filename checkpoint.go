@@ -19,9 +19,8 @@ import (
 // run configuration, then one section per state-carrying layer (engine
 // meters + per-node RNG streams, token arena, protocol extras, mobility
 // trajectory). Everything a deterministic execution depends on is either
-// serialized or reconstructed from the serialized Config — observers and
-// the legacy OnRound/TraceWriter hooks are process-local and must be
-// re-attached after Resume.
+// serialized or reconstructed from the serialized Config — observers are
+// process-local and must be re-attached after Resume.
 //
 // Version policy (DESIGN.md §9): the version is bumped on any layout
 // change; Resume rejects versions it does not know rather than guessing.
@@ -181,8 +180,8 @@ func ResumeFile(path string) (*Simulation, error) {
 
 // Resume deserializes a Checkpoint stream into a live simulation
 // positioned at the checkpointed round boundary. The configuration is read
-// from the stream; observers (and the legacy OnRound/TraceWriter hooks,
-// which cannot be serialized) must be re-attached with Observe.
+// from the stream; observers, which cannot be serialized, must be
+// re-attached with Observe.
 //
 // A resumed simulation continues byte-identically to the run that wrote
 // the checkpoint: same rounds, same meters, same final Result.
@@ -254,8 +253,8 @@ func Resume(r io.Reader) (*Simulation, error) {
 	return sim, nil
 }
 
-// writeConfig serializes the data fields of a Config (the function-valued
-// and observer fields are process-local and excluded).
+// writeConfig serializes the data fields of a Config (the observers are
+// process-local and excluded).
 func writeConfig(w *ckpt.Writer, cfg Config) {
 	w.Section("config")
 	w.Int(int(cfg.Algorithm))

@@ -66,10 +66,12 @@
 // Remote mode (-remote ADDR) drives the same single-run commands against
 // a gossipd daemon instead of in-process: create (or -resume via
 // checkpoint upload), run, -checkpoint/-checkpointat via checkpoint
-// download, -events via recorded-stream replay. The daemon executes the
-// identical deterministic simulation, so the result table, checkpoint
-// files and event stream are byte-identical to the local run's — which
-// the determinism CI matrix asserts:
+// download, -events via recorded-stream replay. Both transports sit
+// behind the one session driver `gossipsim run` uses (internal/scenario;
+// a flag-driven run is its timeline with no phases) and the daemon
+// executes the identical deterministic simulation, so the result table,
+// checkpoint files and event stream are byte-identical to the local
+// run's — which the determinism CI matrix asserts:
 //
 //	gossipd -addr 127.0.0.1:7373 &
 //	gossipsim -remote 127.0.0.1:7373 -alg sharedbit -graph waypoint \
@@ -81,7 +83,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -92,6 +93,8 @@ import (
 	"mobilegossip"
 	"mobilegossip/client"
 	"mobilegossip/internal/httpserve"
+	"mobilegossip/internal/scenario"
+	"mobilegossip/internal/wire"
 )
 
 func main() {
@@ -154,11 +157,12 @@ func run(args []string) error {
 		return err
 	}
 
-	opts := obsOptions{
-		trace: *trace, traceFile: *traceFile, sample: *sample,
-		ckptFile: *ckptFile, ckptAt: *ckptAt,
-		events: *eventsF, metrics: *metricsF, profile: *profileF,
+	opts := scenario.Options{
+		Remote: *remoteF, EventsPath: *eventsF,
+		CheckpointPath: *ckptFile, CheckpointAt: *ckptAt, ResumePath: *resumeF,
+		Out: os.Stdout, Log: os.Stdout,
 	}
+	obs := localObservers{trace: *trace, traceFile: *traceFile, sample: *sample, metrics: *metricsF}
 	if *remoteF != "" {
 		if *trace > 0 || *traceFile != "" || *sample > 0 || *metricsF != "" || *profileF {
 			return fmt.Errorf("-trace, -tracefile, -sample, -metrics and -profile run in-process observers and do not combine with -remote")
@@ -167,10 +171,11 @@ func run(args []string) error {
 		return fmt.Errorf("-remotepause requires -remote")
 	}
 	if *resumeF != "" {
-		if *remoteF != "" {
-			return runRemoteResume(*remoteF, *resumeF, *remoteGap, opts)
-		}
-		return runResume(*resumeF, *engineW, opts)
+		// A checkpoint carries the whole configuration bar the wall-clock
+		// knobs (sequential, parallel, profiled and unprofiled runs all
+		// write interchangeable streams), so only those flags apply.
+		req := client.CreateRequest{EngineWorkers: *engineW, Profile: *profileF, RecordEvents: *eventsF != ""}
+		return runSingle(req, opts, obs, *remoteGap)
 	}
 
 	alg, err := mobilegossip.ParseAlgorithm(*algName)
@@ -237,14 +242,7 @@ func run(args []string) error {
 	cfg := mkConfig(ns[0], ks[0])
 	cfg.Seed = *seed
 	cfg.Profile = *profileF
-	if *remoteF != "" {
-		return runRemote(*remoteF, cfg, *remoteGap, opts)
-	}
-	sim, err := mobilegossip.New(cfg)
-	if err != nil {
-		return err
-	}
-	return driveSingle(sim, opts)
+	return runSingle(wire.ConfigToWire(cfg, *eventsF != ""), opts, obs, *remoteGap)
 }
 
 // runSweep executes the n×k grid on the worker pool and prints one
@@ -285,208 +283,52 @@ func runSweep(points []mobilegossip.Config, trials int, seed uint64, parallel in
 	return nil
 }
 
-// obsOptions bundles the observability/checkpoint flags shared by the
-// fresh-run and resume paths.
-type obsOptions struct {
+// localObservers bundles the flags that attach in-process observers to a
+// local run (rejected with -remote).
+type localObservers struct {
 	trace     int
 	traceFile string
 	sample    int
-	ckptFile  string
-	ckptAt    int
-	events    string // -events: JSONL event-sink file
 	metrics   string // -metrics: /metrics listen address
-	profile   bool   // -profile: attach the timing sidecar
 }
 
-// runResume revives a checkpointed session and drives it to completion.
-// Checkpoints carry no worker count or profiling state (sequential,
-// parallel, profiled and unprofiled runs all write interchangeable
-// streams), so the -engineworkers and -profile flags apply to the
-// revived session directly.
-func runResume(path string, engineWorkers int, opts obsOptions) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	sim, err := mobilegossip.Resume(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	sim.SetEngineWorkers(engineWorkers)
-	if opts.profile {
-		sim.EnableProfiling()
-	}
-	fmt.Printf("resumed from %s at round %d (φ=%d)\n", path, sim.Round(), sim.Potential())
-	return driveSingle(sim, opts)
+// pausing is the -remotepause determinism test hook: it idles before the
+// final run-to-completion call so a daemon with a short -idletimeout
+// evicts the session, which the call must then revive with no observable
+// difference.
+type pausing struct {
+	scenario.Session
+	pause time.Duration
 }
 
-// wireRequest renders cfg as the daemon's create request (enum values by
-// their wire names — the same names the flags parse).
-func wireRequest(cfg mobilegossip.Config, recordEvents bool) client.CreateRequest {
-	t := cfg.Topology
-	return client.CreateRequest{
-		Algorithm: cfg.Algorithm.String(),
-		N:         cfg.N,
-		K:         cfg.K,
-		Topology: client.TopologySpec{
-			Kind: t.Kind.String(), Degree: t.Degree, P: t.P,
-			Rows: t.Rows, Cols: t.Cols,
-			CliqueSize: t.CliqueSize, PathLen: t.PathLen,
-			Radius: t.Radius, Attach: t.Attach,
-			Speed: t.Speed, Pause: t.Pause, LevyAlpha: t.LevyAlpha,
-			Groups: t.Groups, Attract: t.Attract, Period: t.Period,
-			Adversary: t.Adversary.String(), AdvBudget: t.AdvBudget,
-			AdvParts: t.AdvParts, AdvPeriod: t.AdvPeriod,
-			Relabel: t.Relabel.String(),
-		},
-		Tau:           cfg.Tau,
-		Epsilon:       cfg.Epsilon,
-		TagBits:       cfg.TagBits,
-		Seed:          cfg.Seed,
-		MaxRounds:     cfg.MaxRounds,
-		EngineWorkers: cfg.EngineWorkers,
-		Profile:       cfg.Profile,
-		TransferEps:   cfg.TransferEps,
-		RecordEvents:  recordEvents,
+func (p pausing) RunTo(ctx context.Context, round int) (client.RunResult, error) {
+	if round <= 0 {
+		time.Sleep(p.pause)
 	}
+	return p.Session.RunTo(ctx, round)
 }
 
-// runRemote creates a session on the daemon from cfg and drives it like
-// driveSingle drives a local one.
-func runRemote(addr string, cfg mobilegossip.Config, pause time.Duration, opts obsOptions) error {
-	c := client.New(addr)
+// runSingle opens the session req and opts describe (fresh or -resume,
+// in-process or -remote), attaches the local-only observers, hands it to
+// the scenario driver as a timeline with no phases, and prints the
+// summary — every artifact byte-identical across the two transports.
+func runSingle(req client.CreateRequest, opts scenario.Options, obs localObservers, pause time.Duration) error {
 	ctx := context.Background()
-	info, err := c.Create(ctx, wireRequest(cfg, opts.events != ""))
+	sess, err := scenario.Open(ctx, req, opts)
 	if err != nil {
 		return err
 	}
-	return driveRemote(ctx, c, info, pause, opts)
-}
+	defer sess.Close()
 
-// runRemoteResume uploads a checkpoint file to the daemon and drives the
-// revived session. The daemon re-resolves worker count and profiling for
-// its own process (checkpoints deliberately carry neither).
-func runRemoteResume(addr, path string, pause time.Duration, opts obsOptions) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+	var sim *mobilegossip.Simulation // nil with -remote
+	if l, ok := sess.(*scenario.Local); ok {
+		sim = l.Sim
+	} else if pause > 0 {
+		sess = pausing{sess, pause}
 	}
-	c := client.New(addr)
-	ctx := context.Background()
-	info, err := c.Resume(ctx, f, opts.events != "")
-	f.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("resumed from %s at round %d (φ=%d)\n", path, info.Round, info.Potential)
-	return driveRemote(ctx, c, info, pause, opts)
-}
-
-// driveRemote mirrors driveSingle over the wire: run to -checkpointat
-// and download the snapshot, run to completion, download the recorded
-// events, print the summary table — every artifact byte-identical to the
-// local run's. The session is deleted on the way out.
-func driveRemote(ctx context.Context, c *client.Client, info client.SessionInfo, pause time.Duration, opts obsOptions) error {
-	id := info.ID
-	defer c.Delete(context.Background(), id) //nolint:errcheck // best-effort cleanup
-	start := time.Now()
-	if opts.ckptFile != "" && opts.ckptAt > 0 {
-		if rel := opts.ckptAt - info.Round; rel > 0 {
-			if _, err := c.Run(ctx, id, rel); err != nil {
-				return err
-			}
-		}
-		if err := downloadCheckpoint(ctx, c, id, opts.ckptFile); err != nil {
-			return err
-		}
-	}
-	if pause > 0 {
-		// Determinism test hook: idle here so a daemon with a short
-		// -idletimeout evicts the session; the final run below must then
-		// revive it with no observable difference.
-		time.Sleep(pause)
-	}
-	res, err := c.Run(ctx, id, 0)
-	if err != nil {
-		return err
-	}
-	if opts.ckptFile != "" && opts.ckptAt <= 0 {
-		if err := downloadCheckpoint(ctx, c, id, opts.ckptFile); err != nil {
-			return err
-		}
-	}
-	if opts.events != "" {
-		if err := downloadEvents(ctx, c, id, opts.events); err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-	s := res.Session
-	return printResultTable(resultView{
-		algorithm: res.Algorithm, topology: res.Topology,
-		n: s.N, k: s.K, tau: s.Tau, epsilon: s.Epsilon,
-		solved: res.Solved, rounds: res.Rounds,
-		connections: res.Connections, proposals: res.Proposals,
-		controlBits: res.ControlBits, tokensMoved: res.TokensMoved,
-		edgesAdded: res.EdgesAdded, edgesRemoved: res.EdgesRemoved,
-		finalPotential: res.FinalPotential, elapsed: elapsed,
-	})
-}
-
-// downloadCheckpoint fetches the session's checkpoint into path and
-// prints the same confirmation line writeCheckpoint prints locally.
-func downloadCheckpoint(ctx context.Context, c *client.Client, id, path string) error {
-	rc, err := c.Checkpoint(ctx, id)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, rc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	info, err := c.State(ctx, id)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("checkpoint written to %s at round %d (φ=%d)\n", path, info.Round, info.Potential)
-	return nil
-}
-
-// downloadEvents replays the session's recorded event stream into path —
-// the bytes a local -events file holds.
-func downloadEvents(ctx context.Context, c *client.Client, id, path string) error {
-	rc, err := c.Events(ctx, id, client.EventOptions{})
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, rc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// driveSingle attaches the requested observers, runs the session to
-// completion (snapshotting at -checkpointat if asked), and prints the
-// summary.
-func driveSingle(sim *mobilegossip.Simulation, opts obsOptions) error {
 	var tracer *mobilegossip.TraceObserver
-	if opts.traceFile != "" {
-		f, err := os.Create(opts.traceFile)
+	if obs.traceFile != "" {
+		f, err := os.Create(obs.traceFile)
 		if err != nil {
 			return err
 		}
@@ -494,26 +336,16 @@ func driveSingle(sim *mobilegossip.Simulation, opts obsOptions) error {
 		tracer = mobilegossip.NewTraceObserver(f)
 		sim.Observe(tracer)
 	}
-	if opts.trace > 0 {
-		every := opts.trace
-		sim.Observe(roundPrinter{every: every})
+	if obs.trace > 0 {
+		sim.Observe(roundPrinter{every: obs.trace})
 	}
 	var sampler *mobilegossip.PotentialSampler
-	if opts.sample > 0 {
-		sampler = mobilegossip.NewPotentialSampler(opts.sample)
+	if obs.sample > 0 {
+		sampler = mobilegossip.NewPotentialSampler(obs.sample)
 		sim.Observe(sampler)
 	}
-	var sink *mobilegossip.EventJSONLSink
-	if opts.events != "" {
-		f, err := os.Create(opts.events)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sink = mobilegossip.NewJSONLSink(sim.Bus(), f, mobilegossip.EventFilter{}, 0)
-	}
-	if opts.metrics != "" {
-		stop, err := serveMetrics(sim, opts.metrics)
+	if obs.metrics != "" {
+		stop, err := serveMetrics(sim, obs.metrics)
 		if err != nil {
 			return err
 		}
@@ -521,43 +353,29 @@ func driveSingle(sim *mobilegossip.Simulation, opts obsOptions) error {
 	}
 
 	start := time.Now()
-	if opts.ckptFile != "" && opts.ckptAt > 0 {
-		for !sim.Done() && sim.Round() < opts.ckptAt {
-			if _, err := sim.Step(); err != nil {
-				return err
-			}
-		}
-		if err := writeCheckpoint(sim, opts.ckptFile); err != nil {
-			return err
-		}
-	}
-	res, err := sim.Run(context.Background())
+	res, err := scenario.Drive(ctx, sess, scenario.Timeline{}, opts)
 	if err == nil && tracer != nil {
-		// A failed trace stream must fail the command (as the legacy
-		// TraceWriter path did), not ship a truncated JSONL with exit 0.
+		// A failed trace stream must fail the command, not ship a
+		// truncated JSONL with exit 0.
 		err = tracer.Err()
-	}
-	if sink != nil {
-		// Drain and flush whether or not the run failed; a dead event
-		// stream fails the command like a dead trace stream does.
-		cerr := sink.Close()
-		if err == nil {
-			err = cerr
-		}
-		if d := sink.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "events: %d events dropped (writer slower than the simulation; see DESIGN.md §12)\n", d)
-		}
 	}
 	if err != nil {
 		return err
 	}
-	if opts.ckptFile != "" && opts.ckptAt <= 0 {
-		if err := writeCheckpoint(sim, opts.ckptFile); err != nil {
-			return err
+	wall := fmt.Sprintf("wall time\t%v", time.Since(start).Round(time.Millisecond))
+	if err := scenario.RenderTable(os.Stdout, res, res.Session.Tau, wall); err != nil {
+		return err
+	}
+	if sampler != nil {
+		fmt.Println("\npotential curve (from -sample):")
+		for _, s := range sampler.Samples() {
+			fmt.Printf("  round %8d  φ=%d\n", s.Round, s.Potential)
 		}
 	}
-	elapsed := time.Since(start)
-	return printResult(sim, res, sampler, elapsed)
+	if sim != nil {
+		printProfile(sim)
+	}
+	return nil
 }
 
 // serveMetrics binds the -metrics address and serves the run's metrics
@@ -582,23 +400,6 @@ func serveMetrics(sim *mobilegossip.Simulation, addr string) (stop func(), err e
 	}, nil
 }
 
-// writeCheckpoint snapshots the session to path.
-func writeCheckpoint(sim *mobilegossip.Simulation, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sim.Checkpoint(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("checkpoint written to %s at round %d (φ=%d)\n", path, sim.Round(), sim.Potential())
-	return nil
-}
-
 // roundPrinter is the -trace observer: φ every N rounds.
 type roundPrinter struct {
 	mobilegossip.NopObserver
@@ -609,73 +410,6 @@ func (rp roundPrinter) EndRound(stats mobilegossip.RoundStats) {
 	if stats.Round%rp.every == 0 {
 		fmt.Printf("round %8d  φ=%d\n", stats.Round, stats.Potential)
 	}
-}
-
-// resultView is the run summary as plain data, so the local path
-// (Simulation + Result) and the remote path (wire RunResult) render the
-// byte-identical table through one printer.
-type resultView struct {
-	algorithm, topology                              string
-	n, k, tau                                        int
-	epsilon                                          float64
-	solved                                           bool
-	rounds                                           int
-	connections, proposals, controlBits, tokensMoved int64
-	edgesAdded, edgesRemoved                         int64
-	finalPotential                                   int
-	elapsed                                          time.Duration
-}
-
-// printResultTable renders the single-run summary table from the view.
-func printResultTable(v resultView) error {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "algorithm\t%s\n", v.algorithm)
-	fmt.Fprintf(tw, "topology\t%s (n=%d, τ=%s)\n", v.topology, v.n, tauString(v.tau))
-	fmt.Fprintf(tw, "tokens\t%d\n", v.k)
-	if v.epsilon > 0 {
-		fmt.Fprintf(tw, "objective\tε-gossip (ε=%.2f)\n", v.epsilon)
-	} else {
-		fmt.Fprintf(tw, "objective\tgossip (all nodes learn all tokens)\n")
-	}
-	fmt.Fprintf(tw, "solved\t%v\n", v.solved)
-	fmt.Fprintf(tw, "rounds\t%d\n", v.rounds)
-	fmt.Fprintf(tw, "connections\t%d\n", v.connections)
-	fmt.Fprintf(tw, "proposals\t%d\n", v.proposals)
-	fmt.Fprintf(tw, "control bits\t%d\n", v.controlBits)
-	fmt.Fprintf(tw, "tokens moved\t%d\n", v.tokensMoved)
-	if v.edgesAdded > 0 || v.edgesRemoved > 0 {
-		fmt.Fprintf(tw, "edge churn\t+%d/-%d (%.1f per round)\n",
-			v.edgesAdded, v.edgesRemoved,
-			float64(v.edgesAdded+v.edgesRemoved)/float64(max(v.rounds, 1)))
-	}
-	fmt.Fprintf(tw, "final φ\t%d\n", v.finalPotential)
-	fmt.Fprintf(tw, "wall time\t%v\n", v.elapsed.Round(time.Millisecond))
-	return tw.Flush()
-}
-
-// printResult renders the single-run summary table plus the local-only
-// extras (-sample curve, -profile timing summary).
-func printResult(sim *mobilegossip.Simulation, res mobilegossip.Result, sampler *mobilegossip.PotentialSampler, elapsed time.Duration) error {
-	cfg := sim.Config()
-	if err := printResultTable(resultView{
-		algorithm: res.Algorithm.String(), topology: res.Topology,
-		n: cfg.N, k: cfg.K, tau: cfg.Tau, epsilon: cfg.Epsilon,
-		solved: res.Solved, rounds: res.Rounds,
-		connections: res.Connections, proposals: res.Proposals,
-		controlBits: res.ControlBits, tokensMoved: res.TokensMoved,
-		edgesAdded: res.EdgesAdded, edgesRemoved: res.EdgesRemoved,
-		finalPotential: res.FinalPotential, elapsed: elapsed,
-	}); err != nil {
-		return err
-	}
-	if sampler != nil {
-		fmt.Println("\npotential curve (from -sample):")
-		for _, s := range sampler.Samples() {
-			fmt.Printf("  round %8d  φ=%d\n", s.Round, s.Potential)
-		}
-	}
-	printProfile(sim)
-	return nil
 }
 
 // printProfile renders the -profile post-run summary. Every line is
@@ -725,11 +459,4 @@ func parseIntList(name, s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func tauString(tau int) string {
-	if tau <= 0 {
-		return "∞"
-	}
-	return fmt.Sprintf("%d", tau)
 }

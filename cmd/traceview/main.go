@@ -1,5 +1,5 @@
 // Command traceview summarizes a JSONL execution trace produced by
-// gossipsim -tracefile (or any mobilegossip.Config.TraceWriter sink):
+// gossipsim -tracefile (or any mobilegossip.NewTraceObserver sink):
 // per-round proposals, accepted connections, metered control bits and
 // token transfers, plus run totals and the proposal-acceptance rate.
 //

@@ -33,6 +33,20 @@ import (
 	"mobilegossip"
 )
 
+// blackout is the observer that takes the host down: it cancels the run's
+// context once the given round has executed.
+type blackout struct {
+	mobilegossip.NopObserver
+	round  int
+	cancel context.CancelFunc
+}
+
+func (b blackout) EndRound(s mobilegossip.RoundStats) {
+	if s.Round == b.round {
+		b.cancel()
+	}
+}
+
 func main() {
 	short := flag.Bool("short", false, "run a smaller crowd (for CI)")
 	flag.Parse()
@@ -65,11 +79,7 @@ func main() {
 	blackoutAt := want.Rounds / 3
 	ctx, cancel := context.WithCancel(context.Background())
 	cfgWatch := cfg
-	cfgWatch.OnRound = func(r, _ int) {
-		if r == blackoutAt {
-			cancel()
-		}
-	}
+	cfgWatch.Observers = []mobilegossip.Observer{blackout{round: blackoutAt, cancel: cancel}}
 	sim, err := mobilegossip.New(cfgWatch)
 	if err != nil {
 		log.Fatal(err)

@@ -59,14 +59,18 @@ func main() {
 		mobilegossip.AlgSharedBit,
 	} {
 		var buf bytes.Buffer
+		tracer := mobilegossip.NewTraceObserver(&buf)
 		res, err := mobilegossip.Run(mobilegossip.Config{
-			Algorithm:   alg,
-			N:           crowd,
-			K:           posts,
-			Topology:    topo,
-			Seed:        seed,
-			TraceWriter: &buf,
+			Algorithm: alg,
+			N:         crowd,
+			K:         posts,
+			Topology:  topo,
+			Seed:      seed,
+			Observers: []mobilegossip.Observer{tracer},
 		})
+		if err == nil {
+			err = tracer.Err()
+		}
 		if err != nil {
 			log.Fatal(err)
 		}

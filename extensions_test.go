@@ -2,7 +2,7 @@ package mobilegossip
 
 // Tests for the facade-level extension features: multi-bit tags (TagBits),
 // ε-gossip via SimSharedBit (Corollary 7.5), and execution tracing
-// (TraceWriter).
+// (NewTraceObserver).
 
 import (
 	"bufio"
@@ -113,12 +113,16 @@ func TestRunEpsilonStillRejectsOtherAlgorithms(t *testing.T) {
 
 func TestRunTraceWriterEmitsParsableEvents(t *testing.T) {
 	var buf bytes.Buffer
+	tracer := NewTraceObserver(&buf)
 	res, err := Run(Config{
 		Algorithm: AlgSharedBit, N: 16, K: 4,
 		Topology: Topology{Kind: RandomRegular, Degree: 4}, Tau: 1, Seed: 2,
-		TraceWriter: &buf,
+		Observers: []Observer{tracer},
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Solved {
@@ -167,13 +171,17 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestRunTraceWriterErrorSurfaces(t *testing.T) {
-	_, err := Run(Config{
+	tracer := NewTraceObserver(&failWriter{})
+	res, err := Run(Config{
 		Algorithm: AlgSharedBit, N: 16, K: 4,
 		Topology: Topology{Kind: RandomRegular, Degree: 4}, Tau: 1, Seed: 2,
-		TraceWriter: &failWriter{},
+		Observers: []Observer{tracer},
 	})
-	if err == nil {
-		t.Fatal("expected the trace write failure to surface from Run")
+	if err != nil || !res.Solved {
+		t.Fatalf("a dead trace sink must not stop the run: %+v, %v", res, err)
+	}
+	if tracer.Err() == nil {
+		t.Fatal("expected the trace write failure to surface from Err")
 	}
 }
 
@@ -187,7 +195,7 @@ func TestRunTraceDoesNotPerturbExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceWriter = &bytes.Buffer{}
+	cfg.Observers = []Observer{NewTraceObserver(&bytes.Buffer{})}
 	traced, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

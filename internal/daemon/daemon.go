@@ -17,6 +17,7 @@ import (
 	"mobilegossip/internal/events"
 	"mobilegossip/internal/outcome"
 	"mobilegossip/internal/runner"
+	"mobilegossip/internal/wire"
 )
 
 // Config tunes one daemon instance.
@@ -149,7 +150,7 @@ func (d *Daemon) get(id string) (*session, error) {
 
 // Create builds a session from the wire request and registers it.
 func (d *Daemon) Create(req client.CreateRequest) (client.SessionInfo, error) {
-	cfg, err := configFromWire(req)
+	cfg, err := wire.ConfigFromWire(req)
 	if err != nil {
 		return client.SessionInfo{}, err
 	}
@@ -491,7 +492,7 @@ func (d *Daemon) Rebind(id string, req client.RebindRequest) (client.SessionInfo
 	if err := d.ensureLiveLocked(s); err != nil {
 		return client.SessionInfo{}, err
 	}
-	topo, err := topologyFromWire(req.Topology)
+	topo, err := wire.TopologyFromWire(req.Topology)
 	if err != nil {
 		return client.SessionInfo{}, err
 	}
@@ -526,29 +527,15 @@ func (d *Daemon) Assert(id string, req client.AssertRequest) error {
 		return err
 	}
 	s.touch()
-	if err := expectFromWire(req.Expect).Validate(); err != nil {
+	expect := outcome.Expect(req.Expect)
+	if err := expect.Validate(); err != nil {
 		return err
 	}
-	r := s.sim.Result()
-	vs := outcome.Check(expectFromWire(req.Expect), outcome.Run{
-		N: s.n, K: s.k, Solved: r.Solved, Rounds: r.Rounds,
-		FinalPotential: r.FinalPotential, TokensMoved: r.TokensMoved,
-		EdgesAdded: r.EdgesAdded, EdgesRemoved: r.EdgesRemoved,
-	})
+	vs := outcome.Check(expect, wire.RunOutcome(s.runResultLocked(false)))
 	if len(vs) == 0 {
 		return nil
 	}
 	return &assertFailure{msg: outcome.FormatFailure(req.Scenario, req.Seed, req.Phase, vs)}
-}
-
-// expectFromWire maps the self-contained wire shape onto the evaluator's.
-func expectFromWire(e client.ExpectSpec) outcome.Expect {
-	return outcome.Expect{
-		Solved: e.Solved, SolvedBy: e.SolvedBy, MinRounds: e.MinRounds,
-		MaxFinalPotential: e.MaxFinalPotential, MinCoverage: e.MinCoverage,
-		MaxChurnPerRound: e.MaxChurnPerRound,
-		MinTokensMoved:   e.MinTokensMoved, MaxTokensMoved: e.MaxTokensMoved,
-	}
 }
 
 // TokenCount reports how many tokens node u knows, reviving the session

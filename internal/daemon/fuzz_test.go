@@ -1,9 +1,11 @@
 package daemon
 
 import (
+	"reflect"
 	"testing"
 
 	"mobilegossip/client"
+	"mobilegossip/internal/wire"
 )
 
 // The daemon's two wire-decoding surfaces — the session-create JSON body
@@ -33,13 +35,15 @@ func FuzzCreateRequest(f *testing.F) {
 		}
 		// A decoded request must either resolve to a Config or produce an
 		// enum-name error; both without panicking.
-		if _, err := configFromWire(req); err != nil {
+		cfg, err := wire.ConfigFromWire(req)
+		if err != nil {
 			return
 		}
-		// Resolvable requests round-trip their enum names: re-resolving
-		// the same wire value is stable.
-		if _, err := configFromWire(req); err != nil {
-			t.Fatalf("configFromWire flapped on %+v: %v", req, err)
+		// Resolvable requests survive the codec round trip: raising the
+		// Config back to the wire and lowering it again is the identity.
+		back, err := wire.ConfigFromWire(wire.ConfigToWire(cfg, req.RecordEvents))
+		if err != nil || !reflect.DeepEqual(back, cfg) {
+			t.Fatalf("codec round trip changed %+v into %+v (%v)", cfg, back, err)
 		}
 	})
 }

@@ -8,9 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"mobilegossip"
 	"mobilegossip/client"
-	"mobilegossip/internal/core"
 	"mobilegossip/internal/events"
 )
 
@@ -44,82 +42,6 @@ func decodeCreateRequest(body []byte) (client.CreateRequest, error) {
 		return req, fmt.Errorf("decoding create request: trailing data after JSON object")
 	}
 	return req, nil
-}
-
-// configFromWire resolves the wire request's enum names with the same
-// Parse* functions the gossipsim flags use (so error messages list the
-// valid names) and assembles the Config. Numeric validation stays with
-// mobilegossip.New — the daemon adds no second opinion on what a valid
-// Config is.
-func configFromWire(req client.CreateRequest) (mobilegossip.Config, error) {
-	var cfg mobilegossip.Config
-	alg, err := mobilegossip.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		return cfg, err
-	}
-	topo, err := topologyFromWire(req.Topology)
-	if err != nil {
-		return cfg, err
-	}
-	cfg = mobilegossip.Config{
-		Algorithm:     alg,
-		N:             req.N,
-		K:             req.K,
-		Topology:      topo,
-		Tau:           req.Tau,
-		Epsilon:       req.Epsilon,
-		TagBits:       req.TagBits,
-		Seed:          req.Seed,
-		MaxRounds:     req.MaxRounds,
-		EngineWorkers: req.EngineWorkers,
-		Profile:       req.Profile,
-		TransferEps:   req.TransferEps,
-		CrowdedBin:    core.CrowdedBinConfig{Beta: req.CrowdedBinBeta, Gamma: req.CrowdedBinGamma},
-	}
-	return cfg, nil
-}
-
-func topologyFromWire(spec client.TopologySpec) (mobilegossip.Topology, error) {
-	var t mobilegossip.Topology
-	kind, err := mobilegossip.ParseTopologyKind(spec.Kind)
-	if err != nil {
-		return t, err
-	}
-	t = mobilegossip.Topology{
-		Kind:       kind,
-		Degree:     spec.Degree,
-		P:          spec.P,
-		Rows:       spec.Rows,
-		Cols:       spec.Cols,
-		CliqueSize: spec.CliqueSize,
-		PathLen:    spec.PathLen,
-		Radius:     spec.Radius,
-		Attach:     spec.Attach,
-		Speed:      spec.Speed,
-		Pause:      spec.Pause,
-		LevyAlpha:  spec.LevyAlpha,
-		Groups:     spec.Groups,
-		Attract:    spec.Attract,
-		Period:     spec.Period,
-		AdvBudget:  spec.AdvBudget,
-		AdvParts:   spec.AdvParts,
-		AdvPeriod:  spec.AdvPeriod,
-	}
-	if spec.Adversary != "" {
-		adv, err := mobilegossip.ParseAdversaryKind(spec.Adversary)
-		if err != nil {
-			return t, err
-		}
-		t.Adversary = adv
-	}
-	if spec.Relabel != "" {
-		rel, err := mobilegossip.ParseRelabelKind(spec.Relabel)
-		if err != nil {
-			return t, err
-		}
-		t.Relabel = rel
-	}
-	return t, nil
 }
 
 // parseEventsQuery parses the events endpoint's query string into an

@@ -7,6 +7,7 @@ import (
 
 	"mobilegossip"
 	"mobilegossip/client"
+	"mobilegossip/internal/wire"
 )
 
 // session is one managed simulation: the daemon-side wrapper around a
@@ -162,20 +163,7 @@ func (s *session) info() client.SessionInfo {
 // runResultLocked renders the wire RunResult from the live Simulation;
 // call with mu held and sim non-nil.
 func (s *session) runResultLocked(canceled bool) client.RunResult {
-	r := s.sim.Result()
-	return client.RunResult{
-		Session:        s.info(),
-		Canceled:       canceled,
-		Algorithm:      r.Algorithm.String(),
-		Topology:       r.Topology,
-		Solved:         r.Solved,
-		Rounds:         r.Rounds,
-		Connections:    r.Connections,
-		Proposals:      r.Proposals,
-		ControlBits:    r.ControlBits,
-		TokensMoved:    r.TokensMoved,
-		EdgesAdded:     r.EdgesAdded,
-		EdgesRemoved:   r.EdgesRemoved,
-		FinalPotential: r.FinalPotential,
-	}
+	res := wire.ResultToWire(s.sim.Result(), s.info())
+	res.Canceled = canceled
+	return res
 }

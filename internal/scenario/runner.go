@@ -2,15 +2,14 @@ package scenario
 
 // The scenario runner: executes a parsed Spec locally (in-process
 // sessions / sweeps) or against a gossipd daemon, with byte-identical
-// stdout either way. Phase boundaries drive Simulation.Rebind (or the
-// daemon's rebind endpoint), checkpoints and event streams ride the same
-// machinery as flag-driven gossipsim runs, and the expect block is
-// evaluated through internal/outcome — locally for local runs, by the
-// daemon's assert endpoint for remote ones, with identical failure text.
+// stdout either way. Single runs lower the spec to a create request and a
+// Timeline and hand both to the one driver (session.go, drive.go) that
+// flag-driven gossipsim runs use too; the expect block is evaluated
+// through internal/outcome — locally for local runs, by the daemon's
+// assert endpoint for remote ones, with identical failure text.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,6 +18,7 @@ import (
 	"mobilegossip"
 	"mobilegossip/client"
 	"mobilegossip/internal/outcome"
+	"mobilegossip/internal/wire"
 )
 
 // Options tunes how a scenario executes — never what it computes: every
@@ -36,9 +36,10 @@ type Options struct {
 	// the replay — the same bytes.
 	EventsPath string
 	// CheckpointPath writes a checkpoint to this file at round
-	// CheckpointAt (0 = when the run finishes), single runs only. At a
-	// phase boundary the snapshot is taken before the phase's rebind, so
-	// resuming re-applies that phase deterministically.
+	// CheckpointAt (0, or a round the run never reaches = when the run
+	// finishes), single runs only. At a phase boundary the snapshot is
+	// taken before the phase's rebind, so resuming re-applies that phase
+	// deterministically.
 	CheckpointPath string
 	CheckpointAt   int
 	// ResumePath revives the run from this checkpoint instead of
@@ -48,8 +49,8 @@ type Options struct {
 	// assertion summary (default os.Stdout).
 	Out io.Writer
 	// Log receives progress notices — checkpoint written, resumed,
-	// phase rebinds (default os.Stderr). Kept apart from Out so tables
-	// byte-compare without any filtering.
+	// phase rebinds (default io.Discard; `gossipsim run` passes stderr).
+	// Kept apart from Out so tables byte-compare without any filtering.
 	Log io.Writer
 }
 
@@ -90,21 +91,18 @@ func RunFile(path string, opts Options) error {
 // *client.APIError remotely).
 func Run(spec *Spec, opts Options) error {
 	opts.fill()
-	if spec.Grid != nil {
-		if opts.CheckpointPath != "" || opts.ResumePath != "" || opts.EventsPath != "" {
-			return fmt.Errorf("scenario %q: checkpoints and event streams apply to single runs, not grids", spec.Name)
-		}
-		writeHeader(opts.Out, spec)
-		if opts.Remote != "" {
-			return runGridRemote(spec, opts)
-		}
-		return runGridLocal(spec, opts)
+	if spec.Grid != nil && (opts.CheckpointPath != "" || opts.ResumePath != "" || opts.EventsPath != "") {
+		return fmt.Errorf("scenario %q: checkpoints and event streams apply to single runs, not grids", spec.Name)
 	}
 	writeHeader(opts.Out, spec)
-	if opts.Remote != "" {
-		return runSingleRemote(spec, opts)
+	switch {
+	case spec.Grid == nil:
+		return runSingle(spec, opts)
+	case opts.Remote != "":
+		return runGridRemote(spec, opts)
+	default:
+		return runGridLocal(spec, opts)
 	}
-	return runSingleLocal(spec, opts)
 }
 
 // writeHeader emits the deterministic scenario banner — derived from the
@@ -134,64 +132,6 @@ func writeHeader(w io.Writer, spec *Spec) {
 	fmt.Fprintln(w)
 }
 
-// finalTau is the stability factor in force at the end of a phased run —
-// what the result table's τ column shows.
-func (s *Spec) finalTau() int {
-	tau := s.Tau
-	for _, ph := range s.Phases {
-		if ph.Tau != nil {
-			tau = *ph.Tau
-		}
-	}
-	return tau
-}
-
-// tableView carries the single-run summary fields; renderTable mirrors
-// gossipsim's result table minus the wall-time row, so scenario output
-// is comparable byte-for-byte across runs, workers, and transports.
-type tableView struct {
-	algorithm, topology                              string
-	n, k, tau                                        int
-	epsilon                                          float64
-	solved                                           bool
-	rounds                                           int
-	connections, proposals, controlBits, tokensMoved int64
-	edgesAdded, edgesRemoved                         int64
-	finalPotential                                   int
-}
-
-func renderTable(w io.Writer, v tableView) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "algorithm\t%s\n", v.algorithm)
-	fmt.Fprintf(tw, "topology\t%s (n=%d, τ=%s)\n", v.topology, v.n, tauString(v.tau))
-	fmt.Fprintf(tw, "tokens\t%d\n", v.k)
-	if v.epsilon > 0 {
-		fmt.Fprintf(tw, "objective\tε-gossip (ε=%.2f)\n", v.epsilon)
-	} else {
-		fmt.Fprintf(tw, "objective\tgossip (all nodes learn all tokens)\n")
-	}
-	fmt.Fprintf(tw, "solved\t%v\n", v.solved)
-	fmt.Fprintf(tw, "rounds\t%d\n", v.rounds)
-	fmt.Fprintf(tw, "connections\t%d\n", v.connections)
-	fmt.Fprintf(tw, "proposals\t%d\n", v.proposals)
-	fmt.Fprintf(tw, "control bits\t%d\n", v.controlBits)
-	fmt.Fprintf(tw, "tokens moved\t%d\n", v.tokensMoved)
-	if v.edgesAdded > 0 || v.edgesRemoved > 0 {
-		fmt.Fprintf(tw, "edge churn\t+%d/-%d (%.1f per round)\n",
-			v.edgesAdded, v.edgesRemoved,
-			float64(v.edgesAdded+v.edgesRemoved)/float64(max(v.rounds, 1)))
-	}
-	fmt.Fprintf(tw, "final φ\t%d\n", v.finalPotential)
-	return tw.Flush()
-}
-
-func tauString(tau int) string {
-	if tau <= 0 {
-		return "∞"
-	}
-	return fmt.Sprintf("%d", tau)
-}
-
 // writeExpectOK prints the post-assertion confirmation line.
 func writeExpectOK(w io.Writer, e *outcome.Expect) {
 	if e == nil {
@@ -205,254 +145,43 @@ func writeExpectOK(w io.Writer, e *outcome.Expect) {
 	fmt.Fprintf(w, "expect: ok (%d %s)\n", n, noun)
 }
 
-// expectToWire maps the expect block onto the client's self-contained
-// wire shape (the public client package does not expose internal types).
-func expectToWire(e outcome.Expect) client.ExpectSpec {
-	return client.ExpectSpec{
-		Solved: e.Solved, SolvedBy: e.SolvedBy, MinRounds: e.MinRounds,
-		MaxFinalPotential: e.MaxFinalPotential, MinCoverage: e.MinCoverage,
-		MaxChurnPerRound: e.MaxChurnPerRound,
-		MinTokensMoved:   e.MinTokensMoved, MaxTokensMoved: e.MaxTokensMoved,
+// assertRequest is the expect block as an assert request about a run of
+// the given seed that ended after rounds rounds (the public client package
+// cannot name internal/outcome, hence the struct conversion).
+func (s *Spec) assertRequest(seed uint64, rounds int) client.AssertRequest {
+	return client.AssertRequest{
+		Scenario: s.Name, Seed: seed, Phase: s.phaseAt(rounds),
+		Expect: client.ExpectSpec(*s.Expect),
 	}
 }
 
-// checkExpect evaluates the expect block against one finished run.
-func checkExpect(spec *Spec, r outcome.Run, seed uint64) error {
-	if spec.Expect == nil {
-		return nil
-	}
-	vs := outcome.Check(*spec.Expect, r)
-	if len(vs) == 0 {
-		return nil
-	}
-	return &AssertionError{
-		Scenario: spec.Name, Seed: seed,
-		Phase: spec.phaseAt(r.Rounds), Violations: vs,
-	}
-}
-
-// ---------------------------------------------------------------------
-// Local single runs (fresh or resumed), phased or not.
-
-func runSingleLocal(spec *Spec, opts Options) error {
-	var sim *mobilegossip.Simulation
-	if opts.ResumePath != "" {
-		var err error
-		sim, err = mobilegossip.ResumeFile(opts.ResumePath)
-		if err != nil {
-			return err
-		}
-		if opts.EngineWorkers != 0 {
-			sim.SetEngineWorkers(opts.EngineWorkers)
-		}
-		fmt.Fprintf(opts.Log, "resumed from %s at round %d (φ=%d)\n",
-			opts.ResumePath, sim.Round(), sim.Potential())
-	} else {
-		cfg, err := spec.Config(spec.N, spec.K)
-		if err != nil {
-			return err
-		}
-		cfg.EngineWorkers = opts.EngineWorkers
-		sim, err = mobilegossip.New(cfg)
-		if err != nil {
-			return err
-		}
-	}
-
-	var sink *mobilegossip.EventJSONLSink
-	if opts.EventsPath != "" {
-		f, err := os.Create(opts.EventsPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sink = mobilegossip.NewJSONLSink(sim.Bus(), f, mobilegossip.EventFilter{}, 1<<16)
-	}
-
-	runErr := driveLocal(sim, spec, opts)
-	if sink != nil {
-		if err := sink.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if runErr != nil {
-		return runErr
-	}
-
-	res := sim.Result()
-	cfg := sim.Config()
-	if err := renderTable(opts.Out, tableView{
-		algorithm: res.Algorithm.String(), topology: res.Topology,
-		n: cfg.N, k: cfg.K, tau: spec.finalTau(), epsilon: cfg.Epsilon,
-		solved: res.Solved, rounds: res.Rounds,
-		connections: res.Connections, proposals: res.Proposals,
-		controlBits: res.ControlBits, tokensMoved: res.TokensMoved,
-		edgesAdded: res.EdgesAdded, edgesRemoved: res.EdgesRemoved,
-		finalPotential: res.FinalPotential,
-	}); err != nil {
-		return err
-	}
-	if err := checkExpect(spec, outcome.Run{
-		N: cfg.N, K: cfg.K, Solved: res.Solved, Rounds: res.Rounds,
-		FinalPotential: res.FinalPotential, TokensMoved: res.TokensMoved,
-		EdgesAdded: res.EdgesAdded, EdgesRemoved: res.EdgesRemoved,
-	}, spec.Seed); err != nil {
-		return err
-	}
-	writeExpectOK(opts.Out, spec.Expect)
-	return nil
-}
-
-// driveLocal steps the session through the phase timeline, snapshotting
-// at the requested round. Checkpoints at a phase boundary are written
-// before the boundary's rebind; resuming one re-applies the rebind (the
-// boundary check below is >=, not >), which is what keeps interrupted
-// and uninterrupted runs byte-identical.
-func driveLocal(sim *mobilegossip.Simulation, spec *Spec, opts Options) error {
-	starts := spec.phaseStarts()
-	for i := 1; i < len(spec.Phases); i++ {
-		if starts[i] < sim.Round() {
-			continue // resumed into a later phase; the checkpoint carried this one
-		}
-		if err := advanceTo(sim, starts[i], opts); err != nil {
-			return err
-		}
-		if sim.Done() {
-			return maybeFinalCheckpoint(sim, opts)
-		}
-		if err := applyPhase(sim, spec, i, opts); err != nil {
-			return err
-		}
-	}
-	end := 0
-	if len(spec.Phases) > 0 && spec.Phases[len(spec.Phases)-1].Rounds > 0 {
-		end = spec.totalPhaseRounds()
-	}
-	if err := advanceTo(sim, end, opts); err != nil {
-		return err
-	}
-	return maybeFinalCheckpoint(sim, opts)
-}
-
-// advanceTo steps until the target round (0 = completion), writing the
-// mid-run checkpoint when its boundary passes.
-func advanceTo(sim *mobilegossip.Simulation, target int, opts Options) error {
-	for !sim.Done() && (target <= 0 || sim.Round() < target) {
-		if _, err := sim.Step(); err != nil {
-			if errors.Is(err, mobilegossip.ErrSimulationDone) {
-				return nil
-			}
-			return err
-		}
-		if opts.CheckpointPath != "" && opts.CheckpointAt > 0 && sim.Round() == opts.CheckpointAt {
-			if err := writeCheckpoint(sim, opts); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// maybeFinalCheckpoint writes the end-of-run snapshot (CheckpointAt 0).
-func maybeFinalCheckpoint(sim *mobilegossip.Simulation, opts Options) error {
-	if opts.CheckpointPath == "" || opts.CheckpointAt != 0 {
-		return nil
-	}
-	return writeCheckpoint(sim, opts)
-}
-
-func writeCheckpoint(sim *mobilegossip.Simulation, opts Options) error {
-	if err := sim.CheckpointFile(opts.CheckpointPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(opts.Log, "checkpoint written to %s at round %d (φ=%d)\n",
-		opts.CheckpointPath, sim.Round(), sim.Potential())
-	return nil
-}
-
-// applyPhase rebinds the session onto phase i's topology/tau.
-func applyPhase(sim *mobilegossip.Simulation, spec *Spec, i int, opts Options) error {
-	ph := spec.Phases[i]
-	topo := sim.Config().Topology
-	if ph.Topology != nil {
-		var err error
-		topo, err = topologyFromSpec(*ph.Topology)
-		if err != nil {
-			return err
-		}
-	}
-	tau := sim.Config().Tau
-	if ph.Tau != nil {
-		tau = *ph.Tau
-	}
-	if err := sim.Rebind(topo, tau); err != nil {
-		return fmt.Errorf("scenario %q: phase %q: %w", spec.Name, ph.Name, err)
-	}
-	fmt.Fprintf(opts.Log, "phase %s from round %d: %s\n",
-		ph.Name, sim.Round()+1, sim.Result().Topology)
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Remote single runs: the same timeline driven over the gossipd API.
-
-func runSingleRemote(spec *Spec, opts Options) error {
+// runSingle runs a single (fresh or resumed, phased or not) scenario
+// through the one driver, on whichever transport opts selects.
+func runSingle(spec *Spec, opts Options) error {
 	ctx := context.Background()
-	c := client.New(opts.Remote)
-
-	var info client.SessionInfo
-	if opts.ResumePath != "" {
-		f, err := os.Open(opts.ResumePath)
-		if err != nil {
-			return err
-		}
-		info, err = c.Resume(ctx, f, opts.EventsPath != "")
-		f.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(opts.Log, "resumed from %s at round %d (φ=%d)\n",
-			opts.ResumePath, info.Round, info.Potential)
-	} else {
-		req := spec.CreateRequest(spec.N, spec.K, spec.Seed, opts.EventsPath != "")
-		req.EngineWorkers = opts.EngineWorkers
-		var err error
-		info, err = c.Create(ctx, req)
-		if err != nil {
-			return err
-		}
-	}
-	defer c.Delete(context.Background(), info.ID)
-
-	res, err := driveRemote(ctx, c, info, spec, opts)
+	req := spec.CreateRequest(spec.N, spec.K, spec.Seed, opts.EventsPath != "")
+	req.EngineWorkers = opts.EngineWorkers
+	s, err := Open(ctx, req, opts)
 	if err != nil {
 		return err
 	}
-	if opts.EventsPath != "" {
-		if err := downloadEvents(ctx, c, info.ID, opts.EventsPath); err != nil {
-			return err
-		}
+	defer s.Close()
+	tl := spec.timeline()
+	res, err := Drive(ctx, s, tl, opts)
+	if err != nil {
+		return err
 	}
-	if err := renderTable(opts.Out, tableView{
-		algorithm: res.Algorithm, topology: res.Topology,
-		n: res.Session.N, k: res.Session.K, tau: spec.finalTau(), epsilon: spec.Epsilon,
-		solved: res.Solved, rounds: res.Rounds,
-		connections: res.Connections, proposals: res.Proposals,
-		controlBits: res.ControlBits, tokensMoved: res.TokensMoved,
-		edgesAdded: res.EdgesAdded, edgesRemoved: res.EdgesRemoved,
-		finalPotential: res.FinalPotential,
-	}); err != nil {
+	// The τ column shows the stability factor in force at the end of the
+	// timeline.
+	tau := spec.Tau
+	if n := len(tl.Phases); n > 0 {
+		tau = tl.Phases[n-1].Rebind.Tau
+	}
+	if err := RenderTable(opts.Out, res, tau); err != nil {
 		return err
 	}
 	if spec.Expect != nil {
-		// The daemon evaluates the expect block with the same
-		// internal/outcome checker; a violation comes back as HTTP 409,
-		// i.e. a *client.APIError carrying the identical failure text.
-		if err := c.Assert(ctx, info.ID, client.AssertRequest{
-			Scenario: spec.Name, Seed: spec.Seed,
-			Phase:  spec.phaseAt(res.Rounds),
-			Expect: expectToWire(*spec.Expect),
-		}); err != nil {
+		if err := s.Assert(ctx, spec.assertRequest(spec.Seed, res.Rounds)); err != nil {
 			return err
 		}
 	}
@@ -460,199 +189,10 @@ func runSingleRemote(spec *Spec, opts Options) error {
 	return nil
 }
 
-// driveRemote advances the remote session segment by segment: to each
-// remaining phase boundary (rebinding there), through the checkpoint
-// round if one is requested, then to the end of the timeline.
-func driveRemote(ctx context.Context, c *client.Client, info client.SessionInfo, spec *Spec, opts Options) (client.RunResult, error) {
-	var res client.RunResult
-	res.Session = info
-	cur := info.Round
-	done := info.Done
-	ckptWritten := false
-
-	snapshot := func() error {
-		ckptWritten = true
-		return fetchCheckpoint(ctx, c, res.Session.ID, opts)
-	}
-
-	// runTo advances to an absolute round (0 = completion), splitting at
-	// the checkpoint boundary so the snapshot lands exactly there. A
-	// snapshot at a phase boundary is taken by the caller, before the
-	// rebind, matching the local driver. refresh forces one run call
-	// even at the target, so the final result fields are always fresh
-	// (a no-op on the finished engine).
-	runTo := func(target int, refresh bool) error {
-		wantCkpt := opts.CheckpointPath != "" && opts.CheckpointAt > 0 && !ckptWritten
-		if wantCkpt && opts.CheckpointAt > cur && (target <= 0 || opts.CheckpointAt < target) && !done {
-			if err := runSegment(ctx, c, &res, &cur, &done, opts.CheckpointAt); err != nil {
-				return err
-			}
-			if cur == opts.CheckpointAt {
-				if err := snapshot(); err != nil {
-					return err
-				}
-			}
-		}
-		if target > 0 && cur >= target && !refresh {
-			return nil
-		}
-		if err := runSegment(ctx, c, &res, &cur, &done, target); err != nil {
-			return err
-		}
-		if opts.CheckpointPath != "" && opts.CheckpointAt > 0 && !ckptWritten && cur == opts.CheckpointAt {
-			return snapshot()
-		}
-		return nil
-	}
-
-	starts := spec.phaseStarts()
-	for i := 1; i < len(spec.Phases); i++ {
-		if starts[i] < cur {
-			continue
-		}
-		if err := runTo(starts[i], false); err != nil {
-			return res, err
-		}
-		if done {
-			return res, maybeFetchFinalCheckpoint(ctx, c, &res, opts)
-		}
-		if err := rebindRemote(ctx, c, &res, spec, i, opts); err != nil {
-			return res, err
-		}
-	}
-	end := 0
-	if len(spec.Phases) > 0 && spec.Phases[len(spec.Phases)-1].Rounds > 0 {
-		end = spec.totalPhaseRounds()
-	}
-	if err := runTo(end, true); err != nil {
-		return res, err
-	}
-	return res, maybeFetchFinalCheckpoint(ctx, c, &res, opts)
-}
-
-// runSegment issues one relative run call taking the session from cur to
-// the absolute target (0 = completion).
-func runSegment(ctx context.Context, c *client.Client, res *client.RunResult, cur *int, done *bool, target int) error {
-	rounds := 0
-	if target > 0 {
-		rounds = target - *cur
-		if rounds <= 0 {
-			// Already at (or past) the target — possible only when the
-			// engine finished there; refresh the result without moving.
-			rounds = 1
-		}
-	}
-	r, err := c.Run(ctx, res.Session.ID, rounds)
-	if err != nil {
-		return err
-	}
-	*res = r
-	*cur = r.Session.Round
-	*done = r.Session.Done
-	return nil
-}
-
-func rebindRemote(ctx context.Context, c *client.Client, res *client.RunResult, spec *Spec, i int, opts Options) error {
-	ph := spec.Phases[i]
-	req := client.RebindRequest{Topology: effectiveTopologySpec(spec, i)}
-	req.Tau = effectiveTau(spec, i)
-	info, err := c.Rebind(ctx, res.Session.ID, req)
-	if err != nil {
-		return fmt.Errorf("scenario %q: phase %q: %w", spec.Name, ph.Name, err)
-	}
-	res.Session = info
-	fmt.Fprintf(opts.Log, "phase %s from round %d: %s\n", ph.Name, info.Round+1, info.Topology)
-	return nil
-}
-
-// effectiveTopologySpec resolves phase i's topology block: the last
-// explicit block at or before i (falling back to the top level).
-func effectiveTopologySpec(spec *Spec, i int) client.TopologySpec {
-	t := spec.Topology
-	for j := 1; j <= i; j++ {
-		if spec.Phases[j].Topology != nil {
-			t = *spec.Phases[j].Topology
-		}
-	}
-	return t
-}
-
-// effectiveTau resolves phase i's stability factor the same way.
-func effectiveTau(spec *Spec, i int) int {
-	tau := spec.Tau
-	for j := 1; j <= i; j++ {
-		if spec.Phases[j].Tau != nil {
-			tau = *spec.Phases[j].Tau
-		}
-	}
-	return tau
-}
-
-func maybeFetchFinalCheckpoint(ctx context.Context, c *client.Client, res *client.RunResult, opts Options) error {
-	if opts.CheckpointPath == "" || opts.CheckpointAt != 0 {
-		return nil
-	}
-	return fetchCheckpoint(ctx, c, res.Session.ID, opts)
-}
-
-func fetchCheckpoint(ctx context.Context, c *client.Client, id string, opts Options) error {
-	rc, err := c.Checkpoint(ctx, id)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	f, err := os.Create(opts.CheckpointPath)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, rc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	info, err := c.State(ctx, id)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(opts.Log, "checkpoint written to %s at round %d (φ=%d)\n",
-		opts.CheckpointPath, info.Round, info.Potential)
-	return nil
-}
-
-func downloadEvents(ctx context.Context, c *client.Client, id, path string) error {
-	rc, err := c.Events(ctx, id, client.EventOptions{})
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, rc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ---------------------------------------------------------------------
-// Grids: the deterministic sweep, local or expanded client-side.
-
-// gridRun is one cell's outcome, the unit both grid paths aggregate.
-type gridRun struct {
-	topology       string
-	algorithm      string
-	solved         bool
-	rounds         int
-	connections    int64
-	tokensMoved    int64
-	edgesAdded     int64
-	edgesRemoved   int64
-	finalPotential int
-}
+// Grids: the deterministic sweep, run on RunSweep's pool locally or
+// expanded client-side against a daemon; both hand finishGrid the same
+// [point][trial] results.
 
 func runGridLocal(spec *Spec, opts Options) error {
 	pts := spec.points()
@@ -662,9 +202,7 @@ func runGridLocal(spec *Spec, opts Options) error {
 		if err != nil {
 			return err
 		}
-		if opts.EngineWorkers != 0 {
-			cfg.EngineWorkers = opts.EngineWorkers
-		}
+		cfg.EngineWorkers = opts.EngineWorkers
 		cfgs[i] = cfg
 	}
 	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
@@ -673,17 +211,11 @@ func runGridLocal(spec *Spec, opts Options) error {
 	if err != nil {
 		return err
 	}
-	runs := make([][]gridRun, len(pts))
+	runs := make([][]client.RunResult, len(pts))
 	for p, pr := range sr.Points {
-		runs[p] = make([]gridRun, len(pr.Runs))
+		runs[p] = make([]client.RunResult, len(pr.Runs))
 		for t, r := range pr.Runs {
-			runs[p][t] = gridRun{
-				topology: r.Topology, algorithm: r.Algorithm.String(),
-				solved: r.Solved, rounds: r.Rounds,
-				connections: r.Connections, tokensMoved: r.TokensMoved,
-				edgesAdded: r.EdgesAdded, edgesRemoved: r.EdgesRemoved,
-				finalPotential: r.FinalPotential,
-			}
+			runs[p][t] = wire.ResultToWire(r, client.SessionInfo{N: pts[p].n, K: pts[p].k})
 		}
 	}
 	return finishGrid(spec, opts, runs)
@@ -698,9 +230,9 @@ func runGridRemote(spec *Spec, opts Options) error {
 	c := client.New(opts.Remote)
 	pts := spec.points()
 	trials := spec.Grid.Trials
-	runs := make([][]gridRun, len(pts))
+	runs := make([][]client.RunResult, len(pts))
 	for p, pt := range pts {
-		runs[p] = make([]gridRun, trials)
+		runs[p] = make([]client.RunResult, trials)
 		for t := 0; t < trials; t++ {
 			seed := mobilegossip.SweepSeed(spec.Seed, p*trials+t)
 			req := spec.CreateRequest(pt.n, pt.k, seed, false)
@@ -716,13 +248,7 @@ func runGridRemote(spec *Spec, opts Options) error {
 			if err != nil {
 				return fmt.Errorf("grid point %d trial %d: %w", p, t, err)
 			}
-			runs[p][t] = gridRun{
-				topology: res.Topology, algorithm: res.Algorithm,
-				solved: res.Solved, rounds: res.Rounds,
-				connections: res.Connections, tokensMoved: res.TokensMoved,
-				edgesAdded: res.EdgesAdded, edgesRemoved: res.EdgesRemoved,
-				finalPotential: res.FinalPotential,
-			}
+			runs[p][t] = res
 		}
 	}
 	return finishGrid(spec, opts, runs)
@@ -731,41 +257,38 @@ func runGridRemote(spec *Spec, opts Options) error {
 // finishGrid renders the aggregate table (gossipsim's sweep columns,
 // without the timing footer) and evaluates the expect block against
 // every cell.
-func finishGrid(spec *Spec, opts Options, runs [][]gridRun) error {
-	pts := spec.points()
+func finishGrid(spec *Spec, opts Options, runs [][]client.RunResult) error {
 	tw := tabwriter.NewWriter(opts.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\ttopology\tn\tk\ttrials\tsolved\trounds mean\t[min,max]\tconns mean")
-	for p, pt := range pts {
-		cell := runs[p]
+	for _, cell := range runs {
 		solved := 0
-		minR, maxR := cell[0].rounds, cell[0].rounds
+		minR, maxR := cell[0].Rounds, cell[0].Rounds
 		var sumR, sumConns float64
 		for _, r := range cell {
-			if r.solved {
+			if r.Solved {
 				solved++
 			}
-			sumR += float64(r.rounds)
-			sumConns += float64(r.connections)
-			minR = min(minR, r.rounds)
-			maxR = max(maxR, r.rounds)
+			sumR += float64(r.Rounds)
+			sumConns += float64(r.Connections)
+			minR = min(minR, r.Rounds)
+			maxR = max(maxR, r.Rounds)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.1f\t[%d,%d]\t%.0f\n",
-			cell[0].algorithm, cell[0].topology, pt.n, pt.k,
+			cell[0].Algorithm, cell[0].Topology, cell[0].Session.N, cell[0].Session.K,
 			len(cell), solved, sumR/float64(len(cell)), minR, maxR,
 			sumConns/float64(len(cell)))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	trials := spec.Grid.Trials
-	for p, pt := range pts {
-		for t, r := range runs[p] {
-			if err := checkExpect(spec, outcome.Run{
-				N: pt.n, K: pt.k, Solved: r.solved, Rounds: r.rounds,
-				FinalPotential: r.finalPotential, TokensMoved: r.tokensMoved,
-				EdgesAdded: r.edgesAdded, EdgesRemoved: r.edgesRemoved,
-			}, mobilegossip.SweepSeed(spec.Seed, p*trials+t)); err != nil {
-				return err
+	if spec.Expect != nil {
+		trials := spec.Grid.Trials
+		for p := range runs {
+			for t, r := range runs[p] {
+				seed := mobilegossip.SweepSeed(spec.Seed, p*trials+t)
+				if err := assertResult(spec.assertRequest(seed, r.Rounds), r); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -129,8 +129,10 @@ expect:
 	}
 }
 
-// TestFinalCheckpoint: CheckpointAt 0 snapshots when the run finishes,
-// and the local and remote end-of-run snapshots are byte-identical.
+// TestFinalCheckpoint: CheckpointAt 0 snapshots when the run finishes —
+// and so does a CheckpointAt the run never reaches, instead of silently
+// writing nothing — and the local and remote end-of-run snapshots are
+// byte-identical.
 func TestFinalCheckpoint(t *testing.T) {
 	spec, err := scenario.Parse([]byte(`version: 1
 name: final-ckpt
@@ -147,36 +149,48 @@ expect:
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := t.TempDir()
-	local := filepath.Join(tmp, "local.ckpt")
-	var out bytes.Buffer
-	if err := scenario.Run(spec, scenario.Options{
-		CheckpointPath: local, Out: &out, Log: io.Discard,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// A single-assertion expect block reads in the singular.
-	if !strings.Contains(out.String(), "expect: ok (1 check)\n") {
-		t.Fatalf("output missing singular expect summary:\n%s", out.String())
-	}
+	remoteAddr := startDaemon(t)
+	var snapshots [][]byte
+	for _, at := range []int{0, 100000} {
+		tmp := t.TempDir()
+		local := filepath.Join(tmp, "local.ckpt")
+		var out, log bytes.Buffer
+		if err := scenario.Run(spec, scenario.Options{
+			CheckpointPath: local, CheckpointAt: at, Out: &out, Log: &log,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// A single-assertion expect block reads in the singular.
+		if !strings.Contains(out.String(), "expect: ok (1 check)\n") {
+			t.Fatalf("output missing singular expect summary:\n%s", out.String())
+		}
+		// The notice names the round the snapshot was actually taken at.
+		if strings.Contains(log.String(), "at round 100000") || !strings.Contains(log.String(), "checkpoint written to") {
+			t.Fatalf("-checkpointat %d: notice = %q", at, log.String())
+		}
 
-	remote := filepath.Join(tmp, "remote.ckpt")
-	if err := scenario.Run(spec, scenario.Options{
-		Remote: startDaemon(t), CheckpointPath: remote,
-		Out: io.Discard, Log: io.Discard,
-	}); err != nil {
-		t.Fatal(err)
+		remote := filepath.Join(tmp, "remote.ckpt")
+		if err := scenario.Run(spec, scenario.Options{
+			Remote: remoteAddr, CheckpointPath: remote, CheckpointAt: at,
+			Out: io.Discard, Log: io.Discard,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		lb, err := os.ReadFile(local)
+		if err != nil {
+			t.Fatalf("-checkpointat %d wrote no local checkpoint: %v", at, err)
+		}
+		rb, err := os.ReadFile(remote)
+		if err != nil {
+			t.Fatalf("-checkpointat %d wrote no remote checkpoint: %v", at, err)
+		}
+		if !bytes.Equal(lb, rb) {
+			t.Fatalf("-checkpointat %d: end-of-run checkpoints differ local vs remote", at)
+		}
+		snapshots = append(snapshots, lb)
 	}
-	lb, err := os.ReadFile(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := os.ReadFile(remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lb, rb) {
-		t.Fatal("end-of-run checkpoints differ local vs remote")
+	if !bytes.Equal(snapshots[0], snapshots[1]) {
+		t.Fatal("a never-reached -checkpointat should write the same end-of-run snapshot as -checkpointat 0")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"mobilegossip"
 	"mobilegossip/client"
 	"mobilegossip/internal/outcome"
+	"mobilegossip/internal/wire"
 )
 
 // Version is the spec format version this build reads and writes.
@@ -194,7 +195,7 @@ func (s *Spec) Validate() error {
 	if s.Topology.Kind == "" {
 		return fail("missing required field \"topology.kind\"")
 	}
-	if _, err := topologyFromSpec(s.Topology); err != nil {
+	if _, err := wire.TopologyFromWire(s.Topology); err != nil {
 		return fail("topology: %v", err)
 	}
 	if len(s.Phases) > 0 && s.Grid != nil {
@@ -257,7 +258,7 @@ func (s *Spec) validatePhases(alg mobilegossip.Algorithm) error {
 			if ph.Topology.Kind == "" {
 				return fail("%s: missing required field \"topology.kind\"", where)
 			}
-			if _, err := topologyFromSpec(*ph.Topology); err != nil {
+			if _, err := wire.TopologyFromWire(*ph.Topology); err != nil {
 				return fail("%s: topology: %v", where, err)
 			}
 		}
@@ -372,26 +373,15 @@ func (s *Spec) phaseAt(r int) string {
 	return name
 }
 
-// Config assembles the mobilegossip.Config for a local run at the given
-// grid point (for unphased/ungridded scenarios pass s.N, s.K).
+// Config lowers the spec to the mobilegossip.Config of a local run at the
+// given grid point (for unphased/ungridded scenarios pass s.N, s.K): the
+// create request, through the one codec.
 func (s *Spec) Config(n, k int) (mobilegossip.Config, error) {
-	alg, err := mobilegossip.ParseAlgorithm(s.Algorithm)
-	if err != nil {
-		return mobilegossip.Config{}, err
-	}
-	topo, err := topologyFromSpec(s.Topology)
-	if err != nil {
-		return mobilegossip.Config{}, err
-	}
-	return mobilegossip.Config{
-		Algorithm: alg, N: n, K: k, Topology: topo,
-		Tau: s.Tau, Epsilon: s.Epsilon, TagBits: s.TagBits,
-		Seed: s.Seed, MaxRounds: s.effectiveMaxRounds(),
-	}, nil
+	return wire.ConfigFromWire(s.CreateRequest(n, k, s.Seed, false))
 }
 
-// CreateRequest assembles the daemon create request for a remote run at
-// the given grid point and seed.
+// CreateRequest assembles the create request for a run at the given grid
+// point and seed.
 func (s *Spec) CreateRequest(n, k int, seed uint64, recordEvents bool) client.CreateRequest {
 	return client.CreateRequest{
 		Algorithm: s.Algorithm, N: n, K: k, Topology: s.Topology,
@@ -400,49 +390,29 @@ func (s *Spec) CreateRequest(n, k int, seed uint64, recordEvents bool) client.Cr
 	}
 }
 
-// topologyFromSpec maps the wire topology block onto mobilegossip.Topology —
-// the same mapping the daemon applies to create requests.
-func topologyFromSpec(spec client.TopologySpec) (mobilegossip.Topology, error) {
-	var t mobilegossip.Topology
-	kind, err := mobilegossip.ParseTopologyKind(spec.Kind)
-	if err != nil {
-		return t, err
-	}
-	t = mobilegossip.Topology{
-		Kind:       kind,
-		Degree:     spec.Degree,
-		P:          spec.P,
-		Rows:       spec.Rows,
-		Cols:       spec.Cols,
-		CliqueSize: spec.CliqueSize,
-		PathLen:    spec.PathLen,
-		Radius:     spec.Radius,
-		Attach:     spec.Attach,
-		Speed:      spec.Speed,
-		Pause:      spec.Pause,
-		LevyAlpha:  spec.LevyAlpha,
-		Groups:     spec.Groups,
-		Attract:    spec.Attract,
-		Period:     spec.Period,
-		AdvBudget:  spec.AdvBudget,
-		AdvParts:   spec.AdvParts,
-		AdvPeriod:  spec.AdvPeriod,
-	}
-	if spec.Adversary != "" {
-		adv, err := mobilegossip.ParseAdversaryKind(spec.Adversary)
-		if err != nil {
-			return t, err
+// timeline lowers the phase list to what the driver walks: each later
+// phase's start round with its effective topology and tau (the last
+// explicit block at or before it, falling back to the top level).
+func (s *Spec) timeline() Timeline {
+	tl := Timeline{Scenario: s.Name}
+	rebind := client.RebindRequest{Topology: s.Topology, Tau: s.Tau}
+	for i, start := range s.phaseStarts() {
+		if i == 0 {
+			continue
 		}
-		t.Adversary = adv
-	}
-	if spec.Relabel != "" {
-		rel, err := mobilegossip.ParseRelabelKind(spec.Relabel)
-		if err != nil {
-			return t, err
+		ph := s.Phases[i]
+		if ph.Topology != nil {
+			rebind.Topology = *ph.Topology
 		}
-		t.Relabel = rel
+		if ph.Tau != nil {
+			rebind.Tau = *ph.Tau
+		}
+		tl.Phases = append(tl.Phases, PhaseStart{Name: ph.Name, Round: start, Rebind: rebind})
 	}
-	return t, nil
+	if n := len(s.Phases); n > 0 && s.Phases[n-1].Rounds > 0 {
+		tl.End = s.totalPhaseRounds()
+	}
+	return tl
 }
 
 // EncodeYAML renders the normalized spec canonically: fixed field order,

@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"mobilegossip/internal/core"
@@ -133,18 +132,6 @@ type Config struct {
 	// EndRun. Provided implementations: NewTraceObserver,
 	// NewPotentialSampler, NewChurnMeter.
 	Observers []Observer
-	// OnRound, if set, receives (round, φ) after every round.
-	//
-	// Legacy hook: it is adapted onto the observer pipeline; new code
-	// should use Observers with a custom Observer (or NewPotentialSampler).
-	OnRound func(round, potential int)
-	// TraceWriter, if set, receives one JSON line per proposal and per
-	// accepted connection (see internal/trace for the event schema).
-	//
-	// Legacy hook: it is adapted onto the observer pipeline; new code
-	// should use Observers with NewTraceObserver, whose Err survives the
-	// run.
-	TraceWriter io.Writer
 }
 
 // Result reports a finished (or aborted) run.

@@ -116,13 +116,22 @@ func TestRunMaxRoundsAborts(t *testing.T) {
 	}
 }
 
+// phiRecorder is a custom Observer: φ after every round.
+type phiRecorder struct {
+	NopObserver
+	phis []int
+}
+
+func (p *phiRecorder) EndRound(s RoundStats) { p.phis = append(p.phis, s.Potential) }
+
 func TestRunOnRoundPotentialTrace(t *testing.T) {
-	var phis []int
+	rec := &phiRecorder{}
 	_, err := Run(Config{
 		Algorithm: AlgSharedBit, N: 10, K: 3,
 		Topology: Topology{Kind: Complete}, Seed: 5,
-		OnRound: func(r, phi int) { phis = append(phis, phi) },
+		Observers: []Observer{rec},
 	})
+	phis := rec.phis
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ type RoundStats struct {
 }
 
 // Observer receives the lifecycle events of one simulation. Observers
-// compose: any number can watch the same run, and the provided
-// implementations (TraceObserver, PotentialSampler, ChurnMeter) cover the
-// instrumentation the old OnRound/TraceWriter special cases hard-wired.
+// compose: any number can watch the same run; TraceObserver,
+// PotentialSampler and ChurnMeter are provided, and embedding NopObserver
+// makes a custom one a few lines.
 //
 // Events fire on the stepping goroutine: BeginRun once before the first
 // round (including the first round after a Resume), EndRound after every
@@ -73,8 +73,8 @@ func (NopObserver) EndRound(RoundStats) {}
 func (NopObserver) EndRun(Result) {}
 
 // TraceObserver records every proposal and accepted connection as one JSON
-// line (see internal/trace for the event schema) — the observer form of
-// the old Config.TraceWriter field.
+// line (see internal/trace for the event schema). A write failure does
+// not stop the run: check Err after it.
 type TraceObserver struct {
 	NopObserver
 	rec *trace.Recorder
@@ -103,8 +103,7 @@ type PotentialSample struct {
 }
 
 // PotentialSampler records the potential curve φ(r): one sample when the
-// run begins, one every `every` rounds, and one at the final round — the
-// observer form of the old Config.OnRound progress traces.
+// run begins, one every `every` rounds, and one at the final round.
 type PotentialSampler struct {
 	NopObserver
 	every   int
@@ -215,12 +214,3 @@ func (s *Simulation) fanOut(ev events.Event) {
 		}
 	}
 }
-
-// onRoundObserver adapts the legacy Config.OnRound callback onto the
-// observer pipeline.
-type onRoundObserver struct {
-	NopObserver
-	fn func(round, potential int)
-}
-
-func (o onRoundObserver) EndRound(stats RoundStats) { o.fn(stats.Round, stats.Potential) }

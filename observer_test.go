@@ -1,10 +1,9 @@
 package mobilegossip_test
 
 // Tests for the observer pipeline: the provided observers must agree with
-// the legacy hooks and with the engine's own meters.
+// the engine's own meters.
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"runtime"
@@ -59,37 +58,6 @@ func (r *recordingObserver) BeginRun(sim *mobilegossip.Simulation) { r.on("begin
 func (r *recordingObserver) EndRound(s mobilegossip.RoundStats)    { r.on("round", s.Round) }
 func (r *recordingObserver) EndRun(res mobilegossip.Result)        { r.on("end", res.Rounds) }
 
-// TestPotentialSamplerMatchesOnRound: the sampler observer and the legacy
-// OnRound hook must see identical φ values.
-func TestPotentialSamplerMatchesOnRound(t *testing.T) {
-	sampler := mobilegossip.NewPotentialSampler(1)
-	var legacy []int
-	cfg := mobilegossip.Config{
-		Algorithm: mobilegossip.AlgSharedBit, N: 12, K: 3,
-		Topology:  mobilegossip.Topology{Kind: mobilegossip.Complete},
-		Seed:      5,
-		OnRound:   func(r, phi int) { legacy = append(legacy, phi) },
-		Observers: []mobilegossip.Observer{sampler},
-	}
-	if _, err := mobilegossip.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	samples := sampler.Samples()
-	if len(samples) == 0 || samples[0].Round != 0 {
-		t.Fatalf("sampler missing the round-0 sample: %+v", samples)
-	}
-	per := samples[1:] // drop the BeginRun sample; every=1 then mirrors OnRound
-	// The final round appears once from every=1 and is not duplicated.
-	if len(per) != len(legacy) {
-		t.Fatalf("sampler has %d per-round samples, OnRound saw %d", len(per), len(legacy))
-	}
-	for i, s := range per {
-		if s.Potential != legacy[i] || s.Round != i+1 {
-			t.Fatalf("sample %d = %+v, legacy φ=%d", i, s, legacy[i])
-		}
-	}
-}
-
 // TestPotentialSamplerFinalRound: the curve must end at the final round
 // even when MaxRounds stops the run between sampling points.
 func TestPotentialSamplerFinalRound(t *testing.T) {
@@ -110,39 +78,6 @@ func TestPotentialSamplerFinalRound(t *testing.T) {
 	last := samples[len(samples)-1]
 	if last.Round != 50 || last.Potential != res.FinalPotential {
 		t.Fatalf("curve ends at %+v, want round 50 φ=%d", last, res.FinalPotential)
-	}
-}
-
-// TestTraceObserverMatchesTraceWriter: the observer and the legacy field
-// must produce byte-identical event streams.
-func TestTraceObserverMatchesTraceWriter(t *testing.T) {
-	cfg := mobilegossip.Config{
-		Algorithm: mobilegossip.AlgSharedBit, N: 14, K: 3,
-		Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
-		Seed:     6,
-	}
-	var legacy bytes.Buffer
-	lcfg := cfg
-	lcfg.TraceWriter = &legacy
-	if _, err := mobilegossip.Run(lcfg); err != nil {
-		t.Fatal(err)
-	}
-
-	var observed bytes.Buffer
-	to := mobilegossip.NewTraceObserver(&observed)
-	ocfg := cfg
-	ocfg.Observers = []mobilegossip.Observer{to}
-	if _, err := mobilegossip.Run(ocfg); err != nil {
-		t.Fatal(err)
-	}
-	if to.Err() != nil {
-		t.Fatal(to.Err())
-	}
-	if to.Events() == 0 {
-		t.Fatal("trace observer recorded nothing")
-	}
-	if !bytes.Equal(legacy.Bytes(), observed.Bytes()) {
-		t.Fatal("TraceObserver and TraceWriter event streams differ")
 	}
 }
 

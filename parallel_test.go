@@ -21,14 +21,17 @@ import (
 // workerTrace is a run summary plus its full per-round potential trace,
 // so engine comparisons see every round boundary rather than only totals.
 type workerTrace struct {
+	mobilegossip.NopObserver
 	res mobilegossip.Result
 	phi []int
 }
 
+func (tr *workerTrace) EndRound(s mobilegossip.RoundStats) { tr.phi = append(tr.phi, s.Potential) }
+
 func traceRun(t *testing.T, cfg mobilegossip.Config) workerTrace {
 	t.Helper()
 	var tr workerTrace
-	cfg.OnRound = func(round, potential int) { tr.phi = append(tr.phi, potential) }
+	cfg.Observers = []mobilegossip.Observer{&tr}
 	res, err := mobilegossip.Run(cfg)
 	if err != nil {
 		t.Fatalf("Run (workers %d): %v", cfg.EngineWorkers, err)

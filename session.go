@@ -13,7 +13,6 @@ import (
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
 	"mobilegossip/internal/profile"
-	"mobilegossip/internal/trace"
 )
 
 // tokenCounts adapts the run state onto adversary.StateReader.
@@ -49,7 +48,6 @@ type Simulation struct {
 	eng   *mtm.Engine
 
 	observers []Observer
-	legacyRec *trace.Recorder // Config.TraceWriter recorder, for Run's error contract
 	began     bool
 	finished  bool
 	tapped    bool // a protocol-tapping observer is attached: auto workers resolve to 1
@@ -73,9 +71,7 @@ var ErrSimulationDone = errors.New("mobilegossip: simulation already finished")
 var ErrBudgetExceeded = mtm.ErrBudgetExceeded
 
 // New validates cfg and builds a simulation session positioned before
-// round 1. The legacy Config.OnRound and Config.TraceWriter fields are
-// honored by adapting them onto the observer pipeline; new code should
-// attach Config.Observers (or call Observe) instead.
+// round 1, with Config.Observers attached.
 func New(cfg Config) (*Simulation, error) {
 	if cfg.N < 2 {
 		return nil, ErrBadN
@@ -151,14 +147,6 @@ func New(cfg Config) (*Simulation, error) {
 
 	if cfg.Profile {
 		s.EnableProfiling()
-	}
-	if cfg.OnRound != nil {
-		s.Observe(onRoundObserver{fn: cfg.OnRound})
-	}
-	if cfg.TraceWriter != nil {
-		to := NewTraceObserver(cfg.TraceWriter)
-		s.legacyRec = to.rec
-		s.Observe(to)
 	}
 	s.Observe(cfg.Observers...)
 	return s, nil
@@ -295,8 +283,7 @@ func (s *Simulation) Bus() *events.Bus { return s.bus }
 // Observers are delivered through the session's event bus: the first
 // Observe call registers the pipeline as a synchronous, lossless bus
 // subscriber, so observers and event sinks see the same stream in the
-// same order — and legacy behavior (ordering, per-round stats, the
-// final Result) is byte-identical to the pre-bus direct calls.
+// same order.
 //
 // Protocol-tapping observers record events from inside the engine's round
 // phases, so under a parallel engine their per-round event order follows
@@ -457,15 +444,10 @@ func (s *Simulation) Run(ctx context.Context) (Result, error) {
 		return s.Result(), err
 	}
 	s.finish()
-	res := s.Result()
-	var err error
 	if s.eng.OverBudget() {
-		err = ErrBudgetExceeded
+		return s.Result(), ErrBudgetExceeded
 	}
-	if err == nil && s.legacyRec != nil {
-		err = s.legacyRec.Err()
-	}
-	return res, err
+	return s.Result(), nil
 }
 
 // Done reports whether the run is over: the objective was reached or

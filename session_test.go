@@ -265,6 +265,20 @@ func TestResumeCheckpointWithRemovedConcurrentBit(t *testing.T) {
 	}
 }
 
+// cancelAt is a custom Observer canceling the run's context once the
+// given round has executed.
+type cancelAt struct {
+	mobilegossip.NopObserver
+	round  int
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) EndRound(s mobilegossip.RoundStats) {
+	if s.Round == c.round {
+		c.cancel()
+	}
+}
+
 // TestRunCancellation cancels a run mid-flight, checkpoints the partial
 // session, and finishes it from the checkpoint — the blackout workflow.
 func TestRunCancellation(t *testing.T) {
@@ -283,11 +297,7 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	stopAt := want.Rounds / 3
 	cfg2 := cfg
-	cfg2.OnRound = func(r, _ int) {
-		if r == stopAt {
-			cancel()
-		}
-	}
+	cfg2.Observers = []mobilegossip.Observer{cancelAt{round: stopAt, cancel: cancel}}
 	sim, err := mobilegossip.New(cfg2)
 	if err != nil {
 		t.Fatal(err)
