@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # daemon's concurrency tests cover a few timing-dependent branches.)
 COVER_MIN ?= 86.0
 
-.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify ci
+.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify loc ci
 
 all: build
 
@@ -253,6 +253,12 @@ docs:
 
 docs-verify:
 	$(GO) run ./cmd/clidoc -check docs/cli.md
+
+# loc prints the figure the simplicity PRs cite: non-test Go lines outside
+# bench/ (which is the frozen benchmark harness, its own module). A "net
+# negative" claim is this number before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 # examples runs every examples/ scenario in -short mode, exactly as the CI
 # build job does, so example drift breaks the build instead of rotting.

@@ -99,7 +99,7 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	cw := ckpt.NewWriter(w)
 	cw.String(checkpointMagic)
 	cw.U64(CheckpointVersion)
-	writeConfig(cw, s.cfg)
+	configLayout(cw.Fields(), &s.cfg)
 	s.eng.CheckpointTo(cw)
 	s.st.CheckpointTo(cw)
 
@@ -194,8 +194,9 @@ func Resume(r io.Reader) (*Simulation, error) {
 		return nil, fmt.Errorf("%w: version %d (this build supports %d)",
 			ErrCheckpointFormat, v, CheckpointVersion)
 	}
-	cfg, err := readConfig(cr)
-	if err != nil {
+	var cfg Config
+	configLayout(cr.Fields(), &cfg)
+	if err := cr.Err(); err != nil {
 		return nil, err
 	}
 	sim, err := New(cfg)
@@ -253,94 +254,56 @@ func Resume(r io.Reader) (*Simulation, error) {
 	return sim, nil
 }
 
-// writeConfig serializes the data fields of a Config (the observers are
-// process-local and excluded).
-func writeConfig(w *ckpt.Writer, cfg Config) {
-	w.Section("config")
-	w.Int(int(cfg.Algorithm))
-	w.Int(cfg.N)
-	w.Int(cfg.K)
-	w.Bool(cfg.Assignment != nil)
-	if cfg.Assignment != nil {
-		w.Int(cfg.Assignment.Universe)
-		w.Ints(cfg.Assignment.Tokens)
-		w.Ints(cfg.Assignment.Owners)
-	}
-	t := cfg.Topology
-	w.Int(int(t.Kind))
-	w.Int(t.Degree)
-	w.F64(t.P)
-	w.Int(t.Rows)
-	w.Int(t.Cols)
-	w.Int(t.CliqueSize)
-	w.Int(t.PathLen)
-	w.F64(t.Radius)
-	w.Int(t.Attach)
-	w.F64(t.Speed)
-	w.Int(t.Pause)
-	w.F64(t.LevyAlpha)
-	w.Int(t.Groups)
-	w.F64(t.Attract)
-	w.Int(t.Period)
-	w.Int(int(t.Adversary))
-	w.Int(t.AdvBudget)
-	w.Int(t.AdvParts)
-	w.Int(t.AdvPeriod)
-	w.Int(int(t.Relabel))
-	w.Int(cfg.Tau)
-	w.F64(cfg.Epsilon)
-	w.Int(cfg.TagBits)
-	w.U64(cfg.Seed)
-	w.Int(cfg.MaxRounds)
-	w.Bool(false) // v3 keeps the slot of the removed Config.Concurrent option
-	w.F64(cfg.TransferEps)
-	w.Int(cfg.CrowdedBin.Beta)
-	w.Int(cfg.CrowdedBin.Gamma)
-}
-
-// readConfig deserializes a writeConfig stream.
-func readConfig(r *ckpt.Reader) (Config, error) {
-	var cfg Config
-	r.Section("config")
-	cfg.Algorithm = Algorithm(r.Int())
-	cfg.N = r.Int()
-	cfg.K = r.Int()
-	if r.Bool() {
-		a := &core.Assignment{}
-		a.Universe = r.Int()
-		a.Tokens = r.Ints()
-		a.Owners = r.Ints()
-		cfg.Assignment = a
+// configLayout is the checkpoint's config block: every data field of
+// Config in stream order, walked by Checkpoint over a writer and by Resume
+// over a reader, so the slot order below is the format. EngineWorkers and
+// Profile (wall-clock knobs) and Observers (process-local) have no slot.
+func configLayout(c ckpt.Fields, cfg *Config) {
+	c.Section("config")
+	c.Int((*int)(&cfg.Algorithm))
+	c.Int(&cfg.N)
+	c.Int(&cfg.K)
+	hasAssignment := cfg.Assignment != nil
+	c.Bool(&hasAssignment)
+	if hasAssignment {
+		if cfg.Assignment == nil {
+			cfg.Assignment = &core.Assignment{}
+		}
+		c.Int(&cfg.Assignment.Universe)
+		c.Ints(&cfg.Assignment.Tokens)
+		c.Ints(&cfg.Assignment.Owners)
 	}
 	t := &cfg.Topology
-	t.Kind = TopologyKind(r.Int())
-	t.Degree = r.Int()
-	t.P = r.F64()
-	t.Rows = r.Int()
-	t.Cols = r.Int()
-	t.CliqueSize = r.Int()
-	t.PathLen = r.Int()
-	t.Radius = r.F64()
-	t.Attach = r.Int()
-	t.Speed = r.F64()
-	t.Pause = r.Int()
-	t.LevyAlpha = r.F64()
-	t.Groups = r.Int()
-	t.Attract = r.F64()
-	t.Period = r.Int()
-	t.Adversary = AdversaryKind(r.Int())
-	t.AdvBudget = r.Int()
-	t.AdvParts = r.Int()
-	t.AdvPeriod = r.Int()
-	t.Relabel = RelabelKind(r.Int())
-	cfg.Tau = r.Int()
-	cfg.Epsilon = r.F64()
-	cfg.TagBits = r.Int()
-	cfg.Seed = r.U64()
-	cfg.MaxRounds = r.Int()
-	r.Bool() // the removed option's slot (see writeConfig): read and discarded
-	cfg.TransferEps = r.F64()
-	cfg.CrowdedBin.Beta = r.Int()
-	cfg.CrowdedBin.Gamma = r.Int()
-	return cfg, r.Err()
+	c.Int((*int)(&t.Kind))
+	c.Int(&t.Degree)
+	c.F64(&t.P)
+	c.Int(&t.Rows)
+	c.Int(&t.Cols)
+	c.Int(&t.CliqueSize)
+	c.Int(&t.PathLen)
+	c.F64(&t.Radius)
+	c.Int(&t.Attach)
+	c.F64(&t.Speed)
+	c.Int(&t.Pause)
+	c.F64(&t.LevyAlpha)
+	c.Int(&t.Groups)
+	c.F64(&t.Attract)
+	c.Int(&t.Period)
+	c.Int((*int)(&t.Adversary))
+	c.Int(&t.AdvBudget)
+	c.Int(&t.AdvParts)
+	c.Int(&t.AdvPeriod)
+	c.Int((*int)(&t.Relabel))
+	c.Int(&cfg.Tau)
+	c.F64(&cfg.Epsilon)
+	c.Int(&cfg.TagBits)
+	c.U64(&cfg.Seed)
+	c.Int(&cfg.MaxRounds)
+	// v3 keeps the slot of the removed Config.Concurrent option: written
+	// false, read and discarded.
+	var removedConcurrent bool
+	c.Bool(&removedConcurrent)
+	c.F64(&cfg.TransferEps)
+	c.Int(&cfg.CrowdedBin.Beta)
+	c.Int(&cfg.CrowdedBin.Gamma)
 }

@@ -109,33 +109,22 @@ func run(args []string) error {
 		return runScenario(args[1:])
 	}
 	fs := flag.NewFlagSet("gossipsim", flag.ContinueOnError)
+	// The simulation knobs are bound straight into the Config they set; the
+	// topology ones come from the binder graphinfo shares.
+	var cfg mobilegossip.Config
+	topology := wire.TopologyFlags(fs)
+	fs.IntVar(&cfg.Tau, "tau", 0, "stability factor; 0 = static (τ=∞), t>=1 redraws topology every t rounds")
+	fs.Float64Var(&cfg.Epsilon, "epsilon", 0, "ε-gossip fraction in (0,1); requires -alg sharedbit and -k = -n")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "run seed (fully determines the execution, sweep or single)")
+	fs.IntVar(&cfg.MaxRounds, "maxrounds", 0, "abort after this many rounds (0 = engine default)")
+	fs.IntVar(&cfg.EngineWorkers, "engineworkers", 0, "shard-parallel engine workers: 0 = auto (GOMAXPROCS, large runs only), 1 = sequential, >=2 exact; results identical at any value")
+	fs.IntVar(&cfg.TagBits, "b", 0, "tag length for -alg sharedbit (>=2 runs the multi-bit generalization)")
+	fs.BoolVar(&cfg.Profile, "profile", false, "attach the engine timing profiler (DESIGN.md §13): round_profile events, latency histograms on -metrics, a post-run summary; never changes the simulation's results (single runs only)")
 	var (
 		algName   = fs.String("alg", "sharedbit", "algorithm: "+strings.Join(mobilegossip.AlgorithmNames(), "|"))
-		graphName = fs.String("graph", "regular", "topology or mobility model: "+strings.Join(mobilegossip.TopologyKindNames(), "|"))
 		nList     = fs.String("n", "64", "network size, or comma list for a sweep")
 		kList     = fs.String("k", "8", "token count (1..n), or comma list for a sweep")
-		tau       = fs.Int("tau", 0, "stability factor; 0 = static (τ=∞), t>=1 redraws topology every t rounds")
-		degree    = fs.Int("degree", 4, "degree for -graph regular")
-		p         = fs.Float64("p", 0, "edge probability for -graph gnp (0 = default 2·ln(n)/n)")
-		radius    = fs.Float64("radius", 0, "connection radius for -graph rgg, or radio range for the mobility models (0 = default)")
-		attach    = fs.Int("attach", 0, "edges per new vertex for -graph pa (0 = default 3)")
-		speed     = fs.Float64("speed", 0, "per-round motion step for the mobility models (0 = default 0.01; negative = frozen)")
-		pause     = fs.Int("pause", 0, "waypoint dwell in motion epochs for -graph waypoint (0 = default 2)")
-		levyAlpha = fs.Float64("levyalpha", 0, "Lévy tail exponent for -graph levy (0 = default 1.6)")
-		groups    = fs.Int("groups", 0, "attractor count for -graph group (0 = default 4)")
-		attract   = fs.Float64("attract", 0, "gathering intensity in [0,1] for -graph group (0 = default 0.6; negative = 0)")
-		period    = fs.Int("period", 0, "commute cycle in rounds for -graph commuter (0 = default 64)")
-		advName   = fs.String("adversary", "none", "adversarial strategy layered over -graph: "+strings.Join(mobilegossip.AdversaryKindNames(), "|"))
-		advBudget = fs.Int("advbudget", 0, "max edges the adversary may cut per epoch (0 = unlimited)")
-		advParts  = fs.Int("advparts", 0, "adversary partition count: bridges groups / blackout regions (0 = default 4), topk k (0 = default 3)")
-		advPeriod = fs.Int("advperiod", 0, "blackout/partition event cycle in epochs (0 = default 8)")
-		epsilon   = fs.Float64("epsilon", 0, "ε-gossip fraction in (0,1); requires -alg sharedbit and -k = -n")
-		seed      = fs.Uint64("seed", 1, "run seed (fully determines the execution, sweep or single)")
-		maxRounds = fs.Int("maxrounds", 0, "abort after this many rounds (0 = engine default)")
 		trace     = fs.Int("trace", 0, "print φ(r) every this many rounds (0 = off, single runs only)")
-		engineW   = fs.Int("engineworkers", 0, "shard-parallel engine workers: 0 = auto (GOMAXPROCS, large runs only), 1 = sequential, >=2 exact; results identical at any value")
-		relabelF  = fs.String("relabel", "none", "cache-aware vertex relabeling for generated topologies: "+strings.Join(mobilegossip.RelabelKindNames(), "|"))
-		tagBits   = fs.Int("b", 0, "tag length for -alg sharedbit (>=2 runs the multi-bit generalization)")
 		traceFile = fs.String("tracefile", "", "write per-proposal/per-connection JSONL events to this file (single runs only)")
 		trials    = fs.Int("trials", 1, "repetitions per sweep point (>1 switches to the sweep path)")
 		parallel  = fs.Int("parallel", 0, "sweep worker pool size; 0 = GOMAXPROCS (results identical at any value)")
@@ -146,7 +135,6 @@ func run(args []string) error {
 		sample    = fs.Int("sample", 0, "record φ(r) every this many rounds and print the curve after the run (single runs only)")
 		eventsF   = fs.String("events", "", "write session events (round/churn/checkpoint/session, DESIGN.md §12) as JSONL to this file (single runs only)")
 		metricsF  = fs.String("metrics", "", "serve Prometheus-style /metrics plus /debug/pprof on this address, e.g. :9090, for the run's duration (single runs only)")
-		profileF  = fs.Bool("profile", false, "attach the engine timing profiler (DESIGN.md §13): round_profile events, latency histograms on -metrics, a post-run summary; never changes the simulation's results (single runs only)")
 		remoteF   = fs.String("remote", "", "drive the run against the gossipd daemon at this address (host:port) instead of in-process; output is byte-identical to the local run (single runs only)")
 		remoteGap = fs.Duration("remotepause", 0, "with -remote: idle this long between the -checkpointat snapshot and the final run, giving a daemon with a short -idletimeout room to evict and revive the session (a determinism test hook)")
 	)
@@ -164,7 +152,7 @@ func run(args []string) error {
 	}
 	obs := localObservers{trace: *trace, traceFile: *traceFile, sample: *sample, metrics: *metricsF}
 	if *remoteF != "" {
-		if *trace > 0 || *traceFile != "" || *sample > 0 || *metricsF != "" || *profileF {
+		if *trace > 0 || *traceFile != "" || *sample > 0 || *metricsF != "" || cfg.Profile {
 			return fmt.Errorf("-trace, -tracefile, -sample, -metrics and -profile run in-process observers and do not combine with -remote")
 		}
 	} else if *remoteGap > 0 {
@@ -174,24 +162,15 @@ func run(args []string) error {
 		// A checkpoint carries the whole configuration bar the wall-clock
 		// knobs (sequential, parallel, profiled and unprofiled runs all
 		// write interchangeable streams), so only those flags apply.
-		req := client.CreateRequest{EngineWorkers: *engineW, Profile: *profileF, RecordEvents: *eventsF != ""}
+		req := client.CreateRequest{EngineWorkers: cfg.EngineWorkers, Profile: cfg.Profile, RecordEvents: *eventsF != ""}
 		return runSingle(req, opts, obs, *remoteGap)
 	}
 
-	alg, err := mobilegossip.ParseAlgorithm(*algName)
-	if err != nil {
+	var err error
+	if cfg.Algorithm, err = mobilegossip.ParseAlgorithm(*algName); err != nil {
 		return err
 	}
-	kind, err := mobilegossip.ParseTopologyKind(*graphName)
-	if err != nil {
-		return err
-	}
-	adv, err := mobilegossip.ParseAdversaryKind(*advName)
-	if err != nil {
-		return err
-	}
-	relabel, err := mobilegossip.ParseRelabelKind(*relabelF)
-	if err != nil {
+	if cfg.Topology, err = topology(); err != nil {
 		return err
 	}
 	ns, err := parseIntList("n", *nList)
@@ -203,29 +182,8 @@ func run(args []string) error {
 		return err
 	}
 
-	mkConfig := func(n, k int) mobilegossip.Config {
-		return mobilegossip.Config{
-			Algorithm: alg,
-			N:         n,
-			K:         k,
-			Topology: mobilegossip.Topology{
-				Kind: kind, Degree: *degree, P: *p, Radius: *radius, Attach: *attach,
-				Speed: *speed, Pause: *pause, LevyAlpha: *levyAlpha,
-				Groups: *groups, Attract: *attract, Period: *period,
-				Adversary: adv, AdvBudget: *advBudget,
-				AdvParts: *advParts, AdvPeriod: *advPeriod,
-				Relabel: relabel,
-			},
-			Tau:           *tau,
-			Epsilon:       *epsilon,
-			TagBits:       *tagBits,
-			MaxRounds:     *maxRounds,
-			EngineWorkers: *engineW,
-		}
-	}
-
 	if len(ns) > 1 || len(ks) > 1 || *trials > 1 || *asJSON {
-		if *trace > 0 || *traceFile != "" || *sample > 0 || *ckptFile != "" || *eventsF != "" || *metricsF != "" || *profileF {
+		if *trace > 0 || *traceFile != "" || *sample > 0 || *ckptFile != "" || *eventsF != "" || *metricsF != "" || cfg.Profile {
 			return fmt.Errorf("-trace, -tracefile, -sample, -checkpoint, -events, -metrics and -profile apply to single runs only, not sweeps")
 		}
 		if *remoteF != "" {
@@ -234,14 +192,14 @@ func run(args []string) error {
 		var points []mobilegossip.Config
 		for _, n := range ns {
 			for _, k := range ks {
-				points = append(points, mkConfig(n, k))
+				pt := cfg
+				pt.N, pt.K = n, k
+				points = append(points, pt)
 			}
 		}
-		return runSweep(points, *trials, *seed, *parallel, *asJSON)
+		return runSweep(points, *trials, cfg.Seed, *parallel, *asJSON)
 	}
-	cfg := mkConfig(ns[0], ks[0])
-	cfg.Seed = *seed
-	cfg.Profile = *profileF
+	cfg.N, cfg.K = ns[0], ks[0]
 	return runSingle(wire.ConfigToWire(cfg, *eventsF != ""), opts, obs, *remoteGap)
 }
 

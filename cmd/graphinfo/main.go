@@ -13,6 +13,10 @@
 //	graphinfo -graph waypoint -n 256 -tau 1 -speed 0.02 -rounds 64
 //	graphinfo -graph regular -n 64 -tau 4 -rounds 64
 //	graphinfo -graph regular -n 128 -tau 1 -adversary bridges -rounds 64
+//	graphinfo -graph pa -n 256 -attach 5 -relabel degree
+//
+// The topology flags are gossipsim's own (one shared binder,
+// wire.TopologyFlags), so every family knob either tool accepts, both do.
 //
 // For n ≤ 22 the vertex expansion is computed exactly by subset
 // enumeration; above that a randomized local-search estimate (an upper
@@ -36,6 +40,7 @@ import (
 	"mobilegossip/internal/dyngraph"
 	"mobilegossip/internal/graph"
 	"mobilegossip/internal/prand"
+	"mobilegossip/internal/wire"
 )
 
 func main() {
@@ -47,27 +52,14 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("graphinfo", flag.ContinueOnError)
+	topology := wire.TopologyFlags(fs)
 	var (
-		graphName = fs.String("graph", "regular", "topology family (see cmd/gossipsim)")
-		ns        = fs.String("n", "64", "comma-separated network sizes")
-		degree    = fs.Int("degree", 4, "degree for -graph regular")
-		p         = fs.Float64("p", 0, "edge probability for -graph gnp")
-		seed      = fs.Uint64("seed", 1, "seed for randomized families and α estimation")
-		all       = fs.Bool("all", false, "print every family at the first -n size")
-		samples   = fs.Int("samples", 2000, "samples for the α estimate on large graphs")
-		tau       = fs.Int("tau", 0, "stability factor; >= 1 adds the dynamic churn table")
-		rounds    = fs.Int("rounds", 64, "rounds to replay for the churn table")
-		radius    = fs.Float64("radius", 0, "radio range / rgg radius (0 = default)")
-		speed     = fs.Float64("speed", 0, "mobility motion step (0 = default 0.01; negative = frozen)")
-		pause     = fs.Int("pause", 0, "waypoint dwell (0 = default 2)")
-		levyAlpha = fs.Float64("levyalpha", 0, "Lévy tail exponent (0 = default 1.6)")
-		groups    = fs.Int("groups", 0, "group attractor count (0 = default 4)")
-		attract   = fs.Float64("attract", 0, "gathering intensity (0 = default 0.6; negative = 0)")
-		period    = fs.Int("period", 0, "commuter cycle in rounds (0 = default 64)")
-		advName   = fs.String("adversary", "none", "adversarial strategy layered over -graph: "+strings.Join(mobilegossip.AdversaryKindNames(), "|"))
-		advBudget = fs.Int("advbudget", 0, "max edges the adversary may cut per epoch (0 = unlimited)")
-		advParts  = fs.Int("advparts", 0, "adversary partition count (0 = default: 4 groups/regions, topk 3)")
-		advPeriod = fs.Int("advperiod", 0, "blackout/partition event cycle in epochs (0 = default 8)")
+		ns      = fs.String("n", "64", "comma-separated network sizes")
+		seed    = fs.Uint64("seed", 1, "seed for randomized families and α estimation")
+		all     = fs.Bool("all", false, "print every family at the first -n size")
+		samples = fs.Int("samples", 2000, "samples for the α estimate on large graphs")
+		tau     = fs.Int("tau", 0, "stability factor; >= 1 adds the dynamic churn table")
+		rounds  = fs.Int("rounds", 64, "rounds to replay for the churn table")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -81,23 +73,9 @@ func run(args []string) error {
 		return err
 	}
 
-	adv, err := mobilegossip.ParseAdversaryKind(*advName)
+	topo, err := topology()
 	if err != nil {
 		return err
-	}
-
-	mkTopo := func(kindName string) (mobilegossip.Topology, error) {
-		kind, err := mobilegossip.ParseTopologyKind(kindName)
-		if err != nil {
-			return mobilegossip.Topology{}, err
-		}
-		return mobilegossip.Topology{
-			Kind: kind, Degree: *degree, P: *p, Radius: *radius,
-			Speed: *speed, Pause: *pause, LevyAlpha: *levyAlpha,
-			Groups: *groups, Attract: *attract, Period: *period,
-			Adversary: adv, AdvBudget: *advBudget,
-			AdvParts: *advParts, AdvPeriod: *advPeriod,
-		}, nil
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -110,11 +88,7 @@ func run(args []string) error {
 	}
 	var churns []churnRow
 
-	emit := func(kindName string, n int) error {
-		topo, err := mkTopo(kindName)
-		if err != nil {
-			return err
-		}
+	emit := func(topo mobilegossip.Topology, n int) error {
 		dyn, err := topo.Build(n, *tau, *seed)
 		if err != nil {
 			return err
@@ -136,17 +110,19 @@ func run(args []string) error {
 	}
 
 	if *all {
-		for _, name := range []string{
-			"cycle", "path", "complete", "star", "doublestar",
-			"grid", "gnp", "regular", "barbell",
+		for _, kind := range []mobilegossip.TopologyKind{
+			mobilegossip.Cycle, mobilegossip.Path, mobilegossip.Complete,
+			mobilegossip.Star, mobilegossip.DoubleStar, mobilegossip.Grid,
+			mobilegossip.GNP, mobilegossip.RandomRegular, mobilegossip.Barbell,
 		} {
-			if err := emit(name, sizes[0]); err != nil {
-				fmt.Fprintf(tw, "%s\t%d\t-\t-\t-\t%v\t-\n", name, sizes[0], err)
+			topo.Kind = kind
+			if err := emit(topo, sizes[0]); err != nil {
+				fmt.Fprintf(tw, "%s\t%d\t-\t-\t-\t%v\t-\n", kind, sizes[0], err)
 			}
 		}
 	} else {
 		for _, n := range sizes {
-			if err := emit(*graphName, n); err != nil {
+			if err := emit(topo, n); err != nil {
 				return err
 			}
 		}

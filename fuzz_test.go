@@ -83,11 +83,11 @@ func FuzzResume(f *testing.F) {
 	})
 }
 
-// FuzzParseNames exercises the three name parsers (the CLI flag surface):
+// FuzzParseNames exercises the four name parsers (the CLI flag surface):
 // any string either resolves to a value that round-trips through String, or
 // errors with the valid-name list.
 func FuzzParseNames(f *testing.F) {
-	for _, s := range []string{"", "sharedbit", "waypoint", "bipartition", "none",
+	for _, s := range []string{"", "sharedbit", "waypoint", "bipartition", "none", "bfs",
 		"SharedBit", "gnp\x00", "cutrich ", strings.Repeat("x", 300)} {
 		f.Add(s)
 	}
@@ -112,6 +112,13 @@ func FuzzParseNames(f *testing.F) {
 			}
 		} else if !strings.Contains(err.Error(), "cutrich") {
 			t.Fatalf("adversary error does not list valid names: %v", err)
+		}
+		if k, err := mobilegossip.ParseRelabelKind(s); err == nil {
+			if s != "" && k.String() != s {
+				t.Fatalf("relabeling %q does not round-trip (got %q)", s, k.String())
+			}
+		} else if !strings.Contains(err.Error(), "degree") {
+			t.Fatalf("relabeling error does not list valid names: %v", err)
 		}
 	})
 }

@@ -410,3 +410,41 @@ func (r *Reader) Section(name string) {
 		r.fail(fmt.Errorf("ckpt: section %q, expected %q (checkpoint layout mismatch)", got, name))
 	}
 }
+
+// Fields walks one field layout in either direction: over a Writer each
+// call writes *p, over a Reader it reads into *p. A block laid out once
+// against Fields is serialized and deserialized by the same statement
+// list, so the two directions cannot disagree and the call order is the
+// block's format.
+type Fields interface {
+	Section(name string)
+	Int(p *int)
+	U64(p *uint64)
+	F64(p *float64)
+	Bool(p *bool)
+	Ints(p *[]int)
+}
+
+// Fields returns the writing walker over w.
+func (w *Writer) Fields() Fields { return writeFields{w} }
+
+// Fields returns the reading walker over r.
+func (r *Reader) Fields() Fields { return readFields{r} }
+
+type writeFields struct{ w *Writer }
+
+func (f writeFields) Section(name string) { f.w.Section(name) }
+func (f writeFields) Int(p *int)          { f.w.Int(*p) }
+func (f writeFields) U64(p *uint64)       { f.w.U64(*p) }
+func (f writeFields) F64(p *float64)      { f.w.F64(*p) }
+func (f writeFields) Bool(p *bool)        { f.w.Bool(*p) }
+func (f writeFields) Ints(p *[]int)       { f.w.Ints(*p) }
+
+type readFields struct{ r *Reader }
+
+func (f readFields) Section(name string) { f.r.Section(name) }
+func (f readFields) Int(p *int)          { *p = f.r.Int() }
+func (f readFields) U64(p *uint64)       { *p = f.r.U64() }
+func (f readFields) F64(p *float64)      { *p = f.r.F64() }
+func (f readFields) Bool(p *bool)        { *p = f.r.Bool() }
+func (f readFields) Ints(p *[]int)       { *p = f.r.Ints() }

@@ -80,6 +80,56 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFieldsWalksBothWays: one layout function over Fields writes exactly
+// what the plain Writer calls would, and reads it back into place.
+func TestFieldsWalksBothWays(t *testing.T) {
+	type block struct {
+		i  int
+		u  uint64
+		f  float64
+		b  bool
+		is []int
+	}
+	layout := func(c Fields, v *block) {
+		c.Section("block")
+		c.Int(&v.i)
+		c.U64(&v.u)
+		c.F64(&v.f)
+		c.Bool(&v.b)
+		c.Ints(&v.is)
+	}
+	in := block{i: -42, u: 1<<64 - 1, f: math.Pi, b: true, is: []int{-1, 0, 1}}
+	var viaFields, direct bytes.Buffer
+	w := NewWriter(&viaFields)
+	layout(w.Fields(), &in)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w = NewWriter(&direct)
+	w.Section("block")
+	w.Int(in.i)
+	w.U64(in.u)
+	w.F64(in.f)
+	w.Bool(in.b)
+	w.Ints(in.is)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaFields.Bytes(), direct.Bytes()) {
+		t.Errorf("Fields wrote %x, the Writer calls %x", viaFields.Bytes(), direct.Bytes())
+	}
+
+	var out block
+	r := NewReader(&viaFields)
+	layout(r.Fields(), &out)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if out.i != in.i || out.u != in.u || out.f != in.f || out.b != in.b || len(out.is) != 3 || out.is[0] != -1 {
+		t.Errorf("read back %+v, wrote %+v", out, in)
+	}
+}
+
 // TestSectionMismatch pins the loud-failure contract.
 func TestSectionMismatch(t *testing.T) {
 	var buf bytes.Buffer

@@ -80,12 +80,12 @@ type Phase struct {
 	// Rounds is the phase's length. It must be ≥ 1 everywhere except the
 	// last phase, where 0 means "run to completion".
 	Rounds int `json:"rounds,omitempty"`
-	// Topology, if set, is rebound at the phase's starting round
-	// boundary (nil keeps the previous phase's schedule).
-	Topology *client.TopologySpec `json:"topology,omitempty"`
 	// Tau, if set, replaces the stability factor from the phase start
 	// (nil keeps the previous value).
 	Tau *int `json:"tau,omitempty"`
+	// Topology, if set, is rebound at the phase's starting round
+	// boundary (nil keeps the previous phase's schedule).
+	Topology *client.TopologySpec `json:"topology,omitempty"`
 }
 
 // Grid is the parameter-sweep block.
@@ -95,7 +95,7 @@ type Grid struct {
 	N []int `json:"n,omitempty"`
 	K []int `json:"k,omitempty"`
 	// Trials is the per-point repetition count (normalized to ≥ 1).
-	Trials int `json:"trials,omitempty"`
+	Trials int `json:"trials"`
 }
 
 // Parse reads a scenario from YAML or JSON bytes, strict-decodes it
@@ -415,156 +415,109 @@ func (s *Spec) timeline() Timeline {
 	return tl
 }
 
-// EncodeYAML renders the normalized spec canonically: fixed field order,
-// two-space indentation, zero values omitted. Parse(EncodeYAML(s))
-// yields a spec that encodes to the same bytes — the round-trip fixed
-// point FuzzScenarioSpec enforces.
+// EncodeYAML renders the normalized spec canonically: fields in
+// declaration order under their JSON tags, two-space indentation, zero
+// values omitted. Parse(EncodeYAML(s)) yields a spec that encodes to the
+// same bytes — the round-trip fixed point FuzzScenarioSpec enforces.
+//
+// The emitter names no field: it is json.Marshal — by the same tags Parse
+// decodes by — printed by the inverse of yamlToJSON, so a field added to
+// Spec, client.TopologySpec, Phase, Grid or outcome.Expect is emitted
+// without touching this file.
 func (s *Spec) EncodeYAML() []byte {
-	var b strings.Builder
-	y := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-	y("version: %d\n", s.Version)
-	y("name: %s\n", yamlString(s.Name))
-	if s.Description != "" {
-		y("description: %s\n", yamlString(s.Description))
+	data, err := json.Marshal(s)
+	if err != nil {
+		panic(fmt.Sprintf("scenario: marshaling a Spec cannot fail: %v", err))
 	}
-	y("seed: %d\n", s.Seed)
-	y("algorithm: %s\n", yamlString(s.Algorithm))
-	y("n: %d\n", s.N)
-	y("k: %d\n", s.K)
-	if s.Tau != 0 {
-		y("tau: %d\n", s.Tau)
-	}
-	if s.Epsilon != 0 {
-		y("epsilon: %s\n", yamlFloat(s.Epsilon))
-	}
-	if s.TagBits != 0 {
-		y("tag_bits: %d\n", s.TagBits)
-	}
-	if s.MaxRounds != 0 {
-		y("max_rounds: %d\n", s.MaxRounds)
-	}
-	y("topology:\n")
-	encodeTopology(&b, "  ", s.Topology)
-	if len(s.Phases) > 0 {
-		y("phases:\n")
-		for _, ph := range s.Phases {
-			y("  - name: %s\n", yamlString(ph.Name))
-			if ph.Rounds != 0 {
-				y("    rounds: %d\n", ph.Rounds)
-			}
-			if ph.Tau != nil {
-				y("    tau: %d\n", *ph.Tau)
-			}
-			if ph.Topology != nil {
-				y("    topology:\n")
-				encodeTopology(&b, "      ", *ph.Topology)
-			}
-		}
-	}
-	if s.Grid != nil {
-		y("grid:\n")
-		if len(s.Grid.N) > 0 {
-			y("  n: %s\n", yamlIntList(s.Grid.N))
-		}
-		if len(s.Grid.K) > 0 {
-			y("  k: %s\n", yamlIntList(s.Grid.K))
-		}
-		y("  trials: %d\n", s.Grid.Trials)
-	}
-	if s.Expect != nil {
-		y("expect:\n")
-		e := s.Expect
-		if e.Solved != nil {
-			y("  solved: %v\n", *e.Solved)
-		}
-		if e.SolvedBy != 0 {
-			y("  solved_by: %d\n", e.SolvedBy)
-		}
-		if e.MinRounds != 0 {
-			y("  min_rounds: %d\n", e.MinRounds)
-		}
-		if e.MaxFinalPotential != nil {
-			y("  max_final_potential: %d\n", *e.MaxFinalPotential)
-		}
-		if e.MinCoverage != 0 {
-			y("  min_coverage: %s\n", yamlFloat(e.MinCoverage))
-		}
-		if e.MaxChurnPerRound != 0 {
-			y("  max_churn_per_round: %s\n", yamlFloat(e.MaxChurnPerRound))
-		}
-		if e.MinTokensMoved != 0 {
-			y("  min_tokens_moved: %d\n", e.MinTokensMoved)
-		}
-		if e.MaxTokensMoved != 0 {
-			y("  max_tokens_moved: %d\n", e.MaxTokensMoved)
-		}
-	}
-	return []byte(b.String())
+	e := yamlEmitter{dec: json.NewDecoder(bytes.NewReader(data))}
+	e.dec.UseNumber()
+	e.next() // the document's opening brace
+	e.mapping("", "", "", "")
+	return e.out.Bytes()
 }
 
-func encodeTopology(b *strings.Builder, indent string, t client.TopologySpec) {
-	y := func(format string, args ...any) {
-		b.WriteString(indent)
-		fmt.Fprintf(b, format, args...)
+// yamlEmitter prints one marshaled Spec, token by token in document
+// order, as the block YAML yamlToJSON reads: nested mappings indented two
+// spaces, lists of mappings as block sequences, lists of scalars as flow
+// sequences.
+type yamlEmitter struct {
+	dec *json.Decoder
+	out bytes.Buffer
+}
+
+func (e *yamlEmitter) next() json.Token {
+	tok, err := e.dec.Token()
+	if err != nil {
+		panic(fmt.Sprintf("scenario: re-reading marshaled JSON: %v", err))
 	}
-	y("kind: %s\n", yamlString(t.Kind))
-	if t.Degree != 0 {
-		y("degree: %d\n", t.Degree)
+	return tok
+}
+
+// mapping prints the entries of the object whose opening brace was just
+// consumed: the first behind the prefix first (a sequence item's "- ", or
+// plain indentation), the rest behind indent. pre and post are the JSON
+// text around this object in a document that holds nothing else — the
+// path from the root that scalar asks the decoder about.
+func (e *yamlEmitter) mapping(first, indent, pre, post string) {
+	for prefix := first; e.dec.More(); prefix = indent {
+		key := e.next().(string)
+		e.out.WriteString(prefix + key + ":")
+		pre, post := pre+"{"+strconv.Quote(key)+":", "}"+post
+		switch tok := e.next(); tok {
+		case json.Delim('{'):
+			e.out.WriteString("\n")
+			e.mapping(indent+"  ", indent+"  ", pre, post)
+		case json.Delim('['):
+			e.sequence(indent+"  ", pre+"[", "]"+post)
+		default:
+			e.out.WriteString(" " + scalar(tok, pre, post) + "\n")
+		}
 	}
-	if t.P != 0 {
-		y("p: %s\n", yamlFloat(t.P))
+	e.next() // the closing brace
+}
+
+// sequence prints the elements of the array whose opening bracket was
+// just consumed, after its key: mappings as a block sequence on the lines
+// below, scalars as one flow sequence on the key's line.
+func (e *yamlEmitter) sequence(indent, pre, post string) {
+	var flow []string
+	block := false
+	for e.dec.More() {
+		if tok := e.next(); tok != json.Delim('{') {
+			flow = append(flow, scalar(tok, pre, post))
+		} else {
+			if !block {
+				e.out.WriteString("\n")
+				block = true
+			}
+			e.mapping(indent+"- ", indent+"  ", pre, post)
+		}
 	}
-	if t.Rows != 0 {
-		y("rows: %d\n", t.Rows)
+	e.next() // the closing bracket
+	if !block {
+		e.out.WriteString(" [" + strings.Join(flow, ", ") + "]\n")
 	}
-	if t.Cols != 0 {
-		y("cols: %d\n", t.Cols)
+}
+
+// scalar renders one JSON scalar token. JSON text does not say whether a
+// number is a float — encoding/json prints the float 2.5e6 as 2500000,
+// like the integer — but the canonical form does (2.5e+06: yamlFloat), so
+// scalar asks the decoder: a field is a float field exactly when 0.5
+// decodes into its place in an otherwise empty Spec.
+func scalar(tok json.Token, pre, post string) string {
+	switch v := tok.(type) {
+	case string:
+		return yamlString(v)
+	case bool:
+		return strconv.FormatBool(v)
+	case json.Number:
+		if json.Unmarshal([]byte(pre+"0.5"+post), new(Spec)) != nil {
+			return v.String()
+		}
+		f, _ := v.Float64()
+		return yamlFloat(f)
 	}
-	if t.CliqueSize != 0 {
-		y("clique_size: %d\n", t.CliqueSize)
-	}
-	if t.PathLen != 0 {
-		y("path_len: %d\n", t.PathLen)
-	}
-	if t.Radius != 0 {
-		y("radius: %s\n", yamlFloat(t.Radius))
-	}
-	if t.Attach != 0 {
-		y("attach: %d\n", t.Attach)
-	}
-	if t.Speed != 0 {
-		y("speed: %s\n", yamlFloat(t.Speed))
-	}
-	if t.Pause != 0 {
-		y("pause: %d\n", t.Pause)
-	}
-	if t.LevyAlpha != 0 {
-		y("levy_alpha: %s\n", yamlFloat(t.LevyAlpha))
-	}
-	if t.Groups != 0 {
-		y("groups: %d\n", t.Groups)
-	}
-	if t.Attract != 0 {
-		y("attract: %s\n", yamlFloat(t.Attract))
-	}
-	if t.Period != 0 {
-		y("period: %d\n", t.Period)
-	}
-	if t.Adversary != "" {
-		y("adversary: %s\n", yamlString(t.Adversary))
-	}
-	if t.AdvBudget != 0 {
-		y("adv_budget: %d\n", t.AdvBudget)
-	}
-	if t.AdvParts != 0 {
-		y("adv_parts: %d\n", t.AdvParts)
-	}
-	if t.AdvPeriod != 0 {
-		y("adv_period: %d\n", t.AdvPeriod)
-	}
-	if t.Relabel != "" {
-		y("relabel: %s\n", yamlString(t.Relabel))
-	}
+	panic(fmt.Sprintf("scenario: no YAML form for JSON token %v", tok))
 }
 
 // yamlString renders a string scalar, quoting when a bare rendering
@@ -601,12 +554,4 @@ func yamlFloat(f float64) string {
 		s = string(out)
 	}
 	return s
-}
-
-func yamlIntList(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
 }

@@ -4,7 +4,9 @@
 // requests through it, the scenario driver lowers specs through it for
 // in-process runs, and gossipsim raises its flag-built Config through it
 // for -remote — so a field added to one side and not the other fails this
-// package's round-trip test instead of a CI shell job.
+// package's round-trip test instead of a CI shell job. The topology's
+// command-line form is lowered here too (TopologyFlags), for gossipsim
+// and graphinfo alike.
 package wire
 
 import (
@@ -21,15 +23,15 @@ func TopologyFromWire(spec client.TopologySpec) (mobilegossip.Topology, error) {
 	if err != nil {
 		return mobilegossip.Topology{}, err
 	}
-	adv, err := mobilegossip.ParseAdversaryKind(spec.Adversary) // "" parses to none
+	// The two optional enums are omitted on the wire when none: "" parses
+	// to none.
+	adv, err := mobilegossip.ParseAdversaryKind(spec.Adversary)
 	if err != nil {
 		return mobilegossip.Topology{}, err
 	}
-	relabel := mobilegossip.RelabelNone
-	if spec.Relabel != "" {
-		if relabel, err = mobilegossip.ParseRelabelKind(spec.Relabel); err != nil {
-			return mobilegossip.Topology{}, err
-		}
+	relabel, err := mobilegossip.ParseRelabelKind(spec.Relabel)
+	if err != nil {
+		return mobilegossip.Topology{}, err
 	}
 	return mobilegossip.Topology{
 		Kind: kind, Degree: spec.Degree, P: spec.P,

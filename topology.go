@@ -136,7 +136,11 @@ func (k RelabelKind) String() string {
 }
 
 // ParseRelabelKind resolves a relabeling name (as printed by String).
+// "none" and "" parse to RelabelNone.
 func ParseRelabelKind(s string) (RelabelKind, error) {
+	if s == "" {
+		return RelabelNone, nil
+	}
 	for k, name := range relabelNames {
 		if name == s {
 			return k, nil
