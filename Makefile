@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # daemon's concurrency tests cover a few timing-dependent branches.)
 COVER_MIN ?= 86.0
 
-.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify loc ci
+.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify loc ab ci
 
 all: build
 
@@ -55,11 +55,14 @@ race:
 # profiling read side (live /metrics scrapes and histogram reads against
 # a profiled parallel session), and the daemon's full-service traffic mix
 # (create/step/evict/revive/follow/delete under concurrent scrapes) —
-# un-shortened under the race detector.
+# un-shortened under the race detector. The advertisement planes of
+# internal/core are the one cache the tag phase's shards share
+# (DESIGN.md §11), so their sharded-vs-sequential test runs ten times over.
 race-concurrent:
 	$(GO) test -race -count=1 -run 'Concurrent|Backends|Sharded|EngineWorkers|Bus|Sink|Collector' \
 		. ./internal/mtm ./internal/adversary ./internal/trace ./internal/leader ./internal/events ./internal/profile \
 		./internal/daemon
+	$(GO) test -race -count=10 -run 'Sharded' ./internal/core
 
 # cover enforces the ratcheted coverage floor (COVER_MIN, measured at merge
 # time) over the library surface — the root package and internal/... (cmd/
@@ -259,6 +262,20 @@ docs-verify:
 # negative" claim is this number before and after.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | wc -l
+
+# ab measures a performance claim the only way ROADMAP's standing
+# constraints accept: BASE (a commit, exported with git archive into
+# .bench_build/ab/<sha>) against the working tree, PAIRS alternating pairs
+# of `bash bench/run.sh --workload W --seconds 10 --trace 0`, swapping
+# which side goes first. Runs accumulate in .bench_build/ab/runs-W.tsv;
+# the summary prints each side's median and quartiles, the pairs the
+# change won, and whether that amounts to a claimable gain
+# (choosing-metrics §8).
+PAIRS ?= 10
+BASE ?= HEAD
+ab:
+	@test -n "$(W)" || { echo "usage: make ab W=<workload> [PAIRS=10] [BASE=HEAD]"; exit 2; }
+	bash scripts/ab.sh $(W) $(PAIRS) $(BASE)
 
 # examples runs every examples/ scenario in -short mode, exactly as the CI
 # build job does, so example drift breaks the build instead of rotting.

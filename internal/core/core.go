@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/mtm"
@@ -84,6 +85,13 @@ type State struct {
 	sets        []*tokenset.Set
 	transferEps float64
 	done        bool
+
+	// The assigned token ids — the only ids a set can ever hold — and the
+	// word span [planeFirst, planeFirst+planeWords) of the set layout they
+	// occupy, which is all an advertisement plane has to cover (planes.go).
+	tokens     []int
+	planeFirst int
+	planeWords int
 }
 
 // NewState builds run state for n nodes from an assignment. transferEps is
@@ -95,8 +103,13 @@ func NewState(n int, a Assignment, transferEps float64) (*State, error) {
 	st := &State{n: n, universe: a.Universe, k: len(a.Tokens), transferEps: transferEps}
 	st.arena = tokenset.NewArena(n, a.Universe)
 	st.sets = st.arena.Sets()
+	st.tokens = slices.Clone(a.Tokens)
 	for i, t := range a.Tokens {
 		st.sets[a.Owners[i]].Add(t)
+	}
+	if st.k > 0 {
+		st.planeFirst = slices.Min(st.tokens) / 64
+		st.planeWords = slices.Max(st.tokens)/64 - st.planeFirst + 1
 	}
 	st.done = tokenset.AllKnowAll(st.sets, st.k)
 	return st, nil
@@ -155,9 +168,24 @@ func (st *State) RestoreFrom(r *ckpt.Reader) error {
 		return fmt.Errorf("core: checkpoint for n=%d universe=%d, state has n=%d universe=%d",
 			n, universe, st.n, st.universe)
 	}
-	for _, s := range st.sets {
+	assigned := tokenset.NewSet(st.universe)
+	for _, t := range st.tokens {
+		assigned.Add(t)
+	}
+	for u, s := range st.sets {
 		if err := s.RestoreFrom(r); err != nil {
 			return err
+		}
+		// An id outside the assignment can be held only by a corrupted
+		// stream; everything keyed on the assigned ids relies on that.
+		stray := 0
+		s.ForEach(func(t int) {
+			if !assigned.Has(t) {
+				stray = t
+			}
+		})
+		if stray != 0 {
+			return fmt.Errorf("core: checkpoint gives node %d token %d, which the assignment never placed", u, stray)
 		}
 	}
 	st.done = done

@@ -137,16 +137,16 @@ func TestSharedBitSolvesGossipDynamic(t *testing.T) {
 func TestSharedBitAdvertisementLemma52(t *testing.T) {
 	// Lemma 5.2: equal sets ⇒ equal bits (always); different sets ⇒
 	// different bits with probability exactly 1/2 over the shared bits.
-	shared := prand.NewSharedString(1)
 	stA, _ := NewState(4, Assignment{Universe: 16, Tokens: []int{3, 7}, Owners: []int{0, 1}}, 0.01)
+	p := NewSharedBit(stA, prand.NewSharedString(1))
 	// Node 0 owns {3}, node 1 owns {7}, nodes 2,3 own {}.
 	diff := 0
 	const rounds = 20000
 	for r := 1; r <= rounds; r++ {
-		b0 := advertiseBit(shared, stA.sets[0], r)
-		b1 := advertiseBit(shared, stA.sets[1], r)
-		b2 := advertiseBit(shared, stA.sets[2], r)
-		b3 := advertiseBit(shared, stA.sets[3], r)
+		b0 := p.Tag(r, 0)
+		b1 := p.Tag(r, 1)
+		b2 := p.Tag(r, 2)
+		b3 := p.Tag(r, 3)
 		if b2 != 0 || b3 != 0 {
 			t.Fatal("empty sets must advertise 0")
 		}

@@ -6,7 +6,6 @@ import (
 	"mobilegossip/internal/eqtest"
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
-	"mobilegossip/internal/tokenset"
 )
 
 // MultiBit generalizes the SharedBit advertisement to tag length b ≥ 1.
@@ -34,6 +33,7 @@ type MultiBit struct {
 	st     *State
 	shared *prand.SharedString
 	b      int
+	planes *planes
 }
 
 var _ mtm.Protocol = (*MultiBit)(nil)
@@ -44,7 +44,7 @@ func NewMultiBit(st *State, shared *prand.SharedString, b int) (*MultiBit, error
 	if b < 1 || b > 64 {
 		return nil, fmt.Errorf("core: multi-bit tag length %d outside [1, 64]", b)
 	}
-	return &MultiBit{st: st, shared: shared, b: b}, nil
+	return &MultiBit{st: st, shared: shared, b: b, planes: newPlanes(st, shared, b, 1)}, nil
 }
 
 // State exposes the run state for instrumentation.
@@ -53,22 +53,9 @@ func (p *MultiBit) State() *State { return p.st }
 // TagBits implements mtm.Protocol.
 func (p *MultiBit) TagBits() int { return p.b }
 
-// advertiseBits computes the b-bit advertisement for a token set in round
-// group r: the bitwise XOR of the tokens' b-bit shared bundles.
-func advertiseBits(shared *prand.SharedString, set *tokenset.Set, r, b int) uint64 {
-	if set.Len() == 0 {
-		return 0
-	}
-	var tag uint64
-	set.ForEach(func(t int) {
-		tag ^= shared.TokenBits(r, t, b)
-	})
-	return tag
-}
-
 // Tag implements mtm.Protocol.
 func (p *MultiBit) Tag(r int, u mtm.NodeID) uint64 {
-	return advertiseBits(p.shared, p.st.sets[u], r, p.b)
+	return p.planes.tag(r, p.st.sets[u])
 }
 
 // Decide implements mtm.Protocol: propose to a uniformly chosen neighbor
@@ -77,7 +64,7 @@ func (p *MultiBit) Tag(r int, u mtm.NodeID) uint64 {
 // SharedBit) so the whole execution remains a function of the shared
 // randomness.
 func (p *MultiBit) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, _ *prand.RNG) mtm.Action {
-	own := advertiseBits(p.shared, p.st.sets[u], r, p.b)
+	own := p.planes.tag(r, p.st.sets[u])
 	smaller := 0
 	for _, nb := range view {
 		if nb.Tag < own {

@@ -7,7 +7,6 @@ import (
 	"mobilegossip/internal/graph"
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
-	"mobilegossip/internal/tokenset"
 )
 
 // mustState builds run state with a tight transfer error bound, failing
@@ -40,24 +39,25 @@ func TestNewMultiBitValidatesWidth(t *testing.T) {
 // tags, and different sets advertise different tags with probability
 // 1 − 2^{−b}.
 func TestMultiBitLemma52Analog(t *testing.T) {
-	const universe = 64
 	const groups = 4000
 	shared := prand.NewSharedString(99)
 
-	a := tokenset.NewSet(universe)
-	b := tokenset.NewSet(universe)
+	// Nodes 0 and 2 hold {3, 17, 40}; node 1 holds one token more.
+	st := mustState(t, 3, Assignment{Universe: 64,
+		Tokens: []int{3, 17, 40, 55}, Owners: []int{0, 0, 0, 1}})
 	for _, tok := range []int{3, 17, 40} {
-		a.Add(tok)
-		b.Add(tok)
+		st.sets[1].Add(tok)
+		st.sets[2].Add(tok)
 	}
-	b.Add(55) // one-element difference
 
 	for _, width := range []int{1, 2, 4, 8} {
+		mb, err := NewMultiBit(st, shared, width)
+		if err != nil {
+			t.Fatal(err)
+		}
 		equalDiffer, differDiffer := 0, 0
 		for g := 1; g <= groups; g++ {
-			ta := advertiseBits(shared, a, g, width)
-			tb := advertiseBits(shared, b, g, width)
-			taa := advertiseBits(shared, a, g, width)
+			ta, tb, taa := mb.Tag(g, 0), mb.Tag(g, 1), mb.Tag(g, 2)
 			if ta != taa {
 				equalDiffer++
 			}

@@ -1,0 +1,236 @@
+package core
+
+// The advertisement planes against the definition they cache: a node's tag
+// in round group g is the XOR over its tokens of the tokens' bundles in
+// that group (§5.1). The per-token walk below is the code the planes
+// replaced, kept as the reference.
+
+import (
+	"bytes"
+	"testing"
+
+	"mobilegossip/internal/ckpt"
+	"mobilegossip/internal/dyngraph"
+	"mobilegossip/internal/graph"
+	"mobilegossip/internal/mtm"
+	"mobilegossip/internal/prand"
+	"mobilegossip/internal/tokenset"
+)
+
+// refAdvertise is Σ_{t∈set} t.bits (bitwise, mod 2) by a PRF walk over the
+// set: TokenBit for b = 1, as SharedBit did, TokenBits otherwise.
+func refAdvertise(shared *prand.SharedString, set *tokenset.Set, group, b int) uint64 {
+	var tag uint64
+	set.ForEach(func(t int) {
+		if b == 1 {
+			tag ^= uint64(shared.TokenBit(group, t))
+		} else {
+			tag ^= shared.TokenBits(group, t, b)
+		}
+	})
+	return tag
+}
+
+// boundaryState builds a run whose token ids sit on the set layout's word
+// boundaries (63, 64, 65, ..., N) plus random ones, and spreads them so
+// that node 0 holds nothing, node 1 everything, and the rest random
+// subsets — the states a run can reach, since Transfer only ever copies an
+// assigned token.
+func boundaryState(t *testing.T, n, universe int, rng *prand.RNG) *State {
+	t.Helper()
+	picked := tokenset.NewSet(universe)
+	for _, id := range []int{1, 63, 64, 65, 127, 128, 129, universe - 1, universe} {
+		picked.Add(id) // out-of-universe ids are dropped
+	}
+	for i := 0; i < universe/8; i++ {
+		picked.Add(1 + rng.Intn(universe))
+	}
+	a := Assignment{Universe: universe, Tokens: picked.Tokens()}
+	for range a.Tokens {
+		a.Owners = append(a.Owners, 2+rng.Intn(n-2))
+	}
+	st := mustState(t, n, a)
+	for u := 1; u < n; u++ {
+		for _, tok := range a.Tokens {
+			if u == 1 || rng.Intn(3) == 0 {
+				st.sets[u].Add(tok)
+			}
+		}
+	}
+	return st
+}
+
+// nonMonotoneGroups revisits and skips groups: a plane must follow whatever
+// group the call names, not a round counter.
+var nonMonotoneGroups = []int{1, 2, 2, 1, 77, 3, 1 << 20, 5, 4, 4}
+
+// checkpointInto snapshots src and restores it over dst, a State freshly
+// built from the same assignment — what Resume does.
+func checkpointInto(t *testing.T, src, dst *State) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	src.CheckpointTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.RestoreFrom(ckpt.NewReader(&buf)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPlaneTagsMatchPerTokenDefinition(t *testing.T) {
+	rng := prand.New(424242)
+	for _, universe := range []int{12, 63, 64, 65, 128, 129, 1000} {
+		const n = 12
+		st := boundaryState(t, n, universe, rng)
+		// A run resumed from a checkpoint: same assignment, sets restored.
+		fresh := mustState(t, n, Assignment{Universe: universe, Tokens: st.tokens,
+			Owners: make([]int, st.k)})
+		checkpointInto(t, st, fresh)
+
+		shared := prand.NewSharedString(rng.Uint64())
+		for _, state := range []*State{st, fresh} {
+			sb := NewSharedBit(state, shared)
+			protos := map[int]mtm.Protocol{}
+			for _, b := range []int{1, 2, 7, 64} {
+				mb, err := NewMultiBit(state, shared, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				protos[b] = mb
+			}
+			view := []mtm.Neighbor{{ID: 3, Tag: 0}, {ID: 5, Tag: 1}, {ID: 7, Tag: 0}}
+			for _, g := range nonMonotoneGroups {
+				for u := 0; u < n; u++ {
+					want := refAdvertise(shared, state.sets[u], g, 1)
+					if got := sb.Tag(g, u); got != want {
+						t.Fatalf("universe %d SharedBit group %d node %d: tag %d, definition %d", universe, g, u, got, want)
+					}
+					if got, ref := sb.Decide(g, u, view, nil), decideSharedBit(shared, want, g, u, view); got != ref {
+						t.Fatalf("universe %d SharedBit group %d node %d: decided %+v, definition %+v", universe, g, u, got, ref)
+					}
+					for b, mb := range protos {
+						if got, want := mb.Tag(g, u), refAdvertise(shared, state.sets[u], g, b); got != want {
+							t.Fatalf("universe %d MultiBit b=%d group %d node %d: tag %#x, definition %#x", universe, b, g, u, got, want)
+						}
+					}
+				}
+			}
+		}
+		if st.sets[0].Len() != 0 || st.sets[1].Len() != st.k {
+			t.Fatal("the empty and the full set went untested")
+		}
+	}
+}
+
+// TestSimSharedBitPlaneTagsMatchDefinition steps a real run and checks
+// every gossip round's tags against the walk over each node's own current
+// string — many strings before the election converges, one after.
+func TestSimSharedBitPlaneTagsMatchDefinition(t *testing.T) {
+	const n, k = 48, 40 // ids 1..40 stay in word 0; the boundary ids are the case above
+	st := mustState(t, n, OneTokenPerNode(n, k))
+	space := prand.NewSeedSpace(n)
+	p := NewSimSharedBit(st, space, SampleSeeds(space, n, prand.New(5)))
+	eng := mtm.NewEngine(dyngraph.NewStatic(graph.RandomRegular(n, 4, prand.New(6))), p,
+		mtm.Config{Seed: 7, MaxRounds: 1 << 20})
+	before, after := 0, 0
+	for !eng.Finished() {
+		if r := eng.Round() + 1; r%2 == 1 {
+			if p.Leader().Converged() {
+				after++
+			} else {
+				before++
+			}
+			for u := 0; u < n; u++ {
+				own := space.String(p.Leader().Payload(u))
+				if got, want := p.Tag(r, u), refAdvertise(own, st.sets[u], gossipGroup(r), 1); got != want {
+					t.Fatalf("round %d node %d: tag %d, definition %d", r, u, got, want)
+				}
+			}
+		}
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if before < 2 || after < 2 {
+		t.Fatalf("checked %d gossip rounds before convergence and %d after; need both", before, after)
+	}
+}
+
+func TestRestoreRejectsUnassignedToken(t *testing.T) {
+	placed := Assignment{Universe: 16, Tokens: []int{3, 7}, Owners: []int{0, 1}}
+	other := Assignment{Universe: 16, Tokens: []int{3, 9}, Owners: []int{0, 1}}
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	mustState(t, 4, other).CheckpointTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustState(t, 4, placed).RestoreFrom(ckpt.NewReader(&buf)); err == nil {
+		t.Fatal("a checkpoint holding token 9 restored into a run that never placed it")
+	}
+}
+
+// tagRecorder notes every tag a protocol hands the engine. Each node's cell
+// is written by the shard that owns the node, as the engine's own tag array
+// is.
+type tagRecorder struct {
+	mtm.Protocol
+	tags []uint64
+}
+
+func (p *tagRecorder) Tag(r int, u mtm.NodeID) uint64 {
+	p.tags[u] = p.Protocol.Tag(r, u)
+	return p.tags[u]
+}
+
+// TestShardedPlanesMatchSequential is the planes' concurrency contract: the
+// tag phase reaches one plane from every shard at once, and which shard
+// rebuilds it must not matter. Each protocol is stepped at Workers 1 and 4
+// side by side; every round's tags and stats must agree. Run under -race
+// (make race-concurrent).
+func TestShardedPlanesMatchSequential(t *testing.T) {
+	const n, k, rounds = 4096, 200, 12
+	build := map[string]func(st *State) mtm.Protocol{
+		"sharedbit": func(st *State) mtm.Protocol { return NewSharedBit(st, prand.NewSharedString(11)) },
+		"multibit": func(st *State) mtm.Protocol {
+			p, err := NewMultiBit(st, prand.NewSharedString(12), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		"simsharedbit": func(st *State) mtm.Protocol {
+			space := prand.NewSeedSpace(n)
+			return NewSimSharedBit(st, space, SampleSeeds(space, n, prand.New(13)))
+		},
+	}
+	g := graph.RandomRegular(n, 4, prand.New(14))
+	for name, newProto := range build {
+		var recs [2]*tagRecorder
+		var engs [2]*mtm.Engine
+		for i, workers := range []int{1, 4} {
+			recs[i] = &tagRecorder{Protocol: newProto(mustState(t, n, OneTokenPerNode(n, k))), tags: make([]uint64, n)}
+			engs[i] = mtm.NewEngine(dyngraph.NewStatic(g), recs[i], mtm.Config{Seed: 15, MaxRounds: 1 << 20, Workers: workers})
+		}
+		for r := 1; r <= rounds; r++ {
+			seq, err := engs[0].Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := engs[1].Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq != par {
+				t.Fatalf("%s round %d: stats %+v at 1 worker, %+v at 4", name, r, seq, par)
+			}
+			for u := range recs[0].tags {
+				if recs[0].tags[u] != recs[1].tags[u] {
+					t.Fatalf("%s round %d node %d: tag %d at 1 worker, %d at 4", name, r, u, recs[0].tags[u], recs[1].tags[u])
+				}
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"mobilegossip/internal/eqtest"
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
-	"mobilegossip/internal/tokenset"
 )
 
 // SharedBit is the §5.1 algorithm for b = 1, τ ≥ 1 under a shared randomness
@@ -22,6 +21,7 @@ import (
 type SharedBit struct {
 	st     *State
 	shared *prand.SharedString
+	planes *planes
 }
 
 var _ mtm.Protocol = (*SharedBit)(nil)
@@ -29,7 +29,7 @@ var _ mtm.Protocol = (*SharedBit)(nil)
 // NewSharedBit returns a SharedBit protocol over st using the given shared
 // string (the simulation stand-in for r̂; see DESIGN.md §2.2).
 func NewSharedBit(st *State, shared *prand.SharedString) *SharedBit {
-	return &SharedBit{st: st, shared: shared}
+	return &SharedBit{st: st, shared: shared, planes: newPlanes(st, shared, 1, 1)}
 }
 
 // State exposes the run state for instrumentation.
@@ -38,22 +38,9 @@ func (p *SharedBit) State() *State { return p.st }
 // TagBits implements mtm.Protocol (b = 1).
 func (p *SharedBit) TagBits() int { return 1 }
 
-// advertiseBit computes the SharedBit advertisement for a token set in round
-// group r under a given shared string. Shared by SimSharedBit.
-func advertiseBit(shared *prand.SharedString, set *tokenset.Set, r int) uint64 {
-	if set.Len() == 0 {
-		return 0
-	}
-	parity := 0
-	set.ForEach(func(t int) {
-		parity ^= shared.TokenBit(r, t)
-	})
-	return uint64(parity)
-}
-
 // Tag implements mtm.Protocol.
 func (p *SharedBit) Tag(r int, u mtm.NodeID) uint64 {
-	return advertiseBit(p.shared, p.st.sets[u], r)
+	return p.planes.tag(r, p.st.sets[u])
 }
 
 // decideSharedBit is the SharedBit proposal rule: a 1-advertiser proposes to
@@ -87,7 +74,7 @@ func decideSharedBit(shared *prand.SharedString, ownBit uint64, r int, u mtm.Nod
 
 // Decide implements mtm.Protocol.
 func (p *SharedBit) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, _ *prand.RNG) mtm.Action {
-	return decideSharedBit(p.shared, advertiseBit(p.shared, p.st.sets[u], r), r, u, view)
+	return decideSharedBit(p.shared, p.planes.tag(r, p.st.sets[u]), r, u, view)
 }
 
 // Exchange implements mtm.Protocol: run Transfer(ε).

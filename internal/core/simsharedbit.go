@@ -29,14 +29,14 @@ type SimSharedBit struct {
 	st    *State
 	lead  *leader.Protocol
 	space *prand.SeedSpace
-	// strings caches the materialized R′ member per seed index. Tag and
-	// Decide consult it for any node, so under a sharded engine
-	// the cache is the one piece of cross-node shared state these phases
-	// touch; mu makes the lazy materialization safe. The cached value for a
-	// seed is a pure function of the seed, so fill order cannot affect
-	// results.
-	mu      sync.Mutex
-	strings map[uint64]*prand.SharedString
+	// planes caches the materialized R′ member per seed index, with its
+	// advertisement plane. Tag and Decide consult it for any node, so under
+	// a sharded engine the cache is the one piece of cross-node shared
+	// state these phases touch; mu makes the lazy materialization safe. The
+	// cached value for a seed is a pure function of the seed (and, for the
+	// plane, the round group), so fill order cannot affect results.
+	mu     sync.Mutex
+	planes map[uint64]*planes
 }
 
 var _ mtm.Protocol = (*SimSharedBit)(nil)
@@ -50,10 +50,10 @@ func NewSimSharedBit(st *State, space *prand.SeedSpace, seeds []uint64) *SimShar
 		ids[u] = u + 1
 	}
 	return &SimSharedBit{
-		st:      st,
-		lead:    leader.New(ids, seeds),
-		space:   space,
-		strings: make(map[uint64]*prand.SharedString, 4),
+		st:     st,
+		lead:   leader.New(ids, seeds),
+		space:  space,
+		planes: make(map[uint64]*planes, 4),
 	}
 }
 
@@ -74,8 +74,8 @@ func (p *SimSharedBit) Leader() *leader.Protocol { return p.lead }
 
 // CheckpointTo serializes the protocol's mutable state. The seed space and
 // each node's private seed are reconstructed from the run configuration;
-// only the election's progress mutates during a run. The string cache is
-// rebuilt lazily on demand.
+// only the election's progress mutates during a run. The cache of strings
+// and planes is rebuilt lazily on demand.
 func (p *SimSharedBit) CheckpointTo(w *ckpt.Writer) {
 	w.Section("simsharedbit")
 	w.U64(p.space.Size())
@@ -96,22 +96,23 @@ func (p *SimSharedBit) RestoreFrom(r *ckpt.Reader) error {
 	return p.lead.RestoreFrom(r)
 }
 
-// stringFor returns the R′ member node u currently believes is shared.
-func (p *SimSharedBit) stringFor(u mtm.NodeID) *prand.SharedString {
+// planesFor returns the R′ member node u currently believes is shared with
+// its plane, created at the given round group on first sight.
+func (p *SimSharedBit) planesFor(u mtm.NodeID, group int) *planes {
 	seed := p.lead.Payload(u)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.strings[seed]
+	pl, ok := p.planes[seed]
 	if !ok {
-		s = p.space.String(seed)
+		pl = newPlanes(p.st, p.space.String(seed), 1, group)
 		// The cache only ever holds a handful of live seeds; bound it so an
 		// adversarial schedule cannot grow it past O(n).
-		if len(p.strings) > 4*p.st.n {
-			p.strings = make(map[uint64]*prand.SharedString, 4)
+		if len(p.planes) > 4*p.st.n {
+			p.planes = make(map[uint64]*planes, 4)
 		}
-		p.strings[seed] = s
+		p.planes[seed] = pl
 	}
-	return s
+	return pl
 }
 
 // gossipGroup maps an odd engine round to its SharedBit round group.
@@ -128,7 +129,8 @@ func (p *SimSharedBit) Tag(r int, u mtm.NodeID) uint64 {
 	if r%2 == 0 {
 		return p.lead.Tag(leaderRound(r), u)
 	}
-	return advertiseBit(p.stringFor(u), p.st.sets[u], gossipGroup(r))
+	g := gossipGroup(r)
+	return p.planesFor(u, g).tag(g, p.st.sets[u])
 }
 
 // Decide implements mtm.Protocol.
@@ -136,9 +138,9 @@ func (p *SimSharedBit) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *pra
 	if r%2 == 0 {
 		return p.lead.Decide(leaderRound(r), u, view, rng)
 	}
-	shared := p.stringFor(u)
-	own := advertiseBit(shared, p.st.sets[u], gossipGroup(r))
-	return decideSharedBit(shared, own, gossipGroup(r), u, view)
+	g := gossipGroup(r)
+	pl := p.planesFor(u, g)
+	return decideSharedBit(pl.shared, pl.tag(g, p.st.sets[u]), g, u, view)
 }
 
 // Exchange implements mtm.Protocol.

@@ -1,0 +1,178 @@
+package eqtest
+
+// EQTest and Transfer against the bodies they had before the prime draw was
+// fused, the sieve lookup hoisted and the equal-range shortcut added. Those
+// bodies are kept here as the reference: one lock-guarded bitmap lookup and
+// one Intn loop per prime, one fingerprint comparison per trial (through
+// the two HashRange values, the definition HashRangeEqual is pinned to).
+// Every execution must be identical: results, charged bits and tokens, the
+// sets afterwards, and both endpoints' generator states.
+
+import (
+	"math/bits"
+	"testing"
+
+	"mobilegossip/internal/mtm"
+	"mobilegossip/internal/prand"
+	"mobilegossip/internal/tokenset"
+)
+
+func refRandomPrime(rng *prand.RNG, limit uint64) uint64 {
+	if limit < 5 {
+		limit = 5
+	}
+	if limit <= maxSieveLimit {
+		bm := primeBitmap(limit)
+		for {
+			q := 3 + uint64(rng.Intn(int(limit-2)))
+			if bm[q>>6]&(1<<(q&63)) != 0 {
+				return q
+			}
+		}
+	}
+	for {
+		q := 3 + uint64(rng.Intn(int(limit-2)))
+		if isPrime(q) {
+			return q
+		}
+	}
+}
+
+func refEQTest(rng *prand.RNG, a, b *tokenset.Set, lo, hi, trials int) EQResult {
+	if trials < 1 {
+		trials = 1
+	}
+	limit := primeRangeFor(a.Universe())
+	costPerTrial := 2*bits.Len64(limit) + 2
+	res := EQResult{Equal: true}
+	for i := 0; i < trials; i++ {
+		q := refRandomPrime(rng, limit)
+		res.Bits += costPerTrial
+		if a.HashRange(lo, hi, q) != b.HashRange(lo, hi, q) {
+			res.Equal = false
+			return res
+		}
+	}
+	return res
+}
+
+func refTransfer(c *mtm.Conn, a, b *tokenset.Set, eps float64) Outcome {
+	n := a.Universe()
+	trials := trialsFor(n, eps)
+	rng := c.InitRNG
+	var out Outcome
+
+	lo, hi := 1, n
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		r := refEQTest(rng, a, b, lo, mid, trials)
+		out.Bits += r.Bits
+		if !r.Equal {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	c.ChargeBits(out.Bits + 2)
+	out.Token = lo
+
+	switch {
+	case a.Has(lo) && !b.Has(lo):
+		b.Add(lo)
+		out.Moved, out.ToResponder = true, true
+		c.ChargeTokens(1)
+	case b.Has(lo) && !a.Has(lo):
+		a.Add(lo)
+		out.Moved, out.ToResponder = true, false
+		c.ChargeTokens(1)
+	}
+	return out
+}
+
+// differentialPairs returns the set pairs the issue names for a universe:
+// equal sets, sets differing in one token at the low end, the middle and
+// the high end (each direction), disjoint sets, and an empty side.
+func differentialPairs(n int, rng *prand.RNG) [][2]*tokenset.Set {
+	base := tokenset.NewSet(n)
+	for t := 1; t <= n; t++ {
+		if rng.Intn(3) == 0 {
+			base.Add(t)
+		}
+	}
+	pairs := [][2]*tokenset.Set{{base.Clone(), base.Clone()}}
+	for _, t := range []int{1, n / 2, n} {
+		if t < 1 {
+			continue
+		}
+		with := base.Clone()
+		with.Add(t)
+		without := tokenset.NewSet(n)
+		for _, x := range base.Tokens() {
+			if x != t {
+				without.Add(x)
+			}
+		}
+		pairs = append(pairs,
+			[2]*tokenset.Set{with.Clone(), without.Clone()},
+			[2]*tokenset.Set{without, with})
+	}
+	odd, even := tokenset.NewSet(n), tokenset.NewSet(n)
+	for t := 1; t <= n; t++ {
+		if t%2 == 1 {
+			odd.Add(t)
+		} else {
+			even.Add(t)
+		}
+	}
+	return append(pairs,
+		[2]*tokenset.Set{odd, even},
+		[2]*tokenset.Set{tokenset.NewSet(n), base.Clone()},
+		[2]*tokenset.Set{tokenset.NewSet(n), tokenset.NewSet(n)})
+}
+
+func TestEQTestMatchesReference(t *testing.T) {
+	rng := prand.New(5150)
+	for _, n := range []int{1, 2, 63, 64, 65, 300, 1024} {
+		for pi, pair := range differentialPairs(n, rng) {
+			a, b := pair[0], pair[1]
+			for i := 0; i < 12; i++ {
+				lo, hi := rng.Intn(n+2), rng.Intn(n+2)
+				trials := rng.Intn(6) // 0 exercises the clamp to one trial
+				seed := rng.Uint64()
+				got, ref := prand.New(seed), prand.New(seed)
+				if g, w := EQTest(got, a, b, lo, hi, trials), refEQTest(ref, a, b, lo, hi, trials); g != w || got.State() != ref.State() {
+					t.Fatalf("n=%d pair %d EQTest(%d,%d,%d) = %+v, reference %+v; states equal: %v",
+						n, pi, lo, hi, trials, g, w, got.State() == ref.State())
+				}
+			}
+		}
+	}
+}
+
+func TestTransferMatchesReference(t *testing.T) {
+	rng := prand.New(8086)
+	for _, n := range []int{1, 2, 63, 64, 65, 300, 1024} {
+		for pi, pair := range differentialPairs(n, rng) {
+			// Tight ε runs the full trial count; loose ε lets fingerprint
+			// collisions mislead the search, which must be reproduced too.
+			for _, eps := range []float64{1e-9, 0.9} {
+				seed := rng.Uint64()
+				a, b := pair[0].Clone(), pair[1].Clone()
+				ra, rb := pair[0].Clone(), pair[1].Clone()
+				c, rc := newConn(seed), newConn(seed)
+				got, want := Transfer(c, a, b, eps), refTransfer(rc, ra, rb, eps)
+				switch {
+				case got != want:
+					t.Fatalf("n=%d pair %d eps=%g: outcome %+v, reference %+v", n, pi, eps, got, want)
+				case c.BitsUsed() != rc.BitsUsed() || c.TokensUsed() != rc.TokensUsed():
+					t.Fatalf("n=%d pair %d eps=%g: charged %d bits %d tokens, reference %d and %d",
+						n, pi, eps, c.BitsUsed(), c.TokensUsed(), rc.BitsUsed(), rc.TokensUsed())
+				case c.InitRNG.State() != rc.InitRNG.State() || c.RespRNG.State() != rc.RespRNG.State():
+					t.Fatalf("n=%d pair %d eps=%g: generator states diverged", n, pi, eps)
+				case !a.Equal(ra) || !b.Equal(rb):
+					t.Fatalf("n=%d pair %d eps=%g: sets diverged", n, pi, eps)
+				}
+			}
+		}
+	}
+}

@@ -37,7 +37,7 @@ func primeRangeFor(n int) uint64 {
 	return 8 * uint64(n) * lg
 }
 
-// maxSieveLimit bounds the prime-range size for which randomPrime uses a
+// maxSieveLimit bounds the prime-range size for which the prime draw uses a
 // cached sieve bitmap (2^28 → a 32 MiB bitmap, reached only for universes
 // beyond ~1.5M tokens). Larger ranges fall back to per-candidate
 // Miller–Rabin.
@@ -91,27 +91,39 @@ func buildSieve(limit uint64) []uint64 {
 	return bm
 }
 
-// randomPrime samples a uniform prime in [3, limit] by rejection. The
-// candidate primality test is a sieve-bitmap lookup for realistic ranges
-// (identical accept/reject decisions to Miller–Rabin, so executions are
-// unchanged), with the deterministic Miller–Rabin as the unbounded-range
-// fallback. Transfer(ε) draws hundreds of primes per connection, which made
-// per-candidate Miller–Rabin the simulator's single hottest path.
-func randomPrime(rng *prand.RNG, limit uint64) uint64 {
-	if limit < 5 {
-		limit = 5
-	}
+// primes is what every prime draw and fingerprint trial over one token
+// universe shares. Transfer resolves it once per connection, so the sieve
+// cache's lock is touched once per connection instead of once per prime
+// (about 128 of them at n = 10⁴, ε = n⁻³).
+type primes struct {
+	limit        uint64   // primes are drawn uniformly from [3, limit]
+	sieve        []uint64 // primality bitmap over [0, limit]; nil above maxSieveLimit
+	bitsPerTrial int      // q + fingerprint + framing
+}
+
+func primesFor(universe int) primes {
+	limit := primeRangeFor(universe)
+	p := primes{limit: limit, bitsPerTrial: 2*bits.Len64(limit) + 2}
 	if limit <= maxSieveLimit {
-		bm := primeBitmap(limit)
-		for {
-			q := 3 + uint64(rng.Intn(int(limit-2)))
-			if bm[q>>6]&(1<<(q&63)) != 0 {
-				return q
-			}
-		}
+		// A published bitmap is never written again, so it can be held for
+		// the whole connection without the lock.
+		p.sieve = primeBitmap(limit)
+	}
+	return p
+}
+
+// random samples a uniform prime in [3, limit] by rejection. The candidate
+// primality test is a sieve-bitmap lookup for realistic ranges (identical
+// accept/reject decisions to Miller–Rabin, so executions are unchanged),
+// fused with the candidate draw in prand.IntnMember; the deterministic
+// Miller–Rabin is the unbounded-range fallback. Transfer(ε) draws hundreds
+// of primes per connection, which makes this the simulator's hottest path.
+func (p primes) random(rng *prand.RNG) uint64 {
+	if p.sieve != nil {
+		return uint64(rng.IntnMember(int(p.limit-2), 3, p.sieve))
 	}
 	for {
-		q := 3 + uint64(rng.Intn(int(limit-2)))
+		q := 3 + uint64(rng.Intn(int(p.limit-2)))
 		if isPrime(q) {
 			return q
 		}
@@ -200,15 +212,24 @@ type EQResult struct {
 // equal; unequal restrictions are reported equal with probability at most
 // 2^{-trials}.
 func EQTest(rng *prand.RNG, a, b *tokenset.Set, lo, hi, trials int) EQResult {
-	if trials < 1 {
-		trials = 1
+	return primesFor(a.Universe()).eqTest(rng, a, b, lo, hi, max(trials, 1))
+}
+
+func (p primes) eqTest(rng *prand.RNG, a, b *tokenset.Set, lo, hi, trials int) EQResult {
+	// Equal restrictions pass every trial whatever prime is drawn, so the
+	// probe's outcome is known from one exact word scan: the primes are
+	// still drawn, to leave rng where the trials would, but no fingerprint
+	// is computed.
+	if tokenset.RangeEqual(a, b, lo, hi) {
+		for i := 0; i < trials; i++ {
+			p.random(rng)
+		}
+		return EQResult{Equal: true, Bits: trials * p.bitsPerTrial}
 	}
-	limit := primeRangeFor(a.Universe())
-	costPerTrial := 2*bits.Len64(limit) + 2 // q + fingerprint + framing
 	res := EQResult{Equal: true}
 	for i := 0; i < trials; i++ {
-		q := randomPrime(rng, limit)
-		res.Bits += costPerTrial
+		q := p.random(rng)
+		res.Bits += p.bitsPerTrial
 		// Difference-based fingerprint comparison: same decision (and same
 		// collision probability) as comparing the two HashRange values, but
 		// words where the sets agree cost one XOR and no modular math.
@@ -264,13 +285,14 @@ type Outcome struct {
 func Transfer(c *mtm.Conn, a, b *tokenset.Set, eps float64) Outcome {
 	n := a.Universe()
 	trials := trialsFor(n, eps)
+	ps := primesFor(n)
 	rng := c.InitRNG
 	var out Outcome
 
 	lo, hi := 1, n
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		r := EQTest(rng, a, b, lo, mid, trials)
+		r := ps.eqTest(rng, a, b, lo, mid, trials)
 		out.Bits += r.Bits
 		if !r.Equal {
 			hi = mid

@@ -47,11 +47,17 @@ func TestIsPrimeAgainstSieve(t *testing.T) {
 }
 
 func TestRandomPrimeInRange(t *testing.T) {
-	rng := prand.New(1)
+	// The sieve draw and the Miller–Rabin fallback must be the same stream.
+	sieved := primes{limit: 1000, sieve: primeBitmap(1000)}
+	fallback := primes{limit: 1000}
+	rs, rf := prand.New(1), prand.New(1)
 	for i := 0; i < 200; i++ {
-		q := randomPrime(rng, 1000)
+		q := sieved.random(rs)
 		if q < 3 || q > 1000 || !isPrime(q) {
-			t.Fatalf("randomPrime returned %d", q)
+			t.Fatalf("random prime %d", q)
+		}
+		if f := fallback.random(rf); f != q || rs.State() != rf.State() {
+			t.Fatalf("draw %d: sieve path %d, Miller–Rabin path %d", i, q, f)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mobilegossip/internal/prand"
@@ -179,8 +180,11 @@ func RandomRegular(n, d int, rng *prand.RNG) *Graph {
 	if d < 1 {
 		return Path(n)
 	}
+	// At d = 4 an attempt pairs into a simple graph about one time in
+	// forty, so the attempts share their scratch.
+	stubs, keys := make([]int, 0, n*d), make([]uint64, 0, n*d/2)
 	for attempt := 0; attempt < 50; attempt++ {
-		g, ok := tryPairing(n, d, rng)
+		g, ok := tryPairing(n, d, rng, stubs, keys)
 		if ok && g.Connected() {
 			return g
 		}
@@ -188,21 +192,26 @@ func RandomRegular(n, d int, rng *prand.RNG) *Graph {
 	return Circulant(n, d)
 }
 
-// tryPairing attempts one run of the configuration model.
-func tryPairing(n, d int, rng *prand.RNG) (*Graph, bool) {
-	stubs := make([]int, 0, n*d)
+// tryPairing attempts one run of the configuration model: shuffle the n·d
+// stubs, pair consecutive ones, and fail on a self-loop or a repeated pair.
+// The shuffle always runs to the end, so rng advances identically whether
+// the attempt succeeds or not; the verdict then needs no per-pair map — a
+// self-loop scan, a sort of the packed pairs and an adjacent-duplicate scan
+// — and only a simple pairing is built into a Graph. stubs (capacity n·d)
+// and keys (capacity n·d/2, the packed u<<32|v pairs) are scratch the
+// attempts of one RandomRegular call share.
+func tryPairing(n, d int, rng *prand.RNG, stubs []int, keys []uint64) (*Graph, bool) {
+	stubs = stubs[:0]
 	for v := 0; v < n; v++ {
 		for i := 0; i < d; i++ {
 			stubs = append(stubs, v)
 		}
 	}
-	// Shuffle stubs and pair consecutive ones.
 	for i := len(stubs) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
-	b := NewBuilderCap(n, n*d/2)
-	seen := make(map[[2]int]bool, n*d/2)
+	keys = keys[:0]
 	for i := 0; i+1 < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
 		if u == v {
@@ -211,12 +220,18 @@ func tryPairing(n, d int, rng *prand.RNG) (*Graph, bool) {
 		if u > v {
 			u, v = v, u
 		}
-		if seen[[2]int{u, v}] {
+		keys = append(keys, uint64(u)<<32|uint64(v))
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
 			return nil, false
 		}
-		seen[[2]int{u, v}] = true
-		_ = b.AddEdge(u, v)
 	}
+	// The sorted keys are a Builder's edge list as it stands (Build sorts
+	// whatever order edges arrive in), and Build copies what the Graph
+	// keeps, so the scratch stays free for the next attempt.
+	b := Builder{n: n, edges: keys}
 	return b.Build(fmt.Sprintf("regular(%d,%d)", n, d)), true
 }
 

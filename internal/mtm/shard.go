@@ -26,11 +26,17 @@ package mtm
 //	           contiguous chunks of the connection list are safe to run in
 //	           parallel under the Protocol locality contract
 //
-// Determinism therefore needs no atomics and no locks: every array cell is
-// written by exactly one shard, every RNG stream is advanced by exactly the
-// same calls in the same order at any shard count, and the only cross-shard
-// reductions (proposal totals, inbox bases, the walk over the pair lists,
-// the tag error) run sequentially in shard order in Step. See DESIGN.md §11.
+// The engine's own determinism therefore needs no atomics and no locks:
+// every array cell is written by exactly one shard, every RNG stream is
+// advanced by exactly the same calls in the same order at any shard count,
+// and the only cross-shard reductions (proposal totals, inbox bases, the
+// walk over the pair lists, the tag error) run sequentially in shard order
+// in Step. The one guarded thing a phase's shards share lives in the
+// protocols, not here: core's advertisement planes, a per-round cache that
+// the first Tag call of a round rebuilds behind an atomic stamp and a mutex
+// while the other shards wait. Its contents are a pure function of (shared
+// string, round), so which shard fills it cannot reach a result. See
+// DESIGN.md §11.
 
 import (
 	"fmt"

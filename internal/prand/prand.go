@@ -79,17 +79,18 @@ func (r *RNG) SetState(s [4]uint64) {
 	r.s = s
 }
 
-// Uint64 returns the next 64 uniform pseudorandom bits.
+// Uint64 returns the next 64 uniform pseudorandom bits. The state goes back
+// as one array assignment: that keeps the function under the inliner's
+// budget, so the call disappears from every draw loop.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	r.s = [4]uint64{s0, s1, s2 ^ t, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -111,6 +112,44 @@ func (r *RNG) Intn(n int) int {
 		}
 	}
 	return int(hi)
+}
+
+// IntnMember returns the first value of the stream off+Intn(n),
+// off+Intn(n), ... whose bit is set in bitmap (bit q of the bitmap is
+// bitmap[q/64]>>(q%64)&1; it must cover [off, off+n) and hold a member
+// there, or the call does not return). The value and the generator's state
+// afterwards are exactly those of that loop; what is fused is the cost:
+// the xoshiro state lives in locals across the rejected candidates and is
+// written back once. Transfer(ε) draws its random primes this way, a dozen
+// rejections per prime.
+func (r *RNG) IntnMember(n, off int, bitmap []uint64) int {
+	if n <= 0 {
+		panic("prand: IntnMember with non-positive n")
+	}
+	un := uint64(n)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for {
+		v := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		hi, lo := bits.Mul64(v, un)
+		// Lemire's rejection, as in Intn: its threshold is below un, so
+		// testing lo < un first is the same decision and keeps the
+		// division off all but about n in 2⁶⁴ draws.
+		if lo < un && lo < -un%un {
+			continue
+		}
+		q := uint64(off) + hi
+		if bitmap[q>>6]&(1<<(q&63)) != 0 {
+			r.s = [4]uint64{s0, s1, s2, s3}
+			return int(q)
+		}
+	}
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -263,3 +263,73 @@ func TestPermProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIntnMemberMatchesIntnLoop pins the fused rejection loop to the loop
+// it replaced — off + Intn(n) until the bitmap has the value — on the value
+// returned and on the generator state left behind. Lemire's own redraw
+// fires about n times in 2⁶⁴ draws, and a bitmap over a range wide enough
+// to make that likely cannot be allocated, so half the cases start from a
+// crafted state instead: xoshiro's output is a function of s[1] alone and
+// s[1] = 0 outputs 0, which lands below the threshold of every n that is
+// not a power of two.
+func TestIntnMemberMatchesIntnLoop(t *testing.T) {
+	seeds := New(20240229)
+	for _, n := range []int{1, 2, 3, 4606, 1279998} {
+		for _, off := range []int{0, 3, 64, 1000} {
+			words := (off+n)/64 + 1
+			dense, sparse, single := make([]uint64, words), make([]uint64, words), make([]uint64, words)
+			for q := off; q < off+n; q++ {
+				dense[q/64] |= 1 << (q % 64)
+				if q%97 == 0 || q == off+n-1 {
+					sparse[q/64] |= 1 << (q % 64)
+				}
+			}
+			last := off + n - 1
+			single[last/64] |= 1 << (last % 64)
+			for bi, bitmap := range [][]uint64{dense, sparse, single} {
+				if bi == 2 && n > 5000 {
+					continue // one member in 10⁶: the reference loop is too slow to be worth it
+				}
+				for i := 0; i < 40; i++ {
+					state := [4]uint64{seeds.Uint64(), seeds.Uint64(), seeds.Uint64(), seeds.Uint64()}
+					if i%2 == 1 {
+						state[1] = 0
+					}
+					var fused, loop RNG
+					fused.SetState(state)
+					loop.SetState(state)
+					want := -1
+					for want < 0 {
+						q := off + loop.Intn(n)
+						if bitmap[q/64]>>(q%64)&1 == 1 {
+							want = q
+						}
+					}
+					if i%2 == 1 && n&(n-1) != 0 {
+						var intn, one RNG
+						intn.SetState(state)
+						one.SetState(state)
+						intn.Intn(n)
+						one.Uint64()
+						if intn.State() == one.State() {
+							t.Fatalf("n=%d: crafted state did not force a Lemire redraw", n)
+						}
+					}
+					if got := fused.IntnMember(n, off, bitmap); got != want || fused.State() != loop.State() {
+						t.Fatalf("IntnMember(%d, %d) bitmap %d = %d, loop gives %d; states equal: %v",
+							n, off, bi, got, want, fused.State() == loop.State())
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestIntnMemberPanicsOnNonPositive(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("IntnMember(0, ...) did not panic")
+		}
+	}()
+	New(1).IntnMember(0, 0, []uint64{1})
+}

@@ -4,7 +4,9 @@ package tokenset
 // HashRange's incremental powers and span clipping against the naive
 // per-token powMod sum, and HashRangeEqual's difference-based comparison
 // against comparing two full fingerprints (collision behavior included —
-// tiny moduli make collisions frequent below).
+// tiny moduli make collisions frequent below), RangeEqual's word scan
+// against comparing the two restrictions token by token, and ParityAnd
+// against counting the intersection.
 
 import (
 	"testing"
@@ -82,6 +84,76 @@ func TestHashRangeEqualMatchesFingerprintComparison(t *testing.T) {
 				t.Fatalf("HashRangeEqual(%d,%d,%d) = %v, want %v (n=%d)",
 					lo, hi, q, got, want, n)
 			}
+		}
+	}
+}
+
+// restrict is the clone-and-compare oracle's half: s ∩ [lo, hi] as a fresh
+// set, token by token.
+func restrict(s *Set, lo, hi int) *Set {
+	out := NewSet(s.n)
+	for t := max(lo, 1); t <= min(hi, s.n); t++ {
+		if s.Has(t) {
+			out.Add(t)
+		}
+	}
+	return out
+}
+
+func TestRangeEqualMatchesRestrictedCompare(t *testing.T) {
+	rng := prand.New(271828)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(400)
+		a, b := randomSetPair(n, rng)
+		switch trial % 4 {
+		case 1: // equal sets: every range is equal
+			b = a.Clone()
+		case 2: // one differing token, so most ranges are equal
+			b = a.Clone()
+			b.Add(1 + rng.Intn(n))
+		case 3: // an empty side
+			a = NewSet(n)
+		}
+		for i := 0; i < 20; i++ {
+			// Out-of-universe and inverted ranges included.
+			lo, hi := rng.Intn(n+3)-1, rng.Intn(n+3)-1
+			got := RangeEqual(a, b, lo, hi)
+			want := restrict(a, lo, hi).Equal(restrict(b, lo, hi))
+			if got != want {
+				t.Fatalf("RangeEqual(%d,%d) = %v, want %v (n=%d a=%v b=%v)",
+					lo, hi, got, want, n, a.Tokens(), b.Tokens())
+			}
+			if sym := RangeEqual(b, a, lo, hi); sym != got {
+				t.Fatalf("RangeEqual(%d,%d) not symmetric (n=%d)", lo, hi, n)
+			}
+		}
+	}
+}
+
+func TestParityAndMatchesPerTokenCount(t *testing.T) {
+	rng := prand.New(161803)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(400)
+		s, p := randomSetPair(n, rng)
+		if trial%5 == 0 {
+			s = NewSet(n)
+		}
+		// The plane covers words [first, first+len): any span that holds
+		// both sets, as a caller sizing it from the ids it can ever hold.
+		first, last := 0, n/64
+		if s.count > 0 && p.count > 0 {
+			first, last = min(s.minW, p.minW), max(s.maxW, p.maxW)
+		}
+		plane := make([]uint64, last-first+1)
+		copy(plane, p.words[first:last+1])
+		want := uint64(0)
+		s.ForEach(func(tok int) {
+			if p.Has(tok) {
+				want ^= 1
+			}
+		})
+		if got := s.ParityAnd(plane, first); got != want {
+			t.Fatalf("ParityAnd = %d, want %d (n=%d s=%v p=%v)", got, want, n, s.Tokens(), p.Tokens())
 		}
 	}
 }

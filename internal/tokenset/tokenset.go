@@ -163,6 +163,24 @@ func (s *Set) ForEach(f func(token int)) {
 	}
 }
 
+// ParityAnd returns |s ∩ P| mod 2 for the token set P given as a bit
+// plane: plane[i] holds P's membership bits for word first+i of the
+// universe, in the set's own layout (token t is bit t%64 of word t/64). The
+// plane must cover the set's occupied word span. The SharedBit
+// advertisement Σ_{t∈T_u} t.bit mod 2 is this with P = {t : t.bit = 1}: one
+// AND per occupied word, one popcount in all.
+func (s *Set) ParityAnd(plane []uint64, first int) uint64 {
+	if s.count == 0 {
+		return 0
+	}
+	var acc uint64
+	mask := plane[s.minW-first : s.maxW-first+1]
+	for i, w := range s.words[s.minW : s.maxW+1] {
+		acc ^= w & mask[i]
+	}
+	return uint64(bits.OnesCount64(acc) & 1)
+}
+
 // CheckpointTo serializes the set's membership as a delta-encoded token
 // list: O(|S|) varints rather than O(N/64) raw words, which keeps
 // million-node checkpoints proportional to the tokens actually learned.
@@ -283,55 +301,66 @@ func (s *Set) HashRange(lo, hi int, q uint64) uint64 {
 	return sum
 }
 
-// HashRangeEqual reports whether a.HashRange(lo, hi, q) == b.HashRange(lo,
-// hi, q) without computing either fingerprint: the contribution of tokens
-// common to both sets cancels from the two sums, so only words of the
-// symmetric difference need modular arithmetic — words where the sets agree
-// are skipped with one XOR. EQTest's equal-range trials (the expensive,
-// full-trial-count case) therefore cost a word scan and no modmuls, while
-// the equality decision — including the fingerprint-collision probability —
-// is identical to comparing the two HashRange values.
-func HashRangeEqual(a, b *Set, lo, hi int, q uint64) bool {
+// diffSpan clips [lo, hi] to the universe and returns the word range
+// [spanLo, spanHi] in which a∩[lo,hi] and b∩[lo,hi] can differ — the query's
+// words wlo..whi clipped to the union of the two occupied spans, outside
+// which both sets are zero — with the masks that trim words wlo and whi to
+// the query. An empty span (spanHi < spanLo) means the restrictions are
+// equal.
+func diffSpan(a, b *Set, lo, hi int) (wlo, whi, spanLo, spanHi int, loMask, hiMask uint64) {
 	if lo < 1 {
 		lo = 1
 	}
 	if hi > a.n {
 		hi = a.n
 	}
-	if hi < lo {
-		return true
+	if hi < lo || (a.count == 0 && b.count == 0) {
+		return 0, 0, 0, -1, 0, 0
 	}
-	wlo, whi := lo/64, hi/64
-	// Words outside both occupied spans are zero in both sets.
-	spanLo, spanHi := wlo, whi
-	if a.count == 0 && b.count == 0 {
-		return true
-	}
+	wlo, whi = lo/64, hi/64
+	minW, maxW := a.minW, a.maxW
 	switch {
 	case a.count == 0:
-		if spanLo < b.minW {
-			spanLo = b.minW
+		minW, maxW = b.minW, b.maxW
+	case b.count != 0:
+		minW, maxW = min(minW, b.minW), max(maxW, b.maxW)
+	}
+	spanLo, spanHi = max(wlo, minW), min(whi, maxW)
+	loMask = ^uint64(0) << uint(lo&63)
+	hiMask = ^uint64(0) >> uint(63-hi&63)
+	return wlo, whi, spanLo, spanHi, loMask, hiMask
+}
+
+// RangeEqual reports whether a∩[lo,hi] = b∩[lo,hi] exactly: one XOR per
+// word of the span the two sets occupy, no modular arithmetic. EQTest asks
+// it once per probe; when the answer is yes every fingerprint trial of the
+// probe must agree whatever prime it draws, so none is computed.
+func RangeEqual(a, b *Set, lo, hi int) bool {
+	wlo, whi, spanLo, spanHi, loMask, hiMask := diffSpan(a, b, lo, hi)
+	for wi := spanLo; wi <= spanHi; wi++ {
+		d := a.words[wi] ^ b.words[wi]
+		if wi == wlo {
+			d &= loMask
 		}
-		if spanHi > b.maxW {
-			spanHi = b.maxW
+		if wi == whi {
+			d &= hiMask
 		}
-	case b.count == 0:
-		if spanLo < a.minW {
-			spanLo = a.minW
-		}
-		if spanHi > a.maxW {
-			spanHi = a.maxW
-		}
-	default:
-		if lo2 := min(a.minW, b.minW); spanLo < lo2 {
-			spanLo = lo2
-		}
-		if hi2 := max(a.maxW, b.maxW); spanHi > hi2 {
-			spanHi = hi2
+		if d != 0 {
+			return false
 		}
 	}
-	loMask := ^uint64(0) << uint(lo&63)
-	hiMask := ^uint64(0) >> uint(63-hi&63)
+	return true
+}
+
+// HashRangeEqual reports whether a.HashRange(lo, hi, q) == b.HashRange(lo,
+// hi, q) without computing either fingerprint: the contribution of tokens
+// common to both sets cancels from the two sums, so only words of the
+// symmetric difference need modular arithmetic — words where the sets agree
+// are skipped with one XOR. The equality decision — including the
+// fingerprint-collision probability — is identical to comparing the two
+// HashRange values.
+func HashRangeEqual(a, b *Set, lo, hi int, q uint64) bool {
+	wlo, whi, spanLo, spanHi, loMask, hiMask := diffSpan(a, b, lo, hi)
 	var sumA, sumB, base, pow64 uint64
 	lastWi := -1 // word index `base` corresponds to; -1 = not yet computed
 	for wi := spanLo; wi <= spanHi; wi++ {

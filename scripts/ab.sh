@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# A/B one benchmark workload: BASE (a commit, exported with git archive)
+# against the working tree, in alternating pairs, as the choosing-metrics
+# guide §8 asks of every gain claim. Driven by `make ab`; it only *calls*
+# bench/run.sh of each tree, exactly as the driver does.
+#
+#   scripts/ab.sh <workload> [pairs=10] [base=HEAD]
+#
+# Every run is appended to .bench_build/ab/runs-<workload>.tsv (side, pair,
+# failed, then one column per end-to-end metric); the summary over that
+# invocation's runs is printed at the end.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+w=${1:?usage: scripts/ab.sh <workload> [pairs] [base]}
+pairs=${2:-10}
+base=${3:-HEAD}
+metrics="wall_s setup_s rounds_per_s" # BENCHMARK.json end_to_end; rounds_per_s is higher-better
+
+sha=$(git rev-parse --verify "$base^{commit}")
+ab=.bench_build/ab
+tree=$ab/$sha
+if [ ! -d "$tree" ]; then
+	mkdir -p "$tree"
+	git archive "$sha" | tar -x -C "$tree"
+fi
+tsv=$ab/runs-$w.tsv
+cur=$(mktemp)
+trap 'rm -f "$cur"' EXIT
+
+# run <side> <dir> <pair>: one driver-style run, one TSV row.
+run() {
+	local line row m
+	line=$(bash "$2/bench/run.sh" --workload "$w" --seconds 10 --trace 0 | tail -n 1)
+	row="$1	$3	$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$line")"
+	for m in $metrics; do
+		row="$row	$(sed -n "s/.*\"$m\":{\"value\":\([-0-9.e+]*\).*/\1/p" <<<"$line")"
+	done
+	echo "$row" | tee -a "$tsv" >>"$cur"
+	echo "  $row"
+}
+
+echo "ab: $w, $pairs pairs, base $sha vs working tree"
+for i in $(seq 1 "$pairs"); do
+	if [ $((i % 2)) -eq 1 ]; then
+		run base "$tree" "$i"
+		run change . "$i"
+	else
+		run change . "$i"
+		run base "$tree" "$i"
+	fi
+done
+
+# Per metric and side: median and quartiles; pairs won by the change (ties
+# count for neither side); and the §8 verdict — at least nine tenths of the
+# pairs won and medians further apart than the base's own interquartile range.
+awk -F'\t' -v metrics="$metrics" '
+function quantile(a, n, q,    h, lo) {
+	h = (n - 1) * q; lo = int(h)
+	return lo + 1 >= n ? a[n] : a[lo + 1] + (h - lo) * (a[lo + 2] - a[lo + 1])
+}
+function sorted(src, n, dst,    i, j, v) {
+	for (i = 1; i <= n; i++) {
+		v = src[i]
+		for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
+		dst[j + 1] = v
+	}
+}
+{
+	nm = split(metrics, name, " ")
+	failed[$1] += $3
+	for (m = 1; m <= nm; m++) val[$1, m, $2] = $(3 + m)
+	if ($2 > pairs) pairs = $2
+}
+END {
+	for (m = 1; m <= nm; m++) {
+		higher = (name[m] == "rounds_per_s")
+		won = lost = 0
+		for (p = 1; p <= pairs; p++) {
+			b[p] = val["base", m, p]; c[p] = val["change", m, p]
+			if (c[p] == b[p]) continue
+			if ((c[p] < b[p]) != higher) won++; else lost++
+		}
+		sorted(b, pairs, sb); sorted(c, pairs, sc)
+		bm = quantile(sb, pairs, 0.5); cm = quantile(sc, pairs, 0.5)
+		iqr = quantile(sb, pairs, 0.75) - quantile(sb, pairs, 0.25)
+		gain = higher ? cm - bm : bm - cm
+		printf "%-13s base   median %-10.4g q1 %-10.4g q3 %-10.4g\n", name[m], bm, quantile(sb, pairs, 0.25), quantile(sb, pairs, 0.75)
+		printf "%-13s change median %-10.4g q1 %-10.4g q3 %-10.4g ratio %.3f  pairs won %d/%d lost %d  %s\n", "", cm, quantile(sc, pairs, 0.25), quantile(sc, pairs, 0.75), (bm ? cm / bm : 0), won, pairs, lost, \
+			(won >= 0.9 * pairs && gain > iqr) ? "GAIN" : (lost >= 0.9 * pairs && -gain > iqr) ? "WORSE" : "no claim"
+	}
+	printf "failed        base %d, change %d\n", failed["base"], failed["change"]
+}' "$cur"
