@@ -2,11 +2,12 @@ package mobilegossip_test
 
 // BenchmarkAdversaryRound measures one topology round of an adversarial
 // schedule — pull the base epoch's packed edge list, run the strategy's
-// cuts, repair connectivity, and maintain the CSR — comparing the same two
-// CSR-maintenance strategies as BenchmarkDynamicRound:
+// cuts, repair connectivity, and produce the CSR — comparing the same two
+// paths as BenchmarkDynamicRound:
 //
-//   - delta:   diff the effective edge lists and patch the previous
-//     round's CSR in place (graph.Patcher) — the production path;
+//   - delta:   the product path (the row name is historical): diff the
+//     effective edge lists for the reported delta, refill the CSR in place
+//     from the sorted effective list (graph.Patcher.Load);
 //   - rebuild: feed the effective edge list through graph.Builder from
 //     scratch every round — the oracle baseline.
 //

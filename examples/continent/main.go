@@ -10,7 +10,9 @@
 // drives internal/mtm directly — the public API wraps the same engine,
 // but at this scale we want the bare CSR loop and the rumor protocol's
 // one-bit-per-node state (a gossip token arena would be pure overhead for
-// a single rumor).
+// a single rumor). Measured footprint: 246 B per phone peak RSS (CSR mesh
+// plus the engine's per-node state; 246 MB at 1000×1000), so the 10M-phone
+// default needs about 2.5 GB and about 16M phones fit in 4 GB.
 //
 // The run first times a short calibration window at workers=1 and at the
 // full worker count on identical fresh engines — the informed counts must

@@ -12,6 +12,7 @@ import (
 
 	"mobilegossip"
 	"mobilegossip/internal/ckpt"
+	"mobilegossip/internal/core"
 )
 
 // checkpointBytes produces a real checkpoint to seed the corpus: a small
@@ -40,6 +41,53 @@ func checkpointBytes(tb testing.TB, rounds int) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// pastBackingCheckpoint forges the corruption span-backed token sets must
+// survive: a checkpoint whose config assigns ids {1, 2, 70} over a universe
+// of 200 — so every set is backed for two words, ids ≤ 127 — while its state
+// section hands a node the id stray, inside the universe but past that
+// backing. It is a genuine checkpoint of the run that assigned {1, 2, stray}
+// with the config's token list overwritten in place (both lists encode to
+// the same length for the ids used).
+func pastBackingCheckpoint(tb testing.TB, stray int) []byte {
+	encode := func(tokens []int) []byte {
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		w.Ints(tokens)
+		if err := w.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sim, err := mobilegossip.New(mobilegossip.Config{
+		Algorithm: mobilegossip.AlgSharedBit, N: 24, Seed: 5,
+		Topology:   mobilegossip.Topology{Kind: mobilegossip.Cycle},
+		Assignment: &core.Assignment{Universe: 200, Tokens: []int{1, 2, stray}, Owners: []int{0, 1, 2}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	written, forged := encode([]int{1, 2, stray}), encode([]int{1, 2, 70})
+	if len(written) != len(forged) || bytes.Count(buf.Bytes(), written) != 1 {
+		tb.Fatalf("cannot forge the config's token list for stray id %d in place", stray)
+	}
+	return bytes.Replace(buf.Bytes(), written, forged, 1)
+}
+
+// TestResumeRejectsTokenPastBacking: such a checkpoint fails Resume with
+// the token set's backing error — the id is never indexed, never dropped.
+func TestResumeRejectsTokenPastBacking(t *testing.T) {
+	for _, stray := range []int{70 + 64, 200} { // maxID + 64, and N itself
+		_, err := mobilegossip.Resume(bytes.NewReader(pastBackingCheckpoint(t, stray)))
+		if err == nil || !strings.Contains(err.Error(), "backed for") {
+			t.Errorf("stray id %d: Resume err = %v, want the backing error", stray, err)
+		}
+	}
 }
 
 // resumeFuzzN peeks at the checkpointed network size so the fuzz target can
@@ -71,6 +119,8 @@ func FuzzResume(f *testing.F) {
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
+	f.Add(pastBackingCheckpoint(f, 70+64))
+	f.Add(pastBackingCheckpoint(f, 200))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if n, ok := resumeFuzzN(data); ok && (n < 0 || n > 4096) {

@@ -5,8 +5,9 @@
 // physical crowd, this package *perturbs* an arbitrary base schedule — it
 // cuts (and may inject) edges each epoch under a strategy, repairs
 // connectivity with the same representative-chain bridges the mobility
-// field uses (graph.Connector), and maintains the CSR incrementally through
-// graph.Patcher, reporting every change as a dyngraph.Delta.
+// field uses (graph.Connector), refills the CSR in place from the resulting
+// sorted edge list (graph.Patcher.Load), and reports every change as a
+// dyngraph.Delta.
 //
 // Three strategy families are provided (see strategies.go):
 //
@@ -63,10 +64,11 @@ type Options struct {
 	Seed uint64
 	// Budget caps the edges the adversary may cut per epoch; 0 = unlimited.
 	Budget int
-	// Rebuild bypasses the incremental delta pipeline and rebuilds the CSR
-	// from scratch (graph.Builder) every epoch. The two modes produce
-	// byte-identical graphs; Rebuild exists as the oracle for the
-	// equivalence quick-checks and the baseline for BenchmarkAdversaryRound.
+	// Rebuild bypasses graph.Patcher.Load and rebuilds the CSR from scratch
+	// (graph.Builder: sort, deduplicate, allocate) every epoch. The two
+	// modes produce byte-identical graphs; Rebuild exists as the oracle for
+	// the equivalence quick-checks and the baseline for
+	// BenchmarkAdversaryRound.
 	Rebuild bool
 }
 
@@ -127,7 +129,7 @@ func New(base dyngraph.Dynamic, strat Strategy, o Options) *Engine {
 	e := &Engine{
 		base: base, strat: strat, n: n, tau: tau,
 		seed: o.Seed, budget: o.Budget, reb: o.Rebuild,
-		conn: graph.NewConnector(n),
+		conn: graph.NewConnector(n), patcher: graph.NewPatcher(n),
 	}
 	tauStr := fmt.Sprintf("τ=%d", tau)
 	if tau == dyngraph.Infinite {
@@ -190,7 +192,8 @@ func (e *Engine) At(r int) *graph.Graph {
 }
 
 // step advances one adversary epoch: pull the base topology, run the
-// strategy, repair connectivity, diff, and patch (or rebuild).
+// strategy, repair connectivity, diff (for the reported delta), and load the
+// CSR (or rebuild).
 func (e *Engine) step() {
 	next := e.epoch + 1
 	baseRound := 1
@@ -257,41 +260,23 @@ func (e *Engine) step() {
 	e.eff[1-e.cur] = out
 	e.cur = 1 - e.cur
 	e.epoch = next
-	if next == 0 {
-		e.delta = dyngraph.Delta{}
-		e.g = e.buildFromScratch()
-		if !e.reb {
-			if e.patcher == nil {
-				e.patcher = graph.NewPatcher(e.g)
-			} else {
-				e.patcher.Reset(e.g)
-			}
-			e.g = e.patcher.Graph()
-		}
-		return
+	e.delta = dyngraph.Delta{}
+	if next > 0 { // epoch 0 shapes round 1: there is no earlier graph to differ from
+		e.delta = dyngraph.Delta{Added: e.added, Removed: e.removed}
 	}
-	e.delta = dyngraph.Delta{Added: e.added, Removed: e.removed}
+	e.loadGraph()
+}
+
+// loadGraph makes e.g the CSR of the current effective edge list: filled
+// into the patcher's spare buffers straight from the sorted list or, in
+// Rebuild mode, built from scratch.
+func (e *Engine) loadGraph() {
+	edges, name := e.eff[e.cur], fmt.Sprintf("%s@e%d", e.strat.Name(), e.epoch)
 	if e.reb {
-		e.g = e.buildFromScratch()
+		e.g = graph.BuildPacked(e.n, edges, name)
 		return
 	}
-	e.g = e.patcher.Apply(e.added, e.removed, e.epochName())
-}
-
-// buildFromScratch constructs the current effective edge list's CSR through
-// the Builder — the canonical layout the patched CSR is tested
-// byte-identical against.
-func (e *Engine) buildFromScratch() *graph.Graph {
-	b := graph.NewBuilderCap(e.n, len(e.eff[e.cur]))
-	for _, edge := range e.eff[e.cur] {
-		uv := graph.UnpackEdge(edge)
-		_ = b.AddEdge(int(uv[0]), int(uv[1]))
-	}
-	return b.Build(e.epochName())
-}
-
-func (e *Engine) epochName() string {
-	return fmt.Sprintf("%s@e%d", e.strat.Name(), e.epoch)
+	e.g = e.patcher.Load(edges, name)
 }
 
 // tokenCount is the Epoch.Tokens implementation: the bound StateReader, or
@@ -327,10 +312,9 @@ func (e *Engine) Strategy() Strategy { return e.strat }
 
 // CheckpointTo serializes the engine's mutable state — RNG stream, epoch
 // index, the current effective edge list — plus the base schedule's state
-// when it carries any (mobility trajectories). The CSR is rebuilt from the
-// edge list on restore, byte-identical to the patched CSR by the
-// Patcher/Builder equivalence invariant. Strategies are pure functions of
-// the serialized state and carry none of their own.
+// when it carries any (mobility trajectories). The CSR is loaded from the
+// edge list on restore, the same way every epoch's is. Strategies are pure
+// functions of the serialized state and carry none of their own.
 func (e *Engine) CheckpointTo(w *ckpt.Writer) {
 	w.Section("adversary.engine")
 	w.Int(e.n)
@@ -367,21 +351,11 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
 		return err
 	}
 	// Validate the edge list here, where a corrupt stream can still fail
-	// loudly: out-of-range endpoints or a non-canonical order would
-	// otherwise restore silently and blow up inside Patcher.Apply epochs
-	// later (buildFromScratch drops bad edges, but e.eff would keep them,
-	// and the next diff would ask the Patcher to remove an edge the CSR
-	// never had).
-	var prev uint64
-	for i, edge := range edges {
-		uv := graph.UnpackEdge(edge)
-		if uv[0] < 0 || uv[1] >= int32(e.n) || uv[0] >= uv[1] {
-			return fmt.Errorf("adversary: checkpoint edge %d (%d,%d) invalid for %d nodes", i, uv[0], uv[1], e.n)
-		}
-		if i > 0 && edge <= prev {
-			return fmt.Errorf("adversary: checkpoint edge list not strictly ascending at %d", i)
-		}
-		prev = edge
+	// by name: Load panics on an out-of-range endpoint or a non-canonical
+	// order, and a list that slipped past it would sit in e.eff and skew
+	// every later diff and connectivity repair.
+	if err := graph.CheckPacked(edges, e.n); err != nil {
+		return fmt.Errorf("adversary: checkpoint edge list: %w", err)
 	}
 	cp, ok := e.base.(checkpointable)
 	if hasBase != ok {
@@ -401,15 +375,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
 		e.g = nil
 		return nil
 	}
-	e.g = e.buildFromScratch()
-	if !e.reb {
-		if e.patcher == nil {
-			e.patcher = graph.NewPatcher(e.g)
-		} else {
-			e.patcher.Reset(e.g)
-		}
-		e.g = e.patcher.Graph()
-	}
+	e.loadGraph()
 	return nil
 }
 

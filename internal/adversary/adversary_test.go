@@ -31,13 +31,13 @@ type fakeReader struct{ shift int }
 
 func (f fakeReader) TokenCount(u int) int { return (u*7 + f.shift) % 13 }
 
-// TestStrategiesConnectedAndPatchMatchesRebuild is the patch ≡ rebuild
+// TestStrategiesConnectedAndPatchMatchesRebuild is the load ≡ rebuild
 // quick-check of the ISSUE's property satellite, run for every strategy
-// over both a static and a mobility base: at every round the patched CSR
-// must be element-for-element identical to a from-scratch Builder rebuild,
-// and connected.
+// over both a static and a mobility base across 50 epochs: at every round
+// the CSR loaded from the effective edge list must be element-for-element
+// identical to a from-scratch Builder rebuild, name included, and connected.
 func TestStrategiesConnectedAndPatchMatchesRebuild(t *testing.T) {
-	const n, tau, rounds = 60, 2, 41
+	const n, tau, rounds = 60, 2, 101
 	for _, mk := range []struct {
 		label string
 		base  func(seed uint64) dyngraph.Dynamic
@@ -57,8 +57,8 @@ func TestStrategiesConnectedAndPatchMatchesRebuild(t *testing.T) {
 					if !pg.Connected() {
 						t.Fatalf("round %d: disconnected topology", r)
 					}
-					if !pg.EqualCSR(og) {
-						t.Fatalf("round %d: patched CSR diverges from rebuild oracle", r)
+					if !pg.EqualCSR(og) || pg.Name() != og.Name() {
+						t.Fatalf("round %d: loaded CSR %q diverges from rebuild oracle %q", r, pg.Name(), og.Name())
 					}
 				}
 			})
@@ -275,8 +275,8 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 
 // TestRestoreRejectsCorruptEdgeList pins the restore-time edge validation:
 // a tampered checkpoint whose edge list carries an out-of-range endpoint or
-// breaks canonical order must fail RestoreFrom — not restore silently and
-// panic inside Patcher.Apply epochs later.
+// breaks canonical order must fail RestoreFrom by error — not reach
+// Patcher.Load, which panics on such a list.
 func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 	write := func(edges []uint64) []byte {
 		var buf bytes.Buffer

@@ -75,8 +75,10 @@ func OneTokenPerNode(n, k int) Assignment {
 
 // State is the per-run gossip state shared by all algorithms: every node's
 // token set over [1, N], plus completion tracking. The per-node sets live on
-// a single flat tokenset.Arena indexed by NodeID, so a million-node run
-// costs one bitset allocation rather than one per node.
+// a single flat tokenset.Arena indexed by NodeID and backed only for the
+// assigned id span [1, max token id] — the ids a set can ever hold — so a
+// million-node run with a handful of tokens costs one allocation of a word
+// or two per node, not N/64 words per node.
 type State struct {
 	n           int
 	universe    int
@@ -101,15 +103,17 @@ func NewState(n int, a Assignment, transferEps float64) (*State, error) {
 		return nil, err
 	}
 	st := &State{n: n, universe: a.Universe, k: len(a.Tokens), transferEps: transferEps}
-	st.arena = tokenset.NewArena(n, a.Universe)
-	st.sets = st.arena.Sets()
 	st.tokens = slices.Clone(a.Tokens)
+	maxID := 0
+	if st.k > 0 {
+		maxID = slices.Max(st.tokens)
+		st.planeFirst = slices.Min(st.tokens) / 64
+		st.planeWords = maxID/64 - st.planeFirst + 1
+	}
+	st.arena = tokenset.NewArena(n, a.Universe, maxID)
+	st.sets = st.arena.Sets()
 	for i, t := range a.Tokens {
 		st.sets[a.Owners[i]].Add(t)
-	}
-	if st.k > 0 {
-		st.planeFirst = slices.Min(st.tokens) / 64
-		st.planeWords = slices.Max(st.tokens)/64 - st.planeFirst + 1
 	}
 	st.done = tokenset.AllKnowAll(st.sets, st.k)
 	return st, nil

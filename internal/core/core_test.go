@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"mobilegossip/internal/dyngraph"
@@ -58,6 +59,44 @@ func TestNewStatePotential(t *testing.T) {
 	}
 	if st.N() != 6 || st.K() != 3 || st.Universe() != 6 {
 		t.Fatal("accessors wrong")
+	}
+}
+
+// TestNewStateBacksAssignedSpan pins what a State allocates per node: sets
+// are backed for [1, max assigned id], not for the universe, so the paper's
+// canonical assignment at n = N = 50,000, k = 4 costs a word of backing per
+// node — ≤ 64 B/node on top of the 64 B/node of set headers and pointers —
+// where a universe-backed arena cost N/8 = 6.2 KB/node (313 MB). An
+// assignment whose ids reach N gets the old size, never more; k = 0 works.
+func TestNewStateBacksAssignedSpan(t *testing.T) {
+	const n = 50000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := NewState(n, OneTokenPerNode(n, 4), 1e-3)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headers = 64 // one tokenset.Set (56 B) and one *Set (8 B) per node
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / n; perNode > headers+64 {
+		t.Fatalf("NewState allocated %d B/node, want ≤ %d (set backing ≤ 64 B/node)", perNode, headers+64)
+	}
+	if st.Universe() != n || st.Set(0).Universe() != n || !st.Set(3).Has(4) || st.Set(3).Has(n) {
+		t.Fatal("span-backed sets lost their universe or their tokens")
+	}
+
+	high, err := NewState(16, Assignment{Universe: 200, Tokens: []int{199, 200}, Owners: []int{0, 5}}, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewSharedBit(high, prand.NewSharedString(3))
+	checkSolved(t, p, runGossip(t, dyngraph.NewStatic(graph.Cycle(16)), p, 8, 1<<20))
+	if !high.Set(9).Has(199) || !high.Set(9).Has(200) {
+		t.Fatal("ids at the top of the universe were not gossiped")
+	}
+
+	if empty, err := NewState(8, OneTokenPerNode(8, 0), 1e-3); err != nil || !empty.AllDone() {
+		t.Fatalf("k = 0: err %v", err)
 	}
 }
 

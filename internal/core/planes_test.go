@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mobilegossip/internal/ckpt"
@@ -158,17 +159,31 @@ func TestSimSharedBitPlaneTagsMatchDefinition(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUnassignedToken: a checkpoint naming an id the run's
+// assignment never placed fails by name, whether the id sits inside the
+// words the sets are backed for (the stray-id check) or past them (the
+// set's own backing check, which must come first: nothing may index or
+// silently drop such an id).
 func TestRestoreRejectsUnassignedToken(t *testing.T) {
-	placed := Assignment{Universe: 16, Tokens: []int{3, 7}, Owners: []int{0, 1}}
-	other := Assignment{Universe: 16, Tokens: []int{3, 9}, Owners: []int{0, 1}}
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	mustState(t, 4, other).CheckpointTo(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mustState(t, 4, placed).RestoreFrom(ckpt.NewReader(&buf)); err == nil {
-		t.Fatal("a checkpoint holding token 9 restored into a run that never placed it")
+	const universe = 1000
+	placed := Assignment{Universe: universe, Tokens: []int{3, 7}, Owners: []int{0, 1}}
+	for stray, wantErr := range map[int]string{
+		9:        "never placed", // inside the backing
+		7 + 64:   "backed for",   // first word past it
+		universe: "backed for",   // the last id of the universe
+	} {
+		other := Assignment{Universe: universe, Tokens: []int{3, stray}, Owners: []int{0, 1}}
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		mustState(t, 4, other).CheckpointTo(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		err := mustState(t, 4, placed).RestoreFrom(ckpt.NewReader(&buf))
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("checkpoint holding token %d restored into a run that never placed it: err = %v, want %q",
+				stray, err, wantErr)
+		}
 	}
 }
 

@@ -15,8 +15,10 @@ func (d Delta) Change() bool { return len(d.Added) > 0 || len(d.Removed) > 0 }
 
 // DeltaDynamic is a Dynamic that can report the edge delta that produced
 // round r's topology from round r-1's — the contract that lets the engine
-// account per-round churn and lets schedules maintain their CSR
-// incrementally (graph.Patcher) instead of rebuilding it per epoch.
+// account per-round churn (EdgesAdded/EdgesRemoved, the churn meters).
+// Deltas are reported, not applied: the schedules in internal/mobility and
+// internal/adversary refill their CSR from the epoch's sorted edge list
+// (graph.Patcher.Load), whose cost does not depend on the delta's size.
 // DeltaFor(r) must agree with At: applying the delta to At(r-1) yields
 // At(r), and DeltaFor(1) is empty (there is no round 0). The returned
 // slices may alias schedule-internal buffers and are valid only until the

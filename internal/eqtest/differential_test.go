@@ -89,18 +89,19 @@ func refTransfer(c *mtm.Conn, a, b *tokenset.Set, eps float64) Outcome {
 	return out
 }
 
-// differentialPairs returns the set pairs the issue names for a universe:
-// equal sets, sets differing in one token at the low end, the middle and
-// the high end (each direction), disjoint sets, and an empty side.
-func differentialPairs(n int, rng *prand.RNG) [][2]*tokenset.Set {
+// differentialPairs returns the set pairs the issue names for a universe
+// [1, n] whose ids in use stop at top: equal sets, sets differing in one
+// token at the low end, the middle and the high end (each direction),
+// disjoint sets, and an empty side.
+func differentialPairs(n, top int, rng *prand.RNG) [][2]*tokenset.Set {
 	base := tokenset.NewSet(n)
-	for t := 1; t <= n; t++ {
+	for t := 1; t <= top; t++ {
 		if rng.Intn(3) == 0 {
 			base.Add(t)
 		}
 	}
 	pairs := [][2]*tokenset.Set{{base.Clone(), base.Clone()}}
-	for _, t := range []int{1, n / 2, n} {
+	for _, t := range []int{1, top / 2, top} {
 		if t < 1 {
 			continue
 		}
@@ -117,7 +118,7 @@ func differentialPairs(n int, rng *prand.RNG) [][2]*tokenset.Set {
 			[2]*tokenset.Set{without, with})
 	}
 	odd, even := tokenset.NewSet(n), tokenset.NewSet(n)
-	for t := 1; t <= n; t++ {
+	for t := 1; t <= top; t++ {
 		if t%2 == 1 {
 			odd.Add(t)
 		} else {
@@ -133,7 +134,7 @@ func differentialPairs(n int, rng *prand.RNG) [][2]*tokenset.Set {
 func TestEQTestMatchesReference(t *testing.T) {
 	rng := prand.New(5150)
 	for _, n := range []int{1, 2, 63, 64, 65, 300, 1024} {
-		for pi, pair := range differentialPairs(n, rng) {
+		for pi, pair := range differentialPairs(n, n, rng) {
 			a, b := pair[0], pair[1]
 			for i := 0; i < 12; i++ {
 				lo, hi := rng.Intn(n+2), rng.Intn(n+2)
@@ -152,7 +153,7 @@ func TestEQTestMatchesReference(t *testing.T) {
 func TestTransferMatchesReference(t *testing.T) {
 	rng := prand.New(8086)
 	for _, n := range []int{1, 2, 63, 64, 65, 300, 1024} {
-		for pi, pair := range differentialPairs(n, rng) {
+		for pi, pair := range differentialPairs(n, n, rng) {
 			// Tight ε runs the full trial count; loose ε lets fingerprint
 			// collisions mislead the search, which must be reproduced too.
 			for _, eps := range []float64{1e-9, 0.9} {
@@ -171,6 +172,58 @@ func TestTransferMatchesReference(t *testing.T) {
 					t.Fatalf("n=%d pair %d eps=%g: generator states diverged", n, pi, eps)
 				case !a.Equal(ra) || !b.Equal(rb):
 					t.Fatalf("n=%d pair %d eps=%g: sets diverged", n, pi, eps)
+				}
+			}
+		}
+	}
+}
+
+// spanBacked copies a pair onto one arena backed only for [1, maxID] — the
+// form a run's sets take — leaving the universe-backed originals as the
+// reference.
+func spanBacked(pair [2]*tokenset.Set, maxID int) (a, b *tokenset.Set) {
+	arena := tokenset.NewArena(2, pair[0].Universe(), maxID)
+	for i, src := range pair {
+		src.ForEach(arena.Set(i).Add)
+	}
+	return arena.Set(0), arena.Set(1)
+}
+
+// TestSpanBackedMatchesUniverseBacked: EQTest and Transfer over sets backed
+// for the assigned id span must reproduce, draw for draw and bit for bit,
+// what they do over sets backed for all of [1, N] — the binary search still
+// runs over [1, N], so its probes and its closing Has(lo) routinely name ids
+// past the backing.
+func TestSpanBackedMatchesUniverseBacked(t *testing.T) {
+	rng := prand.New(6809)
+	for _, n := range []int{64, 65, 1000} {
+		for _, maxID := range []int{1, 63, 64, 65, n - 1, n} {
+			for pi, pair := range differentialPairs(n, maxID, rng) {
+				sa, sb := spanBacked(pair, maxID)
+				for i := 0; i < 6; i++ {
+					lo, hi, trials, seed := rng.Intn(n+2), rng.Intn(n+2), 1+rng.Intn(5), rng.Uint64()
+					got, ref := prand.New(seed), prand.New(seed)
+					if g, w := EQTest(got, sa, sb, lo, hi, trials), EQTest(ref, pair[0], pair[1], lo, hi, trials); g != w || got.State() != ref.State() {
+						t.Fatalf("N=%d maxID=%d pair %d EQTest(%d,%d,%d) = %+v, universe-backed %+v", n, maxID, pi, lo, hi, trials, g, w)
+					}
+				}
+				for _, eps := range []float64{1e-9, 0.9} {
+					seed := rng.Uint64()
+					a, b := spanBacked(pair, maxID)
+					ra, rb := pair[0].Clone(), pair[1].Clone()
+					c, rc := newConn(seed), newConn(seed)
+					got, want := Transfer(c, a, b, eps), Transfer(rc, ra, rb, eps)
+					switch {
+					case got != want:
+						t.Fatalf("N=%d maxID=%d pair %d eps=%g: outcome %+v, universe-backed %+v", n, maxID, pi, eps, got, want)
+					case c.BitsUsed() != rc.BitsUsed() || c.TokensUsed() != rc.TokensUsed():
+						t.Fatalf("N=%d maxID=%d pair %d eps=%g: charged %d bits %d tokens, universe-backed %d and %d",
+							n, maxID, pi, eps, c.BitsUsed(), c.TokensUsed(), rc.BitsUsed(), rc.TokensUsed())
+					case c.InitRNG.State() != rc.InitRNG.State() || c.RespRNG.State() != rc.RespRNG.State():
+						t.Fatalf("N=%d maxID=%d pair %d eps=%g: generator states diverged", n, maxID, pi, eps)
+					case !a.Equal(ra) || !b.Equal(rb):
+						t.Fatalf("N=%d maxID=%d pair %d eps=%g: sets diverged", n, maxID, pi, eps)
+					}
 				}
 			}
 		}

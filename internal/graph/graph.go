@@ -224,8 +224,7 @@ func (g *Graph) Relabel(perm []int, name string) *Graph {
 
 // sortInt32 sorts a small int32 slice ascending (insertion sort for the
 // typical short adjacency ranges, falling back to an allocation-free
-// stdlib sort when long — sort.Slice would allocate its closure per call,
-// which the Patcher's per-vertex delta sorting cannot afford).
+// stdlib sort when long).
 func sortInt32(s []int32) {
 	if len(s) > 32 {
 		slices.Sort(s)

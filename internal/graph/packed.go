@@ -36,7 +36,7 @@ func (g *Graph) AppendPackedEdges(buf []uint64) []uint64 {
 
 // DiffPacked merges two sorted packed edge lists and appends the edges only
 // in next to added and the edges only in prev to removed — the (u, v) pair
-// form graph.Patcher consumes. Pass in reusable buffers (typically
+// form a dyngraph.Delta reports. Pass in reusable buffers (typically
 // buf[:0]); the extended slices are returned.
 func DiffPacked(prev, next []uint64, added, removed [][2]int32) (a, r [][2]int32) {
 	i, j := 0, 0
@@ -60,4 +60,16 @@ func DiffPacked(prev, next []uint64, added, removed [][2]int32) (a, r [][2]int32
 		added = append(added, UnpackEdge(next[j]))
 	}
 	return added, removed
+}
+
+// BuildPacked constructs a fresh graph from a packed edge list through the
+// Builder — sort, deduplicate, allocate. The dynamic schedules' Rebuild mode
+// runs it every epoch as the from-scratch oracle Patcher.Load is tested
+// byte-identical against.
+func BuildPacked(n int, edges []uint64, name string) *Graph {
+	b := NewBuilderCap(n, len(edges))
+	for _, e := range edges {
+		_ = b.AddEdge(int(e>>32), int(uint32(e))) // the oracle drops what a canonical list cannot hold
+	}
+	return b.Build(name)
 }

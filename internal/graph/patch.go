@@ -1,180 +1,112 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Patcher maintains a CSR graph under per-round edge deltas without
-// rebuilding it from the edge list. Where Builder.Build pays a full
-// O(m log m) sort plus fresh offsets/neighbors allocations for every
-// topology change, Apply merges the (small, sorted) per-vertex delta lists
-// into the previous round's already-sorted adjacency ranges in one
-// O(n + m + d log d) pass over double-buffered arrays — zero steady-state
-// allocations once the buffers have grown to their high-water size. This is
-// what lets dynamic schedules (internal/mobility) change the topology every
-// round at a fraction of the rebuild cost; see DESIGN.md §8.
+// Patcher keeps a dynamic schedule's CSR in two reusable buffer pairs and
+// refills the spare pair from the epoch's sorted packed edge list. The
+// producers (internal/mobility's proximity scan, internal/adversary's
+// perturbation engine) already own that list in canonical order, so Load is
+// the tail of Builder.Build without its sort and without its allocations:
+// count degrees, prefix-sum, fill — two linear passes whose cost does not
+// depend on how much of the graph changed, zero steady-state allocations
+// once the buffers have grown to their high-water size. See DESIGN.md §8.
 //
 // The produced graphs are canonical CSR — identical, element for element,
 // to what Builder.Build would produce from the same edge set — which the
-// equivalence quick-checks in this package and internal/mobility pin down.
+// equivalence quick-checks in this package, internal/mobility and
+// internal/adversary pin down.
 type Patcher struct {
 	n   int
 	cur int // buffer index holding the current graph
 
-	offsets   [2][]int32
+	offsets   [2][]int32 // len n+2: Load counts one slot ahead, see there
 	neighbors [2][]int32
 	graphs    [2]Graph // reusable headers over the two buffers
-
-	// Delta-CSR scratch: the added/removed edge pairs regrouped per
-	// endpoint (each edge appears under both of its endpoints), sorted
-	// ascending within each vertex's range.
-	addCnt, remCnt []int32
-	addOff, remOff []int32 // len n+1
-	addAdj, remAdj []int32
 }
 
-// NewPatcher returns a Patcher whose current graph is a private copy of g.
-func NewPatcher(g *Graph) *Patcher {
-	n := g.N()
-	p := &Patcher{
-		n:      n,
-		addCnt: make([]int32, n), remCnt: make([]int32, n),
-		addOff: make([]int32, n+1), remOff: make([]int32, n+1),
+// NewPatcher returns a Patcher for graphs on n vertices.
+func NewPatcher(n int) *Patcher {
+	if n > math.MaxInt32-1 {
+		panic(fmt.Sprintf("graph: %d vertices exceed the int32 CSR limit", n))
 	}
-	p.offsets[0] = append(make([]int32, 0, n+1), g.offsets...)
-	p.neighbors[0] = append([]int32(nil), g.neighbors...)
-	p.offsets[1] = make([]int32, n+1)
-	p.graphs[0] = Graph{offsets: p.offsets[0], neighbors: p.neighbors[0], name: g.name}
+	p := &Patcher{n: n}
+	for i := range p.offsets {
+		p.offsets[i] = make([]int32, n+2)
+	}
 	return p
 }
 
-// Graph returns the current graph. Like Apply's return value, it aliases
-// the Patcher's internal buffers.
-func (p *Patcher) Graph() *Graph { return &p.graphs[p.cur] }
-
-// Apply advances the current graph by one delta: every edge in removed must
-// be present and every edge in added absent (violations panic — a corrupted
-// CSR would be far harder to debug downstream). Both lists are (u, v) pairs
-// with u < v, in any order. The returned graph aliases the Patcher's
-// buffers and is valid until the next Apply call; the engine's
-// round-at-a-time consumption respects that lifetime by construction.
-func (p *Patcher) Apply(added, removed [][2]int32, name string) *Graph {
-	n := p.n
-	src, dst := p.cur, 1-p.cur
-
-	// Regroup the deltas into per-vertex CSRs (counts, prefix sums, fill,
-	// per-range sort) — the same layout discipline as Builder.Build, over
-	// the typically tiny delta instead of the whole edge set.
-	for i := range p.addCnt {
-		p.addCnt[i] = 0
-		p.remCnt[i] = 0
-	}
-	for _, e := range added {
-		p.addCnt[e[0]]++
-		p.addCnt[e[1]]++
-	}
-	for _, e := range removed {
-		p.remCnt[e[0]]++
-		p.remCnt[e[1]]++
-	}
-	p.addOff[0], p.remOff[0] = 0, 0
-	for u := 0; u < n; u++ {
-		p.addOff[u+1] = p.addOff[u] + p.addCnt[u]
-		p.remOff[u+1] = p.remOff[u] + p.remCnt[u]
-		p.addCnt[u] = 0 // reused as fill cursors
-		p.remCnt[u] = 0
-	}
-	p.addAdj = grown(p.addAdj, int(p.addOff[n]))
-	p.remAdj = grown(p.remAdj, int(p.remOff[n]))
-	for _, e := range added {
-		u, v := e[0], e[1]
-		p.addAdj[p.addOff[u]+p.addCnt[u]] = v
-		p.addCnt[u]++
-		p.addAdj[p.addOff[v]+p.addCnt[v]] = u
-		p.addCnt[v]++
-	}
-	for _, e := range removed {
-		u, v := e[0], e[1]
-		p.remAdj[p.remOff[u]+p.remCnt[u]] = v
-		p.remCnt[u]++
-		p.remAdj[p.remOff[v]+p.remCnt[v]] = u
-		p.remCnt[v]++
-	}
-	for u := 0; u < n; u++ {
-		sortInt32(p.addAdj[p.addOff[u]:p.addOff[u+1]])
-		sortInt32(p.remAdj[p.remOff[u]:p.remOff[u+1]])
-	}
-
-	// New offsets: old degree plus the delta balance.
-	oldOff, newOff := p.offsets[src], p.offsets[dst]
-	newOff[0] = 0
-	for u := 0; u < n; u++ {
-		deg := oldOff[u+1] - oldOff[u] +
-			(p.addOff[u+1] - p.addOff[u]) - (p.remOff[u+1] - p.remOff[u])
-		if deg < 0 {
-			panic(fmt.Sprintf("graph: delta removes more edges than vertex %d has", u))
-		}
-		newOff[u+1] = newOff[u] + deg
-	}
-	p.neighbors[dst] = grown(p.neighbors[dst], int(newOff[n]))
-	oldNbr, newNbr := p.neighbors[src], p.neighbors[dst]
-
-	// Per-vertex three-way merge: old adjacency minus removals, interleaved
-	// with additions, all streams sorted ascending. Runs of untouched
-	// vertices — the vast majority under realistic churn — are bulk-copied
-	// in one memmove: within such a run the old and new offsets differ by a
-	// constant, so the whole span of adjacency ranges is contiguous in both
-	// buffers.
-	for u := 0; u < n; u++ {
-		if p.addOff[u+1] == p.addOff[u] && p.remOff[u+1] == p.remOff[u] {
-			start := u
-			for u+1 < n && p.addOff[u+2] == p.addOff[u+1] && p.remOff[u+2] == p.remOff[u+1] {
-				u++
-			}
-			copy(newNbr[newOff[start]:newOff[u+1]], oldNbr[oldOff[start]:oldOff[u+1]])
-			continue
-		}
-		old := oldNbr[oldOff[u]:oldOff[u+1]]
-		adds := p.addAdj[p.addOff[u]:p.addOff[u+1]]
-		rems := p.remAdj[p.remOff[u]:p.remOff[u+1]]
-		out := newNbr[newOff[u]:newOff[u+1]]
-		w, j, k := 0, 0, 0
-		for _, v := range old {
-			if k < len(rems) && rems[k] == v {
-				k++
-				continue
-			}
-			for j < len(adds) && adds[j] < v {
-				out[w] = adds[j]
-				w++
-				j++
-			}
-			out[w] = v
-			w++
-		}
-		for j < len(adds) {
-			out[w] = adds[j]
-			w++
-			j++
-		}
-		if w != len(out) || k != len(rems) {
-			panic(fmt.Sprintf(
-				"graph: inconsistent delta at vertex %d (removed edge absent or added edge present)", u))
-		}
-	}
-
-	p.cur = dst
-	p.graphs[dst] = Graph{offsets: newOff, neighbors: newNbr, name: name}
-	return &p.graphs[dst]
+// packedInOrder reports whether e is a canonical edge on n vertices
+// (u < v < n) that sorts strictly after prev, the entry before it — 0 before
+// the first, which no edge packs to.
+func packedInOrder(prev, e uint64, n int) bool {
+	return e>>32 < e&math.MaxUint32 && e&math.MaxUint32 < uint64(n) && prev < e
 }
 
-// Reset re-seeds the Patcher from a freshly built graph (used when a
-// schedule replays from its initial state), keeping the grown buffers.
-func (p *Patcher) Reset(g *Graph) {
-	if g.N() != p.n {
-		panic(fmt.Sprintf("graph: Patcher.Reset with %d vertices, want %d", g.N(), p.n))
+// CheckPacked returns an error naming the first entry at which edges stops
+// being a canonical packed edge list on n vertices: strictly ascending
+// (sorted, no duplicate), every entry u<<32|v with u < v < n. Restore paths
+// run it on a checkpointed list before handing the list to Load.
+func CheckPacked(edges []uint64, n int) error {
+	var prev uint64
+	for i, e := range edges {
+		if !packedInOrder(prev, e, n) {
+			return fmt.Errorf("graph: packed edge list entry %d (%d,%d) is not a strictly ascending edge u < v < %d",
+				i, e>>32, uint32(e), n)
+		}
+		prev = e
 	}
-	copy(p.offsets[p.cur], g.offsets)
-	p.neighbors[p.cur] = append(p.neighbors[p.cur][:0], g.neighbors...)
-	p.graphs[p.cur] = Graph{offsets: p.offsets[p.cur], neighbors: p.neighbors[p.cur], name: g.name}
+	return nil
+}
+
+// Load replaces the current graph by the one whose edge set is edges, a
+// canonical packed list (see CheckPacked; a violation panics with the
+// offending index — a corrupted CSR would be far harder to debug
+// downstream). The returned graph aliases the Patcher's buffers and is valid
+// until the next Load call; the engine's round-at-a-time consumption
+// respects that lifetime by construction, and the previous graph stays
+// intact in the other buffer pair meanwhile.
+func (p *Patcher) Load(edges []uint64, name string) *Graph {
+	if len(edges) > math.MaxInt32/2 {
+		panic(fmt.Sprintf("graph: %d edges exceed the int32 CSR limit", len(edges)))
+	}
+	n, dst := p.n, 1-p.cur
+	// Degrees are counted one slot ahead (vertex u at off[u+2]) so that the
+	// prefix sum leaves off[u+1] = start of u's range: the fill pass uses
+	// that slot as u's cursor and leaves it at the range's end, which is
+	// the start of u+1's — off[:n+1] is then the offsets array, no separate
+	// cursor array needed.
+	off := p.offsets[dst]
+	clear(off)
+	var prev uint64
+	for _, e := range edges {
+		if !packedInOrder(prev, e, n) {
+			panic(CheckPacked(edges, n).Error())
+		}
+		prev = e
+		off[e>>32+2]++
+		off[uint32(e)+2]++
+	}
+	for i := 2; i <= n+1; i++ {
+		off[i] += off[i-1]
+	}
+	nbr := grown(p.neighbors[dst], 2*len(edges))
+	p.neighbors[dst] = nbr
+	// The sorted list fills every range in ascending neighbor order (the
+	// argument is spelled out in Builder.Build), so no per-range sort.
+	for _, e := range edges {
+		u, v := int32(e>>32), int32(uint32(e))
+		nbr[off[u+1]] = v
+		off[u+1]++
+		nbr[off[v+1]] = u
+		off[v+1]++
+	}
+	p.cur = dst
+	p.graphs[dst] = Graph{offsets: off[:n+1], neighbors: nbr, name: name}
+	return &p.graphs[dst]
 }
 
 // grown returns s resized to length n, reallocating (with slack) only when
@@ -188,8 +120,8 @@ func grown(s []int32, n int) []int32 {
 
 // EqualCSR reports whether g and h are element-for-element identical in CSR
 // form — the same topology in the same canonical layout. This is the
-// oracle relation of the delta-patching equivalence tests: a patched graph
-// must be indistinguishable from a from-scratch rebuild.
+// oracle relation of the Load/Builder equivalence tests: a loaded graph must
+// be indistinguishable from a from-scratch rebuild.
 func (g *Graph) EqualCSR(h *Graph) bool {
 	if len(g.offsets) != len(h.offsets) || len(g.neighbors) != len(h.neighbors) {
 		return false

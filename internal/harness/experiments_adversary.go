@@ -162,7 +162,7 @@ func runE26(o Options) (*Table, error) {
 }
 
 // runE27: adversaries composed over physical motion — the strategy perturbs
-// the moving crowd's proximity edge list through the same Patcher pipeline.
+// the moving crowd's proximity edge list through the same edge-list pipeline.
 // Motion mixes neighborhoods (E22's finding) while the adversary re-cuts
 // what motion heals; the composition shows whether walking outruns jamming.
 func runE27(o Options) (*Table, error) {
@@ -217,7 +217,7 @@ func runE27(o Options) (*Table, error) {
 			"strategy costs sharedbit %.2fx the unjammed walk — each epoch's cuts are "+
 			"partially healed by the next epoch's motion before the adversary re-reads the "+
 			"state (E22's mixing, now working against the attacker)", stats.Ratio(benign, worst)),
-		"the adversary's cuts ride the same incremental pipeline as the motion deltas: one "+
-			"graph.Patcher application per epoch carries both perturbations")
+		"the adversary's cuts ride the same pipeline as the motion: one sorted effective "+
+			"edge list per epoch carries both perturbations into one graph.Patcher.Load")
 	return t, nil
 }

@@ -18,12 +18,14 @@
 //     chained with virtual relay edges — the sparse long-range fallback
 //     links (satellite/infrastructure hops) real smartphone meshes assume;
 //  4. the sorted edge list is diffed against the previous epoch's in one
-//     merge pass, and the delta — not the whole graph — is applied to the
-//     CSR via graph.Patcher.
+//     merge pass — the delta is what the schedule reports — and the CSR is
+//     refilled in place from the sorted list itself (graph.Patcher.Load):
+//     count, prefix-sum, fill, no sort, no allocation, the same cost
+//     whether one edge moved or all of them.
 //
 // Schedules built from this package implement dyngraph.DeltaDynamic, so the
-// engine gets incremental topologies with per-round churn accounting, and
-// graphinfo/harness can report effective stability. See DESIGN.md §8.
+// engine gets per-round churn accounting, and graphinfo/harness can report
+// effective stability. See DESIGN.md §8.
 package mobility
 
 import (

@@ -1,14 +1,16 @@
 package mobility
 
 // The subsystem's three invariants, quick-checked per round for every
-// motion model (ISSUE 3 satellite): (1) the CSR maintained by incremental
-// delta patching is byte-identical to a from-scratch rebuild, (2) every
+// motion model (ISSUE 3 satellite): (1) the CSR loaded from the epoch's
+// sorted edge list is byte-identical to a from-scratch rebuild, (2) every
 // emitted topology is connected, (3) the topology changes only at τ-round
 // epoch boundaries.
 
 import (
+	"bytes"
 	"testing"
 
+	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/dyngraph"
 )
 
@@ -23,7 +25,7 @@ func testModels() map[string]func() Model {
 }
 
 func TestDeltaMatchesRebuildConnectedAndStable(t *testing.T) {
-	const n, rounds = 300, 48
+	const n, rounds = 300, 51 // 50 epoch changes at τ = 1
 	for name, mk := range testModels() {
 		for _, tau := range []int{1, 3} {
 			opts := Options{N: n, Tau: tau, Seed: 99}
@@ -35,8 +37,8 @@ func TestDeltaMatchesRebuildConnectedAndStable(t *testing.T) {
 			prevEdges := delta.At(1).NumEdges()
 			for r := 1; r <= rounds; r++ {
 				dg, rg := delta.At(r), rebuild.At(r)
-				if !dg.EqualCSR(rg) {
-					t.Fatalf("%s τ=%d r=%d: patched CSR != rebuilt CSR", name, tau, r)
+				if !dg.EqualCSR(rg) || dg.Name() != rg.Name() {
+					t.Fatalf("%s τ=%d r=%d: loaded CSR %q != rebuilt CSR %q", name, tau, r, dg.Name(), rg.Name())
 				}
 				if !dg.Connected() {
 					t.Fatalf("%s τ=%d r=%d: disconnected topology", name, tau, r)
@@ -121,5 +123,41 @@ func TestDefaultRadius(t *testing.T) {
 	mean := 2 * float64(g.NumEdges()) / float64(g.N())
 	if mean < 5 || mean > 12 {
 		t.Fatalf("default-radius mean degree = %.1f, want ≈ 8", mean)
+	}
+}
+
+// TestRestoreRejectsCorruptEdgeList: the CSR is loaded straight from the
+// checkpointed edge list, and Load panics on a list that is not canonical —
+// so a tampered list must fail RestoreFrom by error first.
+func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
+	opts := Options{N: 60, Tau: 1, Seed: 4}
+	snapshot := func(tamper func(edges []uint64)) *ckpt.Reader {
+		src := New(Waypoint(0.02, 2), opts)
+		src.At(5)
+		tamper(src.field.edges[src.field.cur])
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		src.CheckpointTo(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return ckpt.NewReader(&buf)
+	}
+	for name, tamper := range map[string]func(edges []uint64){
+		"not ascending":         func(e []uint64) { e[3], e[4] = e[4], e[3] },
+		"duplicate":             func(e []uint64) { e[4] = e[3] },
+		"endpoint out of range": func(e []uint64) { e[len(e)-1] = uint64(58)<<32 | 60 },
+		"self loop":             func(e []uint64) { e[0] = 0 },
+	} {
+		if err := New(Waypoint(0.02, 2), opts).RestoreFrom(snapshot(tamper)); err == nil {
+			t.Errorf("%s: corrupt edge list restored without error", name)
+		}
+	}
+	fresh, want := New(Waypoint(0.02, 2), opts), New(Waypoint(0.02, 2), opts)
+	if err := fresh.RestoreFrom(snapshot(func([]uint64) {})); err != nil {
+		t.Fatalf("clean restore failed: %v", err)
+	}
+	if !fresh.At(9).EqualCSR(want.At(9)) {
+		t.Fatal("restored schedule diverged from the uninterrupted one")
 	}
 }

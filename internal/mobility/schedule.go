@@ -23,19 +23,20 @@ type Options struct {
 	Radius float64
 	// Seed fully determines the trajectory and therefore every topology.
 	Seed uint64
-	// Rebuild bypasses the incremental delta pipeline and rebuilds the CSR
-	// from scratch (graph.Builder) every epoch. The two modes produce
-	// byte-identical graphs; Rebuild exists as the oracle for the
-	// equivalence quick-checks and the baseline for BenchmarkDynamicRound.
+	// Rebuild bypasses graph.Patcher.Load and rebuilds the CSR from scratch
+	// (graph.Builder: sort, deduplicate, allocate) every epoch. The two
+	// modes produce byte-identical graphs; Rebuild exists as the oracle for
+	// the equivalence quick-checks and the baseline for
+	// BenchmarkDynamicRound.
 	Rebuild bool
 }
 
 // Schedule drives a Model and emits its unit-disk proximity graph as a
-// dyngraph.DeltaDynamic: per round the engine sees a connected topology,
-// and changes arrive as edge deltas patched into the CSR in place. Rounds
-// are meant to be queried in ascending order (the engine's access pattern);
-// a query behind the current epoch deterministically replays the trajectory
-// from the seed.
+// dyngraph.DeltaDynamic: per round the engine sees a connected topology
+// whose CSR is refilled in place from the epoch's sorted edge list, and
+// changes are reported as edge deltas. Rounds are meant to be queried in
+// ascending order (the engine's access pattern); a query behind the current
+// epoch deterministically replays the trajectory from the seed.
 type Schedule struct {
 	n      int
 	tau    int // dyngraph.Infinite when frozen
@@ -63,7 +64,7 @@ func New(m Model, o Options) *Schedule {
 	}
 	s := &Schedule{
 		n: o.N, tau: tau, radius: o.Radius, seed: o.Seed, model: m, opts: o,
-		field: newField(o.N, o.Radius),
+		field: newField(o.N, o.Radius), patcher: graph.NewPatcher(o.N),
 	}
 	s.radius = s.field.r
 	tauStr := fmt.Sprintf("τ=%d", tau)
@@ -75,39 +76,28 @@ func New(m Model, o Options) *Schedule {
 	return s
 }
 
-// reset (re)plays the schedule from its initial state: model placement,
-// round-1 proximity graph, fresh patcher state.
+// reset (re)plays the schedule from its initial state: model placement and
+// round-1 proximity graph.
 func (s *Schedule) reset() {
 	s.rng = prand.New(prand.Mix64(s.seed ^ 0x53a3f3aa35b1f74d))
 	s.model.Init(s.n, s.rng, s.field.x, s.field.y)
 	s.field.reset()
 	s.field.advance() // first advance: delta against the empty graph
-	s.g = s.buildFromScratch(0)
 	s.epoch = 0
 	s.delta = dyngraph.Delta{}
-	if !s.opts.Rebuild {
-		if s.patcher == nil {
-			s.patcher = graph.NewPatcher(s.g)
-		} else {
-			s.patcher.Reset(s.g)
-		}
-		s.g = s.patcher.Graph()
-	}
+	s.loadGraph()
 }
 
-// buildFromScratch constructs the current edge list's CSR through the
-// Builder — the canonical (sorted, deduplicated) layout the patched CSR is
-// tested byte-identical against.
-func (s *Schedule) buildFromScratch(epoch int) *graph.Graph {
-	b := graph.NewBuilderCap(s.n, len(s.field.edges[s.field.cur]))
-	for _, e := range s.field.edges[s.field.cur] {
-		_ = b.AddEdge(int(e>>32), int(uint32(e)))
+// loadGraph makes s.g the CSR of the current epoch's edge list: filled into
+// the patcher's spare buffers straight from the sorted list or, in Rebuild
+// mode, built from scratch.
+func (s *Schedule) loadGraph() {
+	edges, name := s.field.edges[s.field.cur], fmt.Sprintf("%s@e%d", s.model.Name(), s.epoch)
+	if s.opts.Rebuild {
+		s.g = graph.BuildPacked(s.n, edges, name)
+		return
 	}
-	return b.Build(s.epochName(epoch))
-}
-
-func (s *Schedule) epochName(epoch int) string {
-	return fmt.Sprintf("%s@e%d", s.model.Name(), epoch)
+	s.g = s.patcher.Load(edges, name)
 }
 
 func (s *Schedule) epochOf(r int) int {
@@ -134,17 +124,13 @@ func (s *Schedule) At(r int) *graph.Graph {
 }
 
 // step advances one motion epoch: move, recompute proximity, repair,
-// diff, and patch (or rebuild).
+// diff (for the reported delta), and load the CSR (or rebuild).
 func (s *Schedule) step() {
 	s.model.Step(s.epoch+1, s.rng, s.field.x, s.field.y)
 	added, removed := s.field.advance()
 	s.delta = dyngraph.Delta{Added: added, Removed: removed}
 	s.epoch++
-	if s.opts.Rebuild {
-		s.g = s.buildFromScratch(s.epoch)
-		return
-	}
-	s.g = s.patcher.Apply(added, removed, s.epochName(s.epoch))
+	s.loadGraph()
 }
 
 // DeltaFor implements dyngraph.DeltaDynamic: the delta is nonzero exactly
@@ -160,9 +146,8 @@ func (s *Schedule) DeltaFor(r int) dyngraph.Delta {
 // CheckpointTo serializes the schedule's mutable trajectory state: the
 // shared RNG stream, the epoch index, every node's position, the model's
 // per-node state, and the current epoch's sorted edge list. The CSR graph
-// itself is not serialized — it is rebuilt from the edge list on restore,
-// byte-identical to the incrementally patched CSR by the Patcher/Builder
-// equivalence invariant (DESIGN.md §8). A resumed schedule therefore
+// itself is not serialized — it is loaded from the edge list on restore,
+// the same way every epoch's is (DESIGN.md §8). A resumed schedule therefore
 // continues its trajectory directly instead of replaying every motion
 // epoch from the seed.
 func (s *Schedule) CheckpointTo(w *ckpt.Writer) {
@@ -208,16 +193,17 @@ func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	// Load panics on a list that is not canonical; a corrupt stream must
+	// fail here, by name, instead.
+	if err := graph.CheckPacked(edges, s.n); err != nil {
+		return fmt.Errorf("mobility: checkpoint edge list: %w", err)
+	}
 	s.field.edges[0] = append(s.field.edges[0][:0], edges...)
 	s.field.edges[1] = s.field.edges[1][:0]
 	s.field.cur = 0
 	s.epoch = epoch
 	s.delta = dyngraph.Delta{}
-	s.g = s.buildFromScratch(epoch)
-	if !s.opts.Rebuild {
-		s.patcher.Reset(s.g)
-		s.g = s.patcher.Graph()
-	}
+	s.loadGraph()
 	return nil
 }
 

@@ -82,16 +82,9 @@ func classify(sets []*Set) [][]int {
 		nodes []int
 	}
 	buckets := make(map[uint64][]*bucket)
-	hash := func(s *Set) uint64 {
-		h := uint64(s.Len())
-		for _, w := range s.words {
-			h = h*0x9e3779b97f4a7c15 + w
-		}
-		return h
-	}
 	var order []*bucket
 	for i, s := range sets {
-		h := hash(s)
+		h := s.hash()
 		var found *bucket
 		for _, b := range buckets[h] {
 			if b.set.Equal(s) {

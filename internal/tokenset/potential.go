@@ -41,15 +41,8 @@ func Frequencies(sets []*Set) []Frequency {
 		count int
 	}
 	buckets := make(map[uint64][]*bucket)
-	hash := func(s *Set) uint64 {
-		h := uint64(s.Len())
-		for _, w := range s.words {
-			h = h*0x9e3779b97f4a7c15 + w
-		}
-		return h
-	}
 	for _, s := range sets {
-		h := hash(s)
+		h := s.hash()
 		found := false
 		for _, b := range buckets[h] {
 			if b.set.Equal(s) {

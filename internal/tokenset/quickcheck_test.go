@@ -54,7 +54,7 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 		rng := prand.New(seed)
 		nodes := 3 + rng.Intn(6)
 		n := 40 + rng.Intn(120)
-		a := NewArena(nodes, n)
+		a := NewArena(nodes, n, n)
 		oracle := newArenaOracle(nodes, n)
 
 		// Random op sequence: adds (in- and out-of-range) interleaved with
@@ -145,7 +145,7 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 		if w.Flush() != nil {
 			return false
 		}
-		b := NewArena(nodes, n)
+		b := NewArena(nodes, n, n)
 		r := ckpt.NewReader(&buf)
 		for i := 0; i < nodes; i++ {
 			if b.Set(i).RestoreFrom(r) != nil {

@@ -9,6 +9,7 @@ package tokenset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/modmath"
@@ -17,6 +18,14 @@ import (
 // Set is a set of token ids in [1, N]. The zero value of Set is not usable;
 // construct with NewSet (or carve many sets out of one allocation with
 // NewArena). Sets only grow: the model has no token loss.
+//
+// The universe bound N and the backing are separate things. Token t is
+// always bit t%64 of word t/64, but a set carries only the words its
+// constructor was told it can need: NewSet backs all of [1, N], an arena set
+// backs [1, maxID]. An id in [1, N] past the backing behaves as any id past
+// N does — Add drops it, Has denies it — and the binary operations that walk
+// two sets word by word (RangeEqual, HashRangeEqual) expect both operands to
+// come from one constructor call, as the sets of a run do.
 //
 // The set tracks the word range [minW, maxW] that holds its bits, so
 // iteration and fingerprinting scan only the occupied span — on the paper's
@@ -48,9 +57,12 @@ type Arena struct {
 	sets  []Set
 }
 
-// NewArena returns an arena of `nodes` empty sets over the universe [1, n].
-func NewArena(nodes, n int) *Arena {
-	per := setWords(n)
+// NewArena returns an arena of `nodes` empty sets over the universe [1, n],
+// each backed for the ids [1, maxID] — the largest id any of them will ever
+// be handed. A run's sets hold only the k assigned ids however large N is,
+// so the arena costs nodes·(maxID/64 + 1) words, not nodes·N/64.
+func NewArena(nodes, n, maxID int) *Arena {
+	per := min(maxID, n)/64 + 1
 	a := &Arena{words: make([]uint64, nodes*per), sets: make([]Set, nodes)}
 	for i := range a.sets {
 		a.sets[i] = Set{words: a.words[i*per : (i+1)*per : (i+1)*per], n: n}
@@ -76,13 +88,13 @@ func (a *Arena) Sets() []*Set {
 // Universe returns the universe bound N.
 func (s *Set) Universe() int { return s.n }
 
-// Add inserts token t. Tokens outside [1, N] are rejected (no-op) so that a
-// corrupted id cannot corrupt the bitset.
+// Add inserts token t. Tokens outside [1, N] or past the backing are
+// rejected (no-op) so that a corrupted id cannot corrupt the bitset.
 func (s *Set) Add(t int) {
-	if t < 1 || t > s.n {
+	w, b := t/64, uint(t%64)
+	if t < 1 || t > s.n || w >= len(s.words) {
 		return
 	}
-	w, b := t/64, uint(t%64)
 	if s.words[w]&(1<<b) == 0 {
 		if s.count == 0 {
 			s.minW, s.maxW = w, w
@@ -101,10 +113,11 @@ func (s *Set) Add(t int) {
 
 // Has reports whether token t is in the set.
 func (s *Set) Has(t int) bool {
-	if t < 1 || t > s.n {
+	w := t / 64
+	if t < 1 || t > s.n || w >= len(s.words) {
 		return false
 	}
-	return s.words[t/64]&(1<<uint(t%64)) != 0
+	return s.words[w]&(1<<uint(t%64)) != 0
 }
 
 // Len returns the number of tokens in the set.
@@ -118,17 +131,40 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Equal reports whether two sets over the same universe hold the same tokens.
+// Equal reports whether two sets over the same universe hold the same
+// tokens, whatever each is backed for.
 func (s *Set) Equal(o *Set) bool {
-	if s.count != o.count || s.n != o.n {
+	if s.n != o.n || s.count != o.count {
 		return false
 	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
+	if s.count == 0 {
+		return true
 	}
-	return true
+	// Equal sets occupy the same word span, inside both backings.
+	return s.minW == o.minW && s.maxW == o.maxW &&
+		slices.Equal(s.words[s.minW:s.maxW+1], o.words[o.minW:o.maxW+1])
+}
+
+// hash returns a grouping key that equal sets share (Equal confirms a
+// match): the token count folded with the occupied words and where they sit.
+func (s *Set) hash() uint64 {
+	h := uint64(s.count)
+	if s.count == 0 {
+		return h
+	}
+	h = h*0x9e3779b97f4a7c15 + uint64(s.minW)
+	for _, w := range s.words[s.minW : s.maxW+1] {
+		h = h*0x9e3779b97f4a7c15 + w
+	}
+	return h
+}
+
+// word returns word i of the set's layout, zero past the backing.
+func (s *Set) word(i int) uint64 {
+	if i < len(s.words) {
+		return s.words[i]
+	}
+	return 0
 }
 
 // Tokens returns the tokens in increasing order.
@@ -210,6 +246,10 @@ func (s *Set) RestoreFrom(r *ckpt.Reader) error {
 			}
 			return fmt.Errorf("tokenset: checkpointed token %d outside [1, %d]", t, s.n)
 		}
+		if t/64 >= len(s.words) {
+			return fmt.Errorf("tokenset: checkpointed token %d is past the ids [1, %d] this set is backed for",
+				t, len(s.words)*64-1)
+		}
 		s.Add(t)
 	}
 	return r.Err()
@@ -220,8 +260,8 @@ func (s *Set) RestoreFrom(r *ckpt.Reader) error {
 // equal. This is the "oracle" ground truth the randomized Transfer is tested
 // against.
 func (s *Set) SmallestMissingFrom(o *Set) (token int, ok bool) {
-	for i := range s.words {
-		if d := s.words[i] ^ o.words[i]; d != 0 {
+	for i := range max(len(s.words), len(o.words)) {
+		if d := s.word(i) ^ o.word(i); d != 0 {
 			return i*64 + bits.TrailingZeros64(d), true
 		}
 	}
@@ -233,9 +273,7 @@ func (s *Set) CountRange(lo, hi int) int {
 	if lo < 1 {
 		lo = 1
 	}
-	if hi > s.n {
-		hi = s.n
-	}
+	hi = min(hi, s.n, len(s.words)*64-1)
 	if lo > hi {
 		return 0
 	}

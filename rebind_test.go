@@ -7,7 +7,9 @@ package mobilegossip_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"mobilegossip"
@@ -175,5 +177,42 @@ func TestRebindRejectsBadTopology(t *testing.T) {
 	stepTo(t, sim, 0x7fffffff)
 	if !sim.Done() {
 		t.Fatal("session did not finish after a rejected rebind")
+	}
+}
+
+// TestPhasedCheckpointMatchesRecordedDigest is the run-level byte-identity
+// check of the span-backed token sets and the Load CSR path: the bench's
+// mobile-churn timeline at smoke scale — waypoint walkers, a bipartition
+// adversary bound at round 30, two engine workers — checkpointed at round
+// 50 must produce exactly the bytes the build before those changes wrote
+// (universe-backed sets, delta-patched CSR), whose SHA-256 is recorded here.
+// A change to the trajectory, the draw order or the checkpoint layout moves
+// it; regenerate only with a PR that names that contract change.
+func TestPhasedCheckpointMatchesRecordedDigest(t *testing.T) {
+	const want = "2020fc91e20b556cadfc841549c261b1b5fc9a2110f06b0770ce167950b6dc46"
+	roam := mobilegossip.Topology{Kind: mobilegossip.MobileWaypoint, Speed: 0.01}
+	sim, err := mobilegossip.New(mobilegossip.Config{
+		Algorithm: mobilegossip.AlgSharedBit, N: 2500, K: 4,
+		Topology: roam, Tau: 1, Seed: 11, EngineWorkers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, sim, 30)
+	jammed := roam
+	jammed.Adversary, jammed.AdvBudget = mobilegossip.AdvBipartition, 500
+	if err := sim.Rebind(jammed, 1); err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, sim, 50)
+	if sim.Round() != 50 {
+		t.Fatalf("run ended at round %d, before the checkpoint round", sim.Round())
+	}
+	var buf bytes.Buffer
+	if err := sim.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("round-50 checkpoint (%d bytes) has SHA-256 %s, recorded %s", buf.Len(), got, want)
 	}
 }
