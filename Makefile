@@ -271,12 +271,13 @@ loc:
 # which side goes first. Runs accumulate in .bench_build/ab/runs-W.tsv;
 # the summary prints each side's median and quartiles, the pairs the
 # change won, and whether that amounts to a claimable gain
-# (choosing-metrics §8).
+# (choosing-metrics §8). SELF=1 runs the working tree on both sides
+# instead — the box's noise floor; it must end in "self: no difference".
 PAIRS ?= 10
 BASE ?= HEAD
 ab:
-	@test -n "$(W)" || { echo "usage: make ab W=<workload> [PAIRS=10] [BASE=HEAD]"; exit 2; }
-	bash scripts/ab.sh $(W) $(PAIRS) $(BASE)
+	@test -n "$(W)" || { echo "usage: make ab W=<workload> [PAIRS=10] [BASE=HEAD] [SELF=1]"; exit 2; }
+	bash scripts/ab.sh $(if $(SELF),--self) $(W) $(PAIRS) $(BASE)
 
 # examples runs every examples/ scenario in -short mode, exactly as the CI
 # build job does, so example drift breaks the build instead of rotting.

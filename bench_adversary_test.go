@@ -5,9 +5,9 @@ package mobilegossip_test
 // cuts, repair connectivity, and produce the CSR — comparing the same two
 // paths as BenchmarkDynamicRound:
 //
-//   - delta:   the product path (the row name is historical): diff the
-//     effective edge lists for the reported delta, refill the CSR in place
-//     from the sorted effective list (graph.Patcher.Load);
+//   - delta:   the product path (the row name is historical): count the
+//     difference of the effective edge lists for the reported delta, refill
+//     the CSR in place from the sorted effective list (graph.Patcher.Load);
 //   - rebuild: feed the effective edge list through graph.Builder from
 //     scratch every round — the oracle baseline.
 //

@@ -6,10 +6,11 @@ package mobilegossip_test
 // product path with its test oracle:
 //
 //   - delta:   the product path. The row name is historical (BENCH_core.json
-//     keys on it): since ISSUE 21 the delta is still diffed out of the sorted
-//     edge lists, because it is reported (DeltaFor, EdgesAdded/Removed), but
-//     it is no longer applied — the CSR is refilled in place from the sorted
-//     list itself (graph.Patcher.Load), at a cost independent of the churn;
+//     keys on it): the delta is two counts taken in one merge walk over the
+//     sorted edge lists, because it is reported (DeltaFor,
+//     EdgesAdded/Removed), not applied — the CSR is refilled in place from
+//     the sorted list itself (graph.Patcher.Load), at a cost independent of
+//     the churn;
 //   - rebuild: feed the edge list through graph.Builder from scratch every
 //     round (sort, deduplicate, allocate) — the pre-mobility status quo
 //     (what dyngraph.Regen does), kept as the oracle.

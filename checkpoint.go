@@ -45,17 +45,10 @@ const (
 	topoStateAdversary = 2 // adversary.Engine state (wrapping its base's, if any)
 )
 
-// topoCheckpointer is the stateful-schedule contract: schedules that carry
-// mutable state beyond (Config, round) serialize it through this pair.
-type topoCheckpointer interface {
-	CheckpointTo(w *ckpt.Writer)
-	RestoreFrom(r *ckpt.Reader) error
-}
-
 // topoState maps a dynamic schedule to its kind tag and, for stateful
 // kinds, its checkpointer — the single dispatch Checkpoint and Resume
 // share, so adding a schedule kind touches exactly one switch.
-func topoState(dyn dyngraph.Dynamic) (int, topoCheckpointer) {
+func topoState(dyn dyngraph.Dynamic) (int, dyngraph.Checkpointer) {
 	switch d := dyn.(type) {
 	case *adversary.Engine:
 		// Adversary engines serialize their RNG stream, epoch and current

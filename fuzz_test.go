@@ -7,6 +7,7 @@ package mobilegossip_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -90,6 +91,43 @@ func TestResumeRejectsTokenPastBacking(t *testing.T) {
 	}
 }
 
+// negativeEpochCheckpoint is checkpointBytes(tb, 10) with the epoch of one
+// schedule section ("adversary.engine" or the "mobility.schedule" nested in
+// it) overwritten by -3: a state no run writes, which used to resume without
+// error on the wrong trajectory. Both sections open with their name, n and
+// four RNG words; the epoch after them is one varint byte either way.
+func negativeEpochCheckpoint(tb testing.TB, section string) []byte {
+	data := checkpointBytes(tb, 10)
+	at := bytes.Index(data, []byte(section))
+	if at < 0 {
+		tb.Fatalf("no %q section in the checkpoint", section)
+	}
+	at += len(section)
+	for i := 0; i < 5; i++ { // n, then the RNG state
+		_, w := binary.Uvarint(data[at:])
+		at += w
+	}
+	var enc [binary.MaxVarintLen64]byte
+	if epoch, w := binary.Varint(data[at:]); epoch != 9 || w != 1 || binary.PutVarint(enc[:], -3) != 1 {
+		tb.Fatalf("%q: found epoch %d in %d bytes, want 9 in one", section, epoch, w)
+	}
+	data[at] = enc[0]
+	return data
+}
+
+// TestResumeRejectsNegativeEpoch: either layer's restore names the epoch.
+func TestResumeRejectsNegativeEpoch(t *testing.T) {
+	for section, prefix := range map[string]string{
+		"adversary.engine":  "adversary: dyngraph: checkpoint epoch -3",
+		"mobility.schedule": "mobility: checkpoint epoch -3",
+	} {
+		_, err := mobilegossip.Resume(bytes.NewReader(negativeEpochCheckpoint(t, section)))
+		if err == nil || !strings.Contains(err.Error(), prefix) {
+			t.Errorf("%s at epoch -3: Resume err = %v, want %q", section, err, prefix)
+		}
+	}
+}
+
 // resumeFuzzN peeks at the checkpointed network size so the fuzz target can
 // skip inputs whose (possibly mutated) config would make Resume allocate a
 // huge-but-structurally-valid simulation; the robustness property under
@@ -121,6 +159,7 @@ func FuzzResume(f *testing.F) {
 	f.Add(flipped)
 	f.Add(pastBackingCheckpoint(f, 70+64))
 	f.Add(pastBackingCheckpoint(f, 200))
+	f.Add(negativeEpochCheckpoint(f, "mobility.schedule"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if n, ok := resumeFuzzN(data); ok && (n < 0 || n > 4096) {

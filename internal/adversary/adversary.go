@@ -3,10 +3,11 @@
 // by per-round connectivity and the stability factor τ. Where
 // dyngraph.Regen redraws whole topologies and internal/mobility moves a
 // physical crowd, this package *perturbs* an arbitrary base schedule — it
-// cuts (and may inject) edges each epoch under a strategy, repairs
-// connectivity with the same representative-chain bridges the mobility
-// field uses (graph.Connector), refills the CSR in place from the resulting
-// sorted edge list (graph.Patcher.Load), and reports every change as a
+// cuts (and may inject) edges each epoch under a strategy. What it produces
+// is the epoch's sorted effective edge list; the dyngraph.Stepper it shares
+// with internal/mobility does the rest: repairs connectivity with
+// representative-chain bridges (graph.Connector), refills the CSR in place
+// from the list (graph.Patcher.Load), and reports every change as a
 // dyngraph.Delta.
 //
 // Three strategy families are provided (see strategies.go):
@@ -72,43 +73,26 @@ type Options struct {
 	Rebuild bool
 }
 
-// checkpointable is the stateful-schedule contract the Engine forwards to
-// its base (mobility.Schedule satisfies it); pure-function bases (Static,
-// Regen) serialize nothing.
-type checkpointable interface {
-	CheckpointTo(w *ckpt.Writer)
-	RestoreFrom(r *ckpt.Reader) error
-}
-
 // Engine is a dyngraph.DeltaDynamic that applies a Strategy over a base
 // schedule. Construct with New, optionally Bind a StateReader, then hand it
-// to the simulation engine like any other dynamic topology.
+// to the simulation engine like any other dynamic topology. The embedded
+// dyngraph.Stepper does the τ-stepping (At, DeltaFor, Epoch, connectivity
+// repair, churn count, CSR load, replay on a backward query); what is the
+// Engine's own is producing an epoch's effective edge list.
 type Engine struct {
+	*dyngraph.Stepper
 	base   dyngraph.Dynamic
 	strat  Strategy
-	n      int
-	tau    int // dyngraph.Infinite when frozen
 	seed   uint64
 	budget int
-	reb    bool
 	reader StateReader
 	name   string
 
 	rng      *prand.RNG
 	perm     []int // fixed seeded permutation (the oblivious schedules' substrate)
 	pos      []int // pos[u] = index of u in perm
-	epoch    int   // current epoch; -1 = nothing computed yet (lazy first epoch)
 	baseBuf  []uint64
-	eff      [2][]uint64 // double-buffered sorted effective edge lists
-	cur      int
-	tmp      []uint64
 	ops      Ops
-	conn     *graph.Connector
-	patcher  *graph.Patcher
-	g        *graph.Graph
-	delta    dyngraph.Delta
-	added    [][2]int32
-	removed  [][2]int32
 	rank     []int32 // RankDesc output buffer
 	score    []int   // RankDesc score buffer
 	epochCtx Epoch
@@ -117,26 +101,15 @@ type Engine struct {
 var _ dyngraph.DeltaDynamic = (*Engine)(nil)
 
 // New wraps base — any Dynamic over the same vertex set, including a
-// mobility schedule — with strat. The first epoch is computed lazily at the
-// first At call, so a StateReader bound between construction and round 1
-// already shapes the initial topology.
+// mobility schedule — with strat. Nothing is produced before the first At
+// call (Epoch reports -1 until then, which the session layer polls to
+// publish adversary-epoch events), so a StateReader bound between
+// construction and round 1 already shapes the initial topology.
 func New(base dyngraph.Dynamic, strat Strategy, o Options) *Engine {
-	tau := o.Tau
-	if tau <= 0 {
-		tau = dyngraph.Infinite
-	}
-	n := base.N()
-	e := &Engine{
-		base: base, strat: strat, n: n, tau: tau,
-		seed: o.Seed, budget: o.Budget, reb: o.Rebuild,
-		conn: graph.NewConnector(n), patcher: graph.NewPatcher(n),
-	}
-	tauStr := fmt.Sprintf("τ=%d", tau)
-	if tau == dyngraph.Infinite {
-		tauStr = "τ=∞"
-	}
-	e.name = fmt.Sprintf("adv(%s,%s)+%s", strat.Name(), tauStr, base.Name())
-	e.reset()
+	e := &Engine{base: base, strat: strat, seed: o.Seed, budget: o.Budget, pos: make([]int, base.N())}
+	e.Stepper = dyngraph.NewStepper(base.N(), o.Tau, strat.Name(), o.Rebuild, e.rewind, e.produce)
+	e.name = fmt.Sprintf("adv(%s,%s)+%s", strat.Name(), e.TauString(), base.Name())
+	e.rewind()
 	return e
 }
 
@@ -144,80 +117,36 @@ func New(base dyngraph.Dynamic, strat Strategy, o Options) *Engine {
 // before the first round query; the simulation session layer does.
 func (e *Engine) Bind(r StateReader) { e.reader = r }
 
-// Epoch returns the perturbation epoch the engine currently sits in, or
-// -1 before the lazily computed first epoch. The session layer polls it
-// after every round to publish adversary-epoch events.
-func (e *Engine) Epoch() int { return e.epoch }
-
-// reset returns the engine to its pre-round-1 state: fresh RNG, fixed
-// permutation rebuilt from the seed, no epoch computed.
-func (e *Engine) reset() {
+// rewind returns the engine's private randomness to its start: fresh RNG,
+// fixed permutation rebuilt from the seed.
+func (e *Engine) rewind() {
 	e.rng = prand.New(prand.Mix64(e.seed ^ 0x7b14_6e5a_91cd_0fd3))
 	permRng := prand.New(prand.Mix64(e.seed ^ 0x1f83_d9ab_fb41_bd6b))
-	e.perm = permRng.Perm(e.n)
-	if e.pos == nil {
-		e.pos = make([]int, e.n)
-	}
+	e.perm = permRng.Perm(e.N())
 	for i, u := range e.perm {
 		e.pos[u] = i
 	}
-	e.epoch = -1
-	e.eff[0] = e.eff[0][:0]
-	e.eff[1] = e.eff[1][:0]
-	e.cur = 0
-	e.delta = dyngraph.Delta{}
 }
 
-func (e *Engine) epochOf(r int) int {
-	if r < 1 {
-		r = 1
-	}
-	if e.tau == dyngraph.Infinite {
-		return 0
-	}
-	return (r - 1) / e.tau
-}
-
-// At implements dyngraph.Dynamic. The returned graph aliases engine buffers
-// and is valid until the engine advances to a later epoch.
-func (e *Engine) At(r int) *graph.Graph {
-	target := e.epochOf(r)
-	if target < e.epoch {
-		e.reset()
-	}
-	for e.epoch < target {
-		e.step()
-	}
-	return e.g
-}
-
-// step advances one adversary epoch: pull the base topology, run the
-// strategy, repair connectivity, diff (for the reported delta), and load the
-// CSR (or rebuild).
-func (e *Engine) step() {
-	next := e.epoch + 1
-	baseRound := 1
-	if e.tau != dyngraph.Infinite {
-		baseRound = next*e.tau + 1
-	}
-	bg := e.base.At(baseRound)
+// produce appends adversary epoch next's effective edge list: pull the base
+// topology of the epoch's first round, run the strategy, and merge
+// (base \ cuts) ∪ links.
+func (e *Engine) produce(next int, buf []uint64) []uint64 {
+	bg := e.base.At(e.FirstRound(next))
 	e.baseBuf = bg.AppendPackedEdges(e.baseBuf[:0])
 
 	// Strategy pass: collect cuts/links on the reused Ops.
 	e.ops.reset(bg, e.budget)
 	e.epochCtx = Epoch{
-		E: next, N: e.n, Base: bg, RNG: e.rng,
+		E: next, N: e.N(), Base: bg, RNG: e.rng,
 		Perm: e.perm, Pos: e.pos,
 		Tokens: e.tokenCount,
 		eng:    e,
 	}
 	e.strat.Perturb(&e.epochCtx, &e.ops)
 	slices.Sort(e.ops.cuts)
-	slices.Sort(e.ops.links)
-	e.ops.links = slices.Compact(e.ops.links)
 
-	// Effective list: (base \ cuts) ∪ links, all streams sorted.
-	out := e.tmp[:0]
+	// base \ cuts, both streams sorted.
 	ci := 0
 	for _, edge := range e.baseBuf {
 		for ci < len(e.ops.cuts) && e.ops.cuts[ci] < edge {
@@ -226,57 +155,16 @@ func (e *Engine) step() {
 		if ci < len(e.ops.cuts) && e.ops.cuts[ci] == edge {
 			continue
 		}
-		out = append(out, edge)
+		buf = append(buf, edge)
 	}
+	// ∪ links. No catalogue strategy injects any, so the rare union is an
+	// append, sort and compact rather than a second merge and its staging.
 	if len(e.ops.links) > 0 {
-		merged := e.eff[1-e.cur][:0]
-		i, j := 0, 0
-		for i < len(out) && j < len(e.ops.links) {
-			switch {
-			case out[i] == e.ops.links[j]:
-				merged = append(merged, out[i])
-				i++
-				j++
-			case out[i] < e.ops.links[j]:
-				merged = append(merged, out[i])
-				i++
-			default:
-				merged = append(merged, e.ops.links[j])
-				j++
-			}
-		}
-		merged = append(merged, out[i:]...)
-		merged = append(merged, e.ops.links[j:]...)
-		e.tmp = out
-		out = merged
-	} else {
-		// No injections: swap the buffers so out lands in the next slot.
-		e.tmp = e.eff[1-e.cur]
+		buf = append(buf, e.ops.links...)
+		slices.Sort(buf)
+		buf = slices.Compact(buf)
 	}
-	out = e.conn.Connect(out)
-
-	prev := e.eff[e.cur]
-	e.added, e.removed = graph.DiffPacked(prev, out, e.added[:0], e.removed[:0])
-	e.eff[1-e.cur] = out
-	e.cur = 1 - e.cur
-	e.epoch = next
-	e.delta = dyngraph.Delta{}
-	if next > 0 { // epoch 0 shapes round 1: there is no earlier graph to differ from
-		e.delta = dyngraph.Delta{Added: e.added, Removed: e.removed}
-	}
-	e.loadGraph()
-}
-
-// loadGraph makes e.g the CSR of the current effective edge list: filled
-// into the patcher's spare buffers straight from the sorted list or, in
-// Rebuild mode, built from scratch.
-func (e *Engine) loadGraph() {
-	edges, name := e.eff[e.cur], fmt.Sprintf("%s@e%d", e.strat.Name(), e.epoch)
-	if e.reb {
-		e.g = graph.BuildPacked(e.n, edges, name)
-		return
-	}
-	e.g = e.patcher.Load(edges, name)
+	return buf
 }
 
 // tokenCount is the Epoch.Tokens implementation: the bound StateReader, or
@@ -288,22 +176,6 @@ func (e *Engine) tokenCount(u int) int {
 	return e.reader.TokenCount(u)
 }
 
-// DeltaFor implements dyngraph.DeltaDynamic: the delta is nonzero exactly
-// at the first round of an epoch whose perturbation changed some edge.
-func (e *Engine) DeltaFor(r int) dyngraph.Delta {
-	e.At(r)
-	if e.epoch <= 0 || e.tau == dyngraph.Infinite || r != e.epoch*e.tau+1 {
-		return dyngraph.Delta{}
-	}
-	return e.delta
-}
-
-// N implements dyngraph.Dynamic.
-func (e *Engine) N() int { return e.n }
-
-// Stability implements dyngraph.Dynamic.
-func (e *Engine) Stability() int { return e.tau }
-
 // Name implements dyngraph.Dynamic.
 func (e *Engine) Name() string { return e.name }
 
@@ -312,20 +184,19 @@ func (e *Engine) Strategy() Strategy { return e.strat }
 
 // CheckpointTo serializes the engine's mutable state — RNG stream, epoch
 // index, the current effective edge list — plus the base schedule's state
-// when it carries any (mobility trajectories). The CSR is loaded from the
-// edge list on restore, the same way every epoch's is. Strategies are pure
+// when it carries any (mobility trajectories). Strategies are pure
 // functions of the serialized state and carry none of their own.
 func (e *Engine) CheckpointTo(w *ckpt.Writer) {
 	w.Section("adversary.engine")
-	w.Int(e.n)
+	w.Int(e.N())
 	st := e.rng.State()
 	w.U64(st[0])
 	w.U64(st[1])
 	w.U64(st[2])
 	w.U64(st[3])
-	w.Int(e.epoch)
-	w.U64s(e.eff[e.cur])
-	cp, ok := e.base.(checkpointable)
+	w.Int(e.Epoch())
+	w.U64s(e.Edges())
+	cp, ok := e.base.(dyngraph.Checkpointer)
 	w.Bool(ok)
 	if ok {
 		cp.CheckpointTo(w)
@@ -340,42 +211,27 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n != e.n {
-		return fmt.Errorf("adversary: checkpoint for %d nodes, engine has %d", n, e.n)
+	if n != e.N() {
+		return fmt.Errorf("adversary: checkpoint for %d nodes, engine has %d", n, e.N())
 	}
-	e.rng.SetState([4]uint64{r.U64(), r.U64(), r.U64(), r.U64()})
+	rng := [4]uint64{r.U64(), r.U64(), r.U64(), r.U64()}
 	epoch := r.Int()
 	edges := r.U64s()
 	hasBase := r.Bool()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	// Validate the edge list here, where a corrupt stream can still fail
-	// by name: Load panics on an out-of-range endpoint or a non-canonical
-	// order, and a list that slipped past it would sit in e.eff and skew
-	// every later diff and connectivity repair.
-	if err := graph.CheckPacked(edges, e.n); err != nil {
-		return fmt.Errorf("adversary: checkpoint edge list: %w", err)
-	}
-	cp, ok := e.base.(checkpointable)
+	cp, ok := e.base.(dyngraph.Checkpointer)
 	if hasBase != ok {
 		return fmt.Errorf("adversary: checkpoint base state (%v) does not match rebuilt base (%v)", hasBase, ok)
 	}
+	if err := e.Install(epoch, edges); err != nil {
+		return fmt.Errorf("adversary: %w", err)
+	}
+	e.rng.SetState(rng)
 	if hasBase {
-		if err := cp.RestoreFrom(r); err != nil {
-			return err
-		}
+		return cp.RestoreFrom(r)
 	}
-	e.cur = 0
-	e.eff[0] = append(e.eff[0][:0], edges...)
-	e.eff[1] = e.eff[1][:0]
-	e.epoch = epoch
-	e.delta = dyngraph.Delta{}
-	if epoch < 0 {
-		e.g = nil
-		return nil
-	}
-	e.loadGraph()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package adversary
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mobilegossip/internal/ckpt"
@@ -107,20 +108,10 @@ func TestDeltaMatchesGraphDiff(t *testing.T) {
 			for r := 2; r <= 24; r++ {
 				cur := e.At(r).AppendPackedEdges(nil)
 				d := e.DeltaFor(r)
-				wantAdd, wantRem := graph.DiffPacked(prev, cur, nil, nil)
-				if len(d.Added) != len(wantAdd) || len(d.Removed) != len(wantRem) {
+				wantAdd, wantRem := graph.DiffPacked(prev, cur)
+				if d.Added != wantAdd || d.Removed != wantRem {
 					t.Fatalf("round %d: delta (+%d,-%d), graph diff (+%d,-%d)",
-						r, len(d.Added), len(d.Removed), len(wantAdd), len(wantRem))
-				}
-				for i := range wantAdd {
-					if d.Added[i] != wantAdd[i] {
-						t.Fatalf("round %d: added[%d] = %v, want %v", r, i, d.Added[i], wantAdd[i])
-					}
-				}
-				for i := range wantRem {
-					if d.Removed[i] != wantRem[i] {
-						t.Fatalf("round %d: removed[%d] = %v, want %v", r, i, d.Removed[i], wantRem[i])
-					}
+						r, d.Added, d.Removed, wantAdd, wantRem)
 				}
 				prev = cur
 			}
@@ -273,12 +264,13 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptEdgeList pins the restore-time edge validation:
-// a tampered checkpoint whose edge list carries an out-of-range endpoint or
+// TestRestoreRejectsCorruptEdgeList pins the restore-time validation: a
+// tampered checkpoint whose edge list carries an out-of-range endpoint or
 // breaks canonical order must fail RestoreFrom by error — not reach
-// Patcher.Load, which panics on such a list.
+// Patcher.Load, which panics on such a list — and so must an epoch no
+// engine can be in, which would otherwise resume on the wrong trajectory.
 func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
-	write := func(edges []uint64) []byte {
+	write := func(epoch int, edges []uint64) []byte {
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
 		w.Section("adversary.engine")
@@ -286,7 +278,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			w.U64(uint64(i + 1))
 		}
-		w.Int(2) // epoch
+		w.Int(epoch)
 		w.U64s(edges)
 		w.Bool(false) // stateless base
 		if err := w.Flush(); err != nil {
@@ -294,27 +286,115 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	cases := map[string][]uint64{
-		"endpoint out of range": {graph.PackEdge(0, 1), uint64(2)<<32 | 1000},
-		"self loop":             {uint64(3)<<32 | 3},
-		"reversed orientation":  {uint64(5)<<32 | 2},
-		"not ascending":         {graph.PackEdge(2, 3), graph.PackEdge(0, 1)},
-		"duplicate":             {graph.PackEdge(0, 1), graph.PackEdge(0, 1)},
+	good := []uint64{graph.PackEdge(0, 1), graph.PackEdge(1, 2), graph.PackEdge(2, 7)}
+	cases := map[string]struct {
+		epoch int
+		edges []uint64
+	}{
+		"endpoint out of range": {2, []uint64{graph.PackEdge(0, 1), uint64(2)<<32 | 1000}},
+		"self loop":             {2, []uint64{uint64(3)<<32 | 3}},
+		"reversed orientation":  {2, []uint64{uint64(5)<<32 | 2}},
+		"not ascending":         {2, []uint64{graph.PackEdge(2, 3), graph.PackEdge(0, 1)}},
+		"duplicate":             {2, []uint64{graph.PackEdge(0, 1), graph.PackEdge(0, 1)}},
+		"negative epoch":        {-3, good},
+		"no epoch yet a list":   {-1, good},
 	}
-	for name, edges := range cases {
+	for name, tc := range cases {
 		e := New(staticBase(8, 1), Bipartition(), Options{Tau: 1, Seed: 2})
-		if err := e.RestoreFrom(ckpt.NewReader(bytes.NewReader(write(edges)))); err == nil {
-			t.Errorf("%s: corrupt edge list restored without error", name)
+		err := e.RestoreFrom(ckpt.NewReader(bytes.NewReader(write(tc.epoch, tc.edges))))
+		if err == nil || !strings.HasPrefix(err.Error(), "adversary: ") {
+			t.Errorf("%s: corrupt checkpoint restored with error %v", name, err)
 		}
 	}
-	// The same stream with a clean list restores and keeps stepping.
-	good := []uint64{graph.PackEdge(0, 1), graph.PackEdge(1, 2), graph.PackEdge(2, 7)}
-	e := New(staticBase(8, 1), Bipartition(), Options{Tau: 1, Seed: 2})
-	if err := e.RestoreFrom(ckpt.NewReader(bytes.NewReader(write(good)))); err != nil {
-		t.Fatalf("clean restore failed: %v", err)
+	// The same stream with a clean list restores and keeps stepping, and so
+	// does the pre-round-1 state a lazy engine checkpoints.
+	for _, clean := range [][]byte{write(2, good), write(-1, nil)} {
+		e := New(staticBase(8, 1), Bipartition(), Options{Tau: 1, Seed: 2})
+		if err := e.RestoreFrom(ckpt.NewReader(bytes.NewReader(clean))); err != nil {
+			t.Fatalf("clean restore failed: %v", err)
+		}
+		if g := e.At(9); !g.Connected() {
+			t.Fatal("post-restore topology disconnected")
+		}
 	}
-	if g := e.At(9); !g.Connected() {
-		t.Fatal("post-restore topology disconnected")
+}
+
+// linker is a strategy that injects as well as cuts: per epoch it links the
+// chords {u, u+E+2} (some already base edges, one pair twice) and cuts every
+// base edge at vertex E.
+type linker struct{}
+
+func (linker) Name() string { return "linker" }
+func (linker) Perturb(ep *Epoch, ops *Ops) {
+	for u := ep.N - 1; u >= 0; u-- { // descending: the engine must sort
+		ops.Link(u, (u+ep.E+2)%ep.N)
+	}
+	ops.Link(0, ep.E+2)
+	ops.CutNode(ep.E % ep.N)
+}
+
+// TestLinksMergeIntoEffectiveList: the effective topology is exactly
+// (base \ cuts) ∪ links — checked edge by edge against the base graph, over
+// a ring (whose chords at E = n-3 coincide with base edges) — and the loaded
+// CSR still matches the rebuild oracle.
+func TestLinksMergeIntoEffectiveList(t *testing.T) {
+	const n = 12
+	base := graph.Cycle(n)
+	e := New(dyngraph.NewStatic(base), linker{}, Options{Tau: 1, Seed: 3})
+	oracle := New(dyngraph.NewStatic(base), linker{}, Options{Tau: 1, Seed: 3, Rebuild: true})
+	for r := 1; r <= n; r++ {
+		g, epoch := e.At(r), r-1
+		if !g.EqualCSR(oracle.At(r)) || !g.Connected() {
+			t.Fatalf("round %d: loaded CSR diverges from the rebuild oracle", r)
+		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				linked := (u+epoch+2)%n == v || (v+epoch+2)%n == u
+				cut := u == epoch%n || v == epoch%n
+				want := linked || base.HasEdge(u, v) && !cut
+				// Repair may add bridges, but only where the cut isolated a vertex.
+				if got := g.HasEdge(u, v); got != want && !(got && cut) {
+					t.Fatalf("round %d: edge {%d,%d} present = %v, want %v", r, u, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// countingModel counts how often the stepping layer above asks a motion
+// model to start over and to move.
+type countingModel struct {
+	mobility.Model
+	inits, steps int
+}
+
+func (m *countingModel) Init(n int, rng *prand.RNG, x, y []float64) {
+	m.inits++
+	m.Model.Init(n, rng, x, y)
+}
+
+func (m *countingModel) Step(epoch int, rng *prand.RNG, x, y []float64) {
+	m.steps++
+	m.Model.Step(epoch, rng, x, y)
+}
+
+// TestStackedInnerAdvancesOncePerOuterEpoch: an adversary at τ = 2 over a
+// mobility schedule at τ = 2 pulls the base once per epoch of its own — the
+// inner trajectory moves exactly once per outer epoch, never rewinds, and
+// both layers sit in the same epoch at every round.
+func TestStackedInnerAdvancesOncePerOuterEpoch(t *testing.T) {
+	const n, tau, rounds = 60, 2, 41
+	model := &countingModel{Model: mobility.Waypoint(0.05, 1)}
+	inner := mobility.New(model, mobility.Options{N: n, Tau: tau, Seed: 7})
+	outer := New(inner, Bipartition(), Options{Tau: tau, Seed: 91})
+	for r := 1; r <= rounds; r++ {
+		outer.At(r)
+		outer.DeltaFor(r)
+		want := (r - 1) / tau
+		if outer.Epoch() != want || inner.Epoch() != want || model.steps != want || model.inits != 1 {
+			t.Fatalf("round %d: outer epoch %d, inner epoch %d, %d moves, %d placements; want epoch %d, as many moves, one placement",
+				r, outer.Epoch(), inner.Epoch(), model.steps, model.inits, want)
+		}
 	}
 }
 

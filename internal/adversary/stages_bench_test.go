@@ -1,0 +1,73 @@
+package adversary
+
+import (
+	"testing"
+	"time"
+
+	"mobilegossip/internal/dyngraph"
+	"mobilegossip/internal/graph"
+	"mobilegossip/internal/mobility"
+)
+
+// timedBase charges the time spent inside the base schedule to ns.
+type timedBase struct {
+	dyngraph.Dynamic
+	ns time.Duration
+}
+
+func (t *timedBase) At(r int) *graph.Graph {
+	t0 := time.Now()
+	g := t.Dynamic.At(r)
+	t.ns += time.Since(t0)
+	return g
+}
+
+// BenchmarkChurnStages times the stages of one adversary epoch separately,
+// at the shape of the bench's mobile-churn workload after its rebind
+// (bipartition with a budget of 10,000 cuts over n = 50,000 waypoint
+// walkers, τ = 1): pull the base
+// topology (the whole inner mobility epoch, which internal/mobility's
+// benchmark of the same name splits into its own five stages), run the
+// strategy (base list, cuts, merge), repair connectivity, count the
+// difference from the previous epoch's list, load the CSR. It drives the
+// Engine's own produce and the graph package's repair / diff / load in the
+// order dyngraph.Stepper runs them, on buffers of its own, so the product
+// path carries no timers. Each stage is reported as <stage>-ms/epoch;
+// DESIGN.md §8 has the table.
+func BenchmarkChurnStages(b *testing.B) {
+	const n = 50000
+	base := &timedBase{Dynamic: mobility.New(mobility.Waypoint(0.01, 2), mobility.Options{N: n, Tau: 1, Seed: 1})}
+	e := New(base, Bipartition(), Options{Tau: 1, Seed: 2, Budget: 10000})
+	conn, patcher := graph.NewConnector(n), graph.NewPatcher(n)
+	var lists [2][]uint64
+	cur, epoch := 0, -1
+	var produce, repair, diff, load time.Duration
+	epochStep := func() {
+		epoch++
+		t0 := time.Now()
+		next := e.produce(epoch, lists[1-cur][:0])
+		t1 := time.Now()
+		next = conn.Connect(next)
+		t2 := time.Now()
+		graph.DiffPacked(lists[cur], next)
+		t3 := time.Now()
+		patcher.Load(next, "stage")
+		t4 := time.Now()
+		lists[1-cur], cur = next, 1-cur
+		produce, repair, diff, load = produce+t1.Sub(t0), repair+t2.Sub(t1), diff+t3.Sub(t2), load+t4.Sub(t3)
+	}
+	for i := 0; i < 4; i++ { // grow every buffer to its high-water mark
+		epochStep()
+	}
+	base.ns, produce, repair, diff, load = 0, 0, 0, 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epochStep()
+	}
+	for _, st := range []struct {
+		name string
+		d    time.Duration
+	}{{"base", base.ns}, {"strategy", produce - base.ns}, {"repair", repair}, {"diff", diff}, {"load", load}} {
+		b.ReportMetric(st.d.Seconds()*1e3/float64(b.N), st.name+"-ms/epoch")
+	}
+}

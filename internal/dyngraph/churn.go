@@ -43,10 +43,7 @@ func NewSequence(tau int, name string, graphs ...*graph.Graph) (*Sequence, error
 
 // At implements Dynamic.
 func (s *Sequence) At(r int) *graph.Graph {
-	if r < 1 {
-		r = 1
-	}
-	epoch := (r - 1) / s.tau
+	epoch := epochOf(r, s.tau)
 	if epoch >= len(s.graphs) {
 		epoch = len(s.graphs) - 1
 	}

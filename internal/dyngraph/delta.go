@@ -2,16 +2,15 @@ package dyngraph
 
 import "mobilegossip/internal/graph"
 
-// Delta is the edge difference between consecutive rounds' topologies: the
-// edges that appeared and the edges that vanished, as (u, v) pairs with
-// u < v. Empty slices mean the topology did not change entering the round.
+// Delta is the edge difference between consecutive rounds' topologies, as
+// the two counts its readers read: how many edges appeared and how many
+// vanished. Zero counts mean the topology did not change entering the round.
 type Delta struct {
-	Added   [][2]int32
-	Removed [][2]int32
+	Added, Removed int
 }
 
 // Change reports whether the delta alters the topology.
-func (d Delta) Change() bool { return len(d.Added) > 0 || len(d.Removed) > 0 }
+func (d Delta) Change() bool { return d.Added > 0 || d.Removed > 0 }
 
 // DeltaDynamic is a Dynamic that can report the edge delta that produced
 // round r's topology from round r-1's — the contract that lets the engine
@@ -19,10 +18,8 @@ func (d Delta) Change() bool { return len(d.Added) > 0 || len(d.Removed) > 0 }
 // Deltas are reported, not applied: the schedules in internal/mobility and
 // internal/adversary refill their CSR from the epoch's sorted edge list
 // (graph.Patcher.Load), whose cost does not depend on the delta's size.
-// DeltaFor(r) must agree with At: applying the delta to At(r-1) yields
-// At(r), and DeltaFor(1) is empty (there is no round 0). The returned
-// slices may alias schedule-internal buffers and are valid only until the
-// schedule advances past round r.
+// DeltaFor(r) must agree with At: the counts equal the set difference of
+// At(r-1) and At(r), and DeltaFor(1) is zero (there is no round 0).
 type DeltaDynamic interface {
 	Dynamic
 	DeltaFor(r int) Delta
@@ -50,10 +47,11 @@ type Churn struct {
 
 // MeasureChurn replays rounds 1..rounds of d and tallies the edge churn.
 // DeltaDynamic schedules are read through DeltaFor; any other Dynamic is
-// diffed graph against graph (skipped entirely when At returns the same
-// *Graph, which is how Static and the epoch-caching schedules behave
-// between changes). The replay advances d's state: for stateful schedules
-// measure on a throwaway instance, not the one an engine is about to run.
+// diffed packed edge list against packed edge list (skipped entirely when
+// At returns the same *Graph, which is how Static and the epoch-caching
+// schedules behave between changes). The replay advances d's state: for
+// stateful schedules measure on a throwaway instance, not the one an engine
+// is about to run.
 func MeasureChurn(d Dynamic, rounds int) Churn {
 	c := Churn{Rounds: rounds, EffectiveTau: Infinite}
 	if rounds < 1 {
@@ -63,20 +61,25 @@ func MeasureChurn(d Dynamic, rounds int) Churn {
 	dd, _ := d.(DeltaDynamic)
 	prev := d.At(1)
 	c.MinEdges, c.MaxEdges = prev.NumEdges(), prev.NumEdges()
+	var prevEdges, edges []uint64 // diff path only: prev's list, and a spare
+	if dd == nil {
+		prevEdges = prev.AppendPackedEdges(nil)
+	}
 	lastChange := 0
 	for r := 2; r <= rounds; r++ {
 		g := d.At(r)
-		var added, removed int
+		var delta Delta
 		if dd != nil {
-			delta := dd.DeltaFor(r)
-			added, removed = len(delta.Added), len(delta.Removed)
+			delta = dd.DeltaFor(r)
 		} else if g != prev {
-			added, removed = countEdgeDiff(prev, g)
+			edges = g.AppendPackedEdges(edges[:0])
+			delta.Added, delta.Removed = graph.DiffPacked(prevEdges, edges)
+			prevEdges, edges = edges, prevEdges
 		}
-		if added > 0 || removed > 0 {
+		if delta.Change() {
 			c.Changes++
-			c.Added += int64(added)
-			c.Removed += int64(removed)
+			c.Added += int64(delta.Added)
+			c.Removed += int64(delta.Removed)
 			if lastChange > 0 && r-lastChange < c.EffectiveTau {
 				c.EffectiveTau = r - lastChange
 			}
@@ -90,43 +93,4 @@ func MeasureChurn(d Dynamic, rounds int) Churn {
 		prev = g
 	}
 	return c
-}
-
-// countEdgeDiff counts the edges of b missing from a (added) and the edges
-// of a missing from b (removed) by merging the sorted adjacency ranges,
-// counting each undirected edge once at its smaller endpoint.
-func countEdgeDiff(a, b *graph.Graph) (added, removed int) {
-	n := a.N()
-	for u := 0; u < n; u++ {
-		av, bv := a.Adjacency(u), b.Adjacency(u)
-		i, j := 0, 0
-		for i < len(av) && j < len(bv) {
-			switch {
-			case av[i] == bv[j]:
-				i++
-				j++
-			case av[i] < bv[j]:
-				if av[i] > int32(u) {
-					removed++
-				}
-				i++
-			default:
-				if bv[j] > int32(u) {
-					added++
-				}
-				j++
-			}
-		}
-		for ; i < len(av); i++ {
-			if av[i] > int32(u) {
-				removed++
-			}
-		}
-		for ; j < len(bv); j++ {
-			if bv[j] > int32(u) {
-				added++
-			}
-		}
-	}
-	return added, removed
 }

@@ -7,6 +7,12 @@
 // Schedules are deterministic functions of a seed, fixed (conceptually) at
 // the start of the execution as the model requires, and oblivious to the
 // algorithm's coin flips.
+//
+// Static, Regen and Sequence hold whole graphs. The schedules that produce a
+// sorted edge list per epoch instead — internal/mobility, internal/adversary
+// — share one Stepper (stepper.go) for everything τ means: which epoch a
+// round is in, when to produce the next list, what changed (a Delta, two
+// counts), and how a checkpointed epoch is put back.
 package dyngraph
 
 import (
@@ -85,10 +91,7 @@ func NewRegen(n, tau int, seed uint64, name string, gen Generator) *Regen {
 
 // At implements Dynamic.
 func (d *Regen) At(r int) *graph.Graph {
-	if r < 1 {
-		r = 1
-	}
-	epoch := (r - 1) / d.tau
+	epoch := epochOf(r, d.tau)
 	if g, ok := d.cache[epoch]; ok {
 		return g
 	}
@@ -177,11 +180,7 @@ func Alpha(d Dynamic, epochs, samples int, rng *prand.RNG) float64 {
 	}
 	best := 2.0
 	for e := 0; e < epochs; e++ {
-		r := e*max(d.Stability(), 1) + 1
-		if d.Stability() == Infinite {
-			r = 1
-		}
-		a := d.At(r).EstimateVertexExpansion(samples, rng)
+		a := d.At(firstRound(e, d.Stability())).EstimateVertexExpansion(samples, rng)
 		if a < best {
 			best = a
 		}
@@ -196,11 +195,7 @@ func MaxDegree(d Dynamic, epochs int) int {
 	}
 	dd := 0
 	for e := 0; e < epochs; e++ {
-		r := e*max(d.Stability(), 1) + 1
-		if d.Stability() == Infinite {
-			r = 1
-		}
-		if v := d.At(r).MaxDegree(); v > dd {
+		if v := d.At(firstRound(e, d.Stability())).MaxDegree(); v > dd {
 			dd = v
 		}
 	}

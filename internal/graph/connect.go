@@ -36,7 +36,7 @@ func NewConnector(n int) *Connector {
 // representative-chain bridges inserted in sorted position. The returned
 // slice may be a Connector-owned buffer, and the input buffer may be
 // retained as future scratch — callers treat both as interchangeable
-// reusable storage (the mobility field's double buffers circulate through
+// reusable storage (dyngraph.Stepper's double buffers circulate through
 // here by design).
 func (c *Connector) Connect(edges []uint64) []uint64 {
 	n := len(c.parent)

@@ -46,15 +46,17 @@ func TestAppendPackedEdgesSortedAndComplete(t *testing.T) {
 func TestDiffPacked(t *testing.T) {
 	prev := packedList([2]int32{0, 1}, [2]int32{1, 2}, [2]int32{2, 3})
 	next := packedList([2]int32{0, 1}, [2]int32{1, 3}, [2]int32{2, 3}, [2]int32{3, 4})
-	added, removed := DiffPacked(prev, next, nil, nil)
-	if len(added) != 2 || added[0] != [2]int32{1, 3} || added[1] != [2]int32{3, 4} {
-		t.Fatalf("added = %v", added)
+	if added, removed := DiffPacked(prev, next); added != 2 || removed != 1 {
+		t.Fatalf("diff = +%d -%d, want +2 -1", added, removed)
 	}
-	if len(removed) != 1 || removed[0] != [2]int32{1, 2} {
-		t.Fatalf("removed = %v", removed)
+	if added, removed := DiffPacked(next, prev); added != 1 || removed != 2 {
+		t.Fatalf("reverse diff = +%d -%d, want +1 -2", added, removed)
 	}
-	if a, r := DiffPacked(prev, prev, nil, nil); len(a) != 0 || len(r) != 0 {
-		t.Fatalf("self diff = %v %v", a, r)
+	if added, removed := DiffPacked(nil, next); added != len(next) || removed != 0 {
+		t.Fatalf("diff from empty = +%d -%d", added, removed)
+	}
+	if a, r := DiffPacked(prev, prev); a != 0 || r != 0 {
+		t.Fatalf("self diff = +%d -%d", a, r)
 	}
 }
 

@@ -2,10 +2,11 @@ package graph
 
 // Packed edge lists are the exchange format between the dynamic-topology
 // producers (internal/mobility's proximity pipeline, internal/adversary's
-// perturbation engine) and the CSR maintenance layer: an undirected edge
-// {u, v} with u < v is one uint64, u<<32 | v, and a whole topology is a
-// sorted []uint64 — mergeable, diffable and comparable with flat integer
-// scans, no per-edge allocation.
+// perturbation engine) and the CSR maintenance layer (dyngraph.Stepper:
+// Connector, DiffPacked, Patcher.Load): an undirected edge {u, v} with
+// u < v is one uint64, u<<32 | v, and a whole topology is a sorted []uint64
+// — mergeable, diffable and comparable with flat integer scans, no per-edge
+// allocation.
 
 // PackEdge packs the undirected edge {u, v} into its canonical uint64 form
 // (smaller endpoint in the high word).
@@ -34,11 +35,10 @@ func (g *Graph) AppendPackedEdges(buf []uint64) []uint64 {
 	return buf
 }
 
-// DiffPacked merges two sorted packed edge lists and appends the edges only
-// in next to added and the edges only in prev to removed — the (u, v) pair
-// form a dyngraph.Delta reports. Pass in reusable buffers (typically
-// buf[:0]); the extended slices are returned.
-func DiffPacked(prev, next []uint64, added, removed [][2]int32) (a, r [][2]int32) {
+// DiffPacked merges two sorted packed edge lists and counts the edges only
+// in next (added) and the edges only in prev (removed) — the two numbers a
+// dyngraph.Delta reports.
+func DiffPacked(prev, next []uint64) (added, removed int) {
 	i, j := 0, 0
 	for i < len(prev) && j < len(next) {
 		switch {
@@ -46,20 +46,14 @@ func DiffPacked(prev, next []uint64, added, removed [][2]int32) (a, r [][2]int32
 			i++
 			j++
 		case prev[i] < next[j]:
-			removed = append(removed, UnpackEdge(prev[i]))
+			removed++
 			i++
 		default:
-			added = append(added, UnpackEdge(next[j]))
+			added++
 			j++
 		}
 	}
-	for ; i < len(prev); i++ {
-		removed = append(removed, UnpackEdge(prev[i]))
-	}
-	for ; j < len(next); j++ {
-		added = append(added, UnpackEdge(next[j]))
-	}
-	return added, removed
+	return added + len(next) - j, removed + len(prev) - i
 }
 
 // BuildPacked constructs a fresh graph from a packed edge list through the

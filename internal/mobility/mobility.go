@@ -17,22 +17,21 @@
 //     round's topology connected, §2): component representatives are
 //     chained with virtual relay edges — the sparse long-range fallback
 //     links (satellite/infrastructure hops) real smartphone meshes assume;
-//  4. the sorted edge list is diffed against the previous epoch's in one
-//     merge pass — the delta is what the schedule reports — and the CSR is
-//     refilled in place from the sorted list itself (graph.Patcher.Load):
-//     count, prefix-sum, fill, no sort, no allocation, the same cost
-//     whether one edge moved or all of them.
+//  4. the sorted edge list is compared with the previous epoch's in one
+//     merge walk that only counts — the two counts are the delta the
+//     schedule reports — and the CSR is refilled in place from the sorted
+//     list itself (graph.Patcher.Load): count, prefix-sum, fill, no sort,
+//     no allocation, the same cost whether one edge moved or all of them.
 //
-// Schedules built from this package implement dyngraph.DeltaDynamic, so the
-// engine gets per-round churn accounting, and graphinfo/harness can report
-// effective stability. See DESIGN.md §8.
+// Steps 1 and 2 are this package's (Schedule.produce); steps 3 and 4, the
+// epoch counter, the τ arithmetic and the replay on a backward query are
+// the dyngraph.Stepper every edge-list schedule shares. Schedules built
+// from this package implement dyngraph.DeltaDynamic, so the engine gets
+// per-round churn accounting, and graphinfo/harness can report effective
+// stability. See DESIGN.md §8.
 package mobility
 
-import (
-	"math"
-
-	"mobilegossip/internal/graph"
-)
+import "math"
 
 // DefaultRadius returns the radio radius giving a mean unit-disk degree of
 // ≈ 8 for n uniform points in the unit square (π·r²·n = 8): dense enough
@@ -64,13 +63,6 @@ type field struct {
 	// hot 9-cell loop.
 	pxy  []float64
 	cand []int32 // per-point neighbor candidates (v > u)
-
-	edges [2][]uint64 // double-buffered sorted packed (u<<32|v) edge lists
-	cur   int         // which buffer holds the current epoch's edges
-
-	conn *graph.Connector // connectivity repair (relay-bridge chains)
-
-	added, removed [][2]int32 // diff output, reused
 }
 
 func newField(n int, r float64) *field {
@@ -99,28 +91,7 @@ func newField(n int, r float64) *field {
 		clCur:  make([]int32, cells),
 		clPts:  make([]int32, n),
 		pxy:    make([]float64, 2*n),
-		conn:   graph.NewConnector(n),
 	}
-}
-
-// reset forgets the previous epoch's edges (used on schedule replay).
-func (f *field) reset() {
-	f.edges[0] = f.edges[0][:0]
-	f.edges[1] = f.edges[1][:0]
-	f.cur = 0
-}
-
-// advance recomputes the proximity graph for the current positions, repairs
-// connectivity, and returns the edge delta against the previous epoch. The
-// returned slices alias f's buffers and are valid until the next advance.
-func (f *field) advance() (added, removed [][2]int32) {
-	prev := f.edges[f.cur]
-	next := f.computeEdges(f.edges[1-f.cur][:0])
-	next = f.conn.Connect(next)
-	f.edges[1-f.cur] = next
-	f.cur = 1 - f.cur
-	f.added, f.removed = graph.DiffPacked(prev, next, f.added[:0], f.removed[:0])
-	return f.added, f.removed
 }
 
 // computeEdges emits the unit-disk edges in globally sorted packed order:

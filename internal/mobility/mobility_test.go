@@ -8,6 +8,8 @@ package mobility
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"mobilegossip/internal/ckpt"
@@ -54,7 +56,7 @@ func TestDeltaMatchesRebuildConnectedAndStable(t *testing.T) {
 					}
 					lastChange = r
 					// The delta must account exactly for the edge-count move.
-					want := prevEdges + len(d.Added) - len(d.Removed)
+					want := prevEdges + d.Added - d.Removed
 					if dg.NumEdges() != want {
 						t.Fatalf("%s τ=%d r=%d: %d edges, delta predicts %d",
 							name, tau, r, dg.NumEdges(), want)
@@ -128,33 +130,60 @@ func TestDefaultRadius(t *testing.T) {
 
 // TestRestoreRejectsCorruptEdgeList: the CSR is loaded straight from the
 // checkpointed edge list, and Load panics on a list that is not canonical —
-// so a tampered list must fail RestoreFrom by error first.
+// so a tampered list must fail RestoreFrom by error first. So must an epoch
+// no written schedule can be in: New is eager, so anything below 0 would
+// otherwise resume silently on the wrong trajectory.
 func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 	opts := Options{N: 60, Tau: 1, Seed: 4}
-	snapshot := func(tamper func(edges []uint64)) *ckpt.Reader {
+	// snapshot checkpoints a schedule at round 5 (epoch 4) with its edge list
+	// tampered in place, and its epoch overwritten when epoch != 4.
+	snapshot := func(tamper func(edges []uint64), epoch int) *ckpt.Reader {
 		src := New(Waypoint(0.02, 2), opts)
 		src.At(5)
-		tamper(src.field.edges[src.field.cur])
-		var buf bytes.Buffer
+		tamper(src.Edges())
+		var buf, head bytes.Buffer
 		w := ckpt.NewWriter(&buf)
 		src.CheckpointTo(w)
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		// The epoch follows the section name, n and the four RNG words; any
+		// epoch in [-64, 63] is one varint byte.
+		hw := ckpt.NewWriter(&head)
+		hw.Section("mobility.schedule")
+		hw.Int(opts.N)
+		for _, word := range src.rng.State() {
+			hw.U64(word)
+		}
+		if err := hw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var enc [binary.MaxVarintLen64]byte
+		if !bytes.HasPrefix(buf.Bytes(), head.Bytes()) || binary.PutVarint(enc[:], int64(epoch)) != 1 {
+			t.Fatal("cannot overwrite the checkpoint's epoch in place")
+		}
+		buf.Bytes()[head.Len()] = enc[0]
 		return ckpt.NewReader(&buf)
 	}
-	for name, tamper := range map[string]func(edges []uint64){
-		"not ascending":         func(e []uint64) { e[3], e[4] = e[4], e[3] },
-		"duplicate":             func(e []uint64) { e[4] = e[3] },
-		"endpoint out of range": func(e []uint64) { e[len(e)-1] = uint64(58)<<32 | 60 },
-		"self loop":             func(e []uint64) { e[0] = 0 },
+	intact := func([]uint64) {}
+	for name, tc := range map[string]struct {
+		tamper func(edges []uint64)
+		epoch  int
+	}{
+		"not ascending":         {func(e []uint64) { e[3], e[4] = e[4], e[3] }, 4},
+		"duplicate":             {func(e []uint64) { e[4] = e[3] }, 4},
+		"endpoint out of range": {func(e []uint64) { e[len(e)-1] = uint64(58)<<32 | 60 }, 4},
+		"self loop":             {func(e []uint64) { e[0] = 0 }, 4},
+		"negative epoch":        {intact, -3},
+		"no epoch":              {intact, -1},
 	} {
-		if err := New(Waypoint(0.02, 2), opts).RestoreFrom(snapshot(tamper)); err == nil {
-			t.Errorf("%s: corrupt edge list restored without error", name)
+		err := New(Waypoint(0.02, 2), opts).RestoreFrom(snapshot(tc.tamper, tc.epoch))
+		if err == nil || !strings.HasPrefix(err.Error(), "mobility: ") {
+			t.Errorf("%s: corrupt checkpoint restored with error %v", name, err)
 		}
 	}
 	fresh, want := New(Waypoint(0.02, 2), opts), New(Waypoint(0.02, 2), opts)
-	if err := fresh.RestoreFrom(snapshot(func([]uint64) {})); err != nil {
+	if err := fresh.RestoreFrom(snapshot(intact, 4)); err != nil {
 		t.Fatalf("clean restore failed: %v", err)
 	}
 	if !fresh.At(9).EqualCSR(want.At(9)) {

@@ -5,7 +5,6 @@ import (
 
 	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/dyngraph"
-	"mobilegossip/internal/graph"
 	"mobilegossip/internal/prand"
 )
 
@@ -32,155 +31,83 @@ type Options struct {
 }
 
 // Schedule drives a Model and emits its unit-disk proximity graph as a
-// dyngraph.DeltaDynamic: per round the engine sees a connected topology
-// whose CSR is refilled in place from the epoch's sorted edge list, and
-// changes are reported as edge deltas. Rounds are meant to be queried in
-// ascending order (the engine's access pattern); a query behind the current
-// epoch deterministically replays the trajectory from the seed.
+// dyngraph.DeltaDynamic. The embedded dyngraph.Stepper does the τ-stepping
+// (At, DeltaFor, connectivity repair, churn count, CSR load, replay on a
+// backward query); what is the Schedule's own is producing an epoch's edge
+// list — move the crowd, scan for proximity — from its seeded trajectory.
 type Schedule struct {
-	n      int
-	tau    int // dyngraph.Infinite when frozen
-	radius float64
-	seed   uint64
-	model  Model
-	opts   Options
-
-	rng     *prand.RNG
-	field   *field
-	patcher *graph.Patcher
-	epoch   int // current epoch index; rounds (epoch·τ)+1 … (epoch+1)·τ
-	g       *graph.Graph
-	delta   dyngraph.Delta // the delta that opened the current epoch
-	name    string
+	*dyngraph.Stepper
+	seed  uint64
+	model Model
+	rng   *prand.RNG
+	field *field
+	name  string
 }
 
 var _ dyngraph.DeltaDynamic = (*Schedule)(nil)
 
 // New builds the schedule and materializes its round-1 topology.
 func New(m Model, o Options) *Schedule {
-	tau := o.Tau
-	if tau <= 0 {
-		tau = dyngraph.Infinite
-	}
-	s := &Schedule{
-		n: o.N, tau: tau, radius: o.Radius, seed: o.Seed, model: m, opts: o,
-		field: newField(o.N, o.Radius), patcher: graph.NewPatcher(o.N),
-	}
-	s.radius = s.field.r
-	tauStr := fmt.Sprintf("τ=%d", tau)
-	if tau == dyngraph.Infinite {
-		tauStr = "τ=∞"
-	}
-	s.name = fmt.Sprintf("mobility(%s,%s,r=%.4f)", m.Name(), tauStr, s.radius)
-	s.reset()
+	s := &Schedule{seed: o.Seed, model: m, field: newField(o.N, o.Radius)}
+	s.Stepper = dyngraph.NewStepper(o.N, o.Tau, m.Name(), o.Rebuild, s.rewind, s.produce)
+	s.name = fmt.Sprintf("mobility(%s,%s,r=%.4f)", m.Name(), s.TauString(), s.field.r)
+	s.rewind()
+	s.At(1)
 	return s
 }
 
-// reset (re)plays the schedule from its initial state: model placement and
-// round-1 proximity graph.
-func (s *Schedule) reset() {
+// rewind returns the trajectory to its start: fresh RNG, initial placement.
+func (s *Schedule) rewind() {
 	s.rng = prand.New(prand.Mix64(s.seed ^ 0x53a3f3aa35b1f74d))
-	s.model.Init(s.n, s.rng, s.field.x, s.field.y)
-	s.field.reset()
-	s.field.advance() // first advance: delta against the empty graph
-	s.epoch = 0
-	s.delta = dyngraph.Delta{}
-	s.loadGraph()
+	s.model.Init(s.N(), s.rng, s.field.x, s.field.y)
 }
 
-// loadGraph makes s.g the CSR of the current epoch's edge list: filled into
-// the patcher's spare buffers straight from the sorted list or, in Rebuild
-// mode, built from scratch.
-func (s *Schedule) loadGraph() {
-	edges, name := s.field.edges[s.field.cur], fmt.Sprintf("%s@e%d", s.model.Name(), s.epoch)
-	if s.opts.Rebuild {
-		s.g = graph.BuildPacked(s.n, edges, name)
-		return
+// produce appends motion epoch e's proximity edges: epoch 0 is the initial
+// placement, every later one moves the crowd first.
+func (s *Schedule) produce(epoch int, buf []uint64) []uint64 {
+	if epoch > 0 {
+		s.model.Step(epoch, s.rng, s.field.x, s.field.y)
 	}
-	s.g = s.patcher.Load(edges, name)
-}
-
-func (s *Schedule) epochOf(r int) int {
-	if r < 1 {
-		r = 1
-	}
-	if s.tau == dyngraph.Infinite {
-		return 0
-	}
-	return (r - 1) / s.tau
-}
-
-// At implements dyngraph.Dynamic. The returned graph aliases schedule
-// buffers and is valid until the schedule advances to a later epoch.
-func (s *Schedule) At(r int) *graph.Graph {
-	e := s.epochOf(r)
-	if e < s.epoch {
-		s.reset()
-	}
-	for s.epoch < e {
-		s.step()
-	}
-	return s.g
-}
-
-// step advances one motion epoch: move, recompute proximity, repair,
-// diff (for the reported delta), and load the CSR (or rebuild).
-func (s *Schedule) step() {
-	s.model.Step(s.epoch+1, s.rng, s.field.x, s.field.y)
-	added, removed := s.field.advance()
-	s.delta = dyngraph.Delta{Added: added, Removed: removed}
-	s.epoch++
-	s.loadGraph()
-}
-
-// DeltaFor implements dyngraph.DeltaDynamic: the delta is nonzero exactly
-// at the first round of an epoch whose motion changed some edge.
-func (s *Schedule) DeltaFor(r int) dyngraph.Delta {
-	s.At(r)
-	if s.epoch == 0 || s.tau == dyngraph.Infinite || r != s.epoch*s.tau+1 {
-		return dyngraph.Delta{}
-	}
-	return s.delta
+	return s.field.computeEdges(buf)
 }
 
 // CheckpointTo serializes the schedule's mutable trajectory state: the
 // shared RNG stream, the epoch index, every node's position, the model's
-// per-node state, and the current epoch's sorted edge list. The CSR graph
-// itself is not serialized — it is loaded from the edge list on restore,
-// the same way every epoch's is (DESIGN.md §8). A resumed schedule therefore
-// continues its trajectory directly instead of replaying every motion
-// epoch from the seed.
+// per-node state, and the current epoch's sorted edge list. A resumed
+// schedule therefore continues its trajectory directly instead of replaying
+// every motion epoch from the seed.
 func (s *Schedule) CheckpointTo(w *ckpt.Writer) {
 	w.Section("mobility.schedule")
-	w.Int(s.n)
+	w.Int(s.N())
 	st := s.rng.State()
 	w.U64(st[0])
 	w.U64(st[1])
 	w.U64(st[2])
 	w.U64(st[3])
-	w.Int(s.epoch)
+	w.Int(s.Epoch())
 	w.F64s(s.field.x)
 	w.F64s(s.field.y)
 	s.model.CheckpointTo(w)
-	w.U64s(s.field.edges[s.field.cur])
+	w.U64s(s.Edges())
 }
 
 // RestoreFrom loads a CheckpointTo stream into a schedule freshly built
 // with the same Options, overwriting the round-1 state New materialized.
-// Checkpoints are taken at round boundaries, where the delta that opened
-// the current epoch has already been consumed by the engine, so it is
-// reset rather than serialized.
 func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
 	r.Section("mobility.schedule")
 	n := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n != s.n {
-		return fmt.Errorf("mobility: checkpoint for %d nodes, schedule has %d", n, s.n)
+	if n != s.N() {
+		return fmt.Errorf("mobility: checkpoint for %d nodes, schedule has %d", n, s.N())
 	}
-	s.rng.SetState([4]uint64{r.U64(), r.U64(), r.U64(), r.U64()})
+	rng := [4]uint64{r.U64(), r.U64(), r.U64(), r.U64()}
 	epoch := r.Int()
+	if epoch < 0 { // New is eager: a written schedule has produced round 1
+		return fmt.Errorf("mobility: checkpoint epoch %d < 0", epoch)
+	}
+	s.rng.SetState(rng)
 	r.F64sInto(s.field.x)
 	r.F64sInto(s.field.y)
 	if err := r.Err(); err != nil {
@@ -193,28 +120,14 @@ func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	// Load panics on a list that is not canonical; a corrupt stream must
-	// fail here, by name, instead.
-	if err := graph.CheckPacked(edges, s.n); err != nil {
-		return fmt.Errorf("mobility: checkpoint edge list: %w", err)
+	if err := s.Install(epoch, edges); err != nil {
+		return fmt.Errorf("mobility: %w", err)
 	}
-	s.field.edges[0] = append(s.field.edges[0][:0], edges...)
-	s.field.edges[1] = s.field.edges[1][:0]
-	s.field.cur = 0
-	s.epoch = epoch
-	s.delta = dyngraph.Delta{}
-	s.loadGraph()
 	return nil
 }
-
-// N implements dyngraph.Dynamic.
-func (s *Schedule) N() int { return s.n }
-
-// Stability implements dyngraph.Dynamic.
-func (s *Schedule) Stability() int { return s.tau }
 
 // Name implements dyngraph.Dynamic.
 func (s *Schedule) Name() string { return s.name }
 
 // Radius returns the (possibly defaulted) radio range in effect.
-func (s *Schedule) Radius() float64 { return s.radius }
+func (s *Schedule) Radius() float64 { return s.field.r }

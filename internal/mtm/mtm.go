@@ -419,8 +419,8 @@ func (e *Engine) Step() (RoundStats, error) {
 	g := e.dyn.At(r)
 	if e.deltaDyn != nil {
 		d := e.deltaDyn.DeltaFor(r)
-		stats.EdgesAdded = len(d.Added)
-		stats.EdgesRemoved = len(d.Removed)
+		stats.EdgesAdded = d.Added
+		stats.EdgesRemoved = d.Removed
 		e.res.EdgesAdded += int64(stats.EdgesAdded)
 		e.res.EdgesRemoved += int64(stats.EdgesRemoved)
 	}

@@ -4,27 +4,43 @@
 # guide §8 asks of every gain claim. Driven by `make ab`; it only *calls*
 # bench/run.sh of each tree, exactly as the driver does.
 #
-#   scripts/ab.sh <workload> [pairs=10] [base=HEAD]
+#   scripts/ab.sh [--self] <workload> [pairs=10] [base=HEAD]
 #
 # Every run is appended to .bench_build/ab/runs-<workload>.tsv (side, pair,
 # failed, then one column per end-to-end metric); the summary over that
 # invocation's runs is printed at the end.
+#
+# --self (make ab SELF=1) runs the working tree on both sides — the noise
+# floor of the box: the summary must end in "no difference", and the spread
+# it prints is what a real A/B's medians are read against. Its runs go to
+# runs-<workload>-self.tsv.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-w=${1:?usage: scripts/ab.sh <workload> [pairs] [base]}
+self=
+if [ "${1:-}" = --self ]; then
+	self=1
+	shift
+fi
+w=${1:?usage: scripts/ab.sh [--self] <workload> [pairs] [base]}
 pairs=${2:-10}
 base=${3:-HEAD}
 metrics="wall_s setup_s rounds_per_s" # BENCHMARK.json end_to_end; rounds_per_s is higher-better
 
-sha=$(git rev-parse --verify "$base^{commit}")
 ab=.bench_build/ab
-tree=$ab/$sha
-if [ ! -d "$tree" ]; then
-	mkdir -p "$tree"
-	git archive "$sha" | tar -x -C "$tree"
+mkdir -p "$ab"
+if [ -n "$self" ]; then
+	sha="the working tree"
+	tree=.
+else
+	sha=$(git rev-parse --verify "$base^{commit}")
+	tree=$ab/$sha
+	if [ ! -d "$tree" ]; then
+		mkdir -p "$tree"
+		git archive "$sha" | tar -x -C "$tree"
+	fi
 fi
-tsv=$ab/runs-$w.tsv
+tsv=$ab/runs-$w${self:+-self}.tsv
 cur=$(mktemp)
 trap 'rm -f "$cur"' EXIT
 
@@ -54,7 +70,7 @@ done
 # Per metric and side: median and quartiles; pairs won by the change (ties
 # count for neither side); and the §8 verdict — at least nine tenths of the
 # pairs won and medians further apart than the base's own interquartile range.
-awk -F'\t' -v metrics="$metrics" '
+awk -F'\t' -v metrics="$metrics" -v self="$self" '
 function quantile(a, n, q,    h, lo) {
 	h = (n - 1) * q; lo = int(h)
 	return lo + 1 >= n ? a[n] : a[lo + 1] + (h - lo) * (a[lo + 2] - a[lo + 1])
@@ -86,8 +102,14 @@ END {
 		iqr = quantile(sb, pairs, 0.75) - quantile(sb, pairs, 0.25)
 		gain = higher ? cm - bm : bm - cm
 		printf "%-13s base   median %-10.4g q1 %-10.4g q3 %-10.4g\n", name[m], bm, quantile(sb, pairs, 0.25), quantile(sb, pairs, 0.75)
-		printf "%-13s change median %-10.4g q1 %-10.4g q3 %-10.4g ratio %.3f  pairs won %d/%d lost %d  %s\n", "", cm, quantile(sc, pairs, 0.25), quantile(sc, pairs, 0.75), (bm ? cm / bm : 0), won, pairs, lost, \
-			(won >= 0.9 * pairs && gain > iqr) ? "GAIN" : (lost >= 0.9 * pairs && -gain > iqr) ? "WORSE" : "no claim"
+		verdict = (won >= 0.9 * pairs && gain > iqr) ? "GAIN" : (lost >= 0.9 * pairs && -gain > iqr) ? "WORSE" : "no claim"
+		if (verdict != "no claim") differs = differs " " name[m]
+		printf "%-13s change median %-10.4g q1 %-10.4g q3 %-10.4g ratio %.3f  pairs won %d/%d lost %d  %s\n", "", cm, quantile(sc, pairs, 0.25), quantile(sc, pairs, 0.75), (bm ? cm / bm : 0), won, pairs, lost, verdict
+		if (self && bm) printf "%-13s noise floor: medians %.1f%% apart, quartiles %.1f%% of the median apart\n", "", 100 * (cm > bm ? cm - bm : bm - cm) / bm, 100 * iqr / bm
 	}
 	printf "failed        base %d, change %d\n", failed["base"], failed["change"]
+	if (self) {
+		if (differs == "") print "self: no difference"
+		else { print "self: one tree differs from itself on" differs " — this box cannot carry an A/B now"; exit 1 }
+	}
 }' "$cur"
