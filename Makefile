@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # daemon's concurrency tests cover a few timing-dependent branches.)
 COVER_MIN ?= 86.0
 
-.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify loc ab ci
+.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline bench-stages determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify loc ab ci
 
 all: build
 
@@ -134,6 +134,21 @@ bench-gate: bench-core
 # result after intentional performance changes.
 bench-baseline: bench-core
 	$(GO) run ./cmd/benchgate -input bench-core.txt -out BENCH_core.json -benchtime $(BENCHTIME)
+
+# bench-stages prints the numbers behind DESIGN.md §8 "Where an epoch's
+# time goes" and §10/§14's rebind cost in one command: both packages'
+# BenchmarkChurnStages (per-stage ms of a motion epoch and of an adversary
+# epoch stacked on it) and BenchmarkRebindJump (ms for a fresh schedule's
+# first query at round 31 and 1,001), all at the mobile-churn shape
+# (n = 50,000), five runs each, reduced to per-stage medians. The raw output
+# goes to bench-stages.txt first, so a benchmark that fails to build or
+# panics fails the target instead of yielding medians over part of a run.
+# The suffix of each row's name is the GOMAXPROCS it ran at; quote it, and
+# nproc, beside any number taken from here.
+bench-stages:
+	$(GO) test -run='^$$' -bench='^BenchmarkChurnStages$$' -benchtime=30x -count=5 ./internal/mobility ./internal/adversary > bench-stages.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkRebindJump$$' -benchtime=3x -count=5 ./internal/adversary >> bench-stages.txt
+	@awk -f scripts/quantile.awk -f scripts/medians.awk bench-stages.txt
 
 # determinism-matrix checks the engine's bit-reproducibility invariant
 # over the whole (GOMAXPROCS × engine workers) grid in one reusable

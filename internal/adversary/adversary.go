@@ -26,10 +26,13 @@
 // queried in ascending order by the simulation engine; with that access
 // pattern every execution is byte-deterministic and checkpointable
 // (CheckpointTo/RestoreFrom serialize the full mutable state, including the
-// inner schedule's when it carries any). A backward query replays the
-// schedule from its seed, which reproduces oblivious and catastrophic
-// strategies exactly; adaptive strategies replay against the *current*
-// algorithm state, so stateful callers must not rewind mid-run (none do).
+// inner schedule's when it carries any). A strategy is a pure function of
+// the Epoch it is handed, so the Stepper runs it only for the epochs a query
+// reads: a rebound schedule's first query, at round R, perturbs R's epoch
+// and the one before it. A backward query rewinds and jumps the same way,
+// which reproduces oblivious and catastrophic strategies exactly; adaptive
+// ones then read the *current* algorithm state, so stateful callers must
+// not rewind mid-run (none do).
 package adversary
 
 import (
@@ -60,8 +63,8 @@ type Options struct {
 	// which is what lets stable-topology algorithms (CrowdedBin) run under
 	// an adversary.
 	Tau int
-	// Seed determines the adversary's private randomness (permutations,
-	// strategy coin flips); independent of the base schedule's seed.
+	// Seed determines the adversary's private randomness (the vertex
+	// permutation); independent of the base schedule's seed.
 	Seed uint64
 	// Budget caps the edges the adversary may cut per epoch; 0 = unlimited.
 	Budget int
@@ -77,8 +80,8 @@ type Options struct {
 // schedule. Construct with New, optionally Bind a StateReader, then hand it
 // to the simulation engine like any other dynamic topology. The embedded
 // dyngraph.Stepper does the τ-stepping (At, DeltaFor, Epoch, connectivity
-// repair, churn count, CSR load, replay on a backward query); what is the
-// Engine's own is producing an epoch's effective edge list.
+// repair, churn count, CSR load, the jump on a far or backward query);
+// what is the Engine's own is producing an epoch's effective edge list.
 type Engine struct {
 	*dyngraph.Stepper
 	base   dyngraph.Dynamic
@@ -88,7 +91,6 @@ type Engine struct {
 	reader StateReader
 	name   string
 
-	rng      *prand.RNG
 	perm     []int // fixed seeded permutation (the oblivious schedules' substrate)
 	pos      []int // pos[u] = index of u in perm
 	baseBuf  []uint64
@@ -107,7 +109,7 @@ var _ dyngraph.DeltaDynamic = (*Engine)(nil)
 // construction and round 1 already shapes the initial topology.
 func New(base dyngraph.Dynamic, strat Strategy, o Options) *Engine {
 	e := &Engine{base: base, strat: strat, seed: o.Seed, budget: o.Budget, pos: make([]int, base.N())}
-	e.Stepper = dyngraph.NewStepper(base.N(), o.Tau, strat.Name(), o.Rebuild, e.rewind, e.produce)
+	e.Stepper = dyngraph.NewStepper(base.N(), o.Tau, strat.Name(), o.Rebuild, e.rewind, func(int) {}, e.produce)
 	e.name = fmt.Sprintf("adv(%s,%s)+%s", strat.Name(), e.TauString(), base.Name())
 	e.rewind()
 	return e
@@ -117,10 +119,9 @@ func New(base dyngraph.Dynamic, strat Strategy, o Options) *Engine {
 // before the first round query; the simulation session layer does.
 func (e *Engine) Bind(r StateReader) { e.reader = r }
 
-// rewind returns the engine's private randomness to its start: fresh RNG,
-// fixed permutation rebuilt from the seed.
+// rewind rebuilds the fixed permutation from the seed — all the engine owns.
+// The Stepper's advance half is empty: the base jumps itself when produce asks.
 func (e *Engine) rewind() {
-	e.rng = prand.New(prand.Mix64(e.seed ^ 0x7b14_6e5a_91cd_0fd3))
 	permRng := prand.New(prand.Mix64(e.seed ^ 0x1f83_d9ab_fb41_bd6b))
 	e.perm = permRng.Perm(e.N())
 	for i, u := range e.perm {
@@ -138,7 +139,7 @@ func (e *Engine) produce(next int, buf []uint64) []uint64 {
 	// Strategy pass: collect cuts/links on the reused Ops.
 	e.ops.reset(bg, e.budget)
 	e.epochCtx = Epoch{
-		E: next, N: e.N(), Base: bg, RNG: e.rng,
+		E: next, N: e.N(), Base: bg,
 		Perm: e.perm, Pos: e.pos,
 		Tokens: e.tokenCount,
 		eng:    e,
@@ -182,18 +183,18 @@ func (e *Engine) Name() string { return e.name }
 // Strategy returns the engine's strategy (for display and tests).
 func (e *Engine) Strategy() Strategy { return e.strat }
 
-// CheckpointTo serializes the engine's mutable state — RNG stream, epoch
-// index, the current effective edge list — plus the base schedule's state
-// when it carries any (mobility trajectories). Strategies are pure
-// functions of the serialized state and carry none of their own.
+// CheckpointTo serializes the engine's mutable state — epoch index, the
+// current effective edge list — plus the base schedule's state when it
+// carries any (mobility trajectories). Strategies carry none. The four
+// words after the node count are the seed state of a stream strategies were
+// once handed and never drew from: written, and skipped on restore, so that
+// version-3 checkpoints keep their bytes.
 func (e *Engine) CheckpointTo(w *ckpt.Writer) {
 	w.Section("adversary.engine")
 	w.Int(e.N())
-	st := e.rng.State()
-	w.U64(st[0])
-	w.U64(st[1])
-	w.U64(st[2])
-	w.U64(st[3])
+	for _, word := range prand.New(prand.Mix64(e.seed ^ 0x7b14_6e5a_91cd_0fd3)).State() {
+		w.U64(word)
+	}
 	w.Int(e.Epoch())
 	w.U64s(e.Edges())
 	cp, ok := e.base.(dyngraph.Checkpointer)
@@ -214,7 +215,9 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
 	if n != e.N() {
 		return fmt.Errorf("adversary: checkpoint for %d nodes, engine has %d", n, e.N())
 	}
-	rng := [4]uint64{r.U64(), r.U64(), r.U64(), r.U64()}
+	for range 4 { // the never-drawn stream, see CheckpointTo
+		r.U64()
+	}
 	epoch := r.Int()
 	edges := r.U64s()
 	hasBase := r.Bool()
@@ -228,7 +231,6 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
 	if err := e.Install(epoch, edges); err != nil {
 		return fmt.Errorf("adversary: %w", err)
 	}
-	e.rng.SetState(rng)
 	if hasBase {
 		return cp.RestoreFrom(r)
 	}
@@ -236,6 +238,8 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
 }
 
 // Epoch is the read view handed to a Strategy at the start of each epoch.
+// It offers nothing to mutate or draw from: Perturb leaves no trace beyond
+// the Ops it fills, which lets a forward jump skip the epochs nobody reads.
 type Epoch struct {
 	// E is the epoch index; 0 shapes the initial (round 1) topology.
 	E int
@@ -243,9 +247,6 @@ type Epoch struct {
 	N int
 	// Base is the epoch's unperturbed base topology.
 	Base *graph.Graph
-	// RNG is the adversary's seeded stream; its state is checkpointed, so
-	// strategies may draw freely.
-	RNG *prand.RNG
 	// Perm is a fixed seeded permutation of the vertices and Pos its
 	// inverse — the precomputed substrate of the oblivious partitions.
 	Perm, Pos []int
@@ -333,7 +334,7 @@ func (o *Ops) Remaining() int {
 // duplicate cuts are ignored and consume no budget; cuts past the budget
 // are dropped.
 func (o *Ops) Cut(u, v int) {
-	if o.Exhausted() || u == v {
+	if o.Exhausted() || u == v || !o.inRange(u) || !o.inRange(v) {
 		return
 	}
 	if !o.base.HasEdge(u, v) {
@@ -360,6 +361,9 @@ func (o *Ops) cutPresent(u, v int32) {
 
 // CutNode suppresses every base edge incident to u (within budget).
 func (o *Ops) CutNode(u int) {
+	if !o.inRange(u) {
+		return
+	}
 	for _, v := range o.base.Adjacency(u) {
 		if o.Exhausted() {
 			return
@@ -372,8 +376,11 @@ func (o *Ops) CutNode(u int) {
 // destruction, and the connectivity repair injects bridges anyway).
 // Self-loops are ignored; edges already present merge away.
 func (o *Ops) Link(u, v int) {
-	if u == v || u < 0 || v < 0 || u >= o.base.N() || v >= o.base.N() {
+	if u == v || !o.inRange(u) || !o.inRange(v) {
 		return
 	}
 	o.links = append(o.links, graph.PackEdge(int32(u), int32(v)))
 }
+
+// inRange reports whether u names a vertex of the epoch's base graph.
+func (o *Ops) inRange(u int) bool { return u >= 0 && u < o.base.N() }

@@ -3,6 +3,7 @@ package adversary
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -321,11 +322,21 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 
 // linker is a strategy that injects as well as cuts: per epoch it links the
 // chords {u, u+E+2} (some already base edges, one pair twice) and cuts every
-// base edge at vertex E.
-type linker struct{}
+// base edge at vertex E. A stray linker also names vertices outside the
+// graph in every operation, which must change nothing.
+type linker struct{ stray bool }
 
 func (linker) Name() string { return "linker" }
-func (linker) Perturb(ep *Epoch, ops *Ops) {
+func (l linker) Perturb(ep *Epoch, ops *Ops) {
+	if l.stray {
+		ops.Cut(ep.N, 0)
+		ops.Cut(-1, 0)
+		ops.Cut(0, ep.N+5)
+		ops.CutNode(ep.N)
+		ops.CutNode(-1)
+		ops.Link(-1, 2)
+		ops.Link(3, ep.N)
+	}
 	for u := ep.N - 1; u >= 0; u-- { // descending: the engine must sort
 		ops.Link(u, (u+ep.E+2)%ep.N)
 	}
@@ -336,11 +347,14 @@ func (linker) Perturb(ep *Epoch, ops *Ops) {
 // TestLinksMergeIntoEffectiveList: the effective topology is exactly
 // (base \ cuts) ∪ links — checked edge by edge against the base graph, over
 // a ring (whose chords at E = n-3 coincide with base edges) — and the loaded
-// CSR still matches the rebuild oracle.
+// CSR still matches the rebuild oracle. Operations on vertices outside the
+// graph are ignored like the non-edges they are and spend no budget: the
+// stray linker, held to a budget the in-range cuts exactly fill, yields the
+// plain linker's list.
 func TestLinksMergeIntoEffectiveList(t *testing.T) {
 	const n = 12
 	base := graph.Cycle(n)
-	e := New(dyngraph.NewStatic(base), linker{}, Options{Tau: 1, Seed: 3})
+	e := New(dyngraph.NewStatic(base), linker{stray: true}, Options{Tau: 1, Seed: 3, Budget: 2})
 	oracle := New(dyngraph.NewStatic(base), linker{}, Options{Tau: 1, Seed: 3, Rebuild: true})
 	for r := 1; r <= n; r++ {
 		g, epoch := e.At(r), r-1
@@ -394,6 +408,128 @@ func TestStackedInnerAdvancesOncePerOuterEpoch(t *testing.T) {
 		if outer.Epoch() != want || inner.Epoch() != want || model.steps != want || model.inits != 1 {
 			t.Fatalf("round %d: outer epoch %d, inner epoch %d, %d moves, %d placements; want epoch %d, as many moves, one placement",
 				r, outer.Epoch(), inner.Epoch(), model.steps, model.inits, want)
+		}
+	}
+}
+
+// countingStrategy counts the epochs its strategy is run for.
+type countingStrategy struct {
+	Strategy
+	perturbs int
+}
+
+func (c *countingStrategy) Perturb(ep *Epoch, ops *Ops) {
+	c.perturbs++
+	c.Strategy.Perturb(ep, ops)
+}
+
+// TestJumpMovesEveryEpochAndPerturbsTwice pins what a rebound schedule's
+// first query costs: asked for round R before any other, the stack moves
+// the crowd once per skipped round — the trajectory is those draws — and
+// runs the strategy for R's epoch and the one before it, nothing else.
+func TestJumpMovesEveryEpochAndPerturbsTwice(t *testing.T) {
+	const n, R = 60, 31
+	model := &countingModel{Model: mobility.Waypoint(0.05, 1)}
+	strat := &countingStrategy{Strategy: Bipartition()}
+	inner := mobility.New(model, mobility.Options{N: n, Tau: 1, Seed: 7})
+	outer := New(inner, strat, Options{Tau: 1, Seed: 91, Budget: 10})
+	outer.DeltaFor(R)
+	if outer.Epoch() != R-1 || inner.Epoch() != R-1 || model.steps != R-1 || model.inits != 1 || strat.perturbs != 2 {
+		t.Fatalf("first query at round %d: outer epoch %d, inner epoch %d, %d moves, %d placements, %d perturbations; want epoch %d, %d moves, one placement, two perturbations",
+			R, outer.Epoch(), inner.Epoch(), model.steps, model.inits, strat.perturbs, R-1, R-1)
+	}
+}
+
+// schedule is what the mobility Schedule and the Engine both are.
+type schedule interface {
+	dyngraph.DeltaDynamic
+	dyngraph.Checkpointer
+	Edges() []uint64
+}
+
+// reached is everything observable of a schedule sitting at round r.
+type reached struct {
+	name  string
+	edges []uint64
+	delta dyngraph.Delta
+	ckpt  []byte
+}
+
+func reach(t *testing.T, s schedule, r int) reached {
+	t.Helper()
+	g := s.At(r)
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	s.CheckpointTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return reached{g.Name(), slices.Clone(s.Edges()), s.DeltaFor(r), buf.Bytes()}
+}
+
+func (a reached) equal(b reached) bool {
+	return a.name == b.name && slices.Equal(a.edges, b.edges) && a.delta == b.delta && bytes.Equal(a.ckpt, b.ckpt)
+}
+
+// TestJumpEqualsWalk: a schedule asked for round R only — fresh, after a
+// backward query, or restored from an early checkpoint — ends where one
+// asked for rounds 1, 2, …, R ends: same graph name, edge list, delta and
+// checkpoint bytes (RNG words, positions, model state, both layers'). The
+// walk is what every schedule did before jumps skipped work, so it is the
+// oracle. Every motion model, bare and under every catalogue strategy with
+// a budget, at τ = 1 and 3; R opens an epoch at both, so the delta is live.
+func TestJumpEqualsWalk(t *testing.T) {
+	const n, R, early = 40, 22, 4
+	models := map[string]func() mobility.Model{
+		"waypoint": func() mobility.Model { return mobility.Waypoint(0.05, 2) },
+		"levy":     func() mobility.Model { return mobility.Levy(0.05, 1.6) },
+		"group":    func() mobility.Model { return mobility.Group(3, 0.7, 0.05) },
+		"commuter": func() mobility.Model { return mobility.Commuter(0.05, 10) },
+	}
+	for mname, model := range models {
+		for _, strat := range append([]Strategy{nil}, Strategies()...) {
+			for _, tau := range []int{1, 3} {
+				layer := "bare"
+				if strat != nil {
+					layer = strat.Name()
+				}
+				t.Run(fmt.Sprintf("%s/%s/τ=%d", mname, layer, tau), func(t *testing.T) {
+					build := func() schedule {
+						base := mobility.New(model(), mobility.Options{N: n, Tau: tau, Seed: 13})
+						if strat == nil {
+							return base
+						}
+						e := New(base, strat, Options{Tau: tau, Seed: 17, Budget: 6})
+						e.Bind(fakeReader{shift: 5})
+						return e
+					}
+					walk := build()
+					var walked, walkedEarly reached
+					for r := 1; r <= R+3; r++ {
+						walk.DeltaFor(r)
+						switch r {
+						case early:
+							walkedEarly = reach(t, walk, r)
+						case R:
+							walked = reach(t, walk, r)
+						}
+					}
+					if jumped := reach(t, build(), R); !jumped.equal(walked) {
+						t.Fatalf("a fresh schedule asked for round %d only is at %q with %d edges, delta %+v; walking there gives %q, %d, %+v (checkpoints equal: %v)",
+							R, jumped.name, len(jumped.edges), jumped.delta, walked.name, len(walked.edges), walked.delta, bytes.Equal(jumped.ckpt, walked.ckpt))
+					}
+					if back := reach(t, walk, R); !back.equal(walked) { // walk sits at R+3
+						t.Fatalf("a backward query to round %d does not land where the walk passed", R)
+					}
+					restored := build()
+					if err := restored.RestoreFrom(ckpt.NewReader(bytes.NewReader(walkedEarly.ckpt))); err != nil {
+						t.Fatal(err)
+					}
+					if resumed := reach(t, restored, R); !resumed.equal(walked) {
+						t.Fatalf("restored at round %d and asked for round %d, the schedule left the walk", early, R)
+					}
+				})
+			}
 		}
 	}
 }

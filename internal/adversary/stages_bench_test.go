@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -29,11 +30,13 @@ func (t *timedBase) At(r int) *graph.Graph {
 // topology (the whole inner mobility epoch, which internal/mobility's
 // benchmark of the same name splits into its own five stages), run the
 // strategy (base list, cuts, merge), repair connectivity, count the
-// difference from the previous epoch's list, load the CSR. It drives the
-// Engine's own produce and the graph package's repair / diff / load in the
-// order dyngraph.Stepper runs them, on buffers of its own, so the product
-// path carries no timers. Each stage is reported as <stage>-ms/epoch;
-// DESIGN.md §8 has the table.
+// difference from the previous epoch's list (what the engine's DeltaFor
+// costs this layer; the base's own is never asked for, so "base" holds
+// none), load the CSR. It drives the Engine's own produce and the graph
+// package's repair / diff / load in the order dyngraph.Stepper runs them,
+// on buffers of its own, so the product path carries no timers. Each stage
+// is reported as <stage>-ms/epoch; DESIGN.md §8 has the table, `make
+// bench-stages` the medians.
 func BenchmarkChurnStages(b *testing.B) {
 	const n = 50000
 	base := &timedBase{Dynamic: mobility.New(mobility.Waypoint(0.01, 2), mobility.Options{N: n, Tau: 1, Seed: 1})}
@@ -69,5 +72,35 @@ func BenchmarkChurnStages(b *testing.B) {
 		d    time.Duration
 	}{{"base", base.ns}, {"strategy", produce - base.ns}, {"repair", repair}, {"diff", diff}, {"load", load}} {
 		b.ReportMetric(st.d.Seconds()*1e3/float64(b.N), st.name+"-ms/epoch")
+	}
+}
+
+// BenchmarkRebindJump times what Simulation.Rebind leaves for the next Step
+// at the shape of the bench's mobile-churn workload: a freshly built
+// schedule (construction untimed) asked for a late round first — round 31,
+// where the workload rebinds, and round 1,001. The jump moves the crowd once
+// per skipped round and scans, perturbs, repairs and loads only where it
+// lands (DESIGN.md §8, §14, §15).
+func BenchmarkRebindJump(b *testing.B) {
+	const n = 50000
+	for _, stacked := range []bool{false, true} {
+		for _, round := range []int{31, 1001} {
+			name := "waypoint"
+			if stacked {
+				name += "+bipartition"
+			}
+			b.Run(fmt.Sprintf("%s/r%d", name, round), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					var d dyngraph.DeltaDynamic = mobility.New(mobility.Waypoint(0.01, 2), mobility.Options{N: n, Tau: 1, Seed: 1})
+					if stacked {
+						d = New(d, Bipartition(), Options{Tau: 1, Seed: 2, Budget: 10000})
+					}
+					b.StartTimer()
+					d.DeltaFor(round)
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/jump")
+			})
+		}
 	}
 }

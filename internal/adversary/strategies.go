@@ -4,8 +4,10 @@ import "fmt"
 
 // Strategy decides, once per adversary epoch, which edges to suppress (and
 // optionally inject) via the Ops collector. Strategies are pure functions
-// of their Epoch view — they hold no mutable state of their own, which is
-// what makes the Engine's checkpoint (RNG + epoch + edge list) complete.
+// of their Epoch view — they hold no mutable state of their own and Perturb
+// leaves no trace beyond the Ops it fills, which is what makes the Engine's
+// checkpoint (epoch + edge list) complete and lets a forward jump run only
+// the epochs a query reads.
 type Strategy interface {
 	// Name labels the strategy for schedule names and tables.
 	Name() string

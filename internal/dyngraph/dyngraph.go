@@ -11,8 +11,11 @@
 // Static, Regen and Sequence hold whole graphs. The schedules that produce a
 // sorted edge list per epoch instead — internal/mobility, internal/adversary
 // — share one Stepper (stepper.go) for everything τ means: which epoch a
-// round is in, when to produce the next list, what changed (a Delta, two
-// counts), and how a checkpointed epoch is put back.
+// round is in, when to move the owner's state and when to ask it for a list
+// (every epoch is advanced through, only the queried epoch and the one
+// before it are listed — a forward jump scans only where it lands), what
+// changed (a Delta, two counts, taken when DeltaFor asks), and how a
+// checkpointed epoch is put back.
 package dyngraph
 
 import (

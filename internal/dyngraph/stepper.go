@@ -35,46 +35,55 @@ type Checkpointer interface {
 // Stepper is the τ-stepping every edge-list schedule shares (§2: which
 // connected graph in which round, changing at most every τ rounds). Its
 // owner — internal/mobility's Schedule, internal/adversary's Engine —
-// supplies only what is its own: produce, which appends epoch e's sorted
-// packed edge list, and rewind, which returns the owner to its state before
-// epoch 0. The Stepper keeps the epoch counter, holds the current and
-// previous lists in two reused buffers, repairs connectivity, counts the
-// churn, refills the CSR (graph.Patcher.Load) and names the graph
-// <label>@e<epoch>.
+// supplies only what is its own, in three parts: rewind returns the owner to
+// its state before epoch 0, advance moves that state into epoch e (the
+// crowd's motion; a no-op for an owner with none), and emit appends epoch
+// e's sorted packed edge list from the state the owner is in. The Stepper keeps
+// the epoch counter, holds the current and previous lists in two reused
+// buffers, repairs connectivity, refills the CSR (graph.Patcher.Load), names
+// the graph <label>@e<epoch>, and counts the churn when DeltaFor asks.
 //
-// Rounds are meant to be queried in ascending order (the engine's access
-// pattern), which asks produce for epochs 0, 1, 2, … once each; a query
-// behind the current epoch rewinds and replays. Nothing is produced before
-// the first query, so an owner decides itself whether round 1 is eager.
+// A query advances through every epoch up to its own but emits only the
+// last two, e−1 and e — the pair DeltaFor differs; the model owes nobody the
+// graphs of rounds never asked for. Ascending queries (the engine's access
+// pattern) therefore see epochs 0, 1, 2, … emitted once each; a forward jump
+// (a fresh or restored schedule asked for a far round) moves the owner's
+// state across the gap and scans only where it lands; a query behind the
+// current epoch rewinds and jumps. Nothing happens before the first query,
+// so an owner decides itself whether round 1 is eager.
 type Stepper struct {
 	n       int
 	tau     int // Infinite when frozen
 	label   string
 	rebuild bool
 	rewind  func()
-	produce func(epoch int, buf []uint64) []uint64
+	advance func(epoch int)
+	emit    func(epoch int, buf []uint64) []uint64
 
-	epoch   int         // current epoch; -1 = none produced yet
+	epoch   int         // current epoch; -1 = none yet
 	edges   [2][]uint64 // double-buffered sorted packed edge lists
 	cur     int         // which buffer holds the current epoch's list
 	conn    *graph.Connector
 	patcher *graph.Patcher
 	g       *graph.Graph
-	delta   Delta // the churn that opened the current epoch
+	delta   Delta // the churn that opened the current epoch, once counted
+	pending bool  // edges[1-cur] is the previous epoch's list and delta is not counted yet
 }
 
 // NewStepper returns a Stepper over n vertices sitting before epoch 0.
 // tau ≤ 0 freezes the schedule at epoch 0 (τ = ∞). rebuild swaps
-// Patcher.Load for the from-scratch graph.BuildPacked oracle. produce must
-// return buf extended by the epoch's edges in canonical order (see
-// graph.CheckPacked; not necessarily connected); it is called for
-// consecutive epochs, starting at 0 after construction and after rewind.
-func NewStepper(n, tau int, label string, rebuild bool, rewind func(), produce func(epoch int, buf []uint64) []uint64) *Stepper {
+// Patcher.Load for the from-scratch graph.BuildPacked oracle. After
+// construction and after rewind, advance is called for epochs 0, 1, 2, …
+// without a gap; emit(e, buf) only right after advance(e), for the epochs a
+// query reads. It must return buf extended by the epoch's edges in canonical
+// order (see graph.CheckPacked; not necessarily connected) and must read the
+// owner's state, not move it: a skipped emit changes no later output.
+func NewStepper(n, tau int, label string, rebuild bool, rewind func(), advance func(epoch int), emit func(epoch int, buf []uint64) []uint64) *Stepper {
 	if tau <= 0 {
 		tau = Infinite
 	}
 	return &Stepper{
-		n: n, tau: tau, label: label, rebuild: rebuild, rewind: rewind, produce: produce,
+		n: n, tau: tau, label: label, rebuild: rebuild, rewind: rewind, advance: advance, emit: emit,
 		epoch: -1, conn: graph.NewConnector(n), patcher: graph.NewPatcher(n),
 	}
 }
@@ -83,28 +92,34 @@ func NewStepper(n, tau int, label string, rebuild bool, rewind func(), produce f
 // and is valid until a later epoch is queried.
 func (s *Stepper) At(r int) *graph.Graph {
 	target := epochOf(r, s.tau)
+	if target == s.epoch {
+		return s.g
+	}
 	if target < s.epoch {
 		s.rewind()
 		s.epoch = -1
 	}
 	for s.epoch < target {
-		s.step()
+		s.epoch++
+		s.advance(s.epoch)
+		if s.epoch >= target-1 {
+			s.list()
+		}
 	}
+	s.load()
 	return s.g
 }
 
-// step advances one epoch: produce the list, repair connectivity, count the
-// difference from the previous epoch's list, load the CSR.
-func (s *Stepper) step() {
-	prev, spare := s.edges[s.cur], 1-s.cur
-	next := s.conn.Connect(s.produce(s.epoch+1, s.edges[spare][:0]))
-	s.edges[spare], s.cur = next, spare
-	s.epoch++
-	s.delta = Delta{}
-	if s.epoch > 0 { // epoch 0 shapes round 1: there is no earlier graph to differ from
-		s.delta.Added, s.delta.Removed = graph.DiffPacked(prev, next)
-	}
-	s.load()
+// list makes the spare buffer the current epoch's repaired list. The buffer
+// it displaces is the previous epoch's wherever a query can land — At lists
+// target−1 before target, and between queries the current epoch's list is
+// held — so there is a difference for DeltaFor to count at every epoch but 0,
+// which shapes round 1 with no earlier graph to differ from.
+func (s *Stepper) list() {
+	spare := 1 - s.cur
+	s.edges[spare] = s.conn.Connect(s.emit(s.epoch, s.edges[spare][:0]))
+	s.cur = spare
+	s.delta, s.pending = Delta{}, s.epoch > 0
 }
 
 // load makes s.g the CSR of the current edge list.
@@ -118,11 +133,17 @@ func (s *Stepper) load() {
 }
 
 // DeltaFor implements DeltaDynamic: the delta is nonzero exactly at the
-// first round of an epoch whose list differs from the previous epoch's.
+// first round of an epoch whose list differs from the previous epoch's. The
+// lists are compared here, on the epoch's first call — a schedule nobody
+// asks (the base under an adversary) never pays for the walk.
 func (s *Stepper) DeltaFor(r int) Delta {
 	s.At(r)
-	if s.epoch <= 0 || r != s.FirstRound(s.epoch) {
+	if r != s.FirstRound(s.epoch) {
 		return Delta{}
+	}
+	if s.pending {
+		s.delta.Added, s.delta.Removed = graph.DiffPacked(s.edges[1-s.cur], s.edges[s.cur])
+		s.pending = false
 	}
 	return s.delta
 }
@@ -169,7 +190,7 @@ func (s *Stepper) Install(epoch int, edges []uint64) error {
 	}
 	s.edges[0] = append(s.edges[0][:0], edges...)
 	s.edges[1] = s.edges[1][:0]
-	s.cur, s.epoch, s.delta, s.g = 0, epoch, Delta{}, nil
+	s.cur, s.epoch, s.delta, s.pending, s.g = 0, epoch, Delta{}, false, nil
 	if epoch >= 0 {
 		s.load()
 	}

@@ -13,12 +13,18 @@ import (
 // one edge (u, u+1+(e/2+u)%3) per vertex where it fits — sorted, canonical,
 // usually disconnected (so the Stepper's repair runs), and equal for epochs
 // 2i and 2i+1 (so some epoch boundaries carry no change). It records what
-// the Stepper asked of it.
+// the Stepper asked of it, and fails the test when an emit does not follow
+// the advance into the same epoch or an advance skips one.
 type fakeSource struct {
-	n       int
-	asked   []int // epochs produce was called for, in order
-	rewinds int
+	t        *testing.T
+	n        int
+	at       int   // the epoch the source was last advanced into; -1 = rewound
+	advanced []int // epochs advance was called for, in order
+	emitted  []int // epochs emit was called for, in order
+	rewinds  int
 }
+
+func newFakeSource(t *testing.T, n int) *fakeSource { return &fakeSource{t: t, n: n, at: -1} }
 
 func (f *fakeSource) list(e int) []uint64 {
 	var out []uint64
@@ -30,15 +36,28 @@ func (f *fakeSource) list(e int) []uint64 {
 	return out
 }
 
-func (f *fakeSource) produce(e int, buf []uint64) []uint64 {
-	f.asked = append(f.asked, e)
+func (f *fakeSource) advance(e int) {
+	if e != f.at+1 {
+		f.t.Errorf("advance(%d) from epoch %d", e, f.at)
+	}
+	f.at = e
+	f.advanced = append(f.advanced, e)
+}
+
+func (f *fakeSource) emit(e int, buf []uint64) []uint64 {
+	if e != f.at {
+		f.t.Errorf("emit(%d) while advanced into epoch %d", e, f.at)
+	}
+	f.emitted = append(f.emitted, e)
 	return append(buf, f.list(e)...)
 }
 
-func (f *fakeSource) rewind() { f.rewinds++ }
+func (f *fakeSource) rewind() { f.rewinds++; f.at = -1 }
+
+func (f *fakeSource) forget() { f.advanced, f.emitted = nil, nil }
 
 func (f *fakeSource) stepper(tau int, rebuild bool) *Stepper {
-	return NewStepper(f.n, tau, "fake", rebuild, f.rewind, f.produce)
+	return NewStepper(f.n, tau, "fake", rebuild, f.rewind, f.advance, f.emit)
 }
 
 // want is the independent expectation for epoch e: the source's list,
@@ -76,10 +95,22 @@ func diffPairs(prev, next []uint64) (added, removed [][2]int32) {
 
 func ascending(from, to int) []int {
 	var s []int
-	for e := from; e <= to; e++ {
+	for e := max(from, 0); e <= to; e++ {
 		s = append(s, e)
 	}
 	return s
+}
+
+// wantDelta is the oracle's delta entering round r: the set difference of
+// the two epochs' repaired lists at the first round of a later epoch, zero
+// anywhere else.
+func (f *fakeSource) wantDelta(r, tau int) Delta {
+	e := epochOf(r, tau)
+	if e == 0 || r != firstRound(e, tau) {
+		return Delta{}
+	}
+	added, removed := diffPairs(f.want(e-1), f.want(e))
+	return Delta{Added: len(added), Removed: len(removed)}
 }
 
 var stepperTaus = []struct {
@@ -88,21 +119,22 @@ var stepperTaus = []struct {
 	eff  int // as Stability reports it
 }{{"τ=1", 1, 1}, {"τ=3", 3, 3}, {"τ=∞", 0, Infinite}}
 
-// TestStepperAscendingQueries: epochs are produced once each and in order,
-// every round's graph is the repaired list of its epoch under the name
-// <label>@e<epoch>, Load and the Rebuild oracle agree, and DeltaFor is the
-// oracle's set difference at the first round of an epoch and zero elsewhere.
+// TestStepperAscendingQueries: epochs are advanced and emitted once each and
+// in order, every round's graph is the repaired list of its epoch under the
+// name <label>@e<epoch>, Load and the Rebuild oracle agree, and DeltaFor —
+// asked zero, one or three times a round — is the oracle's set difference at
+// the first round of an epoch and zero elsewhere.
 func TestStepperAscendingQueries(t *testing.T) {
 	const n, rounds = 14, 20
 	for _, tc := range stepperTaus {
 		t.Run(tc.name, func(t *testing.T) {
-			src, osrc := &fakeSource{n: n}, &fakeSource{n: n}
+			src, osrc := newFakeSource(t, n), newFakeSource(t, n)
 			s, oracle := src.stepper(tc.tau, false), osrc.stepper(tc.tau, true)
 			if s.Stability() != tc.eff || s.N() != n || s.TauString() != tc.name {
 				t.Fatalf("Stability %d, N %d, TauString %q", s.Stability(), s.N(), s.TauString())
 			}
-			if s.Epoch() != -1 || len(s.Edges()) != 0 || len(src.asked) != 0 {
-				t.Fatalf("a new Stepper already produced: epoch %d, asked %v", s.Epoch(), src.asked)
+			if s.Epoch() != -1 || len(s.Edges()) != 0 || len(src.advanced)+len(src.emitted) != 0 {
+				t.Fatalf("a new Stepper already produced: epoch %d, advanced %v, emitted %v", s.Epoch(), src.advanced, src.emitted)
 			}
 			for r := 1; r <= rounds; r++ {
 				e := epochOf(r, tc.eff)
@@ -117,30 +149,63 @@ func TestStepperAscendingQueries(t *testing.T) {
 				if og := oracle.At(r); !g.EqualCSR(og) || g.Name() != og.Name() {
 					t.Fatalf("round %d: loaded CSR %q != rebuilt CSR %q", r, g.Name(), og.Name())
 				}
-				var wantDelta Delta
-				if e > 0 && r == e*tc.eff+1 {
-					added, removed := diffPairs(src.want(e-1), want)
-					wantDelta = Delta{Added: len(added), Removed: len(removed)}
-				}
-				if d := s.DeltaFor(r); d != wantDelta {
-					t.Fatalf("round %d: DeltaFor = %+v, set difference = %+v", r, d, wantDelta)
+				// The count is taken when asked for: not asking, asking once
+				// and asking again must all read the same.
+				for i := 0; i < []int{0, 1, 3}[(r+r/3)%3]; i++ {
+					if d, want := s.DeltaFor(r), src.wantDelta(r, tc.eff); d != want {
+						t.Fatalf("round %d, call %d: DeltaFor = %+v, set difference = %+v", r, i+1, d, want)
+					}
 				}
 			}
-			if want := ascending(0, epochOf(rounds, tc.eff)); !slices.Equal(src.asked, want) || src.rewinds != 0 {
-				t.Fatalf("asked for epochs %v (rewinds %d), want %v once each", src.asked, src.rewinds, want)
+			if want := ascending(0, epochOf(rounds, tc.eff)); !slices.Equal(src.advanced, want) || !slices.Equal(src.emitted, want) || src.rewinds != 0 {
+				t.Fatalf("advanced %v, emitted %v (rewinds %d), want %v once each", src.advanced, src.emitted, src.rewinds, want)
+			}
+		})
+	}
+}
+
+// TestStepperJumps: a query more than one epoch ahead — from a new Stepper,
+// from the middle of a run, after a rewind — advances the source through
+// every epoch in between but emits only the last two, and lands on the
+// graph, name, list and delta that walking every round gives.
+func TestStepperJumps(t *testing.T) {
+	const n = 14
+	for _, tc := range stepperTaus {
+		t.Run(tc.name, func(t *testing.T) {
+			wsrc := newFakeSource(t, n)
+			walk := wsrc.stepper(tc.tau, false)
+			from := -1
+			src := newFakeSource(t, n)
+			s := src.stepper(tc.tau, false)
+			for _, r := range []int{11, 12, 31, 40} {
+				for w := 1; w <= r; w++ {
+					walk.At(w)
+				}
+				src.forget()
+				g, e := s.At(r), epochOf(r, tc.eff)
+				if !slices.Equal(src.advanced, ascending(from+1, e)) || !slices.Equal(src.emitted, ascending(max(from+1, e-1), e)) || src.rewinds != 0 {
+					t.Fatalf("jump from epoch %d to %d: advanced %v, emitted %v, rewinds %d", from, e, src.advanced, src.emitted, src.rewinds)
+				}
+				if g.Name() != walk.At(r).Name() || !g.EqualCSR(walk.At(r)) || !slices.Equal(s.Edges(), walk.Edges()) {
+					t.Fatalf("round %d: jumped to %q, walked to %q", r, g.Name(), walk.At(r).Name())
+				}
+				if d, want := s.DeltaFor(r), walk.DeltaFor(r); d != want || want != wsrc.wantDelta(r, tc.eff) {
+					t.Fatalf("round %d: DeltaFor %+v after a jump, %+v after a walk, oracle %+v", r, d, want, wsrc.wantDelta(r, tc.eff))
+				}
+				from = e
 			}
 		})
 	}
 }
 
 // TestStepperBackwardQueryReplays: a query behind the current epoch rewinds
-// the source once and replays from epoch 0 to identical lists and names;
-// rounds ≤ 0 are round 1.
+// the source once and jumps from before epoch 0 to identical lists, names
+// and deltas; rounds ≤ 0 are round 1.
 func TestStepperBackwardQueryReplays(t *testing.T) {
 	const n, far, back = 14, 17, 5
 	for _, tc := range stepperTaus {
 		t.Run(tc.name, func(t *testing.T) {
-			src := &fakeSource{n: n}
+			src := newFakeSource(t, n)
 			s := src.stepper(tc.tau, false)
 			if g := s.At(0); g.Name() != "fake@e0" || s.At(-5) != g || s.At(1) != g {
 				t.Fatalf("At(r ≤ 0) = %q, not round 1's graph", g.Name())
@@ -150,23 +215,24 @@ func TestStepperBackwardQueryReplays(t *testing.T) {
 				names[r] = s.At(r).Name()
 				lists[r] = slices.Clone(s.Edges())
 			}
-			src.asked = nil
+			src.forget()
 			g := s.At(back)
 			if tc.eff == Infinite { // one epoch: nothing is ever behind
-				if src.rewinds != 0 || len(src.asked) != 0 {
-					t.Fatalf("frozen schedule replayed: rewinds %d, asked %v", src.rewinds, src.asked)
+				if src.rewinds != 0 || len(src.advanced)+len(src.emitted) != 0 {
+					t.Fatalf("frozen schedule replayed: rewinds %d, advanced %v, emitted %v", src.rewinds, src.advanced, src.emitted)
 				}
 				return
 			}
-			if want := ascending(0, epochOf(back, tc.eff)); src.rewinds != 1 || !slices.Equal(src.asked, want) {
-				t.Fatalf("backward query: rewinds %d, asked %v, want one rewind and %v", src.rewinds, src.asked, want)
+			e := epochOf(back, tc.eff)
+			if src.rewinds != 1 || !slices.Equal(src.advanced, ascending(0, e)) || !slices.Equal(src.emitted, ascending(e-1, e)) {
+				t.Fatalf("backward query: rewinds %d, advanced %v, emitted %v, want one rewind, 0..%d and the last two", src.rewinds, src.advanced, src.emitted, e)
 			}
 			if g.Name() != names[back] || !slices.Equal(s.Edges(), lists[back]) {
 				t.Fatalf("replayed round %d is %q, was %q", back, g.Name(), names[back])
 			}
 			for r := back; r <= far; r++ {
-				if s.At(r).Name() != names[r] || !slices.Equal(s.Edges(), lists[r]) {
-					t.Fatalf("round %d differs after the replay", r)
+				if s.At(r).Name() != names[r] || !slices.Equal(s.Edges(), lists[r]) || s.DeltaFor(r) != src.wantDelta(r, tc.eff) {
+					t.Fatalf("round %d differs after the rewind", r)
 				}
 			}
 			if s.At(-1).Name() != "fake@e0" || src.rewinds != 2 {
@@ -178,15 +244,16 @@ func TestStepperBackwardQueryReplays(t *testing.T) {
 
 // TestStepperInstall: a checkpointed (epoch, list) resumes without a rewind
 // and without asking for any epoch again, reports no delta for the epoch it
-// was taken in, and a state no run can write is refused by name with the
-// Stepper untouched.
+// was taken in, jumps far ahead from the owner's restored state, and a state
+// no run can write is refused by name with the Stepper untouched.
 func TestStepperInstall(t *testing.T) {
 	const n = 14
 	for _, tc := range stepperTaus {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := &fakeSource{n: n}
+			ref := newFakeSource(t, n)
 			epoch := epochOf(7, tc.eff)
-			src := &fakeSource{n: n}
+			src := newFakeSource(t, n)
+			src.at = epoch // the owner restores its own state beside Install
 			s := src.stepper(tc.tau, false)
 			if err := s.Install(epoch, ref.want(epoch)); err != nil {
 				t.Fatal(err)
@@ -210,13 +277,22 @@ func TestStepperInstall(t *testing.T) {
 				}
 			}
 			s.At(30)
-			if want := ascending(epoch+1, epochOf(30, tc.eff)); !slices.Equal(src.asked, want) || src.rewinds != 0 {
-				t.Fatalf("after Install(%d): asked %v, rewinds %d, want %v and none", epoch, src.asked, src.rewinds, want)
+			far := epochOf(30, tc.eff)
+			var wantEmitted []int
+			if far > epoch { // DeltaFor(next) above, then the far jump's pair
+				wantEmitted = []int{epoch + 1, far - 1, far}
+			}
+			if !slices.Equal(src.advanced, ascending(epoch+1, far)) || !slices.Equal(src.emitted, wantEmitted) || src.rewinds != 0 {
+				t.Fatalf("after Install(%d): advanced %v, emitted %v, rewinds %d, want %d..%d, %v and none",
+					epoch, src.advanced, src.emitted, src.rewinds, epoch+1, far, wantEmitted)
+			}
+			if !slices.Equal(s.Edges(), ref.want(far)) || s.DeltaFor(30) != ref.wantDelta(30, tc.eff) {
+				t.Fatal("restore-then-jump left the trajectory")
 			}
 		})
 	}
 
-	src := &fakeSource{n: n}
+	src := newFakeSource(t, n)
 	s := src.stepper(1, false)
 	s.At(4)
 	held := slices.Clone(s.Edges())
@@ -243,9 +319,10 @@ func TestStepperInstall(t *testing.T) {
 	if err := s.Install(-1, nil); err != nil || s.Epoch() != -1 {
 		t.Fatalf("Install(-1, nil) = %v, epoch %d", err, s.Epoch())
 	}
-	src.asked = nil
-	if s.At(1); !slices.Equal(src.asked, []int{0}) || src.rewinds != 0 {
-		t.Fatalf("after Install(-1): asked %v, rewinds %d", src.asked, src.rewinds)
+	src.forget()
+	src.at = -1
+	if s.At(1); !slices.Equal(src.emitted, []int{0}) || src.rewinds != 0 {
+		t.Fatalf("after Install(-1): emitted %v, rewinds %d", src.emitted, src.rewinds)
 	}
 }
 
@@ -254,9 +331,9 @@ func TestStepperInstall(t *testing.T) {
 // nothing else: the 3 allocs/op floor of BENCH_core.json's *_delta rows.
 func TestStepperStepAllocs(t *testing.T) {
 	const n = 512
-	src := &fakeSource{n: n}
+	src := newFakeSource(t, n)
 	lists := [2][]uint64{src.list(0), src.list(2)}
-	s := NewStepper(n, 1, "fake", false, func() {}, func(e int, buf []uint64) []uint64 {
+	s := NewStepper(n, 1, "fake", false, func() {}, func(int) {}, func(e int, buf []uint64) []uint64 {
 		return append(buf, lists[e%2]...)
 	})
 	r := 1000 // epochs past 255, so that the name's number is really boxed

@@ -9,23 +9,27 @@
 // The pipeline per motion epoch:
 //
 //  1. a Model advances every node's (x, y) position (random waypoint, Lévy
-//     flight, group gathering, commuter schedules — see models.go);
+//     flight, group gathering, commuter schedules — see models.go) — in
+//     every epoch, queried or not: the trajectory is these draws;
 //  2. a seeded spatial hash grid (cell side = the radio radius r, so only
-//     the 3×3 cell neighborhood can hold neighbors) emits the unit-disk
-//     edges in globally sorted order, O(n + m), reusing all buffers;
+//     the 3×3 cell neighborhood can hold neighbors: three contiguous runs,
+//     a grid row's cells being adjacent in the bucketing) emits the
+//     unit-disk edges in globally sorted order, O(n + m), reusing all
+//     buffers — only for an epoch a query reads (on a jump, the last two);
 //  3. connectivity repair bridges the components (the model requires every
 //     round's topology connected, §2): component representatives are
 //     chained with virtual relay edges — the sparse long-range fallback
 //     links (satellite/infrastructure hops) real smartphone meshes assume;
-//  4. the sorted edge list is compared with the previous epoch's in one
-//     merge walk that only counts — the two counts are the delta the
-//     schedule reports — and the CSR is refilled in place from the sorted
-//     list itself (graph.Patcher.Load): count, prefix-sum, fill, no sort,
-//     no allocation, the same cost whether one edge moved or all of them.
+//  4. the CSR is refilled in place from the sorted list itself
+//     (graph.Patcher.Load): count, prefix-sum, fill, no sort, no
+//     allocation, the same cost whether one edge moved or all of them; and
+//     when DeltaFor is asked (by the engine, of its own schedule only) one
+//     merge walk against the previous epoch's list counts the delta.
 //
-// Steps 1 and 2 are this package's (Schedule.produce); steps 3 and 4, the
-// epoch counter, the τ arithmetic and the replay on a backward query are
-// the dyngraph.Stepper every edge-list schedule shares. Schedules built
+// Steps 1 and 2 are this package's (Schedule.advance, Schedule.emit); steps
+// 3 and 4, the epoch counter, the τ arithmetic and the jump on a
+// far-forward or backward query are the dyngraph.Stepper every edge-list
+// schedule shares. Schedules built
 // from this package implement dyngraph.DeltaDynamic, so the engine gets
 // per-round churn accounting, and graphinfo/harness can report effective
 // stability. See DESIGN.md §8.
@@ -60,7 +64,7 @@ type field struct {
 	// interleaved so one candidate costs one cache line): the candidate
 	// scan walks them sequentially instead of gathering x[v]/y[v] at
 	// random indices — the difference between cache hits and misses on the
-	// hot 9-cell loop.
+	// hot neighborhood loop.
 	pxy  []float64
 	cand []int32 // per-point neighbor candidates (v > u)
 }
@@ -137,29 +141,21 @@ func (f *field) computeEdges(out []uint64) []uint64 {
 	for u := 0; u < n; u++ {
 		c := int(f.cellOf[u])
 		cx, cy := c%side, c/side
+		// The (up to) three cells of a grid row are adjacent in clOff, so
+		// the neighborhood is three contiguous runs of clPts/pxy.
+		x0, x1 := max(cx-1, 0), min(cx+1, side-1)
 		cand := f.cand[:0]
 		xu, yu := f.x[u], f.y[u]
-		for dy := -1; dy <= 1; dy++ {
-			ny := cy + dy
-			if ny < 0 || ny >= side {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				nx := cx + dx
-				if nx < 0 || nx >= side {
+		for ny := max(cy-1, 0); ny <= min(cy+1, side-1); ny++ {
+			row := ny * side
+			for s, hi := f.clOff[row+x0], f.clOff[row+x1+1]; s < hi; s++ {
+				if int(pts[s]) <= u {
 					continue
 				}
-				cc := ny*side + nx
-				lo, hi := f.clOff[cc], f.clOff[cc+1]
-				for s := lo; s < hi; s++ {
-					if int(pts[s]) <= u {
-						continue
-					}
-					ddx := pxy[2*s] - xu
-					ddy := pxy[2*s+1] - yu
-					if ddx*ddx+ddy*ddy <= r2 {
-						cand = append(cand, pts[s])
-					}
+				ddx := pxy[2*s] - xu
+				ddy := pxy[2*s+1] - yu
+				if ddx*ddx+ddy*ddy <= r2 {
+					cand = append(cand, pts[s])
 				}
 			}
 		}

@@ -9,11 +9,14 @@ package mobility
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
 	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/dyngraph"
+	"mobilegossip/internal/graph"
+	"mobilegossip/internal/prand"
 )
 
 // testModels instantiates one of each motion model at a common speed.
@@ -82,6 +85,36 @@ func TestScheduleReplayDeterminism(t *testing.T) {
 		fresh := New(mk(), opts).At(7)
 		if !rewound.EqualCSR(fresh) {
 			t.Fatalf("%s: replayed round 7 differs from a fresh schedule's", name)
+		}
+	}
+}
+
+// TestScanMatchesAllPairs: the grid scan's list is the all-pairs unit-disk
+// list, already in canonical order, on grids of one cell, of fewer cells than
+// a neighborhood is wide, and of many — including points on the far border,
+// whose coordinate scales to one cell past the grid.
+func TestScanMatchesAllPairs(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		r float64
+	}{{1, 0}, {2, 2}, {40, 0.6}, {60, 0.4}, {200, 0.3}, {500, 0}, {500, 0.013}} {
+		f := newField(tc.n, tc.r)
+		rng := prand.New(uint64(tc.n))
+		for i := range f.x {
+			f.x[i], f.y[i] = rng.Float64(), rng.Float64()
+		}
+		f.x[0], f.y[tc.n-1] = 1, 1
+		var want []uint64
+		for u := 0; u < tc.n; u++ {
+			for v := u + 1; v < tc.n; v++ {
+				dx, dy := f.x[v]-f.x[u], f.y[v]-f.y[u]
+				if dx*dx+dy*dy <= f.r2 {
+					want = append(want, graph.PackEdge(int32(u), int32(v)))
+				}
+			}
+		}
+		if got := f.computeEdges(nil); !slices.Equal(got, want) {
+			t.Fatalf("n=%d r=%g (%d×%d cells): scan found %d edges, all pairs %d", tc.n, f.r, f.side, f.side, len(got), len(want))
 		}
 	}
 }

@@ -32,9 +32,11 @@ type Options struct {
 
 // Schedule drives a Model and emits its unit-disk proximity graph as a
 // dyngraph.DeltaDynamic. The embedded dyngraph.Stepper does the τ-stepping
-// (At, DeltaFor, connectivity repair, churn count, CSR load, replay on a
-// backward query); what is the Schedule's own is producing an epoch's edge
-// list — move the crowd, scan for proximity — from its seeded trajectory.
+// (At, DeltaFor, connectivity repair, churn count, CSR load, the jump on a
+// far or backward query); what is the Schedule's own is its seeded
+// trajectory: advance moves the crowd one epoch, emit scans it where it
+// stands. A jump only moves — the trajectory is Model.Step's draws, never
+// an edge list — so it lands where walking every round would.
 type Schedule struct {
 	*dyngraph.Stepper
 	seed  uint64
@@ -49,7 +51,7 @@ var _ dyngraph.DeltaDynamic = (*Schedule)(nil)
 // New builds the schedule and materializes its round-1 topology.
 func New(m Model, o Options) *Schedule {
 	s := &Schedule{seed: o.Seed, model: m, field: newField(o.N, o.Radius)}
-	s.Stepper = dyngraph.NewStepper(o.N, o.Tau, m.Name(), o.Rebuild, s.rewind, s.produce)
+	s.Stepper = dyngraph.NewStepper(o.N, o.Tau, m.Name(), o.Rebuild, s.rewind, s.advance, s.emit)
 	s.name = fmt.Sprintf("mobility(%s,%s,r=%.4f)", m.Name(), s.TauString(), s.field.r)
 	s.rewind()
 	s.At(1)
@@ -62,14 +64,16 @@ func (s *Schedule) rewind() {
 	s.model.Init(s.N(), s.rng, s.field.x, s.field.y)
 }
 
-// produce appends motion epoch e's proximity edges: epoch 0 is the initial
-// placement, every later one moves the crowd first.
-func (s *Schedule) produce(epoch int, buf []uint64) []uint64 {
+// advance moves the crowd into motion epoch e; epoch 0 is the initial
+// placement rewind made.
+func (s *Schedule) advance(epoch int) {
 	if epoch > 0 {
 		s.model.Step(epoch, s.rng, s.field.x, s.field.y)
 	}
-	return s.field.computeEdges(buf)
 }
+
+// emit appends the proximity edges of the crowd as it stands.
+func (s *Schedule) emit(_ int, buf []uint64) []uint64 { return s.field.computeEdges(buf) }
 
 // CheckpointTo serializes the schedule's mutable trajectory state: the
 // shared RNG stream, the epoch index, every node's position, the model's

@@ -11,12 +11,14 @@ import (
 // the shape of the bench's mobile-churn workload (n = 50,000 waypoint
 // walkers, speed 0.01, default radius, τ = 1): move the crowd, scan for
 // proximity, repair connectivity, count the difference from the previous
-// epoch's list, load the CSR. It drives the Schedule's own move and scan
-// and the graph package's repair / diff / load in the order
-// dyngraph.Stepper runs them, on buffers of its own, so the product path
-// carries no timers. Each stage is reported as <stage>-ms/epoch; DESIGN.md
-// §8 has the table. internal/adversary's benchmark of the same name times
-// the layer stacked on top.
+// epoch's list (paid only by a schedule whose DeltaFor is asked — the
+// engine's own, not a base under an adversary), load the CSR. It drives the
+// Schedule's own move and scan and the graph package's repair / diff / load
+// in the order dyngraph.Stepper runs them, on buffers of its own, so the
+// product path carries no timers. Each stage is reported as
+// <stage>-ms/epoch; DESIGN.md §8 has the table, `make bench-stages` the
+// medians. internal/adversary's benchmark of the same name times the layer
+// stacked on top.
 func BenchmarkChurnStages(b *testing.B) {
 	const n = 50000
 	s := New(Waypoint(0.01, 2), Options{N: n, Tau: 1, Seed: 1})

@@ -311,9 +311,11 @@ func (e *Engine) SetProtocol(p Protocol) { e.proto = p }
 
 // SetDynamic swaps the topology schedule the engine reads from, at a
 // round boundary. The replacement must describe the same node count; the
-// next Step queries it at the engine's global round number, so schedules
-// that track motion (internal/mobility) fast-forward deterministically
-// into position. This is the engine half of phased scenarios
+// next Step queries it at the engine's global round number R, so schedules
+// that track motion (internal/mobility) jump deterministically into
+// position: the crowd moves once per skipped round (the draws a walk makes)
+// but a graph is built only for rounds R−1 and R, whose difference is R's
+// churn (dyngraph.Stepper). This is the engine half of phased scenarios
 // (Simulation.Rebind): the round counter, meters, RNG streams and
 // protocol state all survive the swap untouched.
 func (e *Engine) SetDynamic(dyn dyngraph.Dynamic) {

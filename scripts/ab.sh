@@ -70,18 +70,9 @@ done
 # Per metric and side: median and quartiles; pairs won by the change (ties
 # count for neither side); and the §8 verdict — at least nine tenths of the
 # pairs won and medians further apart than the base's own interquartile range.
-awk -F'\t' -v metrics="$metrics" -v self="$self" '
-function quantile(a, n, q,    h, lo) {
-	h = (n - 1) * q; lo = int(h)
-	return lo + 1 >= n ? a[n] : a[lo + 1] + (h - lo) * (a[lo + 2] - a[lo + 1])
-}
-function sorted(src, n, dst,    i, j, v) {
-	for (i = 1; i <= n; i++) {
-		v = src[i]
-		for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
-		dst[j + 1] = v
-	}
-}
+# (sorted and quantile come from scripts/quantile.awk; the program itself is
+# the here-document, read as a second -f.)
+awk -F'\t' -v metrics="$metrics" -v self="$self" -f scripts/quantile.awk -f /dev/stdin "$cur" <<'EOF'
 {
 	nm = split(metrics, name, " ")
 	failed[$1] += $3
@@ -112,4 +103,5 @@ END {
 		if (differs == "") print "self: no difference"
 		else { print "self: one tree differs from itself on" differs " — this box cannot carry an A/B now"; exit 1 }
 	}
-}' "$cur"
+}
+EOF

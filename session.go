@@ -191,10 +191,13 @@ func (s *Simulation) SetEngineWorkers(w int) {
 // session-layer half of phased scenarios (DESIGN.md §15). The new
 // schedule is built exactly as New builds one — same node count, same
 // seed derivation — and replaces the old one wholesale: subsequent
-// rounds query it at the session's global round number (mobility models
-// fast-forward deterministically into position), adaptive adversaries in
-// the new topology are bound to the live token state, and a
-// topology_rebound event announces the swap on the bus.
+// rounds query it at the session's global round number R. Mobility models
+// jump deterministically into position on the next Step: the crowd is moved
+// through all R−1 skipped rounds (the trajectory is those draws: still
+// linear in R, ≈ 0.3 ms a round at n = 50,000), but it is scanned, repaired
+// and loaded — and perturbed by an adversary — only for rounds R−1 and R
+// (DESIGN.md §8, §15). Adaptive adversaries in the new topology are bound to
+// the live token state, and a topology_rebound event announces the swap.
 //
 // Token state, meters, RNG streams and the round counter are untouched,
 // so a rebind composes with checkpoints: a snapshot taken after a rebind
