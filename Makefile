@@ -48,21 +48,17 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# race-concurrent runs the engine's one parallel path — the sharded round
-# loop of internal/mtm (including the root package's n=10k
-# all-algorithms/all-adversaries workload) — the adversary schedules
-# driven through it, the observer/trace layers that tap it, the
-# profiling read side (live /metrics scrapes and histogram reads against
-# a profiled parallel session), and the daemon's full-service traffic mix
-# (create/step/evict/revive/follow/delete under concurrent scrapes) —
-# un-shortened under the race detector. The advertisement planes of
-# internal/core are the one cache the tag phase's shards share
-# (DESIGN.md §11), so their sharded-vs-sequential test runs ten times over.
+# race-concurrent runs the module's concurrent paths un-shortened under
+# the race detector: concurrent sessions over adversary schedules, the
+# trace recorder and the event bus/sinks/collector written from several
+# goroutines, the profiling read side (live /metrics scrapes and histogram
+# reads against a running profiled session), and the daemon's full-service
+# traffic mix (create/step/evict/revive/follow/delete under concurrent
+# scrapes).
 race-concurrent:
-	$(GO) test -race -count=1 -run 'Concurrent|Backends|Sharded|EngineWorkers|Bus|Sink|Collector' \
+	$(GO) test -race -count=1 -run 'Concurrent|Backends|Bus|Sink|Collector' \
 		. ./internal/mtm ./internal/adversary ./internal/trace ./internal/leader ./internal/events ./internal/profile \
 		./internal/daemon
-	$(GO) test -race -count=10 -run 'Sharded' ./internal/core
 
 # cover enforces the ratcheted coverage floor (COVER_MIN, measured at merge
 # time) over the library surface — the root package and internal/... (cmd/
@@ -151,19 +147,14 @@ bench-stages:
 	@awk -f scripts/quantile.awk -f scripts/medians.awk bench-stages.txt
 
 # determinism-matrix checks the engine's bit-reproducibility invariant
-# over the whole (GOMAXPROCS × engine workers) grid in one reusable
-# target, replacing the old per-invariant determinism and
-# checkpoint-determinism snippets. At every cell of
-# GOMAXPROCS ∈ {1,2,4,8} × workers ∈ {1,2,7}:
+# across GOMAXPROCS ∈ {1,2,4,8}. At every setting:
 #   - the E1 (core sweeps), E22 (mobility schedules — motion, delta
 #     patching and churn measurement) and E25 (adversarial schedules,
 #     adaptive state reads included) tables must be byte-identical to the
-#     first cell's tables (the sweep pool size also varies with
-#     GOMAXPROCS, so pool scheduling is exercised too);
-#   - a session checkpointed mid-run at that cell and resumed under the
-#     *complementary* worker count (8−w: sequential ↔ sharded) must
-#     reproduce the uninterrupted run byte-for-byte — sequential and
-#     parallel engines write interchangeable checkpoints;
+#     first setting's tables (the sweep pool size varies with GOMAXPROCS,
+#     so pool scheduling is exercised);
+#   - a session checkpointed mid-run and resumed under a different
+#     GOMAXPROCS (8/g) must reproduce the uninterrupted run byte-for-byte;
 #   - the same run with -profile attached must print a byte-identical
 #     result table (the "profile:" timing lines — the only output that
 #     legitimately varies — are stripped): profiling never affects
@@ -172,27 +163,27 @@ determinism-matrix:
 	$(GO) build -o dmx_benchtable ./cmd/benchtable
 	$(GO) build -o dmx_gossipsim ./cmd/gossipsim
 	@set -e; ref=""; \
-	for gmp in 1 2 4 8; do for w in 1 2 7; do \
-		echo "== GOMAXPROCS=$$gmp engineworkers=$$w"; \
-		GOMAXPROCS=$$gmp ./dmx_benchtable -exp e1,e22,e25 -engineworkers $$w -csv > dmx_cell.csv; \
+	for gmp in 1 2 4 8; do \
+		echo "== GOMAXPROCS=$$gmp"; \
+		GOMAXPROCS=$$gmp ./dmx_benchtable -exp e1,e22,e25 -csv > dmx_cell.csv; \
 		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg sharedbit -graph waypoint -n 2000 -k 8 -tau 1 -seed 5 \
-			-engineworkers $$w -checkpoint dmx.ckpt -checkpointat 40 \
+			-checkpoint dmx.ckpt -checkpointat 40 \
 			| grep -v 'wall time\|checkpoint written' > dmx_full.txt; \
-		GOMAXPROCS=$$gmp ./dmx_gossipsim -resume dmx.ckpt -engineworkers $$((8-$$w)) \
+		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx.ckpt \
 			| grep -v 'wall time\|resumed from' > dmx_resumed.txt; \
 		cmp dmx_full.txt dmx_resumed.txt; \
 		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg sharedbit -graph waypoint -n 2000 -k 8 -tau 1 -seed 5 \
-			-engineworkers $$w -profile \
+			-profile \
 			| grep -v 'wall time\|^profile' > dmx_prof.txt; \
 		cmp dmx_full.txt dmx_prof.txt; \
 		if [ -z "$$ref" ]; then \
-			ref="gmp$$gmp-w$$w"; cp dmx_cell.csv dmx_ref.csv; cp dmx_full.txt dmx_ref_full.txt; \
+			ref="gmp$$gmp"; cp dmx_cell.csv dmx_ref.csv; cp dmx_full.txt dmx_ref_full.txt; \
 		else \
 			cmp dmx_ref.csv dmx_cell.csv; cmp dmx_ref_full.txt dmx_full.txt; \
 		fi; \
-	done; done; \
+	done; \
 	rm -f dmx_benchtable dmx_gossipsim dmx.ckpt dmx_cell.csv dmx_ref.csv dmx_full.txt dmx_resumed.txt dmx_ref_full.txt dmx_prof.txt; \
-	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints and profiled runs byte-identical across all 12 (GOMAXPROCS, workers) cells"
+	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints and profiled runs byte-identical across GOMAXPROCS 1, 2, 4, 8"
 
 # determinism-remote is the matrix's service-boundary cell: the same
 # simulation driven locally and through a live gossipd (gossipsim
@@ -240,8 +231,8 @@ determinism-remote:
 
 # scenario-conformance runs the golden-trace suite over the committed
 # scenarios/ library: every scenario's tables, event streams and phase
-# checkpoints are byte-compared against scenarios/golden/ across workers
-# {1,7} and local vs a live gossipd, plus a mid-phase checkpoint/resume
+# checkpoints are byte-compared against scenarios/golden/ locally and
+# against a live gossipd, plus a mid-phase checkpoint/resume
 # cell and a forced daemon evict/revive cell (TestConformanceEvictRevive
 # fails if the eviction never happened). TestExampleParity pins the
 # examples/ pointers to the same goldens. Regenerate after an intentional

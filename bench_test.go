@@ -219,8 +219,8 @@ func BenchmarkPPUSH(b *testing.B) {
 // -benchtime (the gate uses 500x) so the round distribution is identical
 // between baseline and fresh runs, and refresh the baseline with
 // `make bench-baseline` after intentional performance changes. The
-// seq_* rows run the engine's default one-range round, which must report
-// 0 allocs/op in steady state.
+// seq_* rows run the engine's round, which must report 0 allocs/op in
+// steady state.
 //
 // The sess_* rows step the same workload through the public session API
 // (Simulation.Step, which also publishes on the event bus and samples φ
@@ -229,10 +229,7 @@ func BenchmarkPPUSH(b *testing.B) {
 // load, 0 allocs/op — and sess_bus_n10000_k64 keeps an async subscriber
 // attached whose queue is never drained, so every round exercises the
 // full publish + filter + bounded-queue path (value-copy sends and
-// select-default drops) and must still report 0 allocs/op. EngineWorkers
-// is pinned to 1: the rows gate bus overhead against the sequential
-// engine baseline, not shard fan-out (which allocates per shard per
-// phase; see BenchmarkEngineRoundParallel).
+// select-default drops) and must still report 0 allocs/op.
 //
 // sess_prof_n2048_k1024 is the same workload with Config.Profile on —
 // clock reads, histogram records, the stall detector, and a
@@ -334,8 +331,7 @@ func BenchmarkEngineRound(b *testing.B) {
 			sim, err := mobilegossip.New(mobilegossip.Config{
 				Algorithm: mobilegossip.AlgSharedBit, N: 2048, K: 1024,
 				Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
-				Seed:     3, MaxRounds: b.N, EngineWorkers: 1,
-				Profile: sc.prof,
+				Seed:     3, MaxRounds: b.N, Profile: sc.prof,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -352,45 +348,6 @@ func BenchmarkEngineRound(b *testing.B) {
 			}
 			if sim.Round() < b.N {
 				b.Fatalf("solved after %d of %d rounds: ns/op would be diluted; grow k", sim.Round(), b.N)
-			}
-		})
-	}
-}
-
-// BenchmarkEngineRoundParallel measures one round of the shard-parallel
-// engine backend at n = 100k across worker counts. Workloads and results
-// are byte-identical at every worker count — only wall-clock differs — so
-// on a multicore runner the w1/w4 ns/op ratio directly shows the round
-// speedup (≥3× expected at 4+ cores; phases are embarrassingly parallel
-// and the deterministic reduction is O(workers)).
-//
-// The rows use fixed worker counts (no GOMAXPROCS row): the fan-out
-// allocates once per goroutine launched (w−1 per phase), so allocs/op is
-// a machine-independent function of the worker count and stays gateable,
-// while a hardware-dependent row would pin the baseline machine's core
-// count into BENCH_core.json. The w1 row is the one-range round, run
-// inline with no goroutine, and must stay at 0 allocs/op.
-func BenchmarkEngineRoundParallel(b *testing.B) {
-	const n, k = 100000, 64
-	g := graph.RandomRegular(n, 4, prand.New(7))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par_n100000_w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			st, err := core.NewState(n, core.OneTokenPerNode(n, k), 1e-9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			proto := core.NewSharedBit(st, prand.NewSharedString(99))
-			eng := mtm.NewEngine(dyngraph.NewStatic(g), proto, mtm.Config{
-				Seed: 3, MaxRounds: b.N, Workers: workers,
-			})
-			b.ResetTimer()
-			res, err := eng.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Rounds < b.N {
-				b.Fatalf("solved after %d of %d rounds: ns/op would be diluted; grow k", res.Rounds, b.N)
 			}
 		})
 	}

@@ -30,10 +30,8 @@ const (
 	// and the only version it resumes. Version 2 added the adversary
 	// topology knobs to the config block and generalized the topology
 	// section's mobility flag into a schedule-kind tag; version 3 added the
-	// Topology.Relabel knob. Config.EngineWorkers is deliberately NOT in
-	// the stream: worker count affects wall-clock only, so sequential and
-	// parallel runs write interchangeable, byte-identical checkpoints and a
-	// resumed session re-resolves its own worker count.
+	// Topology.Relabel knob. Config.EngineWorkers, which is ignored, is
+	// not in the stream.
 	CheckpointVersion = 3
 )
 
@@ -83,8 +81,8 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("mobilegossip: cannot checkpoint a failed run: %w", err)
 	}
 	// The checkpoint bytes are identical profiled or not (Profile is a
-	// wall-clock-only knob, deliberately outside the stream like
-	// EngineWorkers); profiling only times the serialization below.
+	// wall-clock-only knob, deliberately outside the stream); profiling
+	// only times the serialization below.
 	var t0 time.Time
 	if s.prof != nil {
 		t0 = time.Now()
@@ -249,8 +247,9 @@ func Resume(r io.Reader) (*Simulation, error) {
 
 // configLayout is the checkpoint's config block: every data field of
 // Config in stream order, walked by Checkpoint over a writer and by Resume
-// over a reader, so the slot order below is the format. EngineWorkers and
-// Profile (wall-clock knobs) and Observers (process-local) have no slot.
+// over a reader, so the slot order below is the format. EngineWorkers
+// (ignored), Profile (wall-clock only) and Observers (process-local) have
+// no slot.
 func configLayout(c ckpt.Fields, cfg *Config) {
 	c.Section("config")
 	c.Int((*int)(&cfg.Algorithm))

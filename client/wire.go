@@ -25,9 +25,6 @@ type CreateRequest struct {
 	TagBits   int          `json:"tag_bits,omitempty"`
 	Seed      uint64       `json:"seed"`
 	MaxRounds int          `json:"max_rounds,omitempty"`
-	// EngineWorkers sets the engine's shard count; like everywhere else
-	// in the module it changes wall-clock only, never results.
-	EngineWorkers int `json:"engine_workers,omitempty"`
 	// Profile attaches the timing sidecar (round_profile events, health
 	// in the session state).
 	Profile bool `json:"profile,omitempty"`

@@ -12,7 +12,6 @@
 //	benchtable -quick=false   # full sizes (slower, tighter shapes)
 //	benchtable -list          # list experiments
 //	benchtable -parallel 8    # bound the sweep engine's worker pool
-//	benchtable -engineworkers 4           # shard each run across 4 cores
 //	benchtable -json > BENCH_quick.json   # machine-readable tables
 //
 // Experiment grids run on the internal/runner worker pool (GOMAXPROCS
@@ -61,7 +60,6 @@ func run(args []string) error {
 		asCSV    = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		asJSON   = fs.Bool("json", false, "emit one BENCH-shaped JSON document instead of text")
 		parallel = fs.Int("parallel", 0, "sweep worker pool size; 0 = GOMAXPROCS (results identical at any value)")
-		engineW  = fs.Int("engineworkers", 0, "shard-parallel engine workers per run; 0 = sequential under the pool (results identical at any value)")
 		progress = fs.Bool("progress", false, "report sweep progress to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,7 +76,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	opts := harness.Options{Quick: *quick, Seed: *seed, Workers: *parallel, EngineWorkers: *engineW}
+	opts := harness.Options{Quick: *quick, Seed: *seed, Workers: *parallel}
 	var todo []harness.Experiment
 	if *exp == "" {
 		todo = harness.All()

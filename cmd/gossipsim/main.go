@@ -51,9 +51,8 @@
 //	curl -s localhost:9090/metrics    # while the run lasts
 //
 // Profiling (DESIGN.md §13, single runs only): -profile attaches the
-// engine's timing sidecar — round/phase latency histograms, shard
-// balance, the stall detector — without changing the simulation's output
-// in any way. The run then emits round_profile events into -events
+// engine's timing sidecar — round/phase latency histograms, the stall
+// detector — without changing the simulation's output in any way. The run then emits round_profile events into -events
 // (feed the file to runreport), exposes latency histograms and a health
 // gauge on -metrics alongside Go's /debug/pprof handlers, and prints a
 // "profile:"-prefixed timing summary after the result table:
@@ -117,7 +116,7 @@ func run(args []string) error {
 	fs.Float64Var(&cfg.Epsilon, "epsilon", 0, "ε-gossip fraction in (0,1); requires -alg sharedbit and -k = -n")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "run seed (fully determines the execution, sweep or single)")
 	fs.IntVar(&cfg.MaxRounds, "maxrounds", 0, "abort after this many rounds (0 = engine default)")
-	fs.IntVar(&cfg.EngineWorkers, "engineworkers", 0, "shard-parallel engine workers: 0 = auto (GOMAXPROCS, large runs only), 1 = sequential, >=2 exact; results identical at any value")
+	fs.IntVar(&cfg.EngineWorkers, "engineworkers", 0, "accepted and ignored: every round runs on one goroutine")
 	fs.IntVar(&cfg.TagBits, "b", 0, "tag length for -alg sharedbit (>=2 runs the multi-bit generalization)")
 	fs.BoolVar(&cfg.Profile, "profile", false, "attach the engine timing profiler (DESIGN.md §13): round_profile events, latency histograms on -metrics, a post-run summary; never changes the simulation's results (single runs only)")
 	var (
@@ -160,9 +159,9 @@ func run(args []string) error {
 	}
 	if *resumeF != "" {
 		// A checkpoint carries the whole configuration bar the wall-clock
-		// knobs (sequential, parallel, profiled and unprofiled runs all
-		// write interchangeable streams), so only those flags apply.
-		req := client.CreateRequest{EngineWorkers: cfg.EngineWorkers, Profile: cfg.Profile, RecordEvents: *eventsF != ""}
+		// Profile knob (profiled and unprofiled runs write interchangeable
+		// streams), so only it and -events apply.
+		req := client.CreateRequest{Profile: cfg.Profile, RecordEvents: *eventsF != ""}
 		return runSingle(req, opts, obs, *remoteGap)
 	}
 
@@ -395,11 +394,6 @@ func printProfile(sim *mobilegossip.Simulation) {
 			fmt.Printf("  %s %.1f%%", ph, 100*float64(p.PhaseLatency(ph).Sum())/float64(phaseSum))
 		}
 		fmt.Println()
-	}
-	if imb := p.Imbalance(); imb.Count() > 0 {
-		fmt.Printf("profile: shard imbalance p50 ≤%.2fx, barrier wait p95 ≤%v (total %v)\n",
-			float64(imb.Quantile(0.50))/1000,
-			d(p.BarrierWait().Quantile(0.95)), d(p.BarrierWait().Sum()))
 	}
 	if cw := p.CheckpointWrite(); cw.Count() > 0 {
 		fmt.Printf("profile: %d checkpoint writes, p50 ≤%v\n", cw.Count(), d(cw.Quantile(0.50)))

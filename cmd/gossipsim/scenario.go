@@ -22,14 +22,14 @@ func runScenario(args []string) error {
 		fmt.Fprintln(fs.Output(), "algorithm, topology and adversary knobs, phased timelines that rebind")
 		fmt.Fprintln(fs.Output(), "the topology mid-run, parameter grids, and expected-outcome assertions")
 		fmt.Fprintln(fs.Output(), "evaluated after the run (a violated assertion exits nonzero). Output is")
-		fmt.Fprintln(fs.Output(), "byte-identical across engine workers and local vs -remote execution;")
-		fmt.Fprintln(fs.Output(), "progress notices go to stderr so stdout stays comparable.")
+		fmt.Fprintln(fs.Output(), "byte-identical between local and -remote execution; progress")
+		fmt.Fprintln(fs.Output(), "notices go to stderr so stdout stays comparable.")
 		fmt.Fprintln(fs.Output(), "")
 		fs.PrintDefaults()
 	}
+	fs.Int("engineworkers", 0, "accepted and ignored: every round runs on one goroutine")
 	var (
 		remoteF  = fs.String("remote", "", "run against the gossipd daemon at this address (host:port) instead of in-process")
-		engineW  = fs.Int("engineworkers", 0, "shard-parallel engine workers: 0 = auto, 1 = sequential, >=2 exact; results identical at any value")
 		eventsF  = fs.String("events", "", "write the session's events as JSONL to this file (single runs only)")
 		ckptFile = fs.String("checkpoint", "", "write a checkpoint to this file at round -checkpointat, then keep running (single runs only)")
 		ckptAt   = fs.Int("checkpointat", 0, "round at which -checkpoint snapshots the run (0 = when the run finishes)")
@@ -47,7 +47,6 @@ func runScenario(args []string) error {
 	}
 	return scenario.RunFile(fs.Arg(0), scenario.Options{
 		Remote:         *remoteF,
-		EngineWorkers:  *engineW,
 		EventsPath:     *eventsF,
 		CheckpointPath: *ckptFile,
 		CheckpointAt:   *ckptAt,

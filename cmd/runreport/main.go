@@ -1,7 +1,8 @@
 // Command runreport turns a JSONL session-event file (gossipsim -events,
 // or any mobilegossip.EventJSONLSink stream) into a post-run report:
 // round-latency percentiles, a per-phase breakdown, shard-balance and
-// barrier-wait summaries, churn/checkpoint/drop counts, and the stall
+// barrier-wait summaries (present only in files written by builds that
+// split rounds across goroutines), churn/checkpoint/drop counts, and the stall
 // detector's convergence verdict replayed from the recorded potential
 // curve — the same pure function of (round, φ) the live session runs, so
 // the report's verdict matches what -metrics served during the run.
@@ -148,7 +149,7 @@ type PhaseStats struct {
 }
 
 // ShardStats summarizes the sharded rounds of the stream (absent when
-// every profiled round ran sequentially).
+// every profiled round ran on one goroutine, as every current build's do).
 type ShardStats struct {
 	Workers           int   `json:"workers"` // largest worker count seen
 	Rounds            int   `json:"rounds"`  // sharded rounds

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mobilegossip/internal/ckpt"
@@ -535,9 +536,7 @@ func TestJumpEqualsWalk(t *testing.T) {
 }
 
 // randProto is a minimal protocol (propose to a uniform neighbor with
-// probability 1/2) exercising the engine's sharded rounds over an
-// adversarial schedule; the -race CI job runs this test with the race
-// detector on.
+// probability 1/2) exercising the engine over an adversarial schedule.
 type randProto struct{}
 
 func (p *randProto) TagBits() int               { return 0 }
@@ -553,26 +552,36 @@ func (p *randProto) Decide(_ int, _ mtm.NodeID, view []mtm.Neighbor, rng *prand.
 	return mtm.Propose(view[rng.Intn(len(view))].ID)
 }
 
-// TestConcurrentEngineOverAdversary drives sharded rounds (4 workers)
-// over an adaptive adversarial schedule and requires the meters to match
-// the one-worker engine exactly (the package's determinism contract under
-// concurrency).
+// TestConcurrentEngineOverAdversary drives four engines at once, each over
+// its own adaptive adversarial schedule (as a sweep pool or the daemon
+// does), and requires every one to match a lone run exactly: schedules
+// share no mutable state across instances. Run under -race
+// (make race-concurrent).
 func TestConcurrentEngineOverAdversary(t *testing.T) {
-	run := func(workers int) mtm.Result {
+	run := func() mtm.Result {
 		adv := New(mobileBase(40, 1, 77), CutRich(), Options{Tau: 1, Seed: 79, Budget: 10})
 		adv.Bind(fakeReader{shift: 2})
-		eng := mtm.NewEngine(adv, &randProto{}, mtm.Config{
-			Seed: 81, MaxRounds: 40, Workers: workers,
-		})
-		res, err := eng.Run()
+		res, err := mtm.NewEngine(adv, &randProto{}, mtm.Config{Seed: 81, MaxRounds: 40}).Run()
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
 		return res
 	}
-	seq, par := run(1), run(4)
-	if seq != par {
-		t.Fatalf("sharded engine diverged over adversary:\n w=1 %+v\n w=4 %+v", seq, par)
+	want := run()
+	got := make([]mtm.Result, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i, res := range got {
+		if res != want {
+			t.Fatalf("concurrent engine %d diverged over adversary:\n got  %+v\n want %+v", i, res, want)
+		}
 	}
 }
 

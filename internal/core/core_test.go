@@ -8,6 +8,7 @@ import (
 	"mobilegossip/internal/graph"
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
+	"mobilegossip/internal/profile"
 )
 
 func TestAssignmentValidate(t *testing.T) {
@@ -349,24 +350,27 @@ func TestEpsilonGossipSolvesEarlierThanFull(t *testing.T) {
 	}
 }
 
+// TestGossipDeterministicAcrossBackends: the engine's unprofiled and
+// profiled round paths must produce the same run.
 func TestGossipDeterministicAcrossBackends(t *testing.T) {
-	run := func(workers int) (mtm.Result, int) {
+	run := func(prof *profile.Recorder) (mtm.Result, int) {
 		st, err := NewState(14, OneTokenPerNode(14, 3), 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := NewSharedBit(st, prand.NewSharedString(4))
-		res, err := mtm.NewEngine(dyngraph.RotatingRing(14, 2, 6), p,
-			mtm.Config{Seed: 13, MaxRounds: 1 << 20, Workers: workers}).Run()
+		eng := mtm.NewEngine(dyngraph.RotatingRing(14, 2, 6), p, mtm.Config{Seed: 13, MaxRounds: 1 << 20})
+		eng.SetProfiler(prof)
+		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, st.Potential()
 	}
-	seqRes, seqPhi := run(1)
-	parRes, parPhi := run(4)
-	if seqRes != parRes || seqPhi != parPhi {
-		t.Fatalf("backends diverged: %+v/%d vs %+v/%d", seqRes, seqPhi, parRes, parPhi)
+	plainRes, plainPhi := run(nil)
+	profRes, profPhi := run(profile.NewRecorder())
+	if plainRes != profRes || plainPhi != profPhi {
+		t.Fatalf("backends diverged: %+v/%d vs %+v/%d", plainRes, plainPhi, profRes, profPhi)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"mobilegossip/internal/graph"
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
+	"mobilegossip/internal/profile"
 )
 
 func runCrowdedBin(t *testing.T, n, k int, cfg CrowdedBinConfig, g *graph.Graph, seed uint64) mtm.Result {
@@ -93,27 +94,29 @@ func TestCrowdedBinStaysWithinBudget(t *testing.T) {
 	}
 }
 
+// TestCrowdedBinDeterministicAcrossBackends: the engine's unprofiled and
+// profiled round paths must produce the same run.
 func TestCrowdedBinDeterministicAcrossBackends(t *testing.T) {
 	const n, k = 16, 4
-	run := func(workers int) mtm.Result {
+	run := func(prof *profile.Recorder) mtm.Result {
 		st := mustState(t, n, OneTokenPerNode(n, k))
 		cb, err := NewCrowdedBin(st, CrowdedBinConfig{}, prand.New(8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := graph.RandomRegular(n, 4, prand.New(6))
-		res, err := mtm.NewEngine(dyngraph.NewStatic(g), cb, mtm.Config{
-			Seed: 13, Workers: workers,
-		}).Run()
+		eng := mtm.NewEngine(dyngraph.NewStatic(g), cb, mtm.Config{Seed: 13})
+		eng.SetProfiler(prof)
+		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Completed {
-			t.Fatalf("unsolved after %d rounds (workers=%d)", res.Rounds, workers)
+			t.Fatalf("unsolved after %d rounds (profiled=%v)", res.Rounds, prof != nil)
 		}
 		return res
 	}
-	if seq, par := run(1), run(4); seq != par {
-		t.Errorf("worker counts diverged:\n  w=1: %+v\n  w=4: %+v", seq, par)
+	if plain, prof := run(nil), run(profile.NewRecorder()); plain != prof {
+		t.Errorf("backends diverged:\n  plain:    %+v\n  profiled: %+v", plain, prof)
 	}
 }

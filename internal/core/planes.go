@@ -23,11 +23,10 @@ import (
 //
 // A plane is derived state, a pure function of (shared string, group): it is
 // rebuilt by whichever call first asks for a new group and is never
-// checkpointed. The engine's tag phase reaches it from every shard at once;
-// those calls all name the same group, and a phase barrier separates them
-// from the next round's, so the stamp-then-mutex guard below makes exactly
-// one of them fill the planes while the others wait, and no call reads words
-// that another is writing. Which shard fills cannot affect a result.
+// checkpointed. tag is safe for concurrent callers that name the same
+// group: the stamp-then-mutex guard below makes exactly one of them fill
+// the planes while the others wait, and no call reads words that another is
+// writing. Which caller fills cannot affect a result.
 type planes struct {
 	st     *State
 	shared *prand.SharedString

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"mobilegossip/internal/ckpt"
@@ -187,26 +188,14 @@ func TestRestoreRejectsUnassignedToken(t *testing.T) {
 	}
 }
 
-// tagRecorder notes every tag a protocol hands the engine. Each node's cell
-// is written by the shard that owns the node, as the engine's own tag array
-// is.
-type tagRecorder struct {
-	mtm.Protocol
-	tags []uint64
-}
-
-func (p *tagRecorder) Tag(r int, u mtm.NodeID) uint64 {
-	p.tags[u] = p.Protocol.Tag(r, u)
-	return p.tags[u]
-}
-
-// TestShardedPlanesMatchSequential is the planes' concurrency contract: the
-// tag phase reaches one plane from every shard at once, and which shard
-// rebuilds it must not matter. Each protocol is stepped at Workers 1 and 4
-// side by side; every round's tags and stats must agree. Run under -race
-// (make race-concurrent).
+// TestShardedPlanesMatchSequential is the planes' concurrency contract:
+// Tag is safe for concurrent callers naming the same round, and which call
+// rebuilds a plane must not matter. Each round, one twin's tags are read by
+// four goroutines over contiguous node shards at once and the other's
+// sequentially; then both engines step and must agree. Run under -race
+// (make race).
 func TestShardedPlanesMatchSequential(t *testing.T) {
-	const n, k, rounds = 4096, 200, 12
+	const n, k, rounds, shards = 4096, 200, 12, 4
 	build := map[string]func(st *State) mtm.Protocol{
 		"sharedbit": func(st *State) mtm.Protocol { return NewSharedBit(st, prand.NewSharedString(11)) },
 		"multibit": func(st *State) mtm.Protocol {
@@ -223,28 +212,43 @@ func TestShardedPlanesMatchSequential(t *testing.T) {
 	}
 	g := graph.RandomRegular(n, 4, prand.New(14))
 	for name, newProto := range build {
-		var recs [2]*tagRecorder
+		var protos [2]mtm.Protocol
 		var engs [2]*mtm.Engine
-		for i, workers := range []int{1, 4} {
-			recs[i] = &tagRecorder{Protocol: newProto(mustState(t, n, OneTokenPerNode(n, k))), tags: make([]uint64, n)}
-			engs[i] = mtm.NewEngine(dyngraph.NewStatic(g), recs[i], mtm.Config{Seed: 15, MaxRounds: 1 << 20, Workers: workers})
+		for i := range protos {
+			protos[i] = newProto(mustState(t, n, OneTokenPerNode(n, k)))
+			engs[i] = mtm.NewEngine(dyngraph.NewStatic(g), protos[i], mtm.Config{Seed: 15, MaxRounds: 1 << 20})
 		}
+		seq, par := make([]uint64, n), make([]uint64, n)
 		for r := 1; r <= rounds; r++ {
-			seq, err := engs[0].Step()
-			if err != nil {
-				t.Fatal(err)
+			for u := range seq {
+				seq[u] = protos[0].Tag(r, u)
 			}
-			par, err := engs[1].Step()
-			if err != nil {
-				t.Fatal(err)
+			var wg sync.WaitGroup
+			for s := 0; s < shards; s++ {
+				wg.Add(1)
+				go func(lo, hi int) {
+					defer wg.Done()
+					for u := lo; u < hi; u++ {
+						par[u] = protos[1].Tag(r, u)
+					}
+				}(s*n/shards, (s+1)*n/shards)
 			}
-			if seq != par {
-				t.Fatalf("%s round %d: stats %+v at 1 worker, %+v at 4", name, r, seq, par)
-			}
-			for u := range recs[0].tags {
-				if recs[0].tags[u] != recs[1].tags[u] {
-					t.Fatalf("%s round %d node %d: tag %d at 1 worker, %d at 4", name, r, u, recs[0].tags[u], recs[1].tags[u])
+			wg.Wait()
+			for u := range seq {
+				if seq[u] != par[u] {
+					t.Fatalf("%s round %d node %d: tag %d sequential, %d sharded", name, r, u, seq[u], par[u])
 				}
+			}
+			a, err := engs[0].Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := engs[1].Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Fatalf("%s round %d: stats %+v vs %+v", name, r, a, b)
 			}
 		}
 	}

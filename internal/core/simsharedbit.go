@@ -30,9 +30,9 @@ type SimSharedBit struct {
 	lead  *leader.Protocol
 	space *prand.SeedSpace
 	// planes caches the materialized R′ member per seed index, with its
-	// advertisement plane. Tag and Decide consult it for any node, so under
-	// a sharded engine the cache is the one piece of cross-node shared
-	// state these phases touch; mu makes the lazy materialization safe. The
+	// advertisement plane. Tag and Decide consult it for any node, so the
+	// cache is the one piece of cross-node shared state they touch; mu
+	// makes the lazy materialization safe for concurrent callers. The
 	// cached value for a seed is a pure function of the seed (and, for the
 	// plane, the round group), so fill order cannot affect results.
 	mu     sync.Mutex

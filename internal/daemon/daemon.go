@@ -181,16 +181,15 @@ func (d *Daemon) register(sim *mobilegossip.Simulation, recordEvents, resumed bo
 	cfg := sim.Config()
 	id := fmt.Sprintf("s%06d", d.seq.Add(1))
 	s := &session{
-		id:            id,
-		algorithm:     cfg.Algorithm.String(),
-		topology:      sim.Result().Topology,
-		n:             cfg.N,
-		k:             sim.K(),
-		tau:           cfg.Tau,
-		epsilon:       cfg.Epsilon,
-		seed:          cfg.Seed,
-		engineWorkers: cfg.EngineWorkers,
-		profile:       cfg.Profile,
+		id:        id,
+		algorithm: cfg.Algorithm.String(),
+		topology:  sim.Result().Topology,
+		n:         cfg.N,
+		k:         sim.K(),
+		tau:       cfg.Tau,
+		epsilon:   cfg.Epsilon,
+		seed:      cfg.Seed,
+		profile:   cfg.Profile,
 	}
 	if recordEvents {
 		rec, err := newRecorder(d.eventsPath(id), resumed)
@@ -240,8 +239,8 @@ func (d *Daemon) detachLocked(s *session) {
 }
 
 // ensureLiveLocked revives an evicted session from its disk checkpoint.
-// Call with s.mu held. Revival is transparent: the wall-clock-only knobs
-// (EngineWorkers, Profile) are re-applied, the recorder is armed to drop
+// Call with s.mu held. Revival is transparent: the wall-clock-only
+// Profile knob is re-applied, the recorder is armed to drop
 // the revived simulation's re-announcement events, and execution
 // continues byte-identically to a never-evicted run.
 func (d *Daemon) ensureLiveLocked(s *session) error {
@@ -255,7 +254,6 @@ func (d *Daemon) ensureLiveLocked(s *session) error {
 	if err != nil {
 		return fmt.Errorf("reviving session %s: %w", s.id, err)
 	}
-	sim.SetEngineWorkers(s.engineWorkers)
 	if s.profile {
 		sim.EnableProfiling()
 	}

@@ -505,12 +505,14 @@ func TestDaemonHTTPErrors(t *testing.T) {
 	}
 
 	// Unknown JSON fields and trailing garbage are rejected with a 400
-	// that names the problem — including "concurrent", the wire name of a
-	// removed engine option, which is an unknown field like any other.
+	// that names the problem — including "concurrent" and
+	// "engine_workers", the wire names of removed engine options, which
+	// are unknown fields like any other.
 	for _, tc := range []struct{ body, want string }{
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"fitler":"x"}`, `unknown field "fitler"`},
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"}} extra`, `trailing data`},
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"concurrent":true}`, `unknown field "concurrent"`},
+		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"engine_workers":2}`, `unknown field "engine_workers"`},
 	} {
 		if _, err := decodeCreateRequest([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("decodeCreateRequest(%q) = %v, want an error naming %s", tc.body, err, tc.want)

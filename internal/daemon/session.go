@@ -37,10 +37,9 @@ type session struct {
 	n, k, tau int
 	epsilon   float64
 	seed      uint64
-	// Wall-clock-only knobs to re-apply on revival (deliberately outside
-	// the checkpoint stream, like everywhere else in the module).
-	engineWorkers int
-	profile       bool
+	// Profile is re-applied on revival: a wall-clock-only knob,
+	// deliberately outside the checkpoint stream.
+	profile bool
 
 	// Cached state, stored at slice boundaries and read lock-free by the
 	// state/list endpoints — a state query never waits on a stepping

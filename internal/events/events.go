@@ -56,9 +56,9 @@ const (
 	TypeSessionEnd
 	// TypeRoundProfile fires after TypeRoundCompleted on profiled
 	// sessions (Config.Profile) with the round's timing breakdown:
-	// wall time, per-phase spans, shard imbalance, barrier wait, and the
-	// stall detector's health verdict. Schema 2; appended after the v1
-	// types so their wire numbers are unchanged.
+	// wall time, per-phase spans, and the stall detector's health
+	// verdict. Schema 2; appended after the v1 types so their wire numbers
+	// are unchanged.
 	TypeRoundProfile
 	// TypeTopologyRebound fires when Simulation.Rebind swaps the topology
 	// schedule at a round boundary (a phased scenario entering its next
@@ -168,9 +168,9 @@ type Event struct {
 
 	// Round timing (TypeRoundProfile; schema 2). RoundNanos is the
 	// round's wall time; the four phase fields break it down (see
-	// internal/profile.Phase); Workers is the shard count the round ran
-	// with; ImbalanceMilli is max/mean shard compute time in thousandths
-	// and BarrierNanos the total barrier wait (both 0 when Workers ≤ 1).
+	// internal/profile.Phase). Workers, ImbalanceMilli and BarrierNanos
+	// described a round split across goroutines; a round runs on one, so
+	// they read 1/0/0 and stay for older event files.
 	RoundNanos     int64
 	ChurnNanos     int64
 	ProposalNanos  int64

@@ -2,14 +2,11 @@ package graph
 
 import "sort"
 
-// Vertex orderings and shard partitioning for the cache-aware, shard-parallel
-// engine path. BFSOrder and DegreeOrder produce relabeling permutations (in
-// the perm[old] = new convention Relabel expects) that improve memory
-// locality of the round loop: after a BFS relabeling, the adjacency lists of
-// consecutive vertices point at nearby vertex ids, so the tag/decide scans
-// touch close-together cache lines, and contiguous shard ranges cut far
-// fewer cross-shard edges. BalancedCutsInto partitions the relabeled (or
-// original) vertex range into contiguous shards of near-equal work.
+// Vertex orderings for the cache-aware engine path. BFSOrder and DegreeOrder
+// produce relabeling permutations (in the perm[old] = new convention Relabel
+// expects) that improve memory locality of the round loop: after a BFS
+// relabeling, the adjacency lists of consecutive vertices point at nearby
+// vertex ids, so the tag/decide scans touch close-together cache lines.
 
 // BFSOrder returns a relabeling permutation (perm[old] = new) that numbers
 // vertices in breadth-first order from vertex 0. Disconnected remainders are
@@ -44,9 +41,8 @@ func BFSOrder(g *Graph) []int {
 }
 
 // DegreeOrder returns a relabeling permutation (perm[old] = new) that
-// numbers vertices by descending degree, ties broken by ascending id. High-
-// degree hubs land in the same low shard instead of scattering expensive
-// adjacency scans across every shard.
+// numbers vertices by descending degree, ties broken by ascending id, so
+// the high-degree hubs' adjacency lists sit together at the front.
 func DegreeOrder(g *Graph) []int {
 	n := g.N()
 	byDeg := make([]int32, n)
@@ -61,38 +57,4 @@ func DegreeOrder(g *Graph) []int {
 		perm[u] = rank
 	}
 	return perm
-}
-
-// BalancedCutsInto partitions the vertex range [0, n) into k contiguous
-// shards [cuts[s], cuts[s+1]) of near-equal estimated round cost, where the
-// cost of vertex v is deg(v) + nodeWeight (nodeWeight models the fixed
-// per-vertex work of the tag/decide/deliver phases relative to one adjacency
-// entry). It appends into cuts (reusing its capacity, so steady-state use
-// allocates nothing) and returns the k+1 boundaries, with cuts[0] = 0 and
-// cuts[k] = n. Shards may be empty when k exceeds the useful parallelism.
-//
-// Because the CSR offsets are nondecreasing, each boundary is found by
-// binary search on the exact prefix cost offsets[v] + nodeWeight·v, making
-// the partition deterministic and O(k log n).
-func (g *Graph) BalancedCutsInto(k int, nodeWeight int32, cuts []int32) []int32 {
-	n := g.N()
-	if k < 1 {
-		k = 1
-	}
-	cuts = append(cuts[:0], 0)
-	total := int64(g.offsets[n]) + int64(nodeWeight)*int64(n)
-	for s := 1; s < k; s++ {
-		target := total * int64(s) / int64(k)
-		lo, hi := int(cuts[s-1]), n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if int64(g.offsets[mid])+int64(nodeWeight)*int64(mid) < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		cuts = append(cuts, int32(lo))
-	}
-	return append(cuts, int32(n))
 }

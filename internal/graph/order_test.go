@@ -87,50 +87,3 @@ func TestDegreeOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestBalancedCutsInvariants(t *testing.T) {
-	rng := prand.New(11)
-	graphs := []*Graph{
-		Cycle(31), Star(64), Complete(10),
-		RandomRegular(500, 6, rng), Grid(13, 17),
-	}
-	for _, g := range graphs {
-		n := g.N()
-		var cuts []int32
-		for k := 1; k <= 9; k++ {
-			cuts = g.BalancedCutsInto(k, 8, cuts)
-			if len(cuts) != k+1 || cuts[0] != 0 || cuts[k] != int32(n) {
-				t.Fatalf("%s k=%d: bad boundaries %v", g.Name(), k, cuts)
-			}
-			for s := 0; s < k; s++ {
-				if cuts[s] > cuts[s+1] {
-					t.Fatalf("%s k=%d: cuts not monotone %v", g.Name(), k, cuts)
-				}
-			}
-		}
-	}
-}
-
-func TestBalancedCutsBalance(t *testing.T) {
-	// On a regular graph every vertex costs the same, so an 8-way cut must
-	// split the range into near-equal eighths.
-	g := RandomRegular(8000, 4, prand.New(5))
-	cuts := g.BalancedCutsInto(8, 8, nil)
-	for s := 0; s < 8; s++ {
-		size := int(cuts[s+1] - cuts[s])
-		if size < 990 || size > 1010 {
-			t.Fatalf("shard %d has %d vertices, want ~1000 (cuts %v)", s, size, cuts)
-		}
-	}
-}
-
-func TestBalancedCutsReuseNoAlloc(t *testing.T) {
-	g := RandomRegular(4000, 4, prand.New(9))
-	cuts := g.BalancedCutsInto(8, 8, nil)
-	allocs := testing.AllocsPerRun(100, func() {
-		cuts = g.BalancedCutsInto(8, 8, cuts)
-	})
-	if allocs != 0 {
-		t.Fatalf("BalancedCutsInto allocated %.1f/op with a warm buffer", allocs)
-	}
-}

@@ -2,13 +2,13 @@ package harness
 
 // Extension experiments beyond the paper's exhibits: ablations of design
 // choices the paper discusses in prose (tag length beyond one bit, the
-// value of stability, engine worker counts, gradual churn between the paper's
-// two extremes). See DESIGN.md §3.
+// value of stability, gradual churn between the paper's two extremes). See
+// DESIGN.md §3. E17, an engine-worker ablation, was retired with the
+// parallel engine; its id is not reused.
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"mobilegossip"
 	"mobilegossip/internal/core"
@@ -22,7 +22,6 @@ import (
 func init() {
 	register(Experiment{ID: "E15", Title: "Tag-length ablation: b = 0,1,2,4,8", Exhibit: "§1 remark: b>1 buys at most log factors", Run: runE15})
 	register(Experiment{ID: "E16", Title: "Stability sweep: SimSharedBit vs τ on the double-star", Exhibit: "Thm 5.6 Δ^{1/τ} term", Run: runE16})
-	register(Experiment{ID: "E17", Title: "Engine ablation: sequential (1 worker) vs sharded (4 workers)", Exhibit: "model engine (DESIGN.md §5, §11)", Run: runE17})
 	register(Experiment{ID: "E18", Title: "Gradual churn sweep: SharedBit vs rewire fraction", Exhibit: "§2 dynamic graphs between τ=∞ and adversarial τ=1", Run: runE18})
 }
 
@@ -125,71 +124,6 @@ func runE16(o Options) (*Table, error) {
 			"nears 1 — total τ=1/τ=%d ratio %.2fx, with the residual rounds dominated by the "+
 			"τ-independent O(kn) gossip term (Thm 5.6)",
 		n/2, taus[len(taus)-1], stats.Ratio(last, first)))
-	return t, nil
-}
-
-// runE17: the round is the same computation at any shard count (every
-// phase is one range body, randomness is per node, and the cross-shard
-// reductions run in shard order), so a one-shard run and a 4-shard run of
-// the same seed must be identical; this experiment verifies equality
-// end-to-end and records the relative wall-clock cost.
-func runE17(o Options) (*Table, error) {
-	n, k := 128, 16
-	if o.Quick {
-		n, k = 64, 8
-	}
-	t := &Table{
-		ID: "E17",
-		Caption: fmt.Sprintf(
-			"Engine workers on SharedBit (n=%d, k=%d, τ=1 rotating 4-regular)", n, k),
-		Columns: []string{"seed", "rounds (w=1)", "rounds (w=4)", "identical", "w=1 ms", "w=4 ms"},
-	}
-	type workersRow struct {
-		seed     uint64
-		w1, w4   mobilegossip.Result
-		ms1, ms4 time.Duration
-	}
-	// The whole point of E17 is the w=1-vs-w=4 wall-clock comparison, so
-	// the timed pairs must not contend with each other: force one worker.
-	rcfg := runnerCfg(o)
-	rcfg.Workers = 1
-	rows, err := runner.Map(rcfg, trials(o), func(j runner.Job) (workersRow, error) {
-		row := workersRow{seed: o.Seed + uint64(31*j.Index)}
-		cfg := mobilegossip.Config{
-			Algorithm: mobilegossip.AlgSharedBit, N: n, K: k,
-			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
-			Tau:      1, Seed: row.seed,
-		}
-		timed := func(workers int) (mobilegossip.Result, time.Duration, error) {
-			cfg.EngineWorkers = workers
-			t0 := time.Now()
-			res, err := mobilegossip.Run(cfg)
-			return res, time.Since(t0), err
-		}
-		var err error
-		if row.w1, row.ms1, err = timed(1); err != nil {
-			return row, err
-		}
-		if row.w4, row.ms4, err = timed(4); err != nil {
-			return row, err
-		}
-		if row.w1 != row.w4 {
-			return row, fmt.Errorf("harness: worker counts diverged at seed %d: %+v vs %+v", row.seed, row.w1, row.w4)
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmtF(float64(r.seed)), fmtF(float64(r.w1.Rounds)), fmtF(float64(r.w4.Rounds)),
-			"yes",
-			fmtF(float64(r.ms1.Milliseconds())), fmtF(float64(r.ms4.Milliseconds())),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"every seed produced bit-identical executions at 1 and 4 engine workers")
 	return t, nil
 }
 

@@ -83,12 +83,6 @@ type Options struct {
 	// Workers bounds the sweep engine's parallelism; 0 means GOMAXPROCS.
 	// Results are bit-identical at every worker count (see internal/runner).
 	Workers int
-	// EngineWorkers is the shard-parallel engine worker count applied to
-	// every run of every sweep (mobilegossip.Config.EngineWorkers, but with
-	// 0 meaning sequential rather than auto: the sweep pool already uses
-	// every core, so intra-run auto-parallelism would only oversubscribe).
-	// Results are bit-identical at every value.
-	EngineWorkers int
 	// OnProgress, if set, receives (done, total) after each finished grid
 	// cell of the experiment's current sweep.
 	OnProgress func(done, total int)

@@ -32,16 +32,6 @@ func trialSeed(o Options, trial int) uint64 {
 	return o.Seed + uint64(1000*trial) + 17
 }
 
-// engineWorkersFor resolves the per-run engine worker count for sweep
-// cells: Options.EngineWorkers when set, else 1 (sequential — the pool
-// already saturates the machine).
-func engineWorkersFor(o Options) int {
-	if o.EngineWorkers > 0 {
-		return o.EngineWorkers
-	}
-	return 1
-}
-
 // meanRoundsGrid evaluates every config trials(o) times on the worker pool
 // and returns the per-config mean round counts in grid order.
 func meanRoundsGrid(o Options, cfgs []mobilegossip.Config) ([]float64, error) {
@@ -49,7 +39,6 @@ func meanRoundsGrid(o Options, cfgs []mobilegossip.Config) ([]float64, error) {
 		func(p, t int, _ uint64) (float64, error) {
 			cfg := cfgs[p]
 			cfg.Seed = trialSeed(o, t)
-			cfg.EngineWorkers = engineWorkersFor(o)
 			res, err := mobilegossip.Run(cfg)
 			if err != nil {
 				return 0, err
@@ -93,7 +82,6 @@ func meanStatsGrid(o Options, cfgs []mobilegossip.Config) ([]runStats, error) {
 		func(p, t int, _ uint64) (runStats, error) {
 			cfg := cfgs[p]
 			cfg.Seed = trialSeed(o, t)
-			cfg.EngineWorkers = engineWorkersFor(o)
 			res, err := mobilegossip.Run(cfg)
 			if err != nil {
 				return runStats{}, err

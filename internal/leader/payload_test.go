@@ -79,10 +79,8 @@ func TestPayloadQuickManySeeds(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineLeavesNoGoroutines: the sharded engine must join
-// every goroutine a phase launched before Run returns, so the count is
-// back at its baseline after sharded runs. n is large enough that the
-// exchange phase fans out too.
+// TestConcurrentEngineLeavesNoGoroutines: the engine runs every round on
+// its caller, so the goroutine count is back at its baseline after runs.
 func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
 	const n = 400
 	before := runtime.NumGoroutine()
@@ -93,7 +91,7 @@ func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
 		}
 		p := New(ids, make([]uint64, n))
 		dyn := dyngraph.NewStatic(graph.RandomRegular(n, 4, prand.New(seed)))
-		if _, err := mtm.NewEngine(dyn, p, mtm.Config{Seed: seed, Workers: 4}).Run(); err != nil {
+		if _, err := mtm.NewEngine(dyn, p, mtm.Config{Seed: seed}).Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +103,7 @@ func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after sharded runs", before, after)
+			t.Fatalf("goroutines grew from %d to %d after runs", before, after)
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)

@@ -6,7 +6,6 @@ package mtm
 
 import (
 	"sort"
-	"sync"
 	"testing"
 
 	"mobilegossip/internal/dyngraph"
@@ -20,7 +19,6 @@ import (
 type observer struct {
 	n int
 
-	mu        sync.Mutex
 	proposals map[int]map[int]int // round -> proposer -> target
 	conns     map[int][][2]int    // round -> (initiator, responder)
 }
@@ -42,20 +40,16 @@ func (o *observer) Decide(r int, u NodeID, view []Neighbor, rng *prand.RNG) Acti
 		return Listen()
 	}
 	target := view[rng.Intn(len(view))].ID
-	o.mu.Lock()
 	if o.proposals[r] == nil {
 		o.proposals[r] = make(map[int]int)
 	}
 	o.proposals[r][u] = target
-	o.mu.Unlock()
 	return Propose(target)
 }
 
 func (o *observer) Exchange(r int, c *Conn) {
 	c.ChargeBits(1)
-	o.mu.Lock()
 	o.conns[r] = append(o.conns[r], [2]int{c.Initiator, c.Responder})
-	o.mu.Unlock()
 }
 
 // TestProposerNeverReceives: a node that sends a proposal cannot accept
@@ -126,7 +120,6 @@ func TestStarContentionOneConnectionPerRound(t *testing.T) {
 
 // hubFlood: every leaf proposes to the hub (node 0) every round.
 type hubFlood struct {
-	mu          sync.Mutex
 	perRound    map[int]int
 	maxPerRound int
 	total       int
@@ -138,9 +131,7 @@ func (p *hubFlood) Tag(int, NodeID) uint64 { return 0 }
 func (p *hubFlood) Done() bool             { return false }
 
 func (p *hubFlood) Decide(r int, u NodeID, view []Neighbor, _ *prand.RNG) Action {
-	p.mu.Lock()
 	p.rounds = r
-	p.mu.Unlock()
 	if u == 0 {
 		return Listen()
 	}
@@ -149,8 +140,6 @@ func (p *hubFlood) Decide(r int, u NodeID, view []Neighbor, _ *prand.RNG) Action
 
 func (p *hubFlood) Exchange(r int, c *Conn) {
 	c.ChargeBits(1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.perRound == nil {
 		p.perRound = make(map[int]int)
 	}
@@ -165,10 +154,8 @@ func (p *hubFlood) Exchange(r int, c *Conn) {
 // exactly its topology neighbors, each labeled with the tag that node is
 // advertising this round.
 type viewChecker struct {
-	t   *testing.T
-	dyn dyngraph.Dynamic
-
-	mu     sync.Mutex
+	t      *testing.T
+	dyn    dyngraph.Dynamic
 	checks int
 }
 
@@ -203,9 +190,7 @@ func (p *viewChecker) Decide(r int, u NodeID, view []Neighbor, _ *prand.RNG) Act
 			}
 		}
 	}
-	p.mu.Lock()
 	p.checks++
-	p.mu.Unlock()
 	return Listen()
 }
 

@@ -11,23 +11,19 @@
 // The Engine enforces every model constraint: one proposal per node,
 // proposer-cannot-receive, uniform acceptance, matching-only connections,
 // per-connection communication budgets, and the τ-stability of the topology
-// schedule. There is one round loop: every phase is written once over a
-// range (shard.go), and a round runs it over one range inline or over
-// Config.Workers ranges in parallel. Any worker count produces the
-// bit-identical execution because all randomness is drawn from per-node
-// streams and per-round connections are vertex-disjoint.
+// schedule. A round is one straight-line pass over the nodes on the calling
+// goroutine — tag, decide, deliver, accept, exchange — and all randomness
+// is drawn from per-node streams, so a seed fixes the execution.
 package mtm
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 	"time"
 
 	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/dyngraph"
-	"mobilegossip/internal/graph"
 	"mobilegossip/internal/prand"
 	"mobilegossip/internal/profile"
 )
@@ -56,10 +52,12 @@ func Propose(target NodeID) Action { return Action{Propose: true, Target: target
 
 // Protocol is a distributed algorithm in the mobile telephone model. A
 // Protocol owns the state of all nodes; the engine calls its methods with
-// explicit node ids. Contract required for running a round's ranges in
-// parallel (and checked by this package's determinism tests): Tag and
-// Decide for node u read/write only u's state; Exchange reads/writes only
-// the two endpoint states of its connection.
+// explicit node ids, from one goroutine, in round phase order: Tag for
+// every node, then Decide for every node in ascending id, then Exchange
+// for every accepted connection in ascending responder id. Tag and Decide
+// for node u read/write only u's state (Decide reads its neighbors only
+// through the view); Exchange reads/writes only the two endpoint states of
+// its connection.
 type Protocol interface {
 	// TagBits returns the tag length b >= 0 the protocol uses.
 	TagBits() int
@@ -138,14 +136,6 @@ type Config struct {
 	Seed uint64
 	// MaxRounds aborts the run if the protocol is not Done by then.
 	MaxRounds int
-	// Workers is the number of contiguous degree-balanced shards the node
-	// range is split into: every round phase (tag, decide, deliver, accept,
-	// exchange) runs over the shards in parallel with a deterministic
-	// cross-shard reduction, producing byte-identical executions at any
-	// worker count or GOMAXPROCS (see DESIGN.md §11). Workers ≤ 1 is the
-	// one-shard round, run inline on the caller with no goroutine (the
-	// 0 allocs/op steady state).
-	Workers int
 	// BitLimit overrides the per-connection control-bit budget
 	// (default 64·(⌈log₂ N⌉+1)³, a generous polylog(N)).
 	BitLimit int
@@ -194,10 +184,10 @@ type RoundStats struct {
 //
 // All per-round working state lives in scratch buffers owned by the engine
 // and allocated once in NewEngine: tag and action arrays, the flat proposal
-// inbox (CSR-style counts + offsets + one backing array), the per-shard
-// scan views and accepted pairs, and the Conn records themselves. The
-// one-shard round loop therefore performs zero steady-state heap
-// allocations — see DESIGN.md §"Scratch-buffer lifecycle".
+// inbox (CSR-style counts + offsets + one backing array), the scan view,
+// and the Conn records themselves. The round loop therefore performs zero
+// steady-state heap allocations — see DESIGN.md §"Scratch-buffer
+// lifecycle".
 type Engine struct {
 	dyn   dyngraph.Dynamic
 	proto Protocol
@@ -218,28 +208,17 @@ type Engine struct {
 	tags    []uint64 // advertised tags, by node
 	acts    []Action // decisions, by node
 	targets []int32  // validated proposal target per node (-1 = none)
-	inCnt   []int32  // valid proposals per target node
-	inOff   []int32  // prefix offsets into inbox (len n+1)
+	inCnt   []int32  // valid proposals per target node, then the fill cursor
+	inOff   []int32  // prefix offsets into inbox
 	inbox   []int32  // flat proposal inbox: proposers grouped by target
+	view    []Neighbor
 	conns   []Conn
-
-	// The round's ranges and the fan-out that runs them (see shard.go).
-	g        *graph.Graph   // this round's topology
-	workers  int            // resolved shard count (≥ 1)
-	cuts     []int32        // per-round shard boundaries (len shards+1)
-	exCuts   []int32        // per-round exchange chunk boundaries
-	testCuts []int32        // test hook: fixed boundaries override cuts
-	shards   []shard        // per-range scratch
-	wg       sync.WaitGroup // the phase barrier
 
 	// Profiling sidecar (nil = off; see internal/profile and DESIGN.md
 	// §13). Timing is read-only: it draws no randomness and mutates no
 	// simulation state, so profiled and unprofiled runs are
-	// byte-identical. profParNs accumulates, over the round's phases that
-	// ran in parallel, wall time × ranges launched — the goroutine-time the
-	// barrier accounting compares against the shards' compute time.
-	prof      *profile.Recorder
-	profParNs int64
+	// byte-identical.
+	prof *profile.Recorder
 }
 
 // ErrBudgetExceeded is returned when any connection exceeded its
@@ -272,16 +251,11 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 		acts:    make([]Action, n),
 		targets: make([]int32, n),
 		inCnt:   make([]int32, n),
-		inOff:   make([]int32, n+1),
+		inOff:   make([]int32, n),
 		inbox:   make([]int32, n),
+		view:    make([]Neighbor, 0, 64),
 		conns:   make([]Conn, 0, n/2+1),
-		cuts:    make([]int32, 0, 2),
-		exCuts:  make([]int32, 0, 2),
-		// Shard 0 is sized for a whole matching so the one-shard round
-		// never grows it; further shards are added by ensureShards.
-		shards: []shard{{view: make([]Neighbor, 0, 64), pairs: make([][2]int32, 0, n/2+1)}},
 	}
-	e.SetWorkers(cfg.Workers)
 	for u := 0; u < n; u++ {
 		e.rngs[u] = prand.New(prand.Mix64(cfg.Seed ^ (uint64(u)+1)*0xd6e8feb86659fd93))
 	}
@@ -326,25 +300,10 @@ func (e *Engine) SetDynamic(dyn dyngraph.Dynamic) {
 	e.deltaDyn, _ = dyn.(dyngraph.DeltaDynamic)
 }
 
-// SetWorkers retunes the shard count at a round boundary (w ≤ 1 is the
-// one-shard round, run inline). Worker count affects wall-clock only,
-// never results, so it is valid to change mid-run or after a restore:
-// checkpoints do not record it, and engines at any worker count produce
-// interchangeable, byte-identical checkpoints.
-func (e *Engine) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	e.workers = w
-}
-
-// Workers returns the resolved shard-worker count (≥ 1).
-func (e *Engine) Workers() int { return e.workers }
-
 // SetProfiler attaches (nil detaches) a timing recorder at a round
 // boundary. Profiling is a read-only sidecar: it affects wall-clock
-// only, never results or checkpoints, so — like SetWorkers — it is
-// valid to toggle mid-run or after a restore.
+// only, never results or checkpoints, so it is valid to toggle mid-run
+// or after a restore.
 func (e *Engine) SetProfiler(p *profile.Recorder) { e.prof = p }
 
 // Profiler returns the attached timing recorder (nil when profiling is
@@ -391,10 +350,9 @@ func (e *Engine) OverBudget() bool { return e.overBudget }
 // Step executes exactly one round and returns its per-round stats. Calling
 // Step on a finished run returns ErrRunFinished.
 //
-// Every phase runs through runPhase over this round's shard boundaries —
-// one range [0, n) inline on this goroutine, or several in parallel — and
-// the cross-shard reductions between phases run here, sequentially in
-// shard order, so the round is the same computation at any shard count.
+// The round's phases run in order over the nodes [0, n), each loop
+// hoisting the arrays it walks into locals: indexing them through the
+// receiver measurably slows rounds that are all fixed cost.
 func (e *Engine) Step() (RoundStats, error) {
 	e.start()
 	if e.completed || e.round >= e.cfg.MaxRounds {
@@ -428,74 +386,85 @@ func (e *Engine) Step() (RoundStats, error) {
 	}
 	phaseNs[profile.PhaseChurn] = lap(prof, &tPhase)
 
-	e.g = g
-	cuts := e.roundCuts(g, g.N())
-	w := len(cuts) - 1
-	e.ensureShards(w)
-	shards := e.shards[:w]
-	// Empty shards run no phase, so their reduction inputs are cleared here.
-	for s := range shards {
-		sh := &shards[s]
-		sh.pairs, sh.props, sh.arrivals, sh.ns = sh.pairs[:0], 0, 0, 0
-	}
-	e.profParNs = 0
-
-	// Advertise: every node picks its b-bit tag. A violation poisons the
-	// run, so every shard's err is nil on entry.
-	e.runPhase(phaseTag, cuts)
-	for s := range shards {
-		if err := shards[s].err; err != nil {
-			e.failed = err
-			return stats, err
+	// Advertise: every node picks its b-bit tag. The first violation, at
+	// the lowest node, poisons the run.
+	tags, proto, mask := e.tags, e.proto, e.tagMask
+	for u := range tags {
+		tags[u] = proto.Tag(r, u)
+		if tags[u]&^mask != 0 {
+			e.failed = fmt.Errorf("%w: node %d round %d tag %#x with b=%d",
+				ErrTagTooWide, u, r, tags[u], proto.TagBits())
+			return stats, e.failed
 		}
 	}
 
-	// Scan + decide.
-	e.runPhase(phaseDecide, cuts)
-
-	// Deliver proposals into the flat inbox: validate each against the
-	// complete action array, count arrivals per target, and turn the
-	// per-shard totals into inbox base offsets — the layout of one prefix
-	// sum over all nodes.
-	e.runPhase(phaseValidate, cuts)
-	e.runPhase(phaseCount, cuts)
-	// A one-shard round has nothing to reduce: its reduction time is 0.
-	timeRed := prof && w > 1
-	var tRed time.Time
-	lap(timeRed, &tRed)
-	base := int32(0)
-	for s := range shards {
-		sh := &shards[s]
-		stats.Proposals += sh.props
-		sh.base = base
-		base += sh.arrivals
+	// Scan + decide, each node drawing from its own stream.
+	acts, rngs, view := e.acts, e.rngs, e.view
+	for u := range acts {
+		view = view[:0]
+		for _, v := range g.Adjacency(u) {
+			view = append(view, Neighbor{ID: int(v), Tag: tags[v]})
+		}
+		acts[u] = proto.Decide(r, u, view, rngs[u])
 	}
-	redNs := lap(timeRed, &tRed)
+	e.view = view[:0] // keep any growth for the next round
+
+	// Deliver: validate each proposal and count arrivals per target. A
+	// proposer cannot receive, so proposals to proposers are lost (the
+	// target is busy sending), as are malformed ones.
+	targets, inCnt, inOff, inbox := e.targets, e.inCnt, e.inOff, e.inbox
+	n := len(targets)
+	clear(inCnt)
+	for u := range targets {
+		targets[u] = -1
+		if !acts[u].Propose {
+			continue
+		}
+		stats.Proposals++
+		t := acts[u].Target
+		if t < 0 || t >= n || t == u || !g.HasEdge(u, t) || acts[t].Propose {
+			continue
+		}
+		targets[u] = int32(t)
+		inCnt[t]++
+	}
+	// One prefix sum lays out the inbox; inCnt is then reused as the fill
+	// cursor, so proposers group by target in ascending proposer order.
+	off := int32(0)
+	for v := range inOff {
+		inOff[v] = off
+		off += inCnt[v]
+		inCnt[v] = 0
+	}
+	for u, t := range targets {
+		if t >= 0 {
+			inbox[inOff[t]+inCnt[t]] = int32(u)
+			inCnt[t]++
+		}
+	}
 
 	// Accept: each listener with proposals picks one uniformly with its own
-	// randomness, so connections form a matching.
-	e.runPhase(phaseAccept, cuts)
-	phaseNs[profile.PhaseProposal] = lap(prof, &tPhase) - redNs
-	phaseNs[profile.PhaseReduction] = redNs
-
-	// Communicate over each accepted connection. Reading the per-shard pair
-	// lists in shard order is ascending responder order at any shard count;
-	// the Conn records live in the engine's reusable slice.
+	// randomness, so connections form a matching, listed in ascending
+	// responder order in the engine's reusable Conn slice.
 	conns := e.conns[:0]
-	for s := range shards {
-		for _, p := range shards[s].pairs {
-			u, v := int(p[0]), int(p[1])
-			conns = append(conns, Conn{
-				Round: r, Initiator: u, Responder: v,
-				InitRNG: e.rngs[u], RespRNG: e.rngs[v],
-				bitLimit: e.cfg.BitLimit, tokenLimit: e.cfg.TokenLimit,
-			})
+	for v, c := range inCnt {
+		if c == 0 {
+			continue
 		}
+		u := int(inbox[inOff[v]+int32(rngs[v].Intn(int(c)))])
+		conns = append(conns, Conn{
+			Round: r, Initiator: u, Responder: v,
+			InitRNG: rngs[u], RespRNG: rngs[v],
+			bitLimit: e.cfg.BitLimit, tokenLimit: e.cfg.TokenLimit,
+		})
 	}
 	e.conns = conns
-	e.runPhase(phaseExchange, e.exchangeCuts(len(conns), w))
+	phaseNs[profile.PhaseProposal] = lap(prof, &tPhase)
+
+	// Communicate over each accepted connection.
 	for i := range conns {
 		c := &conns[i]
+		proto.Exchange(r, c)
 		stats.Connections++
 		stats.ControlBits += int64(c.bitsUsed)
 		stats.TokensMoved += int64(c.tokensUsed)
@@ -520,7 +489,7 @@ func (e *Engine) Step() (RoundStats, error) {
 		stats.Done = true
 	}
 	if prof {
-		e.recordProfile(r, time.Since(tRound).Nanoseconds(), phaseNs, w)
+		e.prof.Record(profile.RoundProfile{Round: r, TotalNs: time.Since(tRound).Nanoseconds(), PhaseNs: phaseNs})
 	}
 	return stats, nil
 }
@@ -535,35 +504,6 @@ func lap(on bool, t *time.Time) int64 {
 	ns := now.Sub(*t).Nanoseconds()
 	*t = now
 	return ns
-}
-
-// recordProfile folds the finished round's timing into the recorder,
-// summarizing per-shard compute and barrier wait when the round ran
-// sharded. It writes only profiling state and never allocates.
-func (e *Engine) recordProfile(r int, totalNs int64, phaseNs [profile.NumPhases]int64, workers int) {
-	rp := profile.RoundProfile{Round: r, TotalNs: totalNs, PhaseNs: phaseNs, Workers: workers}
-	if workers > 1 {
-		minNs, maxNs, sum := e.shards[0].ns, e.shards[0].ns, int64(0)
-		for s := range e.shards[:workers] {
-			ns := e.shards[s].ns
-			sum += ns
-			if ns > maxNs {
-				maxNs = ns
-			}
-			if ns < minNs {
-				minNs = ns
-			}
-		}
-		rp.MaxShardNs, rp.MinShardNs = maxNs, minNs
-		rp.MeanShardNs = sum / int64(workers)
-		// Total time ranges spent waiting at phase barriers: every range a
-		// parallel phase launched was live for that phase's wall time, and
-		// whatever it did not spend computing it spent waiting.
-		if wait := e.profParNs - sum; wait > 0 {
-			rp.BarrierNs = wait
-		}
-	}
-	e.prof.Record(rp)
 }
 
 // Run executes rounds until the protocol is Done or MaxRounds elapse — the

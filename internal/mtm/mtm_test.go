@@ -2,7 +2,7 @@ package mtm
 
 import (
 	"errors"
-	"sync"
+	"strings"
 	"testing"
 
 	"mobilegossip/internal/dyngraph"
@@ -15,7 +15,6 @@ import (
 // With b=1 it advertises value parity so the engine's tag plumbing is
 // exercised; decisions are blind coin flips as in BlindMatch.
 type minSpread struct {
-	mu        sync.Mutex // protects observation counters only
 	vals      []int
 	bitsPer   int
 	tokensPer int
@@ -54,9 +53,7 @@ func (p *minSpread) Exchange(_ int, c *Conn) {
 	}
 	p.vals[u], p.vals[v] = m, m
 	if p.recordPairs {
-		p.mu.Lock()
 		p.sawConnections = append(p.sawConnections, [2]int{u, v})
-		p.mu.Unlock()
 	}
 }
 
@@ -118,19 +115,31 @@ func TestRunSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestBackendsIdentical: Run and a caller's Step loop are the two ways to
+// drive an engine, and they must produce the same execution.
 func TestBackendsIdentical(t *testing.T) {
-	run := func(workers int) Result {
-		dyn := dyngraph.RotatingRegular(18, 3, 2, 7)
+	mk := func() (*Engine, *minSpread) {
 		p := newMinSpread(18)
-		res, err := NewEngine(dyn, p, Config{Seed: 11, MaxRounds: 50000, Workers: workers}).Run()
-		if err != nil {
+		return NewEngine(dyngraph.RotatingRegular(18, 3, 2, 7), p, Config{Seed: 11, MaxRounds: 50000}), p
+	}
+	e, p := mk()
+	want, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, q := mk()
+	for !e.Finished() {
+		if _, err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		return res
 	}
-	seq, par := run(1), run(4)
-	if seq != par {
-		t.Fatalf("workers=1 %+v != workers=4 %+v", seq, par)
+	if got := e.Result(); got != want {
+		t.Fatalf("Step loop %+v != Run %+v", got, want)
+	}
+	for u := range p.vals {
+		if p.vals[u] != q.vals[u] {
+			t.Fatalf("node %d: Step loop value %d != Run %d", u, q.vals[u], p.vals[u])
+		}
 	}
 }
 
@@ -203,6 +212,29 @@ func TestTagWidthEnforced(t *testing.T) {
 	_, err := NewEngine(dyn, p, Config{Seed: 1, MaxRounds: 5}).Run()
 	if !errors.Is(err, ErrTagTooWide) {
 		t.Fatalf("err = %v, want ErrTagTooWide", err)
+	}
+}
+
+// oddBadTag advertises 2 bits from odd nodes ≥ 5 while declaring b=1.
+type oddBadTag struct{ minSpread }
+
+func (p *oddBadTag) Tag(_ int, u NodeID) uint64 {
+	if u >= 5 && u%2 == 1 {
+		return 2
+	}
+	return 0
+}
+
+// TestTagErrorNamesLowestNode: the tag phase stops at its first violation,
+// so the error names the lowest violating node, and the run stays failed.
+func TestTagErrorNamesLowestNode(t *testing.T) {
+	e := NewEngine(dyngraph.NewStatic(graph.Cycle(12)), &oddBadTag{*newMinSpread(12)}, Config{Seed: 1, MaxRounds: 5})
+	_, err := e.Run()
+	if !errors.Is(err, ErrTagTooWide) || !strings.Contains(err.Error(), "node 5 round 1 ") {
+		t.Fatalf("err = %v, want ErrTagTooWide at node 5 round 1", err)
+	}
+	if _, again := e.Step(); again != err {
+		t.Fatalf("Step after failure = %v, want the original %v", again, err)
 	}
 }
 

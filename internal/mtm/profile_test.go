@@ -1,7 +1,6 @@
 package mtm
 
 import (
-	"sort"
 	"testing"
 
 	"mobilegossip/internal/dyngraph"
@@ -10,9 +9,20 @@ import (
 	"mobilegossip/internal/profile"
 )
 
-// runProfiled mirrors runSharded with a timing recorder attached: the
-// determinism oracle (results, per-node values, RNG states, matchings)
-// must be blind to whether profiling ran.
+// recordedRun is everything the determinism oracle compares: the run
+// summary, the protocol's final per-node values, every node's final RNG
+// state (catching divergence in randomness consumption even when outcomes
+// coincide), and the per-round connection matchings.
+type recordedRun struct {
+	res    Result
+	vals   []int
+	rngs   [][4]uint64
+	rounds [][][2]int
+}
+
+// runProfiled drives one engine to completion with pair recording on and
+// rec (nil = off) attached: the oracle must be blind to whether profiling
+// ran.
 func runProfiled(t *testing.T, mkDyn func() dyngraph.Dynamic, n int, cfg Config, rec *profile.Recorder) recordedRun {
 	t.Helper()
 	p := newMinSpread(n)
@@ -20,11 +30,7 @@ func runProfiled(t *testing.T, mkDyn func() dyngraph.Dynamic, n int, cfg Config,
 	var out recordedRun
 	roundStart := 0
 	cfg.OnRound = func(int) {
-		seg := append([][2]int(nil), p.sawConnections[roundStart:]...)
-		// A sharded exchange records pairs in scheduling order;
-		// canonicalize by responder like runSharded does.
-		sort.Slice(seg, func(i, j int) bool { return seg[i][1] < seg[j][1] })
-		out.rounds = append(out.rounds, seg)
+		out.rounds = append(out.rounds, append([][2]int(nil), p.sawConnections[roundStart:]...))
 		roundStart = len(p.sawConnections)
 	}
 	e := NewEngine(mkDyn(), p, cfg)
@@ -41,27 +47,53 @@ func runProfiled(t *testing.T, mkDyn func() dyngraph.Dynamic, n int, cfg Config,
 	return out
 }
 
-// TestProfiledIdenticalToUnprofiled is the read-only-sidecar contract:
-// attaching a recorder must not change one byte of the execution, on the
-// sequential path and at several shard widths.
-func TestProfiledIdenticalToUnprofiled(t *testing.T) {
-	mk := func() dyngraph.Dynamic { return dyngraph.RotatingRegular(36, 4, 3, 17) }
-	for _, w := range []int{1, 2, 7} {
-		cfg := Config{Seed: 29, MaxRounds: 50000, Workers: w}
-		plain := runProfiled(t, mk, 36, cfg, nil)
-		rec := profile.NewRecorder()
-		profiled := runProfiled(t, mk, 36, cfg, rec)
-		sameRun(t, "profiled", plain, profiled)
-		if rec.Rounds() != int64(plain.res.Rounds) {
-			t.Fatalf("workers=%d: recorder saw %d rounds, run had %d",
-				w, rec.Rounds(), plain.res.Rounds)
+func sameRun(t *testing.T, label string, want, got recordedRun) {
+	t.Helper()
+	if want.res != got.res {
+		t.Fatalf("%s: result %+v != %+v", label, got.res, want.res)
+	}
+	for u := range want.vals {
+		if want.vals[u] != got.vals[u] {
+			t.Fatalf("%s: node %d value %d != %d", label, u, got.vals[u], want.vals[u])
+		}
+	}
+	for u := range want.rngs {
+		if want.rngs[u] != got.rngs[u] {
+			t.Fatalf("%s: node %d RNG state diverged", label, u)
+		}
+	}
+	if len(want.rounds) != len(got.rounds) {
+		t.Fatalf("%s: %d rounds != %d", label, len(got.rounds), len(want.rounds))
+	}
+	for r := range want.rounds {
+		a, b := want.rounds[r], got.rounds[r]
+		if len(a) != len(b) {
+			t.Fatalf("%s: round %d matching size %d != %d", label, r+1, len(b), len(a))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: round %d pair %d: %v != %v", label, r+1, i, b[i], a[i])
+			}
 		}
 	}
 }
 
-// TestProfilerTogglesMidRun flips the recorder (and worker count) on and
-// off at round boundaries; like SetWorkers, SetProfiler must affect
-// wall-clock only.
+// TestProfiledIdenticalToUnprofiled is the read-only-sidecar contract:
+// attaching a recorder must not change one byte of the execution.
+func TestProfiledIdenticalToUnprofiled(t *testing.T) {
+	mk := func() dyngraph.Dynamic { return dyngraph.RotatingRegular(36, 4, 3, 17) }
+	cfg := Config{Seed: 29, MaxRounds: 50000}
+	plain := runProfiled(t, mk, 36, cfg, nil)
+	rec := profile.NewRecorder()
+	profiled := runProfiled(t, mk, 36, cfg, rec)
+	sameRun(t, "profiled", plain, profiled)
+	if rec.Rounds() != int64(plain.res.Rounds) {
+		t.Fatalf("recorder saw %d rounds, run had %d", rec.Rounds(), plain.res.Rounds)
+	}
+}
+
+// TestProfilerTogglesMidRun flips the recorder on and off at round
+// boundaries; SetProfiler must affect wall-clock only.
 func TestProfilerTogglesMidRun(t *testing.T) {
 	mk := func() dyngraph.Dynamic { return dyngraph.RotatingRegular(40, 4, 3, 17) }
 	cfg := Config{Seed: 23, MaxRounds: 50000}
@@ -71,7 +103,6 @@ func TestProfilerTogglesMidRun(t *testing.T) {
 	rec := profile.NewRecorder()
 	e := NewEngine(mk(), p, Config{Seed: 23, MaxRounds: 50000})
 	for i := 0; !e.Finished(); i++ {
-		e.SetWorkers([]int{1, 4, 2, 7}[i%4])
 		if i%3 == 0 {
 			e.SetProfiler(nil)
 		} else {
@@ -94,9 +125,9 @@ func TestProfilerTogglesMidRun(t *testing.T) {
 	}
 }
 
-// TestProfileRecordsSequential checks the shape of what a sequential run
-// records: every round present, phases non-negative and bounded by the
-// round total, no shard or barrier data.
+// TestProfileRecordsSequential checks the shape of what a run records:
+// every round present, phases non-negative and bounded by the round total,
+// one worker and no shard, reduction or barrier data.
 func TestProfileRecordsSequential(t *testing.T) {
 	rec := profile.NewRecorder()
 	res := runProfiled(t, func() dyngraph.Dynamic {
@@ -122,55 +153,22 @@ func TestProfileRecordsSequential(t *testing.T) {
 		t.Fatalf("phase sum %d exceeds round total %d", phases, last.TotalNs)
 	}
 	if last.PhaseNs[profile.PhaseReduction] != 0 {
-		t.Fatalf("sequential round recorded reduction time %d", last.PhaseNs[profile.PhaseReduction])
+		t.Fatalf("round recorded reduction time %d", last.PhaseNs[profile.PhaseReduction])
 	}
 	if last.MaxShardNs != 0 || last.BarrierNs != 0 || last.ImbalanceMilli() != 0 {
-		t.Fatalf("sequential round recorded shard data: %+v", last)
-	}
-	if rec.Imbalance().Count() != 0 || rec.BarrierWait().Count() != 0 {
-		t.Fatal("sequential run fed the shard histograms")
+		t.Fatalf("round recorded shard data: %+v", last)
 	}
 	if rec.RoundLatency().Count() != int64(res.Rounds) {
 		t.Fatalf("round latency count %d != %d", rec.RoundLatency().Count(), res.Rounds)
 	}
 }
 
-// TestProfileRecordsSharded checks that sharded rounds carry per-shard
-// compute, barrier and imbalance data consistent with the worker count.
-func TestProfileRecordsSharded(t *testing.T) {
-	rec := profile.NewRecorder()
-	res := runProfiled(t, func() dyngraph.Dynamic {
-		return dyngraph.NewStatic(graph.RandomRegular(200, 6, prand.New(7)))
-	}, 200, Config{Seed: 5, MaxRounds: 50000, Workers: 4}, rec).res
-
-	if rec.Rounds() != int64(res.Rounds) {
-		t.Fatalf("recorded %d rounds, run had %d", rec.Rounds(), res.Rounds)
-	}
-	last := rec.Last()
-	if last.Workers != 4 {
-		t.Fatalf("Last workers = %d, want 4", last.Workers)
-	}
-	if last.MaxShardNs < last.MinShardNs || last.MaxShardNs < last.MeanShardNs {
-		t.Fatalf("shard summary inconsistent: %+v", last)
-	}
-	if last.MaxShardNs > 0 && last.ImbalanceMilli() < 1000 {
-		t.Fatalf("imbalance %d below 1000 (max/mean cannot be under 1)", last.ImbalanceMilli())
-	}
-	if rec.Imbalance().Count() != int64(res.Rounds) {
-		t.Fatalf("imbalance count %d != rounds %d", rec.Imbalance().Count(), res.Rounds)
-	}
-	if rec.BarrierWait().Count() != int64(res.Rounds) {
-		t.Fatalf("barrier count %d != rounds %d", rec.BarrierWait().Count(), res.Rounds)
-	}
-}
-
-// TestProfiledStepAllocs pins the overhead contract: a one-range round
-// (Workers: 1) takes no goroutine and no closure, so Step stays at
+// TestProfiledStepAllocs pins the overhead contract: Step stays at
 // 0 allocs/op — with profiling off and with it ON.
 func TestProfiledStepAllocs(t *testing.T) {
 	for _, profiled := range []bool{false, true} {
 		dyn := dyngraph.NewStatic(graph.Star(256))
-		e := NewEngine(dyn, &hubFlood{}, Config{Seed: 1, MaxRounds: 1 << 30, Workers: 1})
+		e := NewEngine(dyn, &hubFlood{}, Config{Seed: 1, MaxRounds: 1 << 30})
 		if profiled {
 			e.SetProfiler(profile.NewRecorder())
 		}
@@ -185,7 +183,7 @@ func TestProfiledStepAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("one-range Step (profiled=%v) allocated %.1f/op, want 0", profiled, allocs)
+			t.Fatalf("Step (profiled=%v) allocated %.1f/op, want 0", profiled, allocs)
 		}
 	}
 }

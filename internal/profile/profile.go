@@ -1,16 +1,14 @@
 // Package profile is the engine's deterministic-safe profiling layer: a
-// read-only timing sidecar that the sharded round engine (internal/mtm)
-// feeds with per-phase and per-shard wall-clock spans when profiling is
-// enabled, aggregated here into log-bucketed histograms and a
-// convergence/stall health signal.
+// read-only timing sidecar that the round engine (internal/mtm) feeds with
+// per-phase wall-clock spans when profiling is enabled, aggregated here
+// into log-bucketed histograms and a convergence/stall health signal.
 //
 // The contract (DESIGN.md §13): profiling never affects simulation
 // output — it draws no randomness, mutates no engine state, and its
 // measurements flow strictly outward (events, metrics, reports). With
 // profiling off the engine pays a handful of predicted nil checks per
-// round and nothing else; with it on, the cost is clock reads plus
-// O(shards) scratch allocated once, amortized to zero in steady state —
-// the engine's 0 allocs/op contract holds either way.
+// round and nothing else; with it on, the cost is clock reads — the
+// engine's 0 allocs/op contract holds either way.
 package profile
 
 import "sync"
@@ -30,9 +28,8 @@ const (
 	// PhaseExchange: pairwise communication over the accepted
 	// connections plus the per-connection meter fold.
 	PhaseExchange
-	// PhaseReduction: the sequential cross-shard reductions of a sharded
-	// round (proposal totals, inbox base offsets); 0 for a one-shard
-	// round.
+	// PhaseReduction: cross-shard reductions. A round runs on one
+	// goroutine, so it is always 0; the phase stays for event schema 3.
 	PhaseReduction
 
 	NumPhases
@@ -70,17 +67,15 @@ type RoundProfile struct {
 	// PhaseNs breaks TotalNs down by Phase (the remainder — bookkeeping
 	// outside any phase — is not attributed).
 	PhaseNs [NumPhases]int64
-	// Workers is the shard count the round ran with (1 = sequential).
-	Workers int
-	// MaxShardNs, MinShardNs and MeanShardNs summarize per-shard compute
-	// time over the node-sharded phases (0 when Workers == 1).
+	// Workers, the shard summaries and BarrierNs describe a round split
+	// across goroutines. A round runs on one, so Record stamps Workers 1
+	// and the rest read 0; the fields stay for event schema 3 and the
+	// readers of older event files.
+	Workers     int
 	MaxShardNs  int64
 	MinShardNs  int64
 	MeanShardNs int64
-	// BarrierNs totals the time shards spent waiting at phase barriers
-	// for slower siblings: workers × parallel-phase wall − Σ shard
-	// compute (0 when Workers == 1).
-	BarrierNs int64
+	BarrierNs   int64
 }
 
 // ImbalanceMilli returns the shard imbalance ratio — max over mean shard
@@ -101,8 +96,6 @@ func (rp *RoundProfile) ImbalanceMilli() int64 {
 type Recorder struct {
 	roundLatency Histogram
 	phaseLatency [NumPhases]Histogram
-	imbalance    Histogram // shard imbalance, thousandths
-	barrier      Histogram // per-round total barrier wait, ns
 	ckptWrite    Histogram // checkpoint serialization, ns
 
 	mu   sync.Mutex
@@ -113,16 +106,13 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record folds one round's timing into the histograms and retains it as
-// the latest record. It never allocates.
+// the latest record, stamped with its one worker. It never allocates.
 func (r *Recorder) Record(rp RoundProfile) {
 	r.roundLatency.Record(rp.TotalNs)
 	for p := Phase(0); p < NumPhases; p++ {
 		r.phaseLatency[p].Record(rp.PhaseNs[p])
 	}
-	if rp.Workers > 1 {
-		r.imbalance.Record(rp.ImbalanceMilli())
-		r.barrier.Record(rp.BarrierNs)
-	}
+	rp.Workers = 1
 	r.mu.Lock()
 	r.last = rp
 	r.mu.Unlock()
@@ -154,14 +144,6 @@ func (r *Recorder) PhaseLatency(p Phase) *Histogram {
 	}
 	return &r.phaseLatency[p]
 }
-
-// Imbalance returns the shard-imbalance histogram (max/mean shard
-// compute, thousandths; only sharded rounds record into it).
-func (r *Recorder) Imbalance() *Histogram { return &r.imbalance }
-
-// BarrierWait returns the per-round total barrier-wait histogram (ns;
-// only sharded rounds record into it).
-func (r *Recorder) BarrierWait() *Histogram { return &r.barrier }
 
 // CheckpointWrite returns the checkpoint serialization-time histogram
 // (ns).

@@ -44,13 +44,10 @@ func TestRecorderAggregates(t *testing.T) {
 	rec.Record(RoundProfile{
 		Round: 1, TotalNs: 1000,
 		PhaseNs: [NumPhases]int64{100, 500, 300, 50},
-		Workers: 1,
 	})
 	rec.Record(RoundProfile{
 		Round: 2, TotalNs: 2000,
 		PhaseNs: [NumPhases]int64{200, 900, 700, 100},
-		Workers: 4, MaxShardNs: 600, MinShardNs: 200, MeanShardNs: 400,
-		BarrierNs: 800,
 	})
 	if rec.Rounds() != 2 {
 		t.Fatalf("Rounds = %d, want 2", rec.Rounds())
@@ -61,19 +58,10 @@ func TestRecorderAggregates(t *testing.T) {
 	if got := rec.PhaseLatency(PhaseProposal).Sum(); got != 1400 {
 		t.Errorf("proposal phase sum = %d, want 1400", got)
 	}
-	// Only the sharded round feeds imbalance and barrier histograms.
-	if got := rec.Imbalance().Count(); got != 1 {
-		t.Errorf("imbalance count = %d, want 1", got)
-	}
-	if got := rec.Imbalance().Sum(); got != 1500 {
-		t.Errorf("imbalance sum = %d, want 1500", got)
-	}
-	if got := rec.BarrierWait().Sum(); got != 800 {
-		t.Errorf("barrier sum = %d, want 800", got)
-	}
+	// A round runs on one goroutine, so the retained record reads 1 worker.
 	last := rec.Last()
-	if last.Round != 2 || last.Workers != 4 {
-		t.Errorf("Last = %+v, want round 2 / workers 4", last)
+	if last.Round != 2 || last.Workers != 1 {
+		t.Errorf("Last = %+v, want round 2 / workers 1", last)
 	}
 	rec.RecordCheckpointWrite(12345)
 	if got := rec.CheckpointWrite().Count(); got != 1 {
@@ -89,7 +77,6 @@ func TestRecorderRecordAllocs(t *testing.T) {
 	rp := RoundProfile{
 		Round: 1, TotalNs: 1000,
 		PhaseNs: [NumPhases]int64{1, 2, 3, 4},
-		Workers: 4, MaxShardNs: 10, MinShardNs: 5, MeanShardNs: 7, BarrierNs: 2,
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		rp.Round++
@@ -123,8 +110,6 @@ func TestRecorderConcurrentReadWhileRecording(t *testing.T) {
 					for _, p := range Phases() {
 						rec.PhaseLatency(p).Snapshot()
 					}
-					rec.Imbalance().Mean()
-					rec.BarrierWait().Count()
 					rec.CheckpointWrite().Sum()
 				}
 			}
@@ -134,7 +119,6 @@ func TestRecorderConcurrentReadWhileRecording(t *testing.T) {
 		rec.Record(RoundProfile{
 			Round: r, TotalNs: int64(r) * 10,
 			PhaseNs: [NumPhases]int64{1, 2, 3, 4},
-			Workers: 2, MaxShardNs: 6, MinShardNs: 4, MeanShardNs: 5, BarrierNs: 2,
 		})
 		if r%100 == 0 {
 			rec.RecordCheckpointWrite(int64(r))

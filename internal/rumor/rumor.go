@@ -20,9 +20,9 @@ type Protocol struct {
 	informed []bool
 	// left counts uninformed nodes. Exchange decrements it atomically: the
 	// round's connections form a matching, so the informed[] writes are
-	// endpoint-disjoint, but the counter is the one piece of state every
-	// exchange shares under a sharded engine. The decrement is
-	// commutative, so the count — and Done — stay deterministic.
+	// endpoint-disjoint, and the counter is the one piece of state every
+	// exchange shares. The decrement is commutative, so the count — and
+	// Done — do not depend on the order exchanges run in.
 	left atomic.Int64
 }
 

@@ -3,8 +3,8 @@ package scenario_test
 // The golden-trace conformance suite (DESIGN.md §15): every committed
 // scenario under scenarios/ runs here with its result table (and, for
 // single runs, its event stream) byte-compared against the goldens in
-// scenarios/golden/ — across engine workers {1, 7}, local vs remote
-// (an in-process gossipd), and a mid-phase checkpoint/resume split.
+// scenarios/golden/ — local vs remote (an in-process gossipd), and a
+// mid-phase checkpoint/resume split.
 // Regenerate the goldens after an intentional output change with
 //
 //	go test ./internal/scenario -run TestGoldenConformance -update
@@ -108,13 +108,13 @@ func TestGoldenConformance(t *testing.T) {
 			goldenEvents := filepath.Join(scenariosDir(t), "golden", name+".events.jsonl")
 			single := spec.Grid == nil
 
-			// Reference run: local, sequential engine, recording events.
+			// Reference run: local, recording events.
 			tmp := t.TempDir()
 			evPath := ""
 			if single {
 				evPath = filepath.Join(tmp, "events.jsonl")
 			}
-			table := runScenario(t, path, scenario.Options{EngineWorkers: 1, EventsPath: evPath})
+			table := runScenario(t, path, scenario.Options{EventsPath: evPath})
 			if *update {
 				if err := os.WriteFile(goldenTable, table, 0o644); err != nil {
 					t.Fatal(err)
@@ -133,7 +133,7 @@ func TestGoldenConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run with -update to generate): %v", err)
 			}
-			compare(t, "local workers=1 table", table, wantTable)
+			compare(t, "local table", table, wantTable)
 			if single {
 				wantEvents, err := os.ReadFile(goldenEvents)
 				if err != nil {
@@ -143,43 +143,23 @@ func TestGoldenConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compare(t, "local workers=1 events", ev, wantEvents)
+				compare(t, "local events", ev, wantEvents)
 			}
 
-			// Parallel engine: same bytes at 7 workers.
-			ev7Path := ""
+			// Remote: the daemon must emit the very same bytes.
+			revPath := ""
 			if single {
-				ev7Path = filepath.Join(tmp, "events7.jsonl")
+				revPath = filepath.Join(tmp, "events-remote.jsonl")
 			}
-			table7 := runScenario(t, path, scenario.Options{EngineWorkers: 7, EventsPath: ev7Path})
-			compare(t, "local workers=7 table", table7, wantTable)
+			rtable := runScenario(t, path, scenario.Options{Remote: remote, EventsPath: revPath})
+			compare(t, "remote table", rtable, wantTable)
 			if single {
-				ev7, err := os.ReadFile(ev7Path)
+				rev, err := os.ReadFile(revPath)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wantEvents, _ := os.ReadFile(goldenEvents)
-				compare(t, "local workers=7 events", ev7, wantEvents)
-			}
-
-			// Remote: the daemon must emit the very same bytes.
-			for _, workers := range []int{1, 7} {
-				revPath := ""
-				if single {
-					revPath = filepath.Join(tmp, "events-remote.jsonl")
-				}
-				rtable := runScenario(t, path, scenario.Options{
-					Remote: remote, EngineWorkers: workers, EventsPath: revPath,
-				})
-				compare(t, "remote table", rtable, wantTable)
-				if single {
-					rev, err := os.ReadFile(revPath)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantEvents, _ := os.ReadFile(goldenEvents)
-					compare(t, "remote events", rev, wantEvents)
-				}
+				compare(t, "remote events", rev, wantEvents)
 			}
 
 			// Mid-run checkpoint, then resume — locally and remotely; the
@@ -189,13 +169,11 @@ func TestGoldenConformance(t *testing.T) {
 			}
 			ck := filepath.Join(tmp, "mid.ckpt")
 			ckAt := ckptRound(spec)
-			_ = runScenario(t, path, scenario.Options{
-				EngineWorkers: 1, CheckpointPath: ck, CheckpointAt: ckAt,
-			})
+			_ = runScenario(t, path, scenario.Options{CheckpointPath: ck, CheckpointAt: ckAt})
 			if _, err := os.Stat(ck); err != nil {
 				t.Fatalf("checkpoint at round %d was not written: %v", ckAt, err)
 			}
-			resumed := runScenario(t, path, scenario.Options{EngineWorkers: 1, ResumePath: ck})
+			resumed := runScenario(t, path, scenario.Options{ResumePath: ck})
 			compare(t, "local resume table", resumed, wantTable)
 			rresumed := runScenario(t, path, scenario.Options{Remote: remote, ResumePath: ck})
 			compare(t, "remote resume table", rresumed, wantTable)
@@ -250,7 +228,7 @@ func TestConformanceEvictRevive(t *testing.T) {
 	defer d.Close()
 
 	path := filepath.Join(scenariosDir(t), "festival.yaml")
-	table := runScenario(t, path, scenario.Options{Remote: srv.URL, EngineWorkers: 1})
+	table := runScenario(t, path, scenario.Options{Remote: srv.URL})
 	want, err := os.ReadFile(filepath.Join(scenariosDir(t), "golden", "festival.table.txt"))
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func writeCheckpointFile(ctx context.Context, s Session, opts Options) error {
 // RenderTable prints a single run's summary from its wire result; tau is
 // the stability factor to show and extra rows ("label\tvalue") follow the
 // fixed ones. Everything but such extras is a function of the execution
-// alone, so tables byte-compare across runs, workers and transports.
+// alone, so tables byte-compare across runs and transports.
 func RenderTable(w io.Writer, res client.RunResult, tau int, extra ...string) error {
 	s := res.Session
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

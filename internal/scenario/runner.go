@@ -29,8 +29,6 @@ type Options struct {
 	// Remote, when non-empty, runs the scenario against the gossipd
 	// daemon at this address instead of in-process.
 	Remote string
-	// EngineWorkers overrides the engine worker count (0 = auto).
-	EngineWorkers int
 	// EventsPath streams the session's events as JSONL to this file
 	// (single runs only). Remote runs record on the daemon and download
 	// the replay — the same bytes.
@@ -160,7 +158,6 @@ func (s *Spec) assertRequest(seed uint64, rounds int) client.AssertRequest {
 func runSingle(spec *Spec, opts Options) error {
 	ctx := context.Background()
 	req := spec.CreateRequest(spec.N, spec.K, spec.Seed, opts.EventsPath != "")
-	req.EngineWorkers = opts.EngineWorkers
 	s, err := Open(ctx, req, opts)
 	if err != nil {
 		return err
@@ -202,7 +199,6 @@ func runGridLocal(spec *Spec, opts Options) error {
 		if err != nil {
 			return err
 		}
-		cfg.EngineWorkers = opts.EngineWorkers
 		cfgs[i] = cfg
 	}
 	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
@@ -236,7 +232,6 @@ func runGridRemote(spec *Spec, opts Options) error {
 		for t := 0; t < trials; t++ {
 			seed := mobilegossip.SweepSeed(spec.Seed, p*trials+t)
 			req := spec.CreateRequest(pt.n, pt.k, seed, false)
-			req.EngineWorkers = opts.EngineWorkers
 			info, err := c.Create(ctx, req)
 			if err != nil {
 				return fmt.Errorf("grid point %d trial %d: %w", p, t, err)

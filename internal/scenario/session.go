@@ -52,8 +52,8 @@ const eventQueue = 1 << 16
 
 // Open builds the session opts selects — in-process or on the daemon at
 // opts.Remote, fresh from req or revived from opts.ResumePath, in which
-// case only req's wall-clock knobs (EngineWorkers, Profile) and
-// RecordEvents apply; a checkpoint carries the rest.
+// case only req's wall-clock Profile knob and RecordEvents apply; a
+// checkpoint carries the rest.
 func Open(ctx context.Context, req client.CreateRequest, opts Options) (Session, error) {
 	opts.fill()
 	var s Session
@@ -79,7 +79,6 @@ func openLocal(req client.CreateRequest, resumePath string) (*Local, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim.SetEngineWorkers(req.EngineWorkers)
 		if req.Profile {
 			sim.EnableProfiling()
 		}
@@ -104,8 +103,8 @@ func openRemote(ctx context.Context, c *client.Client, req client.CreateRequest,
 		if ferr != nil {
 			return nil, ferr
 		}
-		// The daemon re-resolves worker count and profiling for its own
-		// process (checkpoints deliberately carry neither).
+		// The daemon re-applies profiling for its own process
+		// (checkpoints deliberately do not carry it).
 		info, err = c.Resume(ctx, f, req.RecordEvents)
 		f.Close()
 	} else {

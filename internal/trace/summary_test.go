@@ -7,7 +7,7 @@ import (
 )
 
 func TestReadSummaryFromLiveRun(t *testing.T) {
-	res, events, _ := runTraced(t, 16, 1)
+	res, events, _ := runTraced(t, 16)
 
 	// Serialize the parsed events back to JSONL and summarize; this keeps
 	// the summary input byte-identical in shape to what Recorder wrote.

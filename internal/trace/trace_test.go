@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"mobilegossip/internal/core"
@@ -15,10 +18,9 @@ import (
 	"mobilegossip/internal/prand"
 )
 
-// runTraced executes a SharedBit gossip over n nodes with tracing, at the
-// given engine worker count, and returns the engine result plus parsed
-// events.
-func runTraced(t *testing.T, n, workers int) (mtm.Result, []Event, *Recorder) {
+// runTraced executes a SharedBit gossip over n nodes with tracing and
+// returns the engine result plus parsed events.
+func runTraced(t *testing.T, n int) (mtm.Result, []Event, *Recorder) {
 	t.Helper()
 	const k = 4
 	st, err := core.NewState(n, core.OneTokenPerNode(n, k), 1e-6)
@@ -29,9 +31,7 @@ func runTraced(t *testing.T, n, workers int) (mtm.Result, []Event, *Recorder) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	g := graph.RandomRegular(n, 4, prand.New(3))
-	res, err := mtm.NewEngine(dyngraph.NewStatic(g), Wrap(proto, rec), mtm.Config{
-		Seed: 8, Workers: workers,
-	}).Run()
+	res, err := mtm.NewEngine(dyngraph.NewStatic(g), Wrap(proto, rec), mtm.Config{Seed: 8}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func runTraced(t *testing.T, n, workers int) (mtm.Result, []Event, *Recorder) {
 }
 
 func TestRecorderCountsMatchEngineTotals(t *testing.T) {
-	res, events, rec := runTraced(t, 16, 1)
+	res, events, rec := runTraced(t, 16)
 	if !res.Completed {
 		t.Fatal("gossip unsolved")
 	}
@@ -82,7 +82,7 @@ func TestRecorderCountsMatchEngineTotals(t *testing.T) {
 }
 
 func TestEventsWellFormed(t *testing.T) {
-	res, events, _ := runTraced(t, 16, 1)
+	res, events, _ := runTraced(t, 16)
 	for _, e := range events {
 		if e.Round < 1 || e.Round > res.Rounds {
 			t.Errorf("event round %d outside [1, %d]", e.Round, res.Rounds)
@@ -121,30 +121,40 @@ func TestWrappedExecutionIdenticalToBare(t *testing.T) {
 	}
 }
 
-// TestConcurrentBackendSafeAndEquivalent runs the recorder under a sharded
-// engine: Decide and Exchange record from several goroutines at once, so
-// the recorder's mutex is what keeps the stream well-formed (run under
-// -race by make race-concurrent). n is large enough that rounds accept at
-// least 64 connections, the engine's cut-over to a chunked exchange phase.
+// TestConcurrentBackendSafeAndEquivalent replays a run's events into a
+// recorder from several goroutines at once: the recorder's mutex must keep
+// every line whole, and the stream must hold the same lines as the
+// sequential one (run under -race by make race-concurrent).
 func TestConcurrentBackendSafeAndEquivalent(t *testing.T) {
-	seqRes, seqEvents, _ := runTraced(t, 400, 1)
-	parRes, parEvents, _ := runTraced(t, 400, 4)
-	if seqRes != parRes {
-		t.Errorf("worker counts diverged under tracing: %+v vs %+v", seqRes, parRes)
+	_, events, _ := runTraced(t, 400)
+	var seq, par bytes.Buffer
+	seqRec := NewRecorder(&seq)
+	for _, e := range events {
+		seqRec.record(e)
 	}
-	if len(seqEvents) != len(parEvents) {
-		t.Errorf("event counts differ: %d vs %d", len(seqEvents), len(parEvents))
+	rec := NewRecorder(&par)
+	const writers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(part []Event) {
+			defer wg.Done()
+			for _, e := range part {
+				rec.record(e)
+			}
+		}(events[w*len(events)/writers : (w+1)*len(events)/writers])
 	}
-	perRound := map[int]int{}
-	widest := 0
-	for _, e := range parEvents {
-		if e.Kind == "connect" {
-			perRound[e.Round]++
-			widest = max(widest, perRound[e.Round])
-		}
+	wg.Wait()
+	lines := func(b *bytes.Buffer) []string {
+		ls := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+		sort.Strings(ls)
+		return ls
 	}
-	if widest < 64 {
-		t.Errorf("widest round accepted %d connections; the sharded exchange needs ≥ 64 to run in parallel", widest)
+	if got, want := lines(&par), lines(&seq); !slices.Equal(got, want) {
+		t.Fatalf("concurrent stream holds %d lines, sequential %d, and they differ", len(got), len(want))
+	}
+	if rec.Events() != int64(len(events)) {
+		t.Fatalf("Events() = %d, want %d", rec.Events(), len(events))
 	}
 }
 

@@ -77,9 +77,8 @@ func ConfigFromWire(req client.CreateRequest) (mobilegossip.Config, error) {
 		Algorithm: alg, N: req.N, K: req.K, Topology: topo,
 		Tau: req.Tau, Epsilon: req.Epsilon, TagBits: req.TagBits,
 		Seed: req.Seed, MaxRounds: req.MaxRounds,
-		EngineWorkers: req.EngineWorkers, Profile: req.Profile,
-		TransferEps: req.TransferEps,
-		CrowdedBin:  core.CrowdedBinConfig{Beta: req.CrowdedBinBeta, Gamma: req.CrowdedBinGamma},
+		Profile: req.Profile, TransferEps: req.TransferEps,
+		CrowdedBin: core.CrowdedBinConfig{Beta: req.CrowdedBinBeta, Gamma: req.CrowdedBinGamma},
 	}, nil
 }
 
@@ -92,8 +91,7 @@ func ConfigToWire(cfg mobilegossip.Config, recordEvents bool) client.CreateReque
 		Topology: TopologyToWire(cfg.Topology),
 		Tau:      cfg.Tau, Epsilon: cfg.Epsilon, TagBits: cfg.TagBits,
 		Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
-		EngineWorkers: cfg.EngineWorkers, Profile: cfg.Profile,
-		TransferEps:    cfg.TransferEps,
+		Profile: cfg.Profile, TransferEps: cfg.TransferEps,
 		CrowdedBinBeta: cfg.CrowdedBin.Beta, CrowdedBinGamma: cfg.CrowdedBin.Gamma,
 		RecordEvents: recordEvents,
 	}

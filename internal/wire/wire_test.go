@@ -70,6 +70,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	var cfg mobilegossip.Config
 	n := 0
 	fill(reflect.ValueOf(&cfg).Elem(), &n)
+	cfg.EngineWorkers = 0 // accepted and ignored: it has no wire form
 
 	req := ConfigToWire(cfg, true)
 	if zero := zeroFields(reflect.ValueOf(req), "CreateRequest"); len(zero) > 0 {

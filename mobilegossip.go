@@ -99,28 +99,16 @@ type Config struct {
 	Seed uint64
 	// MaxRounds aborts unfinished runs (default 2^22).
 	MaxRounds int
-	// EngineWorkers is the shard count of the round engine: the node range
-	// is split into EngineWorkers contiguous, degree-balanced shards and
-	// every round phase runs over them in parallel, byte-identical at any
-	// worker count or GOMAXPROCS (DESIGN.md §11).
-	//
-	//	0  — auto: GOMAXPROCS, capped so every shard keeps ≥ ~2048 nodes
-	//	     (small runs stay on the one-shard 0 allocs/op path);
-	//	1  — one shard, run inline with no goroutine (the sequential engine);
-	//	≥2 — exactly that many shard workers (capped at N).
-	//
-	// Worker count changes wall-clock only, never results, and is therefore
-	// not part of the checkpoint: sequential and parallel runs write
-	// interchangeable, byte-identical checkpoints, and a resumed session
-	// re-resolves its own worker count (override with SetEngineWorkers).
+	// EngineWorkers is accepted and ignored: every round runs on the
+	// calling goroutine (DESIGN.md §5 "One range per round"). It is kept so
+	// existing callers compile, and is not part of the checkpoint.
 	EngineWorkers int
 	// Profile attaches the timing sidecar (internal/profile, DESIGN.md
-	// §13): per-round phase spans and shard timing aggregated into
-	// histograms, a round_profile event after every round, and the
-	// convergence/stall health verdict. Profiling reads the wall clock
-	// only — simulation output is byte-identical with it on or off — and
-	// like EngineWorkers it is not part of the checkpoint: re-enable on a
-	// resumed session with EnableProfiling.
+	// §13): per-round phase spans aggregated into histograms, a
+	// round_profile event after every round, and the convergence/stall
+	// health verdict. Profiling reads the wall clock only — simulation
+	// output is byte-identical with it on or off — and it is not part of
+	// the checkpoint: re-enable on a resumed session with EnableProfiling.
 	Profile bool
 	// TransferEps is the per-call Transfer(ε) failure bound
 	// (default n^{-3}).

@@ -6,7 +6,6 @@ package mobilegossip_test
 import (
 	"context"
 	"io"
-	"runtime"
 	"testing"
 
 	"mobilegossip"
@@ -142,41 +141,29 @@ func TestObserveMidRun(t *testing.T) {
 	}
 }
 
-// TestObserveTraceAutoEngineWorkers: attaching a protocol-tapping observer
-// drops an auto-resolved session to one worker, and the session remembers
-// it — re-resolving auto with SetEngineWorkers(0) must not re-parallelise
-// the tapped run (trace order would follow goroutine scheduling again). An
-// explicit count ≥ 2 is still honoured.
+// TestObserveTraceAutoEngineWorkers: EngineWorkers is ignored, so an auto
+// or explicit setting runs every round on one worker, before and after a
+// protocol-tapping observer is attached.
 func TestObserveTraceAutoEngineWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	sim, err := mobilegossip.New(mobilegossip.Config{
-		Algorithm: mobilegossip.AlgSharedBit, N: 8192, K: 2,
-		Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
-		Seed:     8, Profile: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepWorkers := func() int {
-		t.Helper()
-		if _, err := sim.Step(); err != nil {
+	for _, workers := range []int{0, 3} {
+		sim, err := mobilegossip.New(mobilegossip.Config{
+			Algorithm: mobilegossip.AlgSharedBit, N: 8192, K: 2,
+			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
+			Seed:     8, Profile: true, EngineWorkers: workers,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Profiler().Last().Workers
-	}
-	if w := stepWorkers(); w != 4 { // GOMAXPROCS 4, 8192/2048 = 4
-		t.Fatalf("auto resolved to %d workers, want 4", w)
-	}
-	sim.Observe(mobilegossip.NewTraceObserver(io.Discard))
-	if w := stepWorkers(); w != 1 {
-		t.Fatalf("tapped auto session ran %d workers, want 1", w)
-	}
-	sim.SetEngineWorkers(0)
-	if w := stepWorkers(); w != 1 {
-		t.Fatalf("SetEngineWorkers(0) re-parallelised the tapped session to %d workers", w)
-	}
-	sim.SetEngineWorkers(3)
-	if w := stepWorkers(); w != 3 {
-		t.Fatalf("explicit EngineWorkers 3 ran %d workers", w)
+		for i := 0; i < 2; i++ {
+			if i == 1 {
+				sim.Observe(mobilegossip.NewTraceObserver(io.Discard))
+			}
+			if _, err := sim.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if w := sim.Profiler().Last().Workers; w != 1 {
+				t.Fatalf("EngineWorkers %d, traced %v: round ran %d workers, want 1", workers, i == 1, w)
+			}
+		}
 	}
 }

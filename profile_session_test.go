@@ -2,8 +2,8 @@ package mobilegossip_test
 
 // Integration tests for the profiling layer at the session surface:
 // round_profile events, the determinism contract (profiling on vs off),
-// live /metrics scrapes against a profiled parallel session, and the
-// resume path (DESIGN.md §13).
+// live /metrics scrapes against a profiled session, and the resume path
+// (DESIGN.md §13).
 
 import (
 	"bytes"
@@ -16,18 +16,16 @@ import (
 	"mobilegossip"
 )
 
-func profiledConfig(seed uint64, workers int) mobilegossip.Config {
+func profiledConfig(seed uint64) mobilegossip.Config {
 	return mobilegossip.Config{
 		Algorithm: mobilegossip.AlgSharedBit, N: 128, K: 16,
 		Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 6},
-		Tau:      1, Seed: seed,
-		Profile:       true,
-		EngineWorkers: workers,
+		Tau:      1, Seed: seed, Profile: true,
 	}
 }
 
 func TestProfiledSessionEvents(t *testing.T) {
-	ring, res := collectRun(t, profiledConfig(11, 1))
+	ring, res := collectRun(t, profiledConfig(11))
 	profs := ring.Events(mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventRoundProfile},
 	})
@@ -45,7 +43,7 @@ func TestProfiledSessionEvents(t *testing.T) {
 			t.Fatalf("round %d: workers %d, want 1", ev.Round, ev.Workers)
 		}
 		if ev.ReductionNanos != 0 || ev.ImbalanceMilli != 0 || ev.BarrierNanos != 0 {
-			t.Fatalf("round %d: sequential round carries shard data: %+v", ev.Round, ev)
+			t.Fatalf("round %d: round carries shard data: %+v", ev.Round, ev)
 		}
 		if _, err := mobilegossip.ParseSessionHealth(ev.Health); err != nil {
 			t.Fatalf("round %d: bad health %q", ev.Round, ev.Health)
@@ -70,26 +68,24 @@ func TestProfiledSessionEvents(t *testing.T) {
 
 // TestProfiledRunIdenticalResults is the session-level read-only
 // contract: identical Result and potential trajectory with profiling on
-// vs off, sequential and sharded.
+// vs off.
 func TestProfiledRunIdenticalResults(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := profiledConfig(23, workers)
-		cfg.Profile = false
-		ringOff, resOff := collectRun(t, cfg)
-		cfg.Profile = true
-		ringOn, resOn := collectRun(t, cfg)
-		if resOff != resOn {
-			t.Fatalf("workers=%d: results diverged:\noff %+v\non  %+v", workers, resOff, resOn)
-		}
-		f := mobilegossip.EventFilter{Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted}}
-		off, on := ringOff.Events(f), ringOn.Events(f)
-		if len(off) != len(on) {
-			t.Fatalf("workers=%d: %d vs %d rounds", workers, len(off), len(on))
-		}
-		for i := range off {
-			if off[i] != on[i] {
-				t.Fatalf("workers=%d round %d diverged:\noff %+v\non  %+v", workers, i+1, off[i], on[i])
-			}
+	cfg := profiledConfig(23)
+	cfg.Profile = false
+	ringOff, resOff := collectRun(t, cfg)
+	cfg.Profile = true
+	ringOn, resOn := collectRun(t, cfg)
+	if resOff != resOn {
+		t.Fatalf("results diverged:\noff %+v\non  %+v", resOff, resOn)
+	}
+	f := mobilegossip.EventFilter{Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted}}
+	off, on := ringOff.Events(f), ringOn.Events(f)
+	if len(off) != len(on) {
+		t.Fatalf("%d vs %d rounds", len(off), len(on))
+	}
+	for i := range off {
+		if off[i] != on[i] {
+			t.Fatalf("round %d diverged:\noff %+v\non  %+v", i+1, off[i], on[i])
 		}
 	}
 }
@@ -100,7 +96,7 @@ func TestProfiledRunIdenticalResults(t *testing.T) {
 // interchangeable checkpoints.
 func TestProfiledCheckpointBytesIdentical(t *testing.T) {
 	step := func(profileOn bool) []byte {
-		cfg := profiledConfig(31, 2)
+		cfg := profiledConfig(31)
 		cfg.Profile = profileOn
 		sim, err := mobilegossip.New(cfg)
 		if err != nil {
@@ -123,7 +119,7 @@ func TestProfiledCheckpointBytesIdentical(t *testing.T) {
 }
 
 func TestProfiledResumeViaEnableProfiling(t *testing.T) {
-	sim, err := mobilegossip.New(profiledConfig(41, 1))
+	sim, err := mobilegossip.New(profiledConfig(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +163,11 @@ func TestProfiledResumeViaEnableProfiling(t *testing.T) {
 	}
 }
 
-// TestProfiledMetricsScrapeConcurrent runs a profiled EngineWorkers > 1
-// session while goroutines hammer the MetricsCollector exposition — the
-// live-scrape path the race-concurrent CI pass pins.
+// TestProfiledMetricsScrapeConcurrent runs a profiled session while
+// goroutines hammer the MetricsCollector exposition — the live-scrape path
+// the race-concurrent CI pass pins.
 func TestProfiledMetricsScrapeConcurrent(t *testing.T) {
-	sim, err := mobilegossip.New(profiledConfig(53, 4))
+	sim, err := mobilegossip.New(profiledConfig(53))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +209,6 @@ func TestProfiledMetricsScrapeConcurrent(t *testing.T) {
 	for _, want := range []string{
 		"mobilegossip_round_latency_seconds_bucket",
 		"mobilegossip_phase_proposal_seconds_sum",
-		"mobilegossip_shard_imbalance_ratio_count",
 		"mobilegossip_session_health{state=",
 	} {
 		if !strings.Contains(out.String(), want) {

@@ -2,8 +2,7 @@ package mobilegossip_test
 
 // Tests for Simulation.Rebind: phased timelines (scenario files, DESIGN.md
 // §15) switch topology and τ at round boundaries, and the switch must
-// preserve every session invariant — determinism across engine workers,
-// checkpoint/resume byte-compatibility, and the event-stream contract.
+// preserve every session invariant — determinism, checkpoint/resume byte-compatibility, and the event-stream contract.
 
 import (
 	"bytes"
@@ -46,6 +45,8 @@ func runPhased(t *testing.T, workers int) mobilegossip.Result {
 	return sim.Result()
 }
 
+// TestRebindDeterministicAcrossWorkers: EngineWorkers is ignored, so every
+// setting replays the same phased run.
 func TestRebindDeterministicAcrossWorkers(t *testing.T) {
 	base := runPhased(t, 1)
 	for _, workers := range []int{2, 7} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"mobilegossip/internal/adversary"
 	"mobilegossip/internal/core"
@@ -38,7 +37,7 @@ func (t tokenCounts) TokenCount(u int) int { return t.st.Set(u).Len() }
 // Resume on another process — byte-identically to an uninterrupted run.
 //
 // A Simulation is not safe for concurrent use; drive it from one
-// goroutine (Config.EngineWorkers parallelism happens inside Step).
+// goroutine.
 type Simulation struct {
 	cfg   Config
 	st    *core.State
@@ -50,7 +49,6 @@ type Simulation struct {
 	observers []Observer
 	began     bool
 	finished  bool
-	tapped    bool // a protocol-tapping observer is attached: auto workers resolve to 1
 
 	bus          *events.Bus
 	fanAttached  bool              // observer pipeline registered on the bus
@@ -142,7 +140,6 @@ func New(cfg Config) (*Simulation, error) {
 	s.eng = mtm.NewEngine(dyn, s.proto, mtm.Config{
 		Seed:      prand.Mix64(cfg.Seed ^ 0x51afd7ed558ccd6d),
 		MaxRounds: cfg.MaxRounds,
-		Workers:   resolveEngineWorkers(cfg.EngineWorkers, cfg.N, false),
 	})
 
 	if cfg.Profile {
@@ -150,41 +147,6 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	s.Observe(cfg.Observers...)
 	return s, nil
-}
-
-// autoShardMinNodes is the shard size below which splitting a run stops
-// paying: auto worker resolution caps the count so every shard keeps at
-// least this many nodes (and n below it stays on the sequential path).
-const autoShardMinNodes = 2048
-
-// resolveEngineWorkers maps the Config.EngineWorkers knob to an exact
-// mtm worker count: 0 = auto (GOMAXPROCS, shard-size capped — or 1 while a
-// protocol-tapping observer is attached, see Observe), otherwise the
-// requested count capped at n.
-func resolveEngineWorkers(w, n int, tapped bool) int {
-	switch {
-	case w > 0: // explicit
-	case tapped:
-		w = 1
-	default:
-		w = min(runtime.GOMAXPROCS(0), n/autoShardMinNodes)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// SetEngineWorkers retunes the engine's shard count at a round boundary
-// (same knob as Config.EngineWorkers: 0 = auto, 1 = sequential, ≥2 exact).
-// Worker count changes wall-clock only, never results, so it is valid
-// mid-run and on resumed sessions — checkpoints do not record it.
-func (s *Simulation) SetEngineWorkers(w int) {
-	s.cfg.EngineWorkers = w
-	s.eng.SetWorkers(resolveEngineWorkers(w, s.cfg.N, s.tapped))
 }
 
 // Rebind swaps the session's topology schedule at a round boundary: the
@@ -287,14 +249,6 @@ func (s *Simulation) Bus() *events.Bus { return s.bus }
 // Observe call registers the pipeline as a synchronous, lossless bus
 // subscriber, so observers and event sinks see the same stream in the
 // same order.
-//
-// Protocol-tapping observers record events from inside the engine's round
-// phases, so under a parallel engine their per-round event order follows
-// goroutine scheduling. Attaching one therefore drops an auto-resolved
-// (EngineWorkers = 0) session back to one worker — for the rest of the
-// session, including a later SetEngineWorkers(0) — keeping trace streams
-// byte-stable; an explicit EngineWorkers ≥ 2 is honored, with
-// order-insensitive trace comparison left to the caller.
 func (s *Simulation) Observe(obs ...Observer) {
 	for _, o := range obs {
 		if o == nil {
@@ -303,8 +257,6 @@ func (s *Simulation) Observe(obs ...Observer) {
 		if pw, ok := o.(protocolWrapper); ok {
 			s.proto = pw.wrapProtocol(s.proto)
 			s.eng.SetProtocol(s.proto)
-			s.tapped = true
-			s.SetEngineWorkers(s.cfg.EngineWorkers)
 		}
 		if !s.fanAttached {
 			s.fanAttached = true

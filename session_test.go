@@ -209,6 +209,183 @@ func TestCheckpointResumeMatchesRun(t *testing.T) {
 	}
 }
 
+// inertRun is everything a session emits: its Result, event JSONL,
+// TraceObserver stream, and a checkpoint taken at round 3.
+type inertRun struct {
+	res                  mobilegossip.Result
+	events, trace, ckpt3 []byte
+}
+
+func runInert(t *testing.T, cfg mobilegossip.Config) inertRun {
+	t.Helper()
+	var events, trace, ckpt3 bytes.Buffer
+	tr := mobilegossip.NewTraceObserver(&trace)
+	cfg.Observers = []mobilegossip.Observer{tr}
+	sim, err := mobilegossip.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := mobilegossip.NewJSONLSink(sim.Bus(), &events, mobilegossip.EventFilter{}, 1<<16)
+	for !sim.Done() {
+		if _, err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if sim.Round() == 3 {
+			if err := sim.Checkpoint(&ckpt3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sink.Close(); err != nil || sink.Dropped() != 0 {
+		t.Fatalf("event sink: err %v, %d dropped", err, sink.Dropped())
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return inertRun{sim.Result(), events.Bytes(), trace.Bytes(), ckpt3.Bytes()}
+}
+
+// TestEngineWorkersDeterministic: Config.EngineWorkers is accepted and
+// ignored. Over the session matrix, auto, one and several workers — each
+// with a TraceObserver tapping the protocol — must give the same Result,
+// event JSONL, trace stream and checkpoint bytes. Heavy (the matrix runs
+// 5×), so -short skips it.
+func TestEngineWorkersDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("5× full session matrix")
+	}
+	for _, cfg := range sessionMatrix() {
+		cfg := cfg
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			want := runInert(t, cfg)
+			if len(want.ckpt3) == 0 || len(want.trace) == 0 {
+				t.Fatalf("run of %d rounds wrote no round-3 checkpoint or no trace", want.res.Rounds)
+			}
+			for _, w := range []int{1, 2, 4, 7} {
+				cfg.EngineWorkers = w
+				got := runInert(t, cfg)
+				switch {
+				case got.res != want.res:
+					t.Fatalf("EngineWorkers %d: result %+v, want %+v", w, got.res, want.res)
+				case !bytes.Equal(got.events, want.events):
+					t.Fatalf("EngineWorkers %d: event JSONL differs", w)
+				case !bytes.Equal(got.trace, want.trace):
+					t.Fatalf("EngineWorkers %d: trace stream differs", w)
+				case !bytes.Equal(got.ckpt3, want.ckpt3):
+					t.Fatalf("EngineWorkers %d: round-3 checkpoint differs", w)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedCheckpointInterchangeable: a session configured for one
+// worker and one configured for four write byte-identical checkpoints at
+// the same round, and the four-worker checkpoint, resumed, finishes as
+// the uninterrupted one-worker run — as does the four-worker session
+// stepping on past it. EngineWorkers is not serialized, so no setting
+// can make two checkpoints of one state differ.
+func TestShardedCheckpointInterchangeable(t *testing.T) {
+	for _, cfg := range []mobilegossip.Config{
+		{Algorithm: mobilegossip.AlgSharedBit, N: 96, K: 8,
+			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4}, Seed: 61},
+		{Algorithm: mobilegossip.AlgSimSharedBit, N: 80, K: 6,
+			Topology: mobilegossip.Topology{Kind: mobilegossip.MobileWaypoint, Speed: 0.03}, Tau: 1, Seed: 62},
+		{Algorithm: mobilegossip.AlgSharedBit, N: 64, K: 6,
+			Topology: mobilegossip.Topology{
+				Kind: mobilegossip.RandomRegular, Degree: 4,
+				Adversary: mobilegossip.AdvCutRich, AdvBudget: 20, AdvPeriod: 3,
+			}, Tau: 1, Seed: 63},
+	} {
+		cfg := cfg
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			cfg.EngineWorkers = 1
+			want, err := mobilegossip.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := want.Rounds / 2
+
+			stepTo := func(workers int) (*mobilegossip.Simulation, []byte) {
+				cfg.EngineWorkers = workers
+				sim, err := mobilegossip.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < at; i++ {
+					if _, err := sim.Step(); err != nil {
+						t.Fatalf("workers %d step %d: %v", workers, i, err)
+					}
+				}
+				var buf bytes.Buffer
+				if err := sim.Checkpoint(&buf); err != nil {
+					t.Fatalf("workers %d checkpoint: %v", workers, err)
+				}
+				return sim, buf.Bytes()
+			}
+			_, ckpt1 := stepTo(1)
+			sim4, ckpt4 := stepTo(4)
+			if !bytes.Equal(ckpt1, ckpt4) {
+				t.Fatal("one-worker and four-worker checkpoints of the same round differ")
+			}
+
+			resumed, err := mobilegossip.Resume(bytes.NewReader(ckpt4))
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			for i, sim := range []*mobilegossip.Simulation{resumed, sim4} {
+				name := []string{"resumed", "four-worker"}[i]
+				got, err := sim.Run(context.Background())
+				if err != nil {
+					t.Fatalf("%s Run: %v", name, err)
+				}
+				if got != want {
+					t.Fatalf("%s run diverged:\n got %+v\nwant %+v", name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedAllStrategiesN10k runs every algorithm and every adversary
+// strategy at n = 10 000 — the size at which auto EngineWorkers once split
+// a round into multi-thousand-node shards — for a fixed round budget, and
+// requires a seven-worker setting to match one worker round for round.
+// Heavy, so -short skips it.
+func TestShardedAllStrategiesN10k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=10k × all strategies")
+	}
+	const n, k, rounds = 10000, 16, 12
+	static := mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4}
+	var cfgs []mobilegossip.Config
+	for i, alg := range mobilegossip.Algorithms() {
+		cfgs = append(cfgs, mobilegossip.Config{
+			Algorithm: alg, N: n, K: k, Topology: static,
+			MaxRounds: rounds, Seed: uint64(80 + i),
+		})
+	}
+	for i, adv := range mobilegossip.AdversaryKinds() {
+		cfgs = append(cfgs, mobilegossip.Config{
+			Algorithm: mobilegossip.AlgSharedBit, N: n, K: k,
+			Topology: mobilegossip.Topology{
+				Kind: mobilegossip.RandomRegular, Degree: 4,
+				Adversary: adv, AdvBudget: 500, AdvPeriod: 3,
+			},
+			Tau: 1, MaxRounds: rounds, Seed: uint64(90 + i),
+		})
+	}
+	for _, cfg := range cfgs {
+		cfg := cfg
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			cfg.EngineWorkers = 1
+			want := traceRun(t, cfg)
+			cfg.EngineWorkers = 7
+			samePhiTrace(t, cfgName(cfg), traceRun(t, cfg), want)
+		})
+	}
+}
+
 // TestResumeCheckpointWithRemovedConcurrentBit resumes a v3 checkpoint
 // written by the last build that still had Config.Concurrent, with the bit
 // set (gossipsim -concurrent -alg sharedbit -n 16 -k 4 -tau 1 -seed 3

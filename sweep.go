@@ -101,13 +101,6 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig) (SweepResult, error) 
 		func(p, t int, seed uint64) (Result, error) {
 			run := cfg.Points[p]
 			run.Seed = seed
-			if run.EngineWorkers == 0 {
-				// The pool already saturates the machine; auto intra-run
-				// parallelism would only oversubscribe it. An explicit
-				// per-point EngineWorkers is honored (results are identical
-				// either way — see Config.EngineWorkers).
-				run.EngineWorkers = 1
-			}
 			sim, err := New(run)
 			if err != nil {
 				return Result{}, fmt.Errorf("point %d trial %d: %w", p, t, err)

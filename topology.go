@@ -100,9 +100,8 @@ func ParseTopologyKind(s string) (TopologyKind, error) {
 
 // RelabelKind selects an optional cache-aware vertex relabeling pass
 // applied once at graph-construction time. Relabeling permutes node ids so
-// adjacency scans touch nearby memory — which speeds up the round loop and
-// tightens the shard balance of the parallel engine (Config.EngineWorkers)
-// — at the price of changing which physical vertex each node id (and hence
+// adjacency scans touch nearby memory — which speeds up the round loop —
+// at the price of changing which physical vertex each node id (and hence
 // each per-node RNG stream and token) lands on: a relabeled run is a
 // different, equally valid execution, deterministic in its own right.
 type RelabelKind int
@@ -112,11 +111,10 @@ const (
 	// RelabelNone keeps the generator's natural labeling (the default).
 	RelabelNone RelabelKind = iota
 	// RelabelBFS numbers vertices in breadth-first order from vertex 0:
-	// neighbors get nearby ids, so shards cut few edges and scans stay in
-	// cache.
+	// neighbors get nearby ids, so scans stay in cache.
 	RelabelBFS
-	// RelabelDegree numbers vertices by descending degree: hub-heavy work
-	// concentrates in the low shard instead of scattering.
+	// RelabelDegree numbers vertices by descending degree, so the hubs'
+	// adjacency lists sit together.
 	RelabelDegree
 )
 
