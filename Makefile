@@ -50,14 +50,13 @@ race:
 
 # race-concurrent runs the module's concurrent paths un-shortened under
 # the race detector: concurrent sessions over adversary schedules, the
-# trace recorder and the event bus/sinks/collector written from several
-# goroutines, the profiling read side (live /metrics scrapes and histogram
-# reads against a running profiled session), and the daemon's full-service
-# traffic mix (create/step/evict/revive/follow/delete under concurrent
-# scrapes).
+# event bus/sinks/collector written from several goroutines, the
+# profiling read side (live /metrics scrapes and histogram reads against
+# a running profiled session), and the daemon's full-service traffic mix
+# (create/step/evict/revive/follow/delete under concurrent scrapes).
 race-concurrent:
 	$(GO) test -race -count=1 -run 'Concurrent|Backends|Bus|Sink|Collector' \
-		. ./internal/mtm ./internal/adversary ./internal/trace ./internal/leader ./internal/events ./internal/profile \
+		. ./internal/mtm ./internal/adversary ./internal/leader ./internal/events ./internal/profile \
 		./internal/daemon
 
 # cover enforces the ratcheted coverage floor (COVER_MIN, measured at merge
@@ -234,13 +233,12 @@ determinism-remote:
 # checkpoints are byte-compared against scenarios/golden/ locally and
 # against a live gossipd, plus a mid-phase checkpoint/resume
 # cell and a forced daemon evict/revive cell (TestConformanceEvictRevive
-# fails if the eviction never happened). TestExampleParity pins the
-# examples/ pointers to the same goldens. Regenerate after an intentional
-# trace change with `go test -run TestGoldenConformance ./internal/scenario
+# fails if the eviction never happened). Regenerate after an intentional
+# output change with `go test -run TestGoldenConformance ./internal/scenario
 # -update` and commit the new goldens.
 scenario-conformance:
 	$(GO) test -count=1 -timeout 10m -v \
-		-run '^(TestGoldenConformance|TestConformanceEvictRevive|TestExampleParity)$$' \
+		-run '^(TestGoldenConformance|TestConformanceEvictRevive)$$' \
 		./internal/scenario
 
 # load-test launches a real gossipd and drives a few hundred concurrent
@@ -285,7 +283,7 @@ ab:
 	@test -n "$(W)" || { echo "usage: make ab W=<workload> [PAIRS=10] [BASE=HEAD] [SELF=1]"; exit 2; }
 	bash scripts/ab.sh $(if $(SELF),--self) $(W) $(PAIRS) $(BASE)
 
-# examples runs every examples/ scenario in -short mode, exactly as the CI
+# examples runs every examples/ program in -short mode, exactly as the CI
 # build job does, so example drift breaks the build instead of rotting.
 examples:
 	@set -e; for ex in examples/*/; do \

@@ -33,8 +33,7 @@ var tools = []struct{ name, summary string }{
 	{"gossipd", "serve concurrent simulation sessions over HTTP with checkpoint-backed eviction"},
 	{"graphinfo", "report topology structure (Δ, D, α) and dynamic-schedule churn"},
 	{"benchtable", "regenerate the paper's evaluation tables (experiments E1..E27)"},
-	{"traceview", "summarize a -tracefile JSONL proposal/connection trace (or, with -events, a session-event file)"},
-	{"runreport", "analyze a -events JSONL file: latency percentiles, phase breakdown, convergence verdict"},
+	{"runreport", "analyze a -events JSONL file: proposals and acceptance rate, latency percentiles, phase breakdown, convergence verdict, and with -every a per-round table"},
 	{"benchgate", "compare a benchmark run against the committed baseline (CI regression gate)"},
 }
 

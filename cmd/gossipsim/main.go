@@ -124,7 +124,6 @@ func run(args []string) error {
 		nList     = fs.String("n", "64", "network size, or comma list for a sweep")
 		kList     = fs.String("k", "8", "token count (1..n), or comma list for a sweep")
 		trace     = fs.Int("trace", 0, "print φ(r) every this many rounds (0 = off, single runs only)")
-		traceFile = fs.String("tracefile", "", "write per-proposal/per-connection JSONL events to this file (single runs only)")
 		trials    = fs.Int("trials", 1, "repetitions per sweep point (>1 switches to the sweep path)")
 		parallel  = fs.Int("parallel", 0, "sweep worker pool size; 0 = GOMAXPROCS (results identical at any value)")
 		asJSON    = fs.Bool("json", false, "emit the sweep as a BENCH-shaped JSON document")
@@ -149,10 +148,10 @@ func run(args []string) error {
 		CheckpointPath: *ckptFile, CheckpointAt: *ckptAt, ResumePath: *resumeF,
 		Out: os.Stdout, Log: os.Stdout,
 	}
-	obs := localObservers{trace: *trace, traceFile: *traceFile, sample: *sample, metrics: *metricsF}
+	obs := localObservers{trace: *trace, sample: *sample, metrics: *metricsF}
 	if *remoteF != "" {
-		if *trace > 0 || *traceFile != "" || *sample > 0 || *metricsF != "" || cfg.Profile {
-			return fmt.Errorf("-trace, -tracefile, -sample, -metrics and -profile run in-process observers and do not combine with -remote")
+		if *trace > 0 || *sample > 0 || *metricsF != "" || cfg.Profile {
+			return fmt.Errorf("-trace, -sample, -metrics and -profile run in-process observers and do not combine with -remote")
 		}
 	} else if *remoteGap > 0 {
 		return fmt.Errorf("-remotepause requires -remote")
@@ -182,8 +181,8 @@ func run(args []string) error {
 	}
 
 	if len(ns) > 1 || len(ks) > 1 || *trials > 1 || *asJSON {
-		if *trace > 0 || *traceFile != "" || *sample > 0 || *ckptFile != "" || *eventsF != "" || *metricsF != "" || cfg.Profile {
-			return fmt.Errorf("-trace, -tracefile, -sample, -checkpoint, -events, -metrics and -profile apply to single runs only, not sweeps")
+		if *trace > 0 || *sample > 0 || *ckptFile != "" || *eventsF != "" || *metricsF != "" || cfg.Profile {
+			return fmt.Errorf("-trace, -sample, -checkpoint, -events, -metrics and -profile apply to single runs only, not sweeps")
 		}
 		if *remoteF != "" {
 			return fmt.Errorf("-remote applies to single runs only, not sweeps")
@@ -243,10 +242,9 @@ func runSweep(points []mobilegossip.Config, trials int, seed uint64, parallel in
 // localObservers bundles the flags that attach in-process observers to a
 // local run (rejected with -remote).
 type localObservers struct {
-	trace     int
-	traceFile string
-	sample    int
-	metrics   string // -metrics: /metrics listen address
+	trace   int
+	sample  int
+	metrics string // -metrics: /metrics listen address
 }
 
 // pausing is the -remotepause determinism test hook: it idles before the
@@ -283,16 +281,6 @@ func runSingle(req client.CreateRequest, opts scenario.Options, obs localObserve
 	} else if pause > 0 {
 		sess = pausing{sess, pause}
 	}
-	var tracer *mobilegossip.TraceObserver
-	if obs.traceFile != "" {
-		f, err := os.Create(obs.traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tracer = mobilegossip.NewTraceObserver(f)
-		sim.Observe(tracer)
-	}
 	if obs.trace > 0 {
 		sim.Observe(roundPrinter{every: obs.trace})
 	}
@@ -311,11 +299,6 @@ func runSingle(req client.CreateRequest, opts scenario.Options, obs localObserve
 
 	start := time.Now()
 	res, err := scenario.Drive(ctx, sess, scenario.Timeline{}, opts)
-	if err == nil && tracer != nil {
-		// A failed trace stream must fail the command, not ship a
-		// truncated JSONL with exit 0.
-		err = tracer.Err()
-	}
 	if err != nil {
 		return err
 	}

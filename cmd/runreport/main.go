@@ -1,11 +1,14 @@
 // Command runreport turns a JSONL session-event file (gossipsim -events,
 // or any mobilegossip.EventJSONLSink stream) into a post-run report:
-// round-latency percentiles, a per-phase breakdown, shard-balance and
-// barrier-wait summaries (present only in files written by builds that
-// split rounds across goroutines), churn/checkpoint/drop counts, and the stall
+// proposal and connection totals with the acceptance rate, round-latency
+// percentiles, a per-phase breakdown, shard-balance and barrier-wait
+// summaries (present only in files written by builds that split rounds
+// across goroutines), churn/checkpoint/drop counts, and the stall
 // detector's convergence verdict replayed from the recorded potential
 // curve — the same pure function of (round, φ) the live session runs, so
-// the report's verdict matches what -metrics served during the run.
+// the report's verdict matches what -metrics served during the run. With
+// -every N the text report opens with a per-round table (φ, connections,
+// proposals, tokens, churn) of every Nth round_completed event.
 //
 // Every number is computed exactly from the recorded events (percentiles
 // are nearest-rank over the sorted samples, not histogram estimates), so
@@ -18,6 +21,7 @@
 //	runreport run.jsonl
 //	runreport -json run.jsonl          # machine-readable form
 //	runreport -window 32 run.jsonl     # tighter plateau threshold
+//	runreport -every 10 run.jsonl      # per-round table, every 10th round
 package main
 
 import (
@@ -48,6 +52,7 @@ func run(args []string, out io.Writer) error {
 		asJSON     = fs.Bool("json", false, "emit the report as a JSON document instead of text")
 		window     = fs.Int("window", 0, "stall-detector plateau window in rounds (0 = default 64)")
 		stallAfter = fs.Int("stallafter", 0, "stall-detector stall threshold in rounds (0 = default 256)")
+		every      = fs.Int("every", 0, "open the text report with a table of every Nth round, plus the last (0 = no table)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -56,7 +61,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: runreport [-json] [-window N] [-stallafter N] <events.jsonl>")
+		return fmt.Errorf("usage: runreport [-json] [-window N] [-stallafter N] [-every N] <events.jsonl>")
+	}
+	if *every < 0 || (*every > 0 && *asJSON) {
+		return fmt.Errorf("-every takes N >= 0 and applies to the text report only")
 	}
 
 	r := io.Reader(os.Stdin)
@@ -79,6 +87,11 @@ func run(args []string, out io.Writer) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
+	if *every > 0 {
+		if err := writeRounds(out, evs, *every); err != nil {
+			return err
+		}
+	}
 	return writeText(out, rep)
 }
 
@@ -100,8 +113,13 @@ type Report struct {
 	DroppedRounds  int   `json:"dropped_rounds"`
 	Solved         bool  `json:"solved"`
 	FinalPotential int   `json:"final_potential"`
+	Proposals      int64 `json:"proposals"`
 	Connections    int64 `json:"connections"`
 	TokensMoved    int64 `json:"tokens_moved"`
+	// AcceptanceRate is Connections ÷ Proposals (0 with no proposals): the
+	// contention statistic — proposals colliding on one receiver are what
+	// the Ω(Δ²) bound for blind strategies counts.
+	AcceptanceRate float64 `json:"acceptance_rate"`
 
 	// Lifecycle counters.
 	EdgesAdded   int64 `json:"edges_added"`
@@ -187,6 +205,7 @@ func build(evs []events.Event, window, stallAfter int) Report {
 			rep.Rounds++
 			rep.FinalPotential = ev.Potential
 			rep.Solved = ev.Done
+			rep.Proposals += ev.Proposals
 			rep.Connections += ev.Connections
 			rep.TokensMoved += ev.TokensMoved
 			if lastRound >= 0 && ev.Round > lastRound+1 {
@@ -227,6 +246,9 @@ func build(evs []events.Event, window, stallAfter int) Report {
 	}
 	if rep.Verdict == "" {
 		rep.Verdict = profile.HealthUnknown.String()
+	}
+	if rep.Proposals > 0 {
+		rep.AcceptanceRate = float64(rep.Connections) / float64(rep.Proposals)
 	}
 
 	if len(roundNs) > 0 {
@@ -318,6 +340,35 @@ func sum(ns []int64) int64 {
 	return t
 }
 
+// writeRounds renders the -every table: one row per every-th
+// round_completed event of the stream, and always its last.
+func writeRounds(w io.Writer, evs []events.Event, every int) error {
+	var rounds []events.Event
+	for _, ev := range evs {
+		if ev.Type == events.TypeRoundCompleted {
+			rounds = append(rounds, ev)
+		}
+	}
+	if len(rounds) == 0 {
+		return nil
+	}
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "round\tφ\tconnections\tproposals\ttokens\tchurn")
+	for i, ev := range rounds {
+		if i%every != 0 && i != len(rounds)-1 {
+			continue
+		}
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t+%d/-%d\n",
+			ev.Round, ev.Potential, ev.Connections, ev.Proposals, ev.TokensMoved,
+			ev.EdgesAdded, ev.EdgesRemoved)
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w)
+	return err
+}
+
 // writeText renders the human-readable report.
 func writeText(w io.Writer, rep Report) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -327,6 +378,7 @@ func writeText(w io.Writer, rep Report) error {
 	fmt.Fprintf(tw, "events\t%d\n", rep.Events)
 	fmt.Fprintf(tw, "rounds\t%d completed, %d dropped from the stream\n", rep.Rounds, rep.DroppedRounds)
 	fmt.Fprintf(tw, "solved\t%v (final φ=%d)\n", rep.Solved, rep.FinalPotential)
+	fmt.Fprintf(tw, "proposals\t%d (%.1f%% accepted)\n", rep.Proposals, 100*rep.AcceptanceRate)
 	fmt.Fprintf(tw, "connections\t%d (%d tokens moved)\n", rep.Connections, rep.TokensMoved)
 	if rep.EdgesAdded > 0 || rep.EdgesRemoved > 0 {
 		fmt.Fprintf(tw, "edge churn\t+%d/-%d\n", rep.EdgesAdded, rep.EdgesRemoved)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mobilegossip"
@@ -171,7 +172,8 @@ func TestReportOnRealRunReproducible(t *testing.T) {
 		t.Fatalf("rounds %d profiled %d dropped %d, Result says %d",
 			rep.Rounds, rep.ProfiledRounds, rep.DroppedRounds, res.Rounds)
 	}
-	if rep.Solved != res.Solved || rep.Connections != res.Connections || rep.TokensMoved != res.TokensMoved {
+	if rep.Solved != res.Solved || rep.Proposals != res.Proposals ||
+		rep.Connections != res.Connections || rep.TokensMoved != res.TokensMoved {
 		t.Fatalf("report %+v disagrees with Result %+v", rep, res)
 	}
 	// Every round runs on one goroutine: no shard section.
@@ -199,9 +201,42 @@ func TestRunFlagErrors(t *testing.T) {
 		{"a.jsonl", "b.jsonl"},               // too many files
 		{filepath.Join(dir, "absent.jsonl")}, // unreadable
 		{bad},                                // unsupported schema version
+		{"-every", "-1", bad},                // negative stride
+		{"-json", "-every", "5", bad},        // the table is text-only
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestEveryTableOnGolden pins the -every table and the acceptance line on
+// the festival scenario's recorded event stream: rounds 1 and 21 by the
+// stride, 27 as the last, and 596 of 1114 proposals accepted.
+func TestEveryTableOnGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-every", "20", "../../scenarios/golden/festival.events.jsonl"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	const table = `round  φ    connections  proposals  tokens  churn
+1      595  1            1          1       +0/-0
+21     118  38           99         38      +200/-205
+27     0    12           54         12      +0/-0
+
+`
+	got := out.String()
+	if !strings.HasPrefix(got, table) {
+		t.Fatalf("-every 20 table:\n%s\nwant prefix:\n%s", got, table)
+	}
+	if !strings.Contains(got, "\nproposals    1114 (53.5% accepted)\n") {
+		t.Fatalf("no acceptance line for 596 of 1114 proposals in:\n%s", got)
+	}
+
+	out.Reset()
+	if err := run([]string{"../../scenarios/golden/festival.events.jsonl"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "churn\n") {
+		t.Fatalf("default report printed a per-round table:\n%s", out.String())
 	}
 }

@@ -39,20 +39,14 @@ func TestSessionEventSequence(t *testing.T) {
 		t.Fatalf("only %d events for a full run", len(evs))
 	}
 
-	first, last := evs[0], evs[len(evs)-1]
+	first := evs[0]
 	if first.Type != mobilegossip.EventSessionStart {
 		t.Fatalf("first event is %s, want session_start", first.Type)
 	}
 	if first.N != 64 || first.K != 8 || first.Algorithm != "sharedbit" {
 		t.Fatalf("session_start identity = %+v", first)
 	}
-	if last.Type != mobilegossip.EventSessionEnd {
-		t.Fatalf("last event is %s, want session_end", last.Type)
-	}
-	if last.Solved != res.Solved || last.Round != res.Rounds ||
-		last.Connections != res.Connections || last.TokensMoved != res.TokensMoved {
-		t.Fatalf("session_end %+v disagrees with Result %+v", last, res)
-	}
+	checkMeters(t, evs, res)
 
 	rounds := ring.Events(mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted},
@@ -91,6 +85,48 @@ func TestSessionEventSequence(t *testing.T) {
 	}
 	if added == 0 {
 		t.Fatal("mobility run produced no churn events")
+	}
+
+	for _, cfg := range sessionMatrix() {
+		cfg := cfg
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			ring, res := collectRun(t, cfg)
+			checkMeters(t, ring.Events(mobilegossip.EventFilter{}), res)
+		})
+	}
+}
+
+// checkMeters requires a run's event stream to account for its Result:
+// session_end is the last event and carries the Result's totals, and the
+// per-round meters of the round_completed events sum to them — every
+// proposal, connection, control bit and token transfer the engine
+// charged, each charged to exactly one round.
+func checkMeters(t *testing.T, evs []mobilegossip.Event, res mobilegossip.Result) {
+	t.Helper()
+	last := evs[len(evs)-1]
+	if last.Type != mobilegossip.EventSessionEnd {
+		t.Fatalf("last event is %s, want session_end", last.Type)
+	}
+	if last.Solved != res.Solved || last.Round != res.Rounds ||
+		last.Proposals != res.Proposals || last.Connections != res.Connections ||
+		last.ControlBits != res.ControlBits || last.TokensMoved != res.TokensMoved {
+		t.Fatalf("session_end %+v disagrees with Result %+v", last, res)
+	}
+	var sum mobilegossip.Event
+	rounds := 0
+	for _, ev := range evs {
+		if ev.Type == mobilegossip.EventRoundCompleted {
+			rounds++
+			sum.Proposals += ev.Proposals
+			sum.Connections += ev.Connections
+			sum.ControlBits += ev.ControlBits
+			sum.TokensMoved += ev.TokensMoved
+		}
+	}
+	if rounds != res.Rounds || sum.Proposals != res.Proposals || sum.Connections != res.Connections ||
+		sum.ControlBits != res.ControlBits || sum.TokensMoved != res.TokensMoved {
+		t.Fatalf("%d round_completed events sum to %d proposals, %d connections, %d bits, %d tokens; Result %+v",
+			rounds, sum.Proposals, sum.Connections, sum.ControlBits, sum.TokensMoved, res)
 	}
 }
 

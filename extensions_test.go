@@ -1,13 +1,9 @@
 package mobilegossip
 
-// Tests for the facade-level extension features: multi-bit tags (TagBits),
-// ε-gossip via SimSharedBit (Corollary 7.5), and execution tracing
-// (NewTraceObserver).
+// Tests for the facade-level extension features: multi-bit tags (TagBits)
+// and ε-gossip via SimSharedBit (Corollary 7.5).
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -108,99 +104,5 @@ func TestRunEpsilonStillRejectsOtherAlgorithms(t *testing.T) {
 		if !errors.Is(err, ErrEpsilonRequires) {
 			t.Errorf("%v with Epsilon: got %v, want ErrEpsilonRequires", alg, err)
 		}
-	}
-}
-
-func TestRunTraceWriterEmitsParsableEvents(t *testing.T) {
-	var buf bytes.Buffer
-	tracer := NewTraceObserver(&buf)
-	res, err := Run(Config{
-		Algorithm: AlgSharedBit, N: 16, K: 4,
-		Topology: Topology{Kind: RandomRegular, Degree: 4}, Tau: 1, Seed: 2,
-		Observers: []Observer{tracer},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Fatal("unsolved")
-	}
-
-	var proposals, connects int64
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var e struct {
-			Round int    `json:"round"`
-			Kind  string `json:"kind"`
-			Node  int    `json:"node"`
-			Peer  int    `json:"peer"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
-		}
-		switch e.Kind {
-		case "propose":
-			proposals++
-		case "connect":
-			connects++
-		default:
-			t.Fatalf("unknown kind %q", e.Kind)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if proposals != res.Proposals || connects != res.Connections {
-		t.Errorf("trace counted %d/%d proposals/connects, result says %d/%d",
-			proposals, connects, res.Proposals, res.Connections)
-	}
-}
-
-// failWriter fails after the first write so the recorder records an error.
-type failWriter struct{ n int }
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	w.n++
-	if w.n > 1 {
-		return 0, errors.New("trace sink failed")
-	}
-	return len(p), nil
-}
-
-func TestRunTraceWriterErrorSurfaces(t *testing.T) {
-	tracer := NewTraceObserver(&failWriter{})
-	res, err := Run(Config{
-		Algorithm: AlgSharedBit, N: 16, K: 4,
-		Topology: Topology{Kind: RandomRegular, Degree: 4}, Tau: 1, Seed: 2,
-		Observers: []Observer{tracer},
-	})
-	if err != nil || !res.Solved {
-		t.Fatalf("a dead trace sink must not stop the run: %+v, %v", res, err)
-	}
-	if tracer.Err() == nil {
-		t.Fatal("expected the trace write failure to surface from Err")
-	}
-}
-
-// TestRunTraceDoesNotPerturbExecution: tracing must be observation-only.
-func TestRunTraceDoesNotPerturbExecution(t *testing.T) {
-	cfg := Config{
-		Algorithm: AlgSharedBit, N: 20, K: 5,
-		Topology: Topology{Kind: RandomRegular, Degree: 4}, Tau: 1, Seed: 4,
-	}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Observers = []Observer{NewTraceObserver(&bytes.Buffer{})}
-	traced, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != traced {
-		t.Errorf("tracing perturbed the run:\n  plain:  %+v\n  traced: %+v", plain, traced)
 	}
 }

@@ -90,7 +90,7 @@ func UnmarshalEvent(line []byte) (Event, error) {
 
 // ReadAll decodes a whole JSONL event stream (a JSONLSink file), in
 // order, skipping blank lines. Errors carry the 1-based line number.
-// cmd/runreport and cmd/traceview share it as their ingest path.
+// It is cmd/runreport's ingest path.
 func ReadAll(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

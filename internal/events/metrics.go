@@ -50,8 +50,6 @@ type Collector struct {
 	// sessions). Lock-free like the counters above.
 	roundLatency profile.Histogram // round wall time, ns
 	phaseLatency [profile.NumPhases]profile.Histogram
-	imbalance    profile.Histogram // max/mean shard compute, thousandths
-	barrierWait  profile.Histogram // per-round barrier wait, ns
 	ckptWrite    profile.Histogram // checkpoint serialization, ns
 	health       atomic.Int64      // latest profile.Health verdict
 
@@ -114,10 +112,6 @@ func (c *Collector) Observe(ev Event) {
 		c.phaseLatency[profile.PhaseProposal].Record(ev.ProposalNanos)
 		c.phaseLatency[profile.PhaseExchange].Record(ev.ExchangeNanos)
 		c.phaseLatency[profile.PhaseReduction].Record(ev.ReductionNanos)
-		if ev.Workers > 1 {
-			c.imbalance.Record(ev.ImbalanceMilli)
-			c.barrierWait.Record(ev.BarrierNanos)
-		}
 		if h, err := profile.ParseHealth(ev.Health); err == nil {
 			c.health.Store(int64(h))
 		}
@@ -215,8 +209,6 @@ func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 		{"mobilegossip_phase_proposal_seconds", "Per-round wall-clock time in the proposal machinery (tag, decide, deliver, accept).", &c.phaseLatency[profile.PhaseProposal], 1e9},
 		{"mobilegossip_phase_exchange_seconds", "Per-round wall-clock time exchanging over accepted connections.", &c.phaseLatency[profile.PhaseExchange], 1e9},
 		{"mobilegossip_phase_reduction_seconds", "Per-round wall-clock time in sequential cross-shard reductions.", &c.phaseLatency[profile.PhaseReduction], 1e9},
-		{"mobilegossip_shard_imbalance_ratio", "Max over mean shard compute time per sharded round (1 = balanced).", &c.imbalance, 1e3},
-		{"mobilegossip_barrier_wait_seconds", "Total per-round time shards spent waiting at phase barriers.", &c.barrierWait, 1e9},
 		{"mobilegossip_checkpoint_write_seconds", "Checkpoint serialization wall-clock time.", &c.ckptWrite, 1e9},
 	}
 	for _, hm := range hists {

@@ -162,12 +162,10 @@ func TestCollectorProfileExposition(t *testing.T) {
 
 	c.Observe(Event{Type: TypeRoundProfile, Round: 1, RoundNanos: 50_000,
 		ChurnNanos: 1000, ProposalNanos: 30_000, ExchangeNanos: 15_000,
-		ReductionNanos: 2000, Workers: 4, ImbalanceMilli: 1500, BarrierNanos: 8000,
-		Health: "converging"})
+		ReductionNanos: 2000, Health: "converging"})
 	c.Observe(Event{Type: TypeRoundProfile, Round: 2, RoundNanos: 70_000,
 		ChurnNanos: 1000, ProposalNanos: 40_000, ExchangeNanos: 25_000,
-		ReductionNanos: 3000, Workers: 4, ImbalanceMilli: 1200, BarrierNanos: 9000,
-		Health: "plateaued"})
+		ReductionNanos: 3000, Health: "plateaued"})
 	c.Observe(Event{Type: TypeCheckpointWritten, Round: 2, WriteNanos: 1_000_000})
 
 	out.Reset()
@@ -187,9 +185,6 @@ func TestCollectorProfileExposition(t *testing.T) {
 	}
 	if got := vals["mobilegossip_checkpoint_write_seconds_count"]; got != 1 {
 		t.Errorf("checkpoint write count = %v, want 1", got)
-	}
-	if got := vals["mobilegossip_shard_imbalance_ratio_count"]; got != 2 {
-		t.Errorf("imbalance count = %v, want 2", got)
 	}
 	if got := vals[`mobilegossip_session_health{state="plateaued"}`]; got != 1 {
 		t.Errorf("health{plateaued} = %v, want 1", got)

@@ -277,12 +277,6 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 // initialization randomness before round 1, e.g. SimSharedBit seed choice).
 func (e *Engine) NodeRNG(u NodeID) *prand.RNG { return e.rngs[u] }
 
-// SetProtocol swaps the protocol the engine drives. The replacement must
-// behave identically to the original (same TagBits, same decisions — e.g.
-// a trace.Wrap of it); it exists so observers that tap the protocol layer
-// can be attached to an already-constructed engine at a round boundary.
-func (e *Engine) SetProtocol(p Protocol) { e.proto = p }
-
 // SetDynamic swaps the topology schedule the engine reads from, at a
 // round boundary. The replacement must describe the same node count; the
 // next Step queries it at the engine's global round number R, so schedules

@@ -117,8 +117,8 @@ type Config struct {
 	CrowdedBin core.CrowdedBinConfig
 	// Observers watch the run through the composable observer pipeline
 	// (see Observer); they receive BeginRun, one EndRound per round, and
-	// EndRun. Provided implementations: NewTraceObserver,
-	// NewPotentialSampler, NewChurnMeter.
+	// EndRun. Provided implementations: NewPotentialSampler,
+	// NewChurnMeter.
 	Observers []Observer
 }
 

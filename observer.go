@@ -1,12 +1,6 @@
 package mobilegossip
 
-import (
-	"io"
-
-	"mobilegossip/internal/events"
-	"mobilegossip/internal/mtm"
-	"mobilegossip/internal/trace"
-)
+import "mobilegossip/internal/events"
 
 // RoundStats reports one executed simulation round: the engine meters for
 // exactly that round (not running totals) plus the potential after it.
@@ -33,9 +27,10 @@ type RoundStats struct {
 }
 
 // Observer receives the lifecycle events of one simulation. Observers
-// compose: any number can watch the same run; TraceObserver,
-// PotentialSampler and ChurnMeter are provided, and embedding NopObserver
-// makes a custom one a few lines.
+// compose: any number can watch the same run; PotentialSampler and
+// ChurnMeter are provided, and embedding NopObserver makes a custom one a
+// few lines. Each round's stats are the meters its round_completed event
+// carries, so an observer sees exactly what an event sink records.
 //
 // Events fire on the stepping goroutine: BeginRun once before the first
 // round (including the first round after a Resume), EndRound after every
@@ -52,13 +47,6 @@ type Observer interface {
 	EndRun(res Result)
 }
 
-// protocolWrapper is the internal hook for observers that need to tap the
-// protocol layer (per-proposal/per-connection events) rather than the
-// round summaries.
-type protocolWrapper interface {
-	wrapProtocol(p mtm.Protocol) mtm.Protocol
-}
-
 // NopObserver is a no-op Observer; embed it to implement only the events
 // you care about.
 type NopObserver struct{}
@@ -71,30 +59,6 @@ func (NopObserver) EndRound(RoundStats) {}
 
 // EndRun implements Observer.
 func (NopObserver) EndRun(Result) {}
-
-// TraceObserver records every proposal and accepted connection as one JSON
-// line (see internal/trace for the event schema). A write failure does
-// not stop the run: check Err after it.
-type TraceObserver struct {
-	NopObserver
-	rec *trace.Recorder
-}
-
-// NewTraceObserver returns a TraceObserver writing JSONL events to w.
-func NewTraceObserver(w io.Writer) *TraceObserver {
-	return &TraceObserver{rec: trace.NewRecorder(w)}
-}
-
-// Events returns the number of events recorded so far.
-func (t *TraceObserver) Events() int64 { return t.rec.Events() }
-
-// Err returns the first write error encountered, if any. Check it after
-// the run; recording continues to be attempted after an error.
-func (t *TraceObserver) Err() error { return t.rec.Err() }
-
-func (t *TraceObserver) wrapProtocol(p mtm.Protocol) mtm.Protocol {
-	return trace.Wrap(p, t.rec)
-}
 
 // PotentialSample is one point of a potential curve.
 type PotentialSample struct {

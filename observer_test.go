@@ -5,7 +5,6 @@ package mobilegossip_test
 
 import (
 	"context"
-	"io"
 	"testing"
 
 	"mobilegossip"
@@ -138,32 +137,5 @@ func TestObserveMidRun(t *testing.T) {
 	}
 	if events[0] != "round" || events[len(events)-1] != "end" {
 		t.Fatalf("event kinds: %v", events)
-	}
-}
-
-// TestObserveTraceAutoEngineWorkers: EngineWorkers is ignored, so an auto
-// or explicit setting runs every round on one worker, before and after a
-// protocol-tapping observer is attached.
-func TestObserveTraceAutoEngineWorkers(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		sim, err := mobilegossip.New(mobilegossip.Config{
-			Algorithm: mobilegossip.AlgSharedBit, N: 8192, K: 2,
-			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
-			Seed:     8, Profile: true, EngineWorkers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if i == 1 {
-				sim.Observe(mobilegossip.NewTraceObserver(io.Discard))
-			}
-			if _, err := sim.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if w := sim.Profiler().Last().Workers; w != 1 {
-				t.Fatalf("EngineWorkers %d, traced %v: round ran %d workers, want 1", workers, i == 1, w)
-			}
-		}
 	}
 }

@@ -42,7 +42,6 @@ type Simulation struct {
 	cfg   Config
 	st    *core.State
 	dyn   dyngraph.Dynamic
-	proto mtm.Protocol // outermost protocol, possibly observer-wrapped
 	parts protoParts
 	eng   *mtm.Engine
 
@@ -127,7 +126,7 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 
-	s := &Simulation{cfg: cfg, st: st, dyn: dyn, proto: parts.proto, parts: parts,
+	s := &Simulation{cfg: cfg, st: st, dyn: dyn, parts: parts,
 		bus: events.NewBus(), lastAdvEpoch: -1}
 
 	// Adaptive adversaries read the live token state; bind before round 1
@@ -137,7 +136,7 @@ func New(cfg Config) (*Simulation, error) {
 		s.adv = adv
 		s.lastAdvEpoch = adv.Epoch()
 	}
-	s.eng = mtm.NewEngine(dyn, s.proto, mtm.Config{
+	s.eng = mtm.NewEngine(dyn, parts.proto, mtm.Config{
 		Seed:      prand.Mix64(cfg.Seed ^ 0x51afd7ed558ccd6d),
 		MaxRounds: cfg.MaxRounds,
 	})
@@ -242,8 +241,7 @@ func (s *Simulation) Bus() *events.Bus { return s.bus }
 // Observe attaches observers to the session. Observers attached before the
 // first Step see the whole run; observers attached mid-run see the rounds
 // from their attachment on (their BeginRun is skipped once the run has
-// begun). Observers that tap the protocol layer (TraceObserver) take
-// effect from the next round.
+// begun).
 //
 // Observers are delivered through the session's event bus: the first
 // Observe call registers the pipeline as a synchronous, lossless bus
@@ -253,10 +251,6 @@ func (s *Simulation) Observe(obs ...Observer) {
 	for _, o := range obs {
 		if o == nil {
 			continue
-		}
-		if pw, ok := o.(protocolWrapper); ok {
-			s.proto = pw.wrapProtocol(s.proto)
-			s.eng.SetProtocol(s.proto)
 		}
 		if !s.fanAttached {
 			s.fanAttached = true

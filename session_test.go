@@ -209,18 +209,16 @@ func TestCheckpointResumeMatchesRun(t *testing.T) {
 	}
 }
 
-// inertRun is everything a session emits: its Result, event JSONL,
-// TraceObserver stream, and a checkpoint taken at round 3.
+// inertRun is everything a session emits: its Result, event JSONL and a
+// checkpoint taken at round 3.
 type inertRun struct {
-	res                  mobilegossip.Result
-	events, trace, ckpt3 []byte
+	res           mobilegossip.Result
+	events, ckpt3 []byte
 }
 
 func runInert(t *testing.T, cfg mobilegossip.Config) inertRun {
 	t.Helper()
-	var events, trace, ckpt3 bytes.Buffer
-	tr := mobilegossip.NewTraceObserver(&trace)
-	cfg.Observers = []mobilegossip.Observer{tr}
+	var events, ckpt3 bytes.Buffer
 	sim, err := mobilegossip.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,17 +237,13 @@ func runInert(t *testing.T, cfg mobilegossip.Config) inertRun {
 	if err := sink.Close(); err != nil || sink.Dropped() != 0 {
 		t.Fatalf("event sink: err %v, %d dropped", err, sink.Dropped())
 	}
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return inertRun{sim.Result(), events.Bytes(), trace.Bytes(), ckpt3.Bytes()}
+	return inertRun{sim.Result(), events.Bytes(), ckpt3.Bytes()}
 }
 
 // TestEngineWorkersDeterministic: Config.EngineWorkers is accepted and
-// ignored. Over the session matrix, auto, one and several workers — each
-// with a TraceObserver tapping the protocol — must give the same Result,
-// event JSONL, trace stream and checkpoint bytes. Heavy (the matrix runs
-// 5×), so -short skips it.
+// ignored. Over the session matrix, auto, one and several workers must
+// give the same Result, event JSONL and checkpoint bytes. Heavy (the
+// matrix runs 5×), so -short skips it.
 func TestEngineWorkersDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5× full session matrix")
@@ -258,8 +252,8 @@ func TestEngineWorkersDeterministic(t *testing.T) {
 		cfg := cfg
 		t.Run(cfgName(cfg), func(t *testing.T) {
 			want := runInert(t, cfg)
-			if len(want.ckpt3) == 0 || len(want.trace) == 0 {
-				t.Fatalf("run of %d rounds wrote no round-3 checkpoint or no trace", want.res.Rounds)
+			if len(want.ckpt3) == 0 {
+				t.Fatalf("run of %d rounds wrote no round-3 checkpoint", want.res.Rounds)
 			}
 			for _, w := range []int{1, 2, 4, 7} {
 				cfg.EngineWorkers = w
@@ -269,8 +263,6 @@ func TestEngineWorkersDeterministic(t *testing.T) {
 					t.Fatalf("EngineWorkers %d: result %+v, want %+v", w, got.res, want.res)
 				case !bytes.Equal(got.events, want.events):
 					t.Fatalf("EngineWorkers %d: event JSONL differs", w)
-				case !bytes.Equal(got.trace, want.trace):
-					t.Fatalf("EngineWorkers %d: trace stream differs", w)
 				case !bytes.Equal(got.ckpt3, want.ckpt3):
 					t.Fatalf("EngineWorkers %d: round-3 checkpoint differs", w)
 				}
