@@ -150,8 +150,11 @@ bench-stages:
 #   - the E1 (core sweeps), E22 (mobility schedules — motion, delta
 #     patching and churn measurement) and E25 (adversarial schedules,
 #     adaptive state reads included) tables must be byte-identical to the
-#     first setting's tables (the sweep pool size varies with GOMAXPROCS,
-#     so pool scheduling is exercised);
+#     first setting's tables (all three are mobilegossip.RunSweep grids
+#     whose pool size varies with GOMAXPROCS, so pool scheduling is
+#     exercised; every quick-size table is also pinned by
+#     internal/harness/testdata/quick.csv, re-recorded only with
+#     `go test ./internal/harness -run TestAllExperimentsRunQuick -update`);
 #   - a session checkpointed mid-run and resumed under a different
 #     GOMAXPROCS (8/g) must reproduce the uninterrupted run byte-for-byte;
 #   - the same run with -profile attached must print a byte-identical

@@ -1,9 +1,11 @@
 // Command benchtable regenerates the paper's evaluation exhibits.
 //
 // Every row of the paper's Figure 1 (the table of round-complexity bounds)
-// and every supporting theorem/lemma has an experiment E1..E14 (see
-// DESIGN.md §3). benchtable runs one or all of them and prints the tables
-// recorded in EXPERIMENTS.md.
+// and every supporting theorem/lemma has an experiment, E1..E27 with the
+// extension, mobility and adversary ablations (see DESIGN.md §3; E17 is
+// retired). benchtable runs one or all of them and prints their tables;
+// `benchtable -csv` at the default seed prints the bytes pinned in
+// internal/harness/testdata/quick.csv.
 //
 // Usage:
 //

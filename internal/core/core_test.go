@@ -206,14 +206,18 @@ func TestSharedBitPotentialNonIncreasing(t *testing.T) {
 	}
 	p := NewSharedBit(st, prand.NewSharedString(2))
 	last := st.Potential()
-	cfg := mtm.Config{Seed: 5, MaxRounds: 1 << 20, OnRound: func(r int) {
+	eng := mtm.NewEngine(dyngraph.NewStatic(graph.Cycle(12)), p, mtm.Config{Seed: 5, MaxRounds: 1 << 20})
+	for !eng.Finished() {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
 		cur := st.Potential()
 		if cur > last {
-			t.Fatalf("round %d: φ increased %d -> %d", r, last, cur)
+			t.Fatalf("round %d: φ increased %d -> %d", eng.Round(), last, cur)
 		}
 		last = cur
-	}}
-	if _, err := mtm.NewEngine(dyngraph.NewStatic(graph.Cycle(12)), p, cfg).Run(); err != nil {
+	}
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if last != 0 {
@@ -301,15 +305,19 @@ func TestCrowdedBinEstimatesNeverDecrease(t *testing.T) {
 	for u := range prev {
 		prev[u] = p.Estimate(u)
 	}
-	cfg := mtm.Config{Seed: 10, MaxRounds: 1 << 22, OnRound: func(r int) {
+	eng := mtm.NewEngine(dyngraph.NewStatic(graph.Complete(8)), p, mtm.Config{Seed: 10, MaxRounds: 1 << 22})
+	for !eng.Finished() {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
 		for u := 0; u < 8; u++ {
 			if p.Estimate(u) < prev[u] {
-				t.Fatalf("round %d: node %d estimate decreased %d -> %d", r, u, prev[u], p.Estimate(u))
+				t.Fatalf("round %d: node %d estimate decreased %d -> %d", eng.Round(), u, prev[u], p.Estimate(u))
 			}
 			prev[u] = p.Estimate(u)
 		}
-	}}
-	res, err := mtm.NewEngine(dyngraph.NewStatic(graph.Complete(8)), p, cfg).Run()
+	}
+	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

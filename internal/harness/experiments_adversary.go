@@ -60,7 +60,7 @@ func runE25(o Options) (*Table, error) {
 			})
 		}
 	}
-	ms, err := meanStatsGrid(o, cfgs)
+	ms, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func runE25(o Options) (*Table, error) {
 		// by generic graph diffing over the same window — every row then
 		// means the same thing (total topology change, base rewiring
 		// included).
-		churn := fmtF(row[1].churnPerRoundMean())
+		churn := fmtF(pointChurn(row[1]))
 		if adv == mobilegossip.AdvNone {
 			c, err := churnFor(advTopo(adv, 0), n, 1, 48, o)
 			if err != nil {
@@ -83,12 +83,12 @@ func runE25(o Options) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			adv.String(), churn,
-			fmtF(row[0].Rounds), fmtF(row[1].Rounds), fmtF(row[2].Rounds),
+			fmtF(row[0].MeanRounds), fmtF(row[1].MeanRounds), fmtF(row[2].MeanRounds),
 		})
 		if adv == mobilegossip.AdvNone {
-			benign = row[1].Rounds
-		} else if row[1].Rounds > worst {
-			worst, worstName = row[1].Rounds, adv.String()
+			benign = row[1].MeanRounds
+		} else if row[1].MeanRounds > worst {
+			worst, worstName = row[1].MeanRounds, adv.String()
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -133,11 +133,11 @@ func runE26(o Options) (*Table, error) {
 				Topology: advTopo(mobilegossip.AdvIsolate, b), Tau: 1},
 		)
 	}
-	ms, err := meanStatsGrid(o, cfgs)
+	ms, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, []string{"0 (none)", "-", fmtF(ms[0].Rounds), "-", fmtF(ms[0].Rounds)})
+	t.Rows = append(t.Rows, []string{"0 (none)", "-", fmtF(ms[0].MeanRounds), "-", fmtF(ms[0].MeanRounds)})
 	for i, b := range budgets {
 		row := ms[1+3*i : 1+3*i+3]
 		label := fmtF(float64(b))
@@ -145,8 +145,8 @@ func runE26(o Options) (*Table, error) {
 			label = "∞"
 		}
 		t.Rows = append(t.Rows, []string{
-			label, fmtF(row[0].churnPerRoundMean()),
-			fmtF(row[0].Rounds), fmtF(row[1].Rounds), fmtF(row[2].Rounds),
+			label, fmtF(pointChurn(row[0])),
+			fmtF(row[0].MeanRounds), fmtF(row[1].MeanRounds), fmtF(row[2].MeanRounds),
 		})
 	}
 	last := ms[1+3*(len(budgets)-1)]
@@ -154,7 +154,7 @@ func runE26(o Options) (*Table, error) {
 		fmt.Sprintf("adversary strength is roughly monotone in budget: unlimited cutrich costs "+
 			"sharedbit %.2fx the benign base, and every cut must be re-paid each epoch as "+
 			"churn (the budget meters destruction, repair bridges come back for free)",
-			stats.Ratio(ms[0].Rounds, last.Rounds)),
+			stats.Ratio(ms[0].MeanRounds, last.MeanRounds)),
 		"targeting alone is not enough: isolate's surgical strike on one leader neighborhood "+
 			"barely registers against sharedbit — with k tokens replicated everywhere there is "+
 			"no single node worth starving, and spreading the budget (cutrich) hurts far more")
@@ -195,7 +195,7 @@ func runE27(o Options) (*Table, error) {
 			})
 		}
 	}
-	ms, err := meanStatsGrid(o, cfgs)
+	ms, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -203,13 +203,13 @@ func runE27(o Options) (*Table, error) {
 	for i, adv := range advs {
 		row := ms[2*i : 2*i+2]
 		t.Rows = append(t.Rows, []string{
-			adv.String(), fmtF(row[0].churnPerRoundMean()),
-			fmtF(row[0].Rounds), fmtF(row[1].Rounds),
+			adv.String(), fmtF(pointChurn(row[0])),
+			fmtF(row[0].MeanRounds), fmtF(row[1].MeanRounds),
 		})
 		if adv == mobilegossip.AdvNone {
-			benign = row[0].Rounds
-		} else if row[0].Rounds > worst {
-			worst = row[0].Rounds
+			benign = row[0].MeanRounds
+		} else if row[0].MeanRounds > worst {
+			worst = row[0].MeanRounds
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -42,25 +42,27 @@ func runE19(o Options) (*Table, error) {
 	violations := 0
 	solvedAt := 0
 
-	engCfg := mtm.Config{
-		Seed: prand.Mix64(o.Seed ^ 0x5be0_cd19_137e_2179),
-		OnRound: func(r int) {
-			c, solved := tokenset.FindCoalition(st.Sets(), eps)
-			if solved {
-				if solvedAt == 0 {
-					solvedAt = r
-				}
-			} else {
-				half := eps * float64(n) / 2
-				limit := eps * float64(n)
-				if float64(c.Size()) < half || float64(c.Size()) > limit {
-					violations++
-				}
+	eng := mtm.NewEngine(dyn, proto, mtm.Config{Seed: prand.Mix64(o.Seed ^ 0x5be0_cd19_137e_2179)})
+	for !eng.Finished() {
+		if _, err := eng.Step(); err != nil {
+			break
+		}
+		r := eng.Round()
+		c, solved := tokenset.FindCoalition(st.Sets(), eps)
+		if solved {
+			if solvedAt == 0 {
+				solvedAt = r
 			}
-			trajectory = append(trajectory, sample{r, c.Size(), c.Classes, solved})
-		},
+		} else {
+			half := eps * float64(n) / 2
+			limit := eps * float64(n)
+			if float64(c.Size()) < half || float64(c.Size()) > limit {
+				violations++
+			}
+		}
+		trajectory = append(trajectory, sample{r, c.Size(), c.Classes, solved})
 	}
-	res, err := mtm.NewEngine(dyn, proto, engCfg).Run()
+	res, err := eng.Run()
 	if err != nil {
 		return nil, err
 	}

@@ -40,13 +40,13 @@ func runE20(o Options) (*Table, error) {
 			CrowdedBin: core.CrowdedBinConfig{Beta: p.beta, Gamma: p.gamma},
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	res, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	var base, largest float64
 	for i, p := range pts {
-		r := means[i]
+		r := res[i].MeanRounds
 		t.Rows = append(t.Rows, []string{
 			fmtF(float64(p.beta)), fmtF(float64(p.gamma)), fmtF(r), "yes",
 		})

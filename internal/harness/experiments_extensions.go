@@ -52,17 +52,17 @@ func runE15(o Options) (*Table, error) {
 			TagBits: b,
 		})
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	r0 := means[0]
+	r0 := pts[0].MeanRounds
 	t.Rows = append(t.Rows, []string{"0", "blindmatch", fmtF(r0)})
 
 	var r1 float64
 	var rLast float64
 	for i, b := range bs {
-		r := means[1+i]
+		r := pts[1+i].MeanRounds
 		name := "sharedbit"
 		if b > 1 {
 			name = fmt.Sprintf("multibit(b=%d)", b)
@@ -103,13 +103,13 @@ func runE16(o Options) (*Table, error) {
 			Topology: mobilegossip.Topology{Kind: mobilegossip.DoubleStar}, Tau: tau,
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	var first, last float64
 	for i, tau := range taus {
-		r := means[i]
+		r := pts[i].MeanRounds
 		delta := float64(n / 2)
 		t.Rows = append(t.Rows, []string{
 			fmtF(float64(tau)), fmtF(math.Pow(delta, 1/float64(tau))), fmtF(r),
@@ -144,9 +144,8 @@ func runE18(o Options) (*Table, error) {
 	}
 	rewires := []float64{0, 0.1, 0.5, 1.0}
 	grid, err := runner.MapGrid(runnerCfg(o), len(rewires), trials(o),
-		func(p, tr int, _ uint64) (float64, error) {
+		func(p, _ int, seed uint64) (float64, error) {
 			rw := rewires[p]
-			seed := o.Seed + uint64(7000*tr) + 3
 			dyn, err := dyngraph.GradualChurn(n, 1, 4096, rw, seed)
 			if err != nil {
 				return 0, err

@@ -54,16 +54,16 @@ func runE1(o Options) (*Table, error) {
 			Topology: mobilegossip.Topology{Kind: mobilegossip.Cycle},
 		})
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 
 	var xs, ys []float64
 	for i, n := range ns {
-		t.Rows = append(t.Rows, []string{"double-star n", fmtF(float64(n)), fmtF(means[i])})
+		t.Rows = append(t.Rows, []string{"double-star n", fmtF(float64(n)), fmtF(pts[i].MeanRounds)})
 		xs = append(xs, float64(n))
-		ys = append(ys, means[i])
+		ys = append(ys, pts[i].MeanRounds)
 	}
 	slope, err := stats.LogLogSlope(xs, ys)
 	if err != nil {
@@ -75,7 +75,7 @@ func runE1(o Options) (*Table, error) {
 
 	var kxs, kys []float64
 	for i, k := range ks {
-		r := means[len(ns)+i]
+		r := pts[len(ns)+i].MeanRounds
 		t.Rows = append(t.Rows, []string{"ring k", fmtF(float64(k)), fmtF(r)})
 		kxs = append(kxs, float64(k))
 		kys = append(kys, r)
@@ -121,16 +121,16 @@ func runE2(o Options) (*Table, error) {
 			Topology: mobilegossip.Topology{Kind: mobilegossip.Cycle}, Tau: 1,
 		})
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 
 	var xs, ys []float64
 	for i, k := range ks {
-		t.Rows = append(t.Rows, []string{"k", fmtF(float64(k)), fmtF(means[i])})
+		t.Rows = append(t.Rows, []string{"k", fmtF(float64(k)), fmtF(pts[i].MeanRounds)})
 		xs = append(xs, float64(k))
-		ys = append(ys, means[i])
+		ys = append(ys, pts[i].MeanRounds)
 	}
 	kslope, err := stats.LogLogSlope(xs, ys)
 	if err != nil {
@@ -140,7 +140,7 @@ func runE2(o Options) (*Table, error) {
 
 	xs, ys = nil, nil
 	for i, nn := range ns {
-		r := means[len(ks)+i]
+		r := pts[len(ks)+i].MeanRounds
 		t.Rows = append(t.Rows, []string{"n", fmtF(float64(nn)), fmtF(r)})
 		xs = append(xs, float64(nn))
 		ys = append(ys, r)
@@ -175,13 +175,13 @@ func runE3(o Options) (*Table, error) {
 			})
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	lastRatio := 0.0
 	for i, n := range ns {
-		bm, sb := means[2*i], means[2*i+1]
+		bm, sb := pts[2*i].MeanRounds, pts[2*i+1].MeanRounds
 		lastRatio = stats.Ratio(sb, bm)
 		t.Rows = append(t.Rows, []string{
 			fmtF(float64(n)), fmtF(bm), fmtF(sb), fmtF(lastRatio)})
@@ -214,13 +214,13 @@ func runE4(o Options) (*Table, error) {
 			})
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	first, last := 0.0, 0.0
 	for i, k := range ks {
-		sb, ssb := means[2*i], means[2*i+1]
+		sb, ssb := pts[2*i].MeanRounds, pts[2*i+1].MeanRounds
 		// SimSharedBit runs gossip only on odd rounds, so its baseline cost
 		// is 2·sb; the remainder is the additive election/convergence term.
 		over := ssb - 2*sb
@@ -258,15 +258,15 @@ func runE5(o Options) (*Table, error) {
 			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	var xs, ys []float64
 	for i, k := range ks {
-		t.Rows = append(t.Rows, []string{fmtF(float64(k)), fmtF(means[i])})
+		t.Rows = append(t.Rows, []string{fmtF(float64(k)), fmtF(pts[i].MeanRounds)})
 		xs = append(xs, float64(k))
-		ys = append(ys, means[i])
+		ys = append(ys, pts[i].MeanRounds)
 	}
 	slope, err := stats.LogLogSlope(xs, ys)
 	if err != nil {
@@ -306,13 +306,13 @@ func runE6(o Options) (*Table, error) {
 			cfgs = append(cfgs, mobilegossip.Config{Algorithm: alg, N: n, K: k, Topology: f.top})
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	var cbTimes []float64
 	for i, f := range families {
-		sb, cb := means[2*i], means[2*i+1]
+		sb, cb := pts[2*i].MeanRounds, pts[2*i+1].MeanRounds
 		cbTimes = append(cbTimes, cb)
 		t.Rows = append(t.Rows, []string{
 			f.label, fmt.Sprintf("%.3f", alphas[i]), fmtF(sb), fmtF(cb), fmtF(cb * alphas[i])})
@@ -349,14 +349,14 @@ func runE7(o Options) (*Table, error) {
 			Algorithm: mobilegossip.AlgSharedBit, N: n, K: n, Epsilon: eps, Topology: top,
 		})
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	full := means[0]
+	full := pts[0].MeanRounds
 	t.Rows = append(t.Rows, []string{"full gossip", fmtF(full), "1"})
 	for i, eps := range epss {
-		r := means[1+i]
+		r := pts[1+i].MeanRounds
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("ε=%.2f", eps), fmtF(r), fmtF(stats.Ratio(r, full))})
 	}

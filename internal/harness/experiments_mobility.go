@@ -81,7 +81,7 @@ func runE22(o Options) (*Table, error) {
 			})
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -95,10 +95,10 @@ func runE22(o Options) (*Table, error) {
 		if sp < 0 {
 			shown = 0
 		}
-		b1 := means[3*i+1]
+		b1 := pts[3*i+1].MeanRounds
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.3f", shown), fmtF(churnPerRound(c)), tauEff(c),
-			fmtF(means[3*i]), fmtF(b1), fmtF(means[3*i+2]),
+			fmtF(pts[3*i].MeanRounds), fmtF(b1), fmtF(pts[3*i+2].MeanRounds),
 		})
 		if i == 0 {
 			frozen = b1
@@ -145,7 +145,7 @@ func runE23(o Options) (*Table, error) {
 			})
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -156,10 +156,10 @@ func runE23(o Options) (*Table, error) {
 			return nil, err
 		}
 		meanDeg := float64(c.MinEdges+c.MaxEdges) / float64(n) // 2·(avg of min/max edges)/n
-		sb := means[2*i]
+		sb := pts[2*i].MeanRounds
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", mu), fmtF(meanDeg), fmtF(churnPerRound(c)),
-			fmtF(sb), fmtF(means[2*i+1]),
+			fmtF(sb), fmtF(pts[2*i+1].MeanRounds),
 		})
 		if i == 0 {
 			sparse = sb
@@ -202,7 +202,7 @@ func runE24(o Options) (*Table, error) {
 			})
 		}
 	}
-	means, err := meanRoundsGrid(o, cfgs)
+	pts, err := sweep(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -216,11 +216,11 @@ func runE24(o Options) (*Table, error) {
 		if a < 0 {
 			shown = 0
 		}
-		sb := means[2*i]
+		sb := pts[2*i].MeanRounds
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", shown), fmtF(churnPerRound(c)),
 			fmt.Sprintf("[%d,%d]", c.MinEdges, c.MaxEdges),
-			fmtF(sb), fmtF(means[2*i+1]),
+			fmtF(sb), fmtF(pts[2*i+1].MeanRounds),
 		})
 		if i == 0 {
 			loose = sb

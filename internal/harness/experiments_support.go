@@ -174,28 +174,29 @@ func runE10(o Options) (*Table, error) {
 		Caption: "BitConvergence leader election: rounds to converge",
 		Columns: []string{"schedule", "n", "rounds"},
 	}
+	// The engine draws from the cell seed and the schedule from its mix,
+	// so the two never share a stream.
 	type point struct {
-		label   string
-		n       int
-		engSeed uint64
-		mk      func(n int) dyngraph.Dynamic
+		label string
+		n     int
+		mk    func(n int, seed uint64) dyngraph.Dynamic
 	}
 	var points []point
 	for _, n := range ns {
 		points = append(points,
-			point{"static ring", n, o.Seed + 1, func(n int) dyngraph.Dynamic {
+			point{"static ring", n, func(n int, seed uint64) dyngraph.Dynamic {
 				return dyngraph.NewStatic(graph.Cycle(n))
 			}},
-			point{"static 4-regular", n, o.Seed + 2, func(n int) dyngraph.Dynamic {
-				return dyngraph.NewStatic(graph.RandomRegular(n, 4, prand.New(o.Seed+3)))
+			point{"static 4-regular", n, func(n int, seed uint64) dyngraph.Dynamic {
+				return dyngraph.NewStatic(graph.RandomRegular(n, 4, prand.New(seed)))
 			}},
-			point{"rotating ring τ=1", n, o.Seed + 5, func(n int) dyngraph.Dynamic {
-				return dyngraph.RotatingRing(n, 1, o.Seed+4)
+			point{"rotating ring τ=1", n, func(n int, seed uint64) dyngraph.Dynamic {
+				return dyngraph.RotatingRing(n, 1, seed)
 			}},
 		)
 	}
 	grid, err := runner.MapGrid(runnerCfg(o), len(points), trials(o),
-		func(pi, i int, _ uint64) (float64, error) {
+		func(pi, _ int, seed uint64) (float64, error) {
 			pt := points[pi]
 			n := pt.n
 			ids := make([]int, n)
@@ -205,8 +206,8 @@ func runE10(o Options) (*Table, error) {
 				pays[u] = uint64(u)
 			}
 			p := leader.New(ids, pays)
-			res, err := mtm.NewEngine(pt.mk(n), p,
-				mtm.Config{Seed: pt.engSeed + uint64(i), MaxRounds: 1 << 20}).Run()
+			res, err := mtm.NewEngine(pt.mk(n, prand.Mix64(seed)), p,
+				mtm.Config{Seed: seed, MaxRounds: 1 << 20}).Run()
 			if err != nil {
 				return 0, err
 			}
@@ -253,11 +254,11 @@ func runE11(o Options) (*Table, error) {
 		Columns: []string{"graph", "α (est)", "rounds"},
 	}
 	grid, err := runner.MapGrid(runnerCfg(o), len(fams), reps,
-		func(fi, i int, _ uint64) (float64, error) {
+		func(fi, _ int, seed uint64) (float64, error) {
 			f := fams[fi]
 			p := rumor.New(n, []int{0})
 			res, err := mtm.NewEngine(dyngraph.NewStatic(f.g), p,
-				mtm.Config{Seed: o.Seed + uint64(100*i), MaxRounds: 1 << 20}).Run()
+				mtm.Config{Seed: seed, MaxRounds: 1 << 20}).Run()
 			if err != nil {
 				return 0, err
 			}
@@ -427,15 +428,19 @@ func runE14(o Options) (*Table, error) {
 		g := graph.RandomRegular(n, 4, prand.New(o.Seed+99))
 		lastChange := 0
 		prev := make([]int, n)
-		cfg := mtm.Config{Seed: o.Seed + uint64(3*k), MaxRounds: 1 << 22, OnRound: func(r int) {
+		eng := mtm.NewEngine(dyngraph.NewStatic(g), p, mtm.Config{Seed: o.Seed + uint64(3*k), MaxRounds: 1 << 22})
+		for !eng.Finished() {
+			if _, err := eng.Step(); err != nil {
+				break
+			}
 			for u := 0; u < n; u++ {
 				if e := p.Estimate(u); e != prev[u] {
 					prev[u] = e
-					lastChange = r
+					lastChange = eng.Round()
 				}
 			}
-		}}
-		res, err := mtm.NewEngine(dyngraph.NewStatic(g), p, cfg).Run()
+		}
+		res, err := eng.Run()
 		if err != nil {
 			return nil, err
 		}

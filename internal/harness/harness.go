@@ -1,8 +1,10 @@
-// Package harness defines the reproduction experiments E1..E14 (see
+// Package harness defines the reproduction experiments E1..E27 (see
 // DESIGN.md §3): for every row of the paper's Figure 1 and every supporting
-// theorem/lemma, a workload generator, parameter sweep and table printer
-// that regenerates the result's shape — scaling exponents, head-to-head
-// winners, and crossovers.
+// theorem/lemma, plus the extension, mobility and adversary ablations, a
+// workload generator, parameter sweep and table printer that regenerates
+// the result's shape — scaling exponents, head-to-head winners, and
+// crossovers. Grids of mobilegossip.Config points run through
+// mobilegossip.RunSweep.
 package harness
 
 import (

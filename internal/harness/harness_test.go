@@ -2,6 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,16 +56,25 @@ func TestTableRenderCSV(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/quick.csv")
+
 // TestAllExperimentsRunQuick executes every registered experiment at quick
-// sizes: the full reproduction suite must stay runnable. Skipped under
-// -short (it takes ~15 s).
+// sizes and seed 42, and compares the concatenated CSV render against
+// testdata/quick.csv: the full reproduction suite must stay runnable, and
+// its numbers move only on purpose. Re-record with
+//
+//	go test ./internal/harness -run TestAllExperimentsRunQuick -update
+//
+// benchtable -csv prints the same bytes. Skipped under -short.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
+	var all bytes.Buffer
+	ran := 0
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			ran++
 			tab, err := e.Run(Options{Quick: true, Seed: 42})
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
@@ -77,14 +90,31 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 					t.Errorf("%s: row width %d != %d columns", e.ID, len(row), len(tab.Columns))
 				}
 			}
-			var buf bytes.Buffer
-			if err := tab.Render(&buf); err != nil {
+			if err := tab.Render(io.Discard); err != nil {
 				t.Errorf("%s render: %v", e.ID, err)
 			}
-			if err := tab.RenderCSV(&buf); err != nil {
+			if err := tab.RenderCSV(&all); err != nil {
 				t.Errorf("%s render CSV: %v", e.ID, err)
 			}
 		})
+	}
+	if t.Failed() || ran < len(All()) {
+		return // a failure or a -run filter leaves the render incomplete
+	}
+	golden := filepath.Join("testdata", "quick.csv")
+	if *update {
+		if err := os.WriteFile(golden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to generate): %v", err)
+	}
+	if !bytes.Equal(all.Bytes(), want) {
+		t.Errorf("quick-size tables differ from %s; see `go run ./cmd/benchtable -csv | diff %s -`, "+
+			"and re-record with -update only if the change is intended", golden, "internal/harness/"+golden)
 	}
 }
 

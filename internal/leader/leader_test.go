@@ -81,16 +81,20 @@ func TestCandidatesMonotoneNonIncreasing(t *testing.T) {
 	for u := range prev {
 		prev[u] = p.Candidate(u)
 	}
-	cfg := mtm.Config{Seed: 4, MaxRounds: 1 << 16, OnRound: func(r int) {
+	eng := mtm.NewEngine(dyngraph.NewStatic(graph.Cycle(16)), p, mtm.Config{Seed: 4, MaxRounds: 1 << 16})
+	for !eng.Finished() {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
 		for u := 0; u < 16; u++ {
 			if p.Candidate(u) > prev[u] {
 				t.Fatalf("round %d: node %d candidate increased %d -> %d",
-					r, u, prev[u], p.Candidate(u))
+					eng.Round(), u, prev[u], p.Candidate(u))
 			}
 			prev[u] = p.Candidate(u)
 		}
-	}}
-	if _, err := mtm.NewEngine(dyngraph.NewStatic(graph.Cycle(16)), p, cfg).Run(); err != nil {
+	}
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -208,29 +208,6 @@ func TestViewMatchesTopologyAndTags(t *testing.T) {
 	}
 }
 
-// TestOnRoundCalledInOrder: the OnRound hook fires after every round, in
-// ascending order, exactly Rounds times.
-func TestOnRoundCalledInOrder(t *testing.T) {
-	var seen []int
-	p := newObserver(12)
-	dyn := dyngraph.NewStatic(graph.Cycle(12))
-	res, err := NewEngine(dyn, p, Config{
-		Seed: 3, MaxRounds: 25,
-		OnRound: func(r int) { seen = append(seen, r) },
-	}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != res.Rounds {
-		t.Fatalf("OnRound fired %d times, want %d", len(seen), res.Rounds)
-	}
-	for i, r := range seen {
-		if r != i+1 {
-			t.Fatalf("OnRound sequence broken at index %d: got %d", i, r)
-		}
-	}
-}
-
 // TestResultTotalsConsistent: proposals ≥ connections, and both count
 // only what the protocol actually did.
 func TestResultTotalsConsistent(t *testing.T) {

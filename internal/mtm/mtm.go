@@ -142,9 +142,6 @@ type Config struct {
 	// TokenLimit overrides the per-connection token budget (default 4,
 	// an O(1)).
 	TokenLimit int
-	// OnRound, if non-nil, is called after every completed round with the
-	// round number; used by the harness for instrumentation (φ traces).
-	OnRound func(r int)
 }
 
 // Result summarizes a run.
@@ -474,9 +471,6 @@ func (e *Engine) Step() (RoundStats, error) {
 
 	e.round = r
 	e.res.Rounds = r
-	if e.cfg.OnRound != nil {
-		e.cfg.OnRound(r)
-	}
 	if e.proto.Done() {
 		e.completed = true
 		e.res.Completed = true

@@ -149,7 +149,11 @@ func TestConnectionsFormMatching(t *testing.T) {
 	p.recordPairs = true
 	roundStart := 0
 	var violations int
-	cfg := Config{Seed: 3, MaxRounds: 200, OnRound: func(r int) {
+	eng := NewEngine(dyn, p, Config{Seed: 3, MaxRounds: 200})
+	for !eng.Finished() {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
 		// Each node may appear at most once among this round's pairs.
 		seen := map[int]bool{}
 		for _, pr := range p.sawConnections[roundStart:] {
@@ -161,8 +165,8 @@ func TestConnectionsFormMatching(t *testing.T) {
 			}
 		}
 		roundStart = len(p.sawConnections)
-	}}
-	if _, err := NewEngine(dyn, p, cfg).Run(); err != nil {
+	}
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if violations > 0 {
@@ -276,25 +280,6 @@ func TestDoneImmediately(t *testing.T) {
 	}
 	if !res.Completed || res.Rounds != 0 {
 		t.Fatalf("res = %+v, want immediate completion", res)
-	}
-}
-
-func TestOnRoundCalledEveryRound(t *testing.T) {
-	dyn := dyngraph.NewStatic(graph.Cycle(8))
-	p := newMinSpread(8)
-	var calls []int
-	cfg := Config{Seed: 4, MaxRounds: 10000, OnRound: func(r int) { calls = append(calls, r) }}
-	res, err := NewEngine(dyn, p, cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != res.Rounds {
-		t.Fatalf("OnRound called %d times for %d rounds", len(calls), res.Rounds)
-	}
-	for i, r := range calls {
-		if r != i+1 {
-			t.Fatalf("OnRound sequence broken at %d: %v", i, calls[:i+1])
-		}
 	}
 }
 

@@ -29,12 +29,15 @@ func runProfiled(t *testing.T, mkDyn func() dyngraph.Dynamic, n int, cfg Config,
 	p.recordPairs = true
 	var out recordedRun
 	roundStart := 0
-	cfg.OnRound = func(int) {
+	e := NewEngine(mkDyn(), p, cfg)
+	e.SetProfiler(rec)
+	for !e.Finished() {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
 		out.rounds = append(out.rounds, append([][2]int(nil), p.sawConnections[roundStart:]...))
 		roundStart = len(p.sawConnections)
 	}
-	e := NewEngine(mkDyn(), p, cfg)
-	e.SetProfiler(rec)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -54,14 +54,18 @@ func TestInformedSetMonotone(t *testing.T) {
 	p := New(n, []int{0})
 	dyn := dyngraph.NewStatic(graph.Grid(4, 4))
 	last := 1
-	cfg := mtm.Config{Seed: 3, MaxRounds: 100000, OnRound: func(r int) {
+	eng := mtm.NewEngine(dyn, p, mtm.Config{Seed: 3, MaxRounds: 100000})
+	for !eng.Finished() {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
 		cur := p.InformedCount()
 		if cur < last {
-			t.Fatalf("round %d: informed count decreased %d -> %d", r, last, cur)
+			t.Fatalf("round %d: informed count decreased %d -> %d", eng.Round(), last, cur)
 		}
 		last = cur
-	}}
-	if _, err := mtm.NewEngine(dyn, p, cfg).Run(); err != nil {
+	}
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 }

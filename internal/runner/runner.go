@@ -1,5 +1,5 @@
 // Package runner is the deterministic worker-pool sweep engine behind the
-// harness experiments (E1..E24) and the public mobilegossip.RunSweep API.
+// harness experiments (E1..E27) and the public mobilegossip.RunSweep API.
 //
 // A sweep is a grid of independent work items — typically (experiment point
 // × trial) cells of a Figure-1 parameter sweep. Map fans the items out

@@ -124,7 +124,7 @@ type phiRecorder struct {
 
 func (p *phiRecorder) EndRound(s RoundStats) { p.phis = append(p.phis, s.Potential) }
 
-func TestRunOnRoundPotentialTrace(t *testing.T) {
+func TestRunObserverPotentialTrace(t *testing.T) {
 	rec := &phiRecorder{}
 	_, err := Run(Config{
 		Algorithm: AlgSharedBit, N: 10, K: 3,
