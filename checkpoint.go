@@ -19,8 +19,8 @@ import (
 // run configuration, then one section per state-carrying layer (engine
 // meters + per-node RNG streams, token arena, protocol extras, mobility
 // trajectory). Everything a deterministic execution depends on is either
-// serialized or reconstructed from the serialized Config — observers are
-// process-local and must be re-attached after Resume.
+// serialized or reconstructed from the serialized Config — bus
+// subscribers are process-local and must be re-attached after Resume.
 //
 // Version policy (DESIGN.md §9): the version is bumped on any layout
 // change; Resume rejects versions it does not know rather than guessing.
@@ -171,8 +171,8 @@ func ResumeFile(path string) (*Simulation, error) {
 
 // Resume deserializes a Checkpoint stream into a live simulation
 // positioned at the checkpointed round boundary. The configuration is read
-// from the stream; observers, which cannot be serialized, must be
-// re-attached with Observe.
+// from the stream; bus subscribers, which cannot be serialized, must be
+// re-attached to the revived session's Bus.
 //
 // A resumed simulation continues byte-identically to the run that wrote
 // the checkpoint: same rounds, same meters, same final Result.
@@ -248,8 +248,7 @@ func Resume(r io.Reader) (*Simulation, error) {
 // configLayout is the checkpoint's config block: every data field of
 // Config in stream order, walked by Checkpoint over a writer and by Resume
 // over a reader, so the slot order below is the format. EngineWorkers
-// (ignored), Profile (wall-clock only) and Observers (process-local) have
-// no slot.
+// (ignored) and Profile (wall-clock only) have no slot.
 func configLayout(c ckpt.Fields, cfg *Config) {
 	c.Section("config")
 	c.Int((*int)(&cfg.Algorithm))

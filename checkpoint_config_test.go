@@ -12,8 +12,7 @@ import (
 // fillDistinct sets every data field under v to a distinct non-zero
 // value: numbers (the enums included — the layout stores them as plain
 // ints) count up from next, floats carry a .5, bools are true, pointers
-// are allocated, int slices get two elements. Slices of anything else
-// (Config.Observers) stay nil.
+// are allocated, slices get two elements.
 func fillDistinct(v reflect.Value, next *int) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -24,11 +23,9 @@ func fillDistinct(v reflect.Value, next *int) {
 		v.Set(reflect.New(v.Type().Elem()))
 		fillDistinct(v.Elem(), next)
 	case reflect.Slice:
-		if v.Type().Elem().Kind() == reflect.Int {
-			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
-			fillDistinct(v.Index(0), next)
-			fillDistinct(v.Index(1), next)
-		}
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		fillDistinct(v.Index(0), next)
+		fillDistinct(v.Index(1), next)
 	case reflect.Int:
 		*next++
 		v.SetInt(int64(*next))
@@ -70,13 +67,12 @@ const configBlockV3 = "06636f6e6669670204060108020a0c020e10121400000000000027401
 
 // TestConfigLayout: the one layout, walked as a writer then as a reader,
 // is the identity on every field it carries, carries every field of
-// Config/Topology/Assignment except the three documented ones, and writes
+// Config/Topology/Assignment except the two documented ones, and writes
 // the v3 bytes.
 func TestConfigLayout(t *testing.T) {
 	var cfg Config
 	n := 0
 	fillDistinct(reflect.ValueOf(&cfg).Elem(), &n)
-	cfg.Observers = []Observer{NopObserver{}}
 	if zero := zeroFields(reflect.ValueOf(cfg), "Config"); len(zero) > 0 {
 		t.Fatalf("fillDistinct left fields unset: %v", zero)
 	}
@@ -97,12 +93,12 @@ func TestConfigLayout(t *testing.T) {
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	leftOut := []string{"Config.EngineWorkers", "Config.Profile", "Config.Observers"}
+	leftOut := []string{"Config.EngineWorkers", "Config.Profile"}
 	if zero := zeroFields(reflect.ValueOf(back), "Config"); !reflect.DeepEqual(zero, leftOut) {
 		t.Errorf("fields without a checkpoint slot = %v, want exactly %v", zero, leftOut)
 	}
 	want := cfg
-	want.EngineWorkers, want.Profile, want.Observers = 0, false, nil
+	want.EngineWorkers, want.Profile = 0, false
 	if !reflect.DeepEqual(back, want) {
 		t.Errorf("layout write → read is not the identity:\n got %+v\nwant %+v", back, want)
 	}

@@ -37,18 +37,16 @@
 // the checkpoint carries the full deterministic state (token sets, every
 // RNG stream, mobility trajectories).
 //
-// The -trace flag prints the potential φ(r) every -trace rounds; -sample
-// records the φ(r) curve through a PotentialSampler observer and prints it
-// after the run (both single runs only).
-//
 // Structured observability (DESIGN.md §12, single runs only): -events
 // streams the session's typed event log — rounds, churn, adversary
 // epochs, checkpoints, session lifecycle — as JSONL, and -metrics serves
-// a Prometheus-style scrape endpoint for the run's duration:
+// a Prometheus-style scrape endpoint for the run's duration. The φ(r)
+// curve is the log's round_completed events; runreport -every prints it:
 //
 //	gossipsim -alg sharedbit -graph waypoint -n 5000 -k 8 -tau 1 \
 //	    -events events.jsonl -metrics :9090
 //	curl -s localhost:9090/metrics    # while the run lasts
+//	runreport -every 10 events.jsonl  # φ and meters every 10th round
 //
 // Profiling (DESIGN.md §13, single runs only): -profile attaches the
 // engine's timing sidecar — round/phase latency histograms, the stall
@@ -123,14 +121,12 @@ func run(args []string) error {
 		algName   = fs.String("alg", "sharedbit", "algorithm: "+strings.Join(mobilegossip.AlgorithmNames(), "|"))
 		nList     = fs.String("n", "64", "network size, or comma list for a sweep")
 		kList     = fs.String("k", "8", "token count (1..n), or comma list for a sweep")
-		trace     = fs.Int("trace", 0, "print φ(r) every this many rounds (0 = off, single runs only)")
 		trials    = fs.Int("trials", 1, "repetitions per sweep point (>1 switches to the sweep path)")
 		parallel  = fs.Int("parallel", 0, "sweep worker pool size; 0 = GOMAXPROCS (results identical at any value)")
 		asJSON    = fs.Bool("json", false, "emit the sweep as a BENCH-shaped JSON document")
 		ckptFile  = fs.String("checkpoint", "", "write a checkpoint to this file at round -checkpointat, then keep running (single runs only)")
 		ckptAt    = fs.Int("checkpointat", 0, "round at which -checkpoint snapshots the run (0 = when the run finishes)")
 		resumeF   = fs.String("resume", "", "resume from this checkpoint file; the simulation flags come from the checkpoint")
-		sample    = fs.Int("sample", 0, "record φ(r) every this many rounds and print the curve after the run (single runs only)")
 		eventsF   = fs.String("events", "", "write session events (round/churn/checkpoint/session, DESIGN.md §12) as JSONL to this file (single runs only)")
 		metricsF  = fs.String("metrics", "", "serve Prometheus-style /metrics plus /debug/pprof on this address, e.g. :9090, for the run's duration (single runs only)")
 		remoteF   = fs.String("remote", "", "drive the run against the gossipd daemon at this address (host:port) instead of in-process; output is byte-identical to the local run (single runs only)")
@@ -148,10 +144,9 @@ func run(args []string) error {
 		CheckpointPath: *ckptFile, CheckpointAt: *ckptAt, ResumePath: *resumeF,
 		Out: os.Stdout, Log: os.Stdout,
 	}
-	obs := localObservers{trace: *trace, sample: *sample, metrics: *metricsF}
 	if *remoteF != "" {
-		if *trace > 0 || *sample > 0 || *metricsF != "" || cfg.Profile {
-			return fmt.Errorf("-trace, -sample, -metrics and -profile run in-process observers and do not combine with -remote")
+		if *metricsF != "" || cfg.Profile {
+			return fmt.Errorf("-metrics and -profile watch the in-process run and do not combine with -remote")
 		}
 	} else if *remoteGap > 0 {
 		return fmt.Errorf("-remotepause requires -remote")
@@ -161,7 +156,7 @@ func run(args []string) error {
 		// Profile knob (profiled and unprofiled runs write interchangeable
 		// streams), so only it and -events apply.
 		req := client.CreateRequest{Profile: cfg.Profile, RecordEvents: *eventsF != ""}
-		return runSingle(req, opts, obs, *remoteGap)
+		return runSingle(req, opts, *metricsF, *remoteGap)
 	}
 
 	var err error
@@ -181,8 +176,8 @@ func run(args []string) error {
 	}
 
 	if len(ns) > 1 || len(ks) > 1 || *trials > 1 || *asJSON {
-		if *trace > 0 || *sample > 0 || *ckptFile != "" || *eventsF != "" || *metricsF != "" || cfg.Profile {
-			return fmt.Errorf("-trace, -sample, -checkpoint, -events, -metrics and -profile apply to single runs only, not sweeps")
+		if *ckptFile != "" || *eventsF != "" || *metricsF != "" || cfg.Profile {
+			return fmt.Errorf("-checkpoint, -events, -metrics and -profile apply to single runs only, not sweeps")
 		}
 		if *remoteF != "" {
 			return fmt.Errorf("-remote applies to single runs only, not sweeps")
@@ -198,7 +193,7 @@ func run(args []string) error {
 		return runSweep(points, *trials, cfg.Seed, *parallel, *asJSON)
 	}
 	cfg.N, cfg.K = ns[0], ks[0]
-	return runSingle(wire.ConfigToWire(cfg, *eventsF != ""), opts, obs, *remoteGap)
+	return runSingle(wire.ConfigToWire(cfg, *eventsF != ""), opts, *metricsF, *remoteGap)
 }
 
 // runSweep executes the n×k grid on the worker pool and prints one
@@ -239,14 +234,6 @@ func runSweep(points []mobilegossip.Config, trials int, seed uint64, parallel in
 	return nil
 }
 
-// localObservers bundles the flags that attach in-process observers to a
-// local run (rejected with -remote).
-type localObservers struct {
-	trace   int
-	sample  int
-	metrics string // -metrics: /metrics listen address
-}
-
 // pausing is the -remotepause determinism test hook: it idles before the
 // final run-to-completion call so a daemon with a short -idletimeout
 // evicts the session, which the call must then revive with no observable
@@ -264,10 +251,11 @@ func (p pausing) RunTo(ctx context.Context, round int) (client.RunResult, error)
 }
 
 // runSingle opens the session req and opts describe (fresh or -resume,
-// in-process or -remote), attaches the local-only observers, hands it to
-// the scenario driver as a timeline with no phases, and prints the
-// summary — every artifact byte-identical across the two transports.
-func runSingle(req client.CreateRequest, opts scenario.Options, obs localObservers, pause time.Duration) error {
+// in-process or -remote), serves the in-process run's -metrics on
+// metricsAddr, hands it to the scenario driver as a timeline with no
+// phases, and prints the summary — every artifact byte-identical across
+// the two transports.
+func runSingle(req client.CreateRequest, opts scenario.Options, metricsAddr string, pause time.Duration) error {
 	ctx := context.Background()
 	sess, err := scenario.Open(ctx, req, opts)
 	if err != nil {
@@ -281,16 +269,8 @@ func runSingle(req client.CreateRequest, opts scenario.Options, obs localObserve
 	} else if pause > 0 {
 		sess = pausing{sess, pause}
 	}
-	if obs.trace > 0 {
-		sim.Observe(roundPrinter{every: obs.trace})
-	}
-	var sampler *mobilegossip.PotentialSampler
-	if obs.sample > 0 {
-		sampler = mobilegossip.NewPotentialSampler(obs.sample)
-		sim.Observe(sampler)
-	}
-	if obs.metrics != "" {
-		stop, err := serveMetrics(sim, obs.metrics)
+	if metricsAddr != "" {
+		stop, err := serveMetrics(sim, metricsAddr)
 		if err != nil {
 			return err
 		}
@@ -305,12 +285,6 @@ func runSingle(req client.CreateRequest, opts scenario.Options, obs localObserve
 	wall := fmt.Sprintf("wall time\t%v", time.Since(start).Round(time.Millisecond))
 	if err := scenario.RenderTable(os.Stdout, res, res.Session.Tau, wall); err != nil {
 		return err
-	}
-	if sampler != nil {
-		fmt.Println("\npotential curve (from -sample):")
-		for _, s := range sampler.Samples() {
-			fmt.Printf("  round %8d  φ=%d\n", s.Round, s.Potential)
-		}
 	}
 	if sim != nil {
 		printProfile(sim)
@@ -338,18 +312,6 @@ func serveMetrics(sim *mobilegossip.Simulation, addr string) (stop func(), err e
 			fmt.Fprintf(os.Stderr, "metrics server shutdown: %v\n", err)
 		}
 	}, nil
-}
-
-// roundPrinter is the -trace observer: φ every N rounds.
-type roundPrinter struct {
-	mobilegossip.NopObserver
-	every int
-}
-
-func (rp roundPrinter) EndRound(stats mobilegossip.RoundStats) {
-	if stats.Round%rp.every == 0 {
-		fmt.Printf("round %8d  φ=%d\n", stats.Round, stats.Potential)
-	}
 }
 
 // printProfile renders the -profile post-run summary. Every line is

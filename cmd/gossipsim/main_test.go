@@ -54,7 +54,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-adversary", "cutrich", "-advbudget", "-1"},
 		{"-n", "0"},
 		{"-k", "x"},
-		{"-trace", "1", "-trials", "2"},
+		{"-events", "run.jsonl", "-trials", "2"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

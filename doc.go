@@ -21,8 +21,8 @@
 //
 // Callers that need to own the loop use the stateful session API instead:
 // New builds a *Simulation, Step executes one round, Run(ctx) steps to
-// completion under context cancellation, observers (Config.Observers,
-// Simulation.Observe) watch the run, and Checkpoint/Resume serialize the
+// completion under context cancellation, subscribers to its event bus
+// (Simulation.Bus) watch the run, and Checkpoint/Resume serialize the
 // complete deterministic state so a run can be revived — in this process
 // or another — byte-identically to an uninterrupted execution. See
 // DESIGN.md §9 for the session lifecycle and checkpoint format.

@@ -1,8 +1,8 @@
 package mobilegossip_test
 
 // Integration tests for the session event bus: the events a real run
-// publishes, their causal order, and their agreement with the legacy
-// observer/Result surfaces (DESIGN.md §12).
+// publishes, their causal order, and their agreement with Result
+// (DESIGN.md §12).
 
 import (
 	"bytes"
@@ -12,6 +12,10 @@ import (
 
 	"mobilegossip"
 )
+
+// roundsOnly selects the round_completed events: one per round, carrying
+// its meters and φ.
+var roundsOnly = mobilegossip.EventFilter{Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted}}
 
 func collectRun(t *testing.T, cfg mobilegossip.Config) (*mobilegossip.EventRing, mobilegossip.Result) {
 	t.Helper()
@@ -48,9 +52,7 @@ func TestSessionEventSequence(t *testing.T) {
 	}
 	checkMeters(t, evs, res)
 
-	rounds := ring.Events(mobilegossip.EventFilter{
-		Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted},
-	})
+	rounds := ring.Events(roundsOnly)
 	if len(rounds) != res.Rounds {
 		t.Fatalf("%d round_completed events, want one per round (%d)", len(rounds), res.Rounds)
 	}
@@ -127,6 +129,39 @@ func checkMeters(t *testing.T, evs []mobilegossip.Event, res mobilegossip.Result
 		sum.ControlBits != res.ControlBits || sum.TokensMoved != res.TokensMoved {
 		t.Fatalf("%d round_completed events sum to %d proposals, %d connections, %d bits, %d tokens; Result %+v",
 			rounds, sum.Proposals, sum.Connections, sum.ControlBits, sum.TokensMoved, res)
+	}
+}
+
+// TestObserveMidRun: a subscriber attached mid-run sees the rounds from
+// its attachment on and the session end, but no session start.
+func TestObserveMidRun(t *testing.T) {
+	sim, err := mobilegossip.New(mobilegossip.Config{
+		Algorithm: mobilegossip.AlgSharedBit, N: 16, K: 4,
+		Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
+		Seed:     8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var evs []mobilegossip.Event
+	sim.Bus().SubscribeSync(mobilegossip.EventFilter{}, func(ev mobilegossip.Event) { evs = append(evs, ev) })
+	res, err := sim.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != res.Rounds-3+1 {
+		t.Fatalf("mid-run subscriber saw %d events, want %d rounds + session_end", len(evs), res.Rounds-3)
+	}
+	if evs[0].Type != mobilegossip.EventRoundCompleted || evs[0].Round != 4 {
+		t.Fatalf("first event %s round %d, want round_completed 4", evs[0].Type, evs[0].Round)
+	}
+	if last := evs[len(evs)-1]; last.Type != mobilegossip.EventSessionEnd || last.Round != res.Rounds {
+		t.Fatalf("last event %s round %d, want session_end %d", last.Type, last.Round, res.Rounds)
 	}
 }
 

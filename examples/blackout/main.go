@@ -33,20 +33,6 @@ import (
 	"mobilegossip"
 )
 
-// blackout is the observer that takes the host down: it cancels the run's
-// context once the given round has executed.
-type blackout struct {
-	mobilegossip.NopObserver
-	round  int
-	cancel context.CancelFunc
-}
-
-func (b blackout) EndRound(s mobilegossip.RoundStats) {
-	if s.Round == b.round {
-		b.cancel()
-	}
-}
-
 func main() {
 	short := flag.Bool("short", false, "run a smaller crowd (for CI)")
 	flag.Parse()
@@ -75,15 +61,20 @@ func main() {
 	fmt.Printf("reference run: %d phones, %d posts, solved in %d rounds (%d connections)\n",
 		crowd, messages, want.Rounds, want.Connections)
 
-	// The evening of the blackout: cancel the run a third of the way in.
+	// The evening of the blackout: a bus subscriber takes the host down,
+	// canceling the run a third of the way in.
 	blackoutAt := want.Rounds / 3
 	ctx, cancel := context.WithCancel(context.Background())
-	cfgWatch := cfg
-	cfgWatch.Observers = []mobilegossip.Observer{blackout{round: blackoutAt, cancel: cancel}}
-	sim, err := mobilegossip.New(cfgWatch)
+	sim, err := mobilegossip.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	rounds := mobilegossip.EventFilter{Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted}}
+	sim.Bus().SubscribeSync(rounds, func(ev mobilegossip.Event) {
+		if ev.Round == blackoutAt {
+			cancel()
+		}
+	})
 	partial, err := sim.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		log.Fatalf("expected a canceled run, got %v", err)
@@ -98,23 +89,25 @@ func main() {
 	}
 	fmt.Printf("checkpointed %d bytes (version %d)\n", snapshot.Len(), mobilegossip.CheckpointVersion)
 
-	// A new process, possibly days later: revive and finish, watching the
-	// recovery through the observer pipeline.
+	// A new process, possibly days later: revive and finish, printing the
+	// recovery's potential curve from the revived session's bus.
 	revived, err := mobilegossip.Resume(&snapshot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sampler := mobilegossip.NewPotentialSampler(20)
-	revived.Observe(sampler)
+	fmt.Println("recovery potential curve:")
+	curve := mobilegossip.EventFilter{Types: []mobilegossip.EventType{
+		mobilegossip.EventSessionStart, mobilegossip.EventRoundCompleted}}
+	revived.Bus().SubscribeSync(curve, func(ev mobilegossip.Event) {
+		if ev.Type == mobilegossip.EventSessionStart || ev.Round%20 == 0 || ev.Done {
+			fmt.Printf("  round %5d  φ=%d\n", ev.Round, ev.Potential)
+		}
+	})
 	got, err := revived.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed run finished at round %d\n", got.Rounds)
-	fmt.Println("recovery potential curve:")
-	for _, s := range sampler.Samples() {
-		fmt.Printf("  round %5d  φ=%d\n", s.Round, s.Potential)
-	}
 
 	// The whole point: the blackout was invisible to the results.
 	if got != want {

@@ -117,7 +117,7 @@ func openRemote(ctx context.Context, c *client.Client, req client.CreateRequest,
 }
 
 // Local is the in-process Session. Sim is exported so a caller can attach
-// its own observers before driving.
+// its own bus subscribers before driving.
 type Local struct {
 	Sim *mobilegossip.Simulation
 }

@@ -83,7 +83,7 @@ func ConfigFromWire(req client.CreateRequest) (mobilegossip.Config, error) {
 }
 
 // ConfigToWire is ConfigFromWire's inverse over Config's data fields (the
-// process-local ones — Assignment, Observers — have no wire form);
+// process-local Assignment has no wire form);
 // recordEvents is the one request field Config does not carry.
 func ConfigToWire(cfg mobilegossip.Config, recordEvents bool) client.CreateRequest {
 	return client.CreateRequest{

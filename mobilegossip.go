@@ -115,11 +115,6 @@ type Config struct {
 	TransferEps float64
 	// CrowdedBin tunes the §6 schedule constants.
 	CrowdedBin core.CrowdedBinConfig
-	// Observers watch the run through the composable observer pipeline
-	// (see Observer); they receive BeginRun, one EndRound per round, and
-	// EndRun. Provided implementations: NewPotentialSampler,
-	// NewChurnMeter.
-	Observers []Observer
 }
 
 // Result reports a finished (or aborted) run.

@@ -1,6 +1,7 @@
 package mobilegossip
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -116,23 +117,20 @@ func TestRunMaxRoundsAborts(t *testing.T) {
 	}
 }
 
-// phiRecorder is a custom Observer: φ after every round.
-type phiRecorder struct {
-	NopObserver
-	phis []int
-}
-
-func (p *phiRecorder) EndRound(s RoundStats) { p.phis = append(p.phis, s.Potential) }
-
+// TestRunObserverPotentialTrace watches φ through a synchronous bus
+// subscriber: it must fall monotonically to 0.
 func TestRunObserverPotentialTrace(t *testing.T) {
-	rec := &phiRecorder{}
-	_, err := Run(Config{
+	sim, err := New(Config{
 		Algorithm: AlgSharedBit, N: 10, K: 3,
 		Topology: Topology{Kind: Complete}, Seed: 5,
-		Observers: []Observer{rec},
 	})
-	phis := rec.phis
 	if err != nil {
+		t.Fatal(err)
+	}
+	var phis []int
+	sim.Bus().SubscribeSync(EventFilter{Types: []EventType{EventRoundCompleted}},
+		func(ev Event) { phis = append(phis, ev.Potential) })
+	if _, err := sim.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(phis) == 0 || phis[len(phis)-1] != 0 {

@@ -15,22 +15,21 @@ import (
 // phiTrace is a run summary plus its full per-round potential trace, so
 // comparisons see every round boundary rather than only totals.
 type phiTrace struct {
-	mobilegossip.NopObserver
 	res mobilegossip.Result
 	phi []int
 }
 
-func (tr *phiTrace) EndRound(s mobilegossip.RoundStats) { tr.phi = append(tr.phi, s.Potential) }
-
 func traceRun(t *testing.T, cfg mobilegossip.Config) phiTrace {
 	t.Helper()
-	var tr phiTrace
-	cfg.Observers = []mobilegossip.Observer{&tr}
-	res, err := mobilegossip.Run(cfg)
+	sim, err := mobilegossip.New(cfg)
 	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var tr phiTrace
+	sim.Bus().SubscribeSync(roundsOnly, func(ev mobilegossip.Event) { tr.phi = append(tr.phi, ev.Potential) })
+	if tr.res, err = sim.Run(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	tr.res = res
 	return tr
 }
 

@@ -45,12 +45,10 @@ type Simulation struct {
 	parts protoParts
 	eng   *mtm.Engine
 
-	observers []Observer
-	began     bool
-	finished  bool
+	began    bool
+	finished bool
 
 	bus          *events.Bus
-	fanAttached  bool              // observer pipeline registered on the bus
 	resumed      bool              // built by Resume: begin announces it
 	adv          *adversary.Engine // non-nil when the schedule is adversarial
 	lastAdvEpoch int               // last adversary epoch announced on the bus
@@ -68,7 +66,7 @@ var ErrSimulationDone = errors.New("mobilegossip: simulation already finished")
 var ErrBudgetExceeded = mtm.ErrBudgetExceeded
 
 // New validates cfg and builds a simulation session positioned before
-// round 1, with Config.Observers attached.
+// round 1.
 func New(cfg Config) (*Simulation, error) {
 	if cfg.N < 2 {
 		return nil, ErrBadN
@@ -144,7 +142,6 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Profile {
 		s.EnableProfiling()
 	}
-	s.Observe(cfg.Observers...)
 	return s, nil
 }
 
@@ -236,34 +233,24 @@ func (s *Simulation) Health() profile.Health {
 // (NewJSONLSink, NewMetricsCollector, NewEventRing) or subscribe
 // directly; with no subscriber attached the bus costs the hot path
 // nothing.
-func (s *Simulation) Bus() *events.Bus { return s.bus }
-
-// Observe attaches observers to the session. Observers attached before the
-// first Step see the whole run; observers attached mid-run see the rounds
-// from their attachment on (their BeginRun is skipped once the run has
-// begun).
 //
-// Observers are delivered through the session's event bus: the first
-// Observe call registers the pipeline as a synchronous, lossless bus
-// subscriber, so observers and event sinks see the same stream in the
-// same order.
-func (s *Simulation) Observe(obs ...Observer) {
-	for _, o := range obs {
-		if o == nil {
-			continue
-		}
-		if !s.fanAttached {
-			s.fanAttached = true
-			s.bus.SubscribeSync(events.Filter{}, s.fanOut)
-		}
-		s.observers = append(s.observers, o)
-	}
-}
+// Watching a run in-process is a synchronous subscription: the handler
+// runs on the stepping goroutine, sees every matching event in order, and
+// may cancel the run's context but must not call Step or Run:
+//
+//	sim.Bus().SubscribeSync(mobilegossip.EventFilter{
+//	    Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted},
+//	}, func(ev mobilegossip.Event) { curve = append(curve, ev.Potential) })
+//
+// session_start, round_completed and session_end mark the run's start
+// (its Round and Potential are the starting point, the checkpointed round
+// after a Resume), each round's meters and φ, and its end with the final
+// totals.
+func (s *Simulation) Bus() *events.Bus { return s.bus }
 
 // begin publishes the session-start events exactly once per process
 // session (a resumed simulation announces itself again, for its freshly
-// attached subscribers); the observer fan turns the start event into
-// the one-time BeginRun.
+// attached subscribers).
 func (s *Simulation) begin() {
 	if s.began {
 		return
@@ -281,8 +268,7 @@ func (s *Simulation) begin() {
 	}
 }
 
-// finish publishes the session-end event exactly once; the observer fan
-// turns it into the one-time EndRun.
+// finish publishes the session-end event exactly once.
 func (s *Simulation) finish() {
 	if s.finished {
 		return
@@ -299,7 +285,32 @@ func (s *Simulation) finish() {
 	})
 }
 
-// Step executes exactly one round, feeds the observers, and returns the
+// RoundStats reports one executed simulation round: the engine meters for
+// exactly that round (not running totals) plus the potential after it —
+// the numbers the round's round_completed event carries.
+type RoundStats struct {
+	// Round is the 1-based round just executed.
+	Round int
+	// Potential is φ at the end of the round (0 once fully solved).
+	Potential int
+	// Connections and Proposals count this round's accepted connections
+	// and sent proposals.
+	Connections int
+	Proposals   int
+	// ControlBits and TokensMoved are the communication metered over this
+	// round's connections.
+	ControlBits int64
+	TokensMoved int64
+	// EdgesAdded and EdgesRemoved are the topology churn entering this
+	// round (0 for static and regenerating schedules).
+	EdgesAdded   int
+	EdgesRemoved int
+	// Done reports whether the protocol reached its objective at the end
+	// of this round.
+	Done bool
+}
+
+// Step executes exactly one round, publishes its events, and returns the
 // round's stats. Once the run is over (Done reports true) Step returns
 // ErrSimulationDone — or the original failure, if an earlier round
 // violated a model contract.
@@ -328,8 +339,7 @@ func (s *Simulation) Step() (RoundStats, error) {
 		Done:         es.Done,
 	}
 	// Per-round events, causal order: the topology perturbations that
-	// shaped the round precede its completion summary. The observer
-	// pipeline rides the same bus (see fanOut).
+	// shaped the round precede its completion summary.
 	if s.adv != nil {
 		if e := s.adv.Epoch(); e != s.lastAdvEpoch {
 			s.lastAdvEpoch = e
@@ -388,7 +398,7 @@ func (s *Simulation) Run(ctx context.Context) (Result, error) {
 		}
 	}
 	// A run poisoned by an earlier model-contract violation must not
-	// report success (or fire EndRun) on a later Run call.
+	// report success (or publish session_end) on a later Run call.
 	if err := s.eng.Failed(); err != nil {
 		return s.Result(), err
 	}

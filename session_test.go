@@ -434,20 +434,6 @@ func TestResumeCheckpointWithRemovedConcurrentBit(t *testing.T) {
 	}
 }
 
-// cancelAt is a custom Observer canceling the run's context once the
-// given round has executed.
-type cancelAt struct {
-	mobilegossip.NopObserver
-	round  int
-	cancel context.CancelFunc
-}
-
-func (c cancelAt) EndRound(s mobilegossip.RoundStats) {
-	if s.Round == c.round {
-		c.cancel()
-	}
-}
-
 // TestRunCancellation cancels a run mid-flight, checkpoints the partial
 // session, and finishes it from the checkpoint — the blackout workflow.
 func TestRunCancellation(t *testing.T) {
@@ -465,12 +451,15 @@ func TestRunCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	stopAt := want.Rounds / 3
-	cfg2 := cfg
-	cfg2.Observers = []mobilegossip.Observer{cancelAt{round: stopAt, cancel: cancel}}
-	sim, err := mobilegossip.New(cfg2)
+	sim, err := mobilegossip.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.Bus().SubscribeSync(roundsOnly, func(ev mobilegossip.Event) {
+		if ev.Round == stopAt {
+			cancel()
+		}
+	})
 	partial, err := sim.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run: err = %v, want context.Canceled", err)
