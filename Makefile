@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCreateRequest -fuzztime=$(FUZZTIME) ./internal/daemon
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzEventsQuery -fuzztime=$(FUZZTIME) ./internal/daemon
+	$(GO) test -run='^$$' -fuzz=FuzzIntnMember -fuzztime=$(FUZZTIME) ./internal/prand
 
 # bench is the CI smoke configuration: compile and run every benchmark
 # exactly once so regressions in the hot gossip loops surface per-PR

@@ -112,22 +112,26 @@ func primesFor(universe int) primes {
 	return p
 }
 
-// random samples a uniform prime in [3, limit] by rejection. The candidate
-// primality test is a sieve-bitmap lookup for realistic ranges (identical
-// accept/reject decisions to Miller–Rabin, so executions are unchanged),
-// fused with the candidate draw in prand.IntnMember; the deterministic
-// Miller–Rabin is the unbounded-range fallback. Transfer(ε) draws hundreds
-// of primes per connection, which makes this the simulator's hottest path.
-func (p primes) random(rng *prand.RNG) uint64 {
+// nth samples count uniform primes in [3, limit] by rejection and returns
+// the last; nth(rng, 1) is one random prime. The candidate primality test
+// is a sieve-bitmap lookup for realistic ranges (identical accept/reject
+// decisions to Miller–Rabin, so executions are unchanged), fused with the
+// candidate draw in prand.IntnMember; the deterministic Miller–Rabin is the
+// unbounded-range fallback. Either way the generator ends where count
+// single draws would leave it. Transfer(ε) draws hundreds of primes per
+// connection, which makes this the simulator's hottest path.
+func (p primes) nth(rng *prand.RNG, count int) uint64 {
 	if p.sieve != nil {
-		return uint64(rng.IntnMember(int(p.limit-2), 3, p.sieve))
+		return uint64(rng.IntnMember(int(p.limit-2), 3, p.sieve, count))
 	}
-	for {
-		q := 3 + uint64(rng.Intn(int(p.limit-2)))
+	var q uint64
+	for count > 0 {
+		q = 3 + uint64(rng.Intn(int(p.limit-2)))
 		if isPrime(q) {
-			return q
+			count--
 		}
 	}
+	return q
 }
 
 // Miller–Rabin witness sets, each proven sufficient for deterministic
@@ -217,18 +221,16 @@ func EQTest(rng *prand.RNG, a, b *tokenset.Set, lo, hi, trials int) EQResult {
 
 func (p primes) eqTest(rng *prand.RNG, a, b *tokenset.Set, lo, hi, trials int) EQResult {
 	// Equal restrictions pass every trial whatever prime is drawn, so the
-	// probe's outcome is known from one exact word scan: the primes are
-	// still drawn, to leave rng where the trials would, but no fingerprint
-	// is computed.
+	// probe's outcome is known from one exact word scan: the trials' primes
+	// are still drawn, in one counted draw that leaves rng where the trials
+	// would, but no fingerprint is computed.
 	if tokenset.RangeEqual(a, b, lo, hi) {
-		for i := 0; i < trials; i++ {
-			p.random(rng)
-		}
+		p.nth(rng, trials)
 		return EQResult{Equal: true, Bits: trials * p.bitsPerTrial}
 	}
 	res := EQResult{Equal: true}
 	for i := 0; i < trials; i++ {
-		q := p.random(rng)
+		q := p.nth(rng, 1)
 		res.Bits += p.bitsPerTrial
 		// Difference-based fingerprint comparison: same decision (and same
 		// collision probability) as comparing the two HashRange values, but

@@ -52,12 +52,26 @@ func TestRandomPrimeInRange(t *testing.T) {
 	fallback := primes{limit: 1000}
 	rs, rf := prand.New(1), prand.New(1)
 	for i := 0; i < 200; i++ {
-		q := sieved.random(rs)
+		q := sieved.nth(rs, 1)
 		if q < 3 || q > 1000 || !isPrime(q) {
 			t.Fatalf("random prime %d", q)
 		}
-		if f := fallback.random(rf); f != q || rs.State() != rf.State() {
+		if f := fallback.nth(rf, 1); f != q || rs.State() != rf.State() {
 			t.Fatalf("draw %d: sieve path %d, Miller–Rabin path %d", i, q, f)
+		}
+	}
+	// A counted draw on either path is count single draws of the fallback.
+	for _, c := range []int{2, 7, 34, 44} {
+		single, rs, rf := prand.New(uint64(c)), prand.New(uint64(c)), prand.New(uint64(c))
+		var want uint64
+		for i := 0; i < c; i++ {
+			want = fallback.nth(single, 1)
+		}
+		if f := fallback.nth(rf, c); f != want || rf.State() != single.State() {
+			t.Fatalf("Miller–Rabin nth(%d) = %d, %d single draws end at %d", c, f, c, want)
+		}
+		if q := sieved.nth(rs, c); q != want || rs.State() != single.State() {
+			t.Fatalf("sieve nth(%d) = %d, %d single draws end at %d", c, q, c, want)
 		}
 	}
 }

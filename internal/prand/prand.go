@@ -114,21 +114,24 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// IntnMember returns the first value of the stream off+Intn(n),
+// IntnMember returns the count-th value of the stream off+Intn(n),
 // off+Intn(n), ... whose bit is set in bitmap (bit q of the bitmap is
 // bitmap[q/64]>>(q%64)&1; it must cover [off, off+n) and hold a member
 // there, or the call does not return). The value and the generator's state
-// afterwards are exactly those of that loop; what is fused is the cost:
-// the xoshiro state lives in locals across the rejected candidates and is
-// written back once. Transfer(ε) draws its random primes this way, a dozen
-// rejections per prime.
-func (r *RNG) IntnMember(n, off int, bitmap []uint64) int {
-	if n <= 0 {
-		panic("prand: IntnMember with non-positive n")
+// afterwards are exactly those of count calls of the one-member loop; what
+// is fused is the cost: the xoshiro state lives in locals across every
+// candidate and is written back once, and a member found is a subtraction
+// from count, not a loop exit, so the loop leaves once per call. Transfer(ε)
+// draws its random primes this way, a dozen rejections per prime, and all
+// of an equal-range probe's primes in one call.
+func (r *RNG) IntnMember(n, off int, bitmap []uint64, count int) int {
+	if n <= 0 || count <= 0 {
+		panic("prand: IntnMember with non-positive n or count")
 	}
 	un := uint64(n)
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for {
+	var q uint64
+	for count > 0 {
 		v := bits.RotateLeft64(s1*5, 7) * 9
 		t := s1 << 17
 		s2 ^= s0
@@ -138,18 +141,19 @@ func (r *RNG) IntnMember(n, off int, bitmap []uint64) int {
 		s2 ^= t
 		s3 = bits.RotateLeft64(s3, 45)
 		hi, lo := bits.Mul64(v, un)
+		q = uint64(off) + hi // hi < n, so a rejected draw still indexes the bitmap safely
+		hit := int(bitmap[q>>6] >> (q & 63) & 1)
 		// Lemire's rejection, as in Intn: its threshold is below un, so
 		// testing lo < un first is the same decision and keeps the
-		// division off all but about n in 2⁶⁴ draws.
+		// division off all but about n in 2⁶⁴ draws. A rejected draw
+		// counts nothing.
 		if lo < un && lo < -un%un {
-			continue
+			hit = 0
 		}
-		q := uint64(off) + hi
-		if bitmap[q>>6]&(1<<(q&63)) != 0 {
-			r.s = [4]uint64{s0, s1, s2, s3}
-			return int(q)
-		}
+		count -= hit
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return int(q)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

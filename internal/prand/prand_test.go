@@ -264,14 +264,27 @@ func TestPermProperty(t *testing.T) {
 	}
 }
 
-// TestIntnMemberMatchesIntnLoop pins the fused rejection loop to the loop
-// it replaced — off + Intn(n) until the bitmap has the value — on the value
-// returned and on the generator state left behind. Lemire's own redraw
-// fires about n times in 2⁶⁴ draws, and a bitmap over a range wide enough
-// to make that likely cannot be allocated, so half the cases start from a
-// crafted state instead: xoshiro's output is a function of s[1] alone and
-// s[1] = 0 outputs 0, which lands below the threshold of every n that is
-// not a power of two.
+// memberLoop is the reference IntnMember is pinned to: count times, draw
+// off + Intn(n) until the bitmap has the value; the last member drawn.
+func memberLoop(r *RNG, n, off int, bitmap []uint64, count int) int {
+	q := -1
+	for count > 0 {
+		q = off + r.Intn(n)
+		if bitmap[q/64]>>(q%64)&1 == 1 {
+			count--
+		}
+	}
+	return q
+}
+
+// TestIntnMemberMatchesIntnLoop pins the counted, fused rejection loop to
+// the loop it replaced — off + Intn(n) until the bitmap has the value, run
+// count times — on the value returned and on the generator state left
+// behind. Lemire's own redraw fires about n times in 2⁶⁴ draws, and a
+// bitmap over a range wide enough to make that likely cannot be allocated,
+// so half the cases start from a crafted state instead: xoshiro's output is
+// a function of s[1] alone and s[1] = 0 outputs 0, which lands below the
+// threshold of every n that is not a power of two.
 func TestIntnMemberMatchesIntnLoop(t *testing.T) {
 	seeds := New(20240229)
 	for _, n := range []int{1, 2, 3, 4606, 1279998} {
@@ -295,16 +308,6 @@ func TestIntnMemberMatchesIntnLoop(t *testing.T) {
 					if i%2 == 1 {
 						state[1] = 0
 					}
-					var fused, loop RNG
-					fused.SetState(state)
-					loop.SetState(state)
-					want := -1
-					for want < 0 {
-						q := off + loop.Intn(n)
-						if bitmap[q/64]>>(q%64)&1 == 1 {
-							want = q
-						}
-					}
 					if i%2 == 1 && n&(n-1) != 0 {
 						var intn, one RNG
 						intn.SetState(state)
@@ -315,9 +318,15 @@ func TestIntnMemberMatchesIntnLoop(t *testing.T) {
 							t.Fatalf("n=%d: crafted state did not force a Lemire redraw", n)
 						}
 					}
-					if got := fused.IntnMember(n, off, bitmap); got != want || fused.State() != loop.State() {
-						t.Fatalf("IntnMember(%d, %d) bitmap %d = %d, loop gives %d; states equal: %v",
-							n, off, bi, got, want, fused.State() == loop.State())
+					for _, count := range []int{1, 2, 7, 44} {
+						var fused, loop RNG
+						fused.SetState(state)
+						loop.SetState(state)
+						want := memberLoop(&loop, n, off, bitmap, count)
+						if got := fused.IntnMember(n, off, bitmap, count); got != want || fused.State() != loop.State() {
+							t.Fatalf("IntnMember(%d, %d, count %d) bitmap %d = %d, loop gives %d; states equal: %v",
+								n, off, count, bi, got, want, fused.State() == loop.State())
+						}
 					}
 				}
 			}
@@ -326,10 +335,44 @@ func TestIntnMemberMatchesIntnLoop(t *testing.T) {
 }
 
 func TestIntnMemberPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntnMember(0, ...) did not panic")
+	for _, c := range []struct{ n, count int }{{0, 1}, {1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("IntnMember(%d, 0, ..., %d) did not panic", c.n, c.count)
+				}
+			}()
+			New(1).IntnMember(c.n, 0, []uint64{1}, c.count)
+		}()
+	}
+}
+
+// FuzzIntnMember checks the counted draw against memberLoop from arbitrary
+// states, ranges, offsets and counts. The bitmap marks every stride-th
+// value of [off, off+n) and the last, so every input has a member.
+func FuzzIntnMember(f *testing.F) {
+	f.Add(uint64(1), uint16(1279), uint16(3), uint8(44), uint8(13), false)
+	f.Add(uint64(7), uint16(3), uint16(0), uint8(1), uint8(1), true)
+	f.Add(uint64(42), uint16(4606), uint16(64), uint8(7), uint8(97), true)
+	f.Fuzz(func(t *testing.T, seed uint64, n16, off16 uint16, count8, stride8 uint8, zeroS1 bool) {
+		n, off := int(n16)+1, int(off16)
+		count, stride := int(count8%64)+1, int(stride8)+1
+		bitmap := make([]uint64, (off+n)/64+1)
+		for q := off; q < off+n; q += stride {
+			bitmap[q/64] |= 1 << (q % 64)
 		}
-	}()
-	New(1).IntnMember(0, 0, []uint64{1})
+		bitmap[(off+n-1)/64] |= 1 << ((off + n - 1) % 64)
+		state := New(seed).State()
+		if zeroS1 {
+			state[1] = 0 // xoshiro then outputs 0: a Lemire redraw for every n not a power of two
+		}
+		var fused, loop RNG
+		fused.SetState(state)
+		loop.SetState(state)
+		want := memberLoop(&loop, n, off, bitmap, count)
+		if got := fused.IntnMember(n, off, bitmap, count); got != want || fused.State() != loop.State() {
+			t.Fatalf("IntnMember(%d, %d, count %d) stride %d = %d, loop gives %d; states equal: %v",
+				n, off, count, stride, got, want, fused.State() == loop.State())
+		}
+	})
 }
