@@ -29,9 +29,9 @@ const (
 	// CheckpointVersion is the checkpoint format version this build writes
 	// and the only version it resumes. Version 2 added the adversary
 	// topology knobs to the config block and generalized the topology
-	// section's mobility flag into a schedule-kind tag; version 3 added the
-	// Topology.Relabel knob. Config.EngineWorkers, which is ignored, is
-	// not in the stream.
+	// section's mobility flag into a schedule-kind tag; v3 keeps the slot
+	// of the removed Relabel knob. Config.EngineWorkers, which is ignored,
+	// is not in the stream.
 	CheckpointVersion = 3
 )
 
@@ -186,9 +186,16 @@ func Resume(r io.Reader) (*Simulation, error) {
 			ErrCheckpointFormat, v, CheckpointVersion)
 	}
 	var cfg Config
-	configLayout(cr.Fields(), &cfg)
+	relabel := configLayout(cr.Fields(), &cfg)
 	if err := cr.Err(); err != nil {
 		return nil, err
+	}
+	if relabel != 0 {
+		// The static or regenerating graph is rebuilt from Config, and this
+		// build can no longer renumber it: resuming would continue the run
+		// on a different graph.
+		return nil, fmt.Errorf("%w: the run sets the removed Relabel knob (%d)",
+			ErrCheckpointFormat, relabel)
 	}
 	sim, err := New(cfg)
 	if err != nil {
@@ -248,8 +255,9 @@ func Resume(r io.Reader) (*Simulation, error) {
 // configLayout is the checkpoint's config block: every data field of
 // Config in stream order, walked by Checkpoint over a writer and by Resume
 // over a reader, so the slot order below is the format. EngineWorkers
-// (ignored) and Profile (wall-clock only) have no slot.
-func configLayout(c ckpt.Fields, cfg *Config) {
+// (ignored) and Profile (wall-clock only) have no slot. It returns the
+// slot of the removed Topology.Relabel knob, which Resume checks.
+func configLayout(c ckpt.Fields, cfg *Config) (relabel int) {
 	c.Section("config")
 	c.Int((*int)(&cfg.Algorithm))
 	c.Int(&cfg.N)
@@ -284,7 +292,9 @@ func configLayout(c ckpt.Fields, cfg *Config) {
 	c.Int(&t.AdvBudget)
 	c.Int(&t.AdvParts)
 	c.Int(&t.AdvPeriod)
-	c.Int((*int)(&t.Relabel))
+	// v3 keeps the slot of the removed Topology.Relabel knob: written 0,
+	// read and returned.
+	c.Int(&relabel)
 	c.Int(&cfg.Tau)
 	c.F64(&cfg.Epsilon)
 	c.Int(&cfg.TagBits)
@@ -297,4 +307,5 @@ func configLayout(c ckpt.Fields, cfg *Config) {
 	c.F64(&cfg.TransferEps)
 	c.Int(&cfg.CrowdedBin.Beta)
 	c.Int(&cfg.CrowdedBin.Gamma)
+	return relabel
 }

@@ -56,14 +56,17 @@ func zeroFields(v reflect.Value, path string) []string {
 	return out
 }
 
-// configBlockV3 is the config block PR 13's writeConfig (the last
-// hand-written serializer, deleted in favour of configLayout) produced
-// for the fillDistinct Config: the per-slot proof that the layout still
-// writes checkpoint format v3, which the mostly-zero-knob
-// testdata/ckpt_v3_concurrent.bin fixture cannot give.
+// configBlockV3 is the v3 config block for the fillDistinct Config: the
+// per-slot proof that the layout still writes checkpoint format v3, which
+// the mostly-zero-knob testdata/ckpt_v3_concurrent.bin fixture cannot
+// give. It is the block the last hand-written serializer (writeConfig,
+// deleted in favour of configLayout) produced, re-recorded once when
+// Topology.Relabel was removed: that slot (byte 0x00 after adv_period's
+// 0x36) is now always 0, and every fillDistinct number after it is one
+// lower.
 const configBlockV3 = "06636f6e6669670204060108020a0c020e1012140000000000002740181a1c1e" +
 	"00000000008030402200000000008032402600000000008034402a0000000000" +
-	"8036402e30323436383a0000000000803e403e2042000000000000c04140484a"
+	"8036402e3032343600380000000000803d403c1f400000000000004041404648"
 
 // TestConfigLayout: the one layout, walked as a writer then as a reader,
 // is the identity on every field it carries, carries every field of

@@ -63,7 +63,6 @@ type TopologySpec struct {
 	AdvBudget  int     `json:"adv_budget,omitempty"`
 	AdvParts   int     `json:"adv_parts,omitempty"`
 	AdvPeriod  int     `json:"adv_period,omitempty"`
-	Relabel    string  `json:"relabel,omitempty"`
 }
 
 // SessionInfo is the session's live state: returned by create, resume,

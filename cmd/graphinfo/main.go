@@ -13,7 +13,6 @@
 //	graphinfo -graph waypoint -n 256 -tau 1 -speed 0.02 -rounds 64
 //	graphinfo -graph regular -n 64 -tau 4 -rounds 64
 //	graphinfo -graph regular -n 128 -tau 1 -adversary bridges -rounds 64
-//	graphinfo -graph pa -n 256 -attach 5 -relabel degree
 //
 // The topology flags are gossipsim's own (one shared binder,
 // wire.TopologyFlags), so every family knob either tool accepts, both do.

@@ -41,17 +41,14 @@ func edges(t *testing.T, args ...string) int {
 
 // TestSharedTopologyFlags: graphinfo takes the topology knobs from the
 // binder gossipsim uses, so the ones its own flag list used to lack reach
-// Topology.Build — -attach changes the pa family's edge count, -relabel
-// is accepted (a relabeled graph is isomorphic: same edge count).
+// Topology.Build — -attach changes the pa family's edge count — and a bad
+// enum name fails with the binder's list of valid names.
 func TestSharedTopologyFlags(t *testing.T) {
 	base := edges(t, "-graph", "pa", "-n", "64")
 	if dense := edges(t, "-graph", "pa", "-n", "64", "-attach", "5"); dense <= base {
 		t.Errorf("-attach 5 reports %d edges, default (m=3) %d: the flag did not reach the generator", dense, base)
 	}
-	if relabeled := edges(t, "-graph", "pa", "-n", "64", "-relabel", "bfs"); relabeled != base {
-		t.Errorf("-relabel bfs changed the edge count: %d vs %d", relabeled, base)
-	}
-	if err := run([]string{"-relabel", "nope"}); err == nil || !strings.Contains(err.Error(), "degree") {
-		t.Errorf("bad -relabel name: %v, want an error listing the valid names", err)
+	if err := run([]string{"-adversary", "nope"}); err == nil || !strings.Contains(err.Error(), "cutrich") {
+		t.Errorf("bad -adversary name: %v, want an error listing the valid names", err)
 	}
 }

@@ -1,14 +1,13 @@
 // Command runreport turns a JSONL session-event file (gossipsim -events,
 // or any mobilegossip.EventJSONLSink stream) into a post-run report:
 // proposal and connection totals with the acceptance rate, round-latency
-// percentiles, a per-phase breakdown, shard-balance and barrier-wait
-// summaries (present only in files written by builds that split rounds
-// across goroutines), churn/checkpoint/drop counts, and the stall
-// detector's convergence verdict replayed from the recorded potential
-// curve — the same pure function of (round, φ) the live session runs, so
-// the report's verdict matches what -metrics served during the run. With
-// -every N the text report opens with a per-round table (φ, connections,
-// proposals, tokens, churn) of every Nth round_completed event.
+// percentiles, a per-phase breakdown, churn/checkpoint/drop counts, and
+// the stall detector's convergence verdict replayed from the recorded
+// potential curve — the same pure function of (round, φ) the live session
+// runs, so the report's verdict matches what -metrics served during the
+// run. With -every N the text report opens with a per-round table (φ,
+// connections, proposals, tokens, churn) of every Nth round_completed
+// event.
 //
 // Every number is computed exactly from the recorded events (percentiles
 // are nearest-rank over the sorted samples, not histogram estimates), so
@@ -133,7 +132,6 @@ type Report struct {
 	ProfiledRounds int           `json:"profiled_rounds"`
 	RoundLatency   *LatencyStats `json:"round_latency,omitempty"`
 	Phases         []PhaseStats  `json:"phases,omitempty"`
-	Shards         *ShardStats   `json:"shards,omitempty"`
 	CheckpointNs   *LatencyStats `json:"checkpoint_write,omitempty"`
 
 	// Verdict is the stall detector's final health replayed over the
@@ -166,18 +164,6 @@ type PhaseStats struct {
 	P95Ns   int64   `json:"p95_ns"`
 }
 
-// ShardStats summarizes the sharded rounds of the stream (absent when
-// every profiled round ran on one goroutine, as every current build's do).
-type ShardStats struct {
-	Workers           int   `json:"workers"` // largest worker count seen
-	Rounds            int   `json:"rounds"`  // sharded rounds
-	ImbalanceP50Milli int64 `json:"imbalance_p50_milli"`
-	ImbalanceMaxMilli int64 `json:"imbalance_max_milli"`
-	BarrierP50Ns      int64 `json:"barrier_p50_ns"`
-	BarrierP95Ns      int64 `json:"barrier_p95_ns"`
-	BarrierTotalNs    int64 `json:"barrier_total_ns"`
-}
-
 // build computes the report. It is a pure function of the event slice
 // and the detector thresholds, which is what makes runreport's output
 // reproducible run over run.
@@ -186,10 +172,8 @@ func build(evs []events.Event, window, stallAfter int) Report {
 	det := profile.NewStallDetector(window, stallAfter)
 
 	var (
-		roundNs, churnNs, propNs, exchNs, redNs []int64
-		imbalance, barrier, ckptNs              []int64
-		shardRounds, maxWorkers                 int
-		lastRound                               = -1
+		roundNs, churnNs, propNs, exchNs, redNs, ckptNs []int64
+		lastRound                                       = -1
 	)
 	for _, ev := range evs {
 		switch ev.Type {
@@ -234,14 +218,6 @@ func build(evs []events.Event, window, stallAfter int) Report {
 			propNs = append(propNs, ev.ProposalNanos)
 			exchNs = append(exchNs, ev.ExchangeNanos)
 			redNs = append(redNs, ev.ReductionNanos)
-			if ev.Workers > 1 {
-				shardRounds++
-				imbalance = append(imbalance, ev.ImbalanceMilli)
-				barrier = append(barrier, ev.BarrierNanos)
-				if ev.Workers > maxWorkers {
-					maxWorkers = ev.Workers
-				}
-			}
 		}
 	}
 	if rep.Verdict == "" {
@@ -277,17 +253,6 @@ func build(evs []events.Event, window, stallAfter int) Report {
 				Phase: p.name, TotalNs: total, Share: share,
 				P50Ns: percentile(sorted, 0.50), P95Ns: percentile(sorted, 0.95),
 			})
-		}
-	}
-	if shardRounds > 0 {
-		imb, bar := sortedCopy(imbalance), sortedCopy(barrier)
-		rep.Shards = &ShardStats{
-			Workers: maxWorkers, Rounds: shardRounds,
-			ImbalanceP50Milli: percentile(imb, 0.50),
-			ImbalanceMaxMilli: imb[len(imb)-1],
-			BarrierP50Ns:      percentile(bar, 0.50),
-			BarrierP95Ns:      percentile(bar, 0.95),
-			BarrierTotalNs:    sum(barrier),
 		}
 	}
 	if len(ckptNs) > 0 {
@@ -407,14 +372,6 @@ func writeText(w io.Writer, rep Report) error {
 		if err := tw.Flush(); err != nil {
 			return err
 		}
-	}
-	if rep.Shards != nil {
-		s := rep.Shards
-		fmt.Fprintf(w, "\nshards (%d workers, %d sharded rounds)\n", s.Workers, s.Rounds)
-		fmt.Fprintf(w, "  imbalance p50 %.2fx  max %.2fx (max/mean shard compute)\n",
-			float64(s.ImbalanceP50Milli)/1000, float64(s.ImbalanceMaxMilli)/1000)
-		fmt.Fprintf(w, "  barrier wait p50 %v  p95 %v  total %v\n",
-			dur(s.BarrierP50Ns), dur(s.BarrierP95Ns), dur(s.BarrierTotalNs))
 	}
 	if rep.CheckpointNs != nil {
 		c := rep.CheckpointNs

@@ -42,12 +42,10 @@ func TestBuildSyntheticStream(t *testing.T) {
 		{Type: events.TypeChurnApplied, Round: 1, EdgesAdded: 3, EdgesRemoved: 2},
 		{Type: events.TypeRoundCompleted, Round: 1, Potential: 90, Connections: 10, TokensMoved: 4},
 		{Type: events.TypeRoundProfile, Round: 1, RoundNanos: 1000, ChurnNanos: 100,
-			ProposalNanos: 500, ExchangeNanos: 300, ReductionNanos: 50,
-			Workers: 4, ImbalanceMilli: 1500, BarrierNanos: 200, Health: "converging"},
+			ProposalNanos: 500, ExchangeNanos: 300, ReductionNanos: 50, Health: "converging"},
 		{Type: events.TypeRoundCompleted, Round: 2, Potential: 80, Connections: 10, TokensMoved: 4},
 		{Type: events.TypeRoundProfile, Round: 2, RoundNanos: 3000, ChurnNanos: 100,
-			ProposalNanos: 2000, ExchangeNanos: 700, ReductionNanos: 100,
-			Workers: 4, ImbalanceMilli: 1100, BarrierNanos: 400, Health: "converging"},
+			ProposalNanos: 2000, ExchangeNanos: 700, ReductionNanos: 100, Health: "converging"},
 		// rounds 3 and 4 dropped by a slow sink
 		{Type: events.TypeRoundCompleted, Round: 5, Potential: 40, Done: false},
 		{Type: events.TypeCheckpointWritten, Round: 5, WriteNanos: 7000},
@@ -85,10 +83,6 @@ func TestBuildSyntheticStream(t *testing.T) {
 	// Proposal dominates: 2500 of the 3850 attributed ns.
 	if p := rep.Phases[1]; p.Phase != "proposal" || p.TotalNs != 2500 {
 		t.Fatalf("proposal row %+v", p)
-	}
-	if rep.Shards == nil || rep.Shards.Workers != 4 || rep.Shards.Rounds != 2 ||
-		rep.Shards.ImbalanceMaxMilli != 1500 || rep.Shards.BarrierTotalNs != 600 {
-		t.Fatalf("shard stats %+v", rep.Shards)
 	}
 	// φ dropped on the final observed round: converging, agreeing with
 	// the recorded live health.
@@ -175,10 +169,6 @@ func TestReportOnRealRunReproducible(t *testing.T) {
 	if rep.Solved != res.Solved || rep.Proposals != res.Proposals ||
 		rep.Connections != res.Connections || rep.TokensMoved != res.TokensMoved {
 		t.Fatalf("report %+v disagrees with Result %+v", rep, res)
-	}
-	// Every round runs on one goroutine: no shard section.
-	if rep.Shards != nil {
-		t.Fatalf("shard stats %+v from a one-goroutine run", rep.Shards)
 	}
 	// The replayed verdict must match what the live session reported.
 	if rep.Verdict != rep.LiveHealth {

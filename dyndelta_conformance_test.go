@@ -24,7 +24,7 @@ import (
 func conformanceSchedules() []mobilegossip.Topology {
 	schedules := []mobilegossip.Topology{
 		{Kind: mobilegossip.RandomRegular, Degree: 4}, // τ-dynamic Regen (non-delta)
-		{Kind: mobilegossip.Cycle},                    // deterministic family + relabeling
+		{Kind: mobilegossip.Cycle},                    // deterministic family + per-epoch permutation
 		{Kind: mobilegossip.MobileWaypoint, Speed: 0.04},
 		{Kind: mobilegossip.MobileLevy, Speed: 0.04},
 		{Kind: mobilegossip.MobileGroup, Speed: 0.04, Attract: 0.8},

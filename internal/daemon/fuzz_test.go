@@ -21,7 +21,7 @@ func FuzzCreateRequest(f *testing.F) {
 	f.Add([]byte(`{"algorithm":"sharedbit","n":64,"k":8,"seed":1,"topology":{"kind":"regular","degree":4}}`))
 	f.Add([]byte(`{"algorithm":"crowdedbin","n":256,"k":32,"topology":{"kind":"gnp","p":0.1},"crowdedbin_beta":3}`))
 	f.Add([]byte(`{"algorithm":"simsharedbit","n":64,"k":4,"tau":1,"topology":{"kind":"waypoint","speed":0.02,"adversary":"cutrich","adv_budget":100}}`))
-	f.Add([]byte(`{"algorithm":"sharedbit","n":128,"k":128,"epsilon":0.75,"topology":{"kind":"doublestar","relabel":"bfs"},"record_events":true}`))
+	f.Add([]byte(`{"algorithm":"sharedbit","n":128,"k":128,"epsilon":0.75,"topology":{"kind":"doublestar"},"record_events":true}`))
 	f.Add([]byte(`{"algorithm":"","topology":{"kind":""}}`))
 	f.Add([]byte(`{"algorithm":"sharedbit","unknown_field":1}`))
 	f.Add([]byte(`{}trailing`))

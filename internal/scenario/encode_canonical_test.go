@@ -52,7 +52,7 @@ func TestEncodeYAMLCanonical(t *testing.T) {
 			Kind: "levy", Degree: 3, P: 0.25, Rows: 4, Cols: 5, CliqueSize: 6, PathLen: 7,
 			Radius: 1e-05, Attach: 8, Speed: 2.5e+06, Pause: 9, LevyAlpha: 1.6,
 			Groups: 10, Attract: -0.5, Period: 11,
-			Adversary: "cutrich", AdvBudget: 12, AdvParts: 13, AdvPeriod: 14, Relabel: "bfs",
+			Adversary: "cutrich", AdvBudget: 12, AdvParts: 13, AdvPeriod: 14,
 		},
 		Phases: []Phase{
 			{Name: "first"},
@@ -60,7 +60,7 @@ func TestEncodeYAMLCanonical(t *testing.T) {
 				Kind: "gnp", Degree: 3, P: 1e-07, Rows: 4, Cols: 5, CliqueSize: 6, PathLen: 7,
 				Radius: 100, Attach: 8, Speed: 1e+21, Pause: 9, LevyAlpha: 1234567,
 				Groups: 10, Attract: 1, Period: 11,
-				Adversary: "none", AdvBudget: -12, AdvParts: 13, AdvPeriod: 14, Relabel: "true",
+				Adversary: "true", AdvBudget: -12, AdvParts: 13, AdvPeriod: 14,
 			}},
 		},
 		Grid: &Grid{N: []int{8, 16}, K: []int{2}, Trials: 3},
@@ -103,7 +103,6 @@ topology:
   adv_budget: 12
   adv_parts: 13
   adv_period: 14
-  relabel: bfs
 phases:
   - name: first
   - name: 2nd
@@ -125,11 +124,10 @@ phases:
       groups: 10
       attract: 1
       period: 11
-      adversary: none
+      adversary: "true"
       adv_budget: -12
       adv_parts: 13
       adv_period: 14
-      relabel: "true"
 grid:
   n: [8, 16]
   k: [2]

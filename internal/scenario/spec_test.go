@@ -54,6 +54,12 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "radios") {
 		t.Fatalf("unknown topology field should be rejected by name, got %v", err)
 	}
+	// The removed Relabel knob's key is an unknown field like any other.
+	src = strings.Replace(minimalYAML, "  kind: complete", "  kind: complete\n  relabel: bfs", 1)
+	_, err = Parse([]byte(src))
+	if err == nil || !strings.Contains(err.Error(), "relabel") {
+		t.Fatalf("the removed relabel field should be rejected by name, got %v", err)
+	}
 }
 
 // edit reparses minimalYAML with one line replaced.
@@ -212,12 +218,12 @@ func TestPhaseHelpers(t *testing.T) {
 }
 
 // TestConfigMapping: Spec.Config applies the same wire→engine topology
-// mapping the daemon uses, including named adversary and relabel kinds,
+// mapping the daemon uses, including named topology and adversary kinds,
 // and surfaces unknown names rather than silently dropping them.
 func TestConfigMapping(t *testing.T) {
 	src := strings.Replace(minimalYAML,
 		"  kind: complete",
-		"  kind: waypoint\n  radius: 0.3\n  adversary: blackout\n  adv_budget: 4\n  relabel: bfs",
+		"  kind: waypoint\n  radius: 0.3\n  adversary: blackout\n  adv_budget: 4",
 		1)
 	spec, err := Parse([]byte(src))
 	if err != nil {
@@ -236,7 +242,7 @@ func TestConfigMapping(t *testing.T) {
 
 	for _, bad := range []struct{ old, new, wantSub string }{
 		{"  adversary: blackout", "  adversary: gremlin", `"gremlin"`},
-		{"  relabel: bfs", "  relabel: scramble", `"scramble"`},
+		{"  kind: waypoint", "  kind: teleport", `"teleport"`},
 	} {
 		spec, err := Parse([]byte(strings.Replace(src, bad.old, bad.new, 1)))
 		if err == nil {

@@ -12,7 +12,7 @@ import (
 // codec's third lowering (command line → Topology, beside the wire and
 // scenario-file forms), shared by gossipsim and graphinfo so the two
 // cannot offer different knobs. Numeric flags are bound straight to the
-// struct's fields; the three enum names are resolved by the returned
+// struct's fields; the two enum names are resolved by the returned
 // function, whose error lists the valid names. Rows, Cols, CliqueSize and
 // PathLen deliberately have no flag: grid and barbell shapes are reachable
 // from scenario files only.
@@ -33,16 +33,12 @@ func TopologyFlags(fs *flag.FlagSet) func() (mobilegossip.Topology, error) {
 	fs.IntVar(&t.AdvBudget, "advbudget", 0, "max edges the adversary may cut per epoch (0 = unlimited)")
 	fs.IntVar(&t.AdvParts, "advparts", 0, "adversary partition count: bridges groups / blackout regions (0 = default 4), topk k (0 = default 3)")
 	fs.IntVar(&t.AdvPeriod, "advperiod", 0, "blackout/partition event cycle in epochs (0 = default 8)")
-	relabel := fs.String("relabel", "none", "cache-aware vertex relabeling for generated topologies: "+strings.Join(mobilegossip.RelabelKindNames(), "|"))
 	return func() (mobilegossip.Topology, error) {
 		var err error
 		if t.Kind, err = mobilegossip.ParseTopologyKind(*kind); err != nil {
 			return t, err
 		}
-		if t.Adversary, err = mobilegossip.ParseAdversaryKind(*adversary); err != nil {
-			return t, err
-		}
-		t.Relabel, err = mobilegossip.ParseRelabelKind(*relabel)
+		t.Adversary, err = mobilegossip.ParseAdversaryKind(*adversary)
 		return t, err
 	}
 }

@@ -26,8 +26,6 @@ func TestTopologyFlagsCoverEveryField(t *testing.T) {
 			value = "levy"
 		case "adversary":
 			value = "cutrich"
-		case "relabel":
-			value = "degree"
 		}
 		args = append(args, "-"+f.Name, value)
 	})
@@ -54,7 +52,7 @@ func TestTopologyFlagsDefaultsAndErrors(t *testing.T) {
 	if topo, err := topology(); err != nil || topo != want {
 		t.Errorf("unset flags describe %+v, %v; want %+v", topo, err, want)
 	}
-	for flagName, valid := range map[string]string{"graph": "waypoint", "adversary": "cutrich", "relabel": "degree"} {
+	for flagName, valid := range map[string]string{"graph": "waypoint", "adversary": "cutrich"} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		topology := TopologyFlags(fs)
 		if err := fs.Parse([]string{"-" + flagName, "nope"}); err != nil {

@@ -23,13 +23,9 @@ func TopologyFromWire(spec client.TopologySpec) (mobilegossip.Topology, error) {
 	if err != nil {
 		return mobilegossip.Topology{}, err
 	}
-	// The two optional enums are omitted on the wire when none: "" parses
-	// to none.
+	// The optional enum is omitted on the wire when none: "" parses to
+	// none.
 	adv, err := mobilegossip.ParseAdversaryKind(spec.Adversary)
-	if err != nil {
-		return mobilegossip.Topology{}, err
-	}
-	relabel, err := mobilegossip.ParseRelabelKind(spec.Relabel)
 	if err != nil {
 		return mobilegossip.Topology{}, err
 	}
@@ -42,7 +38,6 @@ func TopologyFromWire(spec client.TopologySpec) (mobilegossip.Topology, error) {
 		Groups: spec.Groups, Attract: spec.Attract, Period: spec.Period,
 		Adversary: adv, AdvBudget: spec.AdvBudget,
 		AdvParts: spec.AdvParts, AdvPeriod: spec.AdvPeriod,
-		Relabel: relabel,
 	}, nil
 }
 
@@ -57,7 +52,6 @@ func TopologyToWire(t mobilegossip.Topology) client.TopologySpec {
 		Groups: t.Groups, Attract: t.Attract, Period: t.Period,
 		Adversary: t.Adversary.String(), AdvBudget: t.AdvBudget,
 		AdvParts: t.AdvParts, AdvPeriod: t.AdvPeriod,
-		Relabel: t.Relabel.String(),
 	}
 }
 

@@ -25,9 +25,6 @@ func fill(v reflect.Value, next *int) {
 	case mobilegossip.AdversaryKind:
 		v.Set(reflect.ValueOf(mobilegossip.AdvCutRich))
 		return
-	case mobilegossip.RelabelKind:
-		v.Set(reflect.ValueOf(mobilegossip.RelabelDegree))
-		return
 	}
 	switch v.Kind() {
 	case reflect.Struct:
@@ -111,7 +108,6 @@ func TestFromWireNamesBadEnums(t *testing.T) {
 		"algorithm": func(r *client.CreateRequest) { r.Algorithm = "nope" },
 		"kind":      func(r *client.CreateRequest) { r.Topology.Kind = "nope" },
 		"adversary": func(r *client.CreateRequest) { r.Topology.Adversary = "nope" },
-		"relabel":   func(r *client.CreateRequest) { r.Topology.Relabel = "nope" },
 	} {
 		req := good
 		mutate(&req)
@@ -119,10 +115,10 @@ func TestFromWireNamesBadEnums(t *testing.T) {
 			t.Errorf("bad %s name accepted", name)
 		}
 	}
-	// The omitted-on-the-wire spellings of the two optional enums.
+	// The omitted-on-the-wire spelling of the optional enum.
 	req := good
-	req.Topology.Adversary, req.Topology.Relabel = "", ""
-	if cfg, err := ConfigFromWire(req); err != nil || cfg.Topology.Adversary != mobilegossip.AdvNone || cfg.Topology.Relabel != mobilegossip.RelabelNone {
-		t.Errorf("empty adversary/relabel should mean none: %+v, %v", cfg.Topology, err)
+	req.Topology.Adversary = ""
+	if cfg, err := ConfigFromWire(req); err != nil || cfg.Topology.Adversary != mobilegossip.AdvNone {
+		t.Errorf("empty adversary should mean none: %+v, %v", cfg.Topology, err)
 	}
 }

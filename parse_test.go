@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestEnumerators pins Algorithms/TopologyKinds/RelabelKindNames as the
+// TestEnumerators pins Algorithms/TopologyKinds as the
 // single source of truth: every enumerated value round-trips through
 // String/Parse, every registered name is enumerated, and unknown-name
 // errors list the valid names so the CLI user never has to guess.
@@ -33,28 +33,11 @@ func TestEnumerators(t *testing.T) {
 		}
 	}
 
-	relabels := RelabelKindNames()
-	if len(relabels) != len(relabelNames) {
-		t.Errorf("RelabelKindNames() has %d entries, registry has %d", len(relabels), len(relabelNames))
-	}
-	for _, name := range relabels {
-		if got, err := ParseRelabelKind(name); err != nil || got.String() != name {
-			t.Errorf("relabeling %q does not round-trip: %v %v", name, got, err)
-		}
-	}
-	// Omitted on the wire means none, as for the adversary.
-	if got, err := ParseRelabelKind(""); err != nil || got != RelabelNone {
-		t.Errorf("ParseRelabelKind(\"\") = %v, %v; want none", got, err)
-	}
-
 	if _, err := ParseAlgorithm("nope"); err == nil || !strings.Contains(err.Error(), "sharedbit") {
 		t.Errorf("ParseAlgorithm error does not enumerate valid names: %v", err)
 	}
 	if _, err := ParseTopologyKind("nope"); err == nil || !strings.Contains(err.Error(), "waypoint") {
 		t.Errorf("ParseTopologyKind error does not enumerate valid names: %v", err)
-	}
-	if _, err := ParseRelabelKind("nope"); err == nil || !strings.Contains(err.Error(), "degree") {
-		t.Errorf("ParseRelabelKind error does not enumerate valid names: %v", err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"mobilegossip"
@@ -339,6 +340,42 @@ func TestShardedCheckpointInterchangeable(t *testing.T) {
 	}
 }
 
+// phiTrace is a run summary plus its full per-round potential trace, so
+// comparisons see every round boundary rather than only totals.
+type phiTrace struct {
+	res mobilegossip.Result
+	phi []int
+}
+
+func traceRun(t *testing.T, cfg mobilegossip.Config) phiTrace {
+	t.Helper()
+	sim, err := mobilegossip.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var tr phiTrace
+	sim.Bus().SubscribeSync(roundsOnly, func(ev mobilegossip.Event) { tr.phi = append(tr.phi, ev.Potential) })
+	if tr.res, err = sim.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return tr
+}
+
+func samePhiTrace(t *testing.T, label string, got, want phiTrace) {
+	t.Helper()
+	if got.res != want.res {
+		t.Fatalf("%s: result diverged:\n got %+v\nwant %+v", label, got.res, want.res)
+	}
+	if len(got.phi) != len(want.phi) {
+		t.Fatalf("%s: %d potential samples, want %d", label, len(got.phi), len(want.phi))
+	}
+	for i := range got.phi {
+		if got.phi[i] != want.phi[i] {
+			t.Fatalf("%s: φ diverged at round %d: got %d want %d", label, i+1, got.phi[i], want.phi[i])
+		}
+	}
+}
+
 // TestShardedAllStrategiesN10k runs every algorithm and every adversary
 // strategy at n = 10 000 — the size at which auto EngineWorkers once split
 // a round into multi-thousand-node shards — for a fixed round budget, and
@@ -431,6 +468,49 @@ func TestResumeCheckpointWithRemovedConcurrentBit(t *testing.T) {
 	if !got.Solved || got.Rounds != 20 || got.Connections != 60 || got.Proposals != 94 ||
 		got.ControlBits != 23880 || got.TokensMoved != 60 {
 		t.Fatalf("resumed run finished differently from the build that wrote it: %+v", got)
+	}
+}
+
+// TestResumeRefusesRemovedRelabelSlot: v3 keeps the slot of the removed
+// Topology.Relabel knob. A stream that sets it ran on a renumbered graph
+// this build cannot rebuild, so Resume refuses it by name rather than
+// continue the run on a different graph.
+func TestResumeRefusesRemovedRelabelSlot(t *testing.T) {
+	checkpoint := func(tau int) []byte {
+		t.Helper()
+		sim, err := mobilegossip.New(mobilegossip.Config{
+			Algorithm: mobilegossip.AlgSharedBit, N: 32, K: 4,
+			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
+			Tau:      tau, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sim.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// The two streams first differ at the Tau slot; the Relabel slot is
+	// the one byte before it (a zero int).
+	fresh, other := checkpoint(0), checkpoint(1)
+	tauAt := 0
+	for fresh[tauAt] == other[tauAt] {
+		tauAt++
+	}
+	slot := tauAt - 1
+	if fresh[slot] != 0 {
+		t.Fatalf("byte %d before the Tau slot is %#x, want the zero Relabel slot", slot, fresh[slot])
+	}
+	if _, err := mobilegossip.Resume(bytes.NewReader(fresh)); err != nil {
+		t.Fatalf("unpatched checkpoint: %v", err)
+	}
+
+	fresh[slot] = 2 // the int 1 (zigzag varint): bfs, in the builds that had the knob
+	sim, err := mobilegossip.Resume(bytes.NewReader(fresh))
+	if sim != nil || !errors.Is(err, mobilegossip.ErrCheckpointFormat) || !strings.Contains(err.Error(), "Relabel") {
+		t.Fatalf("Resume with the Relabel slot set = %v, %v; want an ErrCheckpointFormat naming Relabel", sim, err)
 	}
 }
 

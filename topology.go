@@ -98,56 +98,6 @@ func ParseTopologyKind(s string) (TopologyKind, error) {
 		s, strings.Join(TopologyKindNames(), ", "))
 }
 
-// RelabelKind selects an optional cache-aware vertex relabeling pass
-// applied once at graph-construction time. Relabeling permutes node ids so
-// adjacency scans touch nearby memory — which speeds up the round loop —
-// at the price of changing which physical vertex each node id (and hence
-// each per-node RNG stream and token) lands on: a relabeled run is a
-// different, equally valid execution, deterministic in its own right.
-type RelabelKind int
-
-// Relabeling passes (see internal/graph BFSOrder and DegreeOrder).
-const (
-	// RelabelNone keeps the generator's natural labeling (the default).
-	RelabelNone RelabelKind = iota
-	// RelabelBFS numbers vertices in breadth-first order from vertex 0:
-	// neighbors get nearby ids, so scans stay in cache.
-	RelabelBFS
-	// RelabelDegree numbers vertices by descending degree, so the hubs'
-	// adjacency lists sit together.
-	RelabelDegree
-)
-
-var relabelNames = map[RelabelKind]string{
-	RelabelNone: "none", RelabelBFS: "bfs", RelabelDegree: "degree",
-}
-
-// RelabelKindNames returns the parseable relabeling names.
-func RelabelKindNames() []string { return []string{"none", "bfs", "degree"} }
-
-// String returns the relabeling pass name.
-func (k RelabelKind) String() string {
-	if s, ok := relabelNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("RelabelKind(%d)", int(k))
-}
-
-// ParseRelabelKind resolves a relabeling name (as printed by String).
-// "none" and "" parse to RelabelNone.
-func ParseRelabelKind(s string) (RelabelKind, error) {
-	if s == "" {
-		return RelabelNone, nil
-	}
-	for k, name := range relabelNames {
-		if name == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("mobilegossip: unknown relabeling %q (valid: %s)",
-		s, strings.Join(RelabelKindNames(), ", "))
-}
-
 // Topology specifies a topology family plus its family-specific knobs.
 type Topology struct {
 	Kind TopologyKind
@@ -198,11 +148,6 @@ type Topology struct {
 	// AdvPeriod is the event cycle length, in epochs, of AdvBlackout and
 	// AdvPartition (default 8).
 	AdvPeriod int
-	// Relabel applies a cache-aware vertex relabeling pass (see RelabelKind)
-	// to every generated graph — the static one for Tau ≤ 0, each epoch's
-	// for Tau ≥ 1. The mobility kinds reject it: their node ids are bound to
-	// continuously moving entities.
-	Relabel RelabelKind
 }
 
 // buildStatic instantiates the topology on n vertices.
@@ -391,10 +336,6 @@ func (t Topology) Build(n, tau int, seed uint64) (dyngraph.Dynamic, error) {
 // buildSchedule is Build without the adversary layer.
 func (t Topology) buildSchedule(n, tau int, seed uint64) (dyngraph.Dynamic, error) {
 	if m, ok := t.mobilityModel(); ok {
-		if t.Relabel != RelabelNone {
-			return nil, fmt.Errorf("mobilegossip: Relabel %s requires a generated topology, not the mobility kind %s",
-				t.Relabel, t.Kind)
-		}
 		return mobility.New(m, mobility.Options{
 			N: n, Tau: tau, Radius: t.Radius, Seed: seed,
 		}), nil
@@ -408,7 +349,7 @@ func (t Topology) buildSchedule(n, tau int, seed uint64) (dyngraph.Dynamic, erro
 		if !g.Connected() {
 			return nil, fmt.Errorf("mobilegossip: %s on n=%d is disconnected", t.Kind, n)
 		}
-		return dyngraph.NewStatic(orderRelabel(g, t.Relabel)), nil
+		return dyngraph.NewStatic(g), nil
 	}
 	// Validate the family once so Build fails fast.
 	if _, err := t.buildStatic(n, rng); err != nil {
@@ -422,29 +363,10 @@ func (t Topology) buildSchedule(n, tau int, seed uint64) (dyngraph.Dynamic, erro
 			// the RNG, and no generator fails RNG-dependently.
 			panic(err)
 		}
-		// The random permutation supplies the per-epoch label churn; the
-		// optional ordering pass then restores locality over the churned
-		// graph (BFS roots at whatever vertex the permutation labeled 0,
-		// so the churn survives relabeling).
-		return orderRelabel(relabel(g, erng), spec.Relabel)
+		// The random permutation supplies the per-epoch label churn.
+		return relabel(g, erng)
 	}
-	name := t.Kind.String()
-	if t.Relabel != RelabelNone {
-		name += "+" + t.Relabel.String()
-	}
-	return dyngraph.NewRegen(n, tau, seed, name, gen), nil
-}
-
-// orderRelabel applies the configured cache-aware relabeling pass.
-func orderRelabel(g *graph.Graph, kind RelabelKind) *graph.Graph {
-	switch kind {
-	case RelabelBFS:
-		return g.Relabel(graph.BFSOrder(g), g.Name()+"+bfs")
-	case RelabelDegree:
-		return g.Relabel(graph.DegreeOrder(g), g.Name()+"+degree")
-	default:
-		return g
-	}
+	return dyngraph.NewRegen(n, tau, seed, t.Kind.String(), gen), nil
 }
 
 // relabel permutes vertex labels so deterministic families still churn.
