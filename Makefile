@@ -81,7 +81,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt
 	$(GO) test -run='^$$' -fuzz=FuzzResume -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzParseNames -fuzztime=$(FUZZTIME) .
-	$(GO) test -run='^$$' -fuzz=FuzzParseIntList -fuzztime=$(FUZZTIME) ./cmd/gossipsim
 	$(GO) test -run='^$$' -fuzz=FuzzCreateRequest -fuzztime=$(FUZZTIME) ./internal/daemon
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzEventsQuery -fuzztime=$(FUZZTIME) ./internal/daemon

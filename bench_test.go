@@ -381,15 +381,17 @@ func BenchmarkRunSweep(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
+				res, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
 					Points: points, Trials: 4, Seed: uint64(i) + 1, Workers: tc.workers,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for p, pt := range sr.Points {
-					if pt.Solved != len(pt.Runs) {
-						b.Fatalf("point %d: %d/%d solved", p, pt.Solved, len(pt.Runs))
+				for p, pt := range res {
+					for tr, r := range pt.Runs {
+						if !r.Solved {
+							b.Fatalf("point %d trial %d: unsolved after %d rounds", p, tr, r.Rounds)
+						}
 					}
 				}
 			}

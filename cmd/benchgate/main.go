@@ -50,8 +50,7 @@ import (
 	"strings"
 )
 
-// benchJSON is the BENCH_*.json document shape (schema-tagged like the
-// sweep and benchtable documents).
+// benchJSON is the BENCH_*.json document shape.
 type benchJSON struct {
 	Schema    string     `json:"schema"`
 	GoVersion string     `json:"go_version"`
@@ -178,9 +177,8 @@ func run(args []string) error {
 		return fmt.Errorf("baseline %s: %w", *baseline, err)
 	}
 	if len(base.Rows) == 0 {
-		// A sweep document (bench-v1/v2) parses but carries "points", not
-		// "benchmarks" — gating against it would pass vacuously.
-		return fmt.Errorf("baseline %s contains no benchmark rows (a sweep document is not a bench baseline)", *baseline)
+		// Gating against an empty baseline would pass vacuously.
+		return fmt.Errorf("baseline %s contains no benchmark rows", *baseline)
 	}
 
 	baseNames := make(map[string]bool, len(base.Rows))
@@ -239,15 +237,11 @@ func run(args []string) error {
 }
 
 // acceptedSchemas are the BENCH document schemas this tool understands: its
-// native bench-core documents, plus both revisions of the sweep document
-// (mobilegossip.SweepSchemaV1/V2 — v2 added the sweep seed and mobility
-// churn columns without touching the fields benchgate reads). An empty tag
-// is tolerated for hand-written baselines.
+// native bench-core documents. An empty tag is tolerated for hand-written
+// baselines.
 var acceptedSchemas = map[string]bool{
 	"":                           true,
 	"mobilegossip/bench-core-v1": true,
-	"mobilegossip/bench-v1":      true,
-	"mobilegossip/bench-v2":      true,
 }
 
 // checkSchema rejects baselines from a future or foreign schema instead of

@@ -114,15 +114,17 @@ func TestBaselineSchemaChecked(t *testing.T) {
 	if err := os.WriteFile(in, []byte("BenchmarkA 500 1000 ns/op\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{
-		`{"schema":"mobilegossip/bench-core-v9","benchmarks":[{"name":"A","ns_per_op":1000}]}`,
-		`{"schema":"mobilegossip/bench-v2","points":[]}`,
+	for _, tc := range []struct{ doc, want string }{
+		{`{"schema":"mobilegossip/bench-core-v9","benchmarks":[{"name":"A","ns_per_op":1000}]}`, "unsupported schema"},
+		{`{"schema":"mobilegossip/bench-v2","points":[]}`, "unsupported schema"},
+		{`{"schema":"mobilegossip/bench-core-v1","benchmarks":[]}`, "no benchmark rows"},
 	} {
-		if err := os.WriteFile(base, []byte(doc), 0o644); err != nil {
+		if err := os.WriteFile(base, []byte(tc.doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run([]string{"-input", in, "-baseline", base}); err == nil {
-			t.Errorf("baseline %s accepted", doc)
+		err := run([]string{"-input", in, "-baseline", base})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("baseline %s: got %v, want an error containing %q", tc.doc, err, tc.want)
 		}
 	}
 }

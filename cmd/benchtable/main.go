@@ -14,19 +14,17 @@
 //	benchtable -quick=false   # full sizes (slower, tighter shapes)
 //	benchtable -list          # list experiments
 //	benchtable -parallel 8    # bound the sweep engine's worker pool
-//	benchtable -json > BENCH_quick.json   # machine-readable tables
+//	benchtable -csv           # comma-separated tables, no timing lines
 //
 // Experiment grids run on the internal/runner worker pool (GOMAXPROCS
 // workers by default); results are bit-identical at every -parallel value.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -40,18 +38,6 @@ func main() {
 	}
 }
 
-// jsonDoc is the BENCH_*.json document -json emits: schema tag, the run
-// parameters, and every experiment table.
-type jsonDoc struct {
-	Schema    string           `json:"schema"`
-	GoVersion string           `json:"go_version"`
-	Quick     bool             `json:"quick"`
-	Seed      uint64           `json:"seed"`
-	Workers   int              `json:"workers"`
-	ElapsedMS int64            `json:"elapsed_ms"`
-	Tables    []*harness.Table `json:"tables"`
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchtable", flag.ContinueOnError)
 	var (
@@ -60,7 +46,6 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 42, "experiment seed")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		asCSV    = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		asJSON   = fs.Bool("json", false, "emit one BENCH-shaped JSON document instead of text")
 		parallel = fs.Int("parallel", 0, "sweep worker pool size; 0 = GOMAXPROCS (results identical at any value)")
 		progress = fs.Bool("progress", false, "report sweep progress to stderr")
 	)
@@ -92,18 +77,6 @@ func run(args []string) error {
 		}
 	}
 
-	doc := jsonDoc{
-		Schema:    "mobilegossip/benchtable-v1",
-		GoVersion: runtime.Version(),
-		Quick:     *quick,
-		Seed:      *seed,
-		Workers:   *parallel,
-	}
-	if doc.Workers <= 0 {
-		doc.Workers = runtime.GOMAXPROCS(0)
-	}
-
-	suiteStart := time.Now()
 	for _, e := range todo {
 		if *progress {
 			cur := e.ID
@@ -120,10 +93,6 @@ func run(args []string) error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
-		if *asJSON {
-			doc.Tables = append(doc.Tables, tab)
-			continue
-		}
 		render := tab.Render
 		if *asCSV {
 			render = tab.RenderCSV
@@ -134,12 +103,6 @@ func run(args []string) error {
 		if !*asCSV {
 			fmt.Printf("-- %s finished in %v\n\n", e.ID, elapsed)
 		}
-	}
-	if *asJSON {
-		doc.ElapsedMS = time.Since(suiteStart).Milliseconds()
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
 	}
 	return nil
 }

@@ -18,14 +18,6 @@
 //	gossipsim -alg sharedbit -graph waypoint -n 1000 -k 8 -tau 1 -adversary cutrich -advbudget 100
 //	gossipsim -alg simsharedbit -graph regular -n 256 -k 8 -tau 1 -adversary blackout -advparts 4
 //
-// Comma lists in -n and -k, or -trials > 1, switch to the parallel sweep
-// path: the n×k cross-product grid runs -trials times per point on the
-// worker pool (see mobilegossip.RunSweep), printing one aggregate row per
-// point — or, with -json, one BENCH-shaped JSON document:
-//
-//	gossipsim -alg sharedbit -n 64,128,256 -k 8 -tau 1 -trials 5
-//	gossipsim -alg sharedbit -n 64 -k 4,8,16 -trials 7 -parallel 4 -json
-//
 // Single runs are driven through the stateful session API (mobilegossip.New)
 // and can be checkpointed and resumed:
 //
@@ -37,7 +29,7 @@
 // the checkpoint carries the full deterministic state (token sets, every
 // RNG stream, mobility trajectories).
 //
-// Structured observability (DESIGN.md §12, single runs only): -events
+// Structured observability (DESIGN.md §12): -events
 // streams the session's typed event log — rounds, churn, adversary
 // epochs, checkpoints, session lifecycle — as JSONL, and -metrics serves
 // a Prometheus-style scrape endpoint for the run's duration. The φ(r)
@@ -48,7 +40,7 @@
 //	curl -s localhost:9090/metrics    # while the run lasts
 //	runreport -every 10 events.jsonl  # φ and meters every 10th round
 //
-// Profiling (DESIGN.md §13, single runs only): -profile attaches the
+// Profiling (DESIGN.md §13): -profile attaches the
 // engine's timing sidecar — round/phase latency histograms, the stall
 // detector — without changing the simulation's output in any way. The run then emits round_profile events into -events
 // (feed the file to runreport), exposes latency histograms and a health
@@ -82,9 +74,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"mobilegossip"
@@ -112,24 +102,21 @@ func run(args []string) error {
 	topology := wire.TopologyFlags(fs)
 	fs.IntVar(&cfg.Tau, "tau", 0, "stability factor; 0 = static (τ=∞), t>=1 redraws topology every t rounds")
 	fs.Float64Var(&cfg.Epsilon, "epsilon", 0, "ε-gossip fraction in (0,1); requires -alg sharedbit and -k = -n")
-	fs.Uint64Var(&cfg.Seed, "seed", 1, "run seed (fully determines the execution, sweep or single)")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "run seed (fully determines the execution)")
 	fs.IntVar(&cfg.MaxRounds, "maxrounds", 0, "abort after this many rounds (0 = engine default)")
 	fs.IntVar(&cfg.EngineWorkers, "engineworkers", 0, "accepted and ignored: every round runs on one goroutine")
 	fs.IntVar(&cfg.TagBits, "b", 0, "tag length for -alg sharedbit (>=2 runs the multi-bit generalization)")
-	fs.BoolVar(&cfg.Profile, "profile", false, "attach the engine timing profiler (DESIGN.md §13): round_profile events, latency histograms on -metrics, a post-run summary; never changes the simulation's results (single runs only)")
+	fs.BoolVar(&cfg.Profile, "profile", false, "attach the engine timing profiler (DESIGN.md §13): round_profile events, latency histograms on -metrics, a post-run summary; never changes the simulation's results")
+	fs.IntVar(&cfg.N, "n", 64, "network size")
+	fs.IntVar(&cfg.K, "k", 8, "token count (1..n)")
 	var (
 		algName   = fs.String("alg", "sharedbit", "algorithm: "+strings.Join(mobilegossip.AlgorithmNames(), "|"))
-		nList     = fs.String("n", "64", "network size, or comma list for a sweep")
-		kList     = fs.String("k", "8", "token count (1..n), or comma list for a sweep")
-		trials    = fs.Int("trials", 1, "repetitions per sweep point (>1 switches to the sweep path)")
-		parallel  = fs.Int("parallel", 0, "sweep worker pool size; 0 = GOMAXPROCS (results identical at any value)")
-		asJSON    = fs.Bool("json", false, "emit the sweep as a BENCH-shaped JSON document")
-		ckptFile  = fs.String("checkpoint", "", "write a checkpoint to this file at round -checkpointat, then keep running (single runs only)")
+		ckptFile  = fs.String("checkpoint", "", "write a checkpoint to this file at round -checkpointat, then keep running")
 		ckptAt    = fs.Int("checkpointat", 0, "round at which -checkpoint snapshots the run (0 = when the run finishes)")
 		resumeF   = fs.String("resume", "", "resume from this checkpoint file; the simulation flags come from the checkpoint")
-		eventsF   = fs.String("events", "", "write session events (round/churn/checkpoint/session, DESIGN.md §12) as JSONL to this file (single runs only)")
-		metricsF  = fs.String("metrics", "", "serve Prometheus-style /metrics plus /debug/pprof on this address, e.g. :9090, for the run's duration (single runs only)")
-		remoteF   = fs.String("remote", "", "drive the run against the gossipd daemon at this address (host:port) instead of in-process; output is byte-identical to the local run (single runs only)")
+		eventsF   = fs.String("events", "", "write session events (round/churn/checkpoint/session, DESIGN.md §12) as JSONL to this file")
+		metricsF  = fs.String("metrics", "", "serve Prometheus-style /metrics plus /debug/pprof on this address, e.g. :9090, for the run's duration")
+		remoteF   = fs.String("remote", "", "drive the run against the gossipd daemon at this address (host:port) instead of in-process; output is byte-identical to the local run")
 		remoteGap = fs.Duration("remotepause", 0, "with -remote: idle this long between the -checkpointat snapshot and the final run, giving a daemon with a short -idletimeout room to evict and revive the session (a determinism test hook)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -166,72 +153,7 @@ func run(args []string) error {
 	if cfg.Topology, err = topology(); err != nil {
 		return err
 	}
-	ns, err := parseIntList("n", *nList)
-	if err != nil {
-		return err
-	}
-	ks, err := parseIntList("k", *kList)
-	if err != nil {
-		return err
-	}
-
-	if len(ns) > 1 || len(ks) > 1 || *trials > 1 || *asJSON {
-		if *ckptFile != "" || *eventsF != "" || *metricsF != "" || cfg.Profile {
-			return fmt.Errorf("-checkpoint, -events, -metrics and -profile apply to single runs only, not sweeps")
-		}
-		if *remoteF != "" {
-			return fmt.Errorf("-remote applies to single runs only, not sweeps")
-		}
-		var points []mobilegossip.Config
-		for _, n := range ns {
-			for _, k := range ks {
-				pt := cfg
-				pt.N, pt.K = n, k
-				points = append(points, pt)
-			}
-		}
-		return runSweep(points, *trials, cfg.Seed, *parallel, *asJSON)
-	}
-	cfg.N, cfg.K = ns[0], ks[0]
 	return runSingle(wire.ConfigToWire(cfg, *eventsF != ""), opts, *metricsF, *remoteGap)
-}
-
-// runSweep executes the n×k grid on the worker pool and prints one
-// aggregate row per point (or the JSON document).
-func runSweep(points []mobilegossip.Config, trials int, seed uint64, parallel int, asJSON bool) error {
-	if trials < 1 {
-		trials = 1 // mirror RunSweep's default so the summary line counts right
-	}
-	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
-		Points:  points,
-		Trials:  trials,
-		Seed:    seed,
-		Workers: parallel,
-	})
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		return sr.WriteJSON(os.Stdout)
-	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "algorithm\ttopology\tn\tk\ttrials\tsolved\trounds mean\t[min,max]\tconns mean")
-	for _, pt := range sr.Points {
-		topo := pt.Config.Topology.Kind.String()
-		if len(pt.Runs) > 0 {
-			topo = pt.Runs[0].Topology
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.1f\t[%d,%d]\t%.0f\n",
-			pt.Config.Algorithm, topo, pt.Config.N, pt.Config.K,
-			len(pt.Runs), pt.Solved, pt.MeanRounds, pt.MinRounds, pt.MaxRounds,
-			pt.MeanConnections)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("%d runs on %d workers in %v\n",
-		len(sr.Points)*trials, sr.Workers, sr.Elapsed.Round(time.Millisecond))
-	return nil
 }
 
 // pausing is the -remotepause determinism test hook: it idles before the
@@ -343,17 +265,4 @@ func printProfile(sim *mobilegossip.Simulation) {
 	if cw := p.CheckpointWrite(); cw.Count() > 0 {
 		fmt.Printf("profile: %d checkpoint writes, p50 ≤%v\n", cw.Count(), d(cw.Quantile(0.50)))
 	}
-}
-
-// parseIntList parses "64" or "64,128,256" into positive ints.
-func parseIntList(name, s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-%s: %q is not a positive integer list", name, s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

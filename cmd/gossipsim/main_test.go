@@ -5,47 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"mobilegossip/internal/daemon"
 )
 
-// FuzzParseIntList fuzzes the sweep-list flag parser: any input either
-// yields a list of positive ints matching the comma fields, or an error —
-// never a panic, never a zero/negative size smuggled into a sweep.
-func FuzzParseIntList(f *testing.F) {
-	for _, s := range []string{"64", "64,128,256", " 8 , 16 ", "", ",", "0", "-3",
-		"1e9", "99999999999999999999", "64,,128", "\x00", strings.Repeat("9", 400)} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		got, err := parseIntList("n", s)
-		if err != nil {
-			if got != nil {
-				t.Fatal("error return carried a partial list")
-			}
-			return
-		}
-		fields := strings.Split(s, ",")
-		if len(got) != len(fields) {
-			t.Fatalf("%q: %d values from %d fields", s, len(got), len(fields))
-		}
-		for i, v := range got {
-			if v <= 0 {
-				t.Fatalf("%q: non-positive value %d accepted", s, v)
-			}
-			want, err := strconv.Atoi(strings.TrimSpace(fields[i]))
-			if err != nil || want != v {
-				t.Fatalf("%q: field %d parsed as %d (want %d, %v)", s, i, v, want, err)
-			}
-		}
-	})
-}
-
-// TestRunFlagErrors pins the CLI error paths the fuzzers cannot reach
-// through parseIntList alone.
+// TestRunFlagErrors pins the CLI error paths, including the refusal of
+// sweep flags: an n × k × trials grid is a scenario's grid: block, run
+// with `gossipsim run`.
 func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-alg", "nope"},
@@ -54,7 +22,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-adversary", "cutrich", "-advbudget", "-1"},
 		{"-n", "0"},
 		{"-k", "x"},
-		{"-events", "run.jsonl", "-trials", "2"},
+		{"-n", "32,64"},
+		{"-k", "4,8"},
+		{"-trials", "2"},
+		{"-parallel", "4"},
+		{"-json"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -17,14 +17,13 @@ import (
 )
 
 // Table is one experiment's output: a caption, a header row, data rows and
-// free-form notes (the "paper vs measured" comparison). The JSON tags give
-// benchtable's -json mode its BENCH_*.json row shape.
+// free-form notes (the "paper vs measured" comparison).
 type Table struct {
-	ID      string     `json:"id"`
-	Caption string     `json:"caption"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
+	ID      string
+	Caption string
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 }
 
 // Render writes the table in aligned text form.

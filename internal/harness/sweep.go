@@ -27,14 +27,14 @@ func subRunnerCfg(o Options, label uint64) runner.Config {
 // so cell (p, t) replays with mobilegossip.SweepSeed(o.Seed, p*trials(o)+t).
 // An unsolved run is an error: every table row is a mean over solved runs.
 func sweep(o Options, cfgs []mobilegossip.Config) ([]mobilegossip.PointResult, error) {
-	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
+	points, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
 		Points: cfgs, Trials: trials(o), Seed: o.Seed,
 		Workers: o.Workers, OnProgress: o.OnProgress,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pt := range sr.Points {
+	for _, pt := range points {
 		for _, res := range pt.Runs {
 			if !res.Solved {
 				return nil, fmt.Errorf("harness: %v on %s unsolved after %d rounds",
@@ -42,7 +42,7 @@ func sweep(o Options, cfgs []mobilegossip.Config) ([]mobilegossip.PointResult, e
 			}
 		}
 	}
-	return sr.Points, nil
+	return points, nil
 }
 
 // pointChurn is a point's mean churned edges per executed round, as its

@@ -20,7 +20,6 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -70,14 +69,6 @@ func (c Config) PoolSize(n int) int {
 // grid order. On error it cancels the dispatch of remaining cells and
 // returns the error of the smallest failing index among the cells that ran.
 func Map[T any](cfg Config, n int, fn func(Job) (T, error)) ([]T, error) {
-	return MapContext(context.Background(), cfg, n, fn)
-}
-
-// MapContext is Map with cancellation: when ctx is canceled no further
-// cells are dispatched, in-flight cells finish (work functions that honor
-// ctx themselves abort early), and the context's error is returned unless
-// a cell error (smallest index) takes precedence.
-func MapContext[T any](ctx context.Context, cfg Config, n int, fn func(Job) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative grid size %d", n)
 	}
@@ -99,7 +90,7 @@ func MapContext[T any](ctx context.Context, cfg Config, n int, fn func(Job) (T, 
 	take := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if errIdx >= 0 || next >= n || ctx.Err() != nil {
+		if errIdx >= 0 || next >= n {
 			return 0, false
 		}
 		i := next
@@ -148,9 +139,6 @@ func MapContext[T any](ctx context.Context, cfg Config, n int, fn func(Job) (T, 
 	if errIdx >= 0 {
 		return nil, firstEr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return results, nil
 }
 
@@ -158,15 +146,10 @@ func MapContext[T any](ctx context.Context, cfg Config, n int, fn func(Job) (T, 
 // of point 0, then point 1, …) and returns results indexed [point][trial].
 // The seed passed to fn is the cell's split stream seed.
 func MapGrid[T any](cfg Config, points, trials int, fn func(point, trial int, seed uint64) (T, error)) ([][]T, error) {
-	return MapGridContext(context.Background(), cfg, points, trials, fn)
-}
-
-// MapGridContext is MapGrid with cancellation (see MapContext).
-func MapGridContext[T any](ctx context.Context, cfg Config, points, trials int, fn func(point, trial int, seed uint64) (T, error)) ([][]T, error) {
 	if points < 0 || trials < 0 {
 		return nil, fmt.Errorf("runner: negative grid %d×%d", points, trials)
 	}
-	flat, err := MapContext(ctx, cfg, points*trials, func(j Job) (T, error) {
+	flat, err := Map(cfg, points*trials, func(j Job) (T, error) {
 		return fn(j.Index/max(trials, 1), j.Index%max(trials, 1), j.Seed)
 	})
 	if err != nil {

@@ -201,14 +201,14 @@ func runGridLocal(spec *Spec, opts Options) error {
 		}
 		cfgs[i] = cfg
 	}
-	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
+	points, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
 		Points: cfgs, Trials: spec.Grid.Trials, Seed: spec.Seed,
 	})
 	if err != nil {
 		return err
 	}
 	runs := make([][]client.RunResult, len(pts))
-	for p, pr := range sr.Points {
+	for p, pr := range points {
 		runs[p] = make([]client.RunResult, len(pr.Runs))
 		for t, r := range pr.Runs {
 			runs[p][t] = wire.ResultToWire(r, client.SessionInfo{N: pts[p].n, K: pts[p].k})

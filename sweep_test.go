@@ -1,8 +1,6 @@
 package mobilegossip_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -25,7 +23,7 @@ func sweepPoints() []mobilegossip.Config {
 // TestRunSweepDeterministicAcrossWorkers: RunSweep's central contract —
 // the same SweepConfig yields identical results at every worker count.
 func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
-	var want mobilegossip.SweepResult
+	var want []mobilegossip.PointResult
 	for i, workers := range []int{1, 4, 16} {
 		got, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
 			Points: sweepPoints(), Trials: 3, Seed: 7, Workers: workers,
@@ -37,16 +35,23 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 			want = got
 			continue
 		}
-		if !reflect.DeepEqual(got.Points, want.Points) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d produced different results than workers=1", workers)
 		}
 	}
-	for p, pt := range want.Points {
-		if pt.Solved != len(pt.Runs) {
-			t.Errorf("point %d: %d/%d solved", p, pt.Solved, len(pt.Runs))
+	for p, pt := range want {
+		solved, minR, maxR := 0, pt.Runs[0].Rounds, pt.Runs[0].Rounds
+		for _, r := range pt.Runs {
+			if r.Solved {
+				solved++
+			}
+			minR, maxR = min(minR, r.Rounds), max(maxR, r.Rounds)
 		}
-		if pt.MinRounds > pt.MaxRounds || pt.MeanRounds <= 0 {
-			t.Errorf("point %d: bad aggregate %+v", p, pt)
+		if solved != len(pt.Runs) {
+			t.Errorf("point %d: %d/%d solved", p, solved, len(pt.Runs))
+		}
+		if pt.MeanRounds < float64(minR) || pt.MeanRounds > float64(maxR) || minR <= 0 {
+			t.Errorf("point %d: mean %.1f outside run range [%d,%d]", p, pt.MeanRounds, minR, maxR)
 		}
 	}
 }
@@ -55,13 +60,13 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 // single Run at the seed SweepSeed exposes.
 func TestRunSweepCellReproducibleViaRun(t *testing.T) {
 	const trials = 2
-	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
+	points, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
 		Points: sweepPoints(), Trials: trials, Seed: 99,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, pt := range sr.Points {
+	for p, pt := range points {
 		for tr, got := range pt.Runs {
 			cfg := sweepPoints()[p]
 			cfg.Seed = mobilegossip.SweepSeed(99, p*trials+tr)
@@ -91,7 +96,7 @@ func TestRunSweepValidation(t *testing.T) {
 func TestRunSweepProgress(t *testing.T) {
 	var mu sync.Mutex
 	last, calls := 0, 0
-	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
+	points, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
 		Points: sweepPoints()[:2], Trials: 2, Seed: 3, Workers: 2,
 		OnProgress: func(done, total int) {
 			mu.Lock()
@@ -109,67 +114,15 @@ func TestRunSweepProgress(t *testing.T) {
 	if calls != 4 || last != 4 {
 		t.Errorf("progress: %d calls, last done=%d, want 4/4", calls, last)
 	}
-	if len(sr.Points) != 2 {
-		t.Errorf("points = %d, want 2", len(sr.Points))
+	if len(points) != 2 {
+		t.Errorf("points = %d, want 2", len(points))
 	}
 }
 
-// TestSweepWriteJSON checks the BENCH-shaped document round-trips and
-// carries the per-point aggregates.
-func TestSweepWriteJSON(t *testing.T) {
-	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
-		Points: sweepPoints(), Trials: 2, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string `json:"schema"`
-		Seed    uint64 `json:"seed"`
-		Workers int    `json:"workers"`
-		Points  []struct {
-			Algorithm  string  `json:"algorithm"`
-			N          int     `json:"n"`
-			K          int     `json:"k"`
-			Tau        int     `json:"tau"`
-			Trials     int     `json:"trials"`
-			Solved     int     `json:"solved"`
-			MeanRounds float64 `json:"mean_rounds"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("emitted JSON does not parse: %v\n%s", err, buf.String())
-	}
-	if doc.Schema != mobilegossip.SweepSchemaV2 {
-		t.Errorf("schema = %q, want %q", doc.Schema, mobilegossip.SweepSchemaV2)
-	}
-	if doc.Seed != 5 {
-		t.Errorf("seed = %d, want the sweep base seed 5", doc.Seed)
-	}
-	if doc.Workers < 1 {
-		t.Errorf("workers = %d", doc.Workers)
-	}
-	if len(doc.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(doc.Points))
-	}
-	for i, p := range doc.Points {
-		if p.Algorithm != "sharedbit" || p.Trials != 2 || p.Solved != 2 || p.MeanRounds <= 0 {
-			t.Errorf("point %d malformed: %+v", i, p)
-		}
-		if p.N != []int{16, 24, 32}[i] || p.K != 4 || p.Tau != 1 {
-			t.Errorf("point %d config fields wrong: %+v", i, p)
-		}
-	}
-}
-
-// TestSweepJSONMobilityChurn checks the v2 document carries the mobility
-// churn the v1 rows dropped.
-func TestSweepJSONMobilityChurn(t *testing.T) {
-	sr, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
+// TestRunSweepMobilityChurn checks a mobility sweep's points carry the
+// churn its runs measured, which the harness's churn columns read.
+func TestRunSweepMobilityChurn(t *testing.T) {
+	points, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
 		Points: []mobilegossip.Config{{
 			Algorithm: mobilegossip.AlgSharedBit, N: 48, K: 4,
 			Topology: mobilegossip.Topology{Kind: mobilegossip.MobileWaypoint, Speed: 0.03},
@@ -180,24 +133,7 @@ func TestSweepJSONMobilityChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Points[0].MeanEdgesAdded <= 0 || sr.Points[0].MeanEdgesRemoved <= 0 {
-		t.Fatalf("mobility sweep measured no churn: %+v", sr.Points[0])
-	}
-	var buf bytes.Buffer
-	if err := sr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Points []struct {
-			EdgesAdded   float64 `json:"edges_added"`
-			EdgesRemoved float64 `json:"edges_removed"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Points[0].EdgesAdded != sr.Points[0].MeanEdgesAdded ||
-		doc.Points[0].EdgesRemoved != sr.Points[0].MeanEdgesRemoved {
-		t.Fatalf("JSON churn %+v does not match aggregates %+v", doc.Points[0], sr.Points[0])
+	if points[0].MeanEdgesAdded <= 0 || points[0].MeanEdgesRemoved <= 0 {
+		t.Fatalf("mobility sweep measured no churn: %+v", points[0])
 	}
 }
