@@ -160,7 +160,13 @@ bench-stages:
 #   - the same run with -profile attached must print a byte-identical
 #     result table (the "profile:" timing lines — the only output that
 #     legitimately varies — are stripped): profiling never affects
-#     simulation output (DESIGN.md §13).
+#     simulation output (DESIGN.md §13);
+#   - a static n = 4096 run whose rounds form more connections than the
+#     engine's fan-out minimum (TestDeterminismMatrixCellFansOut in
+#     internal/mtm asserts that they do), so its exchanges run on
+#     GOMAXPROCS goroutines, must write byte-identical tables and event
+#     streams and resume its round-20 checkpoint byte-identically under
+#     the swapped GOMAXPROCS.
 determinism-matrix:
 	$(GO) build -o dmx_benchtable ./cmd/benchtable
 	$(GO) build -o dmx_gossipsim ./cmd/gossipsim
@@ -178,14 +184,23 @@ determinism-matrix:
 			-profile \
 			| grep -v 'wall time\|^profile' > dmx_prof.txt; \
 		cmp dmx_full.txt dmx_prof.txt; \
+		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg sharedbit -graph regular -n 4096 -k 64 -seed 5 -maxrounds 40 \
+			-events dmx_fan.jsonl -checkpoint dmx_fan.ckpt -checkpointat 20 \
+			| grep -v 'wall time\|checkpoint written' > dmx_fan.txt; \
+		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_fan.ckpt \
+			| grep -v 'wall time\|resumed from' > dmx_fan_resumed.txt; \
+		cmp dmx_fan.txt dmx_fan_resumed.txt; \
 		if [ -z "$$ref" ]; then \
 			ref="gmp$$gmp"; cp dmx_cell.csv dmx_ref.csv; cp dmx_full.txt dmx_ref_full.txt; \
+			cp dmx_fan.txt dmx_ref_fan.txt; cp dmx_fan.jsonl dmx_ref_fan.jsonl; \
 		else \
 			cmp dmx_ref.csv dmx_cell.csv; cmp dmx_ref_full.txt dmx_full.txt; \
+			cmp dmx_ref_fan.txt dmx_fan.txt; cmp dmx_ref_fan.jsonl dmx_fan.jsonl; \
 		fi; \
 	done; \
-	rm -f dmx_benchtable dmx_gossipsim dmx.ckpt dmx_cell.csv dmx_ref.csv dmx_full.txt dmx_resumed.txt dmx_ref_full.txt dmx_prof.txt; \
-	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints and profiled runs byte-identical across GOMAXPROCS 1, 2, 4, 8"
+	rm -f dmx_benchtable dmx_gossipsim dmx.ckpt dmx_cell.csv dmx_ref.csv dmx_full.txt dmx_resumed.txt dmx_ref_full.txt dmx_prof.txt \
+		dmx_fan.jsonl dmx_fan.ckpt dmx_fan.txt dmx_fan_resumed.txt dmx_ref_fan.txt dmx_ref_fan.jsonl; \
+	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs and a fanned-out exchange byte-identical across GOMAXPROCS 1, 2, 4, 8"
 
 # determinism-remote is the matrix's service-boundary cell: the same
 # simulation driven locally and through a live gossipd (gossipsim

@@ -104,7 +104,7 @@ func run(args []string) error {
 	fs.Float64Var(&cfg.Epsilon, "epsilon", 0, "ε-gossip fraction in (0,1); requires -alg sharedbit and -k = -n")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "run seed (fully determines the execution)")
 	fs.IntVar(&cfg.MaxRounds, "maxrounds", 0, "abort after this many rounds (0 = engine default)")
-	fs.IntVar(&cfg.EngineWorkers, "engineworkers", 0, "accepted and ignored: every round runs on one goroutine")
+	fs.IntVar(&cfg.EngineWorkers, "engineworkers", 0, "accepted and ignored: a round's exchanges follow GOMAXPROCS")
 	fs.IntVar(&cfg.TagBits, "b", 0, "tag length for -alg sharedbit (>=2 runs the multi-bit generalization)")
 	fs.BoolVar(&cfg.Profile, "profile", false, "attach the engine timing profiler (DESIGN.md §13): round_profile events, latency histograms on -metrics, a post-run summary; never changes the simulation's results")
 	fs.IntVar(&cfg.N, "n", 64, "network size")

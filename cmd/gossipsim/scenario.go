@@ -27,7 +27,7 @@ func runScenario(args []string) error {
 		fmt.Fprintln(fs.Output(), "")
 		fs.PrintDefaults()
 	}
-	fs.Int("engineworkers", 0, "accepted and ignored: every round runs on one goroutine")
+	fs.Int("engineworkers", 0, "accepted and ignored: a round's exchanges follow GOMAXPROCS")
 	var (
 		remoteF  = fs.String("remote", "", "run against the gossipd daemon at this address (host:port) instead of in-process")
 		eventsF  = fs.String("events", "", "write the session's events as JSONL to this file (single runs only)")

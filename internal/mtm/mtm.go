@@ -12,14 +12,18 @@
 // proposer-cannot-receive, uniform acceptance, matching-only connections,
 // per-connection communication budgets, and the τ-stability of the topology
 // schedule. A round is one straight-line pass over the nodes on the calling
-// goroutine — tag, decide, deliver, accept, exchange — and all randomness
-// is drawn from per-node streams, so a seed fixes the execution.
+// goroutine — tag, decide, deliver, accept — but for the exchanges, which
+// a large round fans out; all randomness is drawn from per-node streams,
+// so a seed fixes the execution at any GOMAXPROCS.
 package mtm
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobilegossip/internal/ckpt"
@@ -52,12 +56,12 @@ func Propose(target NodeID) Action { return Action{Propose: true, Target: target
 
 // Protocol is a distributed algorithm in the mobile telephone model. A
 // Protocol owns the state of all nodes; the engine calls its methods with
-// explicit node ids, from one goroutine, in round phase order: Tag for
-// every node, then Decide for every node in ascending id, then Exchange
-// for every accepted connection in ascending responder id. Tag and Decide
-// for node u read/write only u's state (Decide reads its neighbors only
-// through the view); Exchange reads/writes only the two endpoint states of
-// its connection.
+// explicit node ids, in round phase order: Tag for every node, then Decide
+// for every node in ascending id, both from one goroutine, then Exchange
+// for every accepted connection, concurrently and in any order. Tag and
+// Decide for node u read/write only u's state (Decide reads its neighbors
+// only through the view); Exchange reads/writes only its two endpoints'
+// states and its Conn, so one round's Exchange calls never share a node.
 type Protocol interface {
 	// TagBits returns the tag length b >= 0 the protocol uses.
 	TagBits() int
@@ -68,7 +72,8 @@ type Protocol interface {
 	// the node's private randomness stream.
 	Decide(r int, node NodeID, view []Neighbor, rng *prand.RNG) Action
 	// Exchange performs the bounded pairwise communication over an accepted
-	// connection.
+	// connection. From a fanned-out round a panic reaches Step's caller
+	// with its value but Step's stack (GOMAXPROCS 1 keeps the original).
 	Exchange(r int, c *Conn)
 	// Done reports whether the protocol's objective has been reached; the
 	// engine checks it at the end of every round.
@@ -210,6 +215,7 @@ type Engine struct {
 	inbox   []int32  // flat proposal inbox: proposers grouped by target
 	view    []Neighbor
 	conns   []Conn
+	x       fanout // exchange fan-out state (see Engine.exchange)
 
 	// Profiling sidecar (nil = off; see internal/profile and DESIGN.md
 	// §13). Timing is read-only: it draws no randomness and mutates no
@@ -252,6 +258,7 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 		inbox:   make([]int32, n),
 		view:    make([]Neighbor, 0, 64),
 		conns:   make([]Conn, 0, n/2+1),
+		x:       fanout{wake: make(chan struct{}, 1)},
 	}
 	for u := 0; u < n; u++ {
 		e.rngs[u] = prand.New(prand.Mix64(cfg.Seed ^ (uint64(u)+1)*0xd6e8feb86659fd93))
@@ -452,10 +459,10 @@ func (e *Engine) Step() (RoundStats, error) {
 	e.conns = conns
 	phaseNs[profile.PhaseProposal] = lap(prof, &tPhase)
 
-	// Communicate over each accepted connection.
+	// Communicate over each connection, then meter them in responder order.
+	e.exchange(r)
 	for i := range conns {
 		c := &conns[i]
-		proto.Exchange(r, c)
 		stats.Connections++
 		stats.ControlBits += int64(c.bitsUsed)
 		stats.TokensMoved += int64(c.tokensUsed)
@@ -492,6 +499,118 @@ func lap(on bool, t *time.Time) int64 {
 	ns := now.Sub(*t).Nanoseconds()
 	*t = now
 	return ns
+}
+
+// exchangeMin is the fewest connections for which a round fans its
+// exchanges out. A constant of the engine: only tests lower it.
+var exchangeMin = 64
+
+// Parked helpers run exchange chunks for every engine in the process. They
+// grow on demand to GOMAXPROCS−1 and live as long as the process; between
+// offers (an engine and its fan-out generation) a helper holds no engine.
+// Offers are unbuffered, so one succeeds only if a helper is parked.
+var (
+	helperMu     sync.Mutex
+	helpers      int
+	helperOffers = make(chan offer)
+)
+
+type offer struct {
+	e   *Engine
+	gen uint32
+}
+
+// fanout is an engine's state for its current fanned-out round.
+type fanout struct {
+	gen     uint32
+	claim   atomic.Uint64 // gen<<32 | chunks<<16 | next unclaimed chunk
+	done    atomic.Int32  // chunks finished
+	wake    chan struct{} // a helper that finishes the last chunk signals here
+	mu      sync.Mutex
+	panicV  any // the panic of the lowest chunk that panicked
+	panicAt int
+}
+
+// exchange runs Exchange over every connection of round r. The connections
+// form a matching, so a round of at least exchangeMin of them is cut into
+// contiguous chunks that this goroutine and any parked helpers claim; it
+// waits only for chunks a running helper claimed. Once every claimed chunk
+// is done, the lowest panicking chunk's value is re-raised here.
+func (e *Engine) exchange(r int) {
+	conns, w := e.conns, 1
+	if len(conns) >= exchangeMin {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w == 1 {
+		for i := range conns {
+			e.proto.Exchange(r, &conns[i])
+		}
+		return
+	}
+	helperMu.Lock()
+	for ; helpers < w-1; helpers++ {
+		go helper()
+	}
+	helperMu.Unlock()
+	x := &e.x
+	x.gen++
+	x.done.Store(0)
+	// Storing the claim word publishes the round to whoever claims from it.
+	x.claim.Store(uint64(x.gen)<<32 | uint64(min(4*w, len(conns), 1<<16-1))<<16)
+	for i := 1; i < w; i++ {
+		select {
+		case helperOffers <- offer{e, x.gen}:
+		default:
+			i = w // no helper is parked: claim the rest here
+		}
+	}
+	if !e.work(x.gen) {
+		<-x.wake
+	}
+	if v := x.panicV; v != nil {
+		x.panicV = nil
+		panic(v)
+	}
+}
+
+func helper() {
+	for o := range helperOffers {
+		if o.e.work(o.gen) {
+			o.e.x.wake <- struct{}{}
+		}
+	}
+}
+
+// work runs chunks of fan-out gen until none is left and reports whether it
+// finished the last; a helper that gets false must not touch e again.
+func (e *Engine) work(gen uint32) (last bool) {
+	for {
+		v := e.x.claim.Load()
+		i, n := int(v&0xffff), int(v>>16&0xffff)
+		if uint32(v>>32) != gen || i >= n {
+			return last
+		}
+		if e.x.claim.CompareAndSwap(v, v+1) {
+			e.runChunk(i, n)
+			last = e.x.done.Add(1) == int32(n)
+		}
+	}
+}
+
+// runChunk runs chunk i of n, keeping a panic for exchange to re-raise.
+func (e *Engine) runChunk(i, n int) {
+	defer func() {
+		if v := recover(); v != nil {
+			e.x.mu.Lock()
+			if e.x.panicV == nil || i < e.x.panicAt {
+				e.x.panicV, e.x.panicAt = v, i
+			}
+			e.x.mu.Unlock()
+		}
+	}()
+	for j := i * len(e.conns) / n; j < (i+1)*len(e.conns)/n; j++ {
+		e.proto.Exchange(e.conns[j].Round, &e.conns[j])
+	}
 }
 
 // Run executes rounds until the protocol is Done or MaxRounds elapse — the

@@ -2,8 +2,10 @@ package mtm
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mobilegossip/internal/dyngraph"
 	"mobilegossip/internal/graph"
@@ -342,4 +344,64 @@ func (p *hubCounter) Decide(_ int, u NodeID, _ []Neighbor, _ *prand.RNG) Action 
 		return Listen()
 	}
 	return Propose(0)
+}
+
+// evenToOdd: every even node proposes to the next node, so a path of n
+// nodes forms n/2 connections every round — enough to fan out.
+type evenToOdd struct{ onExchange func(c *Conn) }
+
+func (p *evenToOdd) TagBits() int           { return 0 }
+func (p *evenToOdd) Tag(int, NodeID) uint64 { return 0 }
+func (p *evenToOdd) Done() bool             { return false }
+func (p *evenToOdd) Decide(_ int, u NodeID, _ []Neighbor, _ *prand.RNG) Action {
+	if u%2 == 0 {
+		return Propose(u + 1)
+	}
+	return Listen()
+}
+func (p *evenToOdd) Exchange(_ int, c *Conn) {
+	c.ChargeBits(1)
+	if p.onExchange != nil {
+		p.onExchange(c)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestConcurrentExchangePanicReachesCaller: a panic inside Exchange on a
+// helper goroutine must not crash the process; Step re-raises it on the
+// caller with the original value once the round's other chunks are done.
+func TestConcurrentExchangePanicReachesCaller(t *testing.T) {
+	defer SetExchangeMin(1)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	boom := errors.New("exchange exploded")
+	caller := goid()
+	p := &evenToOdd{onExchange: func(*Conn) {
+		if goid() != caller {
+			panic(boom)
+		}
+		// Keep the caller busy so an offered helper gets to claim a chunk.
+		time.Sleep(time.Millisecond)
+	}}
+	e := NewEngine(dyngraph.NewStatic(graph.Path(64)), p, Config{Seed: 1, MaxRounds: 1 << 20})
+	for i := 0; i < 100; i++ {
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		if got != nil {
+			if got != boom {
+				t.Fatalf("Step panicked with %v, want %v", got, boom)
+			}
+			return
+		}
+	}
+	t.Fatal("no helper ran a chunk in 100 rounds")
 }

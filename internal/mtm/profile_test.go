@@ -1,6 +1,7 @@
 package mtm
 
 import (
+	"runtime"
 	"testing"
 
 	"mobilegossip/internal/dyngraph"
@@ -167,7 +168,7 @@ func TestProfileRecordsSequential(t *testing.T) {
 }
 
 // TestProfiledStepAllocs pins the overhead contract: Step stays at
-// 0 allocs/op — with profiling off and with it ON.
+// 0 allocs/op — with profiling off and with it ON, inline and fanned out.
 func TestProfiledStepAllocs(t *testing.T) {
 	for _, profiled := range []bool{false, true} {
 		dyn := dyngraph.NewStatic(graph.Star(256))
@@ -187,6 +188,41 @@ func TestProfiledStepAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("Step (profiled=%v) allocated %.1f/op, want 0", profiled, allocs)
+		}
+	}
+
+	// 256 connections a round fan out. AllocsPerRun pins GOMAXPROCS to 1,
+	// which would keep the round inline, so count mallocs directly.
+	if exchangeMin > 256 {
+		t.Fatalf("fan-out minimum %d above the 256-connection round", exchangeMin)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, profiled := range []bool{false, true} {
+		e := NewEngine(dyngraph.NewStatic(graph.Path(512)), &evenToOdd{}, Config{Seed: 1, MaxRounds: 1 << 30})
+		if profiled {
+			e.SetProfiler(profile.NewRecorder())
+		}
+		step := func() {
+			st, err := e.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Connections != 256 {
+				t.Fatalf("round formed %d connections, want 256", st.Connections)
+			}
+		}
+		for i := 0; i < 8; i++ { // settle scratch growth and start the helpers
+			step()
+		}
+		const rounds = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if allocs := float64(after.Mallocs-before.Mallocs) / rounds; allocs != 0 {
+			t.Fatalf("fanned-out Step (profiled=%v) allocated %.2f/op, want 0", profiled, allocs)
 		}
 	}
 }

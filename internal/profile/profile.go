@@ -68,9 +68,9 @@ type RoundProfile struct {
 	// outside any phase — is not attributed).
 	PhaseNs [NumPhases]int64
 	// Workers, the shard summaries and BarrierNs describe a round split
-	// across goroutines. A round runs on one, so Record stamps Workers 1
-	// and the rest read 0; the fields stay for event schema 3 and the
-	// readers of older event files.
+	// into per-phase shards. No round is, so Record stamps Workers 1 and
+	// the rest read 0; the fields stay for event schema 3 and the readers
+	// of older event files.
 	Workers     int
 	MaxShardNs  int64
 	MinShardNs  int64

@@ -58,7 +58,7 @@ func TestRecorderAggregates(t *testing.T) {
 	if got := rec.PhaseLatency(PhaseProposal).Sum(); got != 1400 {
 		t.Errorf("proposal phase sum = %d, want 1400", got)
 	}
-	// A round runs on one goroutine, so the retained record reads 1 worker.
+	// No round is split into shards, so the retained record reads 1 worker.
 	last := rec.Last()
 	if last.Round != 2 || last.Workers != 1 {
 		t.Errorf("Last = %+v, want round 2 / workers 1", last)

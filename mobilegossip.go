@@ -99,8 +99,8 @@ type Config struct {
 	Seed uint64
 	// MaxRounds aborts unfinished runs (default 2^22).
 	MaxRounds int
-	// EngineWorkers is accepted and ignored: every round runs on the
-	// calling goroutine (DESIGN.md §5 "One range per round"). It is kept so
+	// EngineWorkers is accepted and ignored: a round's exchanges follow
+	// GOMAXPROCS (DESIGN.md §5 "The exchange fans out"). It is kept so
 	// existing callers compile, and is not part of the checkpoint.
 	EngineWorkers int
 	// Profile attaches the timing sidecar (internal/profile, DESIGN.md
