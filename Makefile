@@ -52,10 +52,11 @@ race:
 # the race detector: concurrent sessions over adversary schedules, the
 # event bus/sinks/collector written from several goroutines, the
 # profiling read side (live /metrics scrapes and histogram reads against
-# a running profiled session), and the daemon's full-service traffic mix
-# (create/step/evict/revive/follow/delete under concurrent scrapes).
+# a running profiled session), the daemon's full-service traffic mix
+# (create/step/evict/revive/follow/delete under concurrent scrapes), and
+# every follow test (followers tailing a record that is still growing).
 race-concurrent:
-	$(GO) test -race -count=1 -run 'Concurrent|Backends|Bus|Sink|Collector' \
+	$(GO) test -race -count=1 -run 'Concurrent|Backends|Bus|Sink|Collector|Follow' \
 		. ./internal/mtm ./internal/adversary ./internal/leader ./internal/events ./internal/profile \
 		./internal/daemon
 

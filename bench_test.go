@@ -13,6 +13,7 @@ package mobilegossip_test
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -225,11 +226,11 @@ func BenchmarkPPUSH(b *testing.B) {
 // The sess_* rows step the same workload through the public session API
 // (Simulation.Step, which also publishes on the event bus and samples φ
 // every round) and enforce the bus's zero-alloc contract from both sides:
-// sess_n10000_k64 has no subscriber — Publish must be a single atomic
-// load, 0 allocs/op — and sess_bus_n10000_k64 keeps an async subscriber
-// attached whose queue is never drained, so every round exercises the
-// full publish + filter + bounded-queue path (value-copy sends and
-// select-default drops) and must still report 0 allocs/op.
+// sess_n2048_k1024 has no subscriber — Publish must be a single atomic
+// load, 0 allocs/op — and sess_bus_n2048_k1024 keeps a JSONL sink into
+// io.Discard attached, so every round exercises the full publish +
+// filter + inline AppendJSON + buffered-write path and must still report
+// 0 allocs/op.
 //
 // sess_prof_n2048_k1024 is the same workload with Config.Profile on —
 // clock reads, histogram records, the stall detector, and a
@@ -337,8 +338,8 @@ func BenchmarkEngineRound(b *testing.B) {
 				b.Fatal(err)
 			}
 			if sc.withBus {
-				sub := sim.Bus().Subscribe(mobilegossip.EventFilter{}, 64)
-				defer sub.Close()
+				sink := mobilegossip.NewJSONLSink(sim.Bus(), io.Discard, mobilegossip.EventFilter{}, 0)
+				defer sink.Close()
 			}
 			b.ResetTimer()
 			for !sim.Done() {

@@ -136,25 +136,7 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 // the persistence hook gossipd's checkpoint-backed session eviction
 // rides; it is equally convenient for CLI-level snapshots.
 func (s *Simulation) CheckpointFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.Checkpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return ckpt.WriteFileAtomic(path, s.Checkpoint)
 }
 
 // ResumeFile revives a CheckpointFile (or any Checkpoint stream saved to

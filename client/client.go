@@ -148,9 +148,9 @@ type EventOptions struct {
 	Types []string
 	// MinRound/MaxRound bound Event.Round inclusively (0 = open).
 	MinRound, MaxRound int
-	// Follow switches from replaying the recorded stream to a live SSE
-	// stream (replay first, then follow until the session ends or ctx is
-	// canceled).
+	// Follow keeps the NDJSON response open after the replay and streams
+	// each line as it is recorded, until the session_end line, session
+	// deletion, daemon shutdown, or ctx is canceled.
 	Follow bool
 }
 
@@ -178,9 +178,10 @@ func (o EventOptions) Query() string {
 	return "?" + q.Encode()
 }
 
-// Events streams the session's event log: without Follow, the recorded
-// JSONL replay (application/x-ndjson — the bytes a local -events file
-// would hold); with Follow, a live SSE stream. The caller must Close the
+// Events streams the session's recorded event log as NDJSON
+// (application/x-ndjson — unfiltered, the bytes a local -events file
+// would hold): the replay so far, and with Follow the rest as it is
+// recorded. The session must record events. The caller must Close the
 // reader.
 func (c *Client) Events(ctx context.Context, id string, opts EventOptions) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,

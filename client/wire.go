@@ -36,8 +36,8 @@ type CreateRequest struct {
 	CrowdedBinGamma int `json:"crowdedbin_gamma,omitempty"`
 	// RecordEvents makes the daemon record the session's full event
 	// stream (lossless, eviction-transparent) to its state directory so
-	// the events endpoint can replay it; without it only live follow is
-	// available.
+	// the events endpoint can replay and follow it; without it the
+	// endpoint refuses the session.
 	RecordEvents bool `json:"record_events,omitempty"`
 }
 

@@ -21,7 +21,7 @@
 //	POST   /v1/sessions/{id}/checkpoint    download checkpoint (octet-stream)
 //	POST   /v1/sessions/{id}/cancel        cancel pending run jobs
 //	GET    /v1/sessions/{id}/tokens?node=U token count at node U
-//	GET    /v1/sessions/{id}/events        recorded event replay; ?follow=1 live-streams
+//	GET    /v1/sessions/{id}/events        recorded event replay (NDJSON); ?follow=1 tails the record
 //	GET    /metrics                        daemon + aggregated session metrics
 //
 // Drive it with the client package's typed bindings or with

@@ -32,15 +32,15 @@
 // Every session publishes its lifecycle on a typed event bus
 // (Simulation.Bus): session start/end/cancel, one round_completed event
 // per round, topology churn, adversary epochs, and checkpoint
-// writes/resumes. Subscribe with a filter for a bounded, non-blocking
-// event queue, or attach the provided sinks — NewJSONLSink for a
-// streaming JSONL log, NewEventRing for an in-memory ring with a query
-// API, NewMetricsCollector for a Prometheus-style /metrics exporter
-// (served by gossipsim -metrics). The bus costs the simulation hot path
-// nothing while no subscriber is attached — a contract enforced by the
-// gated bus-attached/bus-detached benchmark rows — and never blocks a
-// round on a slow consumer: bounded queues drop and count instead. The
-// event taxonomy and wire format are documented in DESIGN.md §12.
+// writes/resumes. SubscribeSync with a filter runs a handler inline on
+// every matching event, lossless, or attach the provided sinks —
+// NewJSONLSink for a streaming JSONL log, NewEventRing for an in-memory
+// ring with a query API, NewMetricsCollector for a Prometheus-style
+// /metrics exporter (served by gossipsim -metrics). The bus costs the
+// simulation hot path nothing while no subscriber is attached — a
+// contract enforced by the gated bus-attached/bus-detached benchmark
+// rows. The event taxonomy and wire format are documented in DESIGN.md
+// §12.
 //
 // The internal packages expose the full machinery (engine, graph
 // generators, dynamic schedules, Transfer(ε), leader election, PPUSH) for

@@ -17,10 +17,8 @@ type (
 	EventType = events.Type
 	// EventFilter selects event types and a round window.
 	EventFilter = events.Filter
-	// EventBus is the session's non-blocking publish/subscribe hub.
+	// EventBus is the session's publish/subscribe hub.
 	EventBus = events.Bus
-	// EventSubscription is an asynchronous subscriber's bounded queue.
-	EventSubscription = events.Subscription
 	// EventRing is the in-memory ring-buffer sink with a query API.
 	EventRing = events.Ring
 	// MetricsCollector aggregates events into Prometheus-style metrics.
@@ -58,10 +56,9 @@ func ParseEventType(s string) (EventType, error) { return events.ParseType(s) }
 func NewEventRing(capacity int) *EventRing { return events.NewRing(capacity) }
 
 // NewJSONLSink attaches a JSONL stream sink to bus: events matching f
-// are written to w as one JSON line each, decoupled through a bounded
-// queue of the given capacity (0 = default 4096) so a slow writer drops
-// (and counts) instead of stalling the simulation. Close it after the
-// run to drain, flush, and collect the first write error.
+// are written to w as one JSON line each, inline and lossless. buffer is
+// accepted and ignored. Close it after the run to flush and collect the
+// first write error.
 func NewJSONLSink(bus *EventBus, w io.Writer, f EventFilter, buffer int) *EventJSONLSink {
 	return events.NewJSONLSink(bus, w, f, buffer)
 }

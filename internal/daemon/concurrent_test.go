@@ -92,8 +92,8 @@ func TestDaemonConcurrentTraffic(t *testing.T) {
 					t.Errorf("driver %d: Run(3): %v", g, err)
 					return
 				}
-				// Give the janitor a window to evict under the follower's
-				// pin and the cap's pressure.
+				// Give the janitor a window to evict, under the cap's
+				// pressure, while the follower tails the record.
 				time.Sleep(5 * time.Millisecond)
 				rr, err := c.Run(ctx, info.ID, 0)
 				if err != nil {

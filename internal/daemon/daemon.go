@@ -31,9 +31,8 @@ type Config struct {
 	// MaxLive caps the memory-resident session count: crossing it evicts
 	// least-recently-touched idle sessions to disk checkpoints. 0 means
 	// no cap (only IdleTimeout evicts). The cap is soft — sessions that
-	// are stepping, pinned by event followers, or have queued jobs are
-	// never evicted, so a burst of simultaneously-running sessions can
-	// exceed it until they go idle.
+	// are stepping or have queued jobs are never evicted, so a burst of
+	// simultaneously-running sessions can exceed it until they go idle.
 	MaxLive int
 	// IdleTimeout evicts sessions untouched for this long. 0 disables
 	// idle eviction.
@@ -50,6 +49,7 @@ var (
 	errNoSession    = errors.New("no such session")
 	errShuttingDown = errors.New("daemon is shutting down")
 	errFailed       = errors.New("session failed a model contract and can only be inspected or deleted")
+	errNotRecorded  = errors.New("session does not record events (create with record_events)")
 )
 
 // Daemon multiplexes simulation sessions over a bounded scheduler with
@@ -72,10 +72,6 @@ type Daemon struct {
 	evictsTotal atomic.Int64
 	revivals    atomic.Int64
 	evictErrors atomic.Int64
-	// droppedBase accumulates the bus drop counters of discarded
-	// (evicted/deleted) simulations so gossipd_events_dropped_total is
-	// monotonic across evictions.
-	droppedBase atomic.Int64
 
 	stop    chan struct{}
 	janitor sync.WaitGroup
@@ -226,16 +222,13 @@ func (d *Daemon) attachLocked(s *session, sim *mobilegossip.Simulation) {
 	}
 }
 
-// detachLocked unsubscribes from the current Simulation's bus and folds
-// its drop counter into the monotonic base. Call with s.mu held.
+// detachLocked unsubscribes from the current Simulation's bus. Call with
+// s.mu held.
 func (d *Daemon) detachLocked(s *session) {
 	for _, cancel := range s.subCancels {
 		cancel()
 	}
 	s.subCancels = s.subCancels[:0]
-	if s.sim != nil {
-		d.droppedBase.Add(s.sim.Bus().Dropped())
-	}
 }
 
 // ensureLiveLocked revives an evicted session from its disk checkpoint.
@@ -274,16 +267,16 @@ func (d *Daemon) ensureLiveLocked(s *session) error {
 
 // tryEvict checkpoints an idle session to disk and drops its Simulation.
 // Best-effort and strictly non-blocking: a session that is stepping
-// (lock held), pinned by a follower, queued for work, failed, or already
-// evicted is skipped. The checkpoint write is atomic (CheckpointFile),
-// so a session is only dropped from memory after its state is safely on
-// disk — eviction can never lose a session.
+// (lock held), queued for work, failed, or already evicted is skipped.
+// The checkpoint write is atomic (CheckpointFile), so a session is only
+// dropped from memory after its state is safely on disk — eviction can
+// never lose a session.
 func (d *Daemon) tryEvict(s *session) bool {
 	if !s.mu.TryLock() {
 		return false
 	}
 	defer s.mu.Unlock()
-	if s.gone || s.failed || s.sim == nil || s.pins.Load() > 0 || s.pendingJobs() > 0 {
+	if s.gone || s.failed || s.sim == nil || s.pendingJobs() > 0 {
 		return false
 	}
 	if s.rec != nil {
@@ -585,7 +578,7 @@ func (d *Daemon) Delete(id string) error {
 	d.detachLocked(s)
 	s.sim = nil
 	if s.rec != nil {
-		s.rec.close()
+		s.rec.retire()
 	}
 	s.mu.Unlock()
 	if wasLive {
@@ -622,26 +615,6 @@ func (d *Daemon) State(id string) (client.SessionInfo, error) {
 	return s.info(), nil
 }
 
-// dropped returns the monotonic all-time bus drop count: discarded
-// simulations' counters (folded at detach) plus the live ones'.
-func (d *Daemon) dropped() int64 {
-	total := d.droppedBase.Load()
-	d.mu.RLock()
-	livesubs := make([]*session, 0, len(d.sessions))
-	for _, s := range d.sessions {
-		livesubs = append(livesubs, s)
-	}
-	d.mu.RUnlock()
-	for _, s := range livesubs {
-		s.mu.Lock()
-		if s.sim != nil {
-			total += s.sim.Bus().Dropped()
-		}
-		s.mu.Unlock()
-	}
-	return total
-}
-
 // WriteMetrics renders the daemon-wide exposition: the scheduler and
 // eviction gauges, then the aggregated per-session collector.
 func (d *Daemon) WriteMetrics(w io.Writer) error {
@@ -663,7 +636,6 @@ func (d *Daemon) WriteMetrics(w io.Writer) error {
 		{"gossipd_queue_depth", "gauge", "Run jobs queued on the scheduler.", d.sched.depth.Load()},
 		{"gossipd_slices_total", "counter", "Scheduler fairness slices executed.", d.sched.slices.Load()},
 		{"gossipd_workers", "gauge", "Scheduler worker pool size.", int64(d.Workers())},
-		{"gossipd_events_dropped_total", "counter", "Events dropped by bounded subscriber queues across all session buses, ever.", d.dropped()},
 	}
 	for _, m := range rows {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -417,41 +418,237 @@ func TestDaemonRunCancel(t *testing.T) {
 	}
 }
 
+// readAllWithin reads rc to EOF in the background and returns what it
+// read, failing the test if the stream has not ended within d.
+func readAllWithin(t *testing.T, rc io.ReadCloser, d time.Duration) []byte {
+	t.Helper()
+	type result struct {
+		b   []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		b, err := io.ReadAll(rc)
+		done <- result{b, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("follow stream: %v", r.err)
+		}
+		return r.b
+	case <-time.After(d):
+		rc.Close()
+		t.Fatalf("follow stream did not end within %v", d)
+		return nil
+	}
+}
+
 func TestDaemonFollowEvents(t *testing.T) {
 	_, c := newTestDaemon(t, Config{SliceRounds: 8})
 	ctx := context.Background()
-	info, err := c.Create(ctx, testWire(13))
+	req := testWire(13)
+	req.RecordEvents = true
+	info, err := c.Create(ctx, req)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	// Attach the follower before any stepping: it must see the whole
-	// stream live, ending with session_end, without recording enabled.
+	// stream as it is recorded, ending with session_end.
 	rc, err := c.Events(ctx, info.ID, client.EventOptions{Follow: true})
 	if err != nil {
 		t.Fatalf("Events follow: %v", err)
 	}
 	defer rc.Close()
-	done := make(chan error, 1)
-	var streamed []byte
+	type result struct {
+		b   []byte
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
 		b, err := io.ReadAll(rc)
-		streamed = b
-		done <- err
+		done <- result{b, err}
 	}()
 	if _, err := c.Run(ctx, info.ID, 0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	var streamed []byte
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("follow stream: %v", err)
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("follow stream: %v", r.err)
 		}
+		streamed = r.b
 	case <-time.After(5 * time.Second):
 		t.Fatal("follow stream did not terminate at session end")
 	}
 	local, _ := localEventStream(t, localConfig(13))
 	if !bytes.Equal(streamed, local) {
 		t.Fatalf("followed stream (%d bytes) differs from local (%d bytes)", len(streamed), len(local))
+	}
+
+	// A session that does not record has nothing to follow or replay:
+	// both get the same named error.
+	plain, err := c.Create(ctx, testWire(14))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	for _, follow := range []bool{true, false} {
+		_, err := c.Events(ctx, plain.ID, client.EventOptions{Follow: follow})
+		apiErr := new(client.APIError)
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest ||
+			!strings.Contains(apiErr.Message, errNotRecorded.Error()) {
+			t.Fatalf("Events(follow=%v) on an unrecorded session: %v, want a 400 naming %q", follow, err, errNotRecorded)
+		}
+	}
+}
+
+// TestDaemonFollowSlowReaderConcurrent: a follower that reads nothing
+// while a long session runs to its end still gets every recorded line,
+// and its stream ends by itself — the follower tails the record instead
+// of a bounded queue that would overflow.
+func TestDaemonFollowSlowReaderConcurrent(t *testing.T) {
+	d, err := New(Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := httptest.NewUnstartedServer(d.Handler())
+	srv.Listener = smallBufferListener{srv.Listener}
+	srv.Start()
+	t.Cleanup(func() {
+		srv.Close()
+		d.Close()
+	})
+	c := client.New(srv.URL)
+	ctx := context.Background()
+	info, err := c.Create(ctx, client.CreateRequest{
+		Algorithm:    "crowdedbin",
+		N:            64,
+		K:            16,
+		Topology:     client.TopologySpec{Kind: "regular", Degree: 4},
+		Seed:         5246370202833938734,
+		MaxRounds:    20000,
+		RecordEvents: true,
+	})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	// The follower's socket takes a few kilobytes, not the megabytes a
+	// loopback connection could otherwise buffer for a reader that is
+	// not reading.
+	var followConn *net.TCPConn
+	slow := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err == nil {
+				followConn = conn.(*net.TCPConn)
+				err = followConn.SetReadBuffer(socketBuffer)
+			}
+			return conn, err
+		},
+	}}
+	freq, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/sessions/"+info.ID+"/events?follow=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := slow.Do(freq)
+	if err != nil {
+		t.Fatalf("Events follow: %v", err)
+	}
+	defer resp.Body.Close()
+	rr, err := c.Run(ctx, info.ID, 0)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rr.Solved || rr.Rounds != 20000 {
+		t.Fatalf("session solved=%v after %d rounds, want the stalled 20000-round run", rr.Solved, rr.Rounds)
+	}
+	// Now read, through a buffer wide enough that reading is fast.
+	if err := followConn.SetReadBuffer(4 << 20); err != nil {
+		t.Fatal(err)
+	}
+	followed := readAllWithin(t, resp.Body, 30*time.Second)
+	rc, err := c.Events(ctx, info.ID, client.EventOptions{})
+	if err != nil {
+		t.Fatalf("Events replay: %v", err)
+	}
+	replay, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatalf("reading replay: %v", err)
+	}
+	if !bytes.Equal(followed, replay) {
+		t.Fatalf("slow follower got %d lines (%d bytes), replay has %d lines (%d bytes)",
+			bytes.Count(followed, []byte("\n")), len(followed), bytes.Count(replay, []byte("\n")), len(replay))
+	}
+}
+
+// TestDaemonFollowAcrossEviction: a follower neither pins nor revives
+// its session. The cap evicts the followed session for a decoy, a run
+// revives it, and the follower still sees the local stream byte for
+// byte.
+func TestDaemonFollowAcrossEviction(t *testing.T) {
+	_, c := newTestDaemon(t, Config{MaxLive: 1, SliceRounds: 4})
+	ctx := context.Background()
+	req := testWire(17)
+	req.RecordEvents = true
+	info, err := c.Create(ctx, req)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	rc, err := c.Events(ctx, info.ID, client.EventOptions{Follow: true})
+	if err != nil {
+		t.Fatalf("Events follow: %v", err)
+	}
+	defer rc.Close()
+	if _, err := c.Run(ctx, info.ID, 5); err != nil {
+		t.Fatalf("Run(5): %v", err)
+	}
+	if _, err := c.Create(ctx, testWire(18)); err != nil {
+		t.Fatalf("Create decoy: %v", err)
+	}
+	if st, err := c.State(ctx, info.ID); err != nil || st.Status != "evicted" {
+		t.Fatalf("followed session after the decoy: %+v, %v; want evicted", st, err)
+	}
+	rr, err := c.Run(ctx, info.ID, 0)
+	if err != nil {
+		t.Fatalf("Run(0): %v", err)
+	}
+	if rr.Session.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", rr.Session.Evictions)
+	}
+	local, _ := localEventStream(t, localConfig(17))
+	if followed := readAllWithin(t, rc, 5*time.Second); !bytes.Equal(followed, local) {
+		t.Fatalf("followed stream across evict/revive (%d bytes) differs from local (%d bytes)", len(followed), len(local))
+	}
+}
+
+// TestDaemonFollowEndsOnDelete: deleting a followed session ends the
+// stream after the lines recorded so far.
+func TestDaemonFollowEndsOnDelete(t *testing.T) {
+	_, c := newTestDaemon(t, Config{})
+	ctx := context.Background()
+	req := testWire(19)
+	req.RecordEvents = true
+	info, err := c.Create(ctx, req)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := c.Run(ctx, info.ID, 3); err != nil {
+		t.Fatalf("Run(3): %v", err)
+	}
+	rc, err := c.Events(ctx, info.ID, client.EventOptions{Follow: true})
+	if err != nil {
+		t.Fatalf("Events follow: %v", err)
+	}
+	defer rc.Close()
+	if err := c.Delete(ctx, info.ID); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	followed := readAllWithin(t, rc, 5*time.Second)
+	local, _ := localEventStream(t, localConfig(19))
+	if len(followed) == 0 || !bytes.HasPrefix(local, followed) || bytes.Contains(followed, []byte(`"session_end"`)) {
+		t.Fatalf("stream ended on delete with %d bytes, want a non-empty prefix of the local stream before session_end", len(followed))
 	}
 }
 
@@ -621,4 +818,20 @@ func TestCheckpointFileAtomic(t *testing.T) {
 	if _, err := mobilegossip.ResumeFile(filepath.Join(dir, "missing.ckpt")); err == nil {
 		t.Fatal("ResumeFile on a missing path succeeded")
 	}
+}
+
+// socketBuffer caps both kernel buffers of the slow follower's
+// connection, so that a reader that is not reading is not hidden behind
+// the megabytes a loopback connection could otherwise buffer.
+const socketBuffer = 16 << 10
+
+// smallBufferListener caps the send buffer of every accepted connection.
+type smallBufferListener struct{ net.Listener }
+
+func (l smallBufferListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		err = conn.(*net.TCPConn).SetWriteBuffer(socketBuffer)
+	}
+	return conn, err
 }

@@ -21,9 +21,9 @@
 //     recorded event streams are byte-identical to a never-evicted run.
 //
 //   - Per-session event recording and a daemon-wide metrics collector
-//     ride the PR 7 event bus: each session's lifecycle stream is
-//     recorded losslessly to the state directory (served by the events
-//     endpoint, replay and SSE follow), and one events.Collector
-//     aggregates every session's meters into /metrics next to the
-//     scheduler's own gauges.
+//     ride the event bus: each session's lifecycle stream is recorded
+//     losslessly to the state directory (served by the events endpoint
+//     as an NDJSON replay, and followed by tailing the same file), and
+//     one events.Collector aggregates every session's meters into
+//     /metrics next to the scheduler's own gauges.
 package daemon

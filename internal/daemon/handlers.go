@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
+	"slices"
 	"strconv"
 
 	"mobilegossip"
@@ -220,20 +223,21 @@ func (d *Daemon) handleTokens(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tc)
 }
 
-// handleEvents serves the session's event stream as NDJSON (one event
-// JSON line per event, the internal/events line format):
+// handleEvents serves the session's recorded event stream as NDJSON (one
+// event JSON line per event, the internal/events line format), filtered
+// server-side by ?filter=&minround=&maxround= — unfiltered, it is
+// byte-identical to the JSONL a local run's event sink writes.
 //
-//   - Replay: with recording enabled, the recorded lines so far (filtered
-//     server-side by ?filter=&minround=&maxround=) — byte-identical to
-//     the JSONL a local run's event sink writes.
-//   - Follow (?follow=1): after the replay, the response stays open and
-//     streams matching live events as the session steps, until the
-//     session ends or the client disconnects. The session is pinned
-//     resident while followed (eviction skips pinned sessions).
+//   - Replay: the lines recorded so far.
+//   - Follow (?follow=1): the same replay from the start of the record,
+//     after which the response stays open and keeps reading the record
+//     as it grows. It ends after the session_end line (even when the
+//     filter excludes that line), on session delete, on client
+//     disconnect and on daemon shutdown.
 //
-// Follow attaches the live subscription and snapshots the replay under
-// the session lock, so the hand-off is gapless and duplicate-free: every
-// event is either in the replay or on the subscription, never both.
+// Both read the recorder's file, never the bus or the session lock: a
+// follower is gapless however slowly it reads, and it neither pins the
+// session nor revives an evicted one.
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	filter, follow, err := parseEventsQuery(r.URL.RawQuery)
 	if err != nil {
@@ -246,80 +250,71 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.touch()
-
-	var replay []byte
-	var sub *events.Subscription
-	s.mu.Lock()
-	if follow {
-		if err := d.ensureLiveLocked(s); err != nil {
-			s.mu.Unlock()
-			writeErr(w, err)
-			return
-		}
-		s.pins.Add(1)
-		defer s.pins.Add(-1)
-		// Follow wants the end of the stream too, which the round-window
-		// filter would cut off; subscribe for lifecycle events regardless
-		// and re-filter rounds client-side of the channel.
-		sub = s.sim.Bus().Subscribe(events.Filter{Types: filter.Types}, 1024)
-		defer sub.Close()
+	if s.rec == nil {
+		writeErr(w, fmt.Errorf("session %s: %w", s.id, errNotRecorded))
+		return
 	}
-	if s.rec != nil {
-		replay, err = s.rec.snapshot(filter)
-	}
-	s.mu.Unlock()
+	f, err := os.Open(s.rec.path)
 	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			err = errNoSession // deleted since the lookup
+		}
 		writeErr(w, err)
 		return
 	}
-	if !follow && s.rec == nil {
-		writeErr(w, fmt.Errorf("session %s does not record events (create with record_events); live streaming needs follow=1", s.id))
+	defer f.Close()
+	limit, over, wait, err := s.rec.tail(0, follow)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	if len(replay) > 0 {
-		if _, err := w.Write(replay); err != nil {
-			return
-		}
-	}
 	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
 	if !follow {
-		return
+		flusher = nil // a replay is one response body
+	} else if flusher != nil {
+		flusher.Flush() // a follower's client returns once it has the headers
 	}
+	unfiltered := len(filter.Types) == 0 && filter.MinRound == 0 && filter.MaxRound == 0
+	var off int64
 	var buf []byte
 	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-d.stop:
-			return
-		case ev, ok := <-sub.Events():
-			if !ok {
+		if limit > off {
+			buf = slices.Grow(buf[:0], int(limit-off))[:limit-off]
+			if _, err := f.ReadAt(buf, off); err != nil {
 				return
 			}
-			if !filter.Match(ev) {
-				if ev.Type == events.TypeSessionEnd {
+			off = limit
+			out := buf
+			if !unfiltered {
+				if out, err = filterLines(buf, filter); err != nil {
 					return
 				}
-				continue
 			}
-			buf = ev.AppendJSON(buf[:0])
-			buf = append(buf, '\n')
-			if _, err := w.Write(buf); err != nil {
+			if _, err := w.Write(out); err != nil {
 				return
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
-			if ev.Type == events.TypeSessionEnd {
+		}
+		if over {
+			return
+		}
+		if wait != nil {
+			select {
+			case <-wait:
+			case <-r.Context().Done():
+				return
+			case <-d.stop:
 				return
 			}
+		}
+		if limit, over, wait, err = s.rec.tail(off, follow); err != nil {
+			return
 		}
 	}
 }

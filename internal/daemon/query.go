@@ -49,7 +49,7 @@ func decodeCreateRequest(body []byte) (client.CreateRequest, error) {
 //
 //	filter=TYPE[,TYPE...]  type allow-list (empty/absent: every type)
 //	minround=N, maxround=N inclusive round window (0: open)
-//	follow=1|true          live-stream after replay (SSE)
+//	follow=1|true          after the replay, tail the record until session_end
 //
 // Unknown parameters are rejected for the same reason unknown JSON
 // fields are: a typo like "fitler=" silently streaming everything is

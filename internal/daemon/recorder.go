@@ -28,6 +28,14 @@ import (
 // checkpoints and client-driven resumes are NOT suppressed: a local run
 // that checkpoints (or starts from gossipsim -resume) records those
 // events too.
+//
+// The file is also what the events endpoint serves, replay and follow
+// alike: a reader asks tail how far the flushed file reaches and, when
+// it has read everything, waits on a channel the next appended line
+// closes. Readers never touch the bus or the session lock, so however
+// slowly a follower reads it loses nothing. A session with no follower
+// pays nothing for this; a follower that keeps up costs up to one flush
+// per recorded line, which observe waits for on r.mu.
 type recorder struct {
 	path  string
 	lines atomic.Int64
@@ -54,6 +62,17 @@ type recorder struct {
 	suppressNextStart  bool // drop the next session_start (revival)
 	suppressNextResume bool // drop the next checkpoint_resumed (revival)
 	err                error
+	// size is the recorded stream's length in bytes; all of it is in the
+	// file once bw is flushed. end is the offset just past the first
+	// session_end line (0 before it): where a follow stream stops.
+	size, end int64
+	// retired: the session was deleted and nothing more will be
+	// recorded.
+	retired bool
+	// wake is closed by the next append (or retire) when a reader waits
+	// for one, and nil while none does, so recording without followers
+	// pays nothing for them.
+	wake chan struct{}
 }
 
 // newRecorder creates (truncating) the session's event log at path.
@@ -98,9 +117,21 @@ func (r *recorder) observe(ev events.Event) {
 		if r.err == nil {
 			r.err = err
 		}
-		return
+	} else {
+		r.lines.Add(1)
+		r.size += int64(len(r.buf))
+		if ev.Type == events.TypeSessionEnd && r.end == 0 {
+			r.end = r.size
+		}
 	}
-	r.lines.Add(1)
+	r.wakeLocked()
+}
+
+func (r *recorder) wakeLocked() {
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
 }
 
 // armRevival sets the suppression for the revived simulation's
@@ -125,11 +156,21 @@ func (r *recorder) setSuppressCheckpoint(v bool) {
 	r.mu.Unlock()
 }
 
-// close flushes and closes the file (eviction, deletion). Idempotent.
+// close flushes and closes the file on eviction. Idempotent.
 func (r *recorder) close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.closeLocked()
+}
+
+// retire closes the file for good (session deletion) and ends every
+// follower once it has read what was recorded.
+func (r *recorder) retire() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closeLocked()
+	r.retired = true
+	r.wakeLocked()
 }
 
 func (r *recorder) closeLocked() error {
@@ -164,36 +205,32 @@ func (r *recorder) reopen() error {
 	return nil
 }
 
-// snapshot flushes pending writes and returns the recorded stream so
-// far, optionally filtered. With a zero filter the raw bytes come back
-// untouched (the byte-identical replay path); with a filter each line is
-// decoded, matched, and the matching ORIGINAL lines are returned, so
-// filtering never re-encodes (and thus never perturbs) recorded bytes.
-func (r *recorder) snapshot(f events.Filter) ([]byte, error) {
+// tail flushes pending writes and reports how far a reader at offset
+// off may read: the flushed end of the record or, for a follower, the
+// end of its first session_end line. over says the stream ends there (a
+// replay, a session_end, a deleted session); otherwise, when there is
+// nothing new to read, wait is a channel the next appended line (or the
+// deletion) closes.
+func (r *recorder) tail(off int64, follow bool) (limit int64, over bool, wait <-chan struct{}, err error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil && r.bw != nil {
+		r.err = r.bw.Flush()
+	}
 	if r.err != nil {
-		err := r.err
-		r.mu.Unlock()
-		return nil, err
+		return 0, false, nil, r.err
 	}
-	if r.bw != nil {
-		if err := r.bw.Flush(); err != nil {
-			if r.err == nil {
-				r.err = err
-			}
-			r.mu.Unlock()
-			return nil, err
+	limit, over = r.size, !follow || r.retired
+	if follow && r.end > 0 {
+		limit, over = r.end, true
+	}
+	if !over && limit <= off {
+		if r.wake == nil {
+			r.wake = make(chan struct{})
 		}
+		wait = r.wake
 	}
-	raw, err := os.ReadFile(r.path)
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if len(f.Types) == 0 && f.MinRound == 0 && f.MaxRound == 0 {
-		return raw, nil
-	}
-	return filterLines(raw, f)
+	return limit, over, wait, nil
 }
 
 // filterLines keeps the raw JSONL lines whose decoded event matches f.

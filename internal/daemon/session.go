@@ -53,9 +53,6 @@ type session struct {
 	evictions atomic.Int64
 	lastTouch atomic.Int64 // unix nanos of the last client touch or slice
 
-	// pins blocks eviction while > 0 (event followers hold one).
-	pins atomic.Int64
-
 	rec *recorder // lossless event log; nil unless RecordEvents
 
 	// jobs tracks this session's queued and executing run jobs so the

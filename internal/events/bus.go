@@ -5,23 +5,20 @@ import (
 	"sync/atomic"
 )
 
-// Bus is a non-blocking publish/subscribe hub for session events. One
-// Bus watches one simulation; the session layer publishes, sinks and
-// user code subscribe. All methods are safe for concurrent use.
+// Bus is a publish/subscribe hub for session events. One Bus watches
+// one simulation; the session layer publishes, sinks and user code
+// subscribe. All methods are safe for concurrent use.
 //
-// Publish never blocks and never allocates: with no subscribers it is a
-// single atomic load, and with subscribers each delivery either copies
-// the event into a bounded channel (asynchronous), runs a handler
-// inline (synchronous), or drops and counts (full queue). See the
-// package documentation for the two delivery regimes.
+// Every subscriber is synchronous: Publish runs each matching handler
+// inline, in registration order, so every subscriber sees every event it
+// matches — no queue, no drops. With no subscribers Publish is a single
+// atomic load and never allocates. See the package documentation.
 type Bus struct {
-	active  atomic.Int32 // subscriber count, read lock-free by Publish
-	dropped atomic.Int64 // drops summed over all subscribers, ever
+	active atomic.Int32 // subscriber count, read lock-free by Publish
 
 	mu     sync.Mutex
 	nextID uint64
-	syncs  []syncSub
-	subs   []*Subscription
+	subs   []syncSub
 }
 
 type syncSub struct {
@@ -35,8 +32,7 @@ func NewBus() *Bus { return &Bus{} }
 
 // Publish delivers ev to every matching subscriber. With none attached
 // (or a nil bus) it returns immediately — this is the hot-path case the
-// zero-alloc contract pins. It never blocks: an asynchronous subscriber
-// whose queue is full loses the event to its drop counter instead.
+// zero-alloc contract pins.
 func (b *Bus) Publish(ev Event) {
 	if b == nil || b.active.Load() == 0 {
 		return
@@ -47,62 +43,33 @@ func (b *Bus) Publish(ev Event) {
 func (b *Bus) publish(ev Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := range b.syncs {
-		if b.syncs[i].filter.Match(ev) {
-			b.syncs[i].fn(ev)
-		}
-	}
-	for _, s := range b.subs {
-		if !s.filter.Match(ev) {
-			continue
-		}
-		select {
-		case s.ch <- ev:
-		default:
-			s.dropped.Add(1)
-			b.dropped.Add(1)
+	for i := range b.subs {
+		if b.subs[i].filter.Match(ev) {
+			b.subs[i].fn(ev)
 		}
 	}
 }
 
-// Subscribe registers an asynchronous subscriber: events matching f are
-// copied into a bounded queue of the given capacity (minimum 1) and
-// read from Subscription.Events. A subscriber that falls behind drops
-// events (counted on Subscription.Dropped) rather than stalling the
-// publisher. Close the subscription when done.
-func (b *Bus) Subscribe(f Filter, buffer int) *Subscription {
-	if buffer < 1 {
-		buffer = 1
-	}
-	s := &Subscription{bus: b, filter: f, ch: make(chan Event, buffer)}
-	b.mu.Lock()
-	b.nextID++
-	s.id = b.nextID
-	b.subs = append(b.subs, s)
-	b.mu.Unlock()
-	b.active.Add(1)
-	return s
-}
-
-// SubscribeSync registers a synchronous subscriber: fn runs inline on
-// the publishing goroutine for every event matching f, in registration
-// order, and sees every matching event (no queue, no drops). Handlers
-// must be fast and must not call back into the Bus. The returned cancel
-// function detaches the subscriber; it is idempotent.
+// SubscribeSync registers a subscriber: fn runs inline on the publishing
+// goroutine for every event matching f, in registration order, and sees
+// every matching event (no queue, no drops). Handlers must be fast and
+// must not call back into the Bus. The returned cancel function detaches
+// the subscriber; it is idempotent, and once it returns fn is not running
+// and will not run again.
 func (b *Bus) SubscribeSync(f Filter, fn func(Event)) (cancel func()) {
 	b.mu.Lock()
 	b.nextID++
 	id := b.nextID
-	b.syncs = append(b.syncs, syncSub{id: id, filter: f, fn: fn})
+	b.subs = append(b.subs, syncSub{id: id, filter: f, fn: fn})
 	b.mu.Unlock()
 	b.active.Add(1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			b.mu.Lock()
-			for i := range b.syncs {
-				if b.syncs[i].id == id {
-					b.syncs = append(b.syncs[:i], b.syncs[i+1:]...)
+			for i := range b.subs {
+				if b.subs[i].id == id {
+					b.subs = append(b.subs[:i], b.subs[i+1:]...)
 					break
 				}
 			}
@@ -112,61 +79,10 @@ func (b *Bus) SubscribeSync(f Filter, fn func(Event)) (cancel func()) {
 	}
 }
 
-// Subscribers returns the number of currently attached subscribers,
-// synchronous and asynchronous.
+// Subscribers returns the number of currently attached subscribers.
 func (b *Bus) Subscribers() int {
 	if b == nil {
 		return 0
 	}
 	return int(b.active.Load())
-}
-
-// Dropped returns the total number of events dropped across every
-// subscriber this bus has ever had, including closed ones. The metrics
-// exporter surfaces it as mobilegossip_events_dropped_total.
-func (b *Bus) Dropped() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped.Load()
-}
-
-// Subscription is one asynchronous subscriber's handle: a bounded event
-// queue plus its drop counter.
-type Subscription struct {
-	bus     *Bus
-	id      uint64
-	filter  Filter
-	ch      chan Event
-	dropped atomic.Int64
-}
-
-// Events returns the subscription's receive channel. It is closed by
-// Close, so ranging over it terminates once the subscription ends.
-func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Dropped returns how many matching events were lost because the queue
-// was full when they were published.
-func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
-
-// Close detaches the subscription and closes its channel; pending
-// events remain readable until drained. Closing twice is a no-op.
-func (s *Subscription) Close() {
-	b := s.bus
-	b.mu.Lock()
-	found := false
-	for i, sub := range b.subs {
-		if sub == s {
-			b.subs = append(b.subs[:i], b.subs[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if found {
-		close(s.ch)
-	}
-	b.mu.Unlock()
-	if found {
-		b.active.Add(-1)
-	}
 }

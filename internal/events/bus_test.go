@@ -3,7 +3,9 @@ package events
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestFilterMatch(t *testing.T) {
@@ -76,33 +78,35 @@ func TestTypeNamesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBusPublishSubscribe(t *testing.T) {
+func TestBusPublishSubscribeSync(t *testing.T) {
 	b := NewBus()
-	sub := b.Subscribe(Filter{Types: []Type{TypeRoundCompleted}}, 8)
-	defer sub.Close()
+	var got []Event
+	cancel := b.SubscribeSync(Filter{Types: []Type{TypeRoundCompleted}}, func(ev Event) {
+		got = append(got, ev)
+	})
+	defer cancel()
 
 	b.Publish(Event{Type: TypeSessionStart, N: 10})
 	b.Publish(Event{Type: TypeRoundCompleted, Round: 1, Potential: 9})
 	b.Publish(Event{Type: TypeChurnApplied, Round: 2})
 	b.Publish(Event{Type: TypeRoundCompleted, Round: 2, Potential: 7})
 
-	got := []Event{<-sub.Events(), <-sub.Events()}
+	if len(got) != 2 {
+		t.Fatalf("delivered %d events, want the 2 round_completed (filtered-out events leaked)", len(got))
+	}
 	if got[0].Round != 1 || got[1].Round != 2 {
 		t.Fatalf("rounds = %d, %d; want 1, 2", got[0].Round, got[1].Round)
 	}
 	if got[1].Potential != 7 {
 		t.Fatalf("potential = %d, want 7", got[1].Potential)
 	}
-	if len(sub.Events()) != 0 {
-		t.Fatal("filtered-out events leaked into the queue")
-	}
 }
 
 func TestBusNilAndEmptyPublish(t *testing.T) {
 	var nilBus *Bus
 	nilBus.Publish(Event{Type: TypeRoundCompleted}) // must not panic
-	if nilBus.Subscribers() != 0 || nilBus.Dropped() != 0 {
-		t.Fatal("nil bus reported subscribers or drops")
+	if nilBus.Subscribers() != 0 {
+		t.Fatal("nil bus reported subscribers")
 	}
 
 	b := NewBus()
@@ -113,24 +117,25 @@ func TestBusNilAndEmptyPublish(t *testing.T) {
 	}
 }
 
-func TestBusSlowSubscriberDrops(t *testing.T) {
+// TestBusSlowSubscriberIsLossless: a subscriber slower than the
+// publisher slows it down instead of losing events, and Publish returns
+// only once every matching handler has run.
+func TestBusSlowSubscriberIsLossless(t *testing.T) {
 	b := NewBus()
-	sub := b.Subscribe(Filter{}, 2) // bounded queue, never drained
-	defer sub.Close()
+	var slow, fast []int
+	cancelSlow := b.SubscribeSync(Filter{}, func(ev Event) {
+		time.Sleep(time.Millisecond)
+		slow = append(slow, ev.Round)
+	})
+	defer cancelSlow()
+	cancelFast := b.SubscribeSync(Filter{}, func(ev Event) { fast = append(fast, ev.Round) })
+	defer cancelFast()
 
 	for r := 1; r <= 10; r++ {
 		b.Publish(Event{Type: TypeRoundCompleted, Round: r})
-	}
-	if got := sub.Dropped(); got != 8 {
-		t.Fatalf("subscription dropped %d events, want 8", got)
-	}
-	if got := b.Dropped(); got != 8 {
-		t.Fatalf("bus dropped %d events, want 8", got)
-	}
-	// The queue holds the oldest events (drops discard the newest).
-	first := <-sub.Events()
-	if first.Round != 1 {
-		t.Fatalf("first queued round = %d, want 1", first.Round)
+		if len(slow) != r || slow[r-1] != r || len(fast) != r {
+			t.Fatalf("after Publish(round %d): slow saw %v, fast saw %v", r, slow, fast)
+		}
 	}
 }
 
@@ -160,25 +165,45 @@ func TestBusSyncOrderAndCancel(t *testing.T) {
 	}
 }
 
-func TestSubscriptionClose(t *testing.T) {
+// TestSubscribeSyncCancelWaitsForHandler: once cancel returns, the
+// handler is not running and never runs again — what lets JSONLSink.Close
+// flush its writer without a lock of its own.
+func TestSubscribeSyncCancelWaitsForHandler(t *testing.T) {
 	b := NewBus()
-	sub := b.Subscribe(Filter{}, 4)
-	b.Publish(Event{Type: TypeRoundCompleted, Round: 1})
-	sub.Close()
-	sub.Close() // closing twice is a no-op
-
-	// Pending events stay readable after Close; then the channel ends.
-	var got []Event
-	for ev := range sub.Events() {
-		got = append(got, ev)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	cancel := b.SubscribeSync(Filter{}, func(ev Event) {
+		calls.Add(1)
+		close(entered)
+		<-release
+	})
+	published := make(chan struct{})
+	go func() {
+		b.Publish(Event{Type: TypeRoundCompleted, Round: 1})
+		close(published)
+	}()
+	<-entered
+	canceled := make(chan struct{})
+	go func() {
+		cancel()
+		close(canceled)
+	}()
+	select {
+	case <-canceled:
+		t.Fatal("cancel returned while the handler was running")
+	case <-time.After(20 * time.Millisecond):
 	}
-	if len(got) != 1 || got[0].Round != 1 {
-		t.Fatalf("drained %v after Close, want the one pending event", got)
-	}
+	close(release)
+	<-canceled
+	<-published
+	cancel() // idempotent
 	if b.Subscribers() != 0 {
-		t.Fatalf("Subscribers = %d after Close, want 0", b.Subscribers())
+		t.Fatalf("Subscribers = %d after cancel, want 0", b.Subscribers())
 	}
-	b.Publish(Event{Type: TypeRoundCompleted, Round: 2}) // must not panic
+	b.Publish(Event{Type: TypeRoundCompleted, Round: 2})
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want once (not after cancel)", n)
+	}
 }
 
 // TestBusConcurrentPublish races many publishers against subscribe /
@@ -186,7 +211,6 @@ func TestSubscriptionClose(t *testing.T) {
 func TestBusConcurrentPublish(t *testing.T) {
 	b := NewBus()
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 
 	collected := NewRing(1024)
 	detach := collected.Attach(b, Filter{})
@@ -205,17 +229,12 @@ func TestBusConcurrentPublish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			sub := b.Subscribe(Filter{Types: []Type{TypeRoundCompleted}}, 4)
-			select {
-			case <-sub.Events():
-			case <-stop:
-			default:
-			}
-			sub.Close()
+			var seen atomic.Int64
+			cancel := b.SubscribeSync(Filter{Types: []Type{TypeRoundCompleted}}, func(Event) { seen.Add(1) })
+			cancel()
 		}
 	}()
 	wg.Wait()
-	close(stop)
 
 	if got := collected.Len() + int(collected.Evicted()); got != 4*500 {
 		t.Fatalf("sync ring saw %d events, want %d (sync delivery is lossless)", got, 4*500)

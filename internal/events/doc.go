@@ -1,10 +1,9 @@
 // Package events is the simulation's structured observability layer: a
-// non-blocking publish/subscribe bus carrying typed, versioned session
-// events (see Type for the taxonomy), with per-subscriber filters,
-// bounded queues that drop-and-count rather than stall the publisher,
-// and three provided sinks — a JSONL stream writer (JSONLSink), an
-// in-memory ring buffer with a query API (Ring), and a Prometheus-style
-// text exporter (Collector).
+// publish/subscribe bus carrying typed, versioned session events (see
+// Type for the taxonomy), with per-subscriber filters, and three
+// provided sinks — a JSONL stream writer (JSONLSink), an in-memory ring
+// buffer with a query API (Ring), and a Prometheus-style text exporter
+// (Collector).
 //
 // The session layer (mobilegossip.Simulation) owns one Bus per run and
 // publishes every lifecycle event on it; the public package re-exports
@@ -18,21 +17,19 @@
 // one atomic load, no locks, no heap allocations — so the engine's
 // 0 allocs/op round contract survives the bus being plumbed in. With
 // subscribers attached, delivery still never allocates: events are flat
-// value structs copied into bounded channels (asynchronous subscribers)
-// or handed to handlers inline (synchronous subscribers); a full queue
-// drops the event and counts the drop instead of blocking the round
-// loop. Both regimes are pinned by the gated bus-detached/bus-attached
-// rows of BenchmarkEngineRound (see DESIGN.md §12).
+// value structs handed to handlers inline, and the JSONL sink encodes
+// into a reused buffer. Both cases are pinned by the gated
+// bus-detached/bus-attached rows of BenchmarkEngineRound (see
+// DESIGN.md §12).
 //
 // # Delivery semantics
 //
-// Synchronous subscribers (SubscribeSync, and the Ring and Collector
-// sinks built on it) run inline on the publishing goroutine, in
-// registration order, and see every matching event — they trade
-// publisher latency for losslessness, and their handlers must be fast
-// and must not call back into the Bus. Asynchronous subscribers
-// (Subscribe, and the JSONLSink built on it) decouple through a bounded
-// channel: the publisher never waits, and a subscriber that falls
-// behind loses events to its drop counter (Subscription.Dropped) rather
-// than slowing the simulation.
+// There is one delivery regime. Subscribers (SubscribeSync, and the
+// JSONLSink, Ring and Collector sinks built on it) run inline on the
+// publishing goroutine, in registration order, and see every matching
+// event: no queue, no drops. They trade publisher latency for
+// losslessness, so handlers must be fast and must not call back into
+// the Bus. A consumer that must not slow the simulation reads a record
+// afterwards instead — gossipd's followers tail the session's recorded
+// JSONL file.
 package events

@@ -6,27 +6,24 @@ import (
 	"mobilegossip/internal/events"
 )
 
-// Subscribe with a filter: only round_completed events inside a round
-// window reach the bounded queue; everything else passes the subscriber
-// by without blocking the publisher.
-func ExampleBus_Subscribe() {
+// SubscribeSync with a filter: only round_completed events inside a
+// round window reach the handler, which runs inline on the publishing
+// goroutine; everything else passes the subscriber by.
+func ExampleBus_SubscribeSync() {
 	bus := events.NewBus()
-	sub := bus.Subscribe(events.Filter{
+	cancel := bus.SubscribeSync(events.Filter{
 		Types:    []events.Type{events.TypeRoundCompleted},
 		MinRound: 2,
-	}, 16)
-	defer sub.Close()
+	}, func(ev events.Event) {
+		fmt.Printf("%s round=%d φ=%d\n", ev.Type, ev.Round, ev.Potential)
+	})
+	defer cancel()
 
 	bus.Publish(events.Event{Type: events.TypeSessionStart, N: 8, K: 4})
 	for round := 1; round <= 3; round++ {
 		bus.Publish(events.Event{
 			Type: events.TypeRoundCompleted, Round: round, Potential: 10 - round,
 		})
-	}
-
-	for len(sub.Events()) > 0 {
-		ev := <-sub.Events()
-		fmt.Printf("%s round=%d φ=%d\n", ev.Type, ev.Round, ev.Potential)
 	}
 	// Output:
 	// round_completed round=2 φ=8

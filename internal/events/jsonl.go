@@ -8,67 +8,52 @@ import (
 )
 
 // JSONLSink streams events to an io.Writer as one JSON line per event
-// (the schema-versioned encoding of Event.AppendJSON). It is an
-// asynchronous subscriber: a drain goroutine moves events from a
-// bounded queue to the writer, so a slow writer never stalls the
-// simulation — it drops (counted on Dropped) instead. Writes are
-// buffered; Close detaches, drains what was queued, flushes, and
-// reports the first write error.
+// (the schema-versioned encoding of Event.AppendJSON). It is a
+// synchronous subscriber, like the daemon's recorder: each event is
+// encoded into a reused buffer and handed to a bufio.Writer on the
+// publishing goroutine, so the stream is lossless and steady-state
+// recording allocates nothing. Close detaches, flushes, and reports the
+// first write error.
 type JSONLSink struct {
-	sub     *Subscription
+	cancel  func()
 	bw      *bufio.Writer
-	done    chan struct{}
+	buf     []byte
 	written atomic.Int64
+	dropped atomic.Int64
 
 	mu  sync.Mutex
 	err error
 }
 
-// NewJSONLSink subscribes to bus with filter f and a queue of the given
-// capacity (0 selects the default, 4096) and starts the drain
-// goroutine. Call Close to stop recording and flush.
+// NewJSONLSink subscribes a sink writing the events matching f to w.
+// buffer is accepted and ignored (delivery is synchronous). Call Close
+// to stop recording and flush.
 func NewJSONLSink(bus *Bus, w io.Writer, f Filter, buffer int) *JSONLSink {
-	if buffer < 1 {
-		buffer = 4096
-	}
-	s := &JSONLSink{
-		sub:  bus.Subscribe(f, buffer),
-		bw:   bufio.NewWriter(w),
-		done: make(chan struct{}),
-	}
-	go s.drain()
+	s := &JSONLSink{bw: bufio.NewWriter(w)}
+	s.cancel = bus.SubscribeSync(f, s.write)
 	return s
 }
 
-func (s *JSONLSink) drain() {
-	defer close(s.done)
-	var buf []byte
-	for ev := range s.sub.Events() {
-		buf = ev.AppendJSON(buf[:0])
-		buf = append(buf, '\n')
-		if _, err := s.bw.Write(buf); err != nil {
-			// Record the first failure but keep consuming: stopping here
-			// would turn a dead writer into unbounded queue drops that
-			// misreport as backpressure. The event is lost either way, so
-			// count it as dropped too — that surfaces the failure promptly
-			// through the bus drop counters (and the
-			// mobilegossip_events_dropped_total metric) instead of only at
-			// Close.
-			s.setErr(err)
-			s.sub.dropped.Add(1)
-			s.sub.bus.dropped.Add(1)
-		} else {
-			s.written.Add(1)
-		}
+// write is the bus handler. The bus serializes its calls, and Close
+// detaches before it flushes, so bw and buf need no lock of their own.
+func (s *JSONLSink) write(ev Event) {
+	s.buf = ev.AppendJSON(s.buf[:0])
+	s.buf = append(s.buf, '\n')
+	if _, err := s.bw.Write(s.buf); err != nil {
+		// The event is lost: count it now, so a dying writer is visible
+		// mid-run and not only at Close.
+		s.setErr(err)
+		s.dropped.Add(1)
+		return
 	}
+	s.written.Add(1)
 }
 
-// Close unsubscribes, drains the events already queued, flushes the
-// writer, and returns the first write error (also available via Err).
-// It does not close the underlying writer.
+// Close unsubscribes, flushes the writer, and returns the first write
+// error (also available via Err). It does not close the underlying
+// writer.
 func (s *JSONLSink) Close() error {
-	s.sub.Close()
-	<-s.done
+	s.cancel()
 	if err := s.bw.Flush(); err != nil {
 		s.setErr(err)
 	}
@@ -79,11 +64,9 @@ func (s *JSONLSink) Close() error {
 // buffered writer so far.
 func (s *JSONLSink) Written() int64 { return s.written.Load() }
 
-// Dropped returns how many matching events were lost — to the bounded
-// queue while the writer lagged, or to write failures (each failed write
-// also sets Err, but counts here immediately so a dying writer is
-// visible mid-run, not only at Close).
-func (s *JSONLSink) Dropped() int64 { return s.sub.Dropped() }
+// Dropped returns how many matching events were lost to write errors
+// (each failed write also sets Err).
+func (s *JSONLSink) Dropped() int64 { return s.dropped.Load() }
 
 // Err returns the first write error encountered, if any.
 func (s *JSONLSink) Err() error {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestJSONLSinkGolden pins the wire format line by line: one schema-
@@ -94,19 +93,25 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// newFailingSink attaches a sink over a writer that fails every write.
+// Its 16-byte bufio buffer makes every event line (longer than 16 bytes)
+// hit the writer directly, so the failure shows on the event that
+// caused it instead of only at the Close-time flush.
+func newFailingSink(b *Bus) *JSONLSink {
+	sink := &JSONLSink{bw: bufio.NewWriterSize(&failWriter{n: 0}, 16)}
+	sink.cancel = b.SubscribeSync(Filter{}, sink.write)
+	return sink
+}
+
 func TestJSONLSinkWriteError(t *testing.T) {
 	b := NewBus()
-	// A 16-byte bufio buffer makes every event line (longer than 16
-	// bytes) hit the underlying writer directly, so the drain loop sees
-	// the failure immediately instead of only at the Close-time flush.
-	sink := &JSONLSink{
-		sub:  b.Subscribe(Filter{}, 16),
-		bw:   bufio.NewWriterSize(&failWriter{n: 0}, 16),
-		done: make(chan struct{}),
-	}
-	go sink.drain()
+	sink := newFailingSink(b)
 
-	for r := 1; r <= 3; r++ {
+	b.Publish(Event{Type: TypeRoundCompleted, Round: 1})
+	if sink.Err() == nil || sink.Dropped() != 1 {
+		t.Fatalf("after one failed write: Err() = %v, Dropped = %d; want the error and 1", sink.Err(), sink.Dropped())
+	}
+	for r := 2; r <= 3; r++ {
 		b.Publish(Event{Type: TypeRoundCompleted, Round: r})
 	}
 	err := sink.Close()
@@ -123,32 +128,21 @@ func TestJSONLSinkWriteError(t *testing.T) {
 
 // TestJSONLSinkWriteErrorSurfacesPromptly is the regression test for the
 // Close-only error visibility bug: a failing writer must show up on the
-// sink and bus drop counters (the mobilegossip_events_dropped_total
-// path) while the session is still running, without waiting for Close.
+// sink's drop counter and Err while the session is still running,
+// without waiting for Close.
 func TestJSONLSinkWriteErrorSurfacesPromptly(t *testing.T) {
 	b := NewBus()
-	sink := &JSONLSink{
-		sub:  b.Subscribe(Filter{}, 16),
-		bw:   bufio.NewWriterSize(&failWriter{n: 0}, 16),
-		done: make(chan struct{}),
-	}
-	go sink.drain()
+	sink := newFailingSink(b)
 
 	const events = 5
 	for r := 1; r <= events; r++ {
 		b.Publish(Event{Type: TypeRoundCompleted, Round: r})
 	}
-	// The drain goroutine is asynchronous; wait for it to consume the
-	// queue, but do NOT call Close — mid-run visibility is the point.
-	deadline := time.Now().Add(5 * time.Second)
-	for sink.Dropped() < events {
-		if time.Now().After(deadline) {
-			t.Fatalf("Dropped = %d after 5s, want %d before Close", sink.Dropped(), events)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if b.Dropped() < events {
-		t.Fatalf("bus Dropped = %d, want >= %d (metrics path)", b.Dropped(), events)
+	// Delivery is synchronous: every event is accounted for by the time
+	// Publish returns. Do NOT call Close first — mid-run visibility is
+	// the point.
+	if got := sink.Dropped(); got != events {
+		t.Fatalf("Dropped = %d before Close, want %d", got, events)
 	}
 	if err := sink.Err(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Err() = %v mid-run, want the write error", err)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,9 +14,9 @@ import (
 // Collector aggregates session events into Prometheus-style metrics: a
 // set of counters and gauges rendered in the text exposition format by
 // WriteTo, and served over HTTP by ServeHTTP (the gossipsim -metrics
-// endpoint). Attach it to one or more buses as a synchronous subscriber
-// — updates are a handful of atomic stores per event, lossless and
-// allocation-free — and scrape it from any goroutine at any time.
+// endpoint). Attach it to one or more buses — updates are a handful of
+// atomic stores per event, lossless and allocation-free — and scrape it
+// from any goroutine at any time.
 type Collector struct {
 	sessionsStarted  atomic.Int64
 	sessionsEnded    atomic.Int64
@@ -52,21 +51,14 @@ type Collector struct {
 	phaseLatency [profile.NumPhases]profile.Histogram
 	ckptWrite    profile.Histogram // checkpoint serialization, ns
 	health       atomic.Int64      // latest profile.Health verdict
-
-	mu    sync.Mutex
-	buses []*Bus // attached buses, for the dropped-events counter
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Attach subscribes the collector to bus synchronously (every event,
-// lossless). The returned cancel function detaches it; the bus stays
-// accounted in the dropped-events counter either way.
+// Attach subscribes the collector to bus (every event, lossless). The
+// returned cancel function detaches it.
 func (c *Collector) Attach(bus *Bus) (cancel func()) {
-	c.mu.Lock()
-	c.buses = append(c.buses, bus)
-	c.mu.Unlock()
 	return bus.SubscribeSync(Filter{}, c.Observe)
 }
 
@@ -137,17 +129,6 @@ func (c *Collector) RoundsPerSecond() float64 {
 	return float64(r-1) / (float64(last-first) / 1e9)
 }
 
-// Dropped sums the drop counters of every attached bus.
-func (c *Collector) Dropped() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, b := range c.buses {
-		total += b.Dropped()
-	}
-	return total
-}
-
 // metricRows renders the current values in exposition order.
 func (c *Collector) metricRows() []metricRow {
 	return []metricRow{
@@ -170,7 +151,6 @@ func (c *Collector) metricRows() []metricRow {
 		{"mobilegossip_churn_rounds_total", "counter", "Rounds whose topology changed.", float64(c.churnRounds.Load())},
 		{"mobilegossip_adversary_epochs_total", "counter", "Adversary perturbation epochs entered.", float64(c.advEpochs.Load())},
 		{"mobilegossip_topology_rebinds_total", "counter", "Mid-run topology schedule swaps (phased scenarios).", float64(c.rebinds.Load())},
-		{"mobilegossip_events_dropped_total", "counter", "Events dropped by bounded subscriber queues.", float64(c.Dropped())},
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"text/tabwriter"
 
 	"mobilegossip/client"
+	"mobilegossip/internal/ckpt"
 )
 
 // Timeline is what Drive walks: where each later phase starts and what it
@@ -121,24 +122,16 @@ func Drive(ctx context.Context, s Session, tl Timeline, opts Options) (res clien
 }
 
 // writeCheckpointFile snapshots the session into opts.CheckpointPath
-// atomically: streamed to a temporary sibling and renamed into place only
-// once complete, so a failed write or a dropped connection leaves the
-// previous file (or nothing), never a truncated checkpoint.
+// atomically (ckpt.WriteFileAtomic): a failed write or a dropped
+// connection leaves the previous file (or nothing), never a truncated
+// checkpoint.
 func writeCheckpointFile(ctx context.Context, s Session, opts Options) error {
-	tmp := opts.CheckpointPath + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var round, potential int
+	err := ckpt.WriteFileAtomic(opts.CheckpointPath, func(w io.Writer) (err error) {
+		round, potential, err = s.Checkpoint(ctx, w)
 		return err
-	}
-	round, potential, err := s.Checkpoint(ctx, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, opts.CheckpointPath)
-	}
+	})
 	if err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	fmt.Fprintf(opts.Log, "checkpoint written to %s at round %d (φ=%d)\n", opts.CheckpointPath, round, potential)

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mobilegossip"
 	"mobilegossip/client"
@@ -181,7 +182,7 @@ func TestDriveCheckpointIsAtomic(t *testing.T) {
 // TestDriveSurfacesEventStreamFailure: whatever the session's event
 // stream reports when it finishes fails the run.
 func TestDriveSurfacesEventStreamFailure(t *testing.T) {
-	s := &fakeSession{finishAt: 5, eventsErr: errors.New("events: 3 events dropped")}
+	s := &fakeSession{finishAt: 5, eventsErr: errors.New("events: disk full")}
 	_, err := scenario.Drive(context.Background(), s, scenario.Timeline{},
 		scenario.Options{EventsPath: filepath.Join(t.TempDir(), "e.jsonl")})
 	if !errors.Is(err, s.eventsErr) {
@@ -189,36 +190,58 @@ func TestDriveSurfacesEventStreamFailure(t *testing.T) {
 	}
 }
 
-// gatedWriter blocks every write until the gate opens.
-type gatedWriter struct{ gate chan struct{} }
+// gatedWriter blocks every write until the gate opens, then counts the
+// lines it is handed; after fail is set every write fails.
+type gatedWriter struct {
+	gate  chan struct{}
+	lines *int
+	fail  bool
+}
 
 func (w gatedWriter) Write(p []byte) (int, error) {
 	<-w.gate
+	if w.fail {
+		return 0, errors.New("disk full")
+	}
+	*w.lines += bytes.Count(p, []byte("\n"))
 	return len(p), nil
 }
 
-// TestLocalEventsDropIsAnError: the local JSONL sink drops under
-// backpressure where the daemon's recorder is lossless, so a lossy local
-// stream must fail loudly instead of passing for the remote one.
+// TestLocalEventsDropIsAnError: the local JSONL sink is lossless like the
+// daemon's recorder — a stuck writer stalls the publisher instead of
+// losing events — so the only events it can drop are those a failed
+// write loses, and those must fail the run loudly instead of passing for
+// the remote stream.
 func TestLocalEventsDropIsAnError(t *testing.T) {
-	sim, err := mobilegossip.New(mobilegossip.Config{
-		Algorithm: mobilegossip.AlgSharedBit, N: 8, K: 2,
-		Topology: mobilegossip.Topology{Kind: mobilegossip.Complete},
-	})
-	if err != nil {
-		t.Fatal(err)
+	newSim := func() *mobilegossip.Simulation {
+		sim, err := mobilegossip.New(mobilegossip.Config{
+			Algorithm: mobilegossip.AlgSharedBit, N: 8, K: 2,
+			Topology: mobilegossip.Topology{Kind: mobilegossip.Complete},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
 	}
-	w := gatedWriter{gate: make(chan struct{})}
-	finish := (&scenario.Local{Sim: sim}).Events(w)
-	// Flood the bus while the writer is stuck: the sink's queue fills and
-	// the rest is dropped.
 	const flood = 1 << 17
+	sim := newSim()
+	var lines int
+	w := gatedWriter{gate: make(chan struct{}), lines: &lines}
+	finish := (&scenario.Local{Sim: sim}).Events(w)
+	time.AfterFunc(20*time.Millisecond, func() { close(w.gate) })
 	for i := 1; i <= flood; i++ {
 		sim.Bus().Publish(mobilegossip.Event{Type: mobilegossip.EventRoundCompleted, Round: i})
 	}
+	if err := finish(context.Background()); err != nil || lines != flood {
+		t.Fatalf("stuck writer: finish = %v with %d of %d lines, want nil and all of them", err, lines, flood)
+	}
+
+	sim = newSim()
+	w = gatedWriter{gate: make(chan struct{}), fail: true}
 	close(w.gate)
-	err = finish(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "events dropped") {
-		t.Fatalf("finish = %v, want an error naming the dropped count", err)
+	finish = (&scenario.Local{Sim: sim}).Events(w)
+	sim.Bus().Publish(mobilegossip.Event{Type: mobilegossip.EventRoundCompleted, Round: 1})
+	if err := finish(context.Background()); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("failing writer: finish = %v, want the write error", err)
 	}
 }

@@ -44,12 +44,6 @@ type Session interface {
 	Close()
 }
 
-// eventQueue is the local JSONL sink's queue capacity, for every entry
-// point. The sink drops under backpressure where the daemon's recorder is
-// lossless, so Local turns any drop into an error instead of leaving
-// "byte-identical to the remote stream" to queue sizing.
-const eventQueue = 1 << 16
-
 // Open builds the session opts selects — in-process or on the daemon at
 // opts.Remote, fresh from req or revived from opts.ResumePath, in which
 // case only req's wall-clock Profile knob and RecordEvents apply; a
@@ -170,14 +164,8 @@ func (l *Local) Assert(_ context.Context, req client.AssertRequest) error {
 }
 
 func (l *Local) Events(w io.Writer) func(context.Context) error {
-	sink := mobilegossip.NewJSONLSink(l.Sim.Bus(), w, mobilegossip.EventFilter{}, eventQueue)
-	return func(context.Context) error {
-		err := sink.Close()
-		if d := sink.Dropped(); err == nil && d > 0 {
-			err = fmt.Errorf("events: %d events dropped (writer slower than the simulation; see DESIGN.md §12)", d)
-		}
-		return err
-	}
+	sink := mobilegossip.NewJSONLSink(l.Sim.Bus(), w, mobilegossip.EventFilter{}, 0)
+	return func(context.Context) error { return sink.Close() }
 }
 
 func (l *Local) Close() {}

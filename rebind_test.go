@@ -124,24 +124,23 @@ func TestRebindPublishesEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := sim.Bus().Subscribe(mobilegossip.EventFilter{
+	var got []mobilegossip.Event
+	cancel := sim.Bus().SubscribeSync(mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventTopologyRebound},
-	}, 16)
-	defer sub.Close()
+	}, func(ev mobilegossip.Event) { got = append(got, ev) })
+	defer cancel()
 	stepTo(t, sim, 3)
 	if err := sim.Rebind(mobilegossip.Topology{Kind: mobilegossip.Complete}, 0); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-sub.Events():
-		if ev.Type != mobilegossip.EventTopologyRebound || ev.Round != 3 {
-			t.Fatalf("event = %+v", ev)
-		}
-		if ev.Topology == "" {
-			t.Fatal("topology_rebound event should carry the new schedule name")
-		}
-	default:
-		t.Fatal("no topology_rebound event published")
+	if len(got) != 1 {
+		t.Fatalf("%d topology_rebound events published, want 1", len(got))
+	}
+	if ev := got[0]; ev.Type != mobilegossip.EventTopologyRebound || ev.Round != 3 {
+		t.Fatalf("event = %+v", ev)
+	}
+	if got[0].Topology == "" {
+		t.Fatal("topology_rebound event should carry the new schedule name")
 	}
 }
 

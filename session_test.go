@@ -224,7 +224,7 @@ func runInert(t *testing.T, cfg mobilegossip.Config) inertRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := mobilegossip.NewJSONLSink(sim.Bus(), &events, mobilegossip.EventFilter{}, 1<<16)
+	sink := mobilegossip.NewJSONLSink(sim.Bus(), &events, mobilegossip.EventFilter{}, 0)
 	for !sim.Done() {
 		if _, err := sim.Step(); err != nil {
 			t.Fatal(err)
