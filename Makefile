@@ -54,11 +54,13 @@ race:
 # profiling read side (live /metrics scrapes and histogram reads against
 # a running profiled session), the daemon's full-service traffic mix
 # (create/step/evict/revive/follow/delete under concurrent scrapes), and
-# every follow test (followers tailing a record that is still growing).
+# every follow test (followers tailing a record that is still growing),
+# and the scenario grids, whose cells run concurrently on either transport
+# (against a daemon, evicting and reviving each other).
 race-concurrent:
-	$(GO) test -race -count=1 -run 'Concurrent|Backends|Bus|Sink|Collector|Follow' \
+	$(GO) test -race -count=1 -run 'Concurrent|Backends|Bus|Sink|Collector|Follow|Grid' \
 		. ./internal/mtm ./internal/adversary ./internal/leader ./internal/events ./internal/profile \
-		./internal/daemon
+		./internal/daemon ./internal/scenario
 
 # cover enforces the ratcheted coverage floor (COVER_MIN, measured at merge
 # time) over the library surface — the root package and internal/... (cmd/
@@ -151,7 +153,7 @@ bench-stages:
 #   - the E1 (core sweeps), E22 (mobility schedules — motion, delta
 #     patching and churn measurement) and E25 (adversarial schedules,
 #     adaptive state reads included) tables must be byte-identical to the
-#     first setting's tables (all three are mobilegossip.RunSweep grids
+#     first setting's tables (all three are internal/runner grids
 #     whose pool size varies with GOMAXPROCS, so pool scheduling is
 #     exercised; every quick-size table is also pinned by
 #     internal/harness/testdata/quick.csv, re-recorded only with

@@ -14,7 +14,6 @@ package mobilegossip_test
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -349,52 +348,6 @@ func BenchmarkEngineRound(b *testing.B) {
 			}
 			if sim.Round() < b.N {
 				b.Fatalf("solved after %d of %d rounds: ns/op would be diluted; grow k", sim.Round(), b.N)
-			}
-		})
-	}
-}
-
-// BenchmarkRunSweep measures the parallel sweep engine against its own
-// single-worker (sequential-equivalent) configuration on a Figure-1-style
-// grid. The workloads and results are bit-identical in both runs — only
-// the worker count differs — so on a machine with 4+ cores the max/1
-// ns/op ratio directly demonstrates the sweep engine's speedup (≥2×
-// expected; the grid cells are independent simulations with no shared
-// state, so scaling is near-linear until cells run out).
-func BenchmarkRunSweep(b *testing.B) {
-	var points []mobilegossip.Config
-	for _, n := range []int{32, 48, 64} {
-		for _, k := range []int{4, 8} {
-			points = append(points, mobilegossip.Config{
-				Algorithm: mobilegossip.AlgSharedBit, N: n, K: k,
-				Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
-				Tau:      1,
-			})
-		}
-	}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"workers_1", 1},
-		{fmt.Sprintf("workers_max_%d", runtime.GOMAXPROCS(0)), 0},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
-					Points: points, Trials: 4, Seed: uint64(i) + 1, Workers: tc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for p, pt := range res {
-					for tr, r := range pt.Runs {
-						if !r.Solved {
-							b.Fatalf("point %d trial %d: unsolved after %d rounds", p, tr, r.Rounds)
-						}
-					}
-				}
 			}
 		})
 	}

@@ -13,17 +13,17 @@
 //	benchtable -exp e5        # one experiment
 //	benchtable -quick=false   # full sizes (slower, tighter shapes)
 //	benchtable -list          # list experiments
-//	benchtable -parallel 8    # bound the sweep engine's worker pool
 //	benchtable -csv           # comma-separated tables, no timing lines
 //
-// Experiment grids run on the internal/runner worker pool (GOMAXPROCS
-// workers by default); results are bit-identical at every -parallel value.
+// Experiment grids run on the internal/runner pool, GOMAXPROCS goroutines
+// wide; results are bit-identical at every GOMAXPROCS.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -32,22 +32,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtable:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchtable", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "", "experiment id or comma list (e1..e27); empty = all")
-		quick    = fs.Bool("quick", true, "shrink sizes/trials so the full suite finishes in minutes")
-		seed     = fs.Uint64("seed", 42, "experiment seed")
-		list     = fs.Bool("list", false, "list experiments and exit")
-		asCSV    = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		parallel = fs.Int("parallel", 0, "sweep worker pool size; 0 = GOMAXPROCS (results identical at any value)")
-		progress = fs.Bool("progress", false, "report sweep progress to stderr")
+		exp   = fs.String("exp", "", "experiment id or comma list (e1..e27); empty = all")
+		quick = fs.Bool("quick", true, "shrink sizes/trials so the full suite finishes in minutes")
+		seed  = fs.Uint64("seed", 42, "experiment seed")
+		list  = fs.Bool("list", false, "list experiments and exit")
+		asCSV = fs.Bool("csv", false, "emit CSV instead of aligned text")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -58,12 +56,12 @@ func run(args []string) error {
 
 	if *list {
 		for _, e := range harness.All() {
-			fmt.Printf("%-4s %-55s [%s]\n", e.ID, e.Title, e.Exhibit)
+			fmt.Fprintf(stdout, "%-4s %-55s [%s]\n", e.ID, e.Title, e.Exhibit)
 		}
 		return nil
 	}
 
-	opts := harness.Options{Quick: *quick, Seed: *seed, Workers: *parallel}
+	opts := harness.Options{Quick: *quick, Seed: *seed}
 	var todo []harness.Experiment
 	if *exp == "" {
 		todo = harness.All()
@@ -78,15 +76,6 @@ func run(args []string) error {
 	}
 
 	for _, e := range todo {
-		if *progress {
-			cur := e.ID
-			opts.OnProgress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\r%s: %d/%d", cur, done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
 		start := time.Now()
 		tab, err := e.Run(opts)
 		if err != nil {
@@ -97,11 +86,11 @@ func run(args []string) error {
 		if *asCSV {
 			render = tab.RenderCSV
 		}
-		if err := render(os.Stdout); err != nil {
+		if err := render(stdout); err != nil {
 			return err
 		}
 		if !*asCSV {
-			fmt.Printf("-- %s finished in %v\n\n", e.ID, elapsed)
+			fmt.Fprintf(stdout, "-- %s finished in %v\n\n", e.ID, elapsed)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,6 @@ import (
 	"mobilegossip/client"
 	"mobilegossip/internal/events"
 	"mobilegossip/internal/outcome"
-	"mobilegossip/internal/runner"
 	"mobilegossip/internal/wire"
 )
 
@@ -26,7 +26,7 @@ type Config struct {
 	// logs (<id>.events.jsonl). Created if missing. Required.
 	StateDir string
 	// Workers bounds the scheduler pool; 0 (or negative) means
-	// GOMAXPROCS — the same discipline as internal/runner.
+	// GOMAXPROCS.
 	Workers int
 	// MaxLive caps the memory-resident session count: crossing it evicts
 	// least-recently-touched idle sessions to disk checkpoints. 0 means
@@ -90,17 +90,16 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.SliceRounds <= 0 {
 		cfg.SliceRounds = defaultSliceRounds
 	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	d := &Daemon{
 		cfg:      cfg,
 		col:      events.NewCollector(),
 		sessions: make(map[string]*session),
 		stop:     make(chan struct{}),
 	}
-	// Pool sizing reuses the sweep runner's discipline: the Workers knob
-	// with a GOMAXPROCS default (PoolSize clamps to the grid size, so an
-	// effectively-unbounded grid yields the plain resolution).
-	workers := runner.Config{Workers: cfg.Workers}.PoolSize(1 << 30)
-	d.sched = newScheduler(workers, d.execSlice)
+	d.sched = newScheduler(cfg.Workers, d.execSlice)
 	if cfg.IdleTimeout > 0 {
 		d.janitor.Add(1)
 		go d.janitorLoop()
@@ -110,7 +109,7 @@ func New(cfg Config) (*Daemon, error) {
 
 // Workers returns the scheduler pool size the daemon resolved.
 func (d *Daemon) Workers() int {
-	return runner.Config{Workers: d.cfg.Workers}.PoolSize(1 << 30)
+	return d.cfg.Workers
 }
 
 // Close stops the janitor and the scheduler; queued jobs fail with a

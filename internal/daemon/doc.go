@@ -11,8 +11,7 @@
 //     a job steps its session at most sliceRounds rounds, then requeues
 //     at the tail, so hundreds of concurrent sessions share the worker
 //     pool fairly instead of the first arrivals monopolizing it. The
-//     pool sizing reuses internal/runner's discipline (Workers knob,
-//     GOMAXPROCS default).
+//     pool is gossipd -workers wide (GOMAXPROCS by default).
 //
 //   - Checkpoint-backed eviction serializes idle sessions to disk via
 //     the public Checkpoint/Resume machinery (CheckpointFile/ResumeFile)

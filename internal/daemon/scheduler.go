@@ -39,8 +39,7 @@ func (j *runJob) finish(res any, err error) {
 // front job, and unfinished jobs requeue at the tail. The slice-and-
 // requeue discipline is what makes hundreds of concurrent sessions
 // progress fairly: a long run cannot monopolize a worker, it just keeps
-// taking turns. Pool sizing follows internal/runner's discipline
-// (Workers knob, GOMAXPROCS default, see Config.Workers).
+// taking turns. The pool is Config.Workers wide (GOMAXPROCS by default).
 type scheduler struct {
 	exec func(*runJob) bool // one slice; true = job finished (do not requeue)
 

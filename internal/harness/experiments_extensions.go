@@ -143,7 +143,7 @@ func runE18(o Options) (*Table, error) {
 		Columns: []string{"rewire", "rounds"},
 	}
 	rewires := []float64{0, 0.1, 0.5, 1.0}
-	grid, err := runner.MapGrid(runnerCfg(o), len(rewires), trials(o),
+	grid, err := runner.MapGrid(runner.Config{Seed: o.Seed}, len(rewires), trials(o),
 		func(p, _ int, seed uint64) (float64, error) {
 			rw := rewires[p]
 			dyn, err := dyngraph.GradualChurn(n, 1, 4096, rw, seed)

@@ -195,7 +195,7 @@ func runE10(o Options) (*Table, error) {
 			}},
 		)
 	}
-	grid, err := runner.MapGrid(runnerCfg(o), len(points), trials(o),
+	grid, err := runner.MapGrid(runner.Config{Seed: o.Seed}, len(points), trials(o),
 		func(pi, _ int, seed uint64) (float64, error) {
 			pt := points[pi]
 			n := pt.n
@@ -253,7 +253,7 @@ func runE11(o Options) (*Table, error) {
 		Caption: fmt.Sprintf("PPUSH rumor spreading (n=%d): rounds vs expansion", n),
 		Columns: []string{"graph", "α (est)", "rounds"},
 	}
-	grid, err := runner.MapGrid(runnerCfg(o), len(fams), reps,
+	grid, err := runner.MapGrid(runner.Config{Seed: o.Seed}, len(fams), reps,
 		func(fi, _ int, seed uint64) (float64, error) {
 			f := fams[fi]
 			p := rumor.New(n, []int{0})
@@ -415,7 +415,7 @@ func runE14(o Options) (*Table, error) {
 		Caption: fmt.Sprintf("CrowdedBin ablation (n=%d): estimate stabilization vs completion", n),
 		Columns: []string{"k", "rounds to est-stable", "total rounds", "stable fraction", "final k̂=2^est range"},
 	}
-	rows, err := runner.Map(runnerCfg(o), len(ks), func(j runner.Job) ([]string, error) {
+	rows, err := runner.Map(runner.Config{Seed: o.Seed}, len(ks), func(j runner.Job) ([]string, error) {
 		k := ks[j.Index]
 		st, err := core.NewState(n, core.OneTokenPerNode(n, k), 1e-4)
 		if err != nil {

@@ -3,8 +3,8 @@
 // theorem/lemma, plus the extension, mobility and adversary ablations, a
 // workload generator, parameter sweep and table printer that regenerates
 // the result's shape — scaling exponents, head-to-head winners, and
-// crossovers. Grids of mobilegossip.Config points run through
-// mobilegossip.RunSweep.
+// crossovers. Every grid runs on the internal/runner pool, so tables are
+// byte-identical at any GOMAXPROCS.
 package harness
 
 import (
@@ -81,12 +81,6 @@ func (t *Table) RenderCSV(w io.Writer) error {
 type Options struct {
 	Quick bool
 	Seed  uint64
-	// Workers bounds the sweep engine's parallelism; 0 means GOMAXPROCS.
-	// Results are bit-identical at every worker count (see internal/runner).
-	Workers int
-	// OnProgress, if set, receives (done, total) after each finished grid
-	// cell of the experiment's current sweep.
-	OnProgress func(done, total int)
 }
 
 // Experiment regenerates one paper exhibit.

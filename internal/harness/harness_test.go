@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -119,8 +120,8 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 }
 
 // TestWorkerCountInvariance is the harness's determinism contract: an
-// E1-style Figure-1 sweep renders byte-identical tables at 1 worker (the
-// old sequential path) and at high parallelism, for the same seed.
+// E1-style Figure-1 sweep renders byte-identical tables at GOMAXPROCS 1
+// (a one-goroutine pool) and 16, for the same seed.
 func TestWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep invariance check skipped in -short mode")
@@ -131,10 +132,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("%s missing", id)
 		}
 		var renders []string
-		for _, workers := range []int{1, 16} {
-			tab, err := e.Run(Options{Quick: true, Seed: 42, Workers: workers})
+		for _, procs := range []int{1, 16} {
+			old := runtime.GOMAXPROCS(procs)
+			tab, err := e.Run(Options{Quick: true, Seed: 42})
+			runtime.GOMAXPROCS(old)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", id, procs, err)
 			}
 			var buf bytes.Buffer
 			if err := tab.Render(&buf); err != nil {
@@ -143,7 +146,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			renders = append(renders, buf.String())
 		}
 		if renders[0] != renders[1] {
-			t.Errorf("%s: table differs between 1 and 16 workers:\n%s\nvs\n%s",
+			t.Errorf("%s: table differs between GOMAXPROCS 1 and 16:\n%s\nvs\n%s",
 				id, renders[0], renders[1])
 		}
 	}

@@ -1,15 +1,16 @@
-// Package runner is the deterministic worker-pool sweep engine behind the
-// harness experiments (E1..E27) and the public mobilegossip.RunSweep API.
+// Package runner is the deterministic worker pool behind every seeded grid
+// in the module: scenario `grid:` blocks (each cell one session, local or
+// on gossipd) and the harness experiments (E1..E27).
 //
-// A sweep is a grid of independent work items — typically (experiment point
-// × trial) cells of a Figure-1 parameter sweep. Map fans the items out
-// across a bounded pool of goroutines and collects the results in grid
+// A grid is a set of independent work items — typically (point × trial)
+// cells of a Figure-1 parameter sweep. Map fans the items out across
+// min(GOMAXPROCS, items) goroutines and collects the results in grid
 // order. Three properties make the engine safe to drop under existing
 // sequential loops:
 //
 //   - Determinism: every item receives a seed derived from the base seed by
 //     prand.StreamSeed stream splitting, never from shared mutable RNG
-//     state, so results are bit-identical regardless of worker count or
+//     state, so results are bit-identical at any GOMAXPROCS and under any
 //     completion order.
 //   - Grid-order collection: results[i] always holds item i's value, even
 //     when item i+1 finishes first.
@@ -33,41 +34,21 @@ type Job struct {
 	Index int
 	// Seed is the cell's private seed, split from Config.Seed by
 	// prand.StreamSeed(seed, Index). Work functions that derive all their
-	// randomness from it are automatically deterministic under any worker
-	// count.
+	// randomness from it are automatically deterministic at any
+	// GOMAXPROCS.
 	Seed uint64
 }
 
 // Config tunes one Map invocation.
 type Config struct {
-	// Workers bounds the pool size; 0 (or negative) means GOMAXPROCS.
-	Workers int
 	// Seed is the base seed from which every Job.Seed is split.
 	Seed uint64
-	// OnProgress, if set, is called after every completed item with the
-	// number of items finished so far and the grid size. Calls are
-	// serialized but may arrive out of grid order.
-	OnProgress func(done, total int)
 }
 
-// PoolSize returns the worker-pool size a Map over n cells will actually
-// use: the configured Workers (GOMAXPROCS when unset), clamped to the grid
-// size. Callers that report a pool size use this so the report cannot
-// drift from the pool Map spawns.
-func (c Config) PoolSize(n int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// Map runs fn over n grid cells on a worker pool and returns the results in
-// grid order. On error it cancels the dispatch of remaining cells and
-// returns the error of the smallest failing index among the cells that ran.
+// Map runs fn over n grid cells on min(GOMAXPROCS, n) goroutines and
+// returns the results in grid order. On error it cancels the dispatch of
+// remaining cells and returns the error of the smallest failing index
+// among the cells that ran.
 func Map[T any](cfg Config, n int, fn func(Job) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative grid size %d", n)
@@ -78,12 +59,10 @@ func Map[T any](cfg Config, n int, fn func(Job) (T, error)) ([]T, error) {
 	}
 
 	var (
-		mu      sync.Mutex // guards dispatch/error state; never held in fn or OnProgress
+		mu      sync.Mutex // guards dispatch/error state; never held in fn
 		next    int        // index of the next cell to dispatch
 		errIdx  = -1
 		firstEr error
-		progMu  sync.Mutex // serializes done counting + OnProgress off the pool mutex
-		done    int        // completed cell count, guarded by progMu
 	)
 	// take dispatches the next cell, or reports that the worker should
 	// exit (grid drained or sweep failed).
@@ -97,27 +76,16 @@ func Map[T any](cfg Config, n int, fn func(Job) (T, error)) ([]T, error) {
 		next++
 		return i, true
 	}
-	finish := func(i int, err error) {
-		if err != nil {
-			mu.Lock()
-			if errIdx < 0 || i < errIdx {
-				errIdx, firstEr = i, err
-			}
-			mu.Unlock()
-			return
-		}
-		if cfg.OnProgress != nil {
-			// Incrementing under progMu keeps the delivered counts strictly
-			// monotonic while dispatch (mu) never waits on callback I/O.
-			progMu.Lock()
-			done++
-			cfg.OnProgress(done, n)
-			progMu.Unlock()
+	fail := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if errIdx < 0 || i < errIdx {
+			errIdx, firstEr = i, err
 		}
 	}
 
 	var wg sync.WaitGroup
-	for w := cfg.PoolSize(n); w > 0; w-- {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -127,10 +95,11 @@ func Map[T any](cfg Config, n int, fn func(Job) (T, error)) ([]T, error) {
 					return
 				}
 				v, err := fn(Job{Index: i, Seed: prand.StreamSeed(cfg.Seed, uint64(i))})
-				if err == nil {
-					results[i] = v
+				if err != nil {
+					fail(i, err)
+					continue
 				}
-				finish(i, err)
+				results[i] = v
 			}
 		}()
 	}

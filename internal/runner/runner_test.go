@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,12 @@ func walk(seed uint64) uint64 {
 	return acc
 }
 
+// procs sets GOMAXPROCS, and so the pool size, for the rest of the test.
+func procs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // TestMapDeterministicAcrossWorkerCounts is the engine's core contract:
 // the same base seed must yield bit-identical results at 1, 4 and 16
 // workers even though completion order differs.
@@ -31,7 +38,8 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n = 64
 	var want []uint64
 	for _, workers := range []int{1, 4, 16} {
-		got, err := Map(Config{Workers: workers, Seed: 42}, n, func(j Job) (uint64, error) {
+		procs(t, workers)
+		got, err := Map(Config{Seed: 42}, n, func(j Job) (uint64, error) {
 			return walk(j.Seed), nil
 		})
 		if err != nil {
@@ -59,7 +67,8 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 // last (index 0 sleeps longest) and checks collection stays in grid order.
 func TestMapGridOrderUnderOutOfOrderCompletion(t *testing.T) {
 	const n = 16
-	got, err := Map(Config{Workers: 8}, n, func(j Job) (int, error) {
+	procs(t, 8)
+	got, err := Map(Config{}, n, func(j Job) (int, error) {
 		time.Sleep(time.Duration(n-j.Index) * time.Millisecond)
 		return j.Index * 10, nil
 	})
@@ -73,12 +82,13 @@ func TestMapGridOrderUnderOutOfOrderCompletion(t *testing.T) {
 	}
 }
 
-// TestMapErrorCancelsRemaining: with one worker the dispatch is strictly
+// TestMapErrorCancelsRemaining: at GOMAXPROCS 1 the dispatch is strictly
 // sequential, so an error at index 3 must leave cells 4..n-1 unattempted.
 func TestMapErrorCancelsRemaining(t *testing.T) {
 	boom := errors.New("boom")
 	var calls int32
-	_, err := Map(Config{Workers: 1}, 100, func(j Job) (int, error) {
+	procs(t, 1)
+	_, err := Map(Config{}, 100, func(j Job) (int, error) {
 		atomic.AddInt32(&calls, 1)
 		if j.Index == 3 {
 			return 0, boom
@@ -99,7 +109,8 @@ func TestMapErrorCancelsRemaining(t *testing.T) {
 func TestMapErrorSmallestIndexWins(t *testing.T) {
 	var gate sync.WaitGroup
 	gate.Add(4)
-	_, err := Map(Config{Workers: 4}, 4, func(j Job) (int, error) {
+	procs(t, 4)
+	_, err := Map(Config{}, 4, func(j Job) (int, error) {
 		// All four cells are in flight before any fails.
 		gate.Done()
 		gate.Wait()
@@ -110,30 +121,6 @@ func TestMapErrorSmallestIndexWins(t *testing.T) {
 	})
 	if err == nil || err.Error() != "cell 1 failed" {
 		t.Fatalf("err = %v, want cell 1's error", err)
-	}
-}
-
-func TestMapProgressReachesTotal(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	_, err := Map(Config{Workers: 4, OnProgress: func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if total != 10 {
-			t.Errorf("total = %d, want 10", total)
-		}
-		seen = append(seen, done)
-	}}, 10, func(j Job) (int, error) { return 0, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 10 || seen[len(seen)-1] != 10 {
-		t.Fatalf("progress calls %v, want 1..10", seen)
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress not monotonic: %v", seen)
-		}
 	}
 }
 
@@ -153,7 +140,8 @@ func TestMapGridShapeAndDeterminism(t *testing.T) {
 	const points, trials = 5, 3
 	var want [][]uint64
 	for _, workers := range []int{1, 7} {
-		got, err := MapGrid(Config{Workers: workers, Seed: 7}, points, trials,
+		procs(t, workers)
+		got, err := MapGrid(Config{Seed: 7}, points, trials,
 			func(p, tr int, seed uint64) (uint64, error) {
 				return walk(seed) ^ uint64(p*100+tr), nil
 			})

@@ -197,11 +197,12 @@ func TestGoldenConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceEvictRevive forces the daemon to evict the scenario's
-// session between client calls (MaxLive: 1 plus a decoy session created
-// before every run/rebind request) and checks the transparent revivals
-// leave the output byte-identical to the golden anyway.
-func TestConformanceEvictRevive(t *testing.T) {
+// evictingDaemon serves an in-process gossipd with MaxLive: 1 that
+// creates and deletes a decoy session before every run/rebind request:
+// registering the decoy trips the cap and evicts the idle sessions, so
+// the request itself revives its session from the eviction checkpoint.
+func evictingDaemon(t *testing.T) (*daemon.Daemon, string) {
+	t.Helper()
 	d, err := daemon.New(daemon.Config{StateDir: t.TempDir(), Workers: 2, MaxLive: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +211,6 @@ func TestConformanceEvictRevive(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost &&
 			(strings.HasSuffix(r.URL.Path, "/run") || strings.HasSuffix(r.URL.Path, "/rebind")) {
-			// Registering the decoy trips the MaxLive cap and evicts the
-			// idle scenario session; the request below then revives it.
 			info, err := d.Create(client.CreateRequest{
 				Algorithm: "blindmatch", N: 2, K: 1, Seed: 1,
 				Topology: client.TopologySpec{Kind: "complete"},
@@ -224,26 +223,41 @@ func TestConformanceEvictRevive(t *testing.T) {
 		}
 		mux.ServeHTTP(w, r)
 	}))
-	defer srv.Close()
-	defer d.Close()
+	t.Cleanup(func() {
+		srv.Close()
+		d.Close()
+	})
+	return d, srv.URL
+}
 
-	path := filepath.Join(scenariosDir(t), "festival.yaml")
-	table := runScenario(t, path, scenario.Options{Remote: srv.URL})
-	want, err := os.ReadFile(filepath.Join(scenariosDir(t), "golden", "festival.table.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare(t, "evicted/revived remote table", table, want)
-
+// requireEvictRevive fails the test unless d evicted and revived at least
+// one session.
+func requireEvictRevive(t *testing.T, d *daemon.Daemon) {
+	t.Helper()
 	var metrics bytes.Buffer
 	if err := d.WriteMetrics(&metrics); err != nil {
 		t.Fatal(err)
 	}
 	for _, counter := range []string{"gossipd_evictions_total", "gossipd_revivals_total"} {
 		if !metricPositive(metrics.String(), counter) {
-			t.Errorf("%s is zero: the forced-eviction cell did not exercise eviction\n%s", counter, metrics.String())
+			t.Errorf("%s is zero: eviction went unexercised\n%s", counter, metrics.String())
 		}
 	}
+}
+
+// TestConformanceEvictRevive forces the daemon to evict the scenario's
+// session between client calls and checks the transparent revivals
+// leave the output byte-identical to the golden anyway.
+func TestConformanceEvictRevive(t *testing.T) {
+	d, url := evictingDaemon(t)
+	path := filepath.Join(scenariosDir(t), "festival.yaml")
+	table := runScenario(t, path, scenario.Options{Remote: url})
+	want, err := os.ReadFile(filepath.Join(scenariosDir(t), "golden", "festival.table.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare(t, "evicted/revived remote table", table, want)
+	requireEvictRevive(t, d)
 }
 
 // metricPositive reports whether the metrics text has counter > 0.

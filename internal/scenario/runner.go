@@ -1,12 +1,14 @@
 package scenario
 
 // The scenario runner: executes a parsed Spec locally (in-process
-// sessions / sweeps) or against a gossipd daemon, with byte-identical
-// stdout either way. Single runs lower the spec to a create request and a
-// Timeline and hand both to the one driver (session.go, drive.go) that
-// flag-driven gossipsim runs use too; the expect block is evaluated
-// through internal/outcome — locally for local runs, by the daemon's
-// assert endpoint for remote ones, with identical failure text.
+// sessions) or against a gossipd daemon, with byte-identical stdout either
+// way. Single runs lower the spec to a create request and a Timeline and
+// hand both to the one driver (session.go, drive.go) that flag-driven
+// gossipsim runs use too; a grid runs each cell as one such session on the
+// internal/runner pool. The expect block is evaluated through
+// internal/outcome — locally for local runs and grid cells, by the
+// daemon's assert endpoint for remote single runs, with identical failure
+// text.
 
 import (
 	"context"
@@ -18,7 +20,7 @@ import (
 	"mobilegossip"
 	"mobilegossip/client"
 	"mobilegossip/internal/outcome"
-	"mobilegossip/internal/wire"
+	"mobilegossip/internal/runner"
 )
 
 // Options tunes how a scenario executes — never what it computes: every
@@ -93,14 +95,14 @@ func Run(spec *Spec, opts Options) error {
 		return fmt.Errorf("scenario %q: checkpoints and event streams apply to single runs, not grids", spec.Name)
 	}
 	writeHeader(opts.Out, spec)
-	switch {
-	case spec.Grid == nil:
+	if spec.Grid == nil {
 		return runSingle(spec, opts)
-	case opts.Remote != "":
-		return runGridRemote(spec, opts)
-	default:
-		return runGridLocal(spec, opts)
 	}
+	runs, err := runGrid(spec, opts)
+	if err != nil {
+		return err
+	}
+	return finishGrid(spec, opts, runs)
 }
 
 // writeHeader emits the deterministic scenario banner — derived from the
@@ -186,67 +188,32 @@ func runSingle(spec *Spec, opts Options) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Grids: the deterministic sweep, run on RunSweep's pool locally or
-// expanded client-side against a daemon; both hand finishGrid the same
-// [point][trial] results.
-
-func runGridLocal(spec *Spec, opts Options) error {
+// runGrid runs every (point, trial) cell as one session through the
+// transport seam, on the runner's pool, and returns the results indexed
+// [point][trial]. The job seed of cell p·T+t is
+// mobilegossip.SweepSeed(spec.Seed, p·T+t), so a cell replays as the
+// single run at that seed, locally or remotely.
+func runGrid(spec *Spec, opts Options) ([][]client.RunResult, error) {
+	ctx := context.Background()
 	pts := spec.points()
-	cfgs := make([]mobilegossip.Config, len(pts))
-	for i, pt := range pts {
-		cfg, err := spec.Config(pt.n, pt.k)
-		if err != nil {
-			return err
-		}
-		cfgs[i] = cfg
-	}
-	points, err := mobilegossip.RunSweep(mobilegossip.SweepConfig{
-		Points: cfgs, Trials: spec.Grid.Trials, Seed: spec.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	runs := make([][]client.RunResult, len(pts))
-	for p, pr := range points {
-		runs[p] = make([]client.RunResult, len(pr.Runs))
-		for t, r := range pr.Runs {
-			runs[p][t] = wire.ResultToWire(r, client.SessionInfo{N: pts[p].n, K: pts[p].k})
-		}
-	}
-	return finishGrid(spec, opts, runs)
+	return runner.MapGrid(runner.Config{Seed: spec.Seed}, len(pts), spec.Grid.Trials,
+		func(p, t int, seed uint64) (client.RunResult, error) {
+			res, err := runCell(ctx, spec.CreateRequest(pts[p].n, pts[p].k, seed, false), opts)
+			if err != nil {
+				return res, fmt.Errorf("grid point %d trial %d: %w", p, t, err)
+			}
+			return res, nil
+		})
 }
 
-func runGridRemote(spec *Spec, opts Options) error {
-	// The daemon has no sweep endpoint; the grid is expanded client-side
-	// into one session per (point, trial) cell, each seeded with the
-	// exact cell seed RunSweep would derive — so the aggregate table is
-	// byte-identical to the local sweep's.
-	ctx := context.Background()
-	c := client.New(opts.Remote)
-	pts := spec.points()
-	trials := spec.Grid.Trials
-	runs := make([][]client.RunResult, len(pts))
-	for p, pt := range pts {
-		runs[p] = make([]client.RunResult, trials)
-		for t := 0; t < trials; t++ {
-			seed := mobilegossip.SweepSeed(spec.Seed, p*trials+t)
-			req := spec.CreateRequest(pt.n, pt.k, seed, false)
-			info, err := c.Create(ctx, req)
-			if err != nil {
-				return fmt.Errorf("grid point %d trial %d: %w", p, t, err)
-			}
-			res, err := c.Run(ctx, info.ID, 0)
-			if derr := c.Delete(ctx, info.ID); err == nil {
-				err = derr
-			}
-			if err != nil {
-				return fmt.Errorf("grid point %d trial %d: %w", p, t, err)
-			}
-			runs[p][t] = res
-		}
+// runCell runs one grid cell to completion and releases its session.
+func runCell(ctx context.Context, req client.CreateRequest, opts Options) (client.RunResult, error) {
+	s, err := Open(ctx, req, opts)
+	if err != nil {
+		return client.RunResult{}, err
 	}
-	return finishGrid(spec, opts, runs)
+	defer s.Close()
+	return s.RunTo(ctx, 0)
 }
 
 // finishGrid renders the aggregate table (gossipsim's sweep columns,

@@ -11,9 +11,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"mobilegossip"
 	"mobilegossip/client"
 	"mobilegossip/internal/scenario"
 )
@@ -100,8 +102,10 @@ func TestAssertionFailureRemote(t *testing.T) {
 	}
 }
 
-// TestAssertionFailureGrid: grid cells are checked too, and the failure
-// names the cell's derived sweep seed rather than the base seed.
+// TestAssertionFailureGrid: grid cells are checked too, client-side on
+// both transports, so a failing grid is the same *AssertionError with the
+// same text locally and against gossipd, naming the first failing cell's
+// derived seed rather than the base seed.
 func TestAssertionFailureGrid(t *testing.T) {
 	spec, err := scenario.Parse([]byte(`version: 1
 name: failing-grid
@@ -110,23 +114,66 @@ algorithm: blindmatch
 topology:
   kind: complete
 grid:
-  n: [8]
+  n: [8, 12]
   k: [2]
-  trials: 1
+  trials: 2
 expect:
   solved_by: 1
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = scenario.Run(spec, scenario.Options{Out: io.Discard, Log: io.Discard})
-	var aerr *scenario.AssertionError
-	if !errors.As(err, &aerr) {
-		t.Fatalf("grid failure should be *AssertionError, got %T: %v", err, err)
+	var errs []*scenario.AssertionError
+	for _, remote := range []string{"", startDaemon(t)} {
+		err := scenario.Run(spec, scenario.Options{Remote: remote, Out: io.Discard, Log: io.Discard})
+		var aerr *scenario.AssertionError
+		if !errors.As(err, &aerr) {
+			t.Fatalf("remote=%q: grid failure should be *AssertionError, got %T: %v", remote, err, err)
+		}
+		errs = append(errs, aerr)
 	}
-	if aerr.Seed == 9 {
-		t.Fatal("grid failure should carry the cell's derived sweep seed, not the base seed")
+	if want := mobilegossip.SweepSeed(9, 0); errs[0].Seed != want {
+		t.Fatalf("local failure names seed %d, want cell 0's %d", errs[0].Seed, want)
 	}
+	if errs[1].Error() != errs[0].Error() {
+		t.Fatalf("remote grid failure diverged from local:\nremote: %q\nlocal:  %q", errs[1], errs[0])
+	}
+}
+
+// TestGridRemoteEvictRevive runs a grid with more cells than the pool has
+// goroutines against a daemon that keeps one session resident and evicts
+// the idle ones before every run request, so cells in flight together
+// evict each other and are revived. The table must equal the local one
+// byte for byte.
+func TestGridRemoteEvictRevive(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	spec, err := scenario.Parse([]byte(`version: 1
+name: evict-grid
+seed: 11
+algorithm: sharedbit
+tau: 1
+topology:
+  kind: regular
+  degree: 4
+grid:
+  n: [16, 24]
+  k: [2, 4]
+  trials: 3
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, url := evictingDaemon(t)
+	var local, remote bytes.Buffer
+	if err := scenario.Run(spec, scenario.Options{Out: &local}); err != nil {
+		t.Fatal(err)
+	}
+	if err := scenario.Run(spec, scenario.Options{Remote: url, Out: &remote}); err != nil {
+		t.Fatal(err)
+	}
+	compare(t, "evicting remote grid vs local", remote.Bytes(), local.Bytes())
+	requireEvictRevive(t, d)
 }
 
 // TestFinalCheckpoint: CheckpointAt 0 snapshots when the run finishes —

@@ -373,13 +373,6 @@ func (s *Spec) phaseAt(r int) string {
 	return name
 }
 
-// Config lowers the spec to the mobilegossip.Config of a local run at the
-// given grid point (for unphased/ungridded scenarios pass s.N, s.K): the
-// create request, through the one codec.
-func (s *Spec) Config(n, k int) (mobilegossip.Config, error) {
-	return wire.ConfigFromWire(s.CreateRequest(n, k, s.Seed, false))
-}
-
 // CreateRequest assembles the create request for a run at the given grid
 // point and seed.
 func (s *Spec) CreateRequest(n, k int, seed uint64, recordEvents bool) client.CreateRequest {

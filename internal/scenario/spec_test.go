@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobilegossip"
+	"mobilegossip/internal/wire"
 )
 
 // minimalYAML is the smallest valid scenario.
@@ -217,10 +220,14 @@ func TestPhaseHelpers(t *testing.T) {
 	}
 }
 
-// TestConfigMapping: Spec.Config applies the same wire→engine topology
-// mapping the daemon uses, including named topology and adversary kinds,
-// and surfaces unknown names rather than silently dropping them.
+// TestConfigMapping: a spec's create request lowers through the same
+// wire→engine topology mapping the daemon uses, including named topology
+// and adversary kinds, and surfaces unknown names rather than silently
+// dropping them.
 func TestConfigMapping(t *testing.T) {
+	config := func(s *Spec) (mobilegossip.Config, error) {
+		return wire.ConfigFromWire(s.CreateRequest(s.N, s.K, s.Seed, false))
+	}
 	src := strings.Replace(minimalYAML,
 		"  kind: complete",
 		"  kind: waypoint\n  radius: 0.3\n  adversary: blackout\n  adv_budget: 4",
@@ -229,7 +236,7 @@ func TestConfigMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Config(spec.N, spec.K)
+	cfg, err := config(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +253,7 @@ func TestConfigMapping(t *testing.T) {
 	} {
 		spec, err := Parse([]byte(strings.Replace(src, bad.old, bad.new, 1)))
 		if err == nil {
-			_, err = spec.Config(spec.N, spec.K)
+			_, err = config(spec)
 		}
 		if err == nil || !strings.Contains(err.Error(), bad.wantSub) {
 			t.Errorf("replacing %q: want error naming %s, got %v", bad.old, bad.wantSub, err)
