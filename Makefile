@@ -169,7 +169,12 @@ bench-stages:
 #     internal/mtm asserts that they do), so its exchanges run on
 #     GOMAXPROCS goroutines, must write byte-identical tables and event
 #     streams and resume its round-20 checkpoint byte-identically under
-#     the swapped GOMAXPROCS.
+#     the swapped GOMAXPROCS;
+#   - a CrowdedBin run checkpointed mid-bin (round 75, while spelled tags
+#     wait in the stash for the bin's end) must write byte-identical
+#     checkpoint files and resume byte-identically under the swapped
+#     GOMAXPROCS: a checkpoint is a function of the state, not of map
+#     iteration order.
 determinism-matrix:
 	$(GO) build -o dmx_benchtable ./cmd/benchtable
 	$(GO) build -o dmx_gossipsim ./cmd/gossipsim
@@ -193,17 +198,26 @@ determinism-matrix:
 		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_fan.ckpt \
 			| grep -v 'wall time\|resumed from' > dmx_fan_resumed.txt; \
 		cmp dmx_fan.txt dmx_fan_resumed.txt; \
+		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg crowdedbin -graph regular -n 64 -k 16 \
+			-checkpoint dmx_cb.ckpt -checkpointat 75 \
+			| grep -v 'wall time\|checkpoint written' > dmx_cb.txt; \
+		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_cb.ckpt \
+			| grep -v 'wall time\|resumed from' > dmx_cb_resumed.txt; \
+		cmp dmx_cb.txt dmx_cb_resumed.txt; \
 		if [ -z "$$ref" ]; then \
 			ref="gmp$$gmp"; cp dmx_cell.csv dmx_ref.csv; cp dmx_full.txt dmx_ref_full.txt; \
 			cp dmx_fan.txt dmx_ref_fan.txt; cp dmx_fan.jsonl dmx_ref_fan.jsonl; \
+			cp dmx_cb.txt dmx_ref_cb.txt; cp dmx_cb.ckpt dmx_ref_cb.ckpt; \
 		else \
 			cmp dmx_ref.csv dmx_cell.csv; cmp dmx_ref_full.txt dmx_full.txt; \
 			cmp dmx_ref_fan.txt dmx_fan.txt; cmp dmx_ref_fan.jsonl dmx_fan.jsonl; \
+			cmp dmx_ref_cb.txt dmx_cb.txt; cmp dmx_ref_cb.ckpt dmx_cb.ckpt; \
 		fi; \
 	done; \
 	rm -f dmx_benchtable dmx_gossipsim dmx.ckpt dmx_cell.csv dmx_ref.csv dmx_full.txt dmx_resumed.txt dmx_ref_full.txt dmx_prof.txt \
-		dmx_fan.jsonl dmx_fan.ckpt dmx_fan.txt dmx_fan_resumed.txt dmx_ref_fan.txt dmx_ref_fan.jsonl; \
-	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs and a fanned-out exchange byte-identical across GOMAXPROCS 1, 2, 4, 8"
+		dmx_fan.jsonl dmx_fan.ckpt dmx_fan.txt dmx_fan_resumed.txt dmx_ref_fan.txt dmx_ref_fan.jsonl \
+		dmx_cb.ckpt dmx_cb.txt dmx_cb_resumed.txt dmx_ref_cb.txt dmx_ref_cb.ckpt; \
+	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs, a fanned-out exchange and a mid-bin CrowdedBin checkpoint byte-identical across GOMAXPROCS 1, 2, 4, 8"
 
 # determinism-remote is the matrix's service-boundary cell: the same
 # simulation driven locally and through a live gossipd (gossipsim

@@ -44,6 +44,28 @@ func checkpointBytes(tb testing.TB, rounds int) []byte {
 	return buf.Bytes()
 }
 
+// crowdedBinCheckpoint snapshots a CrowdedBin run mid-bin, where spelled-bit
+// accumulators and stashed tags are live state in the stream.
+func crowdedBinCheckpoint(tb testing.TB) []byte {
+	sim, err := mobilegossip.New(mobilegossip.Config{
+		Algorithm: mobilegossip.AlgCrowdedBin, N: 64, K: 16, Seed: 1,
+		Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 75; i++ {
+		if _, err := sim.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := sim.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // pastBackingCheckpoint forges the corruption span-backed token sets must
 // survive: a checkpoint whose config assigns ids {1, 2, 70} over a universe
 // of 200 — so every set is backed for two words, ids ≤ 127 — while its state
@@ -160,6 +182,7 @@ func FuzzResume(f *testing.F) {
 	f.Add(pastBackingCheckpoint(f, 70+64))
 	f.Add(pastBackingCheckpoint(f, 200))
 	f.Add(negativeEpochCheckpoint(f, "mobility.schedule"))
+	f.Add(crowdedBinCheckpoint(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if n, ok := resumeFuzzN(data); ok && (n < 0 || n > 4096) {

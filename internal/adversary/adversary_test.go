@@ -545,11 +545,11 @@ func (p *randProto) Done() bool                 { return false }
 func (p *randProto) Exchange(_ int, c *mtm.Conn) {
 	c.ChargeBits(1)
 }
-func (p *randProto) Decide(_ int, _ mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
-	if len(view) == 0 || rng.Bool() {
+func (p *randProto) Decide(_ int, _ mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
+	if len(view.IDs) == 0 || rng.Bool() {
 		return mtm.Listen()
 	}
-	return mtm.Propose(view[rng.Intn(len(view))].ID)
+	return mtm.Propose(int(view.IDs[rng.Intn(len(view.IDs))]))
 }
 
 // TestConcurrentEngineOverAdversary drives four engines at once, each over

@@ -32,11 +32,11 @@ func (p *BlindMatch) TagBits() int { return 0 }
 func (p *BlindMatch) Tag(int, mtm.NodeID) uint64 { return 0 }
 
 // Decide implements mtm.Protocol: fair coin, then a blind uniform proposal.
-func (p *BlindMatch) Decide(_ int, _ mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
-	if rng.Bool() || len(view) == 0 {
+func (p *BlindMatch) Decide(_ int, _ mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
+	if rng.Bool() || len(view.IDs) == 0 {
 		return mtm.Listen()
 	}
-	return mtm.Propose(view[rng.Intn(len(view))].ID)
+	return mtm.Propose(int(view.IDs[rng.Intn(len(view.IDs))]))
 }
 
 // Exchange implements mtm.Protocol: run Transfer(ε) between the endpoints.

@@ -6,9 +6,11 @@ import (
 
 	"mobilegossip/internal/dyngraph"
 	"mobilegossip/internal/graph"
+	"mobilegossip/internal/leader"
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
 	"mobilegossip/internal/profile"
+	"mobilegossip/internal/rumor"
 )
 
 func TestAssignmentValidate(t *testing.T) {
@@ -395,6 +397,69 @@ func TestGossipStaysWithinBudget(t *testing.T) {
 		if _, err := mtm.NewEngine(dyngraph.NewStatic(graph.Complete(16)), p,
 			mtm.Config{Seed: uint64(i), MaxRounds: 1 << 20}).Run(); err != nil {
 			t.Errorf("protocol %d violated budget: %v", i, err)
+		}
+	}
+}
+
+// tagProbe wraps a protocol and checks, before every Decide, that the
+// view's tag for the deciding node is what Tag returns for it when asked
+// again: the algorithms read their own advertisement as view.Tags[u]
+// instead of recomputing it, which is exact only if the two agree.
+type tagProbe struct {
+	mtm.Protocol
+	t      *testing.T
+	name   string
+	checks int
+}
+
+func (p *tagProbe) Decide(r int, u mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
+	if got, want := view.Tags[u], p.Tag(r, u); got != want {
+		p.t.Fatalf("%s round %d node %d: view.Tags[u] = %#x, Tag(r, u) = %#x", p.name, r, u, got, want)
+	}
+	p.checks++
+	return p.Protocol.Decide(r, u, view, rng)
+}
+
+// TestViewTagsAreTags runs every algorithm, and the two subroutines that
+// run standalone, under the probe for every round of a run to completion.
+func TestViewTagsAreTags(t *testing.T) {
+	const n, k, rounds = 16, 4, 20000
+	state := func() *State { return mustState(t, n, OneTokenPerNode(n, k)) }
+	space := prand.NewSeedSpace(n)
+	cb, err := NewCrowdedBin(state(), CrowdedBinConfig{}, prand.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := NewMultiBit(state(), prand.NewSharedString(3), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = n - i
+	}
+	protos := map[string]mtm.Protocol{
+		"blindmatch":   NewBlindMatch(state()),
+		"sharedbit":    NewSharedBit(state(), prand.NewSharedString(2)),
+		"multibit":     mb,
+		"simsharedbit": NewSimSharedBit(state(), space, SampleSeeds(space, n, prand.New(4))),
+		"crowdedbin":   cb,
+		"epsilon":      NewEpsilonOver(NewSharedBit(state(), prand.NewSharedString(5)), 0.5, 1),
+		"leader":       leader.New(ids, make([]uint64, n)),
+		"rumor":        rumor.New(n, []int{0}),
+	}
+	for name, proto := range protos {
+		var dyn dyngraph.Dynamic = dyngraph.RotatingRing(n, 2, 6)
+		if name == "crowdedbin" {
+			dyn = dyngraph.NewStatic(graph.RandomRegular(n, 4, prand.New(6)))
+		}
+		probe := &tagProbe{Protocol: proto, t: t, name: name}
+		res, err := mtm.NewEngine(dyn, probe, mtm.Config{Seed: 9, MaxRounds: rounds}).Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Completed || probe.checks != n*res.Rounds {
+			t.Errorf("%s: %d checks over %d rounds, completed %v", name, probe.checks, res.Rounds, res.Completed)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"mobilegossip/internal/ckpt"
@@ -46,6 +47,11 @@ type CrowdedBin struct {
 	activeInst []int // committed instance (0 = idle)
 	startSim   []int // sim round at which the committed phase started
 
+	// The round of the latest Tag call, decomposed once for every node, and
+	// whether some node advertises 1 in it.
+	round, inst, sim int
+	someOne          bool
+
 	// per-round scratch, filled by step() in Tag, consumed by Decide/Exchange
 	stepRound []int
 	curBit    []uint64
@@ -60,8 +66,14 @@ type CrowdedBin struct {
 
 	tags    []map[int][]uint64 // known tags per (instance,bin) key, sorted
 	stash   []map[int][]uint64 // tags heard this bin, merged at bin end
-	hear    []map[int]uint64   // per-neighbor spelled-bit accumulator
+	hear    [][]heard          // spelled-bit accumulators, ascending neighbor id
 	tokenOf []map[uint64]int   // tag -> owned/learned token id
+}
+
+// heard accumulates the bits neighbor id has spelled in the current block.
+type heard struct {
+	id  int32
+	acc uint64
 }
 
 // CrowdedBinConfig tunes the schedule constants. The paper's analysis wants
@@ -87,6 +99,10 @@ var _ mtm.Protocol = (*CrowdedBin)(nil)
 // ErrMultiTokenStart reports an assignment giving one node several tokens,
 // which §6's per-node tag scheme does not support.
 var ErrMultiTokenStart = errors.New("core: CrowdedBin requires at most one starting token per node")
+
+// ErrCheckpointHear reports a checkpointed spelled-bit accumulator list that
+// no run writes: longer than n, or with ids not strictly ascending in [0, n).
+var ErrCheckpointHear = errors.New("core: CrowdedBin checkpoint has a malformed hear list")
 
 // NewCrowdedBin builds a CrowdedBin protocol over st. rng supplies the
 // per-owner tag and bin draws (each node's private initialization
@@ -126,7 +142,7 @@ func NewCrowdedBin(st *State, cfg CrowdedBinConfig, rng *prand.RNG) (*CrowdedBin
 
 		tags:    make([]map[int][]uint64, n),
 		stash:   make([]map[int][]uint64, n),
-		hear:    make([]map[int]uint64, n),
+		hear:    make([][]heard, n),
 		tokenOf: make([]map[uint64]int, n),
 	}
 	p.binLen = p.blocks * p.blockLen
@@ -136,7 +152,6 @@ func NewCrowdedBin(st *State, cfg CrowdedBinConfig, rng *prand.RNG) (*CrowdedBin
 		p.deferMerge[u] = -1
 		p.tags[u] = make(map[int][]uint64)
 		p.stash[u] = make(map[int][]uint64)
-		p.hear[u] = make(map[int]uint64)
 		p.tokenOf[u] = make(map[uint64]int)
 	}
 	// Initialization (§6.1): every token owner draws a nonzero ℓ-bit tag and
@@ -179,8 +194,12 @@ func (p *CrowdedBin) phaseLen(inst int) int {
 	return (1 << uint(inst)) * p.binLen
 }
 
-// decompose maps a real round to (instance, simulated round).
+// decompose maps a real round to (instance, simulated round), read from the
+// cache when r is the round Tag last saw.
 func (p *CrowdedBin) decompose(r int) (inst, sim int) {
+	if r == p.round {
+		return p.inst, p.sim
+	}
 	return (r-1)%p.logN + 1, (r-1)/p.logN + 1
 }
 
@@ -194,8 +213,14 @@ func (p *CrowdedBin) globalBin(inst, sim int) int {
 func (p *CrowdedBin) TagBits() int { return 1 }
 
 // Tag implements mtm.Protocol: advance node state and emit this round's bit.
+// The round's first call decomposes r for every node.
 func (p *CrowdedBin) Tag(r int, u mtm.NodeID) uint64 {
+	if r != p.round {
+		p.inst, p.sim = p.decompose(r)
+		p.round, p.someOne = r, false
+	}
 	p.step(u, r)
+	p.someOne = p.someOne || p.curBit[u] == 1
 	return p.curBit[u]
 }
 
@@ -252,7 +277,7 @@ func (p *CrowdedBin) step(u mtm.NodeID, r int) {
 	if q < p.tagLen {
 		// Spelling rounds: advertise bit q of the block-th smallest tag.
 		if q == 0 {
-			clear(p.hear[u])
+			p.hear[u] = p.hear[u][:0]
 		}
 		known := p.tags[u][key]
 		if block < len(known) {
@@ -279,13 +304,14 @@ func (p *CrowdedBin) step(u mtm.NodeID, r int) {
 }
 
 // Decide implements mtm.Protocol.
-func (p *CrowdedBin) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
+func (p *CrowdedBin) Decide(r int, u mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
 	inst, _ := p.decompose(r)
 
 	// Activity watch: a 1-bit on a higher instance proves someone upgraded.
-	if inst > p.est[u] {
-		for _, nb := range view {
-			if nb.Tag == 1 {
+	// A round in which nobody advertises 1 has nothing to watch.
+	if inst > p.est[u] && p.someOne {
+		for _, v := range view.IDs {
+			if view.Tags[v] == 1 {
 				p.upgradeTo(u, inst)
 				break
 			}
@@ -295,15 +321,24 @@ func (p *CrowdedBin) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *prand
 		return mtm.Listen()
 	}
 	if q := p.curQ[u]; q < p.tagLen {
-		// Collect neighbors' spelled bits; stash completed nonzero tags.
-		h := p.hear[u]
-		for _, nb := range view {
-			h[nb.ID] = h[nb.ID]<<1 | nb.Tag
+		// Collect neighbors' spelled bits, merging the ascending view into
+		// the ascending accumulators; stash completed nonzero tags in
+		// ascending neighbor id order.
+		h, i := p.hear[u], 0
+		for _, v := range view.IDs {
+			for i < len(h) && h[i].id < v {
+				i++
+			}
+			if i == len(h) || h[i].id != v {
+				h = slices.Insert(h, i, heard{id: v})
+			}
+			h[i].acc = h[i].acc<<1 | view.Tags[v]
 		}
+		p.hear[u] = h
 		if q == p.tagLen-1 {
-			for _, acc := range h {
-				if acc != 0 {
-					p.stashTag(u, p.curKey[u], acc)
+			for _, e := range h {
+				if e.acc != 0 {
+					p.stashTag(u, p.curKey[u], e.acc)
 				}
 			}
 		}
@@ -342,13 +377,13 @@ func (p *CrowdedBin) Exchange(r int, c *mtm.Conn) {
 // Done implements mtm.Protocol.
 func (p *CrowdedBin) Done() bool { return p.st.AllDone() }
 
-// CheckpointTo serializes every node's mutable schedule state. Map-backed
-// state is written in sorted key order so checkpoints of identical states
-// are byte-identical; the spelled-bit accumulators (hear) are live across
-// round boundaries — a block's spelling rounds are logN engine rounds
-// apart under the round-robin simulation — and are serialized too. The
-// per-round scratch (curBit, curKey, pushToken, …) is dead at a round
-// boundary and is regenerated by step on the next Tag call.
+// CheckpointTo serializes every node's mutable schedule state as a function
+// of that state: maps in sorted key order, stash lists in the order heard (a
+// block's spelled tags in ascending neighbor id). The spelled-bit
+// accumulators (hear) are live across round boundaries — a block's spelling
+// rounds are logN engine rounds apart under the round-robin simulation —
+// and are serialized too. The per-round scratch (curBit, curKey, pushToken,
+// the round cache, …) is dead at a round boundary; the next Tag redoes it.
 func (p *CrowdedBin) CheckpointTo(w *ckpt.Writer) {
 	w.Section("crowdedbin")
 	n := p.st.n
@@ -363,15 +398,10 @@ func (p *CrowdedBin) CheckpointTo(w *ckpt.Writer) {
 		writeTagMap(w, p.tags[u])
 		writeTagMap(w, p.stash[u])
 
-		hearKeys := make([]int, 0, len(p.hear[u]))
-		for k := range p.hear[u] {
-			hearKeys = append(hearKeys, k)
-		}
-		sort.Ints(hearKeys)
-		w.U64(uint64(len(hearKeys)))
-		for _, k := range hearKeys {
-			w.Int(k)
-			w.U64(p.hear[u][k])
+		w.U64(uint64(len(p.hear[u])))
+		for _, e := range p.hear[u] {
+			w.Int(int(e.id))
+			w.U64(e.acc)
 		}
 
 		tokKeys := make([]uint64, 0, len(p.tokenOf[u]))
@@ -410,11 +440,18 @@ func (p *CrowdedBin) RestoreFrom(r *ckpt.Reader) error {
 		p.tags[u] = readTagMap(r)
 		p.stash[u] = readTagMap(r)
 
-		hearLen := int(r.U64())
-		hear := make(map[int]uint64, hearLen)
-		for i := 0; i < hearLen && r.Err() == nil; i++ {
-			k := r.Int()
-			hear[k] = r.U64()
+		hearLen := r.U64()
+		if hearLen > uint64(n) {
+			return fmt.Errorf("%w: node %d hears %d neighbors of %d nodes", ErrCheckpointHear, u, hearLen, n)
+		}
+		hear := make([]heard, 0, hearLen)
+		for prev := -1; len(hear) < int(hearLen) && r.Err() == nil; {
+			id, acc := r.Int(), r.U64()
+			if r.Err() == nil && (id <= prev || id >= n) {
+				return fmt.Errorf("%w: node %d hears id %d after id %d", ErrCheckpointHear, u, id, prev)
+			}
+			prev = id
+			hear = append(hear, heard{int32(id), acc})
 		}
 		p.hear[u] = hear
 
@@ -430,6 +467,7 @@ func (p *CrowdedBin) RestoreFrom(r *ckpt.Reader) error {
 		// resumed round works, and rounds are 1-based.
 		p.stepRound[u] = 0
 	}
+	p.round = 0
 	return r.Err()
 }
 

@@ -4,8 +4,11 @@ package core
 // basic solve tests in core_test.go.
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
+	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/dyngraph"
 	"mobilegossip/internal/graph"
 	"mobilegossip/internal/mtm"
@@ -118,5 +121,46 @@ func TestCrowdedBinDeterministicAcrossBackends(t *testing.T) {
 	}
 	if plain, prof := run(nil), run(profile.NewRecorder()); plain != prof {
 		t.Errorf("backends diverged:\n  plain:    %+v\n  profiled: %+v", plain, prof)
+	}
+}
+
+// TestCrowdedBinRestoreRejectsBadHear: node 0's spelled-bit accumulator list
+// in an otherwise well-formed stream is longer than n, or its ids are not
+// strictly ascending in [0, n); each is a named error, not a panic or a
+// silently wrong state.
+func TestCrowdedBinRestoreRejectsBadHear(t *testing.T) {
+	const n = 8
+	for name, hear := range map[string][]int64{
+		"longer than n": {1 << 62},
+		"descending":    {2, 5, 1, 3, 1},
+		"repeated":      {2, 3, 1, 3, 1},
+		"negative id":   {1, -1, 1},
+		"id n":          {1, n, 1},
+	} {
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		w.Section("crowdedbin")
+		w.Int(n)
+		for i := 0; i < 5; i++ { // est, pending, activeInst, startSim, deferMerge
+			w.Ints(make([]int, n))
+		}
+		w.Bools(make([]bool, n))
+		writeTagMap(w, nil) // node 0's tags
+		writeTagMap(w, nil) // and stash
+		w.U64(uint64(hear[0]))
+		for i := 1; i < len(hear); i += 2 {
+			w.Int(int(hear[i]))
+			w.U64(uint64(hear[i+1]))
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		cb, err := NewCrowdedBin(mustState(t, n, OneTokenPerNode(n, 2)), CrowdedBinConfig{}, prand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cb.RestoreFrom(ckpt.NewReader(&buf)); !errors.Is(err, ErrCheckpointHear) {
+			t.Errorf("%s: RestoreFrom err = %v, want ErrCheckpointHear", name, err)
+		}
 	}
 }

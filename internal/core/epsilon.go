@@ -91,7 +91,7 @@ func (p *EpsilonGossip) TagBits() int { return p.inner.TagBits() }
 func (p *EpsilonGossip) Tag(r int, u mtm.NodeID) uint64 { return p.inner.Tag(r, u) }
 
 // Decide implements mtm.Protocol.
-func (p *EpsilonGossip) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
+func (p *EpsilonGossip) Decide(r int, u mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
 	return p.inner.Decide(r, u, view, rng)
 }
 

@@ -63,11 +63,11 @@ func (p *MultiBit) Tag(r int, u mtm.NodeID) uint64 {
 // exists. The uniform index is drawn from the shared string (as in
 // SharedBit) so the whole execution remains a function of the shared
 // randomness.
-func (p *MultiBit) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, _ *prand.RNG) mtm.Action {
-	own := p.planes.tag(r, p.st.sets[u])
+func (p *MultiBit) Decide(r int, u mtm.NodeID, view mtm.View, _ *prand.RNG) mtm.Action {
+	own := view.Tags[u]
 	smaller := 0
-	for _, nb := range view {
-		if nb.Tag < own {
+	for _, v := range view.IDs {
+		if view.Tags[v] < own {
 			smaller++
 		}
 	}
@@ -75,10 +75,10 @@ func (p *MultiBit) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, _ *prand.RNG
 		return mtm.Listen()
 	}
 	pick := p.shared.UniformIndex(r, u+1, smaller)
-	for _, nb := range view {
-		if nb.Tag < own {
+	for _, v := range view.IDs {
+		if view.Tags[v] < own {
 			if pick == 0 {
-				return mtm.Propose(nb.ID)
+				return mtm.Propose(int(v))
 			}
 			pick--
 		}

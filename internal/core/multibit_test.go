@@ -165,7 +165,7 @@ func (p *productivityChecker) TagBits() int                   { return p.inner.T
 func (p *productivityChecker) Tag(r int, u mtm.NodeID) uint64 { return p.inner.Tag(r, u) }
 func (p *productivityChecker) Done() bool                     { return p.inner.Done() }
 
-func (p *productivityChecker) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
+func (p *productivityChecker) Decide(r int, u mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
 	return p.inner.Decide(r, u, view, rng)
 }
 

@@ -102,15 +102,23 @@ func TestPlaneTagsMatchPerTokenDefinition(t *testing.T) {
 				}
 				protos[b] = mb
 			}
-			view := []mtm.Neighbor{{ID: 3, Tag: 0}, {ID: 5, Tag: 1}, {ID: 7, Tag: 0}}
+			// Nodes 3, 5 and 7 advertise 0, 1 and 0 to a scanning node 0.
+			tags := make([]uint64, n)
+			tags[5] = 1
+			view := mtm.View{IDs: []int32{3, 5, 7}, Tags: tags}
 			for _, g := range nonMonotoneGroups {
 				for u := 0; u < n; u++ {
 					want := refAdvertise(shared, state.sets[u], g, 1)
 					if got := sb.Tag(g, u); got != want {
 						t.Fatalf("universe %d SharedBit group %d node %d: tag %d, definition %d", universe, g, u, got, want)
 					}
-					if got, ref := sb.Decide(g, u, view, nil), decideSharedBit(shared, want, g, u, view); got != ref {
-						t.Fatalf("universe %d SharedBit group %d node %d: decided %+v, definition %+v", universe, g, u, got, ref)
+					ref := mtm.Listen()
+					if want == 1 {
+						ref = mtm.Propose([]int{3, 7}[shared.UniformIndex(g, 1, 2)])
+					}
+					tags[0] = want
+					if got := sb.Decide(g, 0, view, nil); got != ref {
+						t.Fatalf("universe %d SharedBit group %d node 0 advertising node %d's tag: decided %+v, definition %+v", universe, g, u, got, ref)
 					}
 					for b, mb := range protos {
 						if got, want := mb.Tag(g, u), refAdvertise(shared, state.sets[u], g, b); got != want {

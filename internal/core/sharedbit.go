@@ -43,17 +43,17 @@ func (p *SharedBit) Tag(r int, u mtm.NodeID) uint64 {
 	return p.planes.tag(r, p.st.sets[u])
 }
 
-// decideSharedBit is the SharedBit proposal rule: a 1-advertiser proposes to
-// a uniformly chosen 0-advertising neighbor, with the uniform index drawn
+// decideSharedBit is the SharedBit proposal rule: a node advertising 1
+// (view.Tags[u]) proposes to a uniformly chosen 0-advertising neighbor, with the uniform index drawn
 // from the shared string's bundle for this node's UID (uid = u+1). Shared by
 // SimSharedBit.
-func decideSharedBit(shared *prand.SharedString, ownBit uint64, r int, u mtm.NodeID, view []mtm.Neighbor) mtm.Action {
-	if ownBit == 0 {
+func decideSharedBit(shared *prand.SharedString, r int, u mtm.NodeID, view mtm.View) mtm.Action {
+	if view.Tags[u] == 0 {
 		return mtm.Listen()
 	}
 	zeros := 0
-	for _, nb := range view {
-		if nb.Tag == 0 {
+	for _, v := range view.IDs {
+		if view.Tags[v] == 0 {
 			zeros++
 		}
 	}
@@ -61,10 +61,10 @@ func decideSharedBit(shared *prand.SharedString, ownBit uint64, r int, u mtm.Nod
 		return mtm.Listen()
 	}
 	pick := shared.UniformIndex(r, u+1, zeros)
-	for _, nb := range view {
-		if nb.Tag == 0 {
+	for _, v := range view.IDs {
+		if view.Tags[v] == 0 {
 			if pick == 0 {
-				return mtm.Propose(nb.ID)
+				return mtm.Propose(int(v))
 			}
 			pick--
 		}
@@ -73,8 +73,8 @@ func decideSharedBit(shared *prand.SharedString, ownBit uint64, r int, u mtm.Nod
 }
 
 // Decide implements mtm.Protocol.
-func (p *SharedBit) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, _ *prand.RNG) mtm.Action {
-	return decideSharedBit(p.shared, p.planes.tag(r, p.st.sets[u]), r, u, view)
+func (p *SharedBit) Decide(r int, u mtm.NodeID, view mtm.View, _ *prand.RNG) mtm.Action {
+	return decideSharedBit(p.shared, r, u, view)
 }
 
 // Exchange implements mtm.Protocol: run Transfer(ε).

@@ -134,13 +134,12 @@ func (p *SimSharedBit) Tag(r int, u mtm.NodeID) uint64 {
 }
 
 // Decide implements mtm.Protocol.
-func (p *SimSharedBit) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
+func (p *SimSharedBit) Decide(r int, u mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
 	if r%2 == 0 {
 		return p.lead.Decide(leaderRound(r), u, view, rng)
 	}
 	g := gossipGroup(r)
-	pl := p.planesFor(u, g)
-	return decideSharedBit(pl.shared, pl.tag(g, p.st.sets[u]), g, u, view)
+	return decideSharedBit(p.planesFor(u, g).shared, g, u, view)
 }
 
 // Exchange implements mtm.Protocol.

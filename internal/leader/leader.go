@@ -128,13 +128,13 @@ func CandidateBit(r int, candidate int) uint64 {
 }
 
 // Decide implements mtm.Protocol: 1-advertisers seek 0-advertisers.
-func (p *Protocol) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
-	if p.Tag(r, u) == 0 {
+func (p *Protocol) Decide(r int, u mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
+	if view.Tags[u] == 0 {
 		return mtm.Listen()
 	}
 	zeros := 0
-	for _, nb := range view {
-		if nb.Tag == 0 {
+	for _, v := range view.IDs {
+		if view.Tags[v] == 0 {
 			zeros++
 		}
 	}
@@ -142,10 +142,10 @@ func (p *Protocol) Decide(r int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.R
 		return mtm.Listen()
 	}
 	pick := rng.Intn(zeros)
-	for _, nb := range view {
-		if nb.Tag == 0 {
+	for _, v := range view.IDs {
+		if view.Tags[v] == 0 {
 			if pick == 0 {
-				return mtm.Propose(nb.ID)
+				return mtm.Propose(int(v))
 			}
 			pick--
 		}

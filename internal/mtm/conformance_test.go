@@ -35,11 +35,11 @@ func (o *observer) TagBits() int           { return 0 }
 func (o *observer) Tag(int, NodeID) uint64 { return 0 }
 func (o *observer) Done() bool             { return false }
 
-func (o *observer) Decide(r int, u NodeID, view []Neighbor, rng *prand.RNG) Action {
-	if len(view) == 0 || rng.Bool() {
+func (o *observer) Decide(r int, u NodeID, view View, rng *prand.RNG) Action {
+	if len(view.IDs) == 0 || rng.Bool() {
 		return Listen()
 	}
-	target := view[rng.Intn(len(view))].ID
+	target := int(view.IDs[rng.Intn(len(view.IDs))])
 	if o.proposals[r] == nil {
 		o.proposals[r] = make(map[int]int)
 	}
@@ -130,7 +130,7 @@ func (p *hubFlood) TagBits() int           { return 0 }
 func (p *hubFlood) Tag(int, NodeID) uint64 { return 0 }
 func (p *hubFlood) Done() bool             { return false }
 
-func (p *hubFlood) Decide(r int, u NodeID, view []Neighbor, _ *prand.RNG) Action {
+func (p *hubFlood) Decide(r int, u NodeID, view View, _ *prand.RNG) Action {
 	p.rounds = r
 	if u == 0 {
 		return Listen()
@@ -151,8 +151,8 @@ func (p *hubFlood) Exchange(r int, c *Conn) {
 }
 
 // viewChecker verifies that each node's per-round scan view contains
-// exactly its topology neighbors, each labeled with the tag that node is
-// advertising this round.
+// exactly its topology neighbors, and that the view's tags are what every
+// node, the scanning one included, advertises this round.
 type viewChecker struct {
 	t      *testing.T
 	dyn    dyngraph.Dynamic
@@ -167,15 +167,18 @@ func (p *viewChecker) Tag(r int, u NodeID) uint64 {
 	return uint64((r*31 + u*17) % 8)
 }
 
-func (p *viewChecker) Decide(r int, u NodeID, view []Neighbor, _ *prand.RNG) Action {
+func (p *viewChecker) Decide(r int, u NodeID, view View, _ *prand.RNG) Action {
 	g := p.dyn.At(r)
 	want := append([]int(nil), g.Neighbors(u)...)
-	got := make([]int, 0, len(view))
-	for _, nb := range view {
-		got = append(got, nb.ID)
-		if exp := p.Tag(r, nb.ID); nb.Tag != exp {
+	if exp := p.Tag(r, u); view.Tags[u] != exp {
+		p.t.Errorf("round %d node %d: own tag reads %d, want %d", r, u, view.Tags[u], exp)
+	}
+	got := make([]int, 0, len(view.IDs))
+	for _, v := range view.IDs {
+		got = append(got, int(v))
+		if exp := p.Tag(r, int(v)); view.Tags[v] != exp {
 			p.t.Errorf("round %d node %d: neighbor %d advertises %d, want %d",
-				r, u, nb.ID, nb.Tag, exp)
+				r, u, v, view.Tags[v], exp)
 		}
 	}
 	sort.Ints(want)

@@ -12,9 +12,10 @@
 // proposer-cannot-receive, uniform acceptance, matching-only connections,
 // per-connection communication budgets, and the τ-stability of the topology
 // schedule. A round is one straight-line pass over the nodes on the calling
-// goroutine — tag, decide, deliver, accept — but for the exchanges, which
-// a large round fans out; all randomness is drawn from per-node streams,
-// so a seed fixes the execution at any GOMAXPROCS.
+// goroutine — tag, decide, then deliver and accept if anyone proposed —
+// but for the exchanges, which a large round fans out; all randomness is
+// drawn from per-node streams, so a seed fixes the execution at any
+// GOMAXPROCS.
 package mtm
 
 import (
@@ -35,11 +36,14 @@ import (
 // NodeID identifies a node; nodes are 0..n-1.
 type NodeID = int
 
-// Neighbor is one entry of a node's per-round scan: a neighbor's id and its
-// advertised tag (low b bits meaningful).
-type Neighbor struct {
-	ID  NodeID
-	Tag uint64
+// View is a node's per-round scan, read straight from the engine's arrays:
+// IDs are the node's neighbors (the topology's adjacency list, ascending)
+// and Tags is every node's advertisement this round, indexed by node id, so
+// neighbor v advertises Tags[v] and the node itself Tags[node]. Both slices
+// belong to the engine: Decide must neither modify nor retain them.
+type View struct {
+	IDs  []int32
+	Tags []uint64
 }
 
 // Action is a node's per-round decision after scanning.
@@ -67,10 +71,9 @@ type Protocol interface {
 	TagBits() int
 	// Tag returns node's advertisement for round r.
 	Tag(r int, node NodeID) uint64
-	// Decide returns node's action for round r given its scan view. The
-	// view slice is reused by the engine and must not be retained. rng is
+	// Decide returns node's action for round r given its scan view. rng is
 	// the node's private randomness stream.
-	Decide(r int, node NodeID, view []Neighbor, rng *prand.RNG) Action
+	Decide(r int, node NodeID, view View, rng *prand.RNG) Action
 	// Exchange performs the bounded pairwise communication over an accepted
 	// connection. From a fanned-out round a panic reaches Step's caller
 	// with its value but Step's stack (GOMAXPROCS 1 keeps the original).
@@ -186,10 +189,10 @@ type RoundStats struct {
 //
 // All per-round working state lives in scratch buffers owned by the engine
 // and allocated once in NewEngine: tag and action arrays, the flat proposal
-// inbox (CSR-style counts + offsets + one backing array), the scan view,
-// and the Conn records themselves. The round loop therefore performs zero
-// steady-state heap allocations — see DESIGN.md §"Scratch-buffer
-// lifecycle".
+// inbox (CSR-style counts + offsets + one backing array) and the Conn
+// records themselves; a scan view is the adjacency slice and the tag array.
+// The round loop therefore performs zero steady-state heap allocations —
+// see DESIGN.md §"Scratch-buffer lifecycle".
 type Engine struct {
 	dyn   dyngraph.Dynamic
 	proto Protocol
@@ -213,7 +216,6 @@ type Engine struct {
 	inCnt   []int32  // valid proposals per target node, then the fill cursor
 	inOff   []int32  // prefix offsets into inbox
 	inbox   []int32  // flat proposal inbox: proposers grouped by target
-	view    []Neighbor
 	conns   []Conn
 	x       fanout // exchange fan-out state (see Engine.exchange)
 
@@ -256,7 +258,6 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 		inCnt:   make([]int32, n),
 		inOff:   make([]int32, n),
 		inbox:   make([]int32, n),
-		view:    make([]Neighbor, 0, 64),
 		conns:   make([]Conn, 0, n/2+1),
 		x:       fanout{wake: make(chan struct{}, 1)},
 	}
@@ -396,65 +397,65 @@ func (e *Engine) Step() (RoundStats, error) {
 		}
 	}
 
-	// Scan + decide, each node drawing from its own stream.
-	acts, rngs, view := e.acts, e.rngs, e.view
+	// Scan + decide, each node drawing from its own stream. A round in
+	// which nobody proposes ends here: delivery and acceptance would draw
+	// nothing and connect nobody.
+	acts, rngs := e.acts, e.rngs
 	for u := range acts {
-		view = view[:0]
-		for _, v := range g.Adjacency(u) {
-			view = append(view, Neighbor{ID: int(v), Tag: tags[v]})
+		acts[u] = proto.Decide(r, u, View{IDs: g.Adjacency(u), Tags: tags}, rngs[u])
+		if acts[u].Propose {
+			stats.Proposals++
 		}
-		acts[u] = proto.Decide(r, u, view, rngs[u])
 	}
-	e.view = view[:0] // keep any growth for the next round
-
-	// Deliver: validate each proposal and count arrivals per target. A
-	// proposer cannot receive, so proposals to proposers are lost (the
-	// target is busy sending), as are malformed ones.
-	targets, inCnt, inOff, inbox := e.targets, e.inCnt, e.inOff, e.inbox
-	n := len(targets)
-	clear(inCnt)
-	for u := range targets {
-		targets[u] = -1
-		if !acts[u].Propose {
-			continue
-		}
-		stats.Proposals++
-		t := acts[u].Target
-		if t < 0 || t >= n || t == u || !g.HasEdge(u, t) || acts[t].Propose {
-			continue
-		}
-		targets[u] = int32(t)
-		inCnt[t]++
-	}
-	// One prefix sum lays out the inbox; inCnt is then reused as the fill
-	// cursor, so proposers group by target in ascending proposer order.
-	off := int32(0)
-	for v := range inOff {
-		inOff[v] = off
-		off += inCnt[v]
-		inCnt[v] = 0
-	}
-	for u, t := range targets {
-		if t >= 0 {
-			inbox[inOff[t]+inCnt[t]] = int32(u)
+	conns := e.conns[:0]
+	if stats.Proposals > 0 {
+		// Deliver: validate each proposal and count arrivals per target. A
+		// proposer cannot receive, so proposals to proposers are lost (the
+		// target is busy sending), as are malformed ones.
+		targets, inCnt, inOff, inbox := e.targets, e.inCnt, e.inOff, e.inbox
+		n := len(targets)
+		clear(inCnt)
+		for u := range targets {
+			targets[u] = -1
+			if !acts[u].Propose {
+				continue
+			}
+			t := acts[u].Target
+			if t < 0 || t >= n || t == u || !g.HasEdge(u, t) || acts[t].Propose {
+				continue
+			}
+			targets[u] = int32(t)
 			inCnt[t]++
 		}
-	}
-
-	// Accept: each listener with proposals picks one uniformly with its own
-	// randomness, so connections form a matching, listed in ascending
-	// responder order in the engine's reusable Conn slice.
-	conns := e.conns[:0]
-	for v, c := range inCnt {
-		if c == 0 {
-			continue
+		// One prefix sum lays out the inbox; inCnt is then the fill
+		// cursor, so proposers group by target in ascending proposer order.
+		off := int32(0)
+		for v := range inOff {
+			inOff[v] = off
+			off += inCnt[v]
+			inCnt[v] = 0
 		}
-		u := int(inbox[inOff[v]+int32(rngs[v].Intn(int(c)))])
-		conns = append(conns, Conn{
-			Round: r, Initiator: u, Responder: v,
-			InitRNG: rngs[u], RespRNG: rngs[v],
-			bitLimit: e.cfg.BitLimit, tokenLimit: e.cfg.TokenLimit,
-		})
+		for u, t := range targets {
+			if t >= 0 {
+				inbox[inOff[t]+inCnt[t]] = int32(u)
+				inCnt[t]++
+			}
+		}
+
+		// Accept: each listener with proposals picks one uniformly with its
+		// own randomness, so connections form a matching, listed in
+		// ascending responder order in the engine's reusable Conn slice.
+		for v, c := range inCnt {
+			if c == 0 {
+				continue
+			}
+			u := int(inbox[inOff[v]+int32(rngs[v].Intn(int(c)))])
+			conns = append(conns, Conn{
+				Round: r, Initiator: u, Responder: v,
+				InitRNG: rngs[u], RespRNG: rngs[v],
+				bitLimit: e.cfg.BitLimit, tokenLimit: e.cfg.TokenLimit,
+			})
+		}
 	}
 	e.conns = conns
 	phaseNs[profile.PhaseProposal] = lap(prof, &tPhase)

@@ -38,11 +38,11 @@ func (p *minSpread) TagBits() int { return 1 }
 
 func (p *minSpread) Tag(_ int, u NodeID) uint64 { return uint64(p.vals[u] & 1) }
 
-func (p *minSpread) Decide(_ int, _ NodeID, view []Neighbor, rng *prand.RNG) Action {
-	if len(view) == 0 || rng.Bool() {
+func (p *minSpread) Decide(_ int, _ NodeID, view View, rng *prand.RNG) Action {
+	if len(view.IDs) == 0 || rng.Bool() {
 		return Listen()
 	}
-	return Propose(view[rng.Intn(len(view))].ID)
+	return Propose(int(view.IDs[rng.Intn(len(view.IDs))]))
 }
 
 func (p *minSpread) Exchange(_ int, c *Conn) {
@@ -184,11 +184,11 @@ func (p *proposerTrap) TagBits() int           { return 0 }
 func (p *proposerTrap) Tag(int, NodeID) uint64 { return 0 }
 func (p *proposerTrap) Done() bool             { return false }
 func (p *proposerTrap) Exchange(int, *Conn)    {}
-func (p *proposerTrap) Decide(_ int, u NodeID, view []Neighbor, _ *prand.RNG) Action {
-	if len(view) == 0 {
+func (p *proposerTrap) Decide(_ int, u NodeID, view View, _ *prand.RNG) Action {
+	if len(view.IDs) == 0 {
 		return Listen()
 	}
-	return Propose(view[0].ID)
+	return Propose(int(view.IDs[0]))
 }
 
 func TestProposerCannotReceive(t *testing.T) {
@@ -304,7 +304,7 @@ func (p *fixedTarget) TagBits() int           { return 0 }
 func (p *fixedTarget) Tag(int, NodeID) uint64 { return 0 }
 func (p *fixedTarget) Done() bool             { return false }
 func (p *fixedTarget) Exchange(int, *Conn)    {}
-func (p *fixedTarget) Decide(_ int, u NodeID, _ []Neighbor, _ *prand.RNG) Action {
+func (p *fixedTarget) Decide(_ int, u NodeID, _ View, _ *prand.RNG) Action {
 	if u == 0 {
 		return Propose(p.target)
 	}
@@ -339,7 +339,7 @@ func (p *hubCounter) Done() bool             { return false }
 func (p *hubCounter) Exchange(_ int, c *Conn) {
 	p.wins[c.Initiator]++
 }
-func (p *hubCounter) Decide(_ int, u NodeID, _ []Neighbor, _ *prand.RNG) Action {
+func (p *hubCounter) Decide(_ int, u NodeID, _ View, _ *prand.RNG) Action {
 	if u == 0 {
 		return Listen()
 	}
@@ -353,7 +353,7 @@ type evenToOdd struct{ onExchange func(c *Conn) }
 func (p *evenToOdd) TagBits() int           { return 0 }
 func (p *evenToOdd) Tag(int, NodeID) uint64 { return 0 }
 func (p *evenToOdd) Done() bool             { return false }
-func (p *evenToOdd) Decide(_ int, u NodeID, _ []Neighbor, _ *prand.RNG) Action {
+func (p *evenToOdd) Decide(_ int, u NodeID, _ View, _ *prand.RNG) Action {
 	if u%2 == 0 {
 		return Propose(u + 1)
 	}
@@ -404,4 +404,42 @@ func TestConcurrentExchangePanicReachesCaller(t *testing.T) {
 		}
 	}
 	t.Fatal("no helper ran a chunk in 100 rounds")
+}
+
+// listener never proposes and draws nothing in Decide.
+type listener struct{}
+
+func (listener) TagBits() int                                { return 1 }
+func (listener) Tag(_ int, u NodeID) uint64                  { return uint64(u & 1) }
+func (listener) Decide(int, NodeID, View, *prand.RNG) Action { return Listen() }
+func (listener) Exchange(int, *Conn)                         {}
+func (listener) Done() bool                                  { return false }
+
+// TestSilentRoundDrawsNothing: a round in which no node proposes ends after
+// Decide, so it connects nobody and leaves every node's stream untouched —
+// skipping delivery and acceptance there is exact.
+func TestSilentRoundDrawsNothing(t *testing.T) {
+	const n = 32
+	e := NewEngine(dyngraph.NewStatic(graph.Complete(n)), listener{}, Config{Seed: 5, MaxRounds: 10})
+	before := make([][4]uint64, n)
+	for u := range before {
+		before[u] = e.NodeRNG(u).State()
+	}
+	for r := 1; r <= 3; r++ {
+		st, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Proposals != 0 || st.Connections != 0 {
+			t.Fatalf("round %d: %+v, want no proposals and no connections", r, st)
+		}
+	}
+	for u, s := range before {
+		if got := e.NodeRNG(u).State(); got != s {
+			t.Fatalf("node %d: stream moved from %x to %x in rounds without proposals", u, s, got)
+		}
+	}
+	if res := e.Result(); res.Connections != 0 || res.Proposals != 0 || res.Rounds != 3 {
+		t.Fatalf("result %+v", res)
+	}
 }

@@ -61,7 +61,7 @@ func (p *Protocol) Tag(_ int, u mtm.NodeID) uint64 {
 }
 
 // Decide implements mtm.Protocol: PPUSH's single rule.
-func (p *Protocol) Decide(_ int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
+func (p *Protocol) Decide(_ int, u mtm.NodeID, view mtm.View, rng *prand.RNG) mtm.Action {
 	if !p.informed[u] {
 		return mtm.Listen()
 	}
@@ -71,10 +71,10 @@ func (p *Protocol) Decide(_ int, u mtm.NodeID, view []mtm.Neighbor, rng *prand.R
 // DecidePush is the PPUSH proposal rule given a scan view: propose to a
 // uniformly random neighbor advertising 0, or listen if none. Exported so
 // CrowdedBin can run PPUSH sub-rounds without instantiating a Protocol.
-func DecidePush(view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
+func DecidePush(view mtm.View, rng *prand.RNG) mtm.Action {
 	uninformed := 0
-	for _, nb := range view {
-		if nb.Tag == 0 {
+	for _, v := range view.IDs {
+		if view.Tags[v] == 0 {
 			uninformed++
 		}
 	}
@@ -82,10 +82,10 @@ func DecidePush(view []mtm.Neighbor, rng *prand.RNG) mtm.Action {
 		return mtm.Listen()
 	}
 	pick := rng.Intn(uninformed)
-	for _, nb := range view {
-		if nb.Tag == 0 {
+	for _, v := range view.IDs {
+		if view.Tags[v] == 0 {
 			if pick == 0 {
-				return mtm.Propose(nb.ID)
+				return mtm.Propose(int(v))
 			}
 			pick--
 		}

@@ -118,7 +118,7 @@ func TestRingSpreadScalesWithInverseAlpha(t *testing.T) {
 
 func TestDecidePushUniformAmongUninformed(t *testing.T) {
 	rng := prand.New(4)
-	view := []mtm.Neighbor{{ID: 1, Tag: 1}, {ID: 2, Tag: 0}, {ID: 3, Tag: 0}, {ID: 4, Tag: 1}}
+	view := mtm.View{IDs: []int32{1, 2, 3, 4}, Tags: []uint64{0, 1, 0, 0, 1}}
 	counts := map[int]int{}
 	for i := 0; i < 4000; i++ {
 		a := DecidePush(view, rng)
@@ -137,11 +137,11 @@ func TestDecidePushUniformAmongUninformed(t *testing.T) {
 
 func TestDecidePushNoUninformed(t *testing.T) {
 	rng := prand.New(5)
-	view := []mtm.Neighbor{{ID: 1, Tag: 1}}
+	view := mtm.View{IDs: []int32{1}, Tags: []uint64{0, 1}}
 	if a := DecidePush(view, rng); a.Propose {
 		t.Fatal("proposed with no uninformed neighbors")
 	}
-	if a := DecidePush(nil, rng); a.Propose {
+	if a := DecidePush(mtm.View{}, rng); a.Propose {
 		t.Fatal("proposed with empty view")
 	}
 }

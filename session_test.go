@@ -210,6 +210,45 @@ func TestCheckpointResumeMatchesRun(t *testing.T) {
 	}
 }
 
+// TestCrowdedBinCheckpointsAreLockstep steps two identical CrowdedBin
+// sessions side by side and checkpoints both every 10 rounds: a checkpoint
+// is a function of the state, so the two byte streams must agree at every
+// round, mid-bin ones included (where tags spelled in one block wait in the
+// stash for the bin's end).
+func TestCrowdedBinCheckpointsAreLockstep(t *testing.T) {
+	for _, nk := range [][2]int{{64, 16}, {128, 8}, {256, 8}} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			cfg := mobilegossip.Config{Algorithm: mobilegossip.AlgCrowdedBin, N: nk[0], K: nk[1],
+				Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular}, Seed: seed, MaxRounds: 1000}
+			var sims [2]*mobilegossip.Simulation
+			for i := range sims {
+				sim, err := mobilegossip.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sims[i] = sim
+			}
+			for !sims[0].Done() {
+				var ckpts [2]bytes.Buffer
+				for i, sim := range sims {
+					for j := 0; j < 10 && !sim.Done(); j++ {
+						if _, err := sim.Step(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := sim.Checkpoint(&ckpts[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(ckpts[0].Bytes(), ckpts[1].Bytes()) {
+					t.Fatalf("n=%d k=%d seed %d: checkpoints of two identical runs differ at round %d",
+						cfg.N, cfg.K, seed, sims[0].Round())
+				}
+			}
+		}
+	}
+}
+
 // inertRun is everything a session emits: its Result, event JSONL and a
 // checkpoint taken at round 3.
 type inertRun struct {
