@@ -108,8 +108,9 @@ bench-smoke:
 # distribution): the EngineRound simulation core plus the DynamicRound and
 # AdversaryRound delta-vs-rebuild suites at n=10k (the n=100k rows exist
 # for manual runs — `go test -bench=BenchmarkDynamicRound` — but are too
-# slow to gate per-PR).
-BENCH_PATTERN := 'BenchmarkEngineRound|Benchmark(Dynamic|Adversary)Round/.*_n10000_'
+# slow to gate per-PR), and RandomRegular at the two shapes the τ ≥ 1
+# regular schedules redraw every epoch.
+BENCH_PATTERN := 'BenchmarkEngineRound|Benchmark(Dynamic|Adversary)Round/.*_n10000_|BenchmarkRandomRegular'
 bench-core:
 	$(GO) test -bench=$(BENCH_PATTERN) -benchmem -benchtime=$(BENCHTIME) -run='^$$' . | tee bench-core.txt
 
@@ -174,7 +175,12 @@ bench-stages:
 #     wait in the stash for the bin's end) must write byte-identical
 #     checkpoint files and resume byte-identically under the swapped
 #     GOMAXPROCS: a checkpoint is a function of the state, not of map
-#     iteration order.
+#     iteration order;
+#   - a regenerated-topology run (regular, d = 6, τ = 2, n = 512) whose
+#     every epoch spends all 50 pairing attempts and falls back to the
+#     circulant, checkpointed mid-epoch (round 35), must write
+#     byte-identical tables and checkpoint files and resume
+#     byte-identically under the swapped GOMAXPROCS.
 determinism-matrix:
 	$(GO) build -o dmx_benchtable ./cmd/benchtable
 	$(GO) build -o dmx_gossipsim ./cmd/gossipsim
@@ -204,20 +210,29 @@ determinism-matrix:
 		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_cb.ckpt \
 			| grep -v 'wall time\|resumed from' > dmx_cb_resumed.txt; \
 		cmp dmx_cb.txt dmx_cb_resumed.txt; \
+		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg sharedbit -graph regular -degree 6 -tau 2 -n 512 -k 16 -seed 5 \
+			-checkpoint dmx_rr.ckpt -checkpointat 35 \
+			| grep -v 'wall time\|checkpoint written' > dmx_rr.txt; \
+		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_rr.ckpt \
+			| grep -v 'wall time\|resumed from' > dmx_rr_resumed.txt; \
+		cmp dmx_rr.txt dmx_rr_resumed.txt; \
 		if [ -z "$$ref" ]; then \
 			ref="gmp$$gmp"; cp dmx_cell.csv dmx_ref.csv; cp dmx_full.txt dmx_ref_full.txt; \
 			cp dmx_fan.txt dmx_ref_fan.txt; cp dmx_fan.jsonl dmx_ref_fan.jsonl; \
 			cp dmx_cb.txt dmx_ref_cb.txt; cp dmx_cb.ckpt dmx_ref_cb.ckpt; \
+			cp dmx_rr.txt dmx_ref_rr.txt; cp dmx_rr.ckpt dmx_ref_rr.ckpt; \
 		else \
 			cmp dmx_ref.csv dmx_cell.csv; cmp dmx_ref_full.txt dmx_full.txt; \
 			cmp dmx_ref_fan.txt dmx_fan.txt; cmp dmx_ref_fan.jsonl dmx_fan.jsonl; \
 			cmp dmx_ref_cb.txt dmx_cb.txt; cmp dmx_ref_cb.ckpt dmx_cb.ckpt; \
+			cmp dmx_ref_rr.txt dmx_rr.txt; cmp dmx_ref_rr.ckpt dmx_rr.ckpt; \
 		fi; \
 	done; \
 	rm -f dmx_benchtable dmx_gossipsim dmx.ckpt dmx_cell.csv dmx_ref.csv dmx_full.txt dmx_resumed.txt dmx_ref_full.txt dmx_prof.txt \
 		dmx_fan.jsonl dmx_fan.ckpt dmx_fan.txt dmx_fan_resumed.txt dmx_ref_fan.txt dmx_ref_fan.jsonl \
-		dmx_cb.ckpt dmx_cb.txt dmx_cb_resumed.txt dmx_ref_cb.txt dmx_ref_cb.ckpt; \
-	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs, a fanned-out exchange and a mid-bin CrowdedBin checkpoint byte-identical across GOMAXPROCS 1, 2, 4, 8"
+		dmx_cb.ckpt dmx_cb.txt dmx_cb_resumed.txt dmx_ref_cb.txt dmx_ref_cb.ckpt \
+		dmx_rr.ckpt dmx_rr.txt dmx_rr_resumed.txt dmx_ref_rr.txt dmx_ref_rr.ckpt; \
+	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs, a fanned-out exchange, a mid-bin CrowdedBin checkpoint and a regenerated-topology checkpoint byte-identical across GOMAXPROCS 1, 2, 4, 8"
 
 # determinism-remote is the matrix's service-boundary cell: the same
 # simulation driven locally and through a live gossipd (gossipsim

@@ -353,18 +353,29 @@ func BenchmarkEngineRound(b *testing.B) {
 	}
 }
 
-// BenchmarkGraph measures generator + property-computation cost for the
-// topology substrate.
-func BenchmarkGraph(b *testing.B) {
-	b.Run("random_regular_n1024", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := graph.RandomRegular(1024, 4, prand.New(uint64(i)+1))
-			if g.N() != 1024 {
-				b.Fatal("bad graph")
+// BenchmarkRandomRegular measures one RandomRegular call at the shapes the
+// τ ≥ 1 schedules redraw every epoch: n = 64, d = 4 (the sweep and daemon
+// sessions, about one attempt in forty simple) and n = 512, d = 6 (every
+// attempt fails, so each call is 50 attempts plus the circulant fallback).
+// Seeds cycle through a fixed 64, so a row's mix of calls does not drift
+// with b.N.
+func BenchmarkRandomRegular(b *testing.B) {
+	for _, c := range []struct{ n, d int }{{64, 4}, {512, 6}} {
+		b.Run(fmt.Sprintf("n%d_d%d", c.n, c.d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := graph.RandomRegular(c.n, c.d, prand.New(uint64(i%64)+1))
+				if g.N() != c.n {
+					b.Fatal("bad graph")
+				}
 			}
-		}
-	})
+		})
+	}
+}
+
+// BenchmarkGraph measures property-computation cost for the topology
+// substrate.
+func BenchmarkGraph(b *testing.B) {
 	b.Run("expansion_exact_n20", func(b *testing.B) {
 		b.ReportAllocs()
 		g := graph.RandomRegular(20, 4, prand.New(5))

@@ -98,8 +98,7 @@ func (d *Regen) At(r int) *graph.Graph {
 	if g, ok := d.cache[epoch]; ok {
 		return g
 	}
-	rng := prand.New(prand.Mix64(d.seed ^ uint64(epoch)*0x9e3779b97f4a7c15))
-	g := d.gen(epoch, rng)
+	g := d.gen(epoch, EpochRNG(d.seed, epoch))
 	// Keep the cache bounded: epochs are visited in order, so evict all but
 	// a recent window.
 	if len(d.cache) > 8 {
@@ -112,6 +111,17 @@ func (d *Regen) At(r int) *graph.Graph {
 	d.cache[epoch] = g
 	return g
 }
+
+// EpochRNG returns the generator Regen hands its Generator for epoch, a
+// pure function of (seed, epoch): a graph built from it ahead of the
+// schedule is the graph At builds for that epoch, and Keep can hand it over.
+func EpochRNG(seed uint64, epoch int) *prand.RNG {
+	return prand.New(prand.Mix64(seed ^ uint64(epoch)*0x9e3779b97f4a7c15))
+}
+
+// Keep caches g as epoch's graph, so At does not rebuild it. g must be the
+// graph gen builds from EpochRNG(seed, epoch).
+func (d *Regen) Keep(epoch int, g *graph.Graph) { d.cache[epoch] = g }
 
 // N implements Dynamic.
 func (d *Regen) N() int { return d.n }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Graph is an undirected simple graph on vertices 0..n-1 stored in CSR form:
@@ -77,7 +76,7 @@ func (b *Builder) Build(name string) *Graph {
 	}
 	// Sort + compact the packed edge list: duplicates from repeated AddEdge
 	// calls collapse here, replacing the old map-based dedup.
-	sort.Slice(b.edges, func(i, j int) bool { return b.edges[i] < b.edges[j] })
+	slices.Sort(b.edges)
 	edges := b.edges[:0]
 	var prev uint64
 	for i, e := range b.edges {

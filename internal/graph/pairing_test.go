@@ -45,14 +45,14 @@ func refTryPairing(n, d int, rng *prand.RNG) (*Graph, bool) {
 // reuses it: same verdict, same graph and name, same generator state.
 func TestTryPairingMatchesMapReference(t *testing.T) {
 	for _, c := range []struct{ n, d int }{
-		{4, 2}, {5, 2}, {8, 3}, {16, 4}, {64, 4}, {64, 6}, {100, 3}, {33, 8}, {256, 4},
+		{4, 2}, {5, 2}, {8, 3}, {16, 4}, {64, 4}, {64, 6}, {100, 3}, {33, 8}, {128, 4}, {256, 4}, {512, 6},
 	} {
 		succeeded := 0
 		for seed := uint64(1); seed <= 8; seed++ {
 			got, ref := prand.New(seed), prand.New(seed)
-			stubs, keys := make([]int, 0, c.n*c.d), make([]uint64, 0, c.n*c.d/2)
+			p := newPairing(c.n, c.d)
 			for attempt := 0; attempt < 50; attempt++ {
-				g, ok := tryPairing(c.n, c.d, got, stubs, keys)
+				g, ok := tryPairing(p, got)
 				rg, rok := refTryPairing(c.n, c.d, ref)
 				if ok != rok || got.State() != ref.State() {
 					t.Fatalf("n=%d d=%d seed=%d attempt %d: ok %v vs %v; states equal: %v",

@@ -156,6 +156,37 @@ func (r *RNG) IntnMember(n, off int, bitmap []uint64, count int) int {
 	return int(q)
 }
 
+// FisherYates fills js[i] = Intn(i+1) for i = len(js)-1 down to 1, in that
+// order, and leaves js[0] alone: the swap indices of a Fisher–Yates
+// shuffle of len(js) elements. The indices do not depend on the swaps, so
+// drawing them all first consumes exactly the stream of the shuffle loop;
+// what is fused is the cost, as in IntnMember: the xoshiro state lives in
+// locals across every draw and is written back once.
+func (r *RNG) FisherYates(js []int32) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := len(js) - 1; i > 0; i-- {
+		un := uint64(i + 1)
+		for {
+			v := bits.RotateLeft64(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = bits.RotateLeft64(s3, 45)
+			hi, lo := bits.Mul64(v, un)
+			// Lemire's rejection, as in Intn and IntnMember.
+			if lo < un && lo < -un%un {
+				continue
+			}
+			js[i] = int32(hi)
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

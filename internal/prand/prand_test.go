@@ -2,6 +2,7 @@ package prand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -261,6 +262,39 @@ func TestPermProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFisherYatesMatchesIntnLoop pins the fused index draw to the loop it
+// replaces, js[i] = Intn(i+1) from the top down, on every index and on the
+// generator state left behind, for every length up to 4,096. Every other
+// case starts from s[1] = 0, whose first output is 0 (see
+// TestIntnMemberMatchesIntnLoop): below the Lemire threshold whenever the
+// top index's range is not a power of two, so the redraw path runs too.
+func TestFisherYatesMatchesIntnLoop(t *testing.T) {
+	seeds := New(20261017)
+	for n := 0; n <= 4096; n++ {
+		for c := 0; c < 2; c++ {
+			state := [4]uint64{seeds.Uint64(), seeds.Uint64(), seeds.Uint64(), seeds.Uint64()}
+			if c == 1 {
+				state[1] = 0
+			}
+			var fused, loop RNG
+			fused.SetState(state)
+			loop.SetState(state)
+			got, want := make([]int32, n), make([]int32, n)
+			if n > 0 {
+				got[0], want[0] = -1, -1 // js[0] is never written
+			}
+			fused.FisherYates(got)
+			for i := n - 1; i > 0; i-- {
+				want[i] = int32(loop.Intn(i + 1))
+			}
+			if !slices.Equal(got, want) || fused.State() != loop.State() {
+				t.Fatalf("len %d, case %d: indices equal: %v; states equal: %v",
+					n, c, slices.Equal(got, want), fused.State() == loop.State())
+			}
+		}
 	}
 }
 

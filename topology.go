@@ -340,9 +340,8 @@ func (t Topology) buildSchedule(n, tau int, seed uint64) (dyngraph.Dynamic, erro
 			N: n, Tau: tau, Radius: t.Radius, Seed: seed,
 		}), nil
 	}
-	rng := prand.New(prand.Mix64(seed ^ 0xa24baed4963ee407))
 	if tau <= 0 {
-		g, err := t.buildStatic(n, rng)
+		g, err := t.buildStatic(n, prand.New(prand.Mix64(seed^0xa24baed4963ee407)))
 		if err != nil {
 			return nil, err
 		}
@@ -351,22 +350,27 @@ func (t Topology) buildSchedule(n, tau int, seed uint64) (dyngraph.Dynamic, erro
 		}
 		return dyngraph.NewStatic(g), nil
 	}
-	// Validate the family once so Build fails fast.
-	if _, err := t.buildStatic(n, rng); err != nil {
+	// Build fails fast on a family that cannot be built, by building epoch
+	// 0's graph exactly as the schedule would and keeping it there.
+	rng0 := dyngraph.EpochRNG(seed, 0)
+	g0, err := t.buildStatic(n, rng0)
+	if err != nil {
 		return nil, err
 	}
 	spec := t // copy for the closure
 	gen := func(_ int, erng *prand.RNG) *graph.Graph {
 		g, err := spec.buildStatic(n, erng)
 		if err != nil {
-			// Cannot happen: validated above with identical inputs except
-			// the RNG, and no generator fails RNG-dependently.
+			// Cannot happen: epoch 0 was built above with identical inputs
+			// except the RNG, and no generator fails RNG-dependently.
 			panic(err)
 		}
 		// The random permutation supplies the per-epoch label churn.
 		return relabel(g, erng)
 	}
-	return dyngraph.NewRegen(n, tau, seed, t.Kind.String(), gen), nil
+	sched := dyngraph.NewRegen(n, tau, seed, t.Kind.String(), gen)
+	sched.Keep(0, relabel(g0, rng0))
+	return sched, nil
 }
 
 // relabel permutes vertex labels so deterministic families still churn.
