@@ -176,6 +176,12 @@ bench-stages:
 #     checkpoint files and resume byte-identically under the swapped
 #     GOMAXPROCS: a checkpoint is a function of the state, not of map
 #     iteration order;
+#   - the same CrowdedBin run checkpointed at round 1,293, a quiet round
+#     (mtm.Protocol's Quiet: the engine skips its tag and decide passes)
+#     right after round 1,292 ran in full to consume the deferred merges
+#     of instance 1's first bin, must write byte-identical checkpoint files
+#     and resume byte-identically under the swapped GOMAXPROCS: the resumed
+#     run's quiet rounds are decided by the counters RestoreFrom recounts;
 #   - a regenerated-topology run (regular, d = 6, τ = 2, n = 512) whose
 #     every epoch spends all 50 pairing attempts and falls back to the
 #     circulant, checkpointed mid-epoch (round 35), must write
@@ -210,6 +216,12 @@ determinism-matrix:
 		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_cb.ckpt \
 			| grep -v 'wall time\|resumed from' > dmx_cb_resumed.txt; \
 		cmp dmx_cb.txt dmx_cb_resumed.txt; \
+		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg crowdedbin -graph regular -n 64 -k 16 \
+			-checkpoint dmx_cbq.ckpt -checkpointat 1293 \
+			| grep -v 'wall time\|checkpoint written' > dmx_cbq.txt; \
+		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_cbq.ckpt \
+			| grep -v 'wall time\|resumed from' > dmx_cbq_resumed.txt; \
+		cmp dmx_cbq.txt dmx_cbq_resumed.txt; \
 		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg sharedbit -graph regular -degree 6 -tau 2 -n 512 -k 16 -seed 5 \
 			-checkpoint dmx_rr.ckpt -checkpointat 35 \
 			| grep -v 'wall time\|checkpoint written' > dmx_rr.txt; \
@@ -220,19 +232,22 @@ determinism-matrix:
 			ref="gmp$$gmp"; cp dmx_cell.csv dmx_ref.csv; cp dmx_full.txt dmx_ref_full.txt; \
 			cp dmx_fan.txt dmx_ref_fan.txt; cp dmx_fan.jsonl dmx_ref_fan.jsonl; \
 			cp dmx_cb.txt dmx_ref_cb.txt; cp dmx_cb.ckpt dmx_ref_cb.ckpt; \
+			cp dmx_cbq.txt dmx_ref_cbq.txt; cp dmx_cbq.ckpt dmx_ref_cbq.ckpt; \
 			cp dmx_rr.txt dmx_ref_rr.txt; cp dmx_rr.ckpt dmx_ref_rr.ckpt; \
 		else \
 			cmp dmx_ref.csv dmx_cell.csv; cmp dmx_ref_full.txt dmx_full.txt; \
 			cmp dmx_ref_fan.txt dmx_fan.txt; cmp dmx_ref_fan.jsonl dmx_fan.jsonl; \
 			cmp dmx_ref_cb.txt dmx_cb.txt; cmp dmx_ref_cb.ckpt dmx_cb.ckpt; \
+			cmp dmx_ref_cbq.txt dmx_cbq.txt; cmp dmx_ref_cbq.ckpt dmx_cbq.ckpt; \
 			cmp dmx_ref_rr.txt dmx_rr.txt; cmp dmx_ref_rr.ckpt dmx_rr.ckpt; \
 		fi; \
 	done; \
 	rm -f dmx_benchtable dmx_gossipsim dmx.ckpt dmx_cell.csv dmx_ref.csv dmx_full.txt dmx_resumed.txt dmx_ref_full.txt dmx_prof.txt \
 		dmx_fan.jsonl dmx_fan.ckpt dmx_fan.txt dmx_fan_resumed.txt dmx_ref_fan.txt dmx_ref_fan.jsonl \
 		dmx_cb.ckpt dmx_cb.txt dmx_cb_resumed.txt dmx_ref_cb.txt dmx_ref_cb.ckpt \
+		dmx_cbq.ckpt dmx_cbq.txt dmx_cbq_resumed.txt dmx_ref_cbq.txt dmx_ref_cbq.ckpt \
 		dmx_rr.ckpt dmx_rr.txt dmx_rr_resumed.txt dmx_ref_rr.txt dmx_ref_rr.ckpt; \
-	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs, a fanned-out exchange, a mid-bin CrowdedBin checkpoint and a regenerated-topology checkpoint byte-identical across GOMAXPROCS 1, 2, 4, 8"
+	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs, a fanned-out exchange, a mid-bin and a quiet-round CrowdedBin checkpoint and a regenerated-topology checkpoint byte-identical across GOMAXPROCS 1, 2, 4, 8"
 
 # determinism-remote is the matrix's service-boundary cell: the same
 # simulation driven locally and through a live gossipd (gossipsim

@@ -272,6 +272,39 @@ func BenchmarkEngineRound(b *testing.B) {
 			}
 		})
 	}
+	// crowdedbin_n256_k8 is §6's round-robin regime: log N instances take
+	// turns and a node acts only in the rounds of the instance it is
+	// committed to, so most rounds are quiet (mtm.Protocol's Quiet). The
+	// untimed warm-up covers instance 1's first block (real rounds 1–185),
+	// which sizes every node's accumulators, stash lists and tag maps; the
+	// run solves after ~14k rounds at the earliest (guarded below).
+	b.Run("crowdedbin_n256_k8", func(b *testing.B) {
+		const n, k, warm = 256, 8, 200
+		b.ReportAllocs()
+		st, err := core.NewState(n, core.OneTokenPerNode(n, k), 1e-9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cb, err := core.NewCrowdedBin(st, core.CrowdedBinConfig{}, prand.New(5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := graph.RandomRegular(n, 4, prand.New(7))
+		eng := mtm.NewEngine(dyngraph.NewStatic(g), cb, mtm.Config{Seed: 3, MaxRounds: warm + b.N})
+		for r := 0; r < warm; r++ {
+			if _, err := eng.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		res, err := eng.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Rounds < warm+b.N {
+			b.Fatalf("solved after %d of %d rounds: ns/op would be diluted", res.Rounds, b.N)
+		}
+	})
 	// The seq_* windows above are cold: 500 rounds from the start of a run
 	// whose topology seed falls back to a circulant, a few dozen connections
 	// a round. sat_n4096_k256 is the regime the paper's cost model is about

@@ -8,6 +8,7 @@ package mobilegossip_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -64,6 +65,38 @@ func crowdedBinCheckpoint(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// badEstimateCheckpoint is crowdedBinCheckpoint with node 0's estimate
+// overwritten by 0, outside the instances [1, logN] a run has: a state no
+// run writes. The crowdedbin section opens with its name and n, then the
+// estimates as a length-prefixed list; both values are one varint byte.
+func badEstimateCheckpoint(tb testing.TB) []byte {
+	data := crowdedBinCheckpoint(tb)
+	const section = "\x0acrowdedbin" // the name with its length prefix
+	at := bytes.Index(data, []byte(section))
+	if at < 0 {
+		tb.Fatalf("no %q section in the checkpoint", section)
+	}
+	at += len(section)
+	_, w := binary.Varint(data[at:]) // n
+	at += w
+	_, w = binary.Uvarint(data[at:]) // the estimates' length
+	at += w
+	var enc [binary.MaxVarintLen64]byte
+	if est, w := binary.Varint(data[at:]); est != 1 || w != 1 || binary.PutVarint(enc[:], 0) != 1 {
+		tb.Fatalf("found estimate %d in %d bytes, want 1 in one", est, w)
+	}
+	data[at] = enc[0]
+	return data
+}
+
+// TestResumeRejectsBadEstimate: CrowdedBin's restore names the schedule
+// error instead of resuming on another trajectory.
+func TestResumeRejectsBadEstimate(t *testing.T) {
+	if _, err := mobilegossip.Resume(bytes.NewReader(badEstimateCheckpoint(t))); !errors.Is(err, core.ErrCheckpointSchedule) {
+		t.Errorf("Resume err = %v, want core.ErrCheckpointSchedule", err)
+	}
 }
 
 // pastBackingCheckpoint forges the corruption span-backed token sets must
@@ -183,6 +216,7 @@ func FuzzResume(f *testing.F) {
 	f.Add(pastBackingCheckpoint(f, 200))
 	f.Add(negativeEpochCheckpoint(f, "mobility.schedule"))
 	f.Add(crowdedBinCheckpoint(f))
+	f.Add(badEstimateCheckpoint(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if n, ok := resumeFuzzN(data); ok && (n < 0 || n > 4096) {

@@ -64,6 +64,13 @@ type CrowdedBin struct {
 	deferMerge []int // bin key to merge, -1 = none
 	deferPhase []bool
 
+	// Counters behind Quiet, derived from the arrays above: kept at every
+	// write, recounted by RestoreFrom, never serialized. activeCnt[i]
+	// counts the nodes with activeInst == i (index 0: the idle ones);
+	// deferCnt the pending deferMerge and deferPhase events.
+	activeCnt []int
+	deferCnt  int
+
 	tags    []map[int][]uint64 // known tags per (instance,bin) key, sorted
 	stash   []map[int][]uint64 // tags heard this bin, merged at bin end
 	hear    [][]heard          // spelled-bit accumulators, ascending neighbor id
@@ -94,7 +101,10 @@ func (c *CrowdedBinConfig) setDefaults() {
 	}
 }
 
-var _ mtm.Protocol = (*CrowdedBin)(nil)
+var (
+	_ mtm.Protocol                   = (*CrowdedBin)(nil)
+	_ interface{ Quiet(r int) bool } = (*CrowdedBin)(nil)
+)
 
 // ErrMultiTokenStart reports an assignment giving one node several tokens,
 // which §6's per-node tag scheme does not support.
@@ -103,6 +113,11 @@ var ErrMultiTokenStart = errors.New("core: CrowdedBin requires at most one start
 // ErrCheckpointHear reports a checkpointed spelled-bit accumulator list that
 // no run writes: longer than n, or with ids not strictly ascending in [0, n).
 var ErrCheckpointHear = errors.New("core: CrowdedBin checkpoint has a malformed hear list")
+
+// ErrCheckpointSchedule reports a checkpointed estimate, pending upgrade or
+// committed instance outside the instances a run has: est in [1, logN],
+// pending and activeInst in [0, logN].
+var ErrCheckpointSchedule = errors.New("core: CrowdedBin checkpoint has an out-of-range schedule")
 
 // NewCrowdedBin builds a CrowdedBin protocol over st. rng supplies the
 // per-owner tag and bin draws (each node's private initialization
@@ -139,6 +154,7 @@ func NewCrowdedBin(st *State, cfg CrowdedBinConfig, rng *prand.RNG) (*CrowdedBin
 
 		deferMerge: make([]int, n),
 		deferPhase: make([]bool, n),
+		activeCnt:  make([]int, logN+1),
 
 		tags:    make([]map[int][]uint64, n),
 		stash:   make([]map[int][]uint64, n),
@@ -146,6 +162,7 @@ func NewCrowdedBin(st *State, cfg CrowdedBinConfig, rng *prand.RNG) (*CrowdedBin
 		tokenOf: make([]map[uint64]int, n),
 	}
 	p.binLen = p.blocks * p.blockLen
+	p.activeCnt[0] = n
 	for u := 0; u < n; u++ {
 		p.est[u] = 1
 		p.curKey[u] = -1
@@ -224,6 +241,27 @@ func (p *CrowdedBin) Tag(r int, u mtm.NodeID) uint64 {
 	return p.curBit[u]
 }
 
+// Quiet implements the engine's optional quiet-round test in O(1). Round r
+// is quiet when no deferred event is pending, nobody is committed to r's
+// instance, and r is not a phase boundary of that instance. Then every
+// node's step only resets its per-round scratch, every tag is 0, and every
+// Decide listens without upgrading. Every phase boundary counts as busy,
+// although one with no idle node waiting for the instance would be quiet:
+// counting the waiting nodes would need a counter that Exchange writes
+// (a push that crowds a bin upgrades an idle responder), and one round's
+// exchanges run concurrently.
+func (p *CrowdedBin) Quiet(r int) bool {
+	inst, sim := p.decompose(r)
+	return p.deferCnt == 0 && p.activeCnt[inst] == 0 && (sim-1)%p.phaseLen(inst) != 0
+}
+
+// setActive commits node u to instance inst (0 = idle), keeping activeCnt.
+func (p *CrowdedBin) setActive(u mtm.NodeID, inst int) {
+	p.activeCnt[p.activeInst[u]]--
+	p.activeInst[u] = inst
+	p.activeCnt[inst]++
+}
+
 // step performs node u's per-round state transition for round r. It runs in
 // the engine's sequential advertise phase, so cross-node writes are safe —
 // but it only ever touches u's state.
@@ -237,11 +275,13 @@ func (p *CrowdedBin) step(u mtm.NodeID, r int) {
 	// bin j conclude", "complete the phase ... before switching").
 	if key := p.deferMerge[u]; key >= 0 {
 		p.deferMerge[u] = -1
+		p.deferCnt--
 		p.mergeStash(u, key)
 	}
 	if p.deferPhase[u] {
 		p.deferPhase[u] = false
-		p.activeInst[u] = 0
+		p.deferCnt--
+		p.setActive(u, 0)
 		if p.pending[u] > p.est[u] {
 			p.est[u] = p.pending[u]
 		}
@@ -255,7 +295,7 @@ func (p *CrowdedBin) step(u mtm.NodeID, r int) {
 
 	// Commit to a fresh phase of the node's current instance.
 	if p.activeInst[u] == 0 && p.est[u] == inst && (sim-1)%p.phaseLen(inst) == 0 {
-		p.activeInst[u] = inst
+		p.setActive(u, inst)
 		p.startSim[u] = sim
 	}
 	if p.activeInst[u] != inst {
@@ -295,11 +335,14 @@ func (p *CrowdedBin) step(u mtm.NodeID, r int) {
 		}
 	}
 
+	// Both events were consumed above, so each set adds one.
 	if inBin == p.binLen-1 {
 		p.deferMerge[u] = key
+		p.deferCnt++
 	}
 	if pos == pl-1 {
 		p.deferPhase[u] = true
+		p.deferCnt++
 	}
 }
 
@@ -468,7 +511,32 @@ func (p *CrowdedBin) RestoreFrom(r *ckpt.Reader) error {
 		p.stepRound[u] = 0
 	}
 	p.round = 0
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return p.recount()
+}
+
+// recount range-checks the restored schedule arrays, which index the
+// counters, and rebuilds the counters from them.
+func (p *CrowdedBin) recount() error {
+	clear(p.activeCnt)
+	p.deferCnt = 0
+	for u, est := range p.est {
+		pending, active := p.pending[u], p.activeInst[u]
+		if est < 1 || est > p.logN || pending < 0 || pending > p.logN || active < 0 || active > p.logN {
+			return fmt.Errorf("%w: node %d has est %d, pending %d, activeInst %d with %d instances",
+				ErrCheckpointSchedule, u, est, pending, active, p.logN)
+		}
+		p.activeCnt[active]++
+		if p.deferMerge[u] >= 0 {
+			p.deferCnt++
+		}
+		if p.deferPhase[u] {
+			p.deferCnt++
+		}
+	}
+	return nil
 }
 
 // writeTagMap serializes a per-node (instance,bin)→tags map sorted by key.

@@ -6,6 +6,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"mobilegossip/internal/ckpt"
@@ -161,6 +164,160 @@ func TestCrowdedBinRestoreRejectsBadHear(t *testing.T) {
 		}
 		if err := cb.RestoreFrom(ckpt.NewReader(&buf)); !errors.Is(err, ErrCheckpointHear) {
 			t.Errorf("%s: RestoreFrom err = %v, want ErrCheckpointHear", name, err)
+		}
+	}
+}
+
+// TestQuietRoundsMatchFullRounds: an engine that skips CrowdedBin's quiet
+// rounds must run the same trajectory as one that sees Quiet hidden behind
+// a wrapper and so runs every round in full. After every round the two
+// runs' RoundStats and checkpoint bytes (engine and protocol) must agree,
+// and the counters Quiet reads must equal a recount of the arrays they
+// count. Most rounds must be quiet, so the comparison is not vacuous.
+// Checkpointing every round dominates the cost; -short keeps n ≤ 32 and
+// one seed.
+func TestQuietRoundsMatchFullRounds(t *testing.T) {
+	ns, seeds := []int{16, 32, 64, 128}, uint64(3)
+	if testing.Short() {
+		ns, seeds = ns[:2], 1
+	}
+	var quiet, total atomic.Int64
+	t.Run("runs", func(t *testing.T) {
+		for _, n := range ns {
+			for _, k := range []int{2, n / 4} {
+				for seed := uint64(1); seed <= seeds; seed++ {
+					for _, topo := range []string{"regular", "ring"} {
+						t.Run(fmt.Sprintf("%s_n%d_k%d_seed%d", topo, n, k, seed), func(t *testing.T) {
+							t.Parallel()
+							g := graph.Cycle(n)
+							if topo == "regular" {
+								g = graph.RandomRegular(n, 4, prand.New(seed))
+							}
+							q, r := quietAgainstFull(t, g, k, seed)
+							quiet.Add(q)
+							total.Add(r)
+						})
+					}
+				}
+			}
+		}
+	})
+	t.Logf("%d of %d rounds quiet", quiet.Load(), total.Load())
+	if 2*quiet.Load() < total.Load() {
+		t.Errorf("%d of %d rounds quiet, want at least half", quiet.Load(), total.Load())
+	}
+}
+
+// quietAgainstFull runs CrowdedBin over g for up to 3,000 rounds with and
+// without Quiet, comparing after every round, and returns how many of the
+// rounds were quiet and how many ran.
+func quietAgainstFull(t *testing.T, g *graph.Graph, k int, seed uint64) (quiet, rounds int64) {
+	n := g.N()
+	build := func(hideQuiet bool) (*CrowdedBin, *mtm.Engine) {
+		cb, err := NewCrowdedBin(mustState(t, n, OneTokenPerNode(n, k)), CrowdedBinConfig{}, prand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var proto mtm.Protocol = cb
+		if hideQuiet {
+			proto = struct{ mtm.Protocol }{cb}
+		}
+		return cb, mtm.NewEngine(dyngraph.NewStatic(g), proto, mtm.Config{Seed: seed + 10, MaxRounds: 3000})
+	}
+	cb, eng := build(false)
+	fullCB, full := build(true)
+	for ; !eng.Finished(); rounds++ {
+		if cb.Quiet(eng.Round() + 1) {
+			quiet++
+		}
+		got, err := eng.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("round stats diverged:\n  quiet: %+v\n  full:  %+v", got, want)
+		}
+		if a, b := engineCheckpoint(t, eng, cb), engineCheckpoint(t, full, fullCB); !bytes.Equal(a, b) {
+			t.Fatalf("checkpoints diverged after round %d", got.Round)
+		}
+		checkQuietCounters(t, cb)
+	}
+	if !full.Finished() {
+		t.Fatal("the full run outlasted the quiet one")
+	}
+	return quiet, rounds
+}
+
+// engineCheckpoint returns the engine's and the protocol's checkpoint bytes.
+func engineCheckpoint(t *testing.T, eng *mtm.Engine, cb *CrowdedBin) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	eng.CheckpointTo(w)
+	cb.CheckpointTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkQuietCounters recounts activeCnt and deferCnt from the arrays.
+func checkQuietCounters(t *testing.T, cb *CrowdedBin) {
+	t.Helper()
+	active, defers := make([]int, len(cb.activeCnt)), 0
+	for u, inst := range cb.activeInst {
+		active[inst]++
+		if cb.deferMerge[u] >= 0 {
+			defers++
+		}
+		if cb.deferPhase[u] {
+			defers++
+		}
+	}
+	if !slices.Equal(active, cb.activeCnt) || defers != cb.deferCnt {
+		t.Fatalf("counters activeCnt %v deferCnt %d, recount %v and %d", cb.activeCnt, cb.deferCnt, active, defers)
+	}
+}
+
+// TestCrowdedBinRestoreRejectsBadSchedule: a checkpoint whose estimate,
+// pending upgrade or committed instance lies outside the run's instances is
+// a named error, not a panic or a resumed wrong trajectory.
+func TestCrowdedBinRestoreRejectsBadSchedule(t *testing.T) {
+	const n = 8
+	mk := func() *CrowdedBin {
+		cb, err := NewCrowdedBin(mustState(t, n, OneTokenPerNode(n, 2)), CrowdedBinConfig{}, prand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cb
+	}
+	logN := mk().logN
+	for _, tc := range []struct {
+		name string
+		arr  func(*CrowdedBin) []int
+		v    int
+	}{
+		{"est 0", func(p *CrowdedBin) []int { return p.est }, 0},
+		{"est past logN", func(p *CrowdedBin) []int { return p.est }, logN + 1},
+		{"pending negative", func(p *CrowdedBin) []int { return p.pending }, -1},
+		{"pending past logN", func(p *CrowdedBin) []int { return p.pending }, logN + 1},
+		{"activeInst negative", func(p *CrowdedBin) []int { return p.activeInst }, -1},
+		{"activeInst past logN", func(p *CrowdedBin) []int { return p.activeInst }, logN + 1},
+	} {
+		src := mk()
+		tc.arr(src)[n-1] = tc.v
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		src.CheckpointTo(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := mk().RestoreFrom(ckpt.NewReader(&buf)); !errors.Is(err, ErrCheckpointSchedule) {
+			t.Errorf("%s: RestoreFrom err = %v, want ErrCheckpointSchedule", tc.name, err)
 		}
 	}
 }

@@ -13,7 +13,8 @@
 // per-connection communication budgets, and the τ-stability of the topology
 // schedule. A round is one straight-line pass over the nodes on the calling
 // goroutine — tag, decide, then deliver and accept if anyone proposed —
-// but for the exchanges, which a large round fans out; all randomness is
+// but for the exchanges, which a large round fans out, and for a round the
+// protocol declares quiet, which skips tag and decide; all randomness is
 // drawn from per-node streams, so a seed fixes the execution at any
 // GOMAXPROCS.
 package mtm
@@ -66,6 +67,13 @@ func Propose(target NodeID) Action { return Action{Propose: true, Target: target
 // Decide for node u read/write only u's state (Decide reads its neighbors
 // only through the view); Exchange reads/writes only its two endpoints'
 // states and its Conn, so one round's Exchange calls never share a node.
+//
+// A protocol may also implement Quiet(r int) bool, which the engine asks at
+// the start of round r, after the topology step. On true it skips that
+// round's Tag and Decide calls. Quiet(r) may return true only if, in round
+// r, no node would advertise a nonzero tag, propose, or change any state
+// that a later round, Done or CheckpointTo reads. A wrapper that does not
+// forward Quiet simply runs every round in full.
 type Protocol interface {
 	// TagBits returns the tag length b >= 0 the protocol uses.
 	TagBits() int
@@ -196,6 +204,7 @@ type RoundStats struct {
 type Engine struct {
 	dyn   dyngraph.Dynamic
 	proto Protocol
+	quiet interface{ Quiet(r int) bool } // proto's quiet-round test, if any
 	cfg   Config
 	rngs  []*prand.RNG
 
@@ -275,6 +284,7 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 	// churn; the engine only accounts it — the incremental CSR maintenance
 	// happens inside the schedule's At.
 	e.deltaDyn, _ = dyn.(dyngraph.DeltaDynamic)
+	e.quiet, _ = proto.(interface{ Quiet(r int) bool })
 	return e
 }
 
@@ -385,26 +395,32 @@ func (e *Engine) Step() (RoundStats, error) {
 	}
 	phaseNs[profile.PhaseChurn] = lap(prof, &tPhase)
 
-	// Advertise: every node picks its b-bit tag. The first violation, at
-	// the lowest node, poisons the run.
-	tags, proto, mask := e.tags, e.proto, e.tagMask
-	for u := range tags {
-		tags[u] = proto.Tag(r, u)
-		if tags[u]&^mask != 0 {
-			e.failed = fmt.Errorf("%w: node %d round %d tag %#x with b=%d",
-				ErrTagTooWide, u, r, tags[u], proto.TagBits())
-			return stats, e.failed
-		}
-	}
-
-	// Scan + decide, each node drawing from its own stream. A round in
-	// which nobody proposes ends here: delivery and acceptance would draw
-	// nothing and connect nobody.
+	// A quiet round (see Protocol) skips advertise and decide: every tag
+	// would be 0 and every action Listen. The tags and acts arrays keep an
+	// earlier round's values, which nothing reads: delivery runs only when
+	// someone proposed.
 	acts, rngs := e.acts, e.rngs
-	for u := range acts {
-		acts[u] = proto.Decide(r, u, View{IDs: g.Adjacency(u), Tags: tags}, rngs[u])
-		if acts[u].Propose {
-			stats.Proposals++
+	if e.quiet == nil || !e.quiet.Quiet(r) {
+		// Advertise: every node picks its b-bit tag. The first violation,
+		// at the lowest node, poisons the run.
+		tags, proto, mask := e.tags, e.proto, e.tagMask
+		for u := range tags {
+			tags[u] = proto.Tag(r, u)
+			if tags[u]&^mask != 0 {
+				e.failed = fmt.Errorf("%w: node %d round %d tag %#x with b=%d",
+					ErrTagTooWide, u, r, tags[u], proto.TagBits())
+				return stats, e.failed
+			}
+		}
+
+		// Scan + decide, each node drawing from its own stream. A round
+		// in which nobody proposes ends here: delivery and acceptance
+		// would draw nothing and connect nobody.
+		for u := range acts {
+			acts[u] = proto.Decide(r, u, View{IDs: g.Adjacency(u), Tags: tags}, rngs[u])
+			if acts[u].Propose {
+				stats.Proposals++
+			}
 		}
 	}
 	conns := e.conns[:0]
