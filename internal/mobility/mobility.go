@@ -11,11 +11,16 @@
 //  1. a Model advances every node's (x, y) position (random waypoint, Lévy
 //     flight, group gathering, commuter schedules — see models.go) — in
 //     every epoch, queried or not: the trajectory is these draws;
-//  2. a seeded spatial hash grid (cell side = the radio radius r, so only
-//     the 3×3 cell neighborhood can hold neighbors: three contiguous runs,
-//     a grid row's cells being adjacent in the bucketing) emits the
-//     unit-disk edges in globally sorted order, O(n + m), reusing all
-//     buffers — only for an epoch a query reads (on a jump, the last two);
+//  2. a spatial hash grid (cell side ≥ the radio radius r, so only the 3×3
+//     cell neighborhood can hold neighbors) emits the unit-disk edges in
+//     globally sorted order, O(n + m), reusing all buffers — only for an
+//     epoch a query reads (on a jump, the last two). It walks the cells in
+//     order and tests each cell's points against a half-stencil — the rest
+//     of their own cell and the next cell in the row (one contiguous run of
+//     the bucketing), then the three cells of the row above (another) — so
+//     every pair is tested once, with no branch on the result; a counting
+//     sort by smaller endpoint and an insertion sort of each endpoint's
+//     short run put the kept pairs in order;
 //  3. connectivity repair bridges the components (the model requires every
 //     round's topology connected, §2): component representatives are
 //     chained with virtual relay edges — the sparse long-range fallback
@@ -35,7 +40,10 @@
 // stability. See DESIGN.md §8.
 package mobility
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // DefaultRadius returns the radio radius giving a mean unit-disk degree of
 // ≈ 8 for n uniform points in the unit square (π·r²·n = 8): dense enough
@@ -65,8 +73,9 @@ type field struct {
 	// scan walks them sequentially instead of gathering x[v]/y[v] at
 	// random indices — the difference between cache hits and misses on the
 	// hot neighborhood loop.
-	pxy  []float64
-	cand []int32 // per-point neighbor candidates (v > u)
+	pxy []float64
+	tmp []uint64 // pass-1 staging: candidate keys, the kept ones first
+	deg []int32  // pass-2 counting-sort offsets by smaller endpoint (n+1)
 }
 
 func newField(n int, r float64) *field {
@@ -95,13 +104,22 @@ func newField(n int, r float64) *field {
 		clCur:  make([]int32, cells),
 		clPts:  make([]int32, n),
 		pxy:    make([]float64, 2*n),
+		deg:    make([]int32, n+1),
 	}
 }
 
-// computeEdges emits the unit-disk edges in globally sorted packed order:
-// scanning points u ascending and keeping only candidates v > u makes the
-// list sorted by u, and sorting each point's (short) candidate run makes it
-// sorted within u — no global sort.
+// computeEdges appends the unit-disk edges to out in canonical order: packed
+// min<<32|max keys, ascending. Pass 1 walks the grid cell by cell and tests
+// each unordered pair of nearby points exactly once: a cell's points against
+// the later points of their own cell and the whole of the next cell in the
+// row (one contiguous run of the bucketing), then against the three cells
+// of the row above (another run). That half-stencil reaches every pair of
+// cells at most one cell apart in x and in y exactly once. Every candidate's
+// key is staged in tmp and kept by advancing the cursor by the distance
+// test, so the inner loop has no data-dependent branch. Pass 2 is a counting
+// sort of the kept keys by their smaller endpoint into out, then an
+// insertion sort in which each key moves only within its endpoint's short
+// run — no global sort.
 func (f *field) computeEdges(out []uint64) []uint64 {
 	n, side := f.n, f.side
 	// Bucket points into cells (counts, prefix sums, fill). Filling in
@@ -136,48 +154,77 @@ func (f *field) computeEdges(out []uint64) []uint64 {
 		f.clCur[c]++
 	}
 
-	r2 := f.r2
-	pts, pxy := f.clPts, f.pxy
-	for u := 0; u < n; u++ {
-		c := int(f.cellOf[u])
-		cx, cy := c%side, c/side
-		// The (up to) three cells of a grid row are adjacent in clOff, so
-		// the neighborhood is three contiguous runs of clPts/pxy.
-		x0, x1 := max(cx-1, 0), min(cx+1, side-1)
-		cand := f.cand[:0]
-		xu, yu := f.x[u], f.y[u]
-		for ny := max(cy-1, 0); ny <= min(cy+1, side-1); ny++ {
-			row := ny * side
-			for s, hi := f.clOff[row+x0], f.clOff[row+x1+1]; s < hi; s++ {
-				if int(pts[s]) <= u {
-					continue
+	// Pass 1: stage every pair within range, each tested once.
+	off, pts, pxy, r2 := f.clOff, f.clPts, f.pxy, f.r2
+	tmp, k := f.tmp, 0
+	for cy := 0; cy < side; cy++ {
+		for cx := 0; cx < side; cx++ {
+			c := cy*side + cx
+			end := off[c+1+b2i(cx+1 < side)] // own cell, then the next in the row
+			var alo, ahi int32               // the row above: cells cx-1..cx+1
+			if cy+1 < side {
+				row := c + side
+				alo, ahi = off[row-b2i(cx > 0)], off[row+1+b2i(cx+1 < side)]
+			}
+			for s := off[c]; s < off[c+1]; s++ {
+				if need := k + int(end-s-1+ahi-alo); need > len(tmp) {
+					grown := make([]uint64, max(need, 2*len(tmp))) // doubling, not append's 1.25×
+					copy(grown, tmp[:k])
+					tmp = grown
 				}
-				ddx := pxy[2*s] - xu
-				ddy := pxy[2*s+1] - yu
-				if ddx*ddx+ddy*ddy <= r2 {
-					cand = append(cand, pts[s])
+				u := uint64(pts[s])
+				xs, ys := pxy[2*s], pxy[2*s+1]
+				lo, hi := s+1, end // this row's run, then the row above's
+				for range 2 {
+					for t := lo; t < hi; t++ {
+						v := uint64(pts[t])
+						ddx := pxy[2*t] - xs
+						ddy := pxy[2*t+1] - ys
+						tmp[k] = min(u, v)<<32 | max(u, v)
+						k += b2i(ddx*ddx+ddy*ddy <= r2)
+					}
+					lo, hi = alo, ahi
 				}
 			}
 		}
-		sortI32(cand)
-		for _, v := range cand {
-			out = append(out, uint64(u)<<32|uint64(v))
+	}
+	f.tmp = tmp
+
+	// Pass 2: counting sort by smaller endpoint, then each endpoint's run.
+	deg := f.deg
+	clear(deg)
+	for _, key := range tmp[:k] {
+		deg[key>>32+1]++
+	}
+	for u := 1; u <= n; u++ {
+		deg[u] += deg[u-1]
+	}
+	base := len(out)
+	out = slices.Grow(out, k)[:base+k]
+	dst := out[base:]
+	for _, key := range tmp[:k] {
+		u := key >> 32
+		dst[deg[u]] = key
+		deg[u]++
+	}
+	for i := 1; i < len(dst); i++ {
+		v := dst[i]
+		j := i - 1
+		for j >= 0 && dst[j] > v {
+			dst[j+1] = dst[j]
+			j--
 		}
-		f.cand = cand // keep any growth
+		dst[j+1] = v
 	}
 	return out
 }
 
-// sortI32 sorts a short int32 slice ascending; candidate runs are a handful
-// of points at realistic densities, so insertion sort wins.
-func sortI32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
+// b2i is 1 for true and 0 for false; the compiler emits it as a SETcc, so a
+// comparison counted through it costs no branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
 	}
+	return i
 }

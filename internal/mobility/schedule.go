@@ -117,6 +117,14 @@ func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	// The scan buckets a point by its coordinates, so one outside the square
+	// (or NaN) would land in the wrong cell and the run would go on along
+	// another trajectory. 1 is the far border, which the scan clamps.
+	for i, x := range s.field.x {
+		if y := s.field.y[i]; !(x >= 0 && x <= 1 && y >= 0 && y <= 1) {
+			return fmt.Errorf("mobility: checkpoint puts node %d at (%g, %g), outside the unit square", i, x, y)
+		}
+	}
 	if err := s.model.RestoreFrom(r); err != nil {
 		return err
 	}
