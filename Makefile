@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCreateRequest -fuzztime=$(FUZZTIME) ./internal/daemon
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzEventsQuery -fuzztime=$(FUZZTIME) ./internal/daemon
+	$(GO) test -run='^$$' -fuzz=FuzzResumeQuery -fuzztime=$(FUZZTIME) ./internal/daemon
 	$(GO) test -run='^$$' -fuzz=FuzzIntnMember -fuzztime=$(FUZZTIME) ./internal/prand
 	$(GO) test -run='^$$' -fuzz=FuzzScanMatchesAllPairs -fuzztime=$(FUZZTIME) ./internal/mobility
 
@@ -257,8 +258,11 @@ determinism-matrix:
 # uploaded checkpoint — all while the daemon's idle timeout (300ms,
 # against a 600ms -remotepause stall) forcibly evicts and revives the
 # session mid-run, so the checkpoint round trip is exercised for real
-# (the metrics grep fails the target if no eviction happened). Only
-# wall-clock lines ("wall time", checkpoint/resume paths) are filtered.
+# (the metrics grep fails the target if no eviction happened). A last
+# cell resumes a checkpoint taken when its run finished: nothing is left
+# to step, and both sides must still write the same stream (its
+# session_end). Only wall-clock lines ("wall time", checkpoint/resume
+# paths) are filtered.
 determinism-remote:
 	$(GO) build -o drm_gossipd ./cmd/gossipd
 	$(GO) build -o drm_gossipsim ./cmd/gossipsim
@@ -287,12 +291,21 @@ determinism-remote:
 		| grep -v 'wall time\|resumed from' > drm_rr.txt; \
 	cmp drm_lr.txt drm_rr.txt; \
 	cmp drm_lr.jsonl drm_rr.jsonl; \
+	./drm_gossipsim -alg sharedbit -graph regular -n 64 -k 8 -seed 3 -maxrounds 6 \
+		-checkpoint drm_fin.ckpt -checkpointat 0 > /dev/null 2>&1; \
+	./drm_gossipsim -resume drm_fin.ckpt -events drm_fl.jsonl \
+		| grep -v 'wall time\|resumed from' > drm_fl.txt; \
+	./drm_gossipsim -remote $$addr -resume drm_fin.ckpt -events drm_fr.jsonl \
+		| grep -v 'wall time\|resumed from' > drm_fr.txt; \
+	cmp drm_fl.txt drm_fr.txt; \
+	cmp drm_fl.jsonl drm_fr.jsonl; \
 	curl -sf "http://$$addr/metrics" | grep -q '^gossipd_evictions_total [1-9]' \
 		|| { echo "determinism-remote: daemon never evicted — the revival path went untested"; exit 1; }; \
 	rm -rf drm_gossipd drm_gossipsim drm_state drm_addr drm_daemon.log \
 		drm_local.txt drm_remote.txt drm_local.jsonl drm_remote.jsonl drm_local.ckpt drm_remote.ckpt \
-		drm_lr.txt drm_rr.txt drm_lr.jsonl drm_rr.jsonl; \
-	echo "determinism-remote: result tables, event streams and checkpoints byte-identical local vs -remote, across a forced mid-run evict/revive"
+		drm_lr.txt drm_rr.txt drm_lr.jsonl drm_rr.jsonl \
+		drm_fin.ckpt drm_fl.txt drm_fr.txt drm_fl.jsonl drm_fr.jsonl; \
+	echo "determinism-remote: result tables, event streams and checkpoints byte-identical local vs -remote, across a forced mid-run evict/revive and from a finished run's checkpoint"
 
 # scenario-conformance runs the golden-trace suite over the committed
 # scenarios/ library: every scenario's tables, event streams and phase

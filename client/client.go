@@ -3,7 +3,7 @@
 // (wire.go) into method calls. The remote CLI (gossipsim -remote) and
 // the daemon's own load tests drive sessions exclusively through it, so
 // the bindings cover the whole surface: create, resume-from-checkpoint,
-// run-for-N-rounds, state and token queries, checkpoint download,
+// run-for-N-rounds, rebind, state query, checkpoint download,
 // event-stream replay and follow, cancel, delete, list, and the
 // daemon-wide metrics scrape.
 //
@@ -103,22 +103,6 @@ func (c *Client) Rebind(ctx context.Context, id string, req RebindRequest) (Sess
 	var info SessionInfo
 	err := c.doJSON(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/rebind", req, &info)
 	return info, err
-}
-
-// Assert evaluates scenario expect assertions against the session's
-// results so far. A violation returns a *APIError with Status 409 whose
-// Message is the scenario runner's assertion-failure text; nil means
-// every assertion holds.
-func (c *Client) Assert(ctx context.Context, id string, req AssertRequest) error {
-	return c.doJSON(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/assert", req, nil)
-}
-
-// TokenCount returns how many tokens node u currently knows.
-func (c *Client) TokenCount(ctx context.Context, id string, node int) (TokenCount, error) {
-	var tc TokenCount
-	err := c.doJSON(ctx, http.MethodGet,
-		"/v1/sessions/"+url.PathEscape(id)+"/tokens?node="+strconv.Itoa(node), nil, &tc)
-	return tc, err
 }
 
 // Checkpoint streams the session's checkpoint — byte-identical to a

@@ -141,42 +141,6 @@ type RebindRequest struct {
 	Tau      int          `json:"tau,omitempty"`
 }
 
-// AssertRequest evaluates expected-outcome assertions against the
-// session's results so far (scenario expect blocks; DESIGN.md §15). A
-// violated assertion comes back as HTTP 409 whose APIError message is
-// the same diff-style text the local scenario runner produces — naming
-// the scenario, seed, phase, and each failed assertion.
-type AssertRequest struct {
-	// Scenario, Seed, and Phase label the failure message; they do not
-	// affect evaluation.
-	Scenario string     `json:"scenario,omitempty"`
-	Seed     uint64     `json:"seed"`
-	Phase    string     `json:"phase,omitempty"`
-	Expect   ExpectSpec `json:"expect"`
-}
-
-// ExpectSpec is the wire shape of a scenario's expect block (the field
-// names match the scenario file format). Zero values mean "unasserted";
-// Solved and MaxFinalPotential are pointers so false and 0 are
-// assertable.
-type ExpectSpec struct {
-	Solved            *bool   `json:"solved,omitempty"`
-	SolvedBy          int     `json:"solved_by,omitempty"`
-	MinRounds         int     `json:"min_rounds,omitempty"`
-	MaxFinalPotential *int    `json:"max_final_potential,omitempty"`
-	MinCoverage       float64 `json:"min_coverage,omitempty"`
-	MaxChurnPerRound  float64 `json:"max_churn_per_round,omitempty"`
-	MinTokensMoved    int64   `json:"min_tokens_moved,omitempty"`
-	MaxTokensMoved    int64   `json:"max_tokens_moved,omitempty"`
-}
-
-// TokenCount is the tokens endpoint's response: how many tokens one node
-// currently knows.
-type TokenCount struct {
-	Node  int `json:"node"`
-	Count int `json:"count"`
-}
-
 // Version describes the daemon build: the API tree version and the
 // format versions it speaks, so clients can detect incompatibilities
 // before shipping work.

@@ -14,13 +14,13 @@
 //	GET    /v1/version                     API + format versions
 //	POST   /v1/sessions                    create from a CreateRequest
 //	GET    /v1/sessions                    list sessions
-//	POST   /v1/sessions/resume             create from an uploaded checkpoint
+//	POST   /v1/sessions/resume             create from an uploaded checkpoint; ?record_events=1 records its events
 //	GET    /v1/sessions/{id}               session state (never blocks on a stepping session)
 //	DELETE /v1/sessions/{id}               delete session + on-disk state
 //	POST   /v1/sessions/{id}/run           advance N rounds (<=0: to completion); long poll
+//	POST   /v1/sessions/{id}/rebind        swap topology schedule and τ at the round boundary
 //	POST   /v1/sessions/{id}/checkpoint    download checkpoint (octet-stream)
 //	POST   /v1/sessions/{id}/cancel        cancel pending run jobs
-//	GET    /v1/sessions/{id}/tokens?node=U token count at node U
 //	GET    /v1/sessions/{id}/events        recorded event replay (NDJSON); ?follow=1 tails the record
 //	GET    /metrics                        daemon + aggregated session metrics
 //

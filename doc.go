@@ -33,9 +33,9 @@
 // (Simulation.Bus): session start/end/cancel, one round_completed event
 // per round, topology churn, adversary epochs, and checkpoint
 // writes/resumes. SubscribeSync with a filter runs a handler inline on
-// every matching event, lossless, or attach the provided sinks —
-// NewJSONLSink for a streaming JSONL log, NewEventRing for an in-memory
-// ring with a query API, NewMetricsCollector for a Prometheus-style
+// every matching event, lossless — appending to a slice is an in-memory
+// record of the run — or attach the provided sinks: NewJSONLSink for a
+// streaming JSONL log, NewMetricsCollector for a Prometheus-style
 // /metrics exporter (served by gossipsim -metrics). The bus costs the
 // simulation hot path nothing while no subscriber is attached — a
 // contract enforced by the gated bus-attached/bus-detached benchmark

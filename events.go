@@ -19,8 +19,6 @@ type (
 	EventFilter = events.Filter
 	// EventBus is the session's publish/subscribe hub.
 	EventBus = events.Bus
-	// EventRing is the in-memory ring-buffer sink with a query API.
-	EventRing = events.Ring
 	// MetricsCollector aggregates events into Prometheus-style metrics.
 	MetricsCollector = events.Collector
 	// EventJSONLSink streams events as JSON lines.
@@ -50,10 +48,6 @@ func EventTypes() []EventType { return events.Types() }
 // ParseEventType resolves a wire name ("round_completed", ...) to its
 // EventType.
 func ParseEventType(s string) (EventType, error) { return events.ParseType(s) }
-
-// NewEventRing returns a ring-buffer sink retaining the last capacity
-// events; attach it with EventRing.Attach(sim.Bus(), filter).
-func NewEventRing(capacity int) *EventRing { return events.NewRing(capacity) }
 
 // NewJSONLSink attaches a JSONL stream sink to bus: events matching f
 // are written to w as one JSON line each, inline and lossless. buffer is

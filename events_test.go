@@ -17,28 +17,49 @@ import (
 // its meters and φ.
 var roundsOnly = mobilegossip.EventFilter{Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted}}
 
-func collectRun(t *testing.T, cfg mobilegossip.Config) (*mobilegossip.EventRing, mobilegossip.Result) {
+// eventLog is an in-memory record of a run: a synchronous subscriber
+// appending every event it is handed.
+type eventLog struct{ evs []mobilegossip.Event }
+
+// record subscribes a new log to bus for the events matching f.
+func record(bus *mobilegossip.EventBus, f mobilegossip.EventFilter) *eventLog {
+	l := &eventLog{}
+	bus.SubscribeSync(f, func(ev mobilegossip.Event) { l.evs = append(l.evs, ev) })
+	return l
+}
+
+// Events returns the recorded events matching f, in publish order.
+func (l *eventLog) Events(f mobilegossip.EventFilter) []mobilegossip.Event {
+	var out []mobilegossip.Event
+	for _, ev := range l.evs {
+		if f.Match(ev) {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+func collectRun(t *testing.T, cfg mobilegossip.Config) (*eventLog, mobilegossip.Result) {
 	t.Helper()
 	sim, err := mobilegossip.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := mobilegossip.NewEventRing(1 << 16)
-	ring.Attach(sim.Bus(), mobilegossip.EventFilter{})
+	rec := record(sim.Bus(), mobilegossip.EventFilter{})
 	res, err := sim.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ring, res
+	return rec, res
 }
 
 func TestSessionEventSequence(t *testing.T) {
-	ring, res := collectRun(t, mobilegossip.Config{
+	rec, res := collectRun(t, mobilegossip.Config{
 		Algorithm: mobilegossip.AlgSharedBit, N: 64, K: 8,
 		Topology: mobilegossip.Topology{Kind: mobilegossip.MobileWaypoint},
 		Tau:      1, Seed: 7,
 	})
-	evs := ring.Events(mobilegossip.EventFilter{})
+	evs := rec.Events(mobilegossip.EventFilter{})
 	if len(evs) < 3 {
 		t.Fatalf("only %d events for a full run", len(evs))
 	}
@@ -52,7 +73,7 @@ func TestSessionEventSequence(t *testing.T) {
 	}
 	checkMeters(t, evs, res)
 
-	rounds := ring.Events(roundsOnly)
+	rounds := rec.Events(roundsOnly)
 	if len(rounds) != res.Rounds {
 		t.Fatalf("%d round_completed events, want one per round (%d)", len(rounds), res.Rounds)
 	}
@@ -92,8 +113,8 @@ func TestSessionEventSequence(t *testing.T) {
 	for _, cfg := range sessionMatrix() {
 		cfg := cfg
 		t.Run(cfgName(cfg), func(t *testing.T) {
-			ring, res := collectRun(t, cfg)
-			checkMeters(t, ring.Events(mobilegossip.EventFilter{}), res)
+			rec, res := collectRun(t, cfg)
+			checkMeters(t, rec.Events(mobilegossip.EventFilter{}), res)
 		})
 	}
 }
@@ -166,7 +187,7 @@ func TestObserveMidRun(t *testing.T) {
 }
 
 func TestAdversaryEpochEvents(t *testing.T) {
-	ring, _ := collectRun(t, mobilegossip.Config{
+	rec, _ := collectRun(t, mobilegossip.Config{
 		Algorithm: mobilegossip.AlgSharedBit, N: 64, K: 4,
 		Topology: mobilegossip.Topology{
 			Kind: mobilegossip.RandomRegular, Degree: 4,
@@ -175,7 +196,7 @@ func TestAdversaryEpochEvents(t *testing.T) {
 		Tau:  1,
 		Seed: 11,
 	})
-	epochs := ring.Events(mobilegossip.EventFilter{
+	epochs := rec.Events(mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventAdversaryEpoch},
 	})
 	if len(epochs) == 0 {
@@ -198,8 +219,7 @@ func TestSessionCancelEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := mobilegossip.NewEventRing(64)
-	ring.Attach(sim.Bus(), mobilegossip.EventFilter{
+	rec := record(sim.Bus(), mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventSessionCancel, mobilegossip.EventSessionEnd},
 	})
 
@@ -208,7 +228,7 @@ func TestSessionCancelEvent(t *testing.T) {
 	if _, err := sim.Run(ctx); err != context.Canceled {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
-	evs := ring.Events(mobilegossip.EventFilter{})
+	evs := rec.Events(mobilegossip.EventFilter{})
 	if len(evs) != 1 || evs[0].Type != mobilegossip.EventSessionCancel {
 		t.Fatalf("canceled run published %v, want exactly one session_cancel", evs)
 	}
@@ -217,7 +237,7 @@ func TestSessionCancelEvent(t *testing.T) {
 	if _, err := sim.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ends := ring.Events(mobilegossip.EventFilter{
+	ends := rec.Events(mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventSessionEnd},
 	})
 	if len(ends) != 1 {
@@ -234,8 +254,7 @@ func TestCheckpointEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := mobilegossip.NewEventRing(64)
-	ring.Attach(sim.Bus(), mobilegossip.EventFilter{})
+	rec := record(sim.Bus(), mobilegossip.EventFilter{})
 	for i := 0; i < 5; i++ {
 		if _, err := sim.Step(); err != nil {
 			t.Fatal(err)
@@ -245,7 +264,7 @@ func TestCheckpointEvents(t *testing.T) {
 	if err := sim.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	written := ring.Events(mobilegossip.EventFilter{
+	written := rec.Events(mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventCheckpointWritten},
 	})
 	if len(written) != 1 || written[0].Round != 5 {
@@ -256,12 +275,11 @@ func TestCheckpointEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring2 := mobilegossip.NewEventRing(64)
-	ring2.Attach(resumed.Bus(), mobilegossip.EventFilter{})
+	rec2 := record(resumed.Bus(), mobilegossip.EventFilter{})
 	if _, err := resumed.Step(); err != nil {
 		t.Fatal(err)
 	}
-	evs := ring2.Events(mobilegossip.EventFilter{})
+	evs := rec2.Events(mobilegossip.EventFilter{})
 	if len(evs) < 3 ||
 		evs[0].Type != mobilegossip.EventSessionStart ||
 		evs[1].Type != mobilegossip.EventCheckpointResumed ||

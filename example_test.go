@@ -65,10 +65,11 @@ func ExampleTopology_Inspect() {
 	// Δ=8 D=3 α=0.1250 exact=true
 }
 
-// Every session publishes its lifecycle on a typed event bus. Attach a
-// ring sink (or a JSONL sink, a metrics collector, or a raw filtered
-// subscription) before running, then query what happened — here, how
-// the potential φ fell over the first rounds and how the run ended.
+// Every session publishes its lifecycle on a typed event bus. Subscribe
+// before running (here a handler collecting every event into a slice; a
+// JSONL sink or a metrics collector attach the same way), then query what
+// happened — here, how the potential φ fell over the first rounds and how
+// the run ended.
 func ExampleSimulation_Bus() {
 	sim, err := mobilegossip.New(mobilegossip.Config{
 		Algorithm: mobilegossip.AlgSharedBit,
@@ -82,22 +83,25 @@ func ExampleSimulation_Bus() {
 		fmt.Println("error:", err)
 		return
 	}
-	ring := mobilegossip.NewEventRing(1024)
-	ring.Attach(sim.Bus(), mobilegossip.EventFilter{})
+	var recorded []mobilegossip.Event
+	sim.Bus().SubscribeSync(mobilegossip.EventFilter{}, func(ev mobilegossip.Event) {
+		recorded = append(recorded, ev)
+	})
 	if _, err := sim.Run(context.Background()); err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 
-	for _, ev := range ring.Events(mobilegossip.EventFilter{
+	early := mobilegossip.EventFilter{
 		Types:    []mobilegossip.EventType{mobilegossip.EventRoundCompleted},
 		MaxRound: 2,
-	}) {
-		fmt.Printf("round %d: φ=%d\n", ev.Round, ev.Potential)
 	}
-	end := ring.Events(mobilegossip.EventFilter{
-		Types: []mobilegossip.EventType{mobilegossip.EventSessionEnd},
-	})[0]
+	for _, ev := range recorded {
+		if early.Match(ev) {
+			fmt.Printf("round %d: φ=%d\n", ev.Round, ev.Potential)
+		}
+	}
+	end := recorded[len(recorded)-1]
 	fmt.Println(end.Type, end.Solved)
 	// Output:
 	// round 1: φ=122

@@ -16,7 +16,6 @@ import (
 	"mobilegossip"
 	"mobilegossip/client"
 	"mobilegossip/internal/events"
-	"mobilegossip/internal/outcome"
 	"mobilegossip/internal/wire"
 )
 
@@ -416,6 +415,16 @@ func (d *Daemon) execSlice(j *runJob) bool {
 		}
 		canceled = j.ctx.Err() != nil
 	}
+	if stepErr == nil && s.sim.Done() {
+		// A job ending on a finished run announces the end, as
+		// Simulation.Run does — also when no round was left to step (a
+		// resumed or revived finished run). Step on a finished run
+		// publishes session_end once per Simulation; the recorder keeps
+		// only the first.
+		if _, err := s.sim.Step(); !errors.Is(err, mobilegossip.ErrSimulationDone) {
+			stepErr = err
+		}
+	}
 	finished := s.sim.Done() || (j.target >= 0 && s.sim.Round() >= j.target)
 	if canceled && !finished && stepErr == nil {
 		// Parity with Simulation.Run's cancellation contract: announce
@@ -494,57 +503,6 @@ func (d *Daemon) Rebind(id string, req client.RebindRequest) (client.SessionInfo
 	s.syncCachedLocked()
 	s.touch()
 	return s.info(), nil
-}
-
-// assertFailure is an assertion violation: HTTP 409, message already
-// formatted by internal/outcome (identical to the local runner's).
-type assertFailure struct{ msg string }
-
-func (e *assertFailure) Error() string { return e.msg }
-
-// Assert evaluates scenario expect assertions against the session's
-// results so far, with the same internal/outcome checker the local
-// scenario runner uses — a scenario cannot pass locally and fail
-// remotely (or vice versa) on evaluation drift.
-func (d *Daemon) Assert(id string, req client.AssertRequest) error {
-	s, err := d.get(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := d.ensureLiveLocked(s); err != nil {
-		return err
-	}
-	s.touch()
-	expect := outcome.Expect(req.Expect)
-	if err := expect.Validate(); err != nil {
-		return err
-	}
-	vs := outcome.Check(expect, wire.RunOutcome(s.runResultLocked(false)))
-	if len(vs) == 0 {
-		return nil
-	}
-	return &assertFailure{msg: outcome.FormatFailure(req.Scenario, req.Seed, req.Phase, vs)}
-}
-
-// TokenCount reports how many tokens node u knows, reviving the session
-// if needed.
-func (d *Daemon) TokenCount(id string, node int) (client.TokenCount, error) {
-	s, err := d.get(id)
-	if err != nil {
-		return client.TokenCount{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := d.ensureLiveLocked(s); err != nil {
-		return client.TokenCount{}, err
-	}
-	if node < 0 || node >= s.n {
-		return client.TokenCount{}, fmt.Errorf("node %d outside [0, %d)", node, s.n)
-	}
-	s.touch()
-	return client.TokenCount{Node: node, Count: s.sim.TokenCount(node)}, nil
 }
 
 // Cancel cancels the session's queued and in-flight run jobs.

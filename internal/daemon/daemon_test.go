@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -103,7 +104,7 @@ func TestDaemonSessionLifecycle(t *testing.T) {
 		t.Fatalf("created info = %+v", info)
 	}
 
-	// Advance 5 rounds, then query state and a token count.
+	// Advance 5 rounds, then query state.
 	rr, err := c.Run(ctx, info.ID, 5)
 	if err != nil {
 		t.Fatalf("Run(5): %v", err)
@@ -114,10 +115,6 @@ func TestDaemonSessionLifecycle(t *testing.T) {
 	st, err := c.State(ctx, info.ID)
 	if err != nil || st.Round != 5 {
 		t.Fatalf("State: %+v, %v", st, err)
-	}
-	tc, err := c.TokenCount(ctx, info.ID, 0)
-	if err != nil || tc.Count < 1 {
-		t.Fatalf("TokenCount: %+v, %v", tc, err)
 	}
 
 	// Run to completion; the wire result must equal the local run's.
@@ -303,16 +300,31 @@ func TestDaemonEvictionTransparency(t *testing.T) {
 		t.Fatalf("evicted-run result %+v != local %+v", rr, want)
 	}
 
-	rc, err := c.Events(ctx, info.ID, client.EventOptions{})
-	if err != nil {
-		t.Fatalf("Events: %v", err)
+	checkStream := func(when string) {
+		t.Helper()
+		rc, err := c.Events(ctx, info.ID, client.EventOptions{})
+		if err != nil {
+			t.Fatalf("Events: %v", err)
+		}
+		remote, _ := io.ReadAll(rc)
+		rc.Close()
+		if !bytes.Equal(remote, localBytes) {
+			t.Fatalf("recorded stream %s (%d bytes) differs from uninterrupted local (%d bytes)",
+				when, len(remote), len(localBytes))
+		}
 	}
-	remote, _ := io.ReadAll(rc)
-	rc.Close()
-	if !bytes.Equal(remote, localBytes) {
-		t.Fatalf("recorded stream after evict/revive (%d bytes) differs from uninterrupted local (%d bytes)",
-			len(remote), len(localBytes))
+	checkStream("after evict/revive")
+
+	// A finished run revived from its eviction checkpoint has forgotten
+	// that it ended, and a run call on it announces the end again: the
+	// record keeps only the first session_end.
+	if !d.tryEvict(s) {
+		t.Fatal("tryEvict failed on a finished idle session")
 	}
+	if _, err := c.Run(ctx, info.ID, 0); err != nil {
+		t.Fatalf("Run on the revived finished session: %v", err)
+	}
+	checkStream("after reviving the finished run")
 }
 
 // TestDaemonMaxLiveCap drives more sessions than MaxLive and checks the
@@ -383,9 +395,11 @@ func TestDaemonIdleTimeoutJanitor(t *testing.T) {
 		t.Fatal("evictions counter still zero")
 	}
 	// Revival on touch.
-	if _, err := c.TokenCount(ctx, info.ID, 1); err != nil {
-		t.Fatalf("TokenCount after eviction: %v", err)
+	rc, err := c.Checkpoint(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("Checkpoint after eviction: %v", err)
 	}
+	rc.Close()
 	if d.revivals.Load() == 0 {
 		t.Fatal("revivals counter still zero")
 	}
@@ -681,14 +695,6 @@ func TestDaemonHTTPErrors(t *testing.T) {
 			_, err := c.Resume(ctx, strings.NewReader("not a checkpoint"), false)
 			return err
 		}, http.StatusBadRequest},
-		{"bad node", func() error {
-			info, err := c.Create(ctx, testWire(2))
-			if err != nil {
-				return err
-			}
-			_, err = c.TokenCount(ctx, info.ID, 1<<20)
-			return err
-		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		err := tc.call()
@@ -746,6 +752,56 @@ func TestParseEventsQuery(t *testing.T) {
 	} {
 		if _, _, err := parseEventsQuery(bad); err == nil {
 			t.Fatalf("parseEventsQuery accepted %q", bad)
+		}
+	}
+}
+
+// TestResumeQuery: the resume endpoint reads record_events in the
+// vocabulary follow uses and refuses anything else, so a misspelt flag
+// is a 400, never a session that silently records nothing.
+func TestResumeQuery(t *testing.T) {
+	d, _ := newTestDaemon(t, Config{})
+	sim, err := mobilegossip.New(localConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := sim.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	for _, tc := range []struct {
+		query   string
+		status  int
+		records bool
+	}{
+		{"", http.StatusCreated, false},
+		{"record_events=1", http.StatusCreated, true},
+		{"record_events=true", http.StatusCreated, true},
+		{"record_events=0", http.StatusCreated, false},
+		{"record_events=false", http.StatusCreated, false},
+		{"record_events=", http.StatusCreated, false},
+		{"recordevents=1", http.StatusBadRequest, false},
+		{"record_events=yes", http.StatusBadRequest, false},
+		{"record_events=1&follow=1", http.StatusBadRequest, false},
+		{"%zz", http.StatusBadRequest, false},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/resume?"+tc.query, bytes.NewReader(ckpt.Bytes())))
+		if rec.Code != tc.status {
+			t.Fatalf("resume ?%s: status %d, want %d (%s)", tc.query, rec.Code, tc.status, rec.Body)
+		}
+		if rec.Code != http.StatusCreated {
+			continue
+		}
+		var info client.SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/"+info.ID+"/events", nil))
+		if records := rec.Code == http.StatusOK; records != tc.records {
+			t.Fatalf("resume ?%s: session records events = %v, want %v (events status %d)", tc.query, records, tc.records, rec.Code)
 		}
 	}
 }

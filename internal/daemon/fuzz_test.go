@@ -8,8 +8,8 @@ import (
 	"mobilegossip/internal/wire"
 )
 
-// The daemon's two wire-decoding surfaces — the session-create JSON body
-// and the events endpoint's query string — parse attacker-controlled
+// The daemon's wire-decoding surfaces — the session-create JSON body and
+// the events and resume endpoints' query strings — parse attacker-controlled
 // bytes before any validation by the simulator. The invariant under fuzz
 // is the usual one for this module's decoders (FuzzResume, FuzzReaderRaw):
 // reject or normalize, never panic. Deliberately NOT under fuzz:
@@ -92,6 +92,32 @@ func FuzzEventsQuery(f *testing.F) {
 			len(filter2.Types) != len(filter.Types) {
 			t.Fatalf("round trip changed the filter: %+v/%v -> %+v/%v (query %q -> %q)",
 				filter, follow, filter2, follow2, rawQuery, q)
+		}
+	})
+}
+
+func FuzzResumeQuery(f *testing.F) {
+	f.Add("record_events=1")
+	f.Add("record_events=true")
+	f.Add("record_events=0&record_events=1")
+	f.Add("record_events=")
+	f.Add("recordevents=1")
+	f.Add("record_events=yes")
+	f.Add("record_events=1&follow=1")
+	f.Add("%zz&&&=&record_events")
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		record, err := parseResumeQuery(rawQuery)
+		if err != nil {
+			return
+		}
+		// An accepted query means what the client's spelling of the same
+		// value means.
+		q := ""
+		if record {
+			q = "record_events=1"
+		}
+		if back, err := parseResumeQuery(q); err != nil || back != record {
+			t.Fatalf("query %q parsed to %v, but the client's %q parses to %v (%v)", rawQuery, record, q, back, err)
 		}
 	})
 }

@@ -29,10 +29,8 @@ func (d *Daemon) Handler() *http.ServeMux {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", d.handleDelete)
 	mux.HandleFunc("POST /v1/sessions/{id}/run", d.handleRun)
 	mux.HandleFunc("POST /v1/sessions/{id}/rebind", d.handleRebind)
-	mux.HandleFunc("POST /v1/sessions/{id}/assert", d.handleAssert)
 	mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", d.handleCheckpoint)
 	mux.HandleFunc("POST /v1/sessions/{id}/cancel", d.handleCancel)
-	mux.HandleFunc("GET /v1/sessions/{id}/tokens", d.handleTokens)
 	mux.HandleFunc("GET /v1/sessions/{id}/events", d.handleEvents)
 	mux.HandleFunc("GET /metrics", d.handleMetrics)
 	return mux
@@ -51,11 +49,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeErr maps daemon errors onto HTTP statuses and the APIError body.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	var assertErr *assertFailure
 	switch {
 	case errors.Is(err, errNoSession):
 		status = http.StatusNotFound
-	case errors.Is(err, errFailed), errors.As(err, &assertErr):
+	case errors.Is(err, errFailed):
 		status = http.StatusConflict
 	case errors.Is(err, errShuttingDown):
 		status = http.StatusServiceUnavailable
@@ -91,7 +88,11 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleResume(w http.ResponseWriter, r *http.Request) {
-	record := r.URL.Query().Get("record_events") == "1"
+	record, err := parseResumeQuery(r.URL.RawQuery)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	info, err := d.ResumeUpload(r.Body, record)
 	if err != nil {
 		writeErr(w, err)
@@ -157,21 +158,6 @@ func (d *Daemon) handleRebind(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-func (d *Daemon) handleAssert(w http.ResponseWriter, r *http.Request) {
-	var req client.AssertRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64*1024))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("decoding assert request: %w", err))
-		return
-	}
-	if err := d.Assert(r.PathValue("id"), req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (d *Daemon) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Reviving and serializing under the session lock can't stream
@@ -207,20 +193,6 @@ func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (d *Daemon) handleTokens(w http.ResponseWriter, r *http.Request) {
-	node, err := strconv.Atoi(r.URL.Query().Get("node"))
-	if err != nil {
-		writeErr(w, fmt.Errorf("tokens query: node must be an integer"))
-		return
-	}
-	tc, err := d.TokenCount(r.PathValue("id"), node)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tc)
 }
 
 // handleEvents serves the session's recorded event stream as NDJSON (one

@@ -13,11 +13,11 @@ import (
 )
 
 // This file is the daemon's wire-decoding boundary: every byte sequence
-// a client can put on the wire funnels through decodeCreateRequest or
-// parseEventsQuery before it reaches the simulator. Both are pure
-// functions of their input — no I/O, no daemon state — which is what
-// makes them fuzzable (see fuzz_test.go): the invariant under fuzzing is
-// "reject or normalize, never panic".
+// a client can put on the wire funnels through decodeCreateRequest,
+// parseEventsQuery or parseResumeQuery before it reaches the simulator.
+// All three are pure functions of their input — no I/O, no daemon state —
+// which is what makes them fuzzable (see fuzz_test.go): the invariant
+// under fuzzing is "reject or normalize, never panic".
 
 // maxCreateBody bounds the session-create JSON body. The largest honest
 // request is well under a kilobyte; a megabyte leaves room for growth
@@ -86,13 +86,8 @@ func parseEventsQuery(rawQuery string) (events.Filter, bool, error) {
 				f.MaxRound = n
 			}
 		case "follow":
-			switch val {
-			case "1", "true":
-				follow = true
-			case "0", "false", "":
-				follow = false
-			default:
-				return f, false, fmt.Errorf("events query: follow must be 0/1/true/false, got %q", val)
+			if follow, err = parseFlag("events", key, val); err != nil {
+				return f, false, err
 			}
 		default:
 			return f, false, fmt.Errorf("events query: unknown parameter %q", key)
@@ -102,4 +97,39 @@ func parseEventsQuery(rawQuery string) (events.Filter, bool, error) {
 		return f, false, fmt.Errorf("events query: minround %d exceeds maxround %d", f.MinRound, f.MaxRound)
 	}
 	return f, follow, nil
+}
+
+// parseResumeQuery parses the resume endpoint's query string:
+//
+//	record_events=1|true   record the resumed session's events
+//
+// Unknown parameters are rejected, as parseEventsQuery rejects them: a
+// misspelt "recordevents=1" must not resume a session that records
+// nothing.
+func parseResumeQuery(rawQuery string) (record bool, err error) {
+	q, err := url.ParseQuery(rawQuery)
+	if err != nil {
+		return false, fmt.Errorf("parsing resume query: %w", err)
+	}
+	for key, vals := range q {
+		if key != "record_events" {
+			return false, fmt.Errorf("resume query: unknown parameter %q", key)
+		}
+		if record, err = parseFlag("resume", key, vals[len(vals)-1]); err != nil {
+			return false, err
+		}
+	}
+	return record, nil
+}
+
+// parseFlag reads a boolean query parameter in the one vocabulary every
+// endpoint accepts: 1 or true, 0 or false, or empty (false).
+func parseFlag(endpoint, key, val string) (bool, error) {
+	switch val {
+	case "1", "true":
+		return true, nil
+	case "0", "false", "":
+		return false, nil
+	}
+	return false, fmt.Errorf("%s query: %s must be 0/1/true/false, got %q", endpoint, key, val)
 }

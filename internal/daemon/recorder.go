@@ -18,13 +18,14 @@ import (
 // whole point of checkpoint-backed eviction.
 //
 // The recorder is also where eviction transparency is enforced. An
-// internal evict/revive cycle injects three bus events a never-evicted
-// run would not see: the eviction checkpoint's checkpoint_written, and
-// the revived simulation's re-announced session_start and
-// checkpoint_resumed. The daemon arms the suppress* flags around those
-// operations so the recorded stream stays byte-identical to the stream a
-// local uninterrupted run would produce — which is exactly what the
-// remote-vs-local determinism cell byte-compares. Client-requested
+// internal evict/revive cycle injects bus events a never-evicted run
+// would not see: the eviction checkpoint's checkpoint_written, the
+// revived simulation's re-announced session_start and
+// checkpoint_resumed, and, for a finished run, a second session_end
+// (observe keeps only the first). The daemon arms the suppress* flags
+// around the others, so the recorded stream stays byte-identical to the
+// stream a local uninterrupted run would produce — which is exactly what
+// the remote-vs-local determinism cell byte-compares. Client-requested
 // checkpoints and client-driven resumes are NOT suppressed: a local run
 // that checkpoints (or starts from gossipsim -resume) records those
 // events too.
@@ -105,6 +106,12 @@ func (r *recorder) observe(ev events.Event) {
 		if r.suppressCheckpoint {
 			return
 		}
+	case events.TypeSessionEnd:
+		if r.end > 0 {
+			// A revived Simulation has forgotten that it finished and
+			// announces its end again.
+			return
+		}
 	}
 	if r.bw == nil {
 		// Evicted sessions have no subscriptions, so nothing should
@@ -120,7 +127,7 @@ func (r *recorder) observe(ev events.Event) {
 	} else {
 		r.lines.Add(1)
 		r.size += int64(len(r.buf))
-		if ev.Type == events.TypeSessionEnd && r.end == 0 {
+		if ev.Type == events.TypeSessionEnd {
 			r.end = r.size
 		}
 	}

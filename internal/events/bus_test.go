@@ -212,9 +212,13 @@ func TestBusConcurrentPublish(t *testing.T) {
 	b := NewBus()
 	var wg sync.WaitGroup
 
-	collected := NewRing(1024)
-	detach := collected.Attach(b, Filter{})
-	defer detach()
+	var mu sync.Mutex
+	var collected []Event
+	defer b.SubscribeSync(Filter{}, func(ev Event) {
+		mu.Lock()
+		collected = append(collected, ev)
+		mu.Unlock()
+	})()
 
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
@@ -236,7 +240,7 @@ func TestBusConcurrentPublish(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := collected.Len() + int(collected.Evicted()); got != 4*500 {
-		t.Fatalf("sync ring saw %d events, want %d (sync delivery is lossless)", got, 4*500)
+	if got := len(collected); got != 4*500 {
+		t.Fatalf("sync subscriber saw %d events, want %d (sync delivery is lossless)", got, 4*500)
 	}
 }

@@ -1,9 +1,9 @@
 // Package events is the simulation's structured observability layer: a
 // publish/subscribe bus carrying typed, versioned session events (see
-// Type for the taxonomy), with per-subscriber filters, and three
-// provided sinks — a JSONL stream writer (JSONLSink), an in-memory ring
-// buffer with a query API (Ring), and a Prometheus-style text exporter
-// (Collector).
+// Type for the taxonomy), with per-subscriber filters, and two
+// provided sinks — a JSONL stream writer (JSONLSink) and a
+// Prometheus-style text exporter (Collector). An in-memory record is a
+// SubscribeSync handler appending to a slice.
 //
 // The session layer (mobilegossip.Simulation) owns one Bus per run and
 // publishes every lifecycle event on it; the public package re-exports
@@ -25,7 +25,7 @@
 // # Delivery semantics
 //
 // There is one delivery regime. Subscribers (SubscribeSync, and the
-// JSONLSink, Ring and Collector sinks built on it) run inline on the
+// JSONLSink and Collector sinks built on it) run inline on the
 // publishing goroutine, in registration order, and see every matching
 // event: no queue, no drops. They trade publisher latency for
 // losslessness, so handlers must be fast and must not call back into

@@ -30,14 +30,16 @@ func ExampleBus_SubscribeSync() {
 	// round_completed round=3 φ=7
 }
 
-// A Ring retains the most recent events in memory and answers filtered
-// queries while recording continues — the query API behind "what just
-// happened" tooling.
-func ExampleRing() {
+// A synchronous subscriber that appends every event to a slice is an
+// in-memory record of the run; a Filter then queries it — the same
+// filter vocabulary the bus and the JSONL sink take.
+func ExampleFilter_Match() {
 	bus := events.NewBus()
-	ring := events.NewRing(128)
-	detach := ring.Attach(bus, events.Filter{})
-	defer detach()
+	var recorded []events.Event
+	cancel := bus.SubscribeSync(events.Filter{}, func(ev events.Event) {
+		recorded = append(recorded, ev)
+	})
+	defer cancel()
 
 	for round := 1; round <= 4; round++ {
 		if round == 3 {
@@ -48,10 +50,12 @@ func ExampleRing() {
 		bus.Publish(events.Event{Type: events.TypeRoundCompleted, Round: round})
 	}
 
-	churn := ring.Events(events.Filter{Types: []events.Type{events.TypeChurnApplied}})
-	fmt.Println("recorded:", ring.Len())
-	for _, ev := range churn {
-		fmt.Printf("churn at round %d: +%d/-%d edges\n", ev.Round, ev.EdgesAdded, ev.EdgesRemoved)
+	churn := events.Filter{Types: []events.Type{events.TypeChurnApplied}}
+	fmt.Println("recorded:", len(recorded))
+	for _, ev := range recorded {
+		if churn.Match(ev) {
+			fmt.Printf("churn at round %d: +%d/-%d edges\n", ev.Round, ev.EdgesAdded, ev.EdgesRemoved)
+		}
 	}
 	// Output:
 	// recorded: 5

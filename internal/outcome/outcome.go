@@ -1,10 +1,10 @@
 // Package outcome defines the expected-outcome assertions a scenario
 // spec can attach to a run (DESIGN.md §15) and evaluates them against a
 // finished run's summary. It is deliberately a leaf package — plain data
-// in, violations out — so both the local scenario runner
-// (internal/scenario) and the daemon's assert endpoint (internal/daemon)
-// judge runs with literally the same code, and a scenario that passes
-// locally cannot fail remotely on evaluation drift.
+// in, violations out. The scenario runner (internal/scenario) is its one
+// caller and judges every run with it, local or remote, single or grid
+// cell, so a scenario that passes locally cannot fail remotely on
+// evaluation drift.
 package outcome
 
 import (
@@ -13,8 +13,7 @@ import (
 )
 
 // Expect declares the assertions to evaluate after a run. The JSON tags
-// are the scenario spec's `expect:` field names and the daemon's assert
-// wire shape — one vocabulary at every layer. Zero values mean
+// are the scenario spec's `expect:` field names. Zero values mean
 // "unasserted" (Solved being a *bool keeps `solved: false` assertable).
 type Expect struct {
 	// Solved asserts the run's final solved state.
@@ -97,8 +96,8 @@ func (e Expect) Validate() error {
 }
 
 // Run is the finished run's summary, as plain data: the subset of
-// mobilegossip.Result (plus n and k) the assertions read. Both the local
-// Result and the daemon's wire RunResult project onto it losslessly.
+// mobilegossip.Result (plus n and k) the assertions read. The wire
+// RunResult, local or remote, projects onto it losslessly.
 type Run struct {
 	N, K           int
 	Solved         bool
@@ -136,10 +135,9 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Assertion + ": " + v.Detail }
 
-// FormatFailure renders an assertion failure the same way everywhere —
-// the local runner's error, the daemon's 409 body, and therefore the
-// *client.APIError message are all this string: the scenario, the seed,
-// the phase the run ended in, and one diff-style line per violation.
+// FormatFailure renders an assertion failure — the scenario runner's
+// *AssertionError text on either transport: the scenario, the seed, the
+// phase the run ended in, and one diff-style line per violation.
 func FormatFailure(scenario string, seed uint64, phase string, vs []Violation) string {
 	var b strings.Builder
 	noun := "assertions"

@@ -11,6 +11,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"io"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mobilegossip/client"
 	"mobilegossip/internal/daemon"
@@ -292,4 +294,100 @@ func compare(t *testing.T, what string, got, want []byte) {
 		}
 	}
 	t.Fatalf("%s: outputs differ", what)
+}
+
+// TestResumeFinishedCheckpoint resumes a checkpoint taken when its run
+// finished — at max_rounds, and by solving inside a fixed-length last
+// phase, whose timeline then ends at a round the run never reaches.
+// Nothing is left to step, yet the resumed run still ends: its event
+// stream is the one session_end line, byte-identical locally and against
+// gossipd, and the daemon's follow stream of such a session ends by
+// itself.
+func TestResumeFinishedCheckpoint(t *testing.T) {
+	url := startDaemon(t)
+	for name, yaml := range map[string]string{
+		"max_rounds": `version: 1
+name: finished
+seed: 3
+algorithm: sharedbit
+n: 32
+k: 8
+max_rounds: 6
+topology:
+  kind: regular
+  degree: 4
+`,
+		"solved in a fixed phase": `version: 1
+name: finished-phased
+seed: 3
+algorithm: sharedbit
+n: 16
+k: 2
+topology:
+  kind: complete
+phases:
+  - name: warmup
+    rounds: 2
+  - name: rest
+    rounds: 500
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := scenario.Parse([]byte(yaml))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			ckptPath := filepath.Join(dir, "final.ckpt")
+			if err := scenario.Run(spec, scenario.Options{CheckpointPath: ckptPath, Out: io.Discard}); err != nil {
+				t.Fatal(err)
+			}
+			var streams [2][]byte
+			for i, remote := range []string{"", url} {
+				path := filepath.Join(dir, "resumed.jsonl")
+				if err := scenario.Run(spec, scenario.Options{
+					Remote: remote, ResumePath: ckptPath, EventsPath: path, Out: io.Discard,
+				}); err != nil {
+					t.Fatalf("remote=%q: %v", remote, err)
+				}
+				if streams[i], err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if bytes.Count(streams[0], []byte("\n")) != 1 || !bytes.Contains(streams[0], []byte(`"type":"session_end"`)) {
+				t.Fatalf("local resumed stream = %q, want one session_end line", streams[0])
+			}
+			if !bytes.Equal(streams[1], streams[0]) {
+				t.Fatalf("remote resumed stream diverged from local:\nremote: %q\nlocal:  %q", streams[1], streams[0])
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			c := client.New(url)
+			f, err := os.Open(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := c.Resume(ctx, f, true)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(ctx, info.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+			rc, err := c.Events(ctx, info.ID, client.EventOptions{Follow: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			followed, err := io.ReadAll(rc)
+			if err != nil {
+				t.Fatalf("follow stream of a finished session did not end by itself: %v", err)
+			}
+			if !bytes.Equal(followed, streams[0]) {
+				t.Fatalf("follow stream = %q, want the local stream %q", followed, streams[0])
+			}
+		})
+	}
 }

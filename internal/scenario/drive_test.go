@@ -59,8 +59,6 @@ func (f *fakeSession) Checkpoint(_ context.Context, w io.Writer) (int, int, erro
 	return f.round, 1000 - f.round, nil
 }
 
-func (f *fakeSession) Assert(context.Context, client.AssertRequest) error { return nil }
-
 func (f *fakeSession) Events(io.Writer) func(context.Context) error {
 	return func(context.Context) error { return f.eventsErr }
 }

@@ -5,10 +5,8 @@ package scenario
 // way. Single runs lower the spec to a create request and a Timeline and
 // hand both to the one driver (session.go, drive.go) that flag-driven
 // gossipsim runs use too; a grid runs each cell as one such session on the
-// internal/runner pool. The expect block is evaluated through
-// internal/outcome — locally for local runs and grid cells, by the
-// daemon's assert endpoint for remote single runs, with identical failure
-// text.
+// internal/runner pool. Every expect block — a single run's or a grid
+// cell's, on either transport — is evaluated here, by Spec.check.
 
 import (
 	"context"
@@ -21,6 +19,7 @@ import (
 	"mobilegossip/client"
 	"mobilegossip/internal/outcome"
 	"mobilegossip/internal/runner"
+	"mobilegossip/internal/wire"
 )
 
 // Options tunes how a scenario executes — never what it computes: every
@@ -63,9 +62,8 @@ func (o *Options) fill() {
 	}
 }
 
-// AssertionError reports a local run that violated its expect block.
-// Remote runs surface the same text as a *client.APIError (HTTP 409)
-// from the daemon's assert endpoint.
+// AssertionError reports a run that violated its expect block, on
+// either transport.
 type AssertionError struct {
 	Scenario   string
 	Seed       uint64
@@ -87,8 +85,7 @@ func RunFile(path string, opts Options) error {
 }
 
 // Run executes the scenario. The error is non-nil for execution failures
-// and for expect-block violations (*AssertionError locally,
-// *client.APIError remotely).
+// and for expect-block violations (*AssertionError).
 func Run(spec *Spec, opts Options) error {
 	opts.fill()
 	if spec.Grid != nil && (opts.CheckpointPath != "" || opts.ResumePath != "" || opts.EventsPath != "") {
@@ -145,14 +142,18 @@ func writeExpectOK(w io.Writer, e *outcome.Expect) {
 	fmt.Fprintf(w, "expect: ok (%d %s)\n", n, noun)
 }
 
-// assertRequest is the expect block as an assert request about a run of
-// the given seed that ended after rounds rounds (the public client package
-// cannot name internal/outcome, hence the struct conversion).
-func (s *Spec) assertRequest(seed uint64, rounds int) client.AssertRequest {
-	return client.AssertRequest{
-		Scenario: s.Name, Seed: seed, Phase: s.phaseAt(rounds),
-		Expect: client.ExpectSpec(*s.Expect),
+// check evaluates the expect block against a run of the given seed: nil
+// when it holds (or there is none), else an *AssertionError naming the
+// phase the run ended in.
+func (s *Spec) check(seed uint64, res client.RunResult) error {
+	if s.Expect == nil {
+		return nil
 	}
+	vs := outcome.Check(*s.Expect, wire.RunOutcome(res))
+	if len(vs) == 0 {
+		return nil
+	}
+	return &AssertionError{Scenario: s.Name, Seed: seed, Phase: s.phaseAt(res.Rounds), Violations: vs}
 }
 
 // runSingle runs a single (fresh or resumed, phased or not) scenario
@@ -179,10 +180,8 @@ func runSingle(spec *Spec, opts Options) error {
 	if err := RenderTable(opts.Out, res, tau); err != nil {
 		return err
 	}
-	if spec.Expect != nil {
-		if err := s.Assert(ctx, spec.assertRequest(spec.Seed, res.Rounds)); err != nil {
-			return err
-		}
+	if err := spec.check(spec.Seed, res); err != nil {
+		return err
 	}
 	writeExpectOK(opts.Out, spec.Expect)
 	return nil
@@ -243,14 +242,10 @@ func finishGrid(spec *Spec, opts Options, runs [][]client.RunResult) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if spec.Expect != nil {
-		trials := spec.Grid.Trials
-		for p := range runs {
-			for t, r := range runs[p] {
-				seed := mobilegossip.SweepSeed(spec.Seed, p*trials+t)
-				if err := assertResult(spec.assertRequest(seed, r.Rounds), r); err != nil {
-					return err
-				}
+	for p := range runs {
+		for t, r := range runs[p] {
+			if err := spec.check(mobilegossip.SweepSeed(spec.Seed, p*spec.Grid.Trials+t), r); err != nil {
+				return err
 			}
 		}
 	}

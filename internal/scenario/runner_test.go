@@ -1,9 +1,9 @@
 package scenario_test
 
 // Assertion-failure paths of the runner: a violated expect block is a
-// *scenario.AssertionError locally and a *client.APIError (HTTP 409)
-// remotely — carrying the exact same outcome.FormatFailure text, so a
-// scenario that fails its assertions reads identically however it ran.
+// *scenario.AssertionError on either transport — the runner evaluates
+// every expect block itself, so a scenario that fails its assertions
+// reads identically however it ran.
 
 import (
 	"bytes"
@@ -11,12 +11,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"mobilegossip"
-	"mobilegossip/client"
 	"mobilegossip/internal/scenario"
 )
 
@@ -83,22 +83,22 @@ func TestAssertionFailureLocal(t *testing.T) {
 	}
 }
 
-// TestAssertionFailureRemote: the same scenario against gossipd comes
-// back as a 409 APIError whose message is byte-identical to the local
-// AssertionError's — the daemon runs the same outcome checker.
+// TestAssertionFailureRemote: the same scenario against gossipd is
+// evaluated by the same runner code, so it fails with an equal
+// *AssertionError: same fields, same text.
 func TestAssertionFailureRemote(t *testing.T) {
-	localErr := runFailing(t, scenario.Options{})
-	remoteErr := runFailing(t, scenario.Options{Remote: startDaemon(t)})
-	var apiErr *client.APIError
-	if !errors.As(remoteErr, &apiErr) {
-		t.Fatalf("remote failure should be *client.APIError, got %T: %v", remoteErr, remoteErr)
+	var local, remote *scenario.AssertionError
+	if err := runFailing(t, scenario.Options{}); !errors.As(err, &local) {
+		t.Fatalf("local failure should be *AssertionError, got %T: %v", err, err)
 	}
-	if apiErr.Status != 409 {
-		t.Fatalf("assertion failure status = %d, want 409", apiErr.Status)
+	if err := runFailing(t, scenario.Options{Remote: startDaemon(t)}); !errors.As(err, &remote) {
+		t.Fatalf("remote failure should be *AssertionError, got %T: %v", err, err)
 	}
-	if apiErr.Message != localErr.Error() {
-		t.Fatalf("remote failure text diverged from local:\nremote: %q\nlocal:  %q",
-			apiErr.Message, localErr.Error())
+	if !reflect.DeepEqual(remote, local) {
+		t.Fatalf("remote failure diverged from local:\nremote: %+v\nlocal:  %+v", remote, local)
+	}
+	if remote.Error() != local.Error() {
+		t.Fatalf("remote failure text diverged from local:\nremote: %q\nlocal:  %q", remote, local)
 	}
 }
 

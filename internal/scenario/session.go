@@ -9,13 +9,13 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"mobilegossip"
 	"mobilegossip/client"
-	"mobilegossip/internal/outcome"
 	"mobilegossip/internal/wire"
 )
 
@@ -32,10 +32,6 @@ type Session interface {
 	// Checkpoint streams a snapshot to w and reports the round and φ it
 	// was taken at.
 	Checkpoint(ctx context.Context, w io.Writer) (round, potential int, err error)
-	// Assert evaluates an expect block against the results so far: a
-	// violation is an *AssertionError locally and a 409 *client.APIError
-	// remotely, with the same text.
-	Assert(ctx context.Context, req client.AssertRequest) error
 	// Events directs the session's event stream to w; call it before the
 	// first RunTo and the returned finish after the last. (A remote
 	// session must have been opened with RecordEvents.)
@@ -140,6 +136,13 @@ func (l *Local) RunTo(ctx context.Context, round int) (client.RunResult, error) 
 		for err == nil && !l.Sim.Done() && l.Sim.Round() < round {
 			_, err = l.Sim.Step()
 		}
+		if err == nil && l.Sim.Done() {
+			// Announce the end of a run resumed already finished, as Run
+			// does; a no-op when a step above ended it.
+			if _, err = l.Sim.Step(); errors.Is(err, mobilegossip.ErrSimulationDone) {
+				err = nil
+			}
+		}
 	}
 	return l.result(), err
 }
@@ -159,26 +162,12 @@ func (l *Local) Checkpoint(_ context.Context, w io.Writer) (int, int, error) {
 	return l.Sim.Round(), l.Sim.Potential(), l.Sim.Checkpoint(w)
 }
 
-func (l *Local) Assert(_ context.Context, req client.AssertRequest) error {
-	return assertResult(req, l.result())
-}
-
 func (l *Local) Events(w io.Writer) func(context.Context) error {
 	sink := mobilegossip.NewJSONLSink(l.Sim.Bus(), w, mobilegossip.EventFilter{}, 0)
 	return func(context.Context) error { return sink.Close() }
 }
 
 func (l *Local) Close() {}
-
-// assertResult evaluates req against a run: Local.Assert, and every grid
-// cell on either transport.
-func assertResult(req client.AssertRequest, res client.RunResult) error {
-	vs := outcome.Check(outcome.Expect(req.Expect), wire.RunOutcome(res))
-	if len(vs) == 0 {
-		return nil
-	}
-	return &AssertionError{Scenario: req.Scenario, Seed: req.Seed, Phase: req.Phase, Violations: vs}
-}
 
 // remote is the gossipd-backed Session. The driver is the session's only
 // client, so the SessionInfo of the last response is its current state.
@@ -227,10 +216,6 @@ func (r *remote) Checkpoint(ctx context.Context, w io.Writer) (int, int, error) 
 	defer rc.Close()
 	_, err = io.Copy(w, rc)
 	return r.last.Session.Round, r.last.Session.Potential, err
-}
-
-func (r *remote) Assert(ctx context.Context, req client.AssertRequest) error {
-	return r.c.Assert(ctx, r.last.Session.ID, req)
 }
 
 func (r *remote) Events(w io.Writer) func(context.Context) error {

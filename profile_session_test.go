@@ -25,8 +25,8 @@ func profiledConfig(seed uint64) mobilegossip.Config {
 }
 
 func TestProfiledSessionEvents(t *testing.T) {
-	ring, res := collectRun(t, profiledConfig(11))
-	profs := ring.Events(mobilegossip.EventFilter{
+	rec, res := collectRun(t, profiledConfig(11))
+	profs := rec.Events(mobilegossip.EventFilter{
 		Types: []mobilegossip.EventType{mobilegossip.EventRoundProfile},
 	})
 	if len(profs) != res.Rounds {
@@ -55,7 +55,7 @@ func TestProfiledSessionEvents(t *testing.T) {
 	}
 
 	// Each round_profile follows its round_completed.
-	evs := ring.Events(mobilegossip.EventFilter{})
+	evs := rec.Events(mobilegossip.EventFilter{})
 	for i, ev := range evs {
 		if ev.Type != mobilegossip.EventRoundProfile {
 			continue
@@ -72,14 +72,14 @@ func TestProfiledSessionEvents(t *testing.T) {
 func TestProfiledRunIdenticalResults(t *testing.T) {
 	cfg := profiledConfig(23)
 	cfg.Profile = false
-	ringOff, resOff := collectRun(t, cfg)
+	recOff, resOff := collectRun(t, cfg)
 	cfg.Profile = true
-	ringOn, resOn := collectRun(t, cfg)
+	recOn, resOn := collectRun(t, cfg)
 	if resOff != resOn {
 		t.Fatalf("results diverged:\noff %+v\non  %+v", resOff, resOn)
 	}
 	f := mobilegossip.EventFilter{Types: []mobilegossip.EventType{mobilegossip.EventRoundCompleted}}
-	off, on := ringOff.Events(f), ringOn.Events(f)
+	off, on := recOff.Events(f), recOn.Events(f)
 	if len(off) != len(on) {
 		t.Fatalf("%d vs %d rounds", len(off), len(on))
 	}

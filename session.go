@@ -230,7 +230,7 @@ func (s *Simulation) Health() profile.Health {
 // start/end/cancel, each completed round, churn, adversary epochs,
 // checkpoint writes and resumes — is published on it as a typed
 // events.Event (see DESIGN.md §12 for the taxonomy). Attach sinks
-// (NewJSONLSink, NewMetricsCollector, NewEventRing) or subscribe
+// (NewJSONLSink, NewMetricsCollector) or subscribe
 // directly; with no subscriber attached the bus costs the hot path
 // nothing.
 //
