@@ -88,8 +88,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzEventsQuery -fuzztime=$(FUZZTIME) ./internal/daemon
 	$(GO) test -run='^$$' -fuzz=FuzzResumeQuery -fuzztime=$(FUZZTIME) ./internal/daemon
+	$(GO) test -run='^$$' -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/daemon
+	$(GO) test -run='^$$' -fuzz=FuzzRebindRequest -fuzztime=$(FUZZTIME) ./internal/daemon
 	$(GO) test -run='^$$' -fuzz=FuzzIntnMember -fuzztime=$(FUZZTIME) ./internal/prand
 	$(GO) test -run='^$$' -fuzz=FuzzScanMatchesAllPairs -fuzztime=$(FUZZTIME) ./internal/mobility
+	$(GO) test -run='^$$' -fuzz=FuzzConnectAndDiff -fuzztime=$(FUZZTIME) ./internal/graph
 
 # bench is the CI smoke configuration: compile and run every benchmark
 # exactly once so regressions in the hot gossip loops surface per-PR

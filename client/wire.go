@@ -102,8 +102,9 @@ type SessionInfo struct {
 
 // RunRequest asks the scheduler to advance a session. Rounds is relative:
 // step this many more rounds from wherever the session is; <= 0 means run
-// to completion (objective or MaxRounds). The call returns when the
-// target is reached, the run finishes, or the job is canceled.
+// to completion (objective or MaxRounds), and so does an empty request
+// body. The call returns when the target is reached, the run finishes, or
+// the job is canceled.
 type RunRequest struct {
 	Rounds int `json:"rounds"`
 }

@@ -85,15 +85,16 @@ type Options struct {
 type Engine struct {
 	*dyngraph.Stepper
 	base   dyngraph.Dynamic
+	lister lister // base, when it hands over its edge list; nil otherwise
 	strat  Strategy
 	seed   uint64
 	budget int
 	reader StateReader
 	name   string
 
-	perm     []int // fixed seeded permutation (the oblivious schedules' substrate)
-	pos      []int // pos[u] = index of u in perm
-	baseBuf  []uint64
+	perm     []int    // fixed seeded permutation (the oblivious schedules' substrate)
+	pos      []int    // pos[u] = index of u in perm
+	baseBuf  []uint64 // a graph base's edge list; a lister's is its own
 	ops      Ops
 	rank     []int32 // RankDesc output buffer
 	score    []int   // RankDesc score buffer
@@ -109,6 +110,7 @@ var _ dyngraph.DeltaDynamic = (*Engine)(nil)
 // construction and round 1 already shapes the initial topology.
 func New(base dyngraph.Dynamic, strat Strategy, o Options) *Engine {
 	e := &Engine{base: base, strat: strat, seed: o.Seed, budget: o.Budget, pos: make([]int, base.N())}
+	e.lister, _ = base.(lister)
 	e.Stepper = dyngraph.NewStepper(base.N(), o.Tau, strat.Name(), o.Rebuild, e.rewind, func(int) {}, e.produce)
 	e.name = fmt.Sprintf("adv(%s,%s)+%s", strat.Name(), e.TauString(), base.Name())
 	e.rewind()
@@ -133,23 +135,22 @@ func (e *Engine) rewind() {
 // topology of the epoch's first round, run the strategy, and merge
 // (base \ cuts) ∪ links.
 func (e *Engine) produce(next int, buf []uint64) []uint64 {
-	bg := e.base.At(e.FirstRound(next))
-	e.baseBuf = bg.AppendPackedEdges(e.baseBuf[:0])
+	edges, bg := e.baseList(e.FirstRound(next))
 
 	// Strategy pass: collect cuts/links on the reused Ops.
-	e.ops.reset(bg, e.budget)
 	e.epochCtx = Epoch{
-		E: next, N: e.N(), Base: bg,
+		E: next, N: e.N(), Edges: edges,
 		Perm: e.perm, Pos: e.pos,
 		Tokens: e.tokenCount,
-		eng:    e,
+		eng:    e, base: bg,
 	}
+	e.ops.reset(&e.epochCtx, e.budget)
 	e.strat.Perturb(&e.epochCtx, &e.ops)
 	slices.Sort(e.ops.cuts)
 
 	// base \ cuts, both streams sorted.
 	ci := 0
-	for _, edge := range e.baseBuf {
+	for _, edge := range edges {
 		for ci < len(e.ops.cuts) && e.ops.cuts[ci] < edge {
 			ci++
 		}
@@ -166,6 +167,28 @@ func (e *Engine) produce(next int, buf []uint64) []uint64 {
 		buf = slices.Compact(buf)
 	}
 	return buf
+}
+
+// lister is a base schedule that hands over round r's topology as a sorted
+// packed edge list without building its CSR: every dyngraph.Stepper-backed
+// schedule (dyngraph.Stepper.List). The slice belongs to the base and is
+// valid until it is asked for a later epoch.
+type lister interface {
+	List(r int) []uint64
+}
+
+// baseList returns the base topology of round r as a sorted packed edge
+// list. A lister base (a mobility schedule) hands over its own buffer and
+// no graph: its CSR is built only if the strategy asks for it (Epoch.Base).
+// Any other base holds its graph already, which is returned beside the list
+// flattened from it.
+func (e *Engine) baseList(r int) ([]uint64, *graph.Graph) {
+	if e.lister != nil {
+		return e.lister.List(r), nil
+	}
+	g := e.base.At(r)
+	e.baseBuf = g.AppendPackedEdges(e.baseBuf[:0])
+	return e.baseBuf, g
 }
 
 // tokenCount is the Epoch.Tokens implementation: the bound StateReader, or
@@ -245,8 +268,11 @@ type Epoch struct {
 	E int
 	// N is the vertex count.
 	N int
-	// Base is the epoch's unperturbed base topology.
-	Base *graph.Graph
+	// Edges is the epoch's unperturbed base topology as a sorted packed
+	// edge list: u ascending, then v > u ascending (graph.CheckPacked).
+	// Strategies that only cut pairs walk it; Base is the same topology as
+	// a graph, for those that need a node's neighbors.
+	Edges []uint64
 	// Perm is a fixed seeded permutation of the vertices and Pos its
 	// inverse — the precomputed substrate of the oblivious partitions.
 	Perm, Pos []int
@@ -254,7 +280,18 @@ type Epoch struct {
 	// adaptive adversary reads (0 everywhere when the engine is unbound).
 	Tokens func(u int) int
 
-	eng *Engine
+	eng  *Engine
+	base *graph.Graph // Base's graph, once built or handed over
+}
+
+// Base returns the epoch's unperturbed base topology — the graph of Edges.
+// Over a lister base the first call loads the base's CSR; every other base
+// holds its graph already. The graph is valid until the next epoch.
+func (ep *Epoch) Base() *graph.Graph {
+	if ep.base == nil {
+		ep.base = ep.eng.base.At(ep.eng.FirstRound(ep.E))
+	}
+	return ep.base
 }
 
 // RankDesc returns the vertices sorted by score descending, ties broken by
@@ -296,15 +333,15 @@ func (s *rankSorter) Swap(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
 // Ops collects a strategy's perturbations, enforcing the per-epoch cut
 // budget. All buffers are engine-owned and reused across epochs.
 type Ops struct {
-	base   *graph.Graph
+	ep     *Epoch
 	budget int // 0 = unlimited
 	cuts   []uint64
 	links  []uint64
 	seen   map[uint64]struct{}
 }
 
-func (o *Ops) reset(base *graph.Graph, budget int) {
-	o.base = base
+func (o *Ops) reset(ep *Epoch, budget int) {
+	o.ep = ep
 	o.budget = budget
 	o.cuts = o.cuts[:0]
 	o.links = o.links[:0]
@@ -337,16 +374,16 @@ func (o *Ops) Cut(u, v int) {
 	if o.Exhausted() || u == v || !o.inRange(u) || !o.inRange(v) {
 		return
 	}
-	if !o.base.HasEdge(u, v) {
+	if _, ok := slices.BinarySearch(o.ep.Edges, graph.PackEdge(int32(u), int32(v))); !ok {
 		return
 	}
 	o.cutPresent(int32(u), int32(v))
 }
 
 // cutPresent registers a cut of an edge known to be present in the base —
-// the in-package strategies derive every cut from Base.Adjacency, so the
-// membership probe Cut pays for arbitrary callers is skipped on this hot
-// per-epoch path.
+// the in-package strategies derive every cut from Edges or Base().Adjacency,
+// so the membership probe Cut pays for arbitrary callers is skipped on this
+// hot per-epoch path.
 func (o *Ops) cutPresent(u, v int32) {
 	if o.Exhausted() {
 		return
@@ -364,7 +401,7 @@ func (o *Ops) CutNode(u int) {
 	if !o.inRange(u) {
 		return
 	}
-	for _, v := range o.base.Adjacency(u) {
+	for _, v := range o.ep.Base().Adjacency(u) {
 		if o.Exhausted() {
 			return
 		}
@@ -382,5 +419,5 @@ func (o *Ops) Link(u, v int) {
 	o.links = append(o.links, graph.PackEdge(int32(u), int32(v)))
 }
 
-// inRange reports whether u names a vertex of the epoch's base graph.
-func (o *Ops) inRange(u int) bool { return u >= 0 && u < o.base.N() }
+// inRange reports whether u names a vertex of the epoch's base topology.
+func (o *Ops) inRange(u int) bool { return u >= 0 && u < o.ep.N }

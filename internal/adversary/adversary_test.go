@@ -599,3 +599,86 @@ func TestNameAndStrategyAccessors(t *testing.T) {
 		t.Fatalf("N() = %d", e.N())
 	}
 }
+
+// graphOnly hides a base schedule's List, so the Engine over it reads the
+// base through At and AppendPackedEdges, as it reads a Static or Regen base.
+type graphOnly struct{ schedule }
+
+// TestListPathMatchesGraphPath: an Engine over a mobility base reads the
+// base's own list (and builds the base's CSR only for the strategies that
+// ask for the graph); over the same base with List hidden it flattens the
+// base's graph. Every catalogue strategy, unlimited and under a budget, must
+// give the same outer list, delta and checkpoint bytes on both paths: at
+// every round of a walk, at a far first query (a rebind's jump), and after
+// a restore from a mid-run checkpoint into either path.
+func TestListPathMatchesGraphPath(t *testing.T) {
+	const n, rounds, far, at = 60, 24, 37, 9
+	for _, strat := range Strategies() {
+		for _, budget := range []int{0, 7} {
+			for _, tau := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/budget=%d/τ=%d", strat.Name(), budget, tau), func(t *testing.T) {
+					build := func(hide bool) schedule {
+						var base schedule = mobility.New(mobility.Waypoint(0.05, 2), mobility.Options{N: n, Tau: tau, Seed: 13})
+						if hide {
+							base = graphOnly{base}
+						}
+						e := New(base, strat, Options{Tau: tau, Seed: 17, Budget: budget})
+						e.Bind(fakeReader{shift: 5})
+						return e
+					}
+					listed, graphed := build(false), build(true)
+					var mid []byte
+					for r := 1; r <= rounds; r++ {
+						a, b := reach(t, listed, r), reach(t, graphed, r)
+						if !a.equal(b) {
+							t.Fatalf("round %d: the list path gives %d edges, delta %+v; the graph path %d, %+v (checkpoints equal: %v)",
+								r, len(a.edges), a.delta, len(b.edges), b.delta, bytes.Equal(a.ckpt, b.ckpt))
+						}
+						if r == at {
+							mid = a.ckpt
+						}
+					}
+					if a, b := reach(t, build(false), far), reach(t, build(true), far); !a.equal(b) {
+						t.Fatalf("a first query at round %d lands apart on the two paths", far)
+					}
+					want := reach(t, listed, rounds)
+					for _, hide := range []bool{false, true} {
+						restored := build(hide)
+						if err := restored.RestoreFrom(ckpt.NewReader(bytes.NewReader(mid))); err != nil {
+							t.Fatal(err)
+						}
+						if got := reach(t, restored, rounds); !got.equal(want) {
+							t.Fatalf("restored at round %d (List hidden: %v), round %d leaves the walk", at, hide, rounds)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBudgetKeepsListOrder: under a budget, the strategies that walk the
+// base list (bipartition, bridges, partition) cut the first budget crossing
+// edges in packed order — u ascending, then v > u ascending, the order a
+// walk over each vertex's higher neighbors takes — so the list walk keeps
+// the cuts the graph walk it replaced kept.
+func TestBudgetKeepsListOrder(t *testing.T) {
+	const n, budget = 80, 9
+	base := mobileBase(n, 1, 23)
+	for _, strat := range []Strategy{Bipartition(), Bridges(4), Partition(8)} {
+		for _, epoch := range []int{0, 1, 2} {
+			cuts := func(budget int) []uint64 {
+				e := New(base, strat, Options{Tau: 1, Seed: 29, Budget: budget})
+				e.produce(epoch, nil)
+				return slices.Clone(e.ops.cuts)
+			}
+			all := cuts(0)
+			if len(all) <= budget {
+				t.Fatalf("%s epoch %d: only %d crossing edges, the budget cannot bind", strat.Name(), epoch, len(all))
+			}
+			if got := cuts(budget); !slices.Equal(got, all[:budget]) {
+				t.Fatalf("%s epoch %d: budgeted cuts %v, want the first %d of the crossing edges %v", strat.Name(), epoch, got, budget, all[:budget])
+			}
+		}
+	}
+}

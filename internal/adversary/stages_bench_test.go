@@ -10,25 +10,35 @@ import (
 	"mobilegossip/internal/mobility"
 )
 
-// timedBase charges the time spent inside the base schedule to ns.
+// timedBase charges the time spent inside the base schedule to ns. It
+// forwards List, so the Engine reads the base's list as it does over a bare
+// mobility schedule, and At, which a strategy asking for the graph reaches.
 type timedBase struct {
-	dyngraph.Dynamic
+	*mobility.Schedule
 	ns time.Duration
 }
 
 func (t *timedBase) At(r int) *graph.Graph {
 	t0 := time.Now()
-	g := t.Dynamic.At(r)
+	g := t.Schedule.At(r)
 	t.ns += time.Since(t0)
 	return g
+}
+
+func (t *timedBase) List(r int) []uint64 {
+	t0 := time.Now()
+	edges := t.Schedule.List(r)
+	t.ns += time.Since(t0)
+	return edges
 }
 
 // BenchmarkChurnStages times the stages of one adversary epoch separately,
 // at the shape of the bench's mobile-churn workload after its rebind
 // (bipartition with a budget of 10,000 cuts over n = 50,000 waypoint
 // walkers, τ = 1): pull the base
-// topology (the whole inner mobility epoch, which internal/mobility's
-// benchmark of the same name splits into its own five stages), run the
+// topology (the whole inner mobility epoch up to its repaired list — the
+// base builds no CSR, as bipartition walks the list; internal/mobility's
+// benchmark of the same name splits it into its own stages), run the
 // strategy (base list, cuts, merge), repair connectivity, count the
 // difference from the previous epoch's list (what the engine's DeltaFor
 // costs this layer; the base's own is never asked for, so "base" holds
@@ -39,7 +49,7 @@ func (t *timedBase) At(r int) *graph.Graph {
 // bench-stages` the medians.
 func BenchmarkChurnStages(b *testing.B) {
 	const n = 50000
-	base := &timedBase{Dynamic: mobility.New(mobility.Waypoint(0.01, 2), mobility.Options{N: n, Tau: 1, Seed: 1})}
+	base := &timedBase{Schedule: mobility.New(mobility.Waypoint(0.01, 2), mobility.Options{N: n, Tau: 1, Seed: 1})}
 	e := New(base, Bipartition(), Options{Tau: 1, Seed: 2, Budget: 10000})
 	conn, patcher := graph.NewConnector(n), graph.NewPatcher(n)
 	var lists [2][]uint64
@@ -78,9 +88,10 @@ func BenchmarkChurnStages(b *testing.B) {
 // BenchmarkRebindJump times what Simulation.Rebind leaves for the next Step
 // at the shape of the bench's mobile-churn workload: a freshly built
 // schedule (construction untimed) asked for a late round first — round 31,
-// where the workload rebinds, and round 1,001. The jump moves the crowd once
-// per skipped round and scans, perturbs, repairs and loads only where it
-// lands (DESIGN.md §8, §14, §15).
+// where the workload rebinds, and round 1,001 — for its graph and its delta,
+// as the engine's next round asks. The jump moves the crowd once per skipped
+// round and scans, perturbs, repairs and loads only where it lands
+// (DESIGN.md §8, §14, §15).
 func BenchmarkRebindJump(b *testing.B) {
 	const n = 50000
 	for _, stacked := range []bool{false, true} {
@@ -97,6 +108,7 @@ func BenchmarkRebindJump(b *testing.B) {
 						d = New(d, Bipartition(), Options{Tau: 1, Seed: 2, Budget: 10000})
 					}
 					b.StartTimer()
+					d.At(round)
 					d.DeltaFor(round)
 				}
 				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/jump")

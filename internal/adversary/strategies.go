@@ -43,11 +43,20 @@ func (bipartition) Perturb(ep *Epoch, ops *Ops) {
 		}
 		return 1
 	}
-	for u := 0; u < ep.N && !ops.Exhausted(); u++ {
-		su := side(u)
-		for _, v := range ep.Base.Adjacency(u) {
-			if int32(u) < v && su != side(int(v)) {
-				ops.cutPresent(int32(u), v)
+	cutCrossing(ep, ops, func(u, v int) bool { return side(u) != side(v) })
+}
+
+// cutCrossing cuts, in list order and within budget, every base edge {u, v}
+// with crosses(u, v). The list runs u ascending, then v > u ascending — the
+// order of a walk over each vertex's higher neighbors in the graph — so a
+// budget keeps the cuts that walk would keep.
+func cutCrossing(ep *Epoch, ops *Ops, crosses func(u, v int) bool) {
+	for _, e := range ep.Edges {
+		u, v := int32(e>>32), int32(uint32(e))
+		if crosses(int(u), int(v)) {
+			ops.cutPresent(u, v)
+			if ops.Exhausted() {
+				return
 			}
 		}
 	}
@@ -71,14 +80,7 @@ func (s bridges) Name() string { return fmt.Sprintf("bridges(%d)", s.groups) }
 
 func (s bridges) Perturb(ep *Epoch, ops *Ops) {
 	gid := func(u int) int { return (ep.Pos[u] + ep.E) % s.groups }
-	for u := 0; u < ep.N && !ops.Exhausted(); u++ {
-		gu := gid(u)
-		for _, v := range ep.Base.Adjacency(u) {
-			if int32(u) < v && gu != gid(int(v)) {
-				ops.cutPresent(int32(u), v)
-			}
-		}
-	}
+	cutCrossing(ep, ops, func(u, v int) bool { return gid(u) != gid(v) })
 }
 
 // ---------------------------------------------------------------------------
@@ -122,7 +124,7 @@ func (isolate) Perturb(ep *Epoch, ops *Ops) {
 		}
 	}
 	ops.CutNode(leader)
-	for _, v := range ep.Base.Adjacency(leader) {
+	for _, v := range ep.Base().Adjacency(leader) {
 		if ops.Exhausted() {
 			return
 		}
@@ -185,14 +187,7 @@ func (s partition) Perturb(ep *Epoch, ops *Ops) {
 		return // healed phase
 	}
 	half := ep.N / 2
-	for u := 0; u < ep.N && !ops.Exhausted(); u++ {
-		su := ep.Pos[u] < half
-		for _, v := range ep.Base.Adjacency(u) {
-			if int32(u) < v && su != (ep.Pos[v] < half) {
-				ops.cutPresent(int32(u), v)
-			}
-		}
-	}
+	cutCrossing(ep, ops, func(u, v int) bool { return (ep.Pos[u] < half) != (ep.Pos[v] < half) })
 }
 
 // TopK isolates the k highest-degree nodes of the epoch's base topology
@@ -211,7 +206,7 @@ type topk struct{ k int }
 func (s topk) Name() string { return fmt.Sprintf("topk(%d)", s.k) }
 
 func (s topk) Perturb(ep *Epoch, ops *Ops) {
-	ranked := ep.RankDesc(ep.Base.Degree)
+	ranked := ep.RankDesc(ep.Base().Degree)
 	for i := 0; i < s.k && i < len(ranked); i++ {
 		if ops.Exhausted() {
 			return

@@ -715,6 +715,7 @@ func TestDaemonHTTPErrors(t *testing.T) {
 	for _, tc := range []struct{ body, want string }{
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"fitler":"x"}`, `unknown field "fitler"`},
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"}} extra`, `trailing data`},
+		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"}}}`, `trailing data`},
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"concurrent":true}`, `unknown field "concurrent"`},
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular"},"engine_workers":2}`, `unknown field "engine_workers"`},
 		{`{"algorithm":"sharedbit","n":64,"k":8,"topology":{"kind":"regular","relabel":"bfs"}}`, `unknown field "relabel"`},
@@ -752,6 +753,73 @@ func TestParseEventsQuery(t *testing.T) {
 	} {
 		if _, _, err := parseEventsQuery(bad); err == nil {
 			t.Fatalf("parseEventsQuery accepted %q", bad)
+		}
+	}
+}
+
+// TestRunAndRebindBodies: the run and rebind bodies are decoded as strictly
+// as a create body — one JSON object of known fields and nothing after it,
+// within the body cap — so a second object, a stray brace or trailing
+// garbage is a 400 that moves nothing, never a request read up to its first
+// object. An empty run body is the zero request: run to completion.
+func TestRunAndRebindBodies(t *testing.T) {
+	d, c := newTestDaemon(t, Config{})
+	info, err := c.Create(context.Background(), testWire(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	post := func(path, body string) (int, client.SessionInfo) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/"+info.ID+path, strings.NewReader(body)))
+		var res client.RunResult
+		if rec.Code == http.StatusOK && path == "/run" {
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rec.Code, res.Session
+	}
+	regular := `{"topology":{"kind":"regular","degree":4},"tau":2}`
+	round := 0
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		advance    int // rounds an accepted run body moves the session
+	}{
+		{"/run", `{"rounds":1}`, http.StatusOK, 1},
+		{"/run", ` {"rounds":2} ` + "\n", http.StatusOK, 2},
+		{"/run", `{"rounds":1} {"rounds":2}`, http.StatusBadRequest, 0},
+		{"/run", `{"rounds":1}x`, http.StatusBadRequest, 0},
+		{"/run", `{"rounds":1}}`, http.StatusBadRequest, 0},
+		{"/run", `{"rounds":1}]`, http.StatusBadRequest, 0},
+		{"/run", `{"round":1}`, http.StatusBadRequest, 0},
+		{"/run", `{"rounds":"1"}`, http.StatusBadRequest, 0},
+		{"/run", `{"rounds":1}` + strings.Repeat(" ", maxRunBody), http.StatusBadRequest, 0},
+		{"/rebind", regular, http.StatusOK, 0},
+		{"/rebind", regular + `{}`, http.StatusBadRequest, 0},
+		{"/rebind", regular + `x`, http.StatusBadRequest, 0},
+		{"/rebind", regular + `}`, http.StatusBadRequest, 0},
+		{"/rebind", `{"topology":{"kind":"regular"},"tua":2}`, http.StatusBadRequest, 0},
+		{"/rebind", ``, http.StatusBadRequest, 0},
+		{"/rebind", regular + strings.Repeat(" ", maxRebindBody), http.StatusBadRequest, 0},
+	} {
+		status, sess := post(tc.path, tc.body)
+		if status != tc.status {
+			t.Fatalf("POST %s %.40q: status %d, want %d", tc.path, tc.body, status, tc.status)
+		}
+		round += tc.advance
+		if tc.advance > 0 && sess.Round != round {
+			t.Fatalf("POST %s %.40q: session at round %d, want %d", tc.path, tc.body, sess.Round, round)
+		}
+		if st, err := d.State(info.ID); err != nil || st.Round != round {
+			t.Fatalf("after POST %s %.40q: session at round %d (%v), want %d", tc.path, tc.body, st.Round, err, round)
+		}
+	}
+	for _, body := range []string{"", " \n\t"} {
+		if status, sess := post("/run", body); status != http.StatusOK || !sess.Done {
+			t.Fatalf("run body %q: status %d, done %v; want 200 and a finished session", body, status, sess.Done)
 		}
 	}
 }

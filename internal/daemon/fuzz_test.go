@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -8,8 +10,9 @@ import (
 	"mobilegossip/internal/wire"
 )
 
-// The daemon's wire-decoding surfaces — the session-create JSON body and
-// the events and resume endpoints' query strings — parse attacker-controlled
+// The daemon's wire-decoding surfaces — the session-create, run and rebind
+// JSON bodies and the events and resume endpoints' query strings — parse
+// attacker-controlled
 // bytes before any validation by the simulator. The invariant under fuzz
 // is the usual one for this module's decoders (FuzzResume, FuzzReaderRaw):
 // reject or normalize, never panic. Deliberately NOT under fuzz:
@@ -44,6 +47,65 @@ func FuzzCreateRequest(f *testing.F) {
 		back, err := wire.ConfigFromWire(wire.ConfigToWire(cfg, req.RecordEvents))
 		if err != nil || !reflect.DeepEqual(back, cfg) {
 			t.Fatalf("codec round trip changed %+v into %+v (%v)", cfg, back, err)
+		}
+	})
+}
+
+func FuzzRunRequest(f *testing.F) {
+	f.Add([]byte(`{"rounds":10}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(``))
+	f.Add([]byte(" \n"))
+	f.Add([]byte(`{"rounds":-1}`))
+	f.Add([]byte(`{"rounds":1} {"rounds":2}`))
+	f.Add([]byte(`{"rounds":1}}`))
+	f.Add([]byte(`{"round":1}`))
+	f.Add([]byte(`{"rounds":1e3}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeRunRequest(body)
+		if err != nil {
+			return
+		}
+		// An accepted body is one JSON value or nothing, and it means what
+		// the client's encoding of the decoded request means.
+		if trimmed := bytes.TrimSpace(body); len(trimmed) > 0 && !json.Valid(trimmed) {
+			t.Fatalf("accepted %q, which is not one JSON value", body)
+		}
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := decodeRunRequest(enc); err != nil || back != req {
+			t.Fatalf("body %q decoded to %+v, but its encoding %s decodes to %+v (%v)", body, req, enc, back, err)
+		}
+	})
+}
+
+func FuzzRebindRequest(f *testing.F) {
+	f.Add([]byte(`{"topology":{"kind":"regular","degree":4},"tau":2}`))
+	f.Add([]byte(`{"topology":{"kind":"waypoint","speed":0.01,"adversary":"bipartition","adv_budget":10000},"tau":1}`))
+	f.Add([]byte(`{"topology":{"kind":"ring"}}`))
+	f.Add([]byte(`{"topology":{"kind":"nope"}}`))
+	f.Add([]byte(`{"topology":{"kind":"regular"}}{}`))
+	f.Add([]byte(`{"topology":{"kind":"regular","relabel":"bfs"}}`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeRebindRequest(body)
+		if err != nil {
+			return
+		}
+		if !json.Valid(bytes.TrimSpace(body)) {
+			t.Fatalf("accepted %q, which is not one JSON value", body)
+		}
+		// A resolvable topology survives the codec round trip, as a
+		// create request's does.
+		topo, err := wire.TopologyFromWire(req.Topology)
+		if err != nil {
+			return
+		}
+		back, err := wire.TopologyFromWire(wire.TopologyToWire(topo))
+		if err != nil || !reflect.DeepEqual(back, topo) {
+			t.Fatalf("codec round trip changed %+v into %+v (%v)", topo, back, err)
 		}
 	})
 }

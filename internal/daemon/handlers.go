@@ -68,10 +68,21 @@ func (d *Daemon) handleVersion(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCreateBody+1))
+// readBody reads a request body of at most limit bytes, and one byte more
+// so that the decoder sees an oversized body as one; the decoders in
+// query.go enforce the cap.
+func readBody(r *http.Request, limit int) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
 	if err != nil {
-		writeErr(w, fmt.Errorf("reading request body: %w", err))
+		return nil, fmt.Errorf("reading request body: %w", err)
+	}
+	return body, nil
+}
+
+func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(r, maxCreateBody)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	req, err := decodeCreateRequest(body)
@@ -127,11 +138,14 @@ func (d *Daemon) handleDelete(w http.ResponseWriter, r *http.Request) {
 // job via the request context, so an abandoned run stops consuming
 // scheduler slices.
 func (d *Daemon) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req client.RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, fmt.Errorf("decoding run request: %w", err))
+	body, err := readBody(r, maxRunBody)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	req, err := decodeRunRequest(body)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	res, err := d.Run(r.Context(), r.PathValue("id"), req.Rounds)
@@ -143,11 +157,14 @@ func (d *Daemon) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleRebind(w http.ResponseWriter, r *http.Request) {
-	var req client.RebindRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64*1024))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, fmt.Errorf("decoding rebind request: %w", err))
+	body, err := readBody(r, maxRebindBody)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	req, err := decodeRebindRequest(body)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	info, err := d.Rebind(r.PathValue("id"), req)

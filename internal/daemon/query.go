@@ -3,7 +3,9 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/url"
 	"strconv"
 	"strings"
@@ -14,34 +16,64 @@ import (
 
 // This file is the daemon's wire-decoding boundary: every byte sequence
 // a client can put on the wire funnels through decodeCreateRequest,
-// parseEventsQuery or parseResumeQuery before it reaches the simulator.
-// All three are pure functions of their input — no I/O, no daemon state —
-// which is what makes them fuzzable (see fuzz_test.go): the invariant
-// under fuzzing is "reject or normalize, never panic".
+// decodeRunRequest, decodeRebindRequest, parseEventsQuery or
+// parseResumeQuery before it reaches the simulator. All five are pure
+// functions of their input — no I/O, no daemon state — which is what makes
+// them fuzzable (see fuzz_test.go): the invariant under fuzzing is "reject
+// or normalize, never panic".
 
-// maxCreateBody bounds the session-create JSON body. The largest honest
-// request is well under a kilobyte; a megabyte leaves room for growth
-// while keeping a hostile body from ballooning the decoder.
-const maxCreateBody = 1 << 20
+// The body caps keep a hostile body from ballooning the decoder. The
+// largest honest create request is well under a kilobyte, and a megabyte
+// leaves room for growth; a run body is one integer; a rebind body is one
+// topology.
+const (
+	maxCreateBody = 1 << 20
+	maxRunBody    = 4 << 10
+	maxRebindBody = 64 << 10
+)
 
-// decodeCreateRequest parses a session-create JSON body strictly:
-// unknown fields are errors (they are usually typos — silently dropping
-// "epsilon_" would run a different experiment than the client asked
-// for), as is trailing garbage after the object.
+// decodeCreateRequest parses a session-create JSON body strictly (see
+// decodeStrict).
 func decodeCreateRequest(body []byte) (client.CreateRequest, error) {
 	var req client.CreateRequest
-	if len(body) > maxCreateBody {
-		return req, fmt.Errorf("request body exceeds %d bytes", maxCreateBody)
+	return req, decodeStrict("create", body, maxCreateBody, &req)
+}
+
+// decodeRunRequest parses a run body strictly (see decodeStrict). An empty
+// body, or one of whitespace only, is the zero request: rounds = 0, run to
+// completion.
+func decodeRunRequest(body []byte) (client.RunRequest, error) {
+	var req client.RunRequest
+	if len(body) <= maxRunBody && len(bytes.TrimSpace(body)) == 0 {
+		return req, nil
+	}
+	return req, decodeStrict("run", body, maxRunBody, &req)
+}
+
+// decodeRebindRequest parses a rebind body strictly (see decodeStrict).
+func decodeRebindRequest(body []byte) (client.RebindRequest, error) {
+	var req client.RebindRequest
+	return req, decodeStrict("rebind", body, maxRebindBody, &req)
+}
+
+// decodeStrict decodes body, at most limit bytes, into the one JSON value v
+// points at. Unknown fields are errors (they are usually typos — silently
+// dropping "epsilon_" would run a different experiment than the client
+// asked for), and so is anything but whitespace after the value: a second
+// object, a stray brace, garbage.
+func decodeStrict(what string, body []byte, limit int, v any) error {
+	if len(body) > limit {
+		return fmt.Errorf("%s request body exceeds %d bytes", what, limit)
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("decoding create request: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding %s request: %w", what, err)
 	}
-	if dec.More() {
-		return req, fmt.Errorf("decoding create request: trailing data after JSON object")
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("decoding %s request: trailing data after JSON value", what)
 	}
-	return req, nil
+	return nil
 }
 
 // parseEventsQuery parses the events endpoint's query string into an

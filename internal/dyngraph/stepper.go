@@ -40,8 +40,11 @@ type Checkpointer interface {
 // crowd's motion; a no-op for an owner with none), and emit appends epoch
 // e's sorted packed edge list from the state the owner is in. The Stepper keeps
 // the epoch counter, holds the current and previous lists in two reused
-// buffers, repairs connectivity, refills the CSR (graph.Patcher.Load), names
-// the graph <label>@e<epoch>, and counts the churn when DeltaFor asks.
+// buffers, repairs connectivity, refills the CSR (graph.Patcher.Load) when
+// At asks for a graph, names the graph <label>@e<epoch>, and counts the
+// churn when DeltaFor asks. List hands over the repaired list alone: a
+// schedule read only through it (the base under an adversary) never builds
+// a CSR.
 //
 // A query advances through every epoch up to its own but emits only the
 // last two, e−1 and e — the pair DeltaFor differs; the model owes nobody the
@@ -64,10 +67,10 @@ type Stepper struct {
 	edges   [2][]uint64 // double-buffered sorted packed edge lists
 	cur     int         // which buffer holds the current epoch's list
 	conn    *graph.Connector
-	patcher *graph.Patcher
-	g       *graph.Graph
-	delta   Delta // the churn that opened the current epoch, once counted
-	pending bool  // edges[1-cur] is the previous epoch's list and delta is not counted yet
+	patcher *graph.Patcher // built by the first load
+	g       *graph.Graph   // the current list's CSR; nil until At asks for it
+	delta   Delta          // the churn that opened the current epoch, once counted
+	pending bool           // edges[1-cur] is the previous epoch's list and delta is not counted yet
 }
 
 // NewStepper returns a Stepper over n vertices sitting before epoch 0.
@@ -84,16 +87,28 @@ func NewStepper(n, tau int, label string, rebuild bool, rewind func(), advance f
 	}
 	return &Stepper{
 		n: n, tau: tau, label: label, rebuild: rebuild, rewind: rewind, advance: advance, emit: emit,
-		epoch: -1, conn: graph.NewConnector(n), patcher: graph.NewPatcher(n),
+		epoch: -1, conn: graph.NewConnector(n),
 	}
 }
 
-// At implements Dynamic. The returned graph aliases the Stepper's buffers
-// and is valid until a later epoch is queried.
+// At implements Dynamic: List, then the list's CSR, loaded on the epoch's
+// first At. The returned graph aliases the Stepper's buffers and is valid
+// until a later epoch is queried.
 func (s *Stepper) At(r int) *graph.Graph {
+	s.List(r)
+	if s.g == nil {
+		s.load()
+	}
+	return s.g
+}
+
+// List τ-steps to round r's epoch and returns its repaired, sorted packed
+// edge list — the list At's graph holds — without building the CSR. The
+// slice is the Stepper's buffer, valid until a later epoch is queried.
+func (s *Stepper) List(r int) []uint64 {
 	target := epochOf(r, s.tau)
 	if target == s.epoch {
-		return s.g
+		return s.edges[s.cur]
 	}
 	if target < s.epoch {
 		s.rewind()
@@ -106,8 +121,7 @@ func (s *Stepper) At(r int) *graph.Graph {
 			s.list()
 		}
 	}
-	s.load()
-	return s.g
+	return s.edges[s.cur]
 }
 
 // list makes the spare buffer the current epoch's repaired list. The buffer
@@ -118,7 +132,7 @@ func (s *Stepper) At(r int) *graph.Graph {
 func (s *Stepper) list() {
 	spare := 1 - s.cur
 	s.edges[spare] = s.conn.Connect(s.emit(s.epoch, s.edges[spare][:0]))
-	s.cur = spare
+	s.cur, s.g = spare, nil
 	s.delta, s.pending = Delta{}, s.epoch > 0
 }
 
@@ -129,15 +143,19 @@ func (s *Stepper) load() {
 		s.g = graph.BuildPacked(s.n, edges, name)
 		return
 	}
+	if s.patcher == nil {
+		s.patcher = graph.NewPatcher(s.n)
+	}
 	s.g = s.patcher.Load(edges, name)
 }
 
 // DeltaFor implements DeltaDynamic: the delta is nonzero exactly at the
 // first round of an epoch whose list differs from the previous epoch's. The
 // lists are compared here, on the epoch's first call — a schedule nobody
-// asks (the base under an adversary) never pays for the walk.
+// asks (the base under an adversary) never pays for the walk. The count
+// needs the lists only, so DeltaFor builds no CSR.
 func (s *Stepper) DeltaFor(r int) Delta {
-	s.At(r)
+	s.List(r)
 	if r != s.FirstRound(s.epoch) {
 		return Delta{}
 	}
@@ -170,17 +188,19 @@ func (s *Stepper) Epoch() int { return s.epoch }
 
 // Edges returns the current epoch's edge list (empty before the first
 // query) — with Epoch, the Stepper's whole checkpointed state. The CSR is
-// not serialized; Install loads it from the list, as every epoch's is.
+// not serialized; the first At after Install loads it from the list, as
+// every epoch's is.
 func (s *Stepper) Edges() []uint64 { return s.edges[s.cur] }
 
 // Install replaces the Stepper's state by a checkpointed (epoch, list). It
-// validates both before overwriting anything: Load panics on a list that is
-// not canonical, and an epoch below -1 — or no epoch yet a list — would
-// resume silently on the wrong trajectory; a corrupt stream must fail here,
-// by name, instead. Checkpoints are taken at round boundaries, where the
-// delta that opened the epoch has already been consumed, so it is reset
-// rather than serialized. Advancing afterwards continues from the owner's
-// restored state without a rewind.
+// validates both before overwriting anything: Load, which the first At after
+// it runs on the list, panics on a list that is not canonical, and an epoch
+// below -1 — or no epoch yet a list — would resume silently on the wrong
+// trajectory; a corrupt stream must fail here, by name, instead.
+// Checkpoints are taken at round boundaries, where the delta that opened the
+// epoch has already been consumed, so it is reset rather than serialized.
+// Advancing afterwards continues from the owner's restored state without a
+// rewind.
 func (s *Stepper) Install(epoch int, edges []uint64) error {
 	if epoch < -1 || epoch == -1 && len(edges) > 0 {
 		return fmt.Errorf("dyngraph: checkpoint epoch %d with %d edges is not a schedule state", epoch, len(edges))
@@ -191,8 +211,5 @@ func (s *Stepper) Install(epoch int, edges []uint64) error {
 	s.edges[0] = append(s.edges[0][:0], edges...)
 	s.edges[1] = s.edges[1][:0]
 	s.cur, s.epoch, s.delta, s.pending, s.g = 0, epoch, Delta{}, false, nil
-	if epoch >= 0 {
-		s.load()
-	}
 	return nil
 }

@@ -346,3 +346,66 @@ func TestStepperStepAllocs(t *testing.T) {
 		t.Fatalf("steady-state epoch allocates %.0f times, want ≤ 3", allocs)
 	}
 }
+
+// TestStepperListBuildsNoCSR: List τ-steps exactly as At does and returns
+// the list At's graph holds, but loads nothing — the Stepper has no graph
+// and no Patcher until At asks — and At after List gives the graph At alone
+// gives. Install, too, leaves the CSR to the first At. A list-only epoch
+// past the buffers' high-water mark allocates nothing: the graph's name is
+// formatted by the load that does not happen.
+func TestStepperListBuildsNoCSR(t *testing.T) {
+	const n = 14
+	for _, tc := range stepperTaus {
+		t.Run(tc.name, func(t *testing.T) {
+			lsrc, gsrc := newFakeSource(t, n), newFakeSource(t, n)
+			listed, graphed := lsrc.stepper(tc.tau, false), gsrc.stepper(tc.tau, false)
+			for _, r := range []int{1, 2, 3, 9, 10, 31, 4} { // ascending, a jump, a backward query
+				edges := listed.List(r)
+				if listed.g != nil || listed.patcher != nil {
+					t.Fatalf("round %d: List built a CSR", r)
+				}
+				g := graphed.At(r)
+				if !slices.Equal(edges, graphed.Edges()) || !slices.Equal(lsrc.emitted, gsrc.emitted) || lsrc.rewinds != gsrc.rewinds {
+					t.Fatalf("round %d: List stepped to another list than At (emitted %v, %v)", r, lsrc.emitted, gsrc.emitted)
+				}
+				if d, want := listed.DeltaFor(r), graphed.DeltaFor(r); d != want || listed.g != nil {
+					t.Fatalf("round %d: DeltaFor %+v after List, %+v after At (or it built a CSR)", r, d, want)
+				}
+				if lg := listed.At(r); !lg.EqualCSR(g) || lg.Name() != g.Name() {
+					t.Fatalf("round %d: At after List gives %q, At alone %q", r, lg.Name(), g.Name())
+				}
+				listed.g, listed.patcher = nil, nil // the next round starts list-only again
+			}
+
+			epoch := epochOf(7, tc.eff)
+			src := newFakeSource(t, n)
+			src.at = epoch
+			s := src.stepper(tc.tau, false)
+			if err := s.Install(epoch, src.want(epoch)); err != nil {
+				t.Fatal(err)
+			}
+			if s.g != nil || s.patcher != nil || !slices.Equal(s.List(7), src.want(epoch)) || s.g != nil {
+				t.Fatal("Install or List after it built a CSR")
+			}
+			if g := s.At(7); g == nil || !g.EqualCSR(graph.BuildPacked(n, src.want(epoch), "")) {
+				t.Fatal("At after Install is not the installed list's graph")
+			}
+		})
+	}
+
+	src := newFakeSource(t, 512)
+	lists := [2][]uint64{src.list(0), src.list(2)}
+	s := NewStepper(512, 1, "fake", false, func() {}, func(int) {}, func(e int, buf []uint64) []uint64 {
+		return append(buf, lists[e%2]...)
+	})
+	r := 1000
+	s.List(r)
+	s.List(r + 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r++
+		s.List(r)
+		s.DeltaFor(r)
+	}); allocs != 0 {
+		t.Fatalf("steady-state list-only epoch allocates %.0f times, want 0", allocs)
+	}
+}

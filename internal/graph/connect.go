@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Connector repairs the connectivity of packed edge lists: the mobile
 // telephone model requires every round's topology connected (§2), but both
 // physical proximity graphs (internal/mobility) and adversarially cut
@@ -15,19 +17,16 @@ package graph
 // zero steady-state allocations once its buffers reach their high-water
 // size.
 type Connector struct {
-	parent   []int32 // union-find over the components
-	reps     []int32 // component representatives (ascending node id)
-	rootMark []int32 // stamp array marking seen roots
-	stamp    int32
-	scratch  []uint64 // merge target for the bridge pass
+	parent  []int32  // union-find over the components; a root is its component's smallest id
+	reps    []int32  // component representatives (ascending node id)
+	scratch []uint64 // merge target for the bridge pass
 }
 
 // NewConnector returns a Connector for edge lists over n vertices.
 func NewConnector(n int) *Connector {
 	return &Connector{
-		parent:   make([]int32, n),
-		reps:     make([]int32, 0, 16),
-		rootMark: make([]int32, n),
+		parent: make([]int32, n),
+		reps:   make([]int32, 0, 16),
 	}
 }
 
@@ -38,47 +37,59 @@ func NewConnector(n int) *Connector {
 // retained as future scratch — callers treat both as interchangeable
 // reusable storage (dyngraph.Stepper's double buffers circulate through
 // here by design).
+//
+// The union pass walks the list one smaller-endpoint run at a time: u's
+// root is found once for the run, a v already pointing at it costs one
+// load, and every other v is merged and then pointed at the root. A union
+// hangs the larger root under the smaller, so every root is the smallest id
+// of its component, and the roots in ascending order are the
+// representatives — whatever order the unions ran in, the bridges depend
+// only on the partition.
 func (c *Connector) Connect(edges []uint64) []uint64 {
 	n := len(c.parent)
 	for i := 0; i < n; i++ {
 		c.parent[i] = int32(i)
 	}
-	for _, e := range edges {
-		c.union(int32(e>>32), int32(uint32(e)))
+	for i := 0; i < len(edges); {
+		u := uint32(edges[i] >> 32)
+		ru := c.find(int32(u))
+		for ; i < len(edges) && uint32(edges[i]>>32) == u; i++ {
+			v := int32(uint32(edges[i]))
+			if c.parent[v] == ru {
+				continue
+			}
+			if rv := c.find(v); rv < ru {
+				c.parent[ru] = rv
+				ru = rv
+			} else if rv > ru {
+				c.parent[rv] = ru
+			}
+			c.parent[v] = ru
+		}
 	}
-	c.stamp++
 	c.reps = c.reps[:0]
 	for u := 0; u < n; u++ {
-		r := c.find(int32(u))
-		if c.rootMark[r] != c.stamp {
-			c.rootMark[r] = c.stamp
+		if c.parent[u] == int32(u) {
 			c.reps = append(c.reps, int32(u))
 		}
 	}
 	if len(c.reps) <= 1 {
 		return edges
 	}
-	// Bridge reps[i]–reps[i+1]; both endpoints ascend, so the bridge list
-	// is itself sorted and one merge pass restores global order. The merge
-	// target and the input buffer trade places so both are reused.
-	merged := c.scratch[:0]
-	bi := 0
-	bridge := func() uint64 {
-		return uint64(c.reps[bi])<<32 | uint64(c.reps[bi+1])
-	}
-	for _, e := range edges {
-		for bi+1 < len(c.reps) && bridge() < e {
-			merged = append(merged, bridge())
-			bi++
-		}
-		merged = append(merged, e)
-	}
-	for bi+1 < len(c.reps) {
-		merged = append(merged, bridge())
-		bi++
+	// Bridge reps[i]–reps[i+1]. Both endpoints ascend, so the bridges are
+	// themselves sorted: each goes in where a binary search of the rest of
+	// the list puts it (no edge joins two components, so it is never found),
+	// and the run of edges before it is copied whole. The merge target and
+	// the input buffer trade places so both are reused.
+	merged, rest := c.scratch[:0], edges
+	for i := 0; i+1 < len(c.reps); i++ {
+		bridge := uint64(c.reps[i])<<32 | uint64(c.reps[i+1])
+		at, _ := slices.BinarySearch(rest, bridge)
+		merged = append(append(merged, rest[:at]...), bridge)
+		rest = rest[at:]
 	}
 	c.scratch = edges
-	return merged
+	return append(merged, rest...)
 }
 
 // Components returns the component count of the most recent Connect input
@@ -96,16 +107,4 @@ func (c *Connector) find(u int32) int32 {
 		u = c.parent[u]
 	}
 	return u
-}
-
-func (c *Connector) union(u, v int32) {
-	ru, rv := c.find(u), c.find(v)
-	if ru == rv {
-		return
-	}
-	if ru < rv {
-		c.parent[rv] = ru
-	} else {
-		c.parent[ru] = rv
-	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"mobilegossip/internal/prand"
@@ -99,6 +100,25 @@ func TestConnectorBridgesComponents(t *testing.T) {
 	}
 }
 
+// TestConnectorMergesTwoLowerRoots: vertex 3's run meets 4, whose component
+// is rooted at 0, and then 5, rooted at 1 — two roots below its own. After
+// the first union the run's root is 0, so the second must hang 1 (or 0)
+// under the other, not re-point 3 and leave 0 behind: {0, 1, 3, 4, 5} is
+// one component, and only 2 needs a bridge.
+func TestConnectorMergesTwoLowerRoots(t *testing.T) {
+	c := NewConnector(6)
+	out := c.Connect(packedList([2]int32{0, 4}, [2]int32{1, 5}, [2]int32{3, 4}, [2]int32{3, 5}))
+	want := packedList([2]int32{0, 2}, [2]int32{0, 4}, [2]int32{1, 5}, [2]int32{3, 4}, [2]int32{3, 5})
+	if c.Components() != 2 || len(out) != len(want) {
+		t.Fatalf("%d components, list %v; want 2 and %v", c.Components(), out, want)
+	}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("edge %d = %v, want %v", i, UnpackEdge(out[i]), UnpackEdge(want[i]))
+		}
+	}
+}
+
 // TestConnectorEmptyInput covers the all-isolated case: n vertices, no
 // edges, repaired into the 0-1-2-…-(n-1) chain.
 func TestConnectorEmptyInput(t *testing.T) {
@@ -114,4 +134,101 @@ func TestConnectorEmptyInput(t *testing.T) {
 			t.Fatalf("chain edge %d = %v, want %v", i, UnpackEdge(out[i]), UnpackEdge(want[i]))
 		}
 	}
+}
+
+// fuzzLists reads two canonical packed edge lists on n ≤ 64 vertices from
+// data: n from the first byte, the split between the lists from the second,
+// then one endpoint pair per two bytes (self-loops dropped, duplicates
+// merged, sorted).
+func fuzzLists(data []byte) (n int, prev, next []uint64) {
+	if len(data) < 2 {
+		return 1, nil, nil
+	}
+	n = int(data[0])%64 + 1
+	pairs := data[2:]
+	split := min(int(data[1]), len(pairs)/2)
+	list := func(b []byte) []uint64 {
+		set := map[uint64]bool{}
+		for i := 0; i+1 < len(b); i += 2 {
+			if u, v := int32(b[i])%int32(n), int32(b[i+1])%int32(n); u != v {
+				set[PackEdge(u, v)] = true
+			}
+		}
+		out := make([]uint64, 0, len(set))
+		for e := range set {
+			out = append(out, e)
+		}
+		slices.Sort(out)
+		return out
+	}
+	return n, list(pairs[:2*split]), list(pairs[2*split:])
+}
+
+// connectReference is Connect's contract spelled out: the components by
+// breadth-first search, each represented by its smallest id (the first the
+// ascending scan reaches), and consecutive representatives bridged into
+// the sorted list.
+func connectReference(n int, edges []uint64) (out []uint64, components int) {
+	adj := make([][]int32, n)
+	for _, e := range edges {
+		u, v := int32(e>>32), int32(uint32(e))
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+	}
+	seen := make([]bool, n)
+	var reps []int32
+	for s := range int32(n) {
+		if seen[s] {
+			continue
+		}
+		reps = append(reps, s)
+		seen[s] = true
+		for queue := []int32{s}; len(queue) > 0; queue = queue[1:] {
+			for _, v := range adj[queue[0]] {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	out = slices.Clone(edges)
+	for i := 0; i+1 < len(reps); i++ {
+		out = append(out, PackEdge(reps[i], reps[i+1]))
+	}
+	slices.Sort(out)
+	return out, len(reps)
+}
+
+// FuzzConnectAndDiff holds Connect to the breadth-first reference — on two
+// lists in a row through one Connector, as a Stepper reuses it — and
+// DiffPacked to a set count.
+func FuzzConnectAndDiff(f *testing.F) {
+	f.Add([]byte{9, 2, 0, 1, 2, 3, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{5, 0})
+	f.Add([]byte{63, 3, 9, 40, 40, 2, 17, 63, 0, 1, 1, 2, 2, 3, 50, 60})
+	f.Add([]byte{7, 1, 6, 0, 5, 0, 4, 1, 3, 2, 6, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, prev, next := fuzzLists(data)
+		c := NewConnector(n)
+		for _, in := range [][]uint64{prev, next} {
+			want, comps := connectReference(n, in)
+			if got := c.Connect(slices.Clone(in)); !slices.Equal(got, want) || c.Components() != comps {
+				t.Fatalf("Connect(n=%d, %v) = %v with %d components, want %v with %d", n, in, got, c.Components(), want, comps)
+			}
+		}
+		inPrev := map[uint64]bool{}
+		for _, e := range prev {
+			inPrev[e] = true
+		}
+		common := 0
+		for _, e := range next {
+			if inPrev[e] {
+				common++
+			}
+		}
+		if added, removed := DiffPacked(prev, next); added != len(next)-common || removed != len(prev)-common {
+			t.Fatalf("DiffPacked(%v, %v) = +%d -%d, want +%d -%d", prev, next, added, removed, len(next)-common, len(prev)-common)
+		}
+	})
 }

@@ -37,23 +37,30 @@ func (g *Graph) AppendPackedEdges(buf []uint64) []uint64 {
 
 // DiffPacked merges two sorted packed edge lists and counts the edges only
 // in next (added) and the edges only in prev (removed) — the two numbers a
-// dyngraph.Delta reports.
+// dyngraph.Delta reports. The merge counts the entries the lists share
+// without a branch on the comparison: each step advances the cursor (or
+// both) whose entry is not the larger, and a step that advances both has
+// met a common edge.
 func DiffPacked(prev, next []uint64) (added, removed int) {
-	i, j := 0, 0
+	i, j, common := 0, 0, 0
 	for i < len(prev) && j < len(next) {
-		switch {
-		case prev[i] == next[j]:
-			i++
-			j++
-		case prev[i] < next[j]:
-			removed++
-			i++
-		default:
-			added++
-			j++
-		}
+		a, b := prev[i], next[j]
+		le, ge := b2i(a <= b), b2i(a >= b)
+		common += le & ge
+		i += le
+		j += ge
 	}
-	return added + len(next) - j, removed + len(prev) - i
+	return len(next) - common, len(prev) - common
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a SETcc, so a
+// comparison counted through it costs no branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // BuildPacked constructs a fresh graph from a packed edge list through the

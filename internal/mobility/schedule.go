@@ -48,13 +48,14 @@ type Schedule struct {
 
 var _ dyngraph.DeltaDynamic = (*Schedule)(nil)
 
-// New builds the schedule and materializes its round-1 topology.
+// New builds the schedule and materializes its round-1 edge list; the first
+// At loads its CSR.
 func New(m Model, o Options) *Schedule {
 	s := &Schedule{seed: o.Seed, model: m, field: newField(o.N, o.Radius)}
 	s.Stepper = dyngraph.NewStepper(o.N, o.Tau, m.Name(), o.Rebuild, s.rewind, s.advance, s.emit)
 	s.name = fmt.Sprintf("mobility(%s,%s,r=%.4f)", m.Name(), s.TauString(), s.field.r)
 	s.rewind()
-	s.At(1)
+	s.List(1)
 	return s
 }
 
