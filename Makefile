@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # daemon's concurrency tests cover a few timing-dependent branches.)
 COVER_MIN ?= 86.0
 
-.PHONY: all build vet fmt lint test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline bench-stages determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify loc ab ci
+.PHONY: all build vet fmt lint contracts test race race-concurrent cover fuzz bench bench-smoke bench-core bench-gate bench-baseline bench-stages determinism-matrix determinism-remote scenario-conformance load-test examples docs docs-verify loc ab ci
 
 all: build
 
@@ -343,6 +343,15 @@ docs:
 docs-verify:
 	$(GO) run ./cmd/clidoc -check docs/cli.md
 
+# contracts runs TestRepoContracts (internal/contracts, DESIGN.md "Contracts
+# the repo checks"): every function has a product caller, no map order or
+# stray wall-clock read in a simulation package, the public API equals
+# api/*.txt, every knob is exercised. It skips under -short, so this target
+# and the full test job run it; after an intended API change,
+# `go test ./internal/contracts -run TestRepoContracts -update` rewrites api/*.txt.
+contracts:
+	$(GO) test -count=1 -run '^TestRepoContracts$$' ./internal/contracts
+
 # loc prints the figure the simplicity PRs cite: non-test Go lines outside
 # bench/ (which is the frozen benchmark harness, its own module) and
 # .bench_build/ (where `make ab` exports whole trees of other commits). A
@@ -374,5 +383,5 @@ examples:
 	done
 	@echo "examples: all scenarios ran clean in -short mode"
 
-ci: build vet fmt lint docs-verify examples race race-concurrent test cover bench bench-smoke determinism-matrix determinism-remote scenario-conformance load-test bench-gate
+ci: build vet fmt lint docs-verify contracts examples race race-concurrent test cover bench bench-smoke determinism-matrix determinism-remote scenario-conformance load-test bench-gate
 	$(MAKE) fuzz FUZZTIME=5s

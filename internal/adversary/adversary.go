@@ -37,7 +37,6 @@ package adversary
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -133,11 +132,11 @@ func (e *Engine) rewind() {
 
 // produce appends adversary epoch next's effective edge list: pull the base
 // topology of the epoch's first round, run the strategy, and merge
-// (base \ cuts) ∪ links.
+// base \ cuts.
 func (e *Engine) produce(next int, buf []uint64) []uint64 {
 	edges, bg := e.baseList(e.FirstRound(next))
 
-	// Strategy pass: collect cuts/links on the reused Ops.
+	// Strategy pass: collect cuts on the reused Ops.
 	e.epochCtx = Epoch{
 		E: next, N: e.N(), Edges: edges,
 		Perm: e.perm, Pos: e.pos,
@@ -158,13 +157,6 @@ func (e *Engine) produce(next int, buf []uint64) []uint64 {
 			continue
 		}
 		buf = append(buf, edge)
-	}
-	// ∪ links. No catalogue strategy injects any, so the rare union is an
-	// append, sort and compact rather than a second merge and its staging.
-	if len(e.ops.links) > 0 {
-		buf = append(buf, e.ops.links...)
-		slices.Sort(buf)
-		buf = slices.Compact(buf)
 	}
 	return buf
 }
@@ -202,9 +194,6 @@ func (e *Engine) tokenCount(u int) int {
 
 // Name implements dyngraph.Dynamic.
 func (e *Engine) Name() string { return e.name }
-
-// Strategy returns the engine's strategy (for display and tests).
-func (e *Engine) Strategy() Strategy { return e.strat }
 
 // CheckpointTo serializes the engine's mutable state — epoch index, the
 // current effective edge list — plus the base schedule's state when it
@@ -330,26 +319,20 @@ func (s *rankSorter) Less(i, j int) bool {
 }
 func (s *rankSorter) Swap(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
 
-// Ops collects a strategy's perturbations, enforcing the per-epoch cut
-// budget. All buffers are engine-owned and reused across epochs.
+// Ops collects a strategy's cuts, enforcing the per-epoch cut budget. All
+// buffers are engine-owned and reused across epochs.
 type Ops struct {
 	ep     *Epoch
 	budget int // 0 = unlimited
 	cuts   []uint64
-	links  []uint64
-	seen   map[uint64]struct{}
+	seen   map[uint64]struct{} // CutNode's cuts this epoch
 }
 
 func (o *Ops) reset(ep *Epoch, budget int) {
 	o.ep = ep
 	o.budget = budget
 	o.cuts = o.cuts[:0]
-	o.links = o.links[:0]
-	if o.seen == nil {
-		o.seen = make(map[uint64]struct{}, 64)
-	} else {
-		clear(o.seen)
-	}
+	clear(o.seen)
 }
 
 // Exhausted reports whether the epoch's cut budget is spent; strategies
@@ -358,65 +341,27 @@ func (o *Ops) Exhausted() bool {
 	return o.budget > 0 && len(o.cuts) >= o.budget
 }
 
-// Remaining returns the cuts still available this epoch (MaxInt when
-// unlimited).
-func (o *Ops) Remaining() int {
-	if o.budget <= 0 {
-		return math.MaxInt
-	}
-	return o.budget - len(o.cuts)
-}
-
-// Cut suppresses the base edge {u, v} for the epoch. Non-edges and
-// duplicate cuts are ignored and consume no budget; cuts past the budget
-// are dropped.
-func (o *Ops) Cut(u, v int) {
-	if o.Exhausted() || u == v || !o.inRange(u) || !o.inRange(v) {
-		return
-	}
-	if _, ok := slices.BinarySearch(o.ep.Edges, graph.PackEdge(int32(u), int32(v))); !ok {
-		return
-	}
-	o.cutPresent(int32(u), int32(v))
-}
-
-// cutPresent registers a cut of an edge known to be present in the base —
-// the in-package strategies derive every cut from Edges or Base().Adjacency,
-// so the membership probe Cut pays for arbitrary callers is skipped on this
-// hot per-epoch path.
-func (o *Ops) cutPresent(u, v int32) {
-	if o.Exhausted() {
-		return
-	}
-	key := graph.PackEdge(u, v)
-	if _, dup := o.seen[key]; dup {
-		return
-	}
-	o.seen[key] = struct{}{}
-	o.cuts = append(o.cuts, key)
-}
-
-// CutNode suppresses every base edge incident to u (within budget).
+// CutNode suppresses every base edge incident to u (within budget). Two
+// adjacent cut nodes offer their shared edge twice — the one way a strategy
+// can repeat a cut — so only CutNode deduplicates, and a shared edge costs
+// one unit of budget.
 func (o *Ops) CutNode(u int) {
 	if !o.inRange(u) {
 		return
+	}
+	if o.seen == nil {
+		o.seen = make(map[uint64]struct{}, 64)
 	}
 	for _, v := range o.ep.Base().Adjacency(u) {
 		if o.Exhausted() {
 			return
 		}
-		o.cutPresent(int32(u), v)
+		key := graph.PackEdge(int32(u), v)
+		if _, dup := o.seen[key]; !dup {
+			o.seen[key] = struct{}{}
+			o.cuts = append(o.cuts, key)
+		}
 	}
-}
-
-// Link injects the edge {u, v} for the epoch (free: the budget meters
-// destruction, and the connectivity repair injects bridges anyway).
-// Self-loops are ignored; edges already present merge away.
-func (o *Ops) Link(u, v int) {
-	if u == v || !o.inRange(u) || !o.inRange(v) {
-		return
-	}
-	o.links = append(o.links, graph.PackEdge(int32(u), int32(v)))
 }
 
 // inRange reports whether u names a vertex of the epoch's base topology.

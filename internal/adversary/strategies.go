@@ -2,16 +2,16 @@ package adversary
 
 import "fmt"
 
-// Strategy decides, once per adversary epoch, which edges to suppress (and
-// optionally inject) via the Ops collector. Strategies are pure functions
-// of their Epoch view — they hold no mutable state of their own and Perturb
-// leaves no trace beyond the Ops it fills, which is what makes the Engine's
-// checkpoint (epoch + edge list) complete and lets a forward jump run only
-// the epochs a query reads.
+// Strategy decides, once per adversary epoch, which edges to suppress via
+// the Ops collector. Strategies are pure functions of their Epoch view —
+// they hold no mutable state of their own and Perturb leaves no trace
+// beyond the Ops it fills, which is what makes the Engine's checkpoint
+// (epoch + edge list) complete and lets a forward jump run only the epochs
+// a query reads.
 type Strategy interface {
 	// Name labels the strategy for schedule names and tables.
 	Name() string
-	// Perturb registers the epoch's cuts and links on ops.
+	// Perturb registers the epoch's cuts on ops.
 	Perturb(ep *Epoch, ops *Ops)
 }
 
@@ -52,9 +52,8 @@ func (bipartition) Perturb(ep *Epoch, ops *Ops) {
 // budget keeps the cuts that walk would keep.
 func cutCrossing(ep *Epoch, ops *Ops, crosses func(u, v int) bool) {
 	for _, e := range ep.Edges {
-		u, v := int32(e>>32), int32(uint32(e))
-		if crosses(int(u), int(v)) {
-			ops.cutPresent(u, v)
+		if crosses(int(e>>32), int(uint32(e))) {
+			ops.cuts = append(ops.cuts, e) // the list holds each edge once: no dedup
 			if ops.Exhausted() {
 				return
 			}
@@ -212,15 +211,5 @@ func (s topk) Perturb(ep *Epoch, ops *Ops) {
 			return
 		}
 		ops.CutNode(int(ranked[i]))
-	}
-}
-
-// Strategies enumerates one default-parameterized instance of every
-// built-in strategy, in catalogue order — the conformance tests' single
-// source of truth.
-func Strategies() []Strategy {
-	return []Strategy{
-		Bipartition(), Bridges(4), CutRich(), Isolate(),
-		Blackout(4, 8), Partition(8), TopK(3),
 	}
 }

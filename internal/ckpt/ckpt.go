@@ -32,9 +32,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w)}
 }
 
-// Err returns the first error encountered.
-func (w *Writer) Err() error { return w.err }
-
 // Flush flushes buffered output and returns the first error.
 func (w *Writer) Flush() error {
 	if w.err == nil {
@@ -319,23 +316,6 @@ func (r *Reader) IntsInto(dst []int) {
 	}
 }
 
-// Int32s reads a length-prefixed []int32.
-func (r *Reader) Int32s() []int32 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	s := make([]int32, 0, min(n, growCap))
-	for i := 0; i < n; i++ {
-		v := int32(r.I64())
-		if r.err != nil {
-			return nil
-		}
-		s = append(s, v)
-	}
-	return s
-}
-
 // Int32sInto fills dst from a stream written by Int32s; the serialized
 // length must equal len(dst).
 func (r *Reader) Int32sInto(dst []int32) {
@@ -347,23 +327,6 @@ func (r *Reader) Int32sInto(dst []int32) {
 	}
 }
 
-// F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	s := make([]float64, 0, min(n, growCap))
-	for i := 0; i < n; i++ {
-		v := r.F64()
-		if r.err != nil {
-			return nil
-		}
-		s = append(s, v)
-	}
-	return s
-}
-
 // F64sInto fills dst from a stream written by F64s; the serialized length
 // must equal len(dst).
 func (r *Reader) F64sInto(dst []float64) {
@@ -373,23 +336,6 @@ func (r *Reader) F64sInto(dst []float64) {
 	for i := range dst {
 		dst[i] = r.F64()
 	}
-}
-
-// Bools reads a length-prefixed []bool.
-func (r *Reader) Bools() []bool {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	s := make([]bool, 0, min(n, growCap))
-	for i := 0; i < n; i++ {
-		v := r.Bool()
-		if r.err != nil {
-			return nil
-		}
-		s = append(s, v)
-	}
-	return s
 }
 
 // BoolsInto fills dst from a stream written by Bools; the serialized

@@ -66,14 +66,17 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Ints(); len(got) != 3 || got[0] != -1 {
 		t.Errorf("Ints = %v", got)
 	}
-	if got := r.Int32s(); len(got) != 2 || got[0] != -5 {
-		t.Errorf("Int32s = %v", got)
+	var i32 [2]int32
+	if r.Int32sInto(i32[:]); i32 != [2]int32{-5, 5} {
+		t.Errorf("Int32sInto = %v", i32)
 	}
-	if got := r.F64s(); len(got) != 2 || got[1] != -2.5 {
-		t.Errorf("F64s = %v", got)
+	var f64 [2]float64
+	if r.F64sInto(f64[:]); f64 != [2]float64{1.5, -2.5} {
+		t.Errorf("F64sInto = %v", f64)
 	}
-	if got := r.Bools(); len(got) != 3 || !got[0] || got[1] {
-		t.Errorf("Bools = %v", got)
+	var bs [3]bool
+	if r.BoolsInto(bs[:]); bs != [3]bool{true, false, true} {
+		t.Errorf("BoolsInto = %v", bs)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)

@@ -48,9 +48,12 @@ func FuzzReaderRaw(f *testing.F) {
 		_ = r.String()
 		_ = r.U64s()
 		_ = r.Ints()
-		_ = r.Int32s()
-		_ = r.F64s()
-		_ = r.Bools()
+		var seed32 [2]int32
+		r.Int32sInto(seed32[:])
+		var seedF [1]float64
+		r.F64sInto(seedF[:])
+		var seedB [2]bool
+		r.BoolsInto(seedB[:])
 		_ = r.Bytes()
 		var fixed [3]uint64
 		r.U64sInto(fixed[:])
@@ -159,13 +162,11 @@ func FuzzRoundTrip(f *testing.F) {
 					}
 				}
 			case 5:
-				got := r.Bools()
-				if len(got) != len(e.bs) {
-					t.Fatalf("Bools len %d, want %d", len(got), len(e.bs))
-				}
+				got := make([]bool, len(e.bs))
+				r.BoolsInto(got)
 				for i := range got {
 					if got[i] != e.bs[i] {
-						t.Fatalf("Bools[%d] = %v, want %v", i, got[i], e.bs[i])
+						t.Fatalf("BoolsInto[%d] = %v, want %v", i, got[i], e.bs[i])
 					}
 				}
 			}

@@ -172,7 +172,8 @@ func TestSharedBitSolvesGossipDynamic(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewSharedBit(st, prand.NewSharedString(7))
-	res := runGossip(t, dyngraph.RandomMatchingChurn(20, 1, 0.2, 9), p, 4, 1<<20)
+	res := runGossip(t, dyngraph.NewRegen(20, 1, 9, "gnp",
+		func(_ int, rng *prand.RNG) *graph.Graph { return graph.GNP(20, 0.2, rng) }), p, 4, 1<<20)
 	checkSolved(t, p, res)
 }
 
@@ -238,7 +239,7 @@ func TestSimSharedBitSolvesGossip(t *testing.T) {
 		p := NewSimSharedBit(st, space, seeds)
 		res := runGossip(t, dyngraph.RotatingRegular(16, 3, tau, 11), p, 6, 1<<21)
 		checkSolved(t, p, res)
-		if !p.Leader().Converged() {
+		if !p.lead.Converged() {
 			t.Error("gossip finished but leader never converged (possible, but suspicious on an expander)")
 		}
 	}
@@ -254,15 +255,11 @@ func TestSimSharedBitLeaderElectsMin(t *testing.T) {
 	p := NewSimSharedBit(st, space, seeds)
 	res := runGossip(t, dyngraph.NewStatic(graph.Complete(12)), p, 7, 1<<20)
 	checkSolved(t, p, res)
-	if p.Leader().Converged() && !p.Leader().ElectedMin() {
-		t.Error("converged to a non-minimum leader")
-	}
-	if p.Leader().Converged() {
-		// All nodes must share the elected leader's seed payload.
-		want := p.Leader().Payload(0)
-		for u := 1; u < 12; u++ {
-			if p.Leader().Payload(u) != want {
-				t.Fatal("payloads diverge after convergence")
+	if p.lead.Converged() {
+		// UID u+1 makes node 0 the minimum: every node must hold its seed.
+		for u := 0; u < 12; u++ {
+			if p.lead.Payload(u) != seeds[0] {
+				t.Fatalf("node %d holds payload %d after convergence, want the minimum UID's %d", u, p.lead.Payload(u), seeds[0])
 			}
 		}
 	}
@@ -349,7 +346,7 @@ func TestEpsilonGossipSolvesEarlierThanFull(t *testing.T) {
 	resFull := runGossip(t, dyngraph.NewStatic(graph.Complete(n)), pFull, 11, 1<<21)
 	checkSolved(t, pFull, resFull)
 
-	pEps := NewEpsilonGossip(mk(), 0.5, 1)
+	pEps := NewEpsilonOver(mk(), 0.5, 1)
 	resEps := runGossip(t, dyngraph.NewStatic(graph.Complete(n)), pEps, 11, 1<<21)
 	if !resEps.Completed {
 		t.Fatalf("ε-gossip incomplete after %d rounds", resEps.Rounds)

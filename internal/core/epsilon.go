@@ -40,13 +40,6 @@ type EpsilonGossip struct {
 
 var _ mtm.Protocol = (*EpsilonGossip)(nil)
 
-// NewEpsilonGossip wraps a SharedBit protocol whose state was built from
-// OneTokenPerNode(n, n). eps is the required fraction; checkEvery throttles
-// solution detection (≥ 1).
-func NewEpsilonGossip(inner *SharedBit, eps float64, checkEvery int) *EpsilonGossip {
-	return NewEpsilonOver(inner, eps, checkEvery)
-}
-
 // NewEpsilonOver wraps any SetProtocol (SharedBit per Theorem 7.4,
 // SimSharedBit per Corollary 7.5) with the ε-gossip objective. The
 // protocol's state must have been built from OneTokenPerNode(n, n).
@@ -64,9 +57,6 @@ func NewEpsilonOver(inner SetProtocol, eps float64, checkEvery int) *EpsilonGoss
 
 // State exposes the run state for instrumentation.
 func (p *EpsilonGossip) State() *State { return p.inner.State() }
-
-// Inner exposes the wrapped protocol (for checkpointing its own state).
-func (p *EpsilonGossip) Inner() SetProtocol { return p.inner }
 
 // CheckpointTo serializes the wrapper's mutable state (the solved latch
 // and the Done-call counter that phases the throttled detector).

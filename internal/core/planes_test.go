@@ -147,13 +147,13 @@ func TestSimSharedBitPlaneTagsMatchDefinition(t *testing.T) {
 	before, after := 0, 0
 	for !eng.Finished() {
 		if r := eng.Round() + 1; r%2 == 1 {
-			if p.Leader().Converged() {
+			if p.lead.Converged() {
 				after++
 			} else {
 				before++
 			}
 			for u := 0; u < n; u++ {
-				own := space.String(p.Leader().Payload(u))
+				own := space.String(p.lead.Payload(u))
 				if got, want := p.Tag(r, u), refAdvertise(own, st.sets[u], gossipGroup(r), 1); got != want {
 					t.Fatalf("round %d node %d: tag %d, definition %d", r, u, got, want)
 				}

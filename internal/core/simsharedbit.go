@@ -69,9 +69,6 @@ func SampleSeeds(space *prand.SeedSpace, n int, rng *prand.RNG) []uint64 {
 // State exposes the run state for instrumentation.
 func (p *SimSharedBit) State() *State { return p.st }
 
-// Leader exposes the embedded election for instrumentation.
-func (p *SimSharedBit) Leader() *leader.Protocol { return p.lead }
-
 // CheckpointTo serializes the protocol's mutable state. The seed space and
 // each node's private seed are reconstructed from the run configuration;
 // only the election's progress mutates during a run. The cache of strings

@@ -61,9 +61,6 @@ func (s *Sequence) Name() string {
 	return fmt.Sprintf("sequence(τ=%d,len=%d):%s", s.tau, len(s.graphs), s.name)
 }
 
-// Epochs returns the number of distinct topologies in the chain.
-func (s *Sequence) Epochs() int { return len(s.graphs) }
-
 // GradualChurn builds a Sequence modelling a slowly reshuffling crowd: a
 // fixed ring backbone (guaranteeing per-round connectivity) plus n chord
 // edges, of which a `rewire` fraction (0..1) is re-drawn uniformly between

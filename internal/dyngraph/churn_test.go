@@ -35,8 +35,8 @@ func TestSequenceEpochScheduleAndClamp(t *testing.T) {
 	if seq.N() != 6 {
 		t.Errorf("n = %d, want 6", seq.N())
 	}
-	if seq.Epochs() != 2 {
-		t.Errorf("epochs = %d, want 2", seq.Epochs())
+	if len(seq.graphs) != 2 {
+		t.Errorf("epochs = %d, want 2", len(seq.graphs))
 	}
 	for r := 1; r <= 3; r++ {
 		if got := seq.At(r); got != g1 {
@@ -74,7 +74,7 @@ func TestGradualChurnEveryEpochConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := 0; e < seq.Epochs(); e++ {
+	for e := 0; e < len(seq.graphs); e++ {
 		g := seq.At(e*2 + 1)
 		if !g.Connected() {
 			t.Fatalf("epoch %d disconnected", e)

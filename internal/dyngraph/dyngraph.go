@@ -132,16 +132,6 @@ func (d *Regen) Stability() int { return d.tau }
 // Name implements Dynamic.
 func (d *Regen) Name() string { return fmt.Sprintf("regen(τ=%d):%s", d.tau, d.name) }
 
-// RandomMatchingChurn returns a τ-stable schedule that, each epoch, draws a
-// fresh connected G(n,p)-with-backbone graph. With τ = 1 this changes the
-// whole topology every round — the fully dynamic regime of §4 and §5.
-func RandomMatchingChurn(n, tau int, p float64, seed uint64) *Regen {
-	return NewRegen(n, tau, seed, fmt.Sprintf("gnp(%.3f)", p),
-		func(_ int, rng *prand.RNG) *graph.Graph {
-			return graph.GNP(n, p, rng)
-		})
-}
-
 // RotatingRing returns a τ-stable schedule whose epoch-e topology is a ring
 // over a fresh random permutation of the vertices: constant degree, worst
 // case expansion, completely re-wired each epoch.
@@ -154,24 +144,6 @@ func RotatingRing(n, tau int, seed uint64) *Regen {
 				_ = b.AddEdge(perm[i], perm[(i+1)%n])
 			}
 			return b.Build("permring")
-		})
-}
-
-// RotatingDoubleStar returns a τ-stable schedule whose epoch-e topology is a
-// double star with freshly chosen hubs — the adversarial regime for blind
-// (b = 0) strategies, preserving Δ ≈ n/2 every epoch.
-func RotatingDoubleStar(n, tau int, seed uint64) *Regen {
-	return NewRegen(n, tau, seed, "rotating-doublestar",
-		func(_ int, rng *prand.RNG) *graph.Graph {
-			perm := rng.Perm(n)
-			b := graph.NewBuilderCap(n, n)
-			if n >= 2 {
-				_ = b.AddEdge(perm[0], perm[1])
-			}
-			for i := 2; i < n; i++ {
-				_ = b.AddEdge(perm[i%2], perm[i])
-			}
-			return b.Build("permdoublestar")
 		})
 }
 

@@ -78,9 +78,8 @@ func TestRegenCacheEviction(t *testing.T) {
 
 func TestAllSchedulesConnected(t *testing.T) {
 	schedules := []Dynamic{
-		RandomMatchingChurn(20, 1, 0.15, 1),
+		NewRegen(20, 1, 1, "gnp", func(_ int, rng *prand.RNG) *graph.Graph { return graph.GNP(20, 0.15, rng) }),
 		RotatingRing(20, 1, 2),
-		RotatingDoubleStar(20, 1, 3),
 		RotatingRegular(20, 3, 2, 4),
 		NewStatic(graph.Grid(4, 5)),
 	}
@@ -97,17 +96,6 @@ func TestAllSchedulesConnected(t *testing.T) {
 	}
 }
 
-func TestRotatingDoubleStarShape(t *testing.T) {
-	d := RotatingDoubleStar(20, 1, 9)
-	for r := 1; r <= 5; r++ {
-		g := d.At(r)
-		// Δ ≈ n/2 must be preserved each round.
-		if g.MaxDegree() < 9 || g.MaxDegree() > 11 {
-			t.Fatalf("round %d: hub degree %d not ≈ n/2", r, g.MaxDegree())
-		}
-	}
-}
-
 func TestAlphaAndMaxDegree(t *testing.T) {
 	rng := prand.New(11)
 	s := NewStatic(graph.Cycle(16))
@@ -119,12 +107,12 @@ func TestAlphaAndMaxDegree(t *testing.T) {
 		t.Fatalf("static ring Δ = %d", MaxDegree(s, 10))
 	}
 
-	d := RotatingDoubleStar(16, 2, 5)
+	d := NewRegen(16, 2, 5, "doublestar", func(int, *prand.RNG) *graph.Graph { return graph.DoubleStar(16) })
 	if dd := MaxDegree(d, 5); dd < 7 {
-		t.Fatalf("rotating double star Δ = %d", dd)
+		t.Fatalf("regenerated double star Δ = %d", dd)
 	}
 	if a := Alpha(d, 5, 20, rng); a <= 0 || a > 1.1 {
-		t.Fatalf("rotating double star α = %f", a)
+		t.Fatalf("regenerated double star α = %f", a)
 	}
 }
 

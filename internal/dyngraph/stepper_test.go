@@ -77,18 +77,18 @@ func diffPairs(prev, next []uint64) (added, removed [][2]int32) {
 			i++
 			j++
 		case prev[i] < next[j]:
-			removed = append(removed, graph.UnpackEdge(prev[i]))
+			removed = append(removed, unpackEdge(prev[i]))
 			i++
 		default:
-			added = append(added, graph.UnpackEdge(next[j]))
+			added = append(added, unpackEdge(next[j]))
 			j++
 		}
 	}
 	for ; i < len(prev); i++ {
-		removed = append(removed, graph.UnpackEdge(prev[i]))
+		removed = append(removed, unpackEdge(prev[i]))
 	}
 	for ; j < len(next); j++ {
-		added = append(added, graph.UnpackEdge(next[j]))
+		added = append(added, unpackEdge(next[j]))
 	}
 	return added, removed
 }
@@ -409,3 +409,6 @@ func TestStepperListBuildsNoCSR(t *testing.T) {
 		t.Fatalf("steady-state list-only epoch allocates %.0f times, want 0", allocs)
 	}
 }
+
+// unpackEdge unpacks a packed edge into its (u, v) pair with u < v.
+func unpackEdge(e uint64) [2]int32 { return [2]int32{int32(e >> 32), int32(uint32(e))} }

@@ -205,9 +205,9 @@ func TestTransferMatchesReference(t *testing.T) {
 func spanBacked(pair [2]*tokenset.Set, maxID int) (a, b *tokenset.Set) {
 	arena := tokenset.NewArena(2, pair[0].Universe(), maxID)
 	for i, src := range pair {
-		src.ForEach(arena.Set(i).Add)
+		src.ForEach(arena.Sets()[i].Add)
 	}
-	return arena.Set(0), arena.Set(1)
+	return arena.Sets()[0], arena.Sets()[1]
 }
 
 // TestSpanBackedMatchesUniverseBacked: EQTest and Transfer over sets backed

@@ -92,15 +92,6 @@ func (c *Connector) Connect(edges []uint64) []uint64 {
 	return append(merged, rest...)
 }
 
-// Components returns the component count of the most recent Connect input
-// (before bridging) — the number of bridges inserted plus one.
-func (c *Connector) Components() int {
-	if len(c.reps) == 0 {
-		return 1
-	}
-	return len(c.reps)
-}
-
 func (c *Connector) find(u int32) int32 {
 	for c.parent[u] != u {
 		c.parent[u] = c.parent[c.parent[u]] // path halving

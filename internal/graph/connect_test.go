@@ -19,7 +19,7 @@ func TestPackUnpackEdge(t *testing.T) {
 	if PackEdge(3, 1) != PackEdge(1, 3) {
 		t.Fatal("PackEdge is not orientation-canonical")
 	}
-	if got := UnpackEdge(PackEdge(7, 2)); got != [2]int32{2, 7} {
+	if got := unpackEdge(PackEdge(7, 2)); got != [2]int32{2, 7} {
 		t.Fatalf("round trip = %v", got)
 	}
 }
@@ -37,7 +37,7 @@ func TestAppendPackedEdgesSortedAndComplete(t *testing.T) {
 		}
 	}
 	for _, e := range packed {
-		uv := UnpackEdge(e)
+		uv := unpackEdge(e)
 		if !g.HasEdge(int(uv[0]), int(uv[1])) {
 			t.Fatalf("packed edge %v not in graph", uv)
 		}
@@ -81,7 +81,7 @@ func TestConnectorBridgesComponents(t *testing.T) {
 	}
 	b := NewBuilderCap(n, len(out))
 	for _, e := range out {
-		uv := UnpackEdge(e)
+		uv := unpackEdge(e)
 		if err := b.AddEdge(int(uv[0]), int(uv[1])); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestConnectorMergesTwoLowerRoots(t *testing.T) {
 	}
 	for i := range want {
 		if out[i] != want[i] {
-			t.Fatalf("edge %d = %v, want %v", i, UnpackEdge(out[i]), UnpackEdge(want[i]))
+			t.Fatalf("edge %d = %v, want %v", i, unpackEdge(out[i]), unpackEdge(want[i]))
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestConnectorEmptyInput(t *testing.T) {
 	}
 	for i := range want {
 		if out[i] != want[i] {
-			t.Fatalf("chain edge %d = %v, want %v", i, UnpackEdge(out[i]), UnpackEdge(want[i]))
+			t.Fatalf("chain edge %d = %v, want %v", i, unpackEdge(out[i]), unpackEdge(want[i]))
 		}
 	}
 }

@@ -122,23 +122,6 @@ func Barbell(m, pathLen int) *Graph {
 	return b.Build(fmt.Sprintf("barbell(%d,%d)", m, pathLen))
 }
 
-// Lollipop returns K_m with a pendant path of tail vertices.
-func Lollipop(m, tail int) *Graph {
-	n := m + tail
-	b := NewBuilder(n)
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			_ = b.AddEdge(i, j)
-		}
-	}
-	prev := 0
-	for p := 0; p < tail; p++ {
-		_ = b.AddEdge(prev, m+p)
-		prev = m + p
-	}
-	return b.Build(fmt.Sprintf("lollipop(%d,%d)", m, tail))
-}
-
 // GNP returns a connected Erdős–Rényi graph G(n, p): edges are sampled
 // independently and, if the sample is disconnected, a Hamiltonian-cycle
 // backbone over a random permutation is added (standard connectivity patch
@@ -166,16 +149,17 @@ func GNP(n int, p float64, rng *prand.RNG) *Graph {
 // RandomRegular returns a connected random d-regular graph via the
 // pairing/permutation model with retries. Random regular graphs with d >= 3
 // are expanders w.h.p. (constant α), the paper's "well-connected" regime.
-// If a simple connected d-regular matching is not found after the retry
-// budget, it falls back to a d-dimensional circulant (deterministic
-// expander-ish), so the function always returns a connected graph.
+// If 50 attempts find no simple connected pairing, it returns
+// Circulant(n, d) instead: a ring of chords with α ≈ d/n, not an expander,
+// whose degree is 2⌈d/2⌉, so an odd d yields a (d+1)-regular graph. ROADMAP
+// item 2 replaces the attempts and this fallback.
 //
 // A pairing is simple with probability about e^{-(d²-1)/4}: one attempt in
-// forty at d = 4, one in 6,000 at d = 6. Each attempt consumes the n·d−1
-// draws of a full stub shuffle whatever its verdict, so the stream, and
-// every graph drawn from it, is fixed by (n, d, rng) alone; what an attempt
-// costs beyond its draws is only the pairs it checks before the first bad
-// one (see tryPairing).
+// forty at d = 4, one in 6,000 at d = 6, so at d ≥ 6 the fallback fires on
+// almost every seed. Each attempt consumes the n·d−1 draws of a full stub
+// shuffle whatever its verdict, so the stream, and every graph drawn from
+// it, is fixed by (n, d, rng) alone; what an attempt costs beyond its draws
+// is only the pairs it checks before the first bad one (see tryPairing).
 func RandomRegular(n, d int, rng *prand.RNG) *Graph {
 	if d >= n {
 		d = n - 1
@@ -270,7 +254,9 @@ func tryPairing(p *pairing, rng *prand.RNG) (*Graph, bool) {
 }
 
 // Circulant returns the circulant graph C_n(1, 2, ..., ⌈d/2⌉): each vertex i
-// is joined to i±s (mod n) for s = 1..⌈d/2⌉. Degree ≈ d; always connected.
+// is joined to i±s (mod n) for s = 1..⌈d/2⌉. Its degree is 2⌈d/2⌉ when
+// n > 2⌈d/2⌉, so an odd d gives d + 1 (ROADMAP item 2); α ≈ d/n; always
+// connected.
 func Circulant(n, d int) *Graph {
 	half := (d + 1) / 2
 	b := NewBuilderCap(n, n*half)

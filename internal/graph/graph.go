@@ -118,14 +118,6 @@ func (b *Builder) Build(name string) *Graph {
 	return &Graph{offsets: offsets, neighbors: neighbors, name: name}
 }
 
-// FromCSR builds a graph directly from CSR arrays. offsets must have length
-// n+1 with offsets[0] == 0, and each range neighbors[offsets[u]:offsets[u+1]]
-// must be sorted ascending with mirrored edges (the caller is trusted; this
-// constructor exists for relabeling and tests).
-func FromCSR(offsets, neighbors []int32, name string) *Graph {
-	return &Graph{offsets: offsets, neighbors: neighbors, name: name}
-}
-
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.offsets) - 1 }
 
@@ -137,17 +129,6 @@ func (g *Graph) Name() string { return g.name }
 // check. Callers must not modify the returned slice.
 func (g *Graph) Adjacency(u int) []int32 {
 	return g.neighbors[g.offsets[u]:g.offsets[u+1]]
-}
-
-// Neighbors returns the sorted neighbor list of u as []int. It allocates a
-// fresh slice per call; hot paths should use Adjacency instead.
-func (g *Graph) Neighbors(u int) []int {
-	adj := g.Adjacency(u)
-	out := make([]int, len(adj))
-	for i, v := range adj {
-		out[i] = int(v)
-	}
-	return out
 }
 
 // Degree returns the degree of u.

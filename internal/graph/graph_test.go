@@ -155,16 +155,6 @@ func TestBarbellProperties(t *testing.T) {
 	}
 }
 
-func TestLollipopProperties(t *testing.T) {
-	g := Lollipop(4, 3)
-	if !g.Connected() || g.N() != 7 {
-		t.Fatalf("lollipop: n=%d connected=%v", g.N(), g.Connected())
-	}
-	if g.Degree(6) != 1 {
-		t.Fatal("tail end should have degree 1")
-	}
-}
-
 func TestGNPConnected(t *testing.T) {
 	rng := prand.New(1)
 	for _, p := range []float64{0.01, 0.1, 0.5} {

@@ -126,8 +126,3 @@ func (b *Bipartite) MaximumMatching() int {
 	}
 	return size
 }
-
-// BoundaryMatching is the composite ν(B_G(S)) used by Lemma 7.1.
-func (g *Graph) BoundaryMatching(s []int) int {
-	return g.BoundaryBipartite(s).MaximumMatching()
-}

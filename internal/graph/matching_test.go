@@ -25,32 +25,32 @@ func TestBoundaryBipartiteStructure(t *testing.T) {
 func TestMaximumMatchingKnownCases(t *testing.T) {
 	// Star: any S of leaves matches only through the hub → ν = 1.
 	star := Star(8)
-	if got := star.BoundaryMatching([]int{1, 2, 3}); got != 1 {
+	if got := star.BoundaryBipartite([]int{1, 2, 3}).MaximumMatching(); got != 1 {
 		t.Errorf("star leaves: ν = %d, want 1", got)
 	}
 	// Star: S = {hub} → ν = 1 (hub matches one leaf).
-	if got := star.BoundaryMatching([]int{0}); got != 1 {
+	if got := star.BoundaryBipartite([]int{0}).MaximumMatching(); got != 1 {
 		t.Errorf("star hub: ν = %d, want 1", got)
 	}
 	// Complete graph: S of size m ≤ n/2 matches fully → ν = m.
 	k := Complete(10)
-	if got := k.BoundaryMatching([]int{0, 1, 2, 3}); got != 4 {
+	if got := k.BoundaryBipartite([]int{0, 1, 2, 3}).MaximumMatching(); got != 4 {
 		t.Errorf("complete: ν = %d, want 4", got)
 	}
 	// Path 0-1-2-3: S = {1, 2} crosses at both ends → ν = 2.
 	p := Path(4)
-	if got := p.BoundaryMatching([]int{1, 2}); got != 2 {
+	if got := p.BoundaryBipartite([]int{1, 2}).MaximumMatching(); got != 2 {
 		t.Errorf("path middle: ν = %d, want 2", got)
 	}
 	// Empty and full S have empty boundaries.
-	if got := k.BoundaryMatching(nil); got != 0 {
+	if got := k.BoundaryBipartite(nil).MaximumMatching(); got != 0 {
 		t.Errorf("empty S: ν = %d, want 0", got)
 	}
 	all := make([]int, 10)
 	for i := range all {
 		all[i] = i
 	}
-	if got := k.BoundaryMatching(all); got != 0 {
+	if got := k.BoundaryBipartite(all).MaximumMatching(); got != 0 {
 		t.Errorf("S = V: ν = %d, want 0", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestLemma71OnSmallGraphs(t *testing.T) {
 			if len(s) > n/2 {
 				continue
 			}
-			nu := g.BoundaryMatching(s)
+			nu := g.BoundaryBipartite(s).MaximumMatching()
 			if bound := float64(len(s)) * alpha / 4; float64(nu) < bound {
 				t.Fatalf("%s: S=%v has ν=%d < |S|·α/4 = %.3f", g.Name(), s, nu, bound)
 			}

@@ -17,9 +17,6 @@ func PackEdge(u, v int32) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// UnpackEdge unpacks a packed edge into its (u, v) pair with u < v.
-func UnpackEdge(e uint64) [2]int32 { return [2]int32{int32(e >> 32), int32(uint32(e))} }
-
 // AppendPackedEdges appends g's edges to buf in ascending packed order
 // (CSR adjacency is sorted, and each edge is emitted at its smaller
 // endpoint, so no sort is needed) and returns the extended slice.

@@ -62,9 +62,6 @@ func New(ids []int, payloads []uint64) *Protocol {
 	return p
 }
 
-// Candidate returns node u's current candidate leader UID.
-func (p *Protocol) Candidate(u int) int { return p.cand[u] }
-
 // Payload returns the payload node u currently associates with its candidate.
 func (p *Protocol) Payload(u int) uint64 { return p.payload[u] }
 
@@ -72,23 +69,6 @@ func (p *Protocol) Payload(u int) uint64 { return p.payload[u] }
 func (p *Protocol) Converged() bool {
 	for _, c := range p.cand[1:] {
 		if c != p.cand[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// ElectedMin reports whether all candidates equal the global minimum UID —
-// the BitConvergence guarantee.
-func (p *Protocol) ElectedMin() bool {
-	minID := p.ids[0]
-	for _, id := range p.ids[1:] {
-		if id < minID {
-			minID = id
-		}
-	}
-	for _, c := range p.cand {
-		if c != minID {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package leader
 
 import (
+	"slices"
 	"testing"
 
 	"mobilegossip/internal/dyngraph"
@@ -29,7 +30,7 @@ func TestElectsMinOnStaticGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
-		if !res.Completed || !p.ElectedMin() {
+		if !res.Completed || !electedMin(p) {
 			t.Fatalf("%s: did not elect min (rounds=%d)", g.Name(), res.Rounds)
 		}
 		// Every node must now carry the minimum's payload.
@@ -50,7 +51,7 @@ func TestElectsMinOnDynamicGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed || !p.ElectedMin() {
+	if !res.Completed || !electedMin(p) {
 		t.Fatalf("dynamic election failed after %d rounds", res.Rounds)
 	}
 }
@@ -68,8 +69,8 @@ func TestNonContiguousIDs(t *testing.T) {
 		t.Fatal("did not converge")
 	}
 	for u := 0; u < 6; u++ {
-		if p.Candidate(u) != 12 || p.Payload(u) != 1 {
-			t.Fatalf("node %d: cand=%d payload=%d", u, p.Candidate(u), p.Payload(u))
+		if p.cand[u] != 12 || p.Payload(u) != 1 {
+			t.Fatalf("node %d: cand=%d payload=%d", u, p.cand[u], p.Payload(u))
 		}
 	}
 }
@@ -79,7 +80,7 @@ func TestCandidatesMonotoneNonIncreasing(t *testing.T) {
 	p := New(ids, pay)
 	prev := make([]int, 16)
 	for u := range prev {
-		prev[u] = p.Candidate(u)
+		prev[u] = p.cand[u]
 	}
 	eng := mtm.NewEngine(dyngraph.NewStatic(graph.Cycle(16)), p, mtm.Config{Seed: 4, MaxRounds: 1 << 16})
 	for !eng.Finished() {
@@ -87,11 +88,11 @@ func TestCandidatesMonotoneNonIncreasing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < 16; u++ {
-			if p.Candidate(u) > prev[u] {
+			if p.cand[u] > prev[u] {
 				t.Fatalf("round %d: node %d candidate increased %d -> %d",
-					eng.Round(), u, prev[u], p.Candidate(u))
+					eng.Round(), u, prev[u], p.cand[u])
 			}
-			prev[u] = p.Candidate(u)
+			prev[u] = p.cand[u]
 		}
 	}
 	if _, err := eng.Run(); err != nil {
@@ -126,12 +127,12 @@ func TestConvergedAndElectedMin(t *testing.T) {
 	if !p.Converged() {
 		t.Fatal("identical candidates not converged")
 	}
-	if p.ElectedMin() {
-		t.Fatal("ElectedMin true for non-minimum convergence")
+	if electedMin(p) {
+		t.Fatal("electedMin true for non-minimum convergence")
 	}
 	p.cand = []int{1, 1, 1}
-	if !p.ElectedMin() {
-		t.Fatal("ElectedMin false for minimum convergence")
+	if !electedMin(p) {
+		t.Fatal("electedMin false for minimum convergence")
 	}
 }
 
@@ -153,3 +154,7 @@ func TestScalingWithN(t *testing.T) {
 		t.Fatalf("K_n election not polylog: %d (n=16) vs %d (n=128)", r16, r128)
 	}
 }
+
+// electedMin reports whether every candidate is the minimum UID — the
+// BitConvergence guarantee.
+func electedMin(p *Protocol) bool { return p.Converged() && p.cand[0] == slices.Min(p.ids) }

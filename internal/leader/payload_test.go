@@ -31,7 +31,7 @@ func TestPayloadFollowsWinner(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("not converged after %d rounds", res.Rounds)
 	}
-	if !p.ElectedMin() {
+	if !electedMin(p) {
 		t.Fatal("winner is not the minimum UID")
 	}
 	wantPayload := payloads[n-1] // the node holding UID 1
@@ -39,8 +39,8 @@ func TestPayloadFollowsWinner(t *testing.T) {
 		if got := p.Payload(u); got != wantPayload {
 			t.Errorf("node %d carries payload %d, want winner's %d", u, got, wantPayload)
 		}
-		if p.Candidate(u) != 1 {
-			t.Errorf("node %d candidate %d, want 1", u, p.Candidate(u))
+		if p.cand[u] != 1 {
+			t.Errorf("node %d candidate %d, want 1", u, p.cand[u])
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestPayloadQuickManySeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Completed || !p.ElectedMin() {
+		if !res.Completed || !electedMin(p) {
 			t.Fatalf("seed %d: did not elect min (%d rounds)", seed, res.Rounds)
 		}
 		for u := 0; u < n; u++ {

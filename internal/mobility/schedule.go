@@ -141,6 +141,3 @@ func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
 
 // Name implements dyngraph.Dynamic.
 func (s *Schedule) Name() string { return s.name }
-
-// Radius returns the (possibly defaulted) radio range in effect.
-func (s *Schedule) Radius() float64 { return s.field.r }

@@ -169,7 +169,10 @@ func (p *viewChecker) Tag(r int, u NodeID) uint64 {
 
 func (p *viewChecker) Decide(r int, u NodeID, view View, _ *prand.RNG) Action {
 	g := p.dyn.At(r)
-	want := append([]int(nil), g.Neighbors(u)...)
+	var want []int
+	for _, v := range g.Adjacency(u) {
+		want = append(want, int(v))
+	}
 	if exp := p.Tag(r, u); view.Tags[u] != exp {
 		p.t.Errorf("round %d node %d: own tag reads %d, want %d", r, u, view.Tags[u], exp)
 	}

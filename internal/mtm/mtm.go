@@ -288,10 +288,6 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 	return e
 }
 
-// NodeRNG exposes node u's private stream (used by protocols that need
-// initialization randomness before round 1, e.g. SimSharedBit seed choice).
-func (e *Engine) NodeRNG(u NodeID) *prand.RNG { return e.rngs[u] }
-
 // SetDynamic swaps the topology schedule the engine reads from, at a
 // round boundary. The replacement must describe the same node count; the
 // next Step queries it at the engine's global round number R, so schedules
@@ -314,10 +310,6 @@ func (e *Engine) SetDynamic(dyn dyngraph.Dynamic) {
 // only, never results or checkpoints, so it is valid to toggle mid-run
 // or after a restore.
 func (e *Engine) SetProfiler(p *profile.Recorder) { e.prof = p }
-
-// Profiler returns the attached timing recorder (nil when profiling is
-// off).
-func (e *Engine) Profiler() *profile.Recorder { return e.prof }
 
 // start runs the one-time pre-round-1 protocol check (an already-Done
 // protocol completes the run in zero rounds, as the closed loop did).

@@ -423,7 +423,7 @@ func TestSilentRoundDrawsNothing(t *testing.T) {
 	e := NewEngine(dyngraph.NewStatic(graph.Complete(n)), listener{}, Config{Seed: 5, MaxRounds: 10})
 	before := make([][4]uint64, n)
 	for u := range before {
-		before[u] = e.NodeRNG(u).State()
+		before[u] = e.rngs[u].State()
 	}
 	for r := 1; r <= 3; r++ {
 		st, err := e.Step()
@@ -435,7 +435,7 @@ func TestSilentRoundDrawsNothing(t *testing.T) {
 		}
 	}
 	for u, s := range before {
-		if got := e.NodeRNG(u).State(); got != s {
+		if got := e.rngs[u].State(); got != s {
 			t.Fatalf("node %d: stream moved from %x to %x in rounds without proposals", u, s, got)
 		}
 	}

@@ -228,13 +228,6 @@ func TestSeedSpaceSampleInRange(t *testing.T) {
 	}
 }
 
-func TestSeedSpaceSeedBits(t *testing.T) {
-	ss := NewSeedSpace(10) // size 1000 -> 10 bits
-	if got := ss.SeedBits(); got != 10 {
-		t.Errorf("SeedBits() = %d, want 10", got)
-	}
-}
-
 func TestSeedSpaceStringsDiffer(t *testing.T) {
 	ss := NewSeedSpace(100)
 	a, b := ss.String(1), ss.String(2)

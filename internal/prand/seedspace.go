@@ -55,16 +55,3 @@ func (ss *SeedSpace) String(idx uint64) *SharedString {
 	// Mix the index so nearby indices yield unrelated streams.
 	return NewSharedString(Mix64(idx ^ 0x5851_f42d_4c95_7f2d))
 }
-
-// SeedBits returns the number of bits needed to describe a seed index —
-// the payload size a leader must disseminate. It is O(log N).
-func (ss *SeedSpace) SeedBits() int {
-	b := 0
-	for v := ss.size - 1; v > 0; v >>= 1 {
-		b++
-	}
-	if b == 0 {
-		b = 1
-	}
-	return b
-}

@@ -43,9 +43,6 @@ func New(n int, sources []int) *Protocol {
 	return p
 }
 
-// Informed reports whether node u knows the rumor.
-func (p *Protocol) Informed(u int) bool { return p.informed[u] }
-
 // InformedCount returns the number of informed nodes.
 func (p *Protocol) InformedCount() int { return len(p.informed) - int(p.left.Load()) }
 

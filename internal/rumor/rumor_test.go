@@ -15,7 +15,7 @@ func TestNewSources(t *testing.T) {
 	if got := p.InformedCount(); got != 2 {
 		t.Fatalf("InformedCount = %d, want 2 (dups and out-of-range ignored)", got)
 	}
-	if !p.Informed(0) || !p.Informed(3) || p.Informed(1) {
+	if !p.informed[0] || !p.informed[3] || p.informed[1] {
 		t.Fatal("wrong informed set")
 	}
 }

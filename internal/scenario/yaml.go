@@ -5,9 +5,9 @@ package scenario
 // YAML subset the spec format uses (nested mappings, block sequences,
 // flow sequences of scalars, comments, quoted and bare scalars) into
 // JSON bytes, and spec.go strict-decodes those with encoding/json. The
-// subset is exactly what EncodeYAML emits — anchors, aliases, multi-line
-// scalars, flow mappings and tag directives are rejected with the line
-// number, not silently misread.
+// subset is exactly what EncodeYAML (encode_yaml_test.go) emits — anchors,
+// aliases, multi-line scalars, flow mappings and tag directives are
+// rejected with the line number, not silently misread.
 
 import (
 	"encoding/json"

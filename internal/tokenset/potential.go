@@ -24,53 +24,6 @@ func AllKnowAll(sets []*Set, k int) bool {
 	return true
 }
 
-// Frequency is one entry of the multiset F(r) from §7: a token set S
-// together with count(S, r), the number of nodes holding exactly S.
-type Frequency struct {
-	Representative *Set // one of the identical sets (not copied)
-	Count          int
-}
-
-// Frequencies computes F(r): the distinct token sets present among nodes and
-// their multiplicities, in decreasing order of multiplicity.
-func Frequencies(sets []*Set) []Frequency {
-	// Group identical sets. Sets are small; hash by (len, first-words) then
-	// confirm with Equal to avoid collisions.
-	type bucket struct {
-		set   *Set
-		count int
-	}
-	buckets := make(map[uint64][]*bucket)
-	for _, s := range sets {
-		h := s.hash()
-		found := false
-		for _, b := range buckets[h] {
-			if b.set.Equal(s) {
-				b.count++
-				found = true
-				break
-			}
-		}
-		if !found {
-			buckets[h] = append(buckets[h], &bucket{set: s, count: 1})
-		}
-	}
-	out := make([]Frequency, 0, len(buckets))
-	for _, bs := range buckets {
-		for _, b := range bs {
-			out = append(out, Frequency{Representative: b.set, Count: b.count})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		a, _ := out[i].Representative.SmallestMissingFrom(out[j].Representative)
-		return a != 0 // deterministic-ish tie break; counts equal is the common case
-	})
-	return out
-}
-
 // EpsilonSolved reports whether ε-gossip (§7) is solved, using a sound
 // (never false-positive) witness. The definition requires a set S of at
 // least ⌈εn⌉ nodes such that every pair in S mutually knows each other's
@@ -102,6 +55,7 @@ func EpsilonSolved(sets []*Set, own []int, eps float64) bool {
 	}
 	type tc struct{ token, count int }
 	all := make([]tc, 0, len(counts))
+	//det: the sort below is a total order (count descending, then token ascending, tokens distinct).
 	for t, c := range counts {
 		all = append(all, tc{t, c})
 	}
@@ -125,6 +79,7 @@ func EpsilonSolved(sets []*Set, own []int, eps float64) bool {
 			continue
 		}
 		knowsAll := true
+		//det: the loop only asks whether s holds every token of top.
 		for t := range top {
 			if !s.Has(t) {
 				knowsAll = false

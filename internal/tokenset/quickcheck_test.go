@@ -66,15 +66,15 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0, 1: // add, biased toward a node-local band
 				tok := 1 + (i*17+rng.Intn(40))%(n+3) - 1
-				a.Set(i).Add(tok)
+				a.Sets()[i].Add(tok)
 				oracle.add(i, tok)
 			case 2: // add near the universe edges
 				tok := []int{-1, 0, 1, 2, n - 1, n, n + 1}[rng.Intn(7)]
-				a.Set(i).Add(tok)
+				a.Sets()[i].Add(tok)
 				oracle.add(i, tok)
 			case 3: // membership probe
 				tok := rng.Intn(n+2) - 1
-				if a.Set(i).Has(tok) != oracle.sets[i][tok] {
+				if a.Sets()[i].Has(tok) != oracle.sets[i][tok] {
 					return false
 				}
 			}
@@ -82,7 +82,7 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 
 		// Full-observable sweep per set.
 		for i := 0; i < nodes; i++ {
-			set, ref := a.Set(i), oracle.sets[i]
+			set, ref := a.Sets()[i], oracle.sets[i]
 			if set.Len() != len(ref) {
 				return false
 			}
@@ -127,10 +127,10 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 					break
 				}
 			}
-			if eq && !HashRangeEqual(set, a.Set(j), lo, hi, q) {
+			if eq && !HashRangeEqual(set, a.Sets()[j], lo, hi, q) {
 				return false // equal restrictions must always fingerprint equal
 			}
-			if HashRangeEqual(set, a.Set(j), lo, hi, q) != (set.HashRange(lo, hi, q) == a.Set(j).HashRange(lo, hi, q)) {
+			if HashRangeEqual(set, a.Sets()[j], lo, hi, q) != (set.HashRange(lo, hi, q) == a.Sets()[j].HashRange(lo, hi, q)) {
 				return false // the no-modmul path must equal the two-sum path exactly
 			}
 		}
@@ -140,7 +140,7 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
 		for i := 0; i < nodes; i++ {
-			a.Set(i).CheckpointTo(w)
+			a.Sets()[i].CheckpointTo(w)
 		}
 		if w.Flush() != nil {
 			return false
@@ -148,12 +148,12 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 		b := NewArena(nodes, n, n)
 		r := ckpt.NewReader(&buf)
 		for i := 0; i < nodes; i++ {
-			if b.Set(i).RestoreFrom(r) != nil {
+			if b.Sets()[i].RestoreFrom(r) != nil {
 				return false
 			}
 		}
 		for i := 0; i < nodes; i++ {
-			if !a.Set(i).Equal(b.Set(i)) {
+			if !a.Sets()[i].Equal(b.Sets()[i]) {
 				return false
 			}
 		}

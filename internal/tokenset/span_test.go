@@ -21,7 +21,7 @@ func TestSpanBackedMatchesUniverseBacked(t *testing.T) {
 	for _, n := range []int{64, 65, 1000} {
 		for _, maxID := range []int{0, 1, 63, 64, 65, n - 1, n} {
 			arena := NewArena(2, n, maxID)
-			span := [2]*Set{arena.Set(0), arena.Set(1)}
+			span := [2]*Set{arena.Sets()[0], arena.Sets()[1]}
 			ref := [2]*Set{NewSet(n), NewSet(n)}
 			if got, want := len(arena.words), 2*(maxID/64+1); got != want {
 				t.Fatalf("N=%d maxID=%d: arena holds %d words, want %d", n, maxID, got, want)
@@ -99,7 +99,7 @@ func TestPastBackingRefused(t *testing.T) {
 		return ckpt.NewReader(&buf)
 	}
 	for _, id := range []int{64, maxID + 64, n - 1, n} {
-		s := NewArena(1, n, maxID).Set(0)
+		s := NewArena(1, n, maxID).Sets()[0]
 		s.Add(id)
 		if s.Has(id) || s.Len() != 0 || s.CountRange(1, n) != 0 {
 			t.Fatalf("id %d past the backing was stored", id)
@@ -109,7 +109,7 @@ func TestPastBackingRefused(t *testing.T) {
 			t.Fatalf("restoring id %d past the backing: err = %v, want the backing error", id, err)
 		}
 	}
-	s := NewArena(1, n, maxID).Set(0)
+	s := NewArena(1, n, maxID).Sets()[0]
 	if err := s.RestoreFrom(stream(2, 63)); err != nil || !s.Has(63) {
 		t.Fatalf("restoring ids inside the backing: err = %v", err)
 	}

@@ -70,12 +70,6 @@ func NewArena(nodes, n, maxID int) *Arena {
 	return a
 }
 
-// Len returns the number of sets in the arena.
-func (a *Arena) Len() int { return len(a.sets) }
-
-// Set returns set i (live, arena-backed).
-func (a *Arena) Set(i int) *Set { return &a.sets[i] }
-
 // Sets returns pointers to every arena set, indexed by NodeID.
 func (a *Arena) Sets() []*Set {
 	out := make([]*Set, len(a.sets))

@@ -211,31 +211,6 @@ func TestPotential(t *testing.T) {
 	}
 }
 
-func TestFrequencies(t *testing.T) {
-	mk := func(toks ...int) *Set {
-		s := NewSet(20)
-		for _, tok := range toks {
-			s.Add(tok)
-		}
-		return s
-	}
-	sets := []*Set{mk(1), mk(1), mk(1), mk(2, 3), mk(2, 3), mk(4)}
-	fs := Frequencies(sets)
-	if len(fs) != 3 {
-		t.Fatalf("got %d distinct sets, want 3", len(fs))
-	}
-	if fs[0].Count != 3 || fs[1].Count != 2 || fs[2].Count != 1 {
-		t.Fatalf("counts = %d,%d,%d want 3,2,1", fs[0].Count, fs[1].Count, fs[2].Count)
-	}
-	total := 0
-	for _, f := range fs {
-		total += f.Count
-	}
-	if total != len(sets) {
-		t.Fatalf("counts sum to %d, want %d", total, len(sets))
-	}
-}
-
 func TestEpsilonSolvedFullGossip(t *testing.T) {
 	n := 8
 	sets := make([]*Set, n)

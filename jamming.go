@@ -85,6 +85,7 @@ func ParseAdversaryKind(s string) (AdversaryKind, error) {
 	if s == "" {
 		return AdvNone, nil
 	}
+	//det: names are distinct, so at most one entry matches.
 	for k, name := range advNames {
 		if name == s {
 			return k, nil

@@ -59,6 +59,7 @@ func (a Algorithm) String() string {
 
 // ParseAlgorithm resolves an algorithm name (as printed by String).
 func ParseAlgorithm(s string) (Algorithm, error) {
+	//det: names are distinct, so at most one entry matches.
 	for a, name := range algNames {
 		if name == s {
 			return a, nil

@@ -89,6 +89,7 @@ func (k TopologyKind) String() string {
 
 // ParseTopologyKind resolves a family name (as printed by String).
 func ParseTopologyKind(s string) (TopologyKind, error) {
+	//det: names are distinct, so at most one entry matches.
 	for k, name := range kindNames {
 		if name == s {
 			return k, nil
