@@ -55,12 +55,15 @@ race:
 # a running profiled session), the daemon's full-service traffic mix
 # (create/step/evict/revive/follow/delete under concurrent scrapes), and
 # every follow test (followers tailing a record that is still growing),
-# and the scenario grids, whose cells run concurrently on either transport
-# (against a daemon, evicting and reviving each other).
+# the scenario grids, whose cells run concurrently on either transport
+# (against a daemon, evicting and reviving each other), and the epochs
+# staged on a helper beside the round before them (internal/mtm's
+# TestConcurrentStage*, the Stepper's and the mobility schedule's
+# TestConcurrentStage*).
 race-concurrent:
 	$(GO) test -race -count=1 -run 'Concurrent|Backends|Bus|Sink|Collector|Follow|Grid' \
 		. ./internal/mtm ./internal/adversary ./internal/leader ./internal/events ./internal/profile \
-		./internal/daemon ./internal/scenario
+		./internal/daemon ./internal/scenario ./internal/mobility ./internal/dyngraph
 
 # cover enforces the ratcheted coverage floor (COVER_MIN, measured at merge
 # time) over the library surface — the root package and internal/... (cmd/
@@ -191,7 +194,14 @@ bench-stages:
 #     every epoch spends all 50 pairing attempts and falls back to the
 #     circulant, checkpointed mid-epoch (round 35), must write
 #     byte-identical tables and checkpoint files and resume
-#     byte-identically under the swapped GOMAXPROCS.
+#     byte-identically under the swapped GOMAXPROCS;
+#   - a waypoint run under a bipartition adversary at n = 8192, whose
+#     rounds start the engine's helpers (TestDeterminismMatrixCellStages
+#     in internal/mtm asserts that its epochs stage), so from GOMAXPROCS 2 on
+#     every epoch is produced on a helper beside the round before it, must
+#     write byte-identical tables, event streams and round-20 checkpoints
+#     (taken with the next epoch staged) to the inline GOMAXPROCS 1 run's
+#     and resume byte-identically under the swapped GOMAXPROCS.
 determinism-matrix:
 	$(GO) build -o dmx_benchtable ./cmd/benchtable
 	$(GO) build -o dmx_gossipsim ./cmd/gossipsim
@@ -233,26 +243,36 @@ determinism-matrix:
 		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_rr.ckpt \
 			| grep -v 'wall time\|resumed from' > dmx_rr_resumed.txt; \
 		cmp dmx_rr.txt dmx_rr_resumed.txt; \
+		GOMAXPROCS=$$gmp ./dmx_gossipsim -alg sharedbit -graph waypoint -adversary bipartition -advbudget 2000 \
+			-n 8192 -k 8 -tau 1 -seed 5 -maxrounds 40 \
+			-events dmx_stg.jsonl -checkpoint dmx_stg.ckpt -checkpointat 20 \
+			| grep -v 'wall time\|checkpoint written' > dmx_stg.txt; \
+		GOMAXPROCS=$$((8/$$gmp)) ./dmx_gossipsim -resume dmx_stg.ckpt \
+			| grep -v 'wall time\|resumed from' > dmx_stg_resumed.txt; \
+		cmp dmx_stg.txt dmx_stg_resumed.txt; \
 		if [ -z "$$ref" ]; then \
 			ref="gmp$$gmp"; cp dmx_cell.csv dmx_ref.csv; cp dmx_full.txt dmx_ref_full.txt; \
 			cp dmx_fan.txt dmx_ref_fan.txt; cp dmx_fan.jsonl dmx_ref_fan.jsonl; \
 			cp dmx_cb.txt dmx_ref_cb.txt; cp dmx_cb.ckpt dmx_ref_cb.ckpt; \
 			cp dmx_cbq.txt dmx_ref_cbq.txt; cp dmx_cbq.ckpt dmx_ref_cbq.ckpt; \
 			cp dmx_rr.txt dmx_ref_rr.txt; cp dmx_rr.ckpt dmx_ref_rr.ckpt; \
+			cp dmx_stg.txt dmx_ref_stg.txt; cp dmx_stg.jsonl dmx_ref_stg.jsonl; cp dmx_stg.ckpt dmx_ref_stg.ckpt; \
 		else \
 			cmp dmx_ref.csv dmx_cell.csv; cmp dmx_ref_full.txt dmx_full.txt; \
 			cmp dmx_ref_fan.txt dmx_fan.txt; cmp dmx_ref_fan.jsonl dmx_fan.jsonl; \
 			cmp dmx_ref_cb.txt dmx_cb.txt; cmp dmx_ref_cb.ckpt dmx_cb.ckpt; \
 			cmp dmx_ref_cbq.txt dmx_cbq.txt; cmp dmx_ref_cbq.ckpt dmx_cbq.ckpt; \
 			cmp dmx_ref_rr.txt dmx_rr.txt; cmp dmx_ref_rr.ckpt dmx_rr.ckpt; \
+			cmp dmx_ref_stg.txt dmx_stg.txt; cmp dmx_ref_stg.jsonl dmx_stg.jsonl; cmp dmx_ref_stg.ckpt dmx_stg.ckpt; \
 		fi; \
 	done; \
 	rm -f dmx_benchtable dmx_gossipsim dmx.ckpt dmx_cell.csv dmx_ref.csv dmx_full.txt dmx_resumed.txt dmx_ref_full.txt dmx_prof.txt \
 		dmx_fan.jsonl dmx_fan.ckpt dmx_fan.txt dmx_fan_resumed.txt dmx_ref_fan.txt dmx_ref_fan.jsonl \
 		dmx_cb.ckpt dmx_cb.txt dmx_cb_resumed.txt dmx_ref_cb.txt dmx_ref_cb.ckpt \
 		dmx_cbq.ckpt dmx_cbq.txt dmx_cbq_resumed.txt dmx_ref_cbq.txt dmx_ref_cbq.ckpt \
-		dmx_rr.ckpt dmx_rr.txt dmx_rr_resumed.txt dmx_ref_rr.txt dmx_ref_rr.ckpt; \
-	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs, a fanned-out exchange, a mid-bin and a quiet-round CrowdedBin checkpoint and a regenerated-topology checkpoint byte-identical across GOMAXPROCS 1, 2, 4, 8"
+		dmx_rr.ckpt dmx_rr.txt dmx_rr_resumed.txt dmx_ref_rr.txt dmx_ref_rr.ckpt \
+		dmx_stg.jsonl dmx_stg.ckpt dmx_stg.txt dmx_stg_resumed.txt dmx_ref_stg.txt dmx_ref_stg.jsonl dmx_ref_stg.ckpt; \
+	echo "determinism-matrix: E1/E22/E25 tables, mid-run checkpoints, profiled runs, a fanned-out exchange, a mid-bin and a quiet-round CrowdedBin checkpoint, a regenerated-topology checkpoint and a staged-epoch run byte-identical across GOMAXPROCS 1, 2, 4, 8"
 
 # determinism-remote is the matrix's service-boundary cell: the same
 # simulation driven locally and through a live gossipd (gossipsim

@@ -91,9 +91,10 @@ type Engine struct {
 	reader StateReader
 	name   string
 
-	perm     []int    // fixed seeded permutation (the oblivious schedules' substrate)
-	pos      []int    // pos[u] = index of u in perm
-	baseBuf  []uint64 // a graph base's edge list; a lister's is its own
+	perm     []int          // fixed seeded permutation (the oblivious schedules' substrate)
+	pos      []int          // pos[u] = index of u in perm
+	baseBuf  []uint64       // a graph base's edge list; a lister's is its own
+	baseCSR  *graph.Patcher // a lister base's graph, for the strategies that ask (Epoch.Base)
 	ops      Ops
 	rank     []int32 // RankDesc output buffer
 	score    []int   // RankDesc score buffer
@@ -110,7 +111,13 @@ var _ dyngraph.DeltaDynamic = (*Engine)(nil)
 func New(base dyngraph.Dynamic, strat Strategy, o Options) *Engine {
 	e := &Engine{base: base, strat: strat, seed: o.Seed, budget: o.Budget, pos: make([]int, base.N())}
 	e.lister, _ = base.(lister)
-	e.Stepper = dyngraph.NewStepper(base.N(), o.Tau, strat.Name(), o.Rebuild, e.rewind, func(int) {}, e.produce)
+	e.Stepper = dyngraph.NewStepper(base.N(), o.Tau, strat.Name(), o.Rebuild, dyngraph.Owner{
+		Rewind:  func(int) { e.rewind() },
+		Advance: func(int, int) {},
+		Emit:    func(_, next int, buf []uint64) []uint64 { return e.produce(next, buf) },
+		Commit:  e.commitBase,
+		Ready:   e.stageable,
+	})
 	e.name = fmt.Sprintf("adv(%s,%s)+%s", strat.Name(), e.TauString(), base.Name())
 	e.rewind()
 	return e
@@ -162,25 +169,45 @@ func (e *Engine) produce(next int, buf []uint64) []uint64 {
 }
 
 // lister is a base schedule that hands over round r's topology as a sorted
-// packed edge list without building its CSR: every dyngraph.Stepper-backed
-// schedule (dyngraph.Stepper.List). The slice belongs to the base and is
-// valid until it is asked for a later epoch.
+// packed edge list without building its CSR, and stages it with the
+// Engine's own epoch: every dyngraph.Stepper-backed schedule. The slice
+// belongs to the base and is valid until it is asked for a later epoch.
 type lister interface {
+	dyngraph.Stager
 	List(r int) []uint64
 }
 
 // baseList returns the base topology of round r as a sorted packed edge
-// list. A lister base (a mobility schedule) hands over its own buffer and
-// no graph: its CSR is built only if the strategy asks for it (Epoch.Base).
-// Any other base holds its graph already, which is returned beside the list
+// list. A lister base (a mobility schedule) stages its epoch, which the
+// Engine's commit commits (commitBase), and hands over its own buffer and no
+// graph: a CSR of it is built only if the strategy asks (Epoch.Base). Any
+// other base holds its graph already, which is returned beside the list
 // flattened from it.
 func (e *Engine) baseList(r int) ([]uint64, *graph.Graph) {
 	if e.lister != nil {
-		return e.lister.List(r), nil
+		return e.lister.Stage(r), nil
 	}
 	g := e.base.At(r)
 	e.baseBuf = g.AppendPackedEdges(e.baseBuf[:0])
 	return e.baseBuf, g
+}
+
+// commitBase commits the base epoch the Engine's committed epoch was
+// produced from, so that the two layers stay in the same epoch and a
+// checkpoint finds the base where the Engine is.
+func (e *Engine) commitBase() {
+	if e.lister != nil {
+		e.lister.List(e.FirstRound(e.Epoch()))
+	}
+}
+
+// stageable is the Engine's Owner.Ready: an epoch can be produced ahead of
+// its round only from a base that stages it too (the same τ, so the base's
+// next epoch is the one read) and by a strategy that does not read the live
+// algorithm state (adaptive).
+func (e *Engine) stageable(next int) bool {
+	a, ok := e.strat.(adaptive)
+	return e.lister != nil && !(ok && a.readsTokens()) && e.lister.Stageable(e.FirstRound(next))
 }
 
 // tokenCount is the Epoch.Tokens implementation: the bound StateReader, or
@@ -274,11 +301,17 @@ type Epoch struct {
 }
 
 // Base returns the epoch's unperturbed base topology — the graph of Edges.
-// Over a lister base the first call loads the base's CSR; every other base
-// holds its graph already. The graph is valid until the next epoch.
+// Over a lister base the first call loads a CSR of Edges into a Patcher of
+// the Engine's own (so a staged epoch leaves the base's committed state
+// alone); every other base holds its graph already. The graph is valid
+// until the next epoch.
 func (ep *Epoch) Base() *graph.Graph {
 	if ep.base == nil {
-		ep.base = ep.eng.base.At(ep.eng.FirstRound(ep.E))
+		e := ep.eng
+		if e.baseCSR == nil {
+			e.baseCSR = graph.NewPatcher(ep.N)
+		}
+		ep.base = e.baseCSR.Load(ep.Edges, "base")
 	}
 	return ep.base
 }

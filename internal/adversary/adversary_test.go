@@ -356,10 +356,24 @@ func TestAdjacentCutNodesShareOneCut(t *testing.T) {
 }
 
 // countingModel counts how often the stepping layer above asks a motion
-// model to start over and to move.
+// model to start over and to move, in either of the schedule's slots: a
+// mirror counts into the same tally.
 type countingModel struct {
 	mobility.Model
-	inits, steps int
+	*tally
+}
+
+type tally struct{ inits, steps int }
+
+func newCountingModel(m mobility.Model) *countingModel { return &countingModel{m, &tally{}} }
+
+func (m *countingModel) Mirror(dst mobility.Model) mobility.Model {
+	d, _ := dst.(*countingModel)
+	if d == nil {
+		d = &countingModel{tally: m.tally}
+	}
+	d.Model = m.Model.Mirror(d.Model)
+	return d
 }
 
 func (m *countingModel) Init(n int, rng *prand.RNG, x, y []float64) {
@@ -378,7 +392,7 @@ func (m *countingModel) Step(epoch int, rng *prand.RNG, x, y []float64) {
 // both layers sit in the same epoch at every round.
 func TestStackedInnerAdvancesOncePerOuterEpoch(t *testing.T) {
 	const n, tau, rounds = 60, 2, 41
-	model := &countingModel{Model: mobility.Waypoint(0.05, 1)}
+	model := newCountingModel(mobility.Waypoint(0.05, 1))
 	inner := mobility.New(model, mobility.Options{N: n, Tau: tau, Seed: 7})
 	outer := New(inner, Bipartition(), Options{Tau: tau, Seed: 91})
 	for r := 1; r <= rounds; r++ {
@@ -409,7 +423,7 @@ func (c *countingStrategy) Perturb(ep *Epoch, ops *Ops) {
 // runs the strategy for R's epoch and the one before it, nothing else.
 func TestJumpMovesEveryEpochAndPerturbsTwice(t *testing.T) {
 	const n, R = 60, 31
-	model := &countingModel{Model: mobility.Waypoint(0.05, 1)}
+	model := newCountingModel(mobility.Waypoint(0.05, 1))
 	strat := &countingStrategy{Strategy: Bipartition()}
 	inner := mobility.New(model, mobility.Options{N: n, Tau: 1, Seed: 7})
 	outer := New(inner, strat, Options{Tau: 1, Seed: 91, Budget: 10})

@@ -11,23 +11,16 @@ import (
 )
 
 // timedBase charges the time spent inside the base schedule to ns. It
-// forwards List, so the Engine reads the base's list as it does over a bare
-// mobility schedule, and At, which a strategy asking for the graph reaches.
+// forwards Stage, so the Engine reads the base's list as it does over a
+// bare mobility schedule; the Stage of the next epoch commits the last.
 type timedBase struct {
 	*mobility.Schedule
 	ns time.Duration
 }
 
-func (t *timedBase) At(r int) *graph.Graph {
+func (t *timedBase) Stage(r int) []uint64 {
 	t0 := time.Now()
-	g := t.Schedule.At(r)
-	t.ns += time.Since(t0)
-	return g
-}
-
-func (t *timedBase) List(r int) []uint64 {
-	t0 := time.Now()
-	edges := t.Schedule.List(r)
+	edges := t.Schedule.Stage(r)
 	t.ns += time.Since(t0)
 	return edges
 }

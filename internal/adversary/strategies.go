@@ -86,6 +86,15 @@ func (s bridges) Perturb(ep *Epoch, ops *Ops) {
 // Adaptive strategies: read the algorithm's live token state through the
 // engine's StateReader and spend the per-epoch budget where it hurts.
 
+// adaptive marks a strategy that reads Epoch.Tokens — the live algorithm
+// state, which exists only once the round before the epoch has run. Such an
+// epoch is never staged ahead of its round (Engine.stageable); every other
+// strategy is a pure function of the seed, the base and the epoch.
+type adaptive interface{ readsTokens() bool }
+
+func (cutRich) readsTokens() bool { return true }
+func (isolate) readsTokens() bool { return true }
+
 // CutRich ranks the nodes by current token count (descending, ties by id)
 // and severs the token-heaviest nodes' edges first, spending the whole
 // budget: the adversary starves exactly the nodes best positioned to

@@ -65,7 +65,7 @@ var knobAllow = map[string]string{
 	"crowdedbin_beta crowdedbin_gamma": "set only by harness E20, pinned in quick.csv; the scenario format has no field for them",
 	"rows cols clique_size path_len":   "grid and barbell shapes: no committed scenario draws either (ROADMAP item 12)",
 	"radius":                           "set by harness E23's radio-range sweep, pinned in quick.csv",
-	"attach levy_alpha":                "pa's and levy's shape: every run takes the default (ROADMAP item 12)",
+	"attach":                           "pa's shape: every run takes the default (ROADMAP item 12)",
 	"-engineworkers":                   "accepted and ignored; deleted with Config.EngineWorkers in the contract window (ROADMAP item 15)",
 	// Run I/O and transport, not simulation knobs; the determinism matrix,
 	// determinism-remote and the events goldens cover them.

@@ -253,17 +253,26 @@ func TestSimSharedBitLeaderElectsMin(t *testing.T) {
 	space := prand.NewSeedSpace(12)
 	seeds := SampleSeeds(space, 12, prand.New(8))
 	p := NewSimSharedBit(st, space, seeds)
-	res := runGossip(t, dyngraph.NewStatic(graph.Complete(12)), p, 7, 1<<20)
+	// Gossip may finish before the election converges: the run goes on, within
+	// a bound, until both are done, so the election is always checked.
+	res := runGossip(t, dyngraph.NewStatic(graph.Complete(12)), untilElected{p}, 7, 1<<16)
+	if !res.Completed || !p.lead.Converged() {
+		t.Fatalf("after %d rounds: φ = %d, election converged: %v", res.Rounds, st.Potential(), p.lead.Converged())
+	}
 	checkSolved(t, p, res)
-	if p.lead.Converged() {
-		// UID u+1 makes node 0 the minimum: every node must hold its seed.
-		for u := 0; u < 12; u++ {
-			if p.lead.Payload(u) != seeds[0] {
-				t.Fatalf("node %d holds payload %d after convergence, want the minimum UID's %d", u, p.lead.Payload(u), seeds[0])
-			}
+	// UID u+1 makes node 0 the minimum: every node must hold its seed.
+	for u := 0; u < 12; u++ {
+		if p.lead.Payload(u) != seeds[0] {
+			t.Fatalf("node %d holds payload %d after convergence, want the minimum UID's %d", u, p.lead.Payload(u), seeds[0])
 		}
 	}
 }
+
+// untilElected runs SimSharedBit until its leader election has converged
+// as well as its gossip.
+type untilElected struct{ *SimSharedBit }
+
+func (p untilElected) Done() bool { return p.SimSharedBit.Done() && p.lead.Converged() }
 
 func TestCrowdedBinSolvesGossipSmall(t *testing.T) {
 	st, err := NewState(8, OneTokenPerNode(8, 2), 1e-4)

@@ -14,17 +14,19 @@ import (
 // usually disconnected (so the Stepper's repair runs), and equal for epochs
 // 2i and 2i+1 (so some epoch boundaries carry no change). It records what
 // the Stepper asked of it, and fails the test when an emit does not follow
-// the advance into the same epoch or an advance skips one.
+// the advance of its slot into the same epoch or an advance skips one.
 type fakeSource struct {
 	t        *testing.T
 	n        int
-	at       int   // the epoch the source was last advanced into; -1 = rewound
-	advanced []int // epochs advance was called for, in order
-	emitted  []int // epochs emit was called for, in order
+	at       [2]int // the epoch each slot was last advanced into; -1 = rewound
+	advanced []int  // epochs advance was called for, in order
+	emitted  []int  // epochs emit was called for, in order
 	rewinds  int
 }
 
-func newFakeSource(t *testing.T, n int) *fakeSource { return &fakeSource{t: t, n: n, at: -1} }
+func newFakeSource(t *testing.T, n int) *fakeSource {
+	return &fakeSource{t: t, n: n, at: [2]int{-1, -1}}
+}
 
 func (f *fakeSource) list(e int) []uint64 {
 	var out []uint64
@@ -36,28 +38,30 @@ func (f *fakeSource) list(e int) []uint64 {
 	return out
 }
 
-func (f *fakeSource) advance(e int) {
-	if e != f.at+1 {
-		f.t.Errorf("advance(%d) from epoch %d", e, f.at)
+func (f *fakeSource) advance(slot, e int) {
+	if e != f.at[slot]+1 {
+		f.t.Errorf("advance(%d) from epoch %d", e, f.at[slot])
 	}
-	f.at = e
+	f.at[slot] = e
 	f.advanced = append(f.advanced, e)
 }
 
-func (f *fakeSource) emit(e int, buf []uint64) []uint64 {
-	if e != f.at {
-		f.t.Errorf("emit(%d) while advanced into epoch %d", e, f.at)
+func (f *fakeSource) emit(slot, e int, buf []uint64) []uint64 {
+	if e != f.at[slot] {
+		f.t.Errorf("emit(%d) while advanced into epoch %d", e, f.at[slot])
 	}
 	f.emitted = append(f.emitted, e)
 	return append(buf, f.list(e)...)
 }
 
-func (f *fakeSource) rewind() { f.rewinds++; f.at = -1 }
+func (f *fakeSource) rewind(slot int) { f.rewinds++; f.at[slot] = -1 }
+
+func (f *fakeSource) copy(dst, src int) { f.at[dst] = f.at[src] }
 
 func (f *fakeSource) forget() { f.advanced, f.emitted = nil, nil }
 
 func (f *fakeSource) stepper(tau int, rebuild bool) *Stepper {
-	return NewStepper(f.n, tau, "fake", rebuild, f.rewind, f.advance, f.emit)
+	return NewStepper(f.n, tau, "fake", rebuild, Owner{Rewind: f.rewind, Advance: f.advance, Emit: f.emit, Copy: f.copy})
 }
 
 // want is the independent expectation for epoch e: the source's list,
@@ -253,7 +257,7 @@ func TestStepperInstall(t *testing.T) {
 			ref := newFakeSource(t, n)
 			epoch := epochOf(7, tc.eff)
 			src := newFakeSource(t, n)
-			src.at = epoch // the owner restores its own state beside Install
+			src.at[0] = epoch // the owner restores its own state beside Install
 			s := src.stepper(tc.tau, false)
 			if err := s.Install(epoch, ref.want(epoch)); err != nil {
 				t.Fatal(err)
@@ -320,7 +324,7 @@ func TestStepperInstall(t *testing.T) {
 		t.Fatalf("Install(-1, nil) = %v, epoch %d", err, s.Epoch())
 	}
 	src.forget()
-	src.at = -1
+	src.at[s.Slot()] = -1
 	if s.At(1); !slices.Equal(src.emitted, []int{0}) || src.rewinds != 0 {
 		t.Fatalf("after Install(-1): emitted %v, rewinds %d", src.emitted, src.rewinds)
 	}
@@ -333,9 +337,9 @@ func TestStepperStepAllocs(t *testing.T) {
 	const n = 512
 	src := newFakeSource(t, n)
 	lists := [2][]uint64{src.list(0), src.list(2)}
-	s := NewStepper(n, 1, "fake", false, func() {}, func(int) {}, func(e int, buf []uint64) []uint64 {
+	s := NewStepper(n, 1, "fake", false, Owner{Rewind: func(int) {}, Advance: func(int, int) {}, Emit: func(_, e int, buf []uint64) []uint64 {
 		return append(buf, lists[e%2]...)
-	})
+	}})
 	r := 1000 // epochs past 255, so that the name's number is really boxed
 	s.At(r)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -379,7 +383,7 @@ func TestStepperListBuildsNoCSR(t *testing.T) {
 
 			epoch := epochOf(7, tc.eff)
 			src := newFakeSource(t, n)
-			src.at = epoch
+			src.at[0] = epoch
 			s := src.stepper(tc.tau, false)
 			if err := s.Install(epoch, src.want(epoch)); err != nil {
 				t.Fatal(err)
@@ -395,9 +399,9 @@ func TestStepperListBuildsNoCSR(t *testing.T) {
 
 	src := newFakeSource(t, 512)
 	lists := [2][]uint64{src.list(0), src.list(2)}
-	s := NewStepper(512, 1, "fake", false, func() {}, func(int) {}, func(e int, buf []uint64) []uint64 {
+	s := NewStepper(512, 1, "fake", false, Owner{Rewind: func(int) {}, Advance: func(int, int) {}, Emit: func(_, e int, buf []uint64) []uint64 {
 		return append(buf, lists[e%2]...)
-	})
+	}})
 	r := 1000
 	s.List(r)
 	s.List(r + 1)
@@ -412,3 +416,40 @@ func TestStepperListBuildsNoCSR(t *testing.T) {
 
 // unpackEdge unpacks a packed edge into its (u, v) pair with u < v.
 func unpackEdge(e uint64) [2]int32 { return [2]int32{int32(e >> 32), int32(uint32(e))} }
+
+// TestConcurrentStageBesideCurrentGraph: an epoch staged on another
+// goroutine while the current graph is read leaves the current graph, list
+// and epoch as they were, and once At commits it, it is the epoch a walk
+// produces — graph, name, list and delta — at τ = 1 and 3.
+func TestConcurrentStageBesideCurrentGraph(t *testing.T) {
+	const n, rounds = 64, 20
+	for _, tau := range []int{1, 3} {
+		s, walk := newFakeSource(t, n).stepper(tau, false), newFakeSource(t, n).stepper(tau, false)
+		for r := 1; r <= rounds; r++ {
+			g, wg := s.At(r), walk.At(r)
+			if !g.EqualCSR(wg) || g.Name() != wg.Name() || !slices.Equal(s.Edges(), walk.Edges()) || s.DeltaFor(r) != walk.DeltaFor(r) {
+				t.Fatalf("τ=%d round %d: the staged run's %q differs from the walk's %q", tau, r, g.Name(), wg.Name())
+			}
+			opens := epochOf(r+1, tau) == s.Epoch()+1
+			if s.Stageable(r+1) != opens {
+				t.Fatalf("τ=%d: Stageable(%d) = %v, round %d opens an epoch: %v", tau, r+1, !opens, r+1, opens)
+			}
+			if !opens {
+				continue
+			}
+			held, csr, name := slices.Clone(s.Edges()), g.AppendPackedEdges(nil), g.Name()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Stage(r + 1)
+			}()
+			for u := 0; u < n; u++ {
+				_ = g.Adjacency(u)
+			}
+			<-done
+			if s.Epoch() != epochOf(r, tau) || !slices.Equal(s.Edges(), held) || g.Name() != name || !slices.Equal(g.AppendPackedEdges(nil), csr) {
+				t.Fatalf("τ=%d round %d: staging the next epoch moved the current one", tau, r)
+			}
+		}
+	}
+}

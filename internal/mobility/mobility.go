@@ -55,8 +55,10 @@ func DefaultRadius(n int) float64 {
 	return math.Sqrt(8 / (math.Pi * float64(n)))
 }
 
-// field owns the positions and every scratch buffer of the proximity
-// pipeline. All buffers are allocated once and reused across epochs.
+// field owns every scratch buffer of the proximity pipeline, allocated once
+// and reused across epochs. x and y are the positions the next scan reads:
+// newField allocates a set, which a Schedule adopts as its first slot's,
+// and Schedule.emit points them at the slot it scans.
 type field struct {
 	n      int
 	r, r2  float64

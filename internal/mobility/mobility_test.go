@@ -286,7 +286,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 		hw := ckpt.NewWriter(&head)
 		hw.Section("mobility.schedule")
 		hw.Int(opts.N)
-		for _, word := range src.rng.State() {
+		for _, word := range src.crowd[src.Slot()].rng.State() {
 			hw.U64(word)
 		}
 		if err := hw.Flush(); err != nil {
@@ -334,7 +334,8 @@ func TestRestoreRejectsPositionOutsideSquare(t *testing.T) {
 	restore := func(x, y float64) error {
 		src := New(Waypoint(0.02, 2), opts)
 		src.At(5)
-		src.field.x[7], src.field.y[11] = x, y
+		c := &src.crowd[src.Slot()]
+		c.x[7], c.y[11] = x, y
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
 		src.CheckpointTo(w)
@@ -360,4 +361,41 @@ func TestRestoreRejectsPositionOutsideSquare(t *testing.T) {
 			t.Errorf("position (%g, %g) refused: %v", xy[0], xy[1], err)
 		}
 	}
+}
+
+// TestConcurrentStageMatchesWalk: every model's schedule, its next epoch
+// staged on another goroutine while the current graph is read, goes through
+// the graphs, deltas and checkpoints a walked schedule does.
+func TestConcurrentStageMatchesWalk(t *testing.T) {
+	const rounds = 16
+	opts := Options{N: 120, Tau: 1, Seed: 3}
+	for name, mk := range testModels() {
+		s, walk := New(mk(), opts), New(mk(), opts)
+		for r := 1; r <= rounds; r++ {
+			g, wg := s.At(r), walk.At(r)
+			if !g.EqualCSR(wg) || s.DeltaFor(r) != walk.DeltaFor(r) || !bytes.Equal(checkpointOf(t, s), checkpointOf(t, walk)) {
+				t.Fatalf("%s round %d: the staged schedule left the walk", name, r)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Stage(r + 1)
+			}()
+			for u := 0; u < opts.N; u++ {
+				_ = g.Adjacency(u)
+			}
+			<-done
+		}
+	}
+}
+
+func checkpointOf(t *testing.T, s *Schedule) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	s.CheckpointTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

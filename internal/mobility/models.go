@@ -18,10 +18,16 @@ import (
 // state (destinations, velocities, leg counters, …) so a Schedule can be
 // resumed mid-trajectory without replaying every epoch from the seed; both
 // are called only after Init has sized the state arrays.
+//
+// Mirror copies the state Step moves into dst — nil, or a model an earlier
+// Mirror of this one returned — and returns it; the per-node arrays Init
+// fixed for the whole trajectory are shared, not copied. A Schedule keeps
+// the spare slot it stages the next epoch in this way.
 type Model interface {
 	Name() string
 	Init(n int, rng *prand.RNG, x, y []float64)
 	Step(epoch int, rng *prand.RNG, x, y []float64)
+	Mirror(dst Model) Model
 	CheckpointTo(w *ckpt.Writer)
 	RestoreFrom(r *ckpt.Reader) error
 }
@@ -57,7 +63,7 @@ func (w *waypoint) Init(n int, rng *prand.RNG, x, y []float64) {
 	w.tx = resized(w.tx, n)
 	w.ty = resized(w.ty, n)
 	w.vel = resized(w.vel, n)
-	w.wait = resizedInt(w.wait, n)
+	w.wait = resized(w.wait, n)
 	for i := 0; i < n; i++ {
 		x[i], y[i] = rng.Float64(), rng.Float64()
 		w.tx[i], w.ty[i] = rng.Float64(), rng.Float64()
@@ -83,6 +89,19 @@ func (w *waypoint) RestoreFrom(ck *ckpt.Reader) error {
 	ck.F64sInto(w.vel)
 	ck.IntsInto(w.wait)
 	return ck.Err()
+}
+
+// Mirror implements Model: vel is fixed at Init.
+func (w *waypoint) Mirror(dst Model) Model {
+	d, _ := dst.(*waypoint)
+	if d == nil {
+		d = &waypoint{speed: w.speed, pause: w.pause}
+	}
+	d.tx = copied(d.tx, w.tx)
+	d.ty = copied(d.ty, w.ty)
+	d.wait = copied(d.wait, w.wait)
+	d.vel = w.vel
+	return d
 }
 
 func (w *waypoint) Step(_ int, rng *prand.RNG, x, y []float64) {
@@ -135,7 +154,7 @@ const levyMaxLeg = 0.5 // cap excursions at half the square
 func (l *levy) Init(n int, rng *prand.RNG, x, y []float64) {
 	l.dx = resized(l.dx, n)
 	l.dy = resized(l.dy, n)
-	l.left = resizedInt(l.left, n)
+	l.left = resized(l.left, n)
 	for i := 0; i < n; i++ {
 		x[i], y[i] = rng.Float64(), rng.Float64()
 		l.left[i] = 0
@@ -157,6 +176,18 @@ func (l *levy) RestoreFrom(ck *ckpt.Reader) error {
 	ck.F64sInto(l.dy)
 	ck.IntsInto(l.left)
 	return ck.Err()
+}
+
+// Mirror implements Model.
+func (l *levy) Mirror(dst Model) Model {
+	d, _ := dst.(*levy)
+	if d == nil {
+		d = &levy{speed: l.speed, alpha: l.alpha}
+	}
+	d.dx = copied(d.dx, l.dx)
+	d.dy = copied(d.dy, l.dy)
+	d.left = copied(d.left, l.left)
+	return d
 }
 
 func (l *levy) Step(_ int, rng *prand.RNG, x, y []float64) {
@@ -256,7 +287,7 @@ func (g *group) Init(n int, rng *prand.RNG, x, y []float64) {
 	g.cty = resized(g.cty, g.groups)
 	g.ox = resized(g.ox, n)
 	g.oy = resized(g.oy, n)
-	g.member = resizedInt32(g.member, n)
+	g.member = resized(g.member, n)
 	for j := 0; j < g.groups; j++ {
 		g.cx[j], g.cy[j] = rng.Float64(), rng.Float64()
 		g.ctx[j], g.cty[j] = rng.Float64(), rng.Float64()
@@ -296,6 +327,21 @@ func (g *group) RestoreFrom(ck *ckpt.Reader) error {
 	}
 	ck.Int32sInto(g.member)
 	return ck.Err()
+}
+
+// Mirror implements Model: the members' anchor offsets and groups are
+// fixed at Init; only the centers move.
+func (g *group) Mirror(dst Model) Model {
+	d, _ := dst.(*group)
+	if d == nil {
+		d = &group{groups: g.groups, attract: g.attract, speed: g.speed}
+	}
+	d.cx = copied(d.cx, g.cx)
+	d.cy = copied(d.cy, g.cy)
+	d.ctx = copied(d.ctx, g.ctx)
+	d.cty = copied(d.cty, g.cty)
+	d.ox, d.oy, d.member = g.ox, g.oy, g.member
+	return d
 }
 
 func (g *group) Step(_ int, rng *prand.RNG, x, y []float64) {
@@ -413,6 +459,17 @@ func (c *commuter) RestoreFrom(ck *ckpt.Reader) error {
 	return ck.Err()
 }
 
+// Mirror implements Model: homes, workplaces and speeds are fixed at Init,
+// so a mirror shares them all.
+func (c *commuter) Mirror(dst Model) Model {
+	d, _ := dst.(*commuter)
+	if d == nil {
+		d = &commuter{speed: c.speed, period: c.period}
+	}
+	d.hx, d.hy, d.wx, d.wy, d.vel = c.hx, c.hy, c.wx, c.wy, c.vel
+	return d
+}
+
 func (c *commuter) Step(epoch int, _ *prand.RNG, x, y []float64) {
 	atWork := epoch%c.period >= c.period/2
 	for i := range x {
@@ -441,24 +498,18 @@ func clamp01(v float64) float64 {
 	return v
 }
 
+// copied returns dst holding a copy of src, reusing dst's backing array
+// when it is large enough.
+func copied[T any](dst, src []T) []T {
+	dst = resized(dst, len(src))
+	copy(dst, src)
+	return dst
+}
+
 // resized returns s with length n, reusing the backing array when possible.
-func resized(s []float64, n int) []float64 {
+func resized[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n)
-}
-
-func resizedInt(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
-}
-
-func resizedInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
+	return make([]T, n)
 }

@@ -33,17 +33,28 @@ type Options struct {
 // Schedule drives a Model and emits its unit-disk proximity graph as a
 // dyngraph.DeltaDynamic. The embedded dyngraph.Stepper does the τ-stepping
 // (At, DeltaFor, connectivity repair, churn count, CSR load, the jump on a
-// far or backward query); what is the Schedule's own is its seeded
-// trajectory: advance moves the crowd one epoch, emit scans it where it
-// stands. A jump only moves — the trajectory is Model.Step's draws, never
-// an edge list — so it lands where walking every round would.
+// far or backward query, the stage of the next epoch); what is the
+// Schedule's own is its seeded trajectory, kept in the Stepper's two slots:
+// advance moves a slot's crowd one epoch, emit scans it where it stands. A
+// jump only moves — the trajectory is Model.Step's draws, never an edge list
+// — so it lands where walking every round would.
 type Schedule struct {
 	*dyngraph.Stepper
 	seed  uint64
-	model Model
-	rng   *prand.RNG
+	crowd [2]crowd
 	field *field
 	name  string
+}
+
+// crowd is one slot of the trajectory: the shared RNG stream, every node's
+// position and the model's per-node state. Slot Stepper.Slot is the
+// committed one; the other is where a stage advances a copy of it. The
+// copy costs 16 B/node of positions plus what Model.Mirror copies (24 more
+// for waypoint), allocated by New's first epoch.
+type crowd struct {
+	rng   prand.RNG
+	x, y  []float64
+	model Model
 }
 
 var _ dyngraph.DeltaDynamic = (*Schedule)(nil)
@@ -51,54 +62,76 @@ var _ dyngraph.DeltaDynamic = (*Schedule)(nil)
 // New builds the schedule and materializes its round-1 edge list; the first
 // At loads its CSR.
 func New(m Model, o Options) *Schedule {
-	s := &Schedule{seed: o.Seed, model: m, field: newField(o.N, o.Radius)}
-	s.Stepper = dyngraph.NewStepper(o.N, o.Tau, m.Name(), o.Rebuild, s.rewind, s.advance, s.emit)
-	s.name = fmt.Sprintf("mobility(%s,%s,r=%.4f)", m.Name(), s.TauString(), s.field.r)
-	s.rewind()
+	f := newField(o.N, o.Radius)
+	s := &Schedule{seed: o.Seed, field: f}
+	s.crowd[0] = crowd{x: f.x, y: f.y, model: m}
+	s.crowd[1] = crowd{x: make([]float64, o.N), y: make([]float64, o.N)}
+	s.Stepper = dyngraph.NewStepper(o.N, o.Tau, m.Name(), o.Rebuild, dyngraph.Owner{
+		Rewind: s.rewind, Advance: s.advance, Emit: s.emit, Copy: s.copy,
+	})
+	s.name = fmt.Sprintf("mobility(%s,%s,r=%.4f)", m.Name(), s.TauString(), f.r)
+	s.rewind(0)
 	s.List(1)
 	return s
 }
 
-// rewind returns the trajectory to its start: fresh RNG, initial placement.
-func (s *Schedule) rewind() {
-	s.rng = prand.New(prand.Mix64(s.seed ^ 0x53a3f3aa35b1f74d))
-	s.model.Init(s.N(), s.rng, s.field.x, s.field.y)
+// rewind returns a slot's trajectory to its start: fresh RNG, initial
+// placement.
+func (s *Schedule) rewind(slot int) {
+	c := &s.crowd[slot]
+	c.rng.Seed(prand.Mix64(s.seed ^ 0x53a3f3aa35b1f74d))
+	c.model.Init(s.N(), &c.rng, c.x, c.y)
 }
 
-// advance moves the crowd into motion epoch e; epoch 0 is the initial
+// advance moves a slot's crowd into motion epoch e; epoch 0 is the initial
 // placement rewind made.
-func (s *Schedule) advance(epoch int) {
-	if epoch > 0 {
-		s.model.Step(epoch, s.rng, s.field.x, s.field.y)
+func (s *Schedule) advance(slot, epoch int) {
+	if c := &s.crowd[slot]; epoch > 0 {
+		c.model.Step(epoch, &c.rng, c.x, c.y)
 	}
 }
 
-// emit appends the proximity edges of the crowd as it stands.
-func (s *Schedule) emit(_ int, buf []uint64) []uint64 { return s.field.computeEdges(buf) }
+// emit appends the proximity edges of a slot's crowd as it stands.
+func (s *Schedule) emit(slot, _ int, buf []uint64) []uint64 {
+	s.field.x, s.field.y = s.crowd[slot].x, s.crowd[slot].y
+	return s.field.computeEdges(buf)
+}
 
-// CheckpointTo serializes the schedule's mutable trajectory state: the
-// shared RNG stream, the epoch index, every node's position, the model's
-// per-node state, and the current epoch's sorted edge list. A resumed
-// schedule therefore continues its trajectory directly instead of replaying
-// every motion epoch from the seed.
+// copy makes slot dst the trajectory slot src is on.
+func (s *Schedule) copy(dst, src int) {
+	d, c := &s.crowd[dst], &s.crowd[src]
+	d.rng = c.rng
+	copy(d.x, c.x)
+	copy(d.y, c.y)
+	d.model = c.model.Mirror(d.model)
+}
+
+// CheckpointTo serializes the schedule's mutable trajectory state — its
+// committed slot: the shared RNG stream, the epoch index, every node's
+// position, the model's per-node state, and the current epoch's sorted edge
+// list. A resumed schedule therefore continues its trajectory directly
+// instead of replaying every motion epoch from the seed. A staged epoch is
+// not written.
 func (s *Schedule) CheckpointTo(w *ckpt.Writer) {
+	c := &s.crowd[s.Slot()]
 	w.Section("mobility.schedule")
 	w.Int(s.N())
-	st := s.rng.State()
+	st := c.rng.State()
 	w.U64(st[0])
 	w.U64(st[1])
 	w.U64(st[2])
 	w.U64(st[3])
 	w.Int(s.Epoch())
-	w.F64s(s.field.x)
-	w.F64s(s.field.y)
-	s.model.CheckpointTo(w)
+	w.F64s(c.x)
+	w.F64s(c.y)
+	c.model.CheckpointTo(w)
 	w.U64s(s.Edges())
 }
 
 // RestoreFrom loads a CheckpointTo stream into a schedule freshly built
 // with the same Options, overwriting the round-1 state New materialized.
 func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
+	c := &s.crowd[s.Slot()]
 	r.Section("mobility.schedule")
 	n := r.Int()
 	if err := r.Err(); err != nil {
@@ -112,21 +145,21 @@ func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
 	if epoch < 0 { // New is eager: a written schedule has produced round 1
 		return fmt.Errorf("mobility: checkpoint epoch %d < 0", epoch)
 	}
-	s.rng.SetState(rng)
-	r.F64sInto(s.field.x)
-	r.F64sInto(s.field.y)
+	c.rng.SetState(rng)
+	r.F64sInto(c.x)
+	r.F64sInto(c.y)
 	if err := r.Err(); err != nil {
 		return err
 	}
 	// The scan buckets a point by its coordinates, so one outside the square
 	// (or NaN) would land in the wrong cell and the run would go on along
 	// another trajectory. 1 is the far border, which the scan clamps.
-	for i, x := range s.field.x {
-		if y := s.field.y[i]; !(x >= 0 && x <= 1 && y >= 0 && y <= 1) {
+	for i, x := range c.x {
+		if y := c.y[i]; !(x >= 0 && x <= 1 && y >= 0 && y <= 1) {
 			return fmt.Errorf("mobility: checkpoint puts node %d at (%g, %g), outside the unit square", i, x, y)
 		}
 	}
-	if err := s.model.RestoreFrom(r); err != nil {
+	if err := c.model.RestoreFrom(r); err != nil {
 		return err
 	}
 	edges := r.U64s()

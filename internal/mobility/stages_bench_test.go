@@ -27,11 +27,13 @@ func BenchmarkChurnStages(b *testing.B) {
 	conn, patcher := graph.NewConnector(n), graph.NewPatcher(n)
 	lists := [2][]uint64{append([]uint64(nil), s.Edges()...), nil}
 	cur, epoch := 0, 0
+	c := &s.crowd[s.Slot()]
+	s.field.x, s.field.y = c.x, c.y
 	var move, scan, repair, diff, load time.Duration
 	epochStep := func() {
 		epoch++
 		t0 := time.Now()
-		s.model.Step(epoch, s.rng, s.field.x, s.field.y)
+		c.model.Step(epoch, &c.rng, c.x, c.y)
 		t1 := time.Now()
 		next := s.field.computeEdges(lists[1-cur][:0])
 		t2 := time.Now()

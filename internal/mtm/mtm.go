@@ -228,6 +228,13 @@ type Engine struct {
 	conns   []Conn
 	x       fanout // exchange fan-out state (see Engine.exchange)
 
+	// The next epoch's stage (see Engine.offerStage): the schedule, if it
+	// can stage, and the stage a helper is running, if any.
+	stager     dyngraph.Stager
+	staging    bool
+	stageDone  chan struct{} // the helper running the stage signals here
+	stagePanic any           // the stage's panic, for joinStage to re-raise
+
 	// Profiling sidecar (nil = off; see internal/profile and DESIGN.md
 	// §13). Timing is read-only: it draws no randomness and mutates no
 	// simulation state, so profiled and unprofiled runs are
@@ -269,6 +276,8 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 		inbox:   make([]int32, n),
 		conns:   make([]Conn, 0, n/2+1),
 		x:       fanout{wake: make(chan struct{}, 1)},
+
+		stageDone: make(chan struct{}, 1),
 	}
 	for u := 0; u < n; u++ {
 		e.rngs[u] = prand.New(prand.Mix64(cfg.Seed ^ (uint64(u)+1)*0xd6e8feb86659fd93))
@@ -284,6 +293,7 @@ func NewEngine(dyn dyngraph.Dynamic, proto Protocol, cfg Config) *Engine {
 	// churn; the engine only accounts it — the incremental CSR maintenance
 	// happens inside the schedule's At.
 	e.deltaDyn, _ = dyn.(dyngraph.DeltaDynamic)
+	e.stager, _ = dyn.(dyngraph.Stager)
 	e.quiet, _ = proto.(interface{ Quiet(r int) bool })
 	return e
 }
@@ -303,6 +313,7 @@ func (e *Engine) SetDynamic(dyn dyngraph.Dynamic) {
 	}
 	e.dyn = dyn
 	e.deltaDyn, _ = dyn.(dyngraph.DeltaDynamic)
+	e.stager, _ = dyn.(dyngraph.Stager)
 }
 
 // SetProfiler attaches (nil detaches) a timing recorder at a round
@@ -384,6 +395,9 @@ func (e *Engine) Step() (RoundStats, error) {
 		stats.EdgesRemoved = d.Removed
 		e.res.EdgesAdded += int64(stats.EdgesAdded)
 		e.res.EdgesRemoved += int64(stats.EdgesRemoved)
+	}
+	if e.offerStage(r + 1) {
+		defer e.joinStage() // on a panic; joined below otherwise
 	}
 	phaseNs[profile.PhaseChurn] = lap(prof, &tPhase)
 
@@ -484,6 +498,8 @@ func (e *Engine) Step() (RoundStats, error) {
 	e.res.ControlBits += stats.ControlBits
 	e.res.TokensMoved += stats.TokensMoved
 	phaseNs[profile.PhaseExchange] = lap(prof, &tPhase)
+	e.joinStage()
+	phaseNs[profile.PhaseChurn] += lap(prof, &tPhase)
 
 	e.round = r
 	e.res.Rounds = r
@@ -514,10 +530,11 @@ func lap(on bool, t *time.Time) int64 {
 // exchanges out. A constant of the engine: only tests lower it.
 var exchangeMin = 64
 
-// Parked helpers run exchange chunks for every engine in the process. They
-// grow on demand to GOMAXPROCS−1 and live as long as the process; between
-// offers (an engine and its fan-out generation) a helper holds no engine.
-// Offers are unbuffered, so one succeeds only if a helper is parked.
+// Parked helpers run exchange chunks and epoch stages for every engine in
+// the process. They grow on demand to GOMAXPROCS−1 and live as long as the
+// process; between offers (an engine and its fan-out generation, or an
+// engine and the round to stage) a helper holds no engine. Offers are
+// unbuffered, so one succeeds only if a helper is parked.
 var (
 	helperMu     sync.Mutex
 	helpers      int
@@ -525,8 +542,61 @@ var (
 )
 
 type offer struct {
-	e   *Engine
-	gen uint32
+	e     *Engine
+	gen   uint32
+	stage int // the round whose epoch to stage; 0 for exchange chunks
+}
+
+// offerStage hands Stage(r) to a parked helper, to run beside round r−1's
+// proposal and exchange, and reports whether one took it. The topology
+// sequence is fixed before the execution (§2), so round r's epoch does not
+// depend on what round r−1 exchanges — unless a strategy reads the live
+// state, which the schedule's Stageable rules out along with an epoch that
+// r does not open. A round past MaxRounds, GOMAXPROCS 1 or no parked helper
+// leaves the epoch to At(r), which stages and commits it inline the same
+// way. There is no node minimum: staged, a waypoint run is no slower than
+// inline at any n measured, 200 to 8192 (DESIGN §5).
+func (e *Engine) offerStage(r int) bool {
+	if e.stager == nil || r > e.cfg.MaxRounds || !e.stager.Stageable(r) || runtime.GOMAXPROCS(0) == 1 {
+		return false
+	}
+	select {
+	case helperOffers <- offer{e: e, stage: r}:
+		e.staging = true
+	default:
+	}
+	return e.staging
+}
+
+// joinStage waits for the stage a helper is running, if any, and re-raises
+// its panic on the caller's goroutine. Step joins before it returns, so no
+// stage outlives a Step: checkpoints, rebinds and events see committed
+// schedule state only.
+func (e *Engine) joinStage() {
+	if !e.staging {
+		return
+	}
+	e.staging = false
+	<-e.stageDone
+	if v := e.stagePanic; v != nil {
+		e.stagePanic = nil
+		panic(v)
+	}
+}
+
+// stage runs an offered stage on a helper, keeping its panic for joinStage,
+// then claims what is left of the round's exchange if it fans out: the
+// caller, which runs it alone while the helper stages, waits for those
+// chunks as for any helper's.
+func (e *Engine) stage(r int) {
+	defer func() {
+		e.stagePanic = recover()
+		e.stageDone <- struct{}{}
+	}()
+	e.stager.Stage(r)
+	if e.work(uint32(e.x.claim.Load() >> 32)) {
+		e.x.wake <- struct{}{}
+	}
 }
 
 // fanout is an engine's state for its current fanned-out round.
@@ -568,7 +638,7 @@ func (e *Engine) exchange(r int) {
 	x.claim.Store(uint64(x.gen)<<32 | uint64(min(4*w, len(conns), 1<<16-1))<<16)
 	for i := 1; i < w; i++ {
 		select {
-		case helperOffers <- offer{e, x.gen}:
+		case helperOffers <- offer{e: e, gen: x.gen}:
 		default:
 			i = w // no helper is parked: claim the rest here
 		}
@@ -584,7 +654,10 @@ func (e *Engine) exchange(r int) {
 
 func helper() {
 	for o := range helperOffers {
-		if o.e.work(o.gen) {
+		switch {
+		case o.stage > 0:
+			o.e.stage(o.stage)
+		case o.e.work(o.gen):
 			o.e.x.wake <- struct{}{}
 		}
 	}

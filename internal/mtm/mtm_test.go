@@ -406,6 +406,46 @@ func TestConcurrentExchangePanicReachesCaller(t *testing.T) {
 	t.Fatal("no helper ran a chunk in 100 rounds")
 }
 
+// panicStage is a static schedule whose every epoch is stageable and whose
+// stage panics.
+type panicStage struct {
+	*dyngraph.Static
+	v any
+}
+
+func (panicStage) Stageable(int) bool   { return true }
+func (p panicStage) Stage(int) []uint64 { panic(p.v) }
+
+// TestConcurrentStagePanicReachesCaller: a panic inside an epoch staged on a
+// helper must not crash the process; Step re-raises it on the caller's
+// goroutine with the original value, after the round's exchanges, and the
+// engine holds no stage afterwards.
+func TestConcurrentStagePanicReachesCaller(t *testing.T) {
+	defer SetExchangeMin(1)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	boom := errors.New("stage exploded")
+	e := NewEngine(panicStage{dyngraph.NewStatic(graph.Path(64)), boom}, &evenToOdd{onExchange: func(*Conn) {}}, Config{Seed: 1, MaxRounds: 1 << 20})
+	for i := 0; i < 100; i++ {
+		// An offer lands only on a parked helper; a round of microseconds
+		// can end before the helper it started is back on the channel.
+		time.Sleep(time.Millisecond)
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		if got != nil {
+			if got != boom || e.staging {
+				t.Fatalf("Step panicked with %v (still staging: %v), want %v", got, e.staging, boom)
+			}
+			return
+		}
+	}
+	t.Fatal("no helper took a stage in 100 rounds")
+}
+
 // listener never proposes and draws nothing in Decide.
 type listener struct{}
 
