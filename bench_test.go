@@ -257,7 +257,10 @@ func BenchmarkEngineRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			proto := core.NewSharedBit(st, prand.NewSharedString(99))
+			proto, err := core.NewSharedBit(st, prand.NewSharedString(99), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			g := graph.RandomRegular(tc.n, 4, prand.New(7))
 			eng := mtm.NewEngine(dyngraph.NewStatic(g), proto, mtm.Config{
 				Seed: 3, MaxRounds: b.N,
@@ -324,8 +327,11 @@ func BenchmarkEngineRound(b *testing.B) {
 		if !strings.HasPrefix(g.Name(), "regular(") {
 			b.Fatalf("topology seed fell back to %s: not the expander this row is about", g.Name())
 		}
-		eng := mtm.NewEngine(dyngraph.NewStatic(g), core.NewSharedBit(st, prand.NewSharedString(99)),
-			mtm.Config{Seed: 3, MaxRounds: warm + b.N})
+		proto, err := core.NewSharedBit(st, prand.NewSharedString(99), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := mtm.NewEngine(dyngraph.NewStatic(g), proto, mtm.Config{Seed: 3, MaxRounds: warm + b.N})
 		conns := 0
 		for r := 1; r <= warm+b.N; r++ {
 			if r == warm+1 {

@@ -33,9 +33,9 @@ func (t *timedBase) Stage(r int) []uint64 {
 // base builds no CSR, as bipartition walks the list; internal/mobility's
 // benchmark of the same name splits it into its own stages), run the
 // strategy (base list, cuts, merge), repair connectivity, count the
-// difference from the previous epoch's list (what the engine's DeltaFor
-// costs this layer; the base's own is never asked for, so "base" holds
-// none), load the CSR. It drives the Engine's own produce and the graph
+// difference from the previous epoch's list and load the CSR (what the
+// engine's At costs this layer; the base is read through its list alone,
+// so "base" holds neither). It drives the Engine's own produce and the graph
 // package's repair / diff / load in the order dyngraph.Stepper runs them,
 // on buffers of its own, so the product path carries no timers. Each stage
 // is reported as <stage>-ms/epoch; DESIGN.md §8 has the table, `make

@@ -63,9 +63,7 @@ var knobAllow = map[string]string{
 	"profile":                          "a wall-clock sidecar; the determinism matrix's -profile cell checks it changes no output",
 	"transfer_eps":                     "Transfer(ε)'s failure bound; every run takes the 1/n³ default, and the scenario format has no field for it",
 	"crowdedbin_beta crowdedbin_gamma": "set only by harness E20, pinned in quick.csv; the scenario format has no field for them",
-	"rows cols clique_size path_len":   "grid and barbell shapes: no committed scenario draws either (ROADMAP item 12)",
 	"radius":                           "set by harness E23's radio-range sweep, pinned in quick.csv",
-	"attach":                           "pa's shape: every run takes the default (ROADMAP item 12)",
 	"-engineworkers":                   "accepted and ignored; deleted with Config.EngineWorkers in the contract window (ROADMAP item 15)",
 	// Run I/O and transport, not simulation knobs; the determinism matrix,
 	// determinism-remote and the events goldens cover them.

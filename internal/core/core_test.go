@@ -92,7 +92,7 @@ func TestNewStateBacksAssignedSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewSharedBit(high, prand.NewSharedString(3))
+	p := mustSharedBit(t, high, prand.NewSharedString(3), 1)
 	checkSolved(t, p, runGossip(t, dyngraph.NewStatic(graph.Cycle(16)), p, 8, 1<<20))
 	if !high.Set(9).Has(199) || !high.Set(9).Has(200) {
 		t.Fatal("ids at the top of the universe were not gossiped")
@@ -160,7 +160,7 @@ func TestSharedBitSolvesGossipStatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewSharedBit(st, prand.NewSharedString(99))
+		p := mustSharedBit(t, st, prand.NewSharedString(99), 1)
 		res := runGossip(t, dyngraph.NewStatic(g), p, 3, 1<<20)
 		checkSolved(t, p, res)
 	}
@@ -171,7 +171,7 @@ func TestSharedBitSolvesGossipDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewSharedBit(st, prand.NewSharedString(7))
+	p := mustSharedBit(t, st, prand.NewSharedString(7), 1)
 	res := runGossip(t, dyngraph.NewRegen(20, 1, 9, "gnp",
 		func(_ int, rng *prand.RNG) *graph.Graph { return graph.GNP(20, 0.2, rng) }), p, 4, 1<<20)
 	checkSolved(t, p, res)
@@ -181,7 +181,7 @@ func TestSharedBitAdvertisementLemma52(t *testing.T) {
 	// Lemma 5.2: equal sets ⇒ equal bits (always); different sets ⇒
 	// different bits with probability exactly 1/2 over the shared bits.
 	stA, _ := NewState(4, Assignment{Universe: 16, Tokens: []int{3, 7}, Owners: []int{0, 1}}, 0.01)
-	p := NewSharedBit(stA, prand.NewSharedString(1))
+	p := mustSharedBit(t, stA, prand.NewSharedString(1), 1)
 	// Node 0 owns {3}, node 1 owns {7}, nodes 2,3 own {}.
 	diff := 0
 	const rounds = 20000
@@ -207,7 +207,7 @@ func TestSharedBitPotentialNonIncreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewSharedBit(st, prand.NewSharedString(2))
+	p := mustSharedBit(t, st, prand.NewSharedString(2), 1)
 	last := st.Potential()
 	eng := mtm.NewEngine(dyngraph.NewStatic(graph.Cycle(12)), p, mtm.Config{Seed: 5, MaxRounds: 1 << 20})
 	for !eng.Finished() {
@@ -349,7 +349,7 @@ func TestEpsilonGossipSolvesEarlierThanFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewSharedBit(st, prand.NewSharedString(5))
+		return mustSharedBit(t, st, prand.NewSharedString(5), 1)
 	}
 	pFull := mk()
 	resFull := runGossip(t, dyngraph.NewStatic(graph.Complete(n)), pFull, 11, 1<<21)
@@ -374,7 +374,7 @@ func TestGossipDeterministicAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewSharedBit(st, prand.NewSharedString(4))
+		p := mustSharedBit(t, st, prand.NewSharedString(4), 1)
 		eng := mtm.NewEngine(dyngraph.RotatingRing(14, 2, 6), p, mtm.Config{Seed: 13, MaxRounds: 1 << 20})
 		eng.SetProfiler(prof)
 		res, err := eng.Run()
@@ -397,7 +397,7 @@ func TestGossipStaysWithinBudget(t *testing.T) {
 	st2, _ := NewState(16, OneTokenPerNode(16, 8), 1e-4)
 	protos := []mtm.Protocol{
 		NewBlindMatch(st1),
-		NewSharedBit(st2, prand.NewSharedString(1)),
+		mustSharedBit(t, st2, prand.NewSharedString(1), 1),
 	}
 	for i, p := range protos {
 		if _, err := mtm.NewEngine(dyngraph.NewStatic(graph.Complete(16)), p,
@@ -436,21 +436,17 @@ func TestViewTagsAreTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := NewMultiBit(state(), prand.NewSharedString(3), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = n - i
 	}
 	protos := map[string]mtm.Protocol{
 		"blindmatch":   NewBlindMatch(state()),
-		"sharedbit":    NewSharedBit(state(), prand.NewSharedString(2)),
-		"multibit":     mb,
+		"sharedbit":    mustSharedBit(t, state(), prand.NewSharedString(2), 1),
+		"multibit":     mustSharedBit(t, state(), prand.NewSharedString(3), 3),
 		"simsharedbit": NewSimSharedBit(state(), space, SampleSeeds(space, n, prand.New(4))),
 		"crowdedbin":   cb,
-		"epsilon":      NewEpsilonOver(NewSharedBit(state(), prand.NewSharedString(5)), 0.5, 1),
+		"epsilon":      NewEpsilonOver(mustSharedBit(t, state(), prand.NewSharedString(5), 1), 0.5, 1),
 		"leader":       leader.New(ids, make([]uint64, n)),
 		"rumor":        rumor.New(n, []int{0}),
 	}

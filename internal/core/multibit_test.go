@@ -20,17 +20,28 @@ func mustState(t *testing.T, n int, a Assignment) *State {
 	return st
 }
 
+// mustSharedBit builds a b-bit SharedBit, failing the test on an invalid
+// width.
+func mustSharedBit(t *testing.T, st *State, shared *prand.SharedString, b int) *SharedBit {
+	t.Helper()
+	p, err := NewSharedBit(st, shared, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestNewMultiBitValidatesWidth(t *testing.T) {
 	st := mustState(t, 4, OneTokenPerNode(4, 2))
 	shared := prand.NewSharedString(1)
 	for _, b := range []int{0, -1, 65} {
-		if _, err := NewMultiBit(st, shared, b); err == nil {
-			t.Errorf("NewMultiBit(b=%d) should fail", b)
+		if _, err := NewSharedBit(st, shared, b); err == nil {
+			t.Errorf("NewSharedBit(b=%d) should fail", b)
 		}
 	}
 	for _, b := range []int{1, 2, 64} {
-		if _, err := NewMultiBit(st, shared, b); err != nil {
-			t.Errorf("NewMultiBit(b=%d): %v", b, err)
+		if _, err := NewSharedBit(st, shared, b); err != nil {
+			t.Errorf("NewSharedBit(b=%d): %v", b, err)
 		}
 	}
 }
@@ -51,10 +62,7 @@ func TestMultiBitLemma52Analog(t *testing.T) {
 	}
 
 	for _, width := range []int{1, 2, 4, 8} {
-		mb, err := NewMultiBit(st, shared, width)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mb := mustSharedBit(t, st, shared, width)
 		equalDiffer, differDiffer := 0, 0
 		for g := 1; g <= groups; g++ {
 			ta, tb, taa := mb.Tag(g, 0), mb.Tag(g, 1), mb.Tag(g, 2)
@@ -76,43 +84,10 @@ func TestMultiBitLemma52Analog(t *testing.T) {
 	}
 }
 
-// TestMultiBitWidth1MatchesSharedBit: for b = 1 the generalized rule is
-// exactly SharedBit — identical tags and identical actions in every
-// reachable configuration, hence identical executions.
-func TestMultiBitWidth1MatchesSharedBit(t *testing.T) {
-	const n, k = 24, 5
-	runOnce := func(multi bool) mtm.Result {
-		st := mustState(t, n, OneTokenPerNode(n, k))
-		shared := prand.NewSharedString(7)
-		var proto mtm.Protocol = NewSharedBit(st, shared)
-		if multi {
-			mb, err := NewMultiBit(st, shared, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proto = mb
-		}
-		dyn := dyngraph.RotatingRegular(n, 4, 1, 11)
-		res, err := mtm.NewEngine(dyn, proto, mtm.Config{Seed: 13}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	sb := runOnce(false)
-	mb := runOnce(true)
-	if sb != mb {
-		t.Errorf("b=1 multi-bit diverged from SharedBit:\n  sharedbit: %+v\n  multibit:  %+v", sb, mb)
-	}
-}
-
 func TestMultiBitSolvesGossip(t *testing.T) {
 	for _, width := range []int{2, 4, 8} {
 		st := mustState(t, 20, OneTokenPerNode(20, 6))
-		mb, err := NewMultiBit(st, prand.NewSharedString(3), width)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mb := mustSharedBit(t, st, prand.NewSharedString(3), width)
 		dyn := dyngraph.RotatingRegular(20, 4, 1, 5)
 		res, err := mtm.NewEngine(dyn, mb, mtm.Config{Seed: 9}).Run()
 		if err != nil {
@@ -134,10 +109,7 @@ func TestMultiBitConnectionsAreProductive(t *testing.T) {
 	const n, k, width = 16, 8, 4
 	st := mustState(t, n, OneTokenPerNode(n, k))
 	shared := prand.NewSharedString(21)
-	mb, err := NewMultiBit(st, shared, width)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := mustSharedBit(t, st, shared, width)
 	checker := &productivityChecker{t: t, inner: mb, st: st}
 	g := graph.RandomRegular(n, 4, prand.New(2))
 	res, err := mtm.NewEngine(dyngraph.NewStatic(g), checker, mtm.Config{Seed: 4}).Run()

@@ -93,14 +93,10 @@ func TestPlaneTagsMatchPerTokenDefinition(t *testing.T) {
 
 		shared := prand.NewSharedString(rng.Uint64())
 		for _, state := range []*State{st, fresh} {
-			sb := NewSharedBit(state, shared)
+			sb := mustSharedBit(t, state, shared, 1)
 			protos := map[int]mtm.Protocol{}
-			for _, b := range []int{1, 2, 7, 64} {
-				mb, err := NewMultiBit(state, shared, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				protos[b] = mb
+			for _, b := range []int{2, 7, 64} {
+				protos[b] = mustSharedBit(t, state, shared, b)
 			}
 			// Nodes 3, 5 and 7 advertise 0, 1 and 0 to a scanning node 0.
 			tags := make([]uint64, n)
@@ -122,7 +118,7 @@ func TestPlaneTagsMatchPerTokenDefinition(t *testing.T) {
 					}
 					for b, mb := range protos {
 						if got, want := mb.Tag(g, u), refAdvertise(shared, state.sets[u], g, b); got != want {
-							t.Fatalf("universe %d MultiBit b=%d group %d node %d: tag %#x, definition %#x", universe, b, g, u, got, want)
+							t.Fatalf("universe %d SharedBit b=%d group %d node %d: tag %#x, definition %#x", universe, b, g, u, got, want)
 						}
 					}
 				}
@@ -205,14 +201,8 @@ func TestRestoreRejectsUnassignedToken(t *testing.T) {
 func TestShardedPlanesMatchSequential(t *testing.T) {
 	const n, k, rounds, shards = 4096, 200, 12, 4
 	build := map[string]func(st *State) mtm.Protocol{
-		"sharedbit": func(st *State) mtm.Protocol { return NewSharedBit(st, prand.NewSharedString(11)) },
-		"multibit": func(st *State) mtm.Protocol {
-			p, err := NewMultiBit(st, prand.NewSharedString(12), 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
+		"sharedbit": func(st *State) mtm.Protocol { return mustSharedBit(t, st, prand.NewSharedString(11), 1) },
+		"multibit":  func(st *State) mtm.Protocol { return mustSharedBit(t, st, prand.NewSharedString(12), 7) },
 		"simsharedbit": func(st *State) mtm.Protocol {
 			space := prand.NewSeedSpace(n)
 			return NewSimSharedBit(st, space, SampleSeeds(space, n, prand.New(13)))

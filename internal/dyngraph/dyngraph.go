@@ -14,8 +14,8 @@
 // round is in, when to move the owner's state and when to ask it for a list
 // (every epoch is advanced through, only the queried epoch and the one
 // before it are listed — a forward jump scans only where it lands), what
-// changed (a Delta, two counts, taken when DeltaFor asks), and how a
-// checkpointed epoch is put back.
+// changed (a Delta, two counts, taken where the epoch's graph is loaded),
+// and how a checkpointed epoch is put back.
 package dyngraph
 
 import (

@@ -70,23 +70,25 @@ type Owner struct {
 // epoch 0, advancing it into epoch e (the crowd's motion; a no-op for an
 // owner with none), and emitting epoch e's sorted packed edge list from the
 // state it is in. The Stepper keeps the epoch counter, holds the current
-// and previous lists in two reused buffers, repairs connectivity, refills
-// the CSR (graph.Patcher.Load) when At asks for a graph, names the graph
-// <label>@e<epoch>, and counts the churn. List hands over the repaired list
-// alone: a schedule read only through it (the base under an adversary)
-// never builds a CSR.
+// and previous lists in two reused buffers, repairs connectivity, and —
+// for a schedule read through At — refills the CSR (graph.Patcher.Load),
+// names the graph <label>@e<epoch> and counts the churn. List hands over
+// the repaired list alone: a schedule read only through it (the base under
+// an adversary) never builds a CSR and never counts a delta.
 //
-// An epoch is produced in two halves. Stage copies the owner's committed
-// state into its spare slot, advances the copy, emits and repairs into the
-// spare buffer and — once DeltaFor and At have been asked — counts the diff
-// against the current list and loads the CSR into the Patcher's spare
-// buffer pair; commit flips the lists, the owner's slot, the epoch, the
-// delta and the graph. At and List on the next epoch commit an epoch already staged
-// or stage and commit it in one go, so an epoch staged ahead on another
-// goroutine (mtm's Engine offers Stage(r+1) beside round r) and one
-// produced inline take the same path. Staging reads and writes only the
-// spare halves, so the current graph stays readable meanwhile; nothing
-// staged is serialized.
+// An epoch's delta is counted exactly where its CSR is loaded, against the
+// previous epoch's list. Stage copies the owner's committed state into its
+// spare slot, advances the copy, and emits and repairs into the spare
+// buffer; while the current epoch's graph is loaded, it also counts the
+// staged epoch's delta and loads its CSR into the Patcher's spare buffer
+// pair. Commit flips the lists, the owner's slot, the epoch, the delta and
+// the graph. An epoch that arrives without a graph — the first, one landed
+// on by a jump, a restored one — gets both from its first At. At and List on
+// the next epoch commit an epoch already staged or stage and commit it in
+// one go, so an epoch staged ahead on another goroutine (mtm's Engine
+// offers Stage(r+1) beside round r) and one produced inline take the same
+// path. Staging reads and writes only the spare halves, so the current
+// graph stays readable meanwhile; nothing staged is serialized.
 //
 // A query advances through every epoch up to its own but emits only the
 // last two, e−1 and e — the pair DeltaFor differs; the model owes nobody the
@@ -109,13 +111,10 @@ type Stepper struct {
 	conn    *graph.Connector
 	patcher *graph.Patcher // built by the first load
 	g       *graph.Graph   // the current list's CSR; nil until At asks for it
-	nextG   *graph.Graph   // the staged list's CSR, when the current one is loaded
-	delta   Delta          // the churn that opened the current epoch, once counted
-	pending bool           // delta is not counted yet; edges[1-cur] holds the previous epoch's list unless staged
+	delta   Delta          // the churn that opened the current epoch, counted with g
 	staged  bool           // edges[1-cur] and the spare slot hold epoch+1, not yet committed
-	next    Delta          // the staged epoch's delta, when counted
-	counted bool           // next is counted
-	asked   bool           // DeltaFor has been called: a stage counts its delta
+	nextG   *graph.Graph   // the staged list's CSR, when the current one is loaded
+	next    Delta          // the staged epoch's delta, counted with nextG
 }
 
 // NewStepper returns a Stepper over n vertices sitting before epoch 0.
@@ -138,13 +137,25 @@ func NewStepper(n, tau int, label string, rebuild bool, o Owner) *Stepper {
 	}
 }
 
-// At implements Dynamic: List, then the list's CSR, loaded on the epoch's
-// first At. The returned graph aliases the Stepper's buffers and is valid
-// until a later epoch is queried.
+// At implements Dynamic: List, then the list's CSR. An epoch that arrived
+// without one loads it here and counts its delta against the spare list,
+// the previous epoch's — zero at epoch 0 and right after Install. The
+// returned graph aliases the Stepper's buffers and is valid until a later
+// epoch is queried. Loading an epoch whose successor was staged without a
+// CSR panics: the stage overwrote the list the delta is counted against.
+// No product caller does that — a stage follows an At of the same Stepper
+// or none ever comes.
 func (s *Stepper) At(r int) *graph.Graph {
 	s.List(r)
 	if s.g == nil {
-		s.load()
+		if s.staged {
+			panic(fmt.Sprintf("dyngraph: %s loads epoch %d after epoch %d was staged without a graph", s.label, s.epoch, s.epoch+1))
+		}
+		s.delta = Delta{}
+		if s.epoch > 0 {
+			s.delta.Added, s.delta.Removed = graph.DiffPacked(s.edges[1-s.cur], s.edges[s.cur])
+		}
+		s.g = s.csr(s.edges[s.cur], s.epoch)
 	}
 	return s.g
 }
@@ -163,16 +174,11 @@ func (s *Stepper) List(r int) []uint64 {
 
 // Stage brings round r's epoch as far as it goes without committing a new
 // one, and returns its list. In the current epoch nothing moves. The epoch
-// after it is staged — once — into the spare buffer and slot, where At,
-// List or DeltaFor on it commits it. A query further off commits its way to
-// the epoch before r's, as a jump does, and stages r's. Once DeltaFor has
-// been asked, a stage counts the staged epoch's delta — the walk DeltaFor
-// would otherwise take after the commit — and first the current epoch's, if
-// still pending, since the stage overwrites the list it is counted against;
-// while the current epoch's graph is loaded, it loads the staged one's. A
-// Stepper read only through its lists (a base under an adversary) does
-// neither, and a DeltaFor of its current epoch after a stage panics. When Stageable(r), Stage touches only the spare halves, so it may
-// run on another goroutine while the current graph is read.
+// after it is staged — once — into the spare buffer and slot, where At or
+// List on it commits it. A query further off commits its way to the epoch
+// before r's, as a jump does, and stages r's. When Stageable(r), Stage
+// touches only the spare halves, so it may run on another goroutine while
+// the current graph is read.
 func (s *Stepper) Stage(r int) []uint64 {
 	target := epochOf(r, s.tau)
 	if s.staged && target > s.epoch+1 {
@@ -185,18 +191,18 @@ func (s *Stepper) Stage(r int) []uint64 {
 		return s.edges[1-s.cur]
 	case target < s.epoch:
 		s.o.Rewind(s.cur)
-		s.epoch, s.staged, s.pending, s.g = -1, false, false, nil
+		s.epoch, s.staged, s.g = -1, false, nil
 	}
 	if target > s.epoch+1 {
-		s.staged, s.pending, s.g = false, false, nil
+		s.g = nil // a jump lands without a graph
 		for s.epoch < target-2 {
 			s.epoch++
 			s.o.Advance(s.cur, s.epoch)
 		}
-		s.stage(false) // epoch target−1: the list target's delta differs from
+		s.stage() // epoch target−1: the list target's delta differs from
 		s.commit()
 	}
-	s.stage(true)
+	s.stage()
 	return s.edges[1-s.cur]
 }
 
@@ -206,51 +212,32 @@ func (s *Stepper) Stageable(r int) bool {
 	return s.epoch >= 0 && epochOf(r, s.tau) == s.epoch+1 && (s.o.Ready == nil || s.o.Ready(s.epoch+1))
 }
 
-// stage produces epoch+1 into the spare buffer and slot. A full stage also
-// does what the epoch's first DeltaFor and At would: it counts the delta if
-// DeltaFor has been asked, and loads the CSR if the current epoch's is
-// loaded — into the Patcher's other buffer pair, so the current graph
+// stage produces epoch+1 into the spare buffer and slot. While the current
+// epoch's graph is loaded it also counts the staged epoch's delta and loads
+// its CSR — into the Patcher's other buffer pair, so the current graph
 // stays intact.
-func (s *Stepper) stage(full bool) {
-	spare, count := 1-s.cur, full && s.asked
-	if s.pending && count {
-		s.countDelta()
-	}
+func (s *Stepper) stage() {
+	spare := 1 - s.cur
 	if s.o.Copy != nil {
 		s.o.Copy(spare, s.cur)
 	}
 	s.o.Advance(spare, s.epoch+1)
 	s.edges[spare] = s.conn.Connect(s.o.Emit(spare, s.epoch+1, s.edges[spare][:0]))
-	s.staged, s.counted, s.next = true, count && s.epoch >= 0, Delta{}
-	if s.counted {
+	s.staged, s.nextG = true, nil
+	if s.g != nil {
 		s.next.Added, s.next.Removed = graph.DiffPacked(s.edges[s.cur], s.edges[spare])
-	}
-	s.nextG = nil
-	if full && s.g != nil {
 		s.nextG = s.csr(s.edges[spare], s.epoch+1)
 	}
 }
 
-// commit makes the staged epoch the current one. The buffer it displaces is
-// the previous epoch's, so there is a difference for DeltaFor to count at
-// every epoch but 0, which shapes round 1 with no earlier graph to differ
-// from.
+// commit makes the staged epoch the current one, with the graph and delta
+// the stage gave it, if any.
 func (s *Stepper) commit() {
-	s.cur, s.epoch, s.g, s.staged = 1-s.cur, s.epoch+1, s.nextG, false
-	s.delta, s.pending = s.next, !s.counted && s.epoch > 0
+	s.cur, s.epoch, s.g, s.delta, s.staged = 1-s.cur, s.epoch+1, s.nextG, s.next, false
 	if s.o.Commit != nil {
 		s.o.Commit()
 	}
 }
-
-// countDelta counts the current epoch's delta from the previous list.
-func (s *Stepper) countDelta() {
-	s.delta.Added, s.delta.Removed = graph.DiffPacked(s.edges[1-s.cur], s.edges[s.cur])
-	s.pending = false
-}
-
-// load makes s.g the CSR of the current edge list.
-func (s *Stepper) load() { s.g = s.csr(s.edges[s.cur], s.epoch) }
 
 // csr returns the graph of epoch's list, named <label>@e<epoch>.
 func (s *Stepper) csr(edges []uint64, epoch int) *graph.Graph {
@@ -264,23 +251,12 @@ func (s *Stepper) csr(edges []uint64, epoch int) *graph.Graph {
 	return s.patcher.Load(edges, name)
 }
 
-// DeltaFor implements DeltaDynamic: the delta is nonzero exactly at the
-// first round of an epoch whose list differs from the previous epoch's. The
-// lists are compared once per epoch — by the stage that produced it, once
-// DeltaFor has been asked, or here on the epoch's first call — so a
-// schedule nobody asks (the base under an adversary) never pays for the
-// walk. The count needs the lists only, so DeltaFor builds no CSR.
+// DeltaFor implements DeltaDynamic: At(r)'s delta at the first round of its
+// epoch, zero elsewhere.
 func (s *Stepper) DeltaFor(r int) Delta {
-	s.asked = true
-	s.List(r)
+	s.At(r)
 	if r != s.FirstRound(s.epoch) {
 		return Delta{}
-	}
-	if s.pending {
-		if s.staged { // the stage overwrote the list the delta is counted against
-			panic(fmt.Sprintf("dyngraph: %s asked for epoch %d's delta after staging the next, never asked before", s.label, s.epoch))
-		}
-		s.countDelta()
 	}
 	return s.delta
 }
@@ -322,8 +298,9 @@ func (s *Stepper) Edges() []uint64 { return s.edges[s.cur] }
 // below -1 — or no epoch yet a list — would resume silently on the wrong
 // trajectory; a corrupt stream must fail here, by name, instead.
 // Checkpoints are taken at round boundaries, where the delta that opened the
-// epoch has already been consumed, so it is reset rather than serialized,
-// and a staged epoch is dropped. Advancing afterwards continues from the
+// epoch has already been consumed, so it is not serialized: the spare list
+// becomes a copy of the installed one, against which the first At counts
+// zero. A staged epoch is dropped. Advancing afterwards continues from the
 // owner's restored state, in its committed slot, without a rewind.
 func (s *Stepper) Install(epoch int, edges []uint64) error {
 	if epoch < -1 || epoch == -1 && len(edges) > 0 {
@@ -332,8 +309,9 @@ func (s *Stepper) Install(epoch int, edges []uint64) error {
 	if err := graph.CheckPacked(edges, s.n); err != nil {
 		return fmt.Errorf("dyngraph: checkpoint edge list: %w", err)
 	}
-	s.edges[s.cur] = append(s.edges[s.cur][:0], edges...)
-	s.edges[1-s.cur] = s.edges[1-s.cur][:0]
-	s.epoch, s.delta, s.pending, s.staged, s.g = epoch, Delta{}, false, false, nil
+	for i := range s.edges {
+		s.edges[i] = append(s.edges[i][:0], edges...)
+	}
+	s.epoch, s.staged, s.g = epoch, false, nil
 	return nil
 }

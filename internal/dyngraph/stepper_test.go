@@ -153,7 +153,7 @@ func TestStepperAscendingQueries(t *testing.T) {
 				if og := oracle.At(r); !g.EqualCSR(og) || g.Name() != og.Name() {
 					t.Fatalf("round %d: loaded CSR %q != rebuilt CSR %q", r, g.Name(), og.Name())
 				}
-				// The count is taken when asked for: not asking, asking once
+				// The count is taken with the graph: not asking, asking once
 				// and asking again must all read the same.
 				for i := 0; i < []int{0, 1, 3}[(r+r/3)%3]; i++ {
 					if d, want := s.DeltaFor(r), src.wantDelta(r, tc.eff); d != want {
@@ -247,8 +247,9 @@ func TestStepperBackwardQueryReplays(t *testing.T) {
 }
 
 // TestStepperInstall: a checkpointed (epoch, list) resumes without a rewind
-// and without asking for any epoch again, reports no delta for the epoch it
-// was taken in, jumps far ahead from the owner's restored state, and a state
+// and without asking for any epoch again, reports no delta in any round of
+// the epoch it was taken in and the set difference at the next epoch's first
+// round, jumps far ahead from the owner's restored state, and a state
 // no run can write is refused by name with the Stepper untouched.
 func TestStepperInstall(t *testing.T) {
 	const n = 14
@@ -267,8 +268,10 @@ func TestStepperInstall(t *testing.T) {
 				!g.EqualCSR(graph.BuildPacked(n, ref.want(epoch), "")) {
 				t.Fatalf("installed epoch %d, got epoch %d graph %q", epoch, s.Epoch(), g.Name())
 			}
-			if d := s.DeltaFor(first); d.Change() {
-				t.Fatalf("delta %+v right after a restore", d)
+			for r := first; r < first+3 && epochOf(r, tc.eff) == epoch; r++ {
+				if d := s.DeltaFor(r); d.Change() {
+					t.Fatalf("delta %+v in round %d of the restored epoch", d, r)
+				}
 			}
 			if tc.eff != Infinite {
 				next := firstRound(epoch+1, tc.eff)
@@ -372,11 +375,11 @@ func TestStepperListBuildsNoCSR(t *testing.T) {
 				if !slices.Equal(edges, graphed.Edges()) || !slices.Equal(lsrc.emitted, gsrc.emitted) || lsrc.rewinds != gsrc.rewinds {
 					t.Fatalf("round %d: List stepped to another list than At (emitted %v, %v)", r, lsrc.emitted, gsrc.emitted)
 				}
-				if d, want := listed.DeltaFor(r), graphed.DeltaFor(r); d != want || listed.g != nil {
-					t.Fatalf("round %d: DeltaFor %+v after List, %+v after At (or it built a CSR)", r, d, want)
-				}
 				if lg := listed.At(r); !lg.EqualCSR(g) || lg.Name() != g.Name() {
 					t.Fatalf("round %d: At after List gives %q, At alone %q", r, lg.Name(), g.Name())
+				}
+				if d, want := listed.DeltaFor(r), graphed.DeltaFor(r); d != want {
+					t.Fatalf("round %d: DeltaFor %+v after List, %+v after At", r, d, want)
 				}
 				listed.g, listed.patcher = nil, nil // the next round starts list-only again
 			}
@@ -408,10 +411,28 @@ func TestStepperListBuildsNoCSR(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		r++
 		s.List(r)
-		s.DeltaFor(r)
 	}); allocs != 0 {
 		t.Fatalf("steady-state list-only epoch allocates %.0f times, want 0", allocs)
 	}
+}
+
+// TestStepperAtAfterListOnlyStagePanics: a stage taken while the current
+// epoch had no graph counts no delta and loads no CSR, and overwrites the
+// list the current epoch's delta is counted against; loading the current
+// epoch afterwards panics by name rather than count against the wrong list.
+func TestStepperAtAfterListOnlyStagePanics(t *testing.T) {
+	s := newFakeSource(t, 14).stepper(1, false)
+	s.List(3)
+	s.Stage(4)
+	if s.nextG != nil {
+		t.Fatal("a stage beside no graph loaded a CSR")
+	}
+	defer func() {
+		if v, _ := recover().(string); !strings.Contains(v, "fake loads epoch 2 after epoch 3 was staged without a graph") {
+			t.Fatalf("At after a list-only stage: panic %q", v)
+		}
+	}()
+	s.At(3)
 }
 
 // unpackEdge unpacks a packed edge into its (u, v) pair with u < v.

@@ -78,11 +78,3 @@ func (b *Bus) SubscribeSync(f Filter, fn func(Event)) (cancel func()) {
 		})
 	}
 }
-
-// Subscribers returns the number of currently attached subscribers.
-func (b *Bus) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.active.Load())
-}

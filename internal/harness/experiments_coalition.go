@@ -31,7 +31,10 @@ func runE19(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	proto := core.NewSharedBit(st, prand.NewSharedString(prand.Mix64(o.Seed^0x1f83_d9ab_fb41_bd6b)))
+	proto, err := core.NewSharedBit(st, prand.NewSharedString(prand.Mix64(o.Seed^0x1f83_d9ab_fb41_bd6b)), 1)
+	if err != nil {
+		return nil, err
+	}
 	dyn := dyngraph.RotatingRegular(n, 4, 1, o.Seed+1)
 
 	type sample struct {

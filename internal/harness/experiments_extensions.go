@@ -154,7 +154,10 @@ func runE18(o Options) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			proto := core.NewSharedBit(st, prand.NewSharedString(prand.Mix64(seed^0x94d0_49bb_1331_11eb)))
+			proto, err := core.NewSharedBit(st, prand.NewSharedString(prand.Mix64(seed^0x94d0_49bb_1331_11eb)), 1)
+			if err != nil {
+				return 0, err
+			}
 			res, err := mtm.NewEngine(dyn, proto, mtm.Config{Seed: prand.Mix64(seed)}).Run()
 			if err != nil {
 				return 0, err

@@ -25,11 +25,11 @@
 //     round's topology connected, §2): component representatives are
 //     chained with virtual relay edges — the sparse long-range fallback
 //     links (satellite/infrastructure hops) real smartphone meshes assume;
-//  4. the CSR is refilled in place from the sorted list itself
-//     (graph.Patcher.Load): count, prefix-sum, fill, no sort, no
+//  4. for a schedule read through At (the engine's own, not a base under
+//     an adversary), the CSR is refilled in place from the sorted list
+//     itself (graph.Patcher.Load): count, prefix-sum, fill, no sort, no
 //     allocation, the same cost whether one edge moved or all of them; and
-//     when DeltaFor is asked (by the engine, of its own schedule only) one
-//     merge walk against the previous epoch's list counts the delta.
+//     one merge walk against the previous epoch's list counts the delta.
 //
 // Steps 1 and 2 are this package's (Schedule.advance, Schedule.emit); steps
 // 3 and 4, the epoch counter, the τ arithmetic and the jump on a

@@ -11,10 +11,8 @@ import (
 // the shape of the bench's mobile-churn workload (n = 50,000 waypoint
 // walkers, speed 0.01, default radius, τ = 1): move the crowd, scan for
 // proximity, repair connectivity, count the difference from the previous
-// epoch's list (paid only by a schedule whose DeltaFor is asked — the
-// engine's own, not a base under an adversary), load the CSR (paid only by a
-// schedule whose graph is asked — not a base under an adversary that walks
-// the list). It drives the
+// epoch's list and load the CSR (both paid only by a schedule whose graph
+// is asked — the engine's own, not a base under an adversary). It drives the
 // Schedule's own move and scan and the graph package's repair / diff / load
 // in the order dyngraph.Stepper runs them, on buffers of its own, so the
 // product path carries no timers. Each stage is reported as

@@ -17,7 +17,7 @@ import (
 
 // A round's exchanges may run on several goroutines, so each Exchange
 // must touch only its two endpoints and its Conn. The audit behind this
-// test: SharedBit, BlindMatch, MultiBit and SimSharedBit's gossip rounds
+// test: SharedBit (any tag width), BlindMatch and SimSharedBit's gossip rounds
 // run eqtest.Transfer, which writes the two endpoint sets and draws only
 // from the initiator's stream (the sieve cache it reads is RWMutex-
 // guarded); ε-gossip delegates to them; the leader election and

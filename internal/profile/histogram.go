@@ -64,15 +64,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of recorded values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Mean returns the mean recorded value (0 when empty).
-func (h *Histogram) Mean() int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sum.Load() / n
-}
-
 // Quantile returns an upper bound for the q-quantile (0 < q ≤ 1) of the
 // recorded values: the bound of the bucket in which the nearest-rank
 // value falls. Within-bucket position is unknown, so the estimate is

@@ -92,7 +92,7 @@ type Config struct {
 	// AlgSimSharedBit (Corollary 7.5).
 	Epsilon float64
 	// TagBits, when ≥ 2 with AlgSharedBit, runs the b-bit generalization
-	// of the advertisement (see core.MultiBit): different token sets then
+	// of the advertisement (see core.SharedBit): different token sets then
 	// yield different tags with probability 1 − 2^{−b} instead of 1/2.
 	// 0 and 1 select the paper's standard 1-bit algorithm.
 	TagBits int
@@ -167,7 +167,7 @@ func Run(cfg Config) (Result, error) {
 // layers that carry checkpointable state.
 type protoParts struct {
 	proto  mtm.Protocol        // the outermost protocol the engine drives
-	shared *prand.SharedString // SharedBit/MultiBit shared string (key check)
+	shared *prand.SharedString // SharedBit's shared string (key check)
 	ssb    *core.SimSharedBit  // election state
 	cb     *core.CrowdedBin    // schedule state
 	eps    *core.EpsilonGossip // relaxed-objective state
@@ -181,13 +181,9 @@ func buildProtocol(cfg Config, st *core.State) (protoParts, error) {
 		parts.proto = core.NewBlindMatch(st)
 	case AlgSharedBit:
 		parts.shared = prand.NewSharedString(prand.Mix64(cfg.Seed ^ 0xb492b66fbe98f273))
-		var sb core.SetProtocol = core.NewSharedBit(st, parts.shared)
-		if cfg.TagBits >= 2 {
-			mb, err := core.NewMultiBit(st, parts.shared, cfg.TagBits)
-			if err != nil {
-				return parts, err
-			}
-			sb = mb
+		sb, err := core.NewSharedBit(st, parts.shared, max(1, cfg.TagBits))
+		if err != nil {
+			return parts, err
 		}
 		parts.proto = sb
 		if cfg.Epsilon != 0 {
