@@ -42,9 +42,6 @@ const (
 // EventSchema is the wire-format version stamped on serialized events.
 const EventSchema = events.Schema
 
-// EventTypes enumerates every event type in lifecycle order.
-func EventTypes() []EventType { return events.Types() }
-
 // ParseEventType resolves a wire name ("round_completed", ...) to its
 // EventType.
 func ParseEventType(s string) (EventType, error) { return events.ParseType(s) }

@@ -346,14 +346,23 @@ func TestJSONLSinkOnSession(t *testing.T) {
 }
 
 func TestEventTypesSurface(t *testing.T) {
-	types := mobilegossip.EventTypes()
-	if len(types) != 10 {
-		t.Fatalf("EventTypes() = %d types, want 10", len(types))
-	}
-	for _, ty := range types {
+	// Every exported event type has its own wire name, and ParseEventType
+	// takes it back.
+	names := map[string]bool{}
+	for _, ty := range []mobilegossip.EventType{
+		mobilegossip.EventSessionStart, mobilegossip.EventCheckpointResumed,
+		mobilegossip.EventRoundCompleted, mobilegossip.EventChurnApplied,
+		mobilegossip.EventAdversaryEpoch, mobilegossip.EventCheckpointWritten,
+		mobilegossip.EventSessionCancel, mobilegossip.EventSessionEnd,
+		mobilegossip.EventRoundProfile, mobilegossip.EventTopologyRebound,
+	} {
+		names[ty.String()] = true
 		back, err := mobilegossip.ParseEventType(ty.String())
 		if err != nil || back != ty {
 			t.Fatalf("ParseEventType(%q) = %v, %v", ty.String(), back, err)
 		}
+	}
+	if len(names) != 10 {
+		t.Fatalf("%d distinct wire names for the 10 exported event types", len(names))
 	}
 }

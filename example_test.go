@@ -50,21 +50,6 @@ func ExampleRun_epsilonGossip() {
 	// quorum reached: true
 }
 
-// Inspect reports the structural parameters (Δ, D, α) every bound in the
-// paper is expressed in. The double-star is the paper's Ω(Δ²) lower-bound
-// construction: half the vertices hang off each of two adjacent hubs.
-func ExampleTopology_Inspect() {
-	info, err := (mobilegossip.Topology{Kind: mobilegossip.DoubleStar}).Inspect(16, 1)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("Δ=%d D=%d α=%.4f exact=%v\n",
-		info.MaxDegree, info.Diameter, info.Alpha, info.AlphaExact)
-	// Output:
-	// Δ=8 D=3 α=0.1250 exact=true
-}
-
 // Every session publishes its lifecycle on a typed event bus. Subscribe
 // before running (here a handler collecting every event into a slice; a
 // JSONL sink or a metrics collector attach the same way), then query what

@@ -181,8 +181,8 @@ func (f readerFunc) TokenCount(u int) int { return f(u) }
 // never-changing (τ = ∞) topology.
 func TestFrozenAdversary(t *testing.T) {
 	e := New(staticBase(32, 51), Bipartition(), Options{Tau: 0, Seed: 53})
-	if e.Stability() != dyngraph.Infinite {
-		t.Fatalf("Stability() = %d, want Infinite", e.Stability())
+	if e.TauString() != "τ=∞" {
+		t.Fatalf("TauString() = %q, want τ=∞", e.TauString())
 	}
 	g1 := e.At(1)
 	if g100 := e.At(100); g100 != g1 {

@@ -301,8 +301,8 @@ func checkSim(t *testing.T, r *repo) {
 					case *ast.RangeStmt:
 						line := r.fset.Position(n.Pos()).Line
 						if _, isMap := p.info.TypeOf(n.X).Underlying().(*types.Map); isMap && !det[line] && !det[line-1] &&
-							!onlyDeletes(n.Body) && !sortedAfter(p, fd.Body, n) {
-							t.Errorf("%s, line %d: range over a map: collect and sort its keys, only delete, or say why order cannot matter in a //det: comment", site, line)
+							!sortedAfter(p, fd.Body, n) {
+							t.Errorf("%s, line %d: range over a map: collect and sort its keys, or say why order cannot matter in a //det: comment", site, line)
 						}
 					case *ast.GoStmt:
 						clock[site+" go"]++
@@ -325,26 +325,6 @@ func checkSim(t *testing.T, r *repo) {
 			t.Errorf("%s: %d occurrences, clockAllow lists %d", site, clock[site], clockAllow[site])
 		}
 	}
-}
-
-// onlyDeletes reports whether body does nothing but delete, perhaps under
-// an if.
-func onlyDeletes(body *ast.BlockStmt) bool {
-	for _, s := range body.List {
-		switch s := s.(type) {
-		case *ast.IfStmt:
-			if s.Init != nil || s.Else != nil || !onlyDeletes(s.Body) {
-				return false
-			}
-		case *ast.ExprStmt:
-			if !strings.HasPrefix(types.ExprString(s.X), "delete(") {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return len(body.List) > 0
 }
 
 // sortedAfter reports whether the loop's body is just s = append(s, key)

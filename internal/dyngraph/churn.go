@@ -53,9 +53,6 @@ func (s *Sequence) At(r int) *graph.Graph {
 // N implements Dynamic.
 func (s *Sequence) N() int { return s.graphs[0].N() }
 
-// Stability implements Dynamic.
-func (s *Sequence) Stability() int { return s.tau }
-
 // Name implements Dynamic.
 func (s *Sequence) Name() string {
 	return fmt.Sprintf("sequence(τ=%d,len=%d):%s", s.tau, len(s.graphs), s.name)

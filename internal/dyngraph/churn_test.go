@@ -29,8 +29,8 @@ func TestSequenceEpochScheduleAndClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Stability() != 3 {
-		t.Errorf("stability = %d, want 3", seq.Stability())
+	if seq.tau != 3 {
+		t.Errorf("stability = %d, want 3", seq.tau)
 	}
 	if seq.N() != 6 {
 		t.Errorf("n = %d, want 6", seq.N())

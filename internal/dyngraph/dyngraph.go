@@ -29,14 +29,13 @@ import (
 const Infinite = int(^uint(0) >> 1) // MaxInt
 
 // Dynamic is a dynamic graph: the topology for each round r >= 1.
-// Implementations must return connected graphs and respect Stability().
+// Implementations must return connected graphs and change them at most
+// every τ rounds, their stability factor.
 type Dynamic interface {
 	// At returns the topology graph for round r (1-based).
 	At(r int) *graph.Graph
 	// N returns the (fixed) number of vertices.
 	N() int
-	// Stability returns the stability factor τ of the schedule.
-	Stability() int
 	// Name describes the schedule for display.
 	Name() string
 }
@@ -57,9 +56,6 @@ func (s *Static) At(int) *graph.Graph { return s.g }
 // N implements Dynamic.
 func (s *Static) N() int { return s.g.N() }
 
-// Stability implements Dynamic.
-func (s *Static) Stability() int { return Infinite }
-
 // Name implements Dynamic.
 func (s *Static) Name() string { return "static:" + s.g.Name() }
 
@@ -69,15 +65,16 @@ type Generator func(epoch int, rng *prand.RNG) *graph.Graph
 
 // Regen re-generates the topology every τ rounds from a per-epoch RNG —
 // the harshest oblivious adversary allowed by a given stability factor.
-// Graphs for each epoch are cached so At is cheap on repeat calls within an
-// epoch (the engine queries rounds in order).
+// The last epoch's graph is kept, so At is cheap on repeat calls within an
+// epoch (every caller queries rounds in order); any other epoch is rebuilt.
 type Regen struct {
 	n     int
 	tau   int
 	seed  uint64
 	gen   Generator
 	name  string
-	cache map[int]*graph.Graph
+	epoch int // the epoch g belongs to; -1 before the first
+	g     *graph.Graph
 }
 
 var _ Dynamic = (*Regen)(nil)
@@ -88,28 +85,15 @@ func NewRegen(n, tau int, seed uint64, name string, gen Generator) *Regen {
 	if tau < 1 {
 		tau = 1
 	}
-	return &Regen{n: n, tau: tau, seed: seed, gen: gen, name: name,
-		cache: make(map[int]*graph.Graph)}
+	return &Regen{n: n, tau: tau, seed: seed, gen: gen, name: name, epoch: -1}
 }
 
 // At implements Dynamic.
 func (d *Regen) At(r int) *graph.Graph {
-	epoch := epochOf(r, d.tau)
-	if g, ok := d.cache[epoch]; ok {
-		return g
+	if epoch := epochOf(r, d.tau); epoch != d.epoch {
+		d.Keep(epoch, d.gen(epoch, EpochRNG(d.seed, epoch)))
 	}
-	g := d.gen(epoch, EpochRNG(d.seed, epoch))
-	// Keep the cache bounded: epochs are visited in order, so evict all but
-	// a recent window.
-	if len(d.cache) > 8 {
-		for k := range d.cache {
-			if k < epoch-4 {
-				delete(d.cache, k)
-			}
-		}
-	}
-	d.cache[epoch] = g
-	return g
+	return d.g
 }
 
 // EpochRNG returns the generator Regen hands its Generator for epoch, a
@@ -119,15 +103,12 @@ func EpochRNG(seed uint64, epoch int) *prand.RNG {
 	return prand.New(prand.Mix64(seed ^ uint64(epoch)*0x9e3779b97f4a7c15))
 }
 
-// Keep caches g as epoch's graph, so At does not rebuild it. g must be the
+// Keep holds g as epoch's graph, so At does not rebuild it. g must be the
 // graph gen builds from EpochRNG(seed, epoch).
-func (d *Regen) Keep(epoch int, g *graph.Graph) { d.cache[epoch] = g }
+func (d *Regen) Keep(epoch int, g *graph.Graph) { d.epoch, d.g = epoch, g }
 
 // N implements Dynamic.
 func (d *Regen) N() int { return d.n }
-
-// Stability implements Dynamic.
-func (d *Regen) Stability() int { return d.tau }
 
 // Name implements Dynamic.
 func (d *Regen) Name() string { return fmt.Sprintf("regen(τ=%d):%s", d.tau, d.name) }
@@ -154,35 +135,4 @@ func RotatingRegular(n, d, tau int, seed uint64) *Regen {
 		func(_ int, rng *prand.RNG) *graph.Graph {
 			return graph.RandomRegular(n, d, rng)
 		})
-}
-
-// Alpha estimates the vertex expansion of the dynamic graph: the minimum
-// estimate over the first `epochs` epochs (§2 defines dynamic α as the min
-// over all rounds). For static schedules one epoch suffices.
-func Alpha(d Dynamic, epochs, samples int, rng *prand.RNG) float64 {
-	if d.Stability() == Infinite {
-		epochs = 1
-	}
-	best := 2.0
-	for e := 0; e < epochs; e++ {
-		a := d.At(firstRound(e, d.Stability())).EstimateVertexExpansion(samples, rng)
-		if a < best {
-			best = a
-		}
-	}
-	return best
-}
-
-// MaxDegree returns the maximum degree over the first `epochs` epochs.
-func MaxDegree(d Dynamic, epochs int) int {
-	if d.Stability() == Infinite {
-		epochs = 1
-	}
-	dd := 0
-	for e := 0; e < epochs; e++ {
-		if v := d.At(firstRound(e, d.Stability())).MaxDegree(); v > dd {
-			dd = v
-		}
-	}
-	return dd
 }

@@ -267,9 +267,6 @@ func (s *Stepper) FirstRound(e int) int { return firstRound(e, s.tau) }
 // N implements Dynamic.
 func (s *Stepper) N() int { return s.n }
 
-// Stability implements Dynamic.
-func (s *Stepper) Stability() int { return s.tau }
-
 // TauString renders the stability factor for schedule names: "τ=3", "τ=∞".
 func (s *Stepper) TauString() string {
 	if s.tau == Infinite {

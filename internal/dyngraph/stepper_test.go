@@ -134,8 +134,8 @@ func TestStepperAscendingQueries(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src, osrc := newFakeSource(t, n), newFakeSource(t, n)
 			s, oracle := src.stepper(tc.tau, false), osrc.stepper(tc.tau, true)
-			if s.Stability() != tc.eff || s.N() != n || s.TauString() != tc.name {
-				t.Fatalf("Stability %d, N %d, TauString %q", s.Stability(), s.N(), s.TauString())
+			if s.tau != tc.eff || s.N() != n || s.TauString() != tc.name {
+				t.Fatalf("τ %d, N %d, TauString %q", s.tau, s.N(), s.TauString())
 			}
 			if s.Epoch() != -1 || len(s.Edges()) != 0 || len(src.advanced)+len(src.emitted) != 0 {
 				t.Fatalf("a new Stepper already produced: epoch %d, advanced %v, emitted %v", s.Epoch(), src.advanced, src.emitted)

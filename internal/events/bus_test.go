@@ -56,11 +56,11 @@ func TestFilterMatchAllocs(t *testing.T) {
 }
 
 func TestTypeNamesRoundTrip(t *testing.T) {
-	types := Types()
-	if len(types) != 10 {
-		t.Fatalf("Types() = %d types, want 10", len(types))
+	all := types()
+	if len(all) != 10 {
+		t.Fatalf("types() = %d types, want 10", len(all))
 	}
-	for _, ty := range types {
+	for _, ty := range all {
 		name := ty.String()
 		if strings.Contains(name, "Type(") {
 			t.Fatalf("type %d has no wire name", ty)

@@ -83,17 +83,6 @@ var typeNames = [numTypes]string{
 	TypeTopologyRebound:   "topology_rebound",
 }
 
-// Types enumerates every event type, in declaration (lifecycle) order.
-// DESIGN.md's taxonomy table and the docs-verify tooling key off it so
-// the documented list has a single source of truth.
-func Types() []Type {
-	out := make([]Type, 0, numTypes-1)
-	for t := Type(1); t < numTypes; t++ {
-		out = append(out, t)
-	}
-	return out
-}
-
 // String returns the type's wire name (the "type" field of the JSONL
 // encoding).
 func (t Type) String() string {

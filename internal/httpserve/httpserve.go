@@ -1,11 +1,14 @@
 // Package httpserve is the shared HTTP server plumbing for this module's
 // long-running endpoints: the gossipsim -metrics scrape server and the
-// gossipd daemon. It standardizes the three behaviors both need and that
+// gossipd daemon. It standardizes the four behaviors both need and that
 // are easy to get subtly wrong when inlined per command:
 //
 //   - fail-fast binding: Start listens before returning, so a taken port
 //     or bad address fails the command immediately instead of a goroutine
 //     logging after the caller has moved on;
+//   - connection timeouts: a connection that stalls before its request's
+//     headers are in, or idles between requests, is closed instead of
+//     held until Shutdown;
 //   - graceful shutdown: Shutdown stops accepting, lets in-flight
 //     requests (scrapes, event streams) finish within a timeout, and only
 //     then tears the server down;
@@ -24,6 +27,19 @@ import (
 	"time"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, and idleTimeout how long a keep-alive connection may
+// wait for its next request (longer than net/http's client keeps an idle
+// connection, 90 s). Neither bounds a handler. A WriteTimeout would: its
+// deadline runs from the request's headers, so a /run long poll or a
+// follow stream answering after it loses its response. ReadTimeout stays
+// unset too; past the headers it bounds only reading a request's body.
+// Constants of the server: only tests lower them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server is a running HTTP server bound to a concrete address.
 type Server struct {
 	srv *http.Server
@@ -39,7 +55,7 @@ func Start(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("httpserve: cannot listen on %q: %w", addr, err)
 	}
-	s := &Server{srv: &http.Server{Handler: h}, ln: ln}
+	s := &Server{srv: &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}, ln: ln}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Shutdown
 	return s, nil
 }

@@ -2,6 +2,7 @@ package httpserve
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -60,5 +61,78 @@ func TestStartFailsFastOnBadAddr(t *testing.T) {
 	}
 	if _, err := Start("definitely not an address", nil); err == nil {
 		t.Fatal("Start on a malformed address succeeded")
+	}
+}
+
+// lowerTimeouts sets the connection timeouts for one test and returns the
+// restore.
+func lowerTimeouts(header, idle time.Duration) (restore func()) {
+	oldHeader, oldIdle := readHeaderTimeout, idleTimeout
+	readHeaderTimeout, idleTimeout = header, idle
+	return func() { readHeaderTimeout, idleTimeout = oldHeader, oldIdle }
+}
+
+// TestStalledHeaderIsClosed: a connection that sends part of a request's
+// headers and stops is closed once the header timeout passes, and so is
+// one that idles after a response.
+func TestStalledHeaderIsClosed(t *testing.T) {
+	defer lowerTimeouts(100*time.Millisecond, 100*time.Millisecond)()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/ping", func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "pong")
+	})
+	s, err := Start("127.0.0.1:0", mux)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Shutdown(time.Second)
+
+	for _, req := range []string{
+		"GET /ping HTTP/1.1\r\nHost: x\r\n",     // no blank line ends the headers
+		"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n", // a whole request, then idle
+	} {
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(c, req); err != nil {
+			t.Fatal(err)
+		}
+		// Reading to EOF means the server closed the connection; the
+		// client's deadline is far past the server's timeouts.
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadAll(c); err != nil {
+			t.Errorf("%q: connection not closed by the server: %v", req, err)
+		}
+		c.Close()
+	}
+}
+
+// TestLongPollOutlivesHeaderTimeout: the timeouts bound a connection's
+// headers and idle time only, so a handler that runs well past them — a
+// /run long poll — still answers, with its request context live.
+func TestLongPollOutlivesHeaderTimeout(t *testing.T) {
+	defer lowerTimeouts(50*time.Millisecond, 50*time.Millisecond)()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/poll", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(300 * time.Millisecond):
+			io.WriteString(w, "done")
+		case <-r.Context().Done():
+		}
+	})
+	s, err := Start("127.0.0.1:0", mux)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Shutdown(time.Second)
+	resp, err := http.Get("http://" + s.Addr() + "/poll")
+	if err != nil {
+		t.Fatalf("GET /poll: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "done" {
+		t.Fatalf("GET /poll = %q, want done", body)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"mobilegossip/internal/ckpt"
-	"mobilegossip/internal/dyngraph"
 	"mobilegossip/internal/graph"
 	"mobilegossip/internal/prand"
 )
@@ -224,8 +223,8 @@ func FuzzScanMatchesAllPairs(f *testing.F) {
 // round, stability Infinite, still connected.
 func TestFrozenSchedule(t *testing.T) {
 	s := New(Waypoint(0.02, 2), Options{N: 150, Seed: 3})
-	if s.Stability() != dyngraph.Infinite {
-		t.Fatalf("frozen schedule stability = %d", s.Stability())
+	if s.TauString() != "τ=∞" {
+		t.Fatalf("frozen schedule stability %q, want τ=∞", s.TauString())
 	}
 	g1 := s.At(1)
 	if !g1.Connected() {

@@ -1,7 +1,10 @@
 package mtm
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"mobilegossip/internal/dyngraph"
@@ -192,7 +195,11 @@ func TestProfiledStepAllocs(t *testing.T) {
 	}
 
 	// 256 connections a round fan out. AllocsPerRun pins GOMAXPROCS to 1,
-	// which would keep the round inline, so count mallocs directly.
+	// which would keep the round inline, so count from an allocation
+	// profile instead: the process-wide malloc count also holds what the
+	// runtime allocates on its own — an OS thread it starts to run a woken
+	// helper (six objects under runtime.newm), the unique package's
+	// post-GC cleanup.
 	if exchangeMin > 256 {
 		t.Fatalf("fan-out minimum %d above the 256-connection round", exchangeMin)
 	}
@@ -215,14 +222,69 @@ func TestProfiledStepAllocs(t *testing.T) {
 			step()
 		}
 		const rounds = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			step()
-		}
-		runtime.ReadMemStats(&after)
-		if allocs := float64(after.Mallocs-before.Mallocs) / rounds; allocs != 0 {
-			t.Fatalf("fanned-out Step (profiled=%v) allocated %.2f/op, want 0", profiled, allocs)
+		if n, stacks := moduleAllocs(func() {
+			for i := 0; i < rounds; i++ {
+				step()
+			}
+		}); n != 0 {
+			t.Fatalf("fanned-out Step (profiled=%v) allocated %.2f/op, want 0:\n%s", profiled, float64(n)/rounds, stacks)
 		}
 	}
+}
+
+// moduleAllocs runs f with every allocation profiled and returns how many
+// objects were allocated under the module's product code (a frame outside
+// its _test.go files), on any goroutine, with their stacks. A channel
+// wait's sudog is left out: the runtime pools them, and a GC empties the
+// pool, so the first waits after one allocate.
+func moduleAllocs(f func()) (int64, string) {
+	snapshot := func() map[[32]uintptr]int64 {
+		runtime.GC() // publishes the profile up to here
+		var recs []runtime.MemProfileRecord
+		n, ok := runtime.MemProfile(nil, true)
+		for !ok {
+			recs = make([]runtime.MemProfileRecord, n+64)
+			n, ok = runtime.MemProfile(recs, true)
+		}
+		m := map[[32]uintptr]int64{}
+		for _, r := range recs[:n] {
+			m[r.Stack0] += r.AllocObjects
+		}
+		return m
+	}
+	before := snapshot()
+	func() {
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 1 // rate 1 records every allocation from here on
+		f()
+	}()
+	after := snapshot()
+	var n int64
+	var stacks strings.Builder
+	for key, objs := range after {
+		if objs -= before[key]; objs == 0 {
+			continue
+		}
+		pcs := key[:]
+		if i := slices.Index(pcs, 0); i >= 0 {
+			pcs = pcs[:i]
+		}
+		var frames []runtime.Frame
+		for fs, more := runtime.CallersFrames(pcs), true; more; {
+			var fr runtime.Frame
+			fr, more = fs.Next()
+			frames = append(frames, fr)
+		}
+		if frames[0].Function == "runtime.acquireSudog" || !slices.ContainsFunc(frames, func(fr runtime.Frame) bool {
+			return strings.HasPrefix(fr.Function, "mobilegossip/") && !strings.HasSuffix(fr.File, "_test.go")
+		}) {
+			continue
+		}
+		n += objs
+		fmt.Fprintf(&stacks, "%d objects at\n", objs)
+		for _, fr := range frames {
+			fmt.Fprintf(&stacks, "\t%s %s:%d\n", fr.Function, fr.File, fr.Line)
+		}
+	}
+	return n, stacks.String()
 }

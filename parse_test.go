@@ -1,8 +1,11 @@
 package mobilegossip
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"mobilegossip/internal/prand"
 )
 
 // TestEnumerators pins Algorithms/TopologyKinds as the
@@ -91,9 +94,9 @@ func TestParseTopologyKindUnknown(t *testing.T) {
 	}
 }
 
-// TestEveryTopologyKindInspectable: each named family must build and be
-// measurable at some valid size (hypercube needs a power of two; the rest
-// take 16).
+// TestEveryTopologyKindInspectable: each named family must build and its
+// round-1 graph be measurable in the paper's parameters — Δ, D and α — at
+// some valid size (hypercube needs a power of two; the rest take 16).
 func TestEveryTopologyKindInspectable(t *testing.T) {
 	kinds := []TopologyKind{
 		Cycle, Path, Complete, Star, DoubleStar,
@@ -102,13 +105,92 @@ func TestEveryTopologyKindInspectable(t *testing.T) {
 		MobileWaypoint, MobileLevy, MobileGroup, MobileCommuter,
 	}
 	for _, k := range kinds {
-		info, err := (Topology{Kind: k}).Inspect(16, 1)
+		dyn, err := (Topology{Kind: k}).Build(16, 0, 1)
 		if err != nil {
 			t.Errorf("%v: %v", k, err)
 			continue
 		}
-		if info.N != 16 || info.MaxDegree < 1 || info.Diameter < 1 || info.Alpha <= 0 {
-			t.Errorf("%v: implausible info %+v", k, info)
+		g := dyn.At(1)
+		diam, err := g.Diameter()
+		alpha, exact := g.ExactVertexExpansion()
+		if err != nil || !exact || g.N() != 16 || g.MaxDegree() < 1 || diam < 1 || alpha <= 0 {
+			t.Errorf("%v: implausible graph: n %d, Δ %d, D %d (%v), α %v (exact %v)",
+				k, g.N(), g.MaxDegree(), diam, err, alpha, exact)
+		}
+	}
+}
+
+// TestInspectKnownFamilies pins Δ, D and α of a built topology's round-1
+// graph on families small enough (n ≤ 22) for α to be computed exactly.
+// The double star is the paper's Ω(Δ²) lower-bound construction: half the
+// vertices hang off each of two adjacent hubs.
+func TestInspectKnownFamilies(t *testing.T) {
+	cases := []struct {
+		kind        TopologyKind
+		n           int
+		delta, diam int
+		alpha       float64
+	}{
+		{Cycle, 16, 2, 8, 4.0 / 16},
+		{Complete, 10, 9, 1, 1},
+		// Star α: the minimizing S is ⌊n/2⌋ leaves, whose boundary is just
+		// the hub — α = 1/6 at n = 12.
+		{Star, 12, 11, 2, 1.0 / 6},
+		{DoubleStar, 16, 8, 3, 1.0 / 8},
+	}
+	for _, tc := range cases {
+		dyn, err := (Topology{Kind: tc.kind}).Build(tc.n, 0, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.kind, err)
+		}
+		g := dyn.At(1)
+		diam, err := g.Diameter()
+		alpha, exact := g.ExactVertexExpansion()
+		if err != nil || g.N() != tc.n || g.MaxDegree() != tc.delta || diam != tc.diam {
+			t.Errorf("%v: n, Δ, D = %d, %d, %d (%v), want %d, %d, %d",
+				tc.kind, g.N(), g.MaxDegree(), diam, err, tc.n, tc.delta, tc.diam)
+		}
+		if !exact || math.Abs(alpha-tc.alpha) > 1e-9 {
+			t.Errorf("%v: α = %v (exact %v), want exactly %v", tc.kind, alpha, exact, tc.alpha)
+		}
+	}
+}
+
+// TestInspectLargeUsesEstimate: above n = 22 α is not enumerated, and the
+// randomized estimate of a 4-regular graph's α lies in (0, 2].
+func TestInspectLargeUsesEstimate(t *testing.T) {
+	dyn, err := (Topology{Kind: RandomRegular, Degree: 4}).Build(64, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dyn.At(1)
+	if _, exact := g.ExactVertexExpansion(); exact {
+		t.Error("n = 64 should not be enumerated exactly")
+	}
+	if alpha := g.EstimateVertexExpansion(2000, prand.New(3)); alpha <= 0 || alpha > 2 {
+		t.Errorf("α estimate %v out of range", alpha)
+	}
+	if g.MaxDegree() != 4 {
+		t.Errorf("Δ = %d, want 4 on a 4-regular graph", g.MaxDegree())
+	}
+}
+
+// TestInspectPropagatesBuildErrors: a family that cannot be built fails
+// Build, static or dynamic, and hands back no schedule whose graphs could
+// be measured.
+func TestInspectPropagatesBuildErrors(t *testing.T) {
+	for _, tc := range []struct {
+		topo Topology
+		n    int
+	}{
+		{Topology{Kind: Hypercube}, 10},
+		{Topology{Kind: TopologyKind(99)}, 8},
+	} {
+		for _, tau := range []int{0, 1} {
+			if dyn, err := tc.topo.Build(tc.n, tau, 1); err == nil || dyn != nil {
+				t.Errorf("%v on n = %d, τ = %d: Build = %v, %v; want an error and no schedule",
+					tc.topo.Kind, tc.n, tau, dyn, err)
+			}
 		}
 	}
 }

@@ -41,7 +41,3 @@ const (
 // ProfilePhases enumerates the engine's timed round phases in execution
 // order.
 func ProfilePhases() []ProfilePhase { return profile.Phases() }
-
-// ParseSessionHealth resolves a health wire name ("converging", ...) to
-// its SessionHealth.
-func ParseSessionHealth(s string) (SessionHealth, error) { return profile.ParseHealth(s) }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mobilegossip"
+	"mobilegossip/internal/profile"
 )
 
 func profiledConfig(seed uint64) mobilegossip.Config {
@@ -45,7 +46,7 @@ func TestProfiledSessionEvents(t *testing.T) {
 		if ev.ReductionNanos != 0 || ev.ImbalanceMilli != 0 || ev.BarrierNanos != 0 {
 			t.Fatalf("round %d: round carries shard data: %+v", ev.Round, ev)
 		}
-		if _, err := mobilegossip.ParseSessionHealth(ev.Health); err != nil {
+		if _, err := profile.ParseHealth(ev.Health); err != nil {
 			t.Fatalf("round %d: bad health %q", ev.Round, ev.Health)
 		}
 	}
