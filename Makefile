@@ -285,7 +285,10 @@ determinism-matrix:
 # cell resumes a checkpoint taken when its run finished: nothing is left
 # to step, and both sides must still write the same stream (its
 # session_end). Only wall-clock lines ("wall time", checkpoint/resume
-# paths) are filtered.
+# paths) are filtered. Last, /metrics must count exactly the
+# session_start, checkpoint_resumed, checkpoint_written and session_end
+# lines of the three recorded streams: evictions and revivals show in
+# gossipd_* only.
 determinism-remote:
 	$(GO) build -o drm_gossipd ./cmd/gossipd
 	$(GO) build -o drm_gossipsim ./cmd/gossipsim
@@ -322,13 +325,21 @@ determinism-remote:
 		| grep -v 'wall time\|resumed from' > drm_fr.txt; \
 	cmp drm_fl.txt drm_fr.txt; \
 	cmp drm_fl.jsonl drm_fr.jsonl; \
-	curl -sf "http://$$addr/metrics" | grep -q '^gossipd_evictions_total [1-9]' \
+	curl -sf "http://$$addr/metrics" > drm_metrics.txt; \
+	grep -q '^gossipd_evictions_total [1-9]' drm_metrics.txt \
 		|| { echo "determinism-remote: daemon never evicted — the revival path went untested"; exit 1; }; \
-	rm -rf drm_gossipd drm_gossipsim drm_state drm_addr drm_daemon.log \
+	for pair in session_start:sessions_started checkpoint_resumed:sessions_resumed \
+			checkpoint_written:checkpoints_written session_end:sessions_ended; do \
+		ev=$${pair%%:*}; counter=mobilegossip_$${pair#*:}_total; \
+		lines=$$(cat drm_remote.jsonl drm_rr.jsonl drm_fr.jsonl | grep -c "\"type\":\"$$ev\"" || true); \
+		count=$$(sed -n "s/^$$counter //p" drm_metrics.txt); \
+		[ "$$count" = "$$lines" ] || { echo "determinism-remote: $$counter reads $$count, the recorded streams hold $$lines $$ev lines"; exit 1; }; \
+	done; \
+	rm -rf drm_gossipd drm_gossipsim drm_state drm_addr drm_daemon.log drm_metrics.txt \
 		drm_local.txt drm_remote.txt drm_local.jsonl drm_remote.jsonl drm_local.ckpt drm_remote.ckpt \
 		drm_lr.txt drm_rr.txt drm_lr.jsonl drm_rr.jsonl \
 		drm_fin.ckpt drm_fl.txt drm_fr.txt drm_fl.jsonl drm_fr.jsonl; \
-	echo "determinism-remote: result tables, event streams and checkpoints byte-identical local vs -remote, across a forced mid-run evict/revive and from a finished run's checkpoint"
+	echo "determinism-remote: result tables, event streams and checkpoints byte-identical local vs -remote, across a forced mid-run evict/revive and from a finished run's checkpoint; /metrics counts the recorded streams' starts, resumes, checkpoints and ends"
 
 # scenario-conformance runs the golden-trace suite over the committed
 # scenarios/ library: every scenario's tables, event streams and phase

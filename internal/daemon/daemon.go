@@ -184,16 +184,19 @@ func (d *Daemon) register(sim *mobilegossip.Simulation, recordEvents, resumed bo
 		epsilon:   cfg.Epsilon,
 		seed:      cfg.Seed,
 		profile:   cfg.Profile,
+		col:       d.col,
+
+		clientResumed: resumed,
 	}
 	if recordEvents {
-		rec, err := newRecorder(d.eventsPath(id), resumed)
+		rec, err := newRecorder(d.eventsPath(id))
 		if err != nil {
 			return client.SessionInfo{}, err
 		}
 		s.rec = rec
 	}
 	s.mu.Lock()
-	d.attachLocked(s, sim)
+	s.attachLocked(sim)
 	s.syncCachedLocked()
 	s.touch()
 	s.mu.Unlock()
@@ -207,33 +210,11 @@ func (d *Daemon) register(sim *mobilegossip.Simulation, recordEvents, resumed bo
 	return s.info(), nil
 }
 
-// attachLocked binds a live Simulation to the session: the daemon-wide
-// collector and the session's recorder subscribe to its bus. Call with
-// s.mu held.
-func (d *Daemon) attachLocked(s *session, sim *mobilegossip.Simulation) {
-	s.sim = sim
-	s.evicted.Store(false)
-	bus := sim.Bus()
-	s.subCancels = append(s.subCancels[:0], bus.SubscribeSync(events.Filter{}, d.col.Observe))
-	if s.rec != nil {
-		s.subCancels = append(s.subCancels, bus.SubscribeSync(events.Filter{}, s.rec.observe))
-	}
-}
-
-// detachLocked unsubscribes from the current Simulation's bus. Call with
-// s.mu held.
-func (d *Daemon) detachLocked(s *session) {
-	for _, cancel := range s.subCancels {
-		cancel()
-	}
-	s.subCancels = s.subCancels[:0]
-}
-
 // ensureLiveLocked revives an evicted session from its disk checkpoint.
 // Call with s.mu held. Revival is transparent: the wall-clock-only
-// Profile knob is re-applied, the recorder is armed to drop
-// the revived simulation's re-announcement events, and execution
-// continues byte-identically to a never-evicted run.
+// Profile knob is re-applied, session.observe drops the revived
+// simulation's re-announcements, and execution continues
+// byte-identically to a never-evicted run.
 func (d *Daemon) ensureLiveLocked(s *session) error {
 	if s.gone {
 		return errNoSession
@@ -252,9 +233,8 @@ func (d *Daemon) ensureLiveLocked(s *session) error {
 		if err := s.rec.reopen(); err != nil {
 			return fmt.Errorf("reviving session %s event log: %w", s.id, err)
 		}
-		s.rec.armRevival()
 	}
-	d.attachLocked(s, sim)
+	s.attachLocked(sim)
 	d.live.Add(1)
 	d.evictedNow.Add(-1)
 	d.revivals.Add(1)
@@ -268,7 +248,8 @@ func (d *Daemon) ensureLiveLocked(s *session) error {
 // (lock held), queued for work, failed, or already evicted is skipped.
 // The checkpoint write is atomic (CheckpointFile), so a session is only
 // dropped from memory after its state is safely on disk — eviction can
-// never lose a session.
+// never lose a session. The session is detached while it writes, so the
+// eviction snapshot's checkpoint_written reaches no subscriber.
 func (d *Daemon) tryEvict(s *session) bool {
 	if !s.mu.TryLock() {
 		return false
@@ -277,22 +258,16 @@ func (d *Daemon) tryEvict(s *session) bool {
 	if s.gone || s.failed || s.sim == nil || s.pendingJobs() > 0 {
 		return false
 	}
-	if s.rec != nil {
-		s.rec.setSuppressCheckpoint(true)
-	}
-	err := s.sim.CheckpointFile(d.ckptPath(s.id))
-	if s.rec != nil {
-		s.rec.setSuppressCheckpoint(false)
-	}
-	if err != nil {
+	s.detachLocked()
+	if err := s.sim.CheckpointFile(d.ckptPath(s.id)); err != nil {
 		// Disk trouble: keep the session resident rather than lose it.
+		s.attachLocked(s.sim)
 		d.evictErrors.Add(1)
 		return false
 	}
 	if s.rec != nil {
 		s.rec.close()
 	}
-	d.detachLocked(s)
 	s.sim = nil
 	s.evicted.Store(true)
 	s.evictions.Add(1)
@@ -419,8 +394,8 @@ func (d *Daemon) execSlice(j *runJob) bool {
 		// A job ending on a finished run announces the end, as
 		// Simulation.Run does — also when no round was left to step (a
 		// resumed or revived finished run). Step on a finished run
-		// publishes session_end once per Simulation; the recorder keeps
-		// only the first.
+		// publishes session_end once per Simulation; session.observe
+		// passes only the session's first.
 		if _, err := s.sim.Step(); !errors.Is(err, mobilegossip.ErrSimulationDone) {
 			stepErr = err
 		}
@@ -532,7 +507,7 @@ func (d *Daemon) Delete(id string) error {
 	s.mu.Lock()
 	s.gone = true
 	wasLive := s.sim != nil
-	d.detachLocked(s)
+	s.detachLocked()
 	s.sim = nil
 	if s.rec != nil {
 		s.rec.retire()

@@ -72,6 +72,13 @@ func localEventStream(t *testing.T, cfg mobilegossip.Config) ([]byte, mobilegoss
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	return runRecorded(t, sim)
+}
+
+// runRecorded runs sim to completion and returns the event JSONL a
+// synchronous subscriber sees.
+func runRecorded(t *testing.T, sim *mobilegossip.Simulation) ([]byte, mobilegossip.Result) {
+	t.Helper()
 	var buf []byte
 	sim.Bus().SubscribeSync(events.Filter{}, func(ev events.Event) {
 		buf = ev.AppendJSON(buf)
@@ -325,6 +332,199 @@ func TestDaemonEvictionTransparency(t *testing.T) {
 		t.Fatalf("Run on the revived finished session: %v", err)
 	}
 	checkStream("after reviving the finished run")
+}
+
+// evict checkpoints the idle session id to disk and drops it from memory.
+func evict(t *testing.T, d *Daemon, id string) {
+	t.Helper()
+	s, err := d.get(id)
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	if !d.tryEvict(s) {
+		t.Fatalf("tryEvict failed on idle session %s", id)
+	}
+}
+
+// recordedStream replays the session's recorded event stream.
+func recordedStream(t *testing.T, c *client.Client, id string) []byte {
+	t.Helper()
+	rc, err := c.Events(context.Background(), id, client.EventOptions{})
+	if err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	defer rc.Close()
+	b, err := io.ReadAll(rc)
+	if err != nil {
+		t.Fatalf("reading events: %v", err)
+	}
+	return b
+}
+
+// counterRows returns the daemon's mobilegossip_* counters by name: the
+// collector's count of the logical runs.
+func counterRows(t *testing.T, c *client.Client) map[string]string {
+	t.Helper()
+	text, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(name, "mobilegossip_") && strings.HasSuffix(name, "_total") {
+			rows[name] = value
+		}
+	}
+	return rows
+}
+
+// TestDaemonMetricsCountLogicalRun: evictions and revivals show in
+// gossipd_* only. A session evicted before its first step, mid-run and
+// after it finished (the last revival runs the finished run again)
+// reads the same mobilegossip_* counters and records the same stream as
+// that session on a daemon that never evicts; a session created from an
+// uploaded checkpoint and evicted before its first step and mid-run
+// counts one start and one resume.
+func TestDaemonMetricsCountLogicalRun(t *testing.T) {
+	ctx := context.Background()
+	req := testWire(23)
+	req.RecordEvents = true
+	local, _ := localEventStream(t, localConfig(23))
+	drive := func(evicting bool) map[string]string {
+		d, c := newTestDaemon(t, Config{SliceRounds: 4})
+		info, err := c.Create(ctx, req)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		for _, rounds := range []int{3, 0, 0} {
+			if evicting {
+				evict(t, d, info.ID)
+			}
+			if _, err := c.Run(ctx, info.ID, rounds); err != nil {
+				t.Fatalf("Run(%d): %v", rounds, err)
+			}
+		}
+		if got := d.revivals.Load(); evicting && got != 3 {
+			t.Fatalf("revivals = %d, want 3", got)
+		}
+		if got := recordedStream(t, c, info.ID); !bytes.Equal(got, local) {
+			t.Fatalf("recorded stream (evicting %v, %d bytes) differs from local (%d bytes)", evicting, len(got), len(local))
+		}
+		return counterRows(t, c)
+	}
+	evicted, kept := drive(true), drive(false)
+	if kept["mobilegossip_sessions_started_total"] != "1" || kept["mobilegossip_sessions_ended_total"] != "1" {
+		t.Fatalf("never-evicted session's counters: %v", kept)
+	}
+	for name, want := range kept {
+		if got := evicted[name]; got != want {
+			t.Errorf("%s = %s after 3 evict/revive cycles, %s without", name, got, want)
+		}
+	}
+
+	// A client resume, evicted before its first step and mid-run.
+	sim, err := mobilegossip.New(localConfig(23))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for sim.Round() < 5 {
+		if _, err := sim.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := sim.Checkpoint(&ckpt); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	resumed, err := mobilegossip.Resume(bytes.NewReader(ckpt.Bytes()))
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	localResumed, _ := runRecorded(t, resumed)
+	d, c := newTestDaemon(t, Config{SliceRounds: 4})
+	info, err := c.Resume(ctx, bytes.NewReader(ckpt.Bytes()), true)
+	if err != nil {
+		t.Fatalf("Resume upload: %v", err)
+	}
+	for _, rounds := range []int{3, 0} {
+		evict(t, d, info.ID)
+		if _, err := c.Run(ctx, info.ID, rounds); err != nil {
+			t.Fatalf("Run(%d): %v", rounds, err)
+		}
+	}
+	rows := counterRows(t, c)
+	for name, want := range map[string]string{
+		"mobilegossip_sessions_started_total":    "1",
+		"mobilegossip_sessions_resumed_total":    "1",
+		"mobilegossip_checkpoints_written_total": "0",
+	} {
+		if got := rows[name]; got != want {
+			t.Errorf("client-resumed session evicted before its first step and mid-run: %s = %s, want %s", name, got, want)
+		}
+	}
+	if got := recordedStream(t, c, info.ID); !bytes.Equal(got, localResumed) {
+		t.Fatalf("client-resumed recorded stream (%d bytes) differs from local -resume (%d bytes)", len(got), len(localResumed))
+	}
+}
+
+// TestDaemonEvictionWriteFailure: an eviction whose checkpoint write
+// fails keeps the session resident and subscribed and is counted in
+// gossipd_eviction_errors_total only; the run then finishes with the
+// stream and counters of an uninterrupted one.
+func TestDaemonEvictionWriteFailure(t *testing.T) {
+	ctx := context.Background()
+	req := testWire(29)
+	req.RecordEvents = true
+	drive := func(failEviction bool) (*client.Client, string) {
+		d, c := newTestDaemon(t, Config{SliceRounds: 4})
+		info, err := c.Create(ctx, req)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		if _, err := c.Run(ctx, info.ID, 4); err != nil {
+			t.Fatalf("Run(4): %v", err)
+		}
+		if failEviction {
+			// A non-empty directory where the checkpoint goes: the
+			// atomic rename into place fails.
+			if err := os.MkdirAll(filepath.Join(d.ckptPath(info.ID), "occupied"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			s, err := d.get(info.ID)
+			if err != nil {
+				t.Fatalf("get: %v", err)
+			}
+			if d.tryEvict(s) {
+				t.Fatal("tryEvict succeeded over an occupied checkpoint path")
+			}
+			if n := d.evictErrors.Load(); n != 1 {
+				t.Fatalf("eviction errors = %d, want 1", n)
+			}
+			if st, err := c.State(ctx, info.ID); err != nil || st.Status == "evicted" || st.Evictions != 0 {
+				t.Fatalf("after the failed eviction: %+v, %v; want resident", st, err)
+			}
+		}
+		if _, err := c.Run(ctx, info.ID, 0); err != nil {
+			t.Fatalf("Run(0): %v", err)
+		}
+		return c, info.ID
+	}
+	failed, id := drive(true)
+	kept, keptID := drive(false)
+	local, _ := localEventStream(t, localConfig(29))
+	if got := recordedStream(t, failed, id); !bytes.Equal(got, local) {
+		t.Fatalf("recorded stream after a failed eviction (%d bytes) differs from local (%d bytes)", len(got), len(local))
+	}
+	if got := recordedStream(t, kept, keptID); !bytes.Equal(got, local) {
+		t.Fatalf("uninterrupted recorded stream (%d bytes) differs from local (%d bytes)", len(got), len(local))
+	}
+	got, want := counterRows(t, failed), counterRows(t, kept)
+	for name := range want {
+		if got[name] != want[name] {
+			t.Errorf("%s = %s after a failed eviction, %s without", name, got[name], want[name])
+		}
+	}
 }
 
 // TestDaemonMaxLiveCap drives more sessions than MaxLive and checks the

@@ -23,7 +23,9 @@ import (
 //
 //   - zero lost or corrupted sessions: every session finishes solved,
 //     with results equal to its seed's local reference run;
-//   - eviction really happened (the cap and janitor were not idle);
+//   - eviction really happened (the cap and janitor were not idle),
+//     and the mobilegossip_* counters still count one start per session
+//     and no checkpoint;
 //   - a throughput floor, so scheduler collapse (livelock, convoy)
 //     fails the job rather than just slowing it.
 //
@@ -137,6 +139,14 @@ func TestDaemonLoad(t *testing.T) {
 		if !info.Done || !info.Solved {
 			t.Fatalf("session %s not finished: %+v", info.ID, info)
 		}
+	}
+
+	// The mobilegossip_* counters count the logical runs: the evictions
+	// and revivals above add no session start and no checkpoint.
+	rows := counterRows(t, c)
+	if rows["mobilegossip_sessions_started_total"] != fmt.Sprint(sessions) || rows["mobilegossip_checkpoints_written_total"] != "0" {
+		t.Fatalf("after %d sessions: sessions_started_total %s, checkpoints_written_total %s; want %d and 0",
+			sessions, rows["mobilegossip_sessions_started_total"], rows["mobilegossip_checkpoints_written_total"], sessions)
 	}
 
 	rate := float64(sessions) / elapsed.Seconds()

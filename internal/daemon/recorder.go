@@ -11,24 +11,12 @@ import (
 	"mobilegossip/internal/events"
 )
 
-// recorder is a session's lossless event log: a synchronous bus
-// subscriber appending one JSON line per event to a file in the daemon's
-// state directory. File-backed (not in-memory) so recorded streams
-// survive eviction without holding memory for evicted sessions — the
-// whole point of checkpoint-backed eviction.
-//
-// The recorder is also where eviction transparency is enforced. An
-// internal evict/revive cycle injects bus events a never-evicted run
-// would not see: the eviction checkpoint's checkpoint_written, the
-// revived simulation's re-announced session_start and
-// checkpoint_resumed, and, for a finished run, a second session_end
-// (observe keeps only the first). The daemon arms the suppress* flags
-// around the others, so the recorded stream stays byte-identical to the
-// stream a local uninterrupted run would produce — which is exactly what
-// the remote-vs-local determinism cell byte-compares. Client-requested
-// checkpoints and client-driven resumes are NOT suppressed: a local run
-// that checkpoints (or starts from gossipsim -resume) records those
-// events too.
+// recorder is a session's lossless event log: fed synchronously by
+// session.observe with the logical run's events, it appends one JSON
+// line per event to a file in the daemon's state directory. File-backed
+// (not in-memory) so recorded streams survive eviction without holding
+// memory for evicted sessions — the whole point of checkpoint-backed
+// eviction.
 //
 // The file is also what the events endpoint serves, replay and follow
 // alike: a reader asks tail how far the flushed file reaches and, when
@@ -47,22 +35,7 @@ type recorder struct {
 	// buf is the reused AppendJSON scratch, so steady-state recording
 	// costs one buffered write and zero allocations per event.
 	buf []byte
-	// startSeen: a session_start was recorded, so a revival's
-	// re-announcement must be dropped. (If the session was evicted
-	// before its first step, the revival's session_start IS the run's
-	// first — round 0, same identity — and is recorded.)
-	startSeen bool
-	// clientResumed: the session was created from an uploaded checkpoint,
-	// so the logical stream's prefix legitimately includes a
-	// checkpoint_resumed — which must survive even when an eviction lands
-	// before the first step (the revival then re-announces it).
-	clientResumed bool
-	// The suppression flags, armed by the daemon around internal
-	// evict/revive operations (see evictLocked / ensureLiveLocked).
-	suppressCheckpoint bool // drop checkpoint_written (eviction snapshot)
-	suppressNextStart  bool // drop the next session_start (revival)
-	suppressNextResume bool // drop the next checkpoint_resumed (revival)
-	err                error
+	err error
 	// size is the recorded stream's length in bytes; all of it is in the
 	// file once bw is flushed. end is the offset just past the first
 	// session_end line (0 before it): where a follow stream stops.
@@ -77,42 +50,18 @@ type recorder struct {
 }
 
 // newRecorder creates (truncating) the session's event log at path.
-// clientResumed marks sessions created from an uploaded checkpoint.
-func newRecorder(path string, clientResumed bool) (*recorder, error) {
+func newRecorder(path string) (*recorder, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: creating event log: %w", err)
 	}
-	return &recorder{path: path, f: f, bw: bufio.NewWriter(f), clientResumed: clientResumed}, nil
+	return &recorder{path: path, f: f, bw: bufio.NewWriter(f)}, nil
 }
 
-// observe is the bus handler: filter revival artifacts, append the line.
+// observe appends the event's line.
 func (r *recorder) observe(ev events.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch ev.Type {
-	case events.TypeSessionStart:
-		if r.suppressNextStart {
-			r.suppressNextStart = false
-			return
-		}
-		r.startSeen = true
-	case events.TypeCheckpointResumed:
-		if r.suppressNextResume {
-			r.suppressNextResume = false
-			return
-		}
-	case events.TypeCheckpointWritten:
-		if r.suppressCheckpoint {
-			return
-		}
-	case events.TypeSessionEnd:
-		if r.end > 0 {
-			// A revived Simulation has forgotten that it finished and
-			// announces its end again.
-			return
-		}
-	}
 	if r.bw == nil {
 		// Evicted sessions have no subscriptions, so nothing should
 		// arrive here; guard anyway rather than crash the daemon.
@@ -139,28 +88,6 @@ func (r *recorder) wakeLocked() {
 		close(r.wake)
 		r.wake = nil
 	}
-}
-
-// armRevival sets the suppression for the revived simulation's
-// re-announcement events (called with the session lock held, before the
-// revived session can step). A revived simulation always re-announces
-// session_start + checkpoint_resumed on its first step; what the logical
-// stream legitimately contains at that position is session_start (if not
-// yet recorded) plus checkpoint_resumed only when the session itself was
-// created from a client-uploaded checkpoint — everything else is an
-// eviction artifact and is dropped.
-func (r *recorder) armRevival() {
-	r.mu.Lock()
-	r.suppressNextStart = r.startSeen
-	r.suppressNextResume = r.startSeen || !r.clientResumed
-	r.mu.Unlock()
-}
-
-// setSuppressCheckpoint brackets the internal eviction snapshot.
-func (r *recorder) setSuppressCheckpoint(v bool) {
-	r.mu.Lock()
-	r.suppressCheckpoint = v
-	r.mu.Unlock()
 }
 
 // close flushes and closes the file on eviction. Idempotent.

@@ -7,13 +7,16 @@ import (
 
 	"mobilegossip"
 	"mobilegossip/client"
+	"mobilegossip/internal/events"
 	"mobilegossip/internal/wire"
 )
 
 // session is one managed simulation: the daemon-side wrapper around a
 // *mobilegossip.Simulation that adds the state the service needs — a
 // lock serializing all Simulation access, lock-free cached meters for
-// state queries, the eviction bookkeeping, and the job set for cancel.
+// state queries, the eviction bookkeeping, the job set for cancel, and
+// the one bus subscription that feeds the daemon's collector and the
+// session's recorder.
 type session struct {
 	id string
 
@@ -53,19 +56,74 @@ type session struct {
 	evictions atomic.Int64
 	lastTouch atomic.Int64 // unix nanos of the last client touch or slice
 
-	rec *recorder // lossless event log; nil unless RecordEvents
+	col *events.Collector // the daemon-wide aggregation observe feeds
+	rec *recorder         // lossless event log; nil unless RecordEvents
 
 	// jobs tracks this session's queued and executing run jobs so the
 	// cancel endpoint can reach them.
 	jmu  sync.Mutex
 	jobs map[*runJob]struct{}
 
-	// subCancels detaches the daemon's bus subscriptions (collector,
-	// recorder) from the current Simulation's bus on eviction.
-	subCancels []func()
+	// unsubscribe detaches observe from the live Simulation's bus; nil
+	// while detached.
+	unsubscribe func()
+	// observe's gate, read and written under mu: every publish happens
+	// on the goroutine that holds it.
+	clientResumed                  bool // created from an uploaded checkpoint
+	startSeen, endSeen, resumeSeen bool
 }
 
 func (s *session) touch() { s.lastTouch.Store(time.Now().UnixNano()) }
+
+// attachLocked binds a live Simulation to the session and subscribes
+// observe to its bus. Call with mu held.
+func (s *session) attachLocked(sim *mobilegossip.Simulation) {
+	s.sim = sim
+	s.evicted.Store(false)
+	s.unsubscribe = sim.Bus().SubscribeSync(events.Filter{}, s.observe)
+}
+
+// detachLocked unsubscribes observe from the Simulation's bus, so what
+// the Simulation publishes next reaches no subscriber. Call with mu held.
+func (s *session) detachLocked() {
+	if s.unsubscribe != nil {
+		s.unsubscribe()
+		s.unsubscribe = nil
+	}
+}
+
+// observe is the session's one bus handler. It passes each event to the
+// daemon's collector and to the recorder, and drops only what a revival
+// publishes again: a revived Simulation announces its start, its
+// resume and, for a finished run, its end once more, and within one
+// Simulation nothing else can. So every session_start and session_end
+// after the first, and every checkpoint_resumed but the first of a
+// session created from an uploaded checkpoint, go; the recorded stream
+// and /metrics both count the one logical run, byte-identical to a
+// never-evicted one.
+func (s *session) observe(ev events.Event) {
+	switch ev.Type {
+	case events.TypeSessionStart:
+		if s.startSeen {
+			return
+		}
+		s.startSeen = true
+	case events.TypeSessionEnd:
+		if s.endSeen {
+			return
+		}
+		s.endSeen = true
+	case events.TypeCheckpointResumed:
+		if s.resumeSeen || !s.clientResumed {
+			return
+		}
+		s.resumeSeen = true
+	}
+	s.col.Observe(ev)
+	if s.rec != nil {
+		s.rec.observe(ev)
+	}
+}
 
 // syncCachedLocked refreshes the lock-free mirror from the live
 // Simulation; call with mu held and sim non-nil.

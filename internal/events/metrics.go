@@ -136,7 +136,7 @@ func (c *Collector) metricRows() []metricRow {
 		{"mobilegossip_sessions_ended_total", "counter", "Simulation sessions that finished (objective or MaxRounds).", float64(c.sessionsEnded.Load())},
 		{"mobilegossip_sessions_solved_total", "counter", "Finished sessions that reached the gossip objective.", float64(c.sessionsSolved.Load())},
 		{"mobilegossip_sessions_canceled_total", "counter", "Run calls that returned on context cancellation.", float64(c.sessionsCanceled.Load())},
-		{"mobilegossip_sessions_resumed_total", "counter", "Sessions revived from a checkpoint.", float64(c.sessionsResumed.Load())},
+		{"mobilegossip_sessions_resumed_total", "counter", "Sessions resumed from a checkpoint.", float64(c.sessionsResumed.Load())},
 		{"mobilegossip_checkpoints_written_total", "counter", "Checkpoints serialized.", float64(c.checkpoints.Load())},
 		{"mobilegossip_rounds_total", "counter", "Simulation rounds executed.", float64(c.rounds.Load())},
 		{"mobilegossip_rounds_per_second", "gauge", "Observed round throughput between the first and latest round.", c.RoundsPerSecond()},

@@ -40,10 +40,7 @@
 // stability. See DESIGN.md §8.
 package mobility
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // DefaultRadius returns the radio radius giving a mean unit-disk degree of
 // ≈ 8 for n uniform points in the unit square (π·r²·n = 8): dense enough
@@ -202,7 +199,12 @@ func (f *field) computeEdges(out []uint64) []uint64 {
 		deg[u] += deg[u-1]
 	}
 	base := len(out)
-	out = slices.Grow(out, k)[:base+k]
+	if need := base + k; need > cap(out) {
+		// Grown by hand, not by slices.Grow: the race build does not fuse
+		// Grow's append of a make, so it would allocate the list twice.
+		out = append(make([]uint64, 0, need+need/4+16), out...)
+	}
+	out = out[:base+k]
 	dst := out[base:]
 	for _, key := range tmp[:k] {
 		u := key >> 32
