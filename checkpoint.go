@@ -91,28 +91,8 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	cw.String(checkpointMagic)
 	cw.U64(CheckpointVersion)
 	configLayout(cw.Fields(), &s.cfg)
-	s.eng.CheckpointTo(cw)
-	s.st.CheckpointTo(cw)
-
-	cw.Section("protocol")
-	if s.parts.shared != nil {
-		cw.U64(s.parts.shared.Seed())
-	}
-	if s.parts.eps != nil {
-		s.parts.eps.CheckpointTo(cw)
-	}
-	if s.parts.ssb != nil {
-		s.parts.ssb.CheckpointTo(cw)
-	}
-	if s.parts.cb != nil {
-		s.parts.cb.CheckpointTo(cw)
-	}
-
-	cw.Section("topology")
-	tag, cp := topoState(s.dyn)
-	cw.Int(tag)
-	if cp != nil {
-		cp.CheckpointTo(cw)
+	if err := s.layout(cw.Fields()); err != nil {
+		return err
 	}
 	if err := cw.Flush(); err != nil {
 		return err
@@ -183,55 +163,64 @@ func Resume(r io.Reader) (*Simulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobilegossip: rebuilding checkpointed run: %w", err)
 	}
-	if err := sim.eng.RestoreFrom(cr); err != nil {
-		return nil, err
-	}
-	if err := sim.st.RestoreFrom(cr); err != nil {
-		return nil, err
-	}
-
-	cr.Section("protocol")
-	if sim.parts.shared != nil {
-		if seed := cr.U64(); cr.Err() == nil && seed != sim.parts.shared.Seed() {
-			return nil, fmt.Errorf("mobilegossip: checkpoint shared-string key %#x does not match rebuilt key %#x",
-				seed, sim.parts.shared.Seed())
-		}
-	}
-	if sim.parts.eps != nil {
-		if err := sim.parts.eps.RestoreFrom(cr); err != nil {
-			return nil, err
-		}
-	}
-	if sim.parts.ssb != nil {
-		if err := sim.parts.ssb.RestoreFrom(cr); err != nil {
-			return nil, err
-		}
-	}
-	if sim.parts.cb != nil {
-		if err := sim.parts.cb.RestoreFrom(cr); err != nil {
-			return nil, err
-		}
-	}
-
-	cr.Section("topology")
-	tag := cr.Int()
-	rebuiltTag, cp := topoState(sim.dyn)
-	if tag != rebuiltTag {
-		return nil, fmt.Errorf("mobilegossip: checkpoint topology state (kind %d) does not match rebuilt schedule (kind %d)",
-			tag, rebuiltTag)
-	}
-	if cp != nil {
-		if err := cp.RestoreFrom(cr); err != nil {
-			return nil, err
-		}
-	}
-	if err := cr.Err(); err != nil {
+	if err := sim.layout(cr.Fields()); err != nil {
 		return nil, err
 	}
 	// Announced on the bus (after session_start) at the first Step, when
 	// the revived session's subscribers are attached.
 	sim.resumed = true
 	return sim, nil
+}
+
+// layout is the checkpoint's body after the config block — the engine, the
+// run state, the protocol's extras and the topology's state — walked by
+// Checkpoint over a writer and by Resume over a reader into the simulation
+// New rebuilt from that config block.
+func (s *Simulation) layout(c ckpt.Fields) error {
+	if err := s.eng.Layout(c); err != nil {
+		return err
+	}
+	if err := s.st.Layout(c); err != nil {
+		return err
+	}
+
+	c.Section("protocol")
+	if s.parts.shared != nil {
+		seed := s.parts.shared.Seed()
+		if c.U64(&seed); c.Err() == nil && seed != s.parts.shared.Seed() {
+			return fmt.Errorf("mobilegossip: checkpoint shared-string key %#x does not match rebuilt key %#x",
+				seed, s.parts.shared.Seed())
+		}
+	}
+	if s.parts.eps != nil {
+		if err := s.parts.eps.Layout(c); err != nil {
+			return err
+		}
+	}
+	if s.parts.ssb != nil {
+		if err := s.parts.ssb.Layout(c); err != nil {
+			return err
+		}
+	}
+	if s.parts.cb != nil {
+		if err := s.parts.cb.Layout(c); err != nil {
+			return err
+		}
+	}
+
+	c.Section("topology")
+	rebuilt, cp := topoState(s.dyn)
+	tag := rebuilt
+	if c.Int(&tag); tag != rebuilt {
+		return fmt.Errorf("mobilegossip: checkpoint topology state (kind %d) does not match rebuilt schedule (kind %d)",
+			tag, rebuilt)
+	}
+	if cp != nil {
+		if err := cp.Layout(c); err != nil {
+			return err
+		}
+	}
+	return c.Err()
 }
 
 // configLayout is the checkpoint's config block: every data field of

@@ -9,6 +9,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +99,58 @@ func badEstimateCheckpoint(tb testing.TB) []byte {
 func TestResumeRejectsBadEstimate(t *testing.T) {
 	if _, err := mobilegossip.Resume(bytes.NewReader(badEstimateCheckpoint(t))); !errors.Is(err, core.ErrCheckpointSchedule) {
 		t.Errorf("Resume err = %v, want core.ErrCheckpointSchedule", err)
+	}
+}
+
+// oversizedCountCheckpoint is crowdedBinCheckpoint with node 0's tag-map
+// size overwritten by count, far more entries than the stream holds. The
+// crowdedbin section opens with its name and n, then five int lists and one
+// bool list, each a length and that many varints; node 0's tag map follows,
+// opening with its size.
+func oversizedCountCheckpoint(tb testing.TB, count uint64) []byte {
+	data := crowdedBinCheckpoint(tb)
+	const section = "\x0acrowdedbin" // the name with its length prefix
+	at := bytes.Index(data, []byte(section))
+	if at < 0 {
+		tb.Fatalf("no %q section in the checkpoint", section)
+	}
+	at += len(section)
+	_, w := binary.Varint(data[at:]) // n
+	at += w
+	for range 6 { // est, pending, activeInst, startSim, deferMerge, deferPhase
+		size, w := binary.Uvarint(data[at:])
+		at += w
+		for range size {
+			_, w = binary.Uvarint(data[at:])
+			at += w
+		}
+	}
+	_, w = binary.Uvarint(data[at:]) // node 0's tag-map size
+	return slices.Concat(data[:at], binary.AppendUvarint(nil, count), data[at+w:])
+}
+
+// oversizedCountFixture is oversizedCountCheckpoint(tb, 1<<22), committed so
+// the daemon's tests upload the same bytes.
+const oversizedCountFixture = "testdata/ckpt_v3_oversized_count.bin"
+
+// TestResumeRejectsOversizedMapCount: a map size read from the stream only
+// hints the map's allocation, capped at ckpt.GrowCap, so a checkpoint that
+// claims 2²² entries it does not hold fails Resume without committing
+// memory for them (a hint taken as is costs ≈ 320 MB).
+func TestResumeRejectsOversizedMapCount(t *testing.T) {
+	data := oversizedCountCheckpoint(t, 1<<22)
+	if fixture, err := os.ReadFile(oversizedCountFixture); err != nil || !bytes.Equal(fixture, data) {
+		t.Fatalf("%s (%v) is not the forged checkpoint of %d bytes", oversizedCountFixture, err, len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := mobilegossip.Resume(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Resume accepted a tag map of 2^22 entries in a checkpoint that holds a few")
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 32 {
+		t.Errorf("Resume allocated %.0f MB before failing with %v; want at most 32", mb, err)
 	}
 }
 
@@ -217,6 +272,12 @@ func FuzzResume(f *testing.F) {
 	f.Add(negativeEpochCheckpoint(f, "mobility.schedule"))
 	f.Add(crowdedBinCheckpoint(f))
 	f.Add(badEstimateCheckpoint(f))
+	f.Add(oversizedCountCheckpoint(f, 1<<22))
+	for _, row := range digestRows {
+		if row.round > 0 {
+			f.Add(row.checkpoint(f))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if n, ok := resumeFuzzN(data); ok && (n < 0 || n > 4096) {

@@ -25,8 +25,8 @@
 // sequence of StateReader observations at epoch boundaries. Rounds are
 // queried in ascending order by the simulation engine; with that access
 // pattern every execution is byte-deterministic and checkpointable
-// (CheckpointTo/RestoreFrom serialize the full mutable state, including the
-// inner schedule's when it carries any). A strategy is a pure function of
+// (Layout lays out the full mutable state, including the inner schedule's
+// when it carries any). A strategy is a pure function of
 // the Epoch it is handed, so the Stepper runs it only for the epochs a query
 // reads: a rebound schedule's first query, at round R, perturbs R's epoch
 // and the one before it. A backward query rewinds and jumps the same way,
@@ -222,56 +222,46 @@ func (e *Engine) tokenCount(u int) int {
 // Name implements dyngraph.Dynamic.
 func (e *Engine) Name() string { return e.name }
 
-// CheckpointTo serializes the engine's mutable state — epoch index, the
-// current effective edge list — plus the base schedule's state when it
-// carries any (mobility trajectories). Strategies carry none. The four
-// words after the node count are the seed state of a stream strategies were
-// once handed and never drew from: written, and skipped on restore, so that
-// version-3 checkpoints keep their bytes.
-func (e *Engine) CheckpointTo(w *ckpt.Writer) {
-	w.Section("adversary.engine")
-	w.Int(e.N())
-	for _, word := range prand.New(prand.Mix64(e.seed ^ 0x7b14_6e5a_91cd_0fd3)).State() {
-		w.U64(word)
-	}
-	w.Int(e.Epoch())
-	w.U64s(e.Edges())
-	cp, ok := e.base.(dyngraph.Checkpointer)
-	w.Bool(ok)
-	if ok {
-		cp.CheckpointTo(w)
-	}
-}
-
-// RestoreFrom loads a CheckpointTo stream into an engine freshly built with
-// the same base, strategy and Options.
-func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
-	r.Section("adversary.engine")
-	n := r.Int()
-	if err := r.Err(); err != nil {
+// Layout lays out the engine's mutable state — epoch index, the current
+// effective edge list — plus the base schedule's state when it carries any
+// (mobility trajectories). Strategies carry none. The four words after the
+// node count are the seed state of a stream strategies were once handed and
+// never drew from: written, and read and discarded, so that version-3
+// checkpoints keep their bytes. A read installs the state in an engine
+// freshly built with the same base, strategy and Options.
+func (e *Engine) Layout(c ckpt.Fields) error {
+	c.Section("adversary.engine")
+	n := e.N()
+	c.Int(&n)
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if n != e.N() {
 		return fmt.Errorf("adversary: checkpoint for %d nodes, engine has %d", n, e.N())
 	}
-	for range 4 { // the never-drawn stream, see CheckpointTo
-		r.U64()
+	never := prand.New(prand.Mix64(e.seed ^ 0x7b14_6e5a_91cd_0fd3)).State()
+	for i := range never {
+		c.U64(&never[i])
 	}
-	epoch := r.Int()
-	edges := r.U64s()
-	hasBase := r.Bool()
-	if err := r.Err(); err != nil {
+	epoch, edges := e.Epoch(), e.Edges()
+	c.Int(&epoch)
+	c.U64s(&edges)
+	cp, ok := e.base.(dyngraph.Checkpointer)
+	hasBase := ok
+	c.Bool(&hasBase)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	cp, ok := e.base.(dyngraph.Checkpointer)
 	if hasBase != ok {
 		return fmt.Errorf("adversary: checkpoint base state (%v) does not match rebuilt base (%v)", hasBase, ok)
 	}
-	if err := e.Install(epoch, edges); err != nil {
-		return fmt.Errorf("adversary: %w", err)
+	if c.Reading() {
+		if err := e.Install(epoch, edges); err != nil {
+			return fmt.Errorf("adversary: %w", err)
+		}
 	}
 	if hasBase {
-		return cp.RestoreFrom(r)
+		return cp.Layout(c)
 	}
 	return nil
 }

@@ -216,15 +216,15 @@ func TestCheckpointRestore(t *testing.T) {
 
 				var buf bytes.Buffer
 				w := ckpt.NewWriter(&buf)
-				orig.CheckpointTo(w)
+				orig.Layout(w.Fields())
 				if err := w.Flush(); err != nil {
 					t.Fatal(err)
 				}
 
 				restored := New(mk.base(9), strat, opts)
 				restored.Bind(fakeReader{})
-				if err := restored.RestoreFrom(ckpt.NewReader(&buf)); err != nil {
-					t.Fatalf("RestoreFrom: %v", err)
+				if err := restored.Layout(ckpt.NewReader(&buf).Fields()); err != nil {
+					t.Fatalf("Layout read: %v", err)
 				}
 				for r := at; r <= rounds; r++ {
 					if !orig.At(r).EqualCSR(restored.At(r)) {
@@ -243,32 +243,32 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	small.At(3)
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	small.CheckpointTo(w)
+	small.Layout(w.Fields())
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	big := New(staticBase(32, 1), Bipartition(), Options{Tau: 1, Seed: 2})
-	if err := big.RestoreFrom(ckpt.NewReader(&buf)); err == nil {
+	if err := big.Layout(ckpt.NewReader(&buf).Fields()); err == nil {
 		t.Fatal("restore across node counts succeeded")
 	}
 	// Truncated stream: error, not panic.
 	small.At(5)
 	buf.Reset()
 	w = ckpt.NewWriter(&buf)
-	small.CheckpointTo(w)
+	small.Layout(w.Fields())
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/3]
 	fresh := New(staticBase(16, 1), Bipartition(), Options{Tau: 1, Seed: 2})
-	if err := fresh.RestoreFrom(ckpt.NewReader(bytes.NewReader(trunc))); err == nil {
+	if err := fresh.Layout(ckpt.NewReader(bytes.NewReader(trunc)).Fields()); err == nil {
 		t.Fatal("truncated restore succeeded")
 	}
 }
 
 // TestRestoreRejectsCorruptEdgeList pins the restore-time validation: a
 // tampered checkpoint whose edge list carries an out-of-range endpoint or
-// breaks canonical order must fail RestoreFrom by error — not reach
+// breaks canonical order must fail a Layout read by error — not reach
 // Patcher.Load, which panics on such a list — and so must an epoch no
 // engine can be in, which would otherwise resume on the wrong trajectory.
 func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
@@ -303,7 +303,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 	}
 	for name, tc := range cases {
 		e := New(staticBase(8, 1), Bipartition(), Options{Tau: 1, Seed: 2})
-		err := e.RestoreFrom(ckpt.NewReader(bytes.NewReader(write(tc.epoch, tc.edges))))
+		err := e.Layout(ckpt.NewReader(bytes.NewReader(write(tc.epoch, tc.edges))).Fields())
 		if err == nil || !strings.HasPrefix(err.Error(), "adversary: ") {
 			t.Errorf("%s: corrupt checkpoint restored with error %v", name, err)
 		}
@@ -312,7 +312,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 	// does the pre-round-1 state a lazy engine checkpoints.
 	for _, clean := range [][]byte{write(2, good), write(-1, nil)} {
 		e := New(staticBase(8, 1), Bipartition(), Options{Tau: 1, Seed: 2})
-		if err := e.RestoreFrom(ckpt.NewReader(bytes.NewReader(clean))); err != nil {
+		if err := e.Layout(ckpt.NewReader(bytes.NewReader(clean)).Fields()); err != nil {
 			t.Fatalf("clean restore failed: %v", err)
 		}
 		if g := e.At(9); !g.Connected() {
@@ -454,7 +454,7 @@ func reach(t *testing.T, s schedule, r int) reached {
 	g := s.At(r)
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	s.CheckpointTo(w)
+	s.Layout(w.Fields())
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestJumpEqualsWalk(t *testing.T) {
 						t.Fatalf("a backward query to round %d does not land where the walk passed", R)
 					}
 					restored := build()
-					if err := restored.RestoreFrom(ckpt.NewReader(bytes.NewReader(walkedEarly.ckpt))); err != nil {
+					if err := restored.Layout(ckpt.NewReader(bytes.NewReader(walkedEarly.ckpt)).Fields()); err != nil {
 						t.Fatal(err)
 					}
 					if resumed := reach(t, restored, R); !resumed.equal(walked) {
@@ -634,7 +634,7 @@ func TestListPathMatchesGraphPath(t *testing.T) {
 					want := reach(t, listed, rounds)
 					for _, hide := range []bool{false, true} {
 						restored := build(hide)
-						if err := restored.RestoreFrom(ckpt.NewReader(bytes.NewReader(mid))); err != nil {
+						if err := restored.Layout(ckpt.NewReader(bytes.NewReader(mid)).Fields()); err != nil {
 							t.Fatal(err)
 						}
 						if got := reach(t, restored, rounds); !got.equal(want) {

@@ -7,8 +7,9 @@
 // Determinism matters beyond mere correctness: two checkpoints of the same
 // simulation state must be byte-identical (callers serialize map-backed
 // state in sorted key order), which lets tests and CI compare checkpoint
-// files directly. Both ends carry a sticky error, so serialization code
-// reads as straight-line field lists with a single Err() check at the end.
+// files directly. Both ends carry a sticky error, and each checkpoint block
+// is one straight-line field list laid out against Fields, which walks it
+// over either end, with a single Err() check at the end.
 package ckpt
 
 import (
@@ -210,10 +211,11 @@ func (r *Reader) F64() float64 {
 // stream, never the claimed length.
 const maxLen = 1 << 32
 
-// growCap caps the capacity a variable-length read pre-allocates; larger
+// GrowCap caps the capacity a variable-length read pre-allocates; larger
 // slices grow as elements actually arrive from the stream, so a corrupt
-// length prefix hits EOF long before it can commit real memory.
-const growCap = 1 << 16
+// length prefix hits EOF long before it can commit real memory. A caller
+// sizing a container by a count it read caps the hint the same way.
+const GrowCap = 1 << 16
 
 func (r *Reader) length() int {
 	n := r.U64()
@@ -245,9 +247,9 @@ func (r *Reader) Bytes() []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	b := make([]byte, 0, min(n, growCap))
+	b := make([]byte, 0, min(n, GrowCap))
 	for len(b) < n {
-		chunk := min(n-len(b), growCap)
+		chunk := min(n-len(b), GrowCap)
 		b = append(b, make([]byte, chunk)...)
 		if _, err := io.ReadFull(r.r, b[len(b)-chunk:]); err != nil {
 			r.fail(fmt.Errorf("ckpt: reading %d bytes: %w", n, err))
@@ -266,7 +268,7 @@ func (r *Reader) U64s() []uint64 {
 	if r.err != nil {
 		return nil
 	}
-	s := make([]uint64, 0, min(n, growCap))
+	s := make([]uint64, 0, min(n, GrowCap))
 	for i := 0; i < n; i++ {
 		v := r.U64()
 		if r.err != nil {
@@ -294,7 +296,7 @@ func (r *Reader) Ints() []int {
 	if r.err != nil {
 		return nil
 	}
-	s := make([]int, 0, min(n, growCap))
+	s := make([]int, 0, min(n, GrowCap))
 	for i := 0; i < n; i++ {
 		v := int(r.I64())
 		if r.err != nil {
@@ -362,13 +364,28 @@ func (r *Reader) Section(name string) {
 // against Fields is serialized and deserialized by the same statement
 // list, so the two directions cannot disagree and the call order is the
 // block's format.
+//
+// The Into calls lay out a slice whose length the run configuration fixes:
+// a read fills s in place and fails the stream unless the serialized
+// length equals len(s). Reading reports the direction, for the steps only
+// a read runs (applying and validating the state it read); Err is the
+// stream's sticky error.
 type Fields interface {
 	Section(name string)
 	Int(p *int)
+	I64(p *int64)
 	U64(p *uint64)
 	F64(p *float64)
 	Bool(p *bool)
 	Ints(p *[]int)
+	U64s(p *[]uint64)
+	IntsInto(s []int)
+	U64sInto(s []uint64)
+	F64sInto(s []float64)
+	Int32sInto(s []int32)
+	BoolsInto(s []bool)
+	Reading() bool
+	Err() error
 }
 
 // Fields returns the writing walker over w.
@@ -379,18 +396,36 @@ func (r *Reader) Fields() Fields { return readFields{r} }
 
 type writeFields struct{ w *Writer }
 
-func (f writeFields) Section(name string) { f.w.Section(name) }
-func (f writeFields) Int(p *int)          { f.w.Int(*p) }
-func (f writeFields) U64(p *uint64)       { f.w.U64(*p) }
-func (f writeFields) F64(p *float64)      { f.w.F64(*p) }
-func (f writeFields) Bool(p *bool)        { f.w.Bool(*p) }
-func (f writeFields) Ints(p *[]int)       { f.w.Ints(*p) }
+func (f writeFields) Section(name string)  { f.w.Section(name) }
+func (f writeFields) Int(p *int)           { f.w.Int(*p) }
+func (f writeFields) I64(p *int64)         { f.w.I64(*p) }
+func (f writeFields) U64(p *uint64)        { f.w.U64(*p) }
+func (f writeFields) F64(p *float64)       { f.w.F64(*p) }
+func (f writeFields) Bool(p *bool)         { f.w.Bool(*p) }
+func (f writeFields) Ints(p *[]int)        { f.w.Ints(*p) }
+func (f writeFields) U64s(p *[]uint64)     { f.w.U64s(*p) }
+func (f writeFields) IntsInto(s []int)     { f.w.Ints(s) }
+func (f writeFields) U64sInto(s []uint64)  { f.w.U64s(s) }
+func (f writeFields) F64sInto(s []float64) { f.w.F64s(s) }
+func (f writeFields) Int32sInto(s []int32) { f.w.Int32s(s) }
+func (f writeFields) BoolsInto(s []bool)   { f.w.Bools(s) }
+func (f writeFields) Reading() bool        { return false }
+func (f writeFields) Err() error           { return f.w.err }
 
 type readFields struct{ r *Reader }
 
-func (f readFields) Section(name string) { f.r.Section(name) }
-func (f readFields) Int(p *int)          { *p = f.r.Int() }
-func (f readFields) U64(p *uint64)       { *p = f.r.U64() }
-func (f readFields) F64(p *float64)      { *p = f.r.F64() }
-func (f readFields) Bool(p *bool)        { *p = f.r.Bool() }
-func (f readFields) Ints(p *[]int)       { *p = f.r.Ints() }
+func (f readFields) Section(name string)  { f.r.Section(name) }
+func (f readFields) Int(p *int)           { *p = f.r.Int() }
+func (f readFields) I64(p *int64)         { *p = f.r.I64() }
+func (f readFields) U64(p *uint64)        { *p = f.r.U64() }
+func (f readFields) F64(p *float64)       { *p = f.r.F64() }
+func (f readFields) Bool(p *bool)         { *p = f.r.Bool() }
+func (f readFields) Ints(p *[]int)        { *p = f.r.Ints() }
+func (f readFields) U64s(p *[]uint64)     { *p = f.r.U64s() }
+func (f readFields) IntsInto(s []int)     { f.r.IntsInto(s) }
+func (f readFields) U64sInto(s []uint64)  { f.r.U64sInto(s) }
+func (f readFields) F64sInto(s []float64) { f.r.F64sInto(s) }
+func (f readFields) Int32sInto(s []int32) { f.r.Int32sInto(s) }
+func (f readFields) BoolsInto(s []bool)   { f.r.BoolsInto(s) }
+func (f readFields) Reading() bool        { return true }
+func (f readFields) Err() error           { return f.r.err }

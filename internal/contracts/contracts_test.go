@@ -1,6 +1,6 @@
 // Package contracts holds TestRepoContracts, which type-checks the
 // module's product code with the standard library alone and asserts the
-// five rules of DESIGN.md's "Contracts the repo checks". Every allowlist
+// six rules of DESIGN.md's "Contracts the repo checks". Every allowlist
 // entry gives its reason, and an entry no longer needed fails the test.
 package contracts
 
@@ -155,6 +155,33 @@ func TestRepoContracts(t *testing.T) {
 	t.Run("NoMapOrderNoStrayClockOrGoroutine", func(t *testing.T) { checkSim(t, r) })
 	t.Run("APIListings", func(t *testing.T) { checkAPI(t, r) })
 	t.Run("EveryKnobExercised", func(t *testing.T) { checkKnobs(t, r) })
+	t.Run("EveryBlockLaidOutOnce", func(t *testing.T) { checkLayouts(t, r) })
+}
+
+// checkLayouts fails on any function, method or func-typed declaration
+// outside internal/ckpt that takes a *ckpt.Writer or *ckpt.Reader: a
+// checkpoint block is laid out once, against ckpt.Fields, so its writer
+// and reader cannot disagree.
+func checkLayouts(t *testing.T, r *repo) {
+	ends := []string{"*" + module + "/internal/ckpt.Writer", "*" + module + "/internal/ckpt.Reader"}
+	for _, p := range r.sorted() {
+		if p.path == module+"/internal/ckpt" {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ft, ok := n.(*ast.FuncType); ok {
+					for _, field := range ft.Params.List {
+						if typ := types.TypeString(p.info.TypeOf(field.Type), nil); slices.Contains(ends, typ) {
+							t.Errorf("%s: a parameter of type %s: lay the block out against ckpt.Fields instead",
+								r.fset.Position(field.Pos()), typ)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // checkCallers walks the reference graph from the product roots; a

@@ -146,39 +146,37 @@ func (st *State) AllDone() bool {
 	return st.done
 }
 
-// CheckpointTo serializes the mutable run state: every node's token set
-// (delta-encoded, O(tokens learned)) and the completion cache.
-func (st *State) CheckpointTo(w *ckpt.Writer) {
-	w.Section("core.state")
-	w.Int(st.n)
-	w.Int(st.universe)
-	w.Bool(st.done)
-	for _, s := range st.sets {
-		s.CheckpointTo(w)
-	}
-}
-
-// RestoreFrom loads a CheckpointTo stream into a State freshly built from
-// the same configuration. Sets only grow, so adding the checkpointed
-// membership over the initial assignment reproduces the snapshot exactly.
-func (st *State) RestoreFrom(r *ckpt.Reader) error {
-	r.Section("core.state")
-	n, universe := r.Int(), r.Int()
-	done := r.Bool()
-	if err := r.Err(); err != nil {
+// Layout lays out the mutable run state: every node's token set
+// (delta-encoded, O(tokens learned)) and the completion cache. A read loads
+// it into a State freshly built from the same configuration: sets only
+// grow, so adding the checkpointed membership over the initial assignment
+// reproduces the snapshot exactly.
+func (st *State) Layout(c ckpt.Fields) error {
+	c.Section("core.state")
+	n, universe, done := st.n, st.universe, st.done
+	c.Int(&n)
+	c.Int(&universe)
+	c.Bool(&done)
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if n != st.n || universe != st.universe {
 		return fmt.Errorf("core: checkpoint for n=%d universe=%d, state has n=%d universe=%d",
 			n, universe, st.n, st.universe)
 	}
-	assigned := tokenset.NewSet(st.universe)
-	for _, t := range st.tokens {
-		assigned.Add(t)
+	var assigned *tokenset.Set
+	if c.Reading() {
+		assigned = tokenset.NewSet(st.universe)
+		for _, t := range st.tokens {
+			assigned.Add(t)
+		}
 	}
 	for u, s := range st.sets {
-		if err := s.RestoreFrom(r); err != nil {
+		if err := s.Layout(c); err != nil {
 			return err
+		}
+		if assigned == nil {
+			continue
 		}
 		// An id outside the assignment can be held only by a corrupted
 		// stream; everything keyed on the assigned ids relies on that.
@@ -193,5 +191,5 @@ func (st *State) RestoreFrom(r *ckpt.Reader) error {
 		}
 	}
 	st.done = done
-	return r.Err()
+	return c.Err()
 }

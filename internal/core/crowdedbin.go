@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -65,7 +66,7 @@ type CrowdedBin struct {
 	deferPhase []bool
 
 	// Counters behind Quiet, derived from the arrays above: kept at every
-	// write, recounted by RestoreFrom, never serialized. activeCnt[i]
+	// write, recounted by a Layout read, never serialized. activeCnt[i]
 	// counts the nodes with activeInst == i (index 0: the idle ones);
 	// deferCnt the pending deferMerge and deferPhase events.
 	activeCnt []int
@@ -420,101 +421,104 @@ func (p *CrowdedBin) Exchange(r int, c *mtm.Conn) {
 // Done implements mtm.Protocol.
 func (p *CrowdedBin) Done() bool { return p.st.AllDone() }
 
-// CheckpointTo serializes every node's mutable schedule state as a function
-// of that state: maps in sorted key order, stash lists in the order heard (a
+// Layout lays out every node's mutable schedule state as a function of
+// that state: maps in sorted key order, stash lists in the order heard (a
 // block's spelled tags in ascending neighbor id). The spelled-bit
 // accumulators (hear) are live across round boundaries — a block's spelling
 // rounds are logN engine rounds apart under the round-robin simulation —
-// and are serialized too. The per-round scratch (curBit, curKey, pushToken,
+// and are laid out too. The per-round scratch (curBit, curKey, pushToken,
 // the round cache, …) is dead at a round boundary; the next Tag redoes it.
-func (p *CrowdedBin) CheckpointTo(w *ckpt.Writer) {
-	w.Section("crowdedbin")
+// A read replaces the initialization draws of a protocol freshly built from
+// the same configuration, resets the step guards and recounts.
+func (p *CrowdedBin) Layout(c ckpt.Fields) error {
+	c.Section("crowdedbin")
 	n := p.st.n
-	w.Int(n)
-	w.Ints(p.est)
-	w.Ints(p.pending)
-	w.Ints(p.activeInst)
-	w.Ints(p.startSim)
-	w.Ints(p.deferMerge)
-	w.Bools(p.deferPhase)
-	for u := 0; u < n; u++ {
-		writeTagMap(w, p.tags[u])
-		writeTagMap(w, p.stash[u])
-
-		w.U64(uint64(len(p.hear[u])))
-		for _, e := range p.hear[u] {
-			w.Int(int(e.id))
-			w.U64(e.acc)
-		}
-
-		tokKeys := make([]uint64, 0, len(p.tokenOf[u]))
-		for k := range p.tokenOf[u] {
-			tokKeys = append(tokKeys, k)
-		}
-		sort.Slice(tokKeys, func(i, j int) bool { return tokKeys[i] < tokKeys[j] })
-		w.U64(uint64(len(tokKeys)))
-		for _, k := range tokKeys {
-			w.U64(k)
-			w.Int(p.tokenOf[u][k])
-		}
-	}
-}
-
-// RestoreFrom loads a CheckpointTo stream into a protocol freshly built
-// from the same configuration, replacing the initialization draws with the
-// checkpointed state.
-func (p *CrowdedBin) RestoreFrom(r *ckpt.Reader) error {
-	r.Section("crowdedbin")
-	n := r.Int()
-	if err := r.Err(); err != nil {
+	c.Int(&n)
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if n != p.st.n {
 		return fmt.Errorf("core: CrowdedBin checkpoint for %d nodes, protocol has %d", n, p.st.n)
 	}
-	for _, dst := range [][]int{p.est, p.pending, p.activeInst, p.startSim, p.deferMerge} {
-		r.IntsInto(dst)
+	for _, s := range [][]int{p.est, p.pending, p.activeInst, p.startSim, p.deferMerge} {
+		c.IntsInto(s)
 	}
-	r.BoolsInto(p.deferPhase)
-	if err := r.Err(); err != nil {
+	c.BoolsInto(p.deferPhase)
+	if err := c.Err(); err != nil {
 		return err
 	}
+	tagEntry := func(key *int, tags *[]uint64) {
+		c.Int(key)
+		c.U64s(tags)
+	}
+	tokenEntry := func(tag *uint64, token *int) {
+		c.U64(tag)
+		c.Int(token)
+	}
+	var id int
 	for u := 0; u < n; u++ {
-		p.tags[u] = readTagMap(r)
-		p.stash[u] = readTagMap(r)
+		sortedMap(c, &p.tags[u], tagEntry)
+		sortedMap(c, &p.stash[u], tagEntry)
 
-		hearLen := r.U64()
+		hearLen := uint64(len(p.hear[u]))
+		c.U64(&hearLen)
 		if hearLen > uint64(n) {
 			return fmt.Errorf("%w: node %d hears %d neighbors of %d nodes", ErrCheckpointHear, u, hearLen, n)
 		}
-		hear := make([]heard, 0, hearLen)
-		for prev := -1; len(hear) < int(hearLen) && r.Err() == nil; {
-			id, acc := r.Int(), r.U64()
-			if r.Err() == nil && (id <= prev || id >= n) {
+		if c.Reading() {
+			p.hear[u] = make([]heard, hearLen)
+		}
+		for i, prev := 0, -1; i < len(p.hear[u]) && c.Err() == nil; i++ {
+			e := &p.hear[u][i]
+			id = int(e.id)
+			c.Int(&id)
+			c.U64(&e.acc)
+			if c.Err() == nil && (id <= prev || id >= n) {
 				return fmt.Errorf("%w: node %d hears id %d after id %d", ErrCheckpointHear, u, id, prev)
 			}
-			prev = id
-			hear = append(hear, heard{int32(id), acc})
+			e.id, prev = int32(id), id
 		}
-		p.hear[u] = hear
 
-		tokLen := int(r.U64())
-		tokenOf := make(map[uint64]int, tokLen)
-		for i := 0; i < tokLen && r.Err() == nil; i++ {
-			k := r.U64()
-			tokenOf[k] = r.Int()
-		}
-		p.tokenOf[u] = tokenOf
-
-		// The per-round step guard restarts cleanly: any value below the
-		// resumed round works, and rounds are 1-based.
-		p.stepRound[u] = 0
+		sortedMap(c, &p.tokenOf[u], tokenEntry)
 	}
-	p.round = 0
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil || !c.Reading() {
 		return err
 	}
+	// The per-round step guard restarts cleanly: any value below the
+	// resumed round works, and rounds are 1-based.
+	clear(p.stepRound)
+	p.round = 0
 	return p.recount()
+}
+
+// sortedMap lays out *m as its size and then one entry per key, in
+// ascending key order. A read replaces *m; the size it reads only hints the
+// map's allocation, capped at ckpt.GrowCap, so a corrupt size costs no more
+// than the entries the stream really holds.
+func sortedMap[K cmp.Ordered, V any](c ckpt.Fields, m *map[K]V, entry func(*K, *V)) {
+	size := uint64(len(*m))
+	c.U64(&size)
+	if c.Reading() {
+		*m = make(map[K]V, min(size, ckpt.GrowCap))
+		for range size {
+			var k K
+			var v V
+			if entry(&k, &v); c.Err() != nil {
+				return
+			}
+			(*m)[k] = v
+		}
+		return
+	}
+	keys := make([]K, 0, len(*m))
+	for k := range *m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		v := (*m)[k]
+		entry(&k, &v)
+	}
 }
 
 // recount range-checks the restored schedule arrays, which index the
@@ -537,34 +541,6 @@ func (p *CrowdedBin) recount() error {
 		}
 	}
 	return nil
-}
-
-// writeTagMap serializes a per-node (instance,bin)→tags map sorted by key.
-func writeTagMap(w *ckpt.Writer, m map[int][]uint64) {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		w.Int(k)
-		w.U64s(m[k])
-	}
-}
-
-// readTagMap deserializes a writeTagMap stream.
-func readTagMap(r *ckpt.Reader) map[int][]uint64 {
-	n := int(r.U64())
-	m := make(map[int][]uint64, n)
-	for i := 0; i < n; i++ {
-		k := r.Int()
-		m[k] = r.U64s()
-		if r.Err() != nil {
-			return m
-		}
-	}
-	return m
 }
 
 // upgradeTo raises node u's estimate toward target (capped at logN),

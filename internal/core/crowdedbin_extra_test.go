@@ -148,8 +148,8 @@ func TestCrowdedBinRestoreRejectsBadHear(t *testing.T) {
 			w.Ints(make([]int, n))
 		}
 		w.Bools(make([]bool, n))
-		writeTagMap(w, nil) // node 0's tags
-		writeTagMap(w, nil) // and stash
+		w.U64(0) // node 0's tags: an empty map
+		w.U64(0) // and stash
 		w.U64(uint64(hear[0]))
 		for i := 1; i < len(hear); i += 2 {
 			w.Int(int(hear[i]))
@@ -162,8 +162,8 @@ func TestCrowdedBinRestoreRejectsBadHear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cb.RestoreFrom(ckpt.NewReader(&buf)); !errors.Is(err, ErrCheckpointHear) {
-			t.Errorf("%s: RestoreFrom err = %v, want ErrCheckpointHear", name, err)
+		if err := cb.Layout(ckpt.NewReader(&buf).Fields()); !errors.Is(err, ErrCheckpointHear) {
+			t.Errorf("%s: Layout read err = %v, want ErrCheckpointHear", name, err)
 		}
 	}
 }
@@ -257,8 +257,8 @@ func engineCheckpoint(t *testing.T, eng *mtm.Engine, cb *CrowdedBin) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	eng.CheckpointTo(w)
-	cb.CheckpointTo(w)
+	eng.Layout(w.Fields())
+	cb.Layout(w.Fields())
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +312,12 @@ func TestCrowdedBinRestoreRejectsBadSchedule(t *testing.T) {
 		tc.arr(src)[n-1] = tc.v
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
-		src.CheckpointTo(w)
+		src.Layout(w.Fields())
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := mk().RestoreFrom(ckpt.NewReader(&buf)); !errors.Is(err, ErrCheckpointSchedule) {
-			t.Errorf("%s: RestoreFrom err = %v, want ErrCheckpointSchedule", tc.name, err)
+		if err := mk().Layout(ckpt.NewReader(&buf).Fields()); !errors.Is(err, ErrCheckpointSchedule) {
+			t.Errorf("%s: Layout read err = %v, want ErrCheckpointSchedule", tc.name, err)
 		}
 	}
 }

@@ -58,20 +58,13 @@ func NewEpsilonOver(inner SetProtocol, eps float64, checkEvery int) *EpsilonGoss
 // State exposes the run state for instrumentation.
 func (p *EpsilonGossip) State() *State { return p.inner.State() }
 
-// CheckpointTo serializes the wrapper's mutable state (the solved latch
-// and the Done-call counter that phases the throttled detector).
-func (p *EpsilonGossip) CheckpointTo(w *ckpt.Writer) {
-	w.Section("epsilon")
-	w.Bool(p.solved)
-	w.Int(p.rounds)
-}
-
-// RestoreFrom loads a CheckpointTo stream.
-func (p *EpsilonGossip) RestoreFrom(r *ckpt.Reader) error {
-	r.Section("epsilon")
-	p.solved = r.Bool()
-	p.rounds = r.Int()
-	return r.Err()
+// Layout lays out the wrapper's mutable state: the solved latch and the
+// Done-call counter that phases the throttled detector.
+func (p *EpsilonGossip) Layout(c ckpt.Fields) error {
+	c.Section("epsilon")
+	c.Bool(&p.solved)
+	c.Int(&p.rounds)
+	return c.Err()
 }
 
 // TagBits implements mtm.Protocol.

@@ -18,7 +18,7 @@ import (
 //
 // Only the run's assigned token ids get a bit: token sets are fed solely by
 // NewState, Transfer (which moves a token one endpoint already holds) and
-// RestoreFrom (which rejects any other id), so no other id is ever held,
+// a checkpoint read (which rejects any other id), so no other id is ever held,
 // and a plane spans just the words those ids occupy.
 //
 // A plane is derived state, a pure function of (shared string, group): it is

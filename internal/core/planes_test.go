@@ -72,11 +72,11 @@ func checkpointInto(t *testing.T, src, dst *State) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	src.CheckpointTo(w)
+	src.Layout(w.Fields())
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.RestoreFrom(ckpt.NewReader(&buf)); err != nil {
+	if err := dst.Layout(ckpt.NewReader(&buf).Fields()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -180,11 +180,11 @@ func TestRestoreRejectsUnassignedToken(t *testing.T) {
 		other := Assignment{Universe: universe, Tokens: []int{3, stray}, Owners: []int{0, 1}}
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
-		mustState(t, 4, other).CheckpointTo(w)
+		mustState(t, 4, other).Layout(w.Fields())
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		err := mustState(t, 4, placed).RestoreFrom(ckpt.NewReader(&buf))
+		err := mustState(t, 4, placed).Layout(ckpt.NewReader(&buf).Fields())
 		if err == nil || !strings.Contains(err.Error(), wantErr) {
 			t.Errorf("checkpoint holding token %d restored into a run that never placed it: err = %v, want %q",
 				stray, err, wantErr)

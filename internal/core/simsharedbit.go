@@ -69,28 +69,21 @@ func SampleSeeds(space *prand.SeedSpace, n int, rng *prand.RNG) []uint64 {
 // State exposes the run state for instrumentation.
 func (p *SimSharedBit) State() *State { return p.st }
 
-// CheckpointTo serializes the protocol's mutable state. The seed space and
-// each node's private seed are reconstructed from the run configuration;
-// only the election's progress mutates during a run. The cache of strings
-// and planes is rebuilt lazily on demand.
-func (p *SimSharedBit) CheckpointTo(w *ckpt.Writer) {
-	w.Section("simsharedbit")
-	w.U64(p.space.Size())
-	p.lead.CheckpointTo(w)
-}
-
-// RestoreFrom loads a CheckpointTo stream into a protocol freshly built
-// from the same configuration.
-func (p *SimSharedBit) RestoreFrom(r *ckpt.Reader) error {
-	r.Section("simsharedbit")
-	size := r.U64()
-	if err := r.Err(); err != nil {
+// Layout lays out the protocol's mutable state. The seed space and each
+// node's private seed are reconstructed from the run configuration; only
+// the election's progress mutates during a run. The cache of strings and
+// planes is rebuilt lazily on demand.
+func (p *SimSharedBit) Layout(c ckpt.Fields) error {
+	c.Section("simsharedbit")
+	size := p.space.Size()
+	c.U64(&size)
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if size != p.space.Size() {
 		return fmt.Errorf("core: checkpoint seed space |R′|=%d, protocol has %d", size, p.space.Size())
 	}
-	return p.lead.RestoreFrom(r)
+	return p.lead.Layout(c)
 }
 
 // planesFor returns the R′ member node u currently believes is shared with

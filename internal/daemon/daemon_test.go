@@ -1159,3 +1159,23 @@ func (l smallBufferListener) Accept() (net.Conn, error) {
 	}
 	return conn, err
 }
+
+// TestDaemonResumeRefusesOversizedMapCount: an uploaded checkpoint whose
+// CrowdedBin tag map claims 2²² entries it does not hold (the fixture the
+// root package's TestResumeRejectsOversizedMapCount forges) is refused as a
+// bad request, and the daemon goes on answering.
+func TestDaemonResumeRefusesOversizedMapCount(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/ckpt_v3_oversized_count.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := newTestDaemon(t, Config{})
+	ctx := context.Background()
+	_, err = c.Resume(ctx, bytes.NewReader(data), false)
+	if apiErr := new(client.APIError); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("Resume of the oversized-count upload: err = %v, want a 400", err)
+	}
+	if _, err := c.Version(ctx); err != nil {
+		t.Fatalf("/v1/version after the refused upload: %v", err)
+	}
+}

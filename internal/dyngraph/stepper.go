@@ -25,11 +25,11 @@ func firstRound(e, tau int) int {
 }
 
 // Checkpointer is the stateful-schedule contract: a schedule that carries
-// mutable state beyond (Config, round) serializes it through this pair.
-// Pure-function schedules (Static, Regen, Sequence) serialize nothing.
+// mutable state beyond (Config, round) lays it out against ckpt.Fields, one
+// walk for the checkpoint's write and its read. Pure-function schedules
+// (Static, Regen, Sequence) lay out nothing.
 type Checkpointer interface {
-	CheckpointTo(w *ckpt.Writer)
-	RestoreFrom(r *ckpt.Reader) error
+	Layout(c ckpt.Fields) error
 }
 
 // Stager is a schedule whose next epoch can be produced ahead of its first

@@ -75,22 +75,14 @@ func (p *Protocol) Converged() bool {
 	return true
 }
 
-// CheckpointTo serializes the election's mutable state (the candidate and
-// payload each node currently holds; ids and bit widths are construction
+// Layout lays out the election's mutable state: the candidate and payload
+// each node currently holds (ids and bit widths are construction
 // constants).
-func (p *Protocol) CheckpointTo(w *ckpt.Writer) {
-	w.Section("leader")
-	w.Ints(p.cand)
-	w.U64s(p.payload)
-}
-
-// RestoreFrom loads a CheckpointTo stream into a Protocol freshly built
-// with the same ids and payloads.
-func (p *Protocol) RestoreFrom(r *ckpt.Reader) error {
-	r.Section("leader")
-	r.IntsInto(p.cand)
-	r.U64sInto(p.payload)
-	return r.Err()
+func (p *Protocol) Layout(c ckpt.Fields) error {
+	c.Section("leader")
+	c.IntsInto(p.cand)
+	c.U64sInto(p.payload)
+	return c.Err()
 }
 
 // TagBits implements mtm.Protocol (b = 1).

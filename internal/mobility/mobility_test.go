@@ -263,7 +263,7 @@ func TestDefaultRadius(t *testing.T) {
 
 // TestRestoreRejectsCorruptEdgeList: the CSR is loaded straight from the
 // checkpointed edge list, and Load panics on a list that is not canonical —
-// so a tampered list must fail RestoreFrom by error first. So must an epoch
+// so a tampered list must fail a Layout read by error first. So must an epoch
 // no written schedule can be in: New is eager, so anything below 0 would
 // otherwise resume silently on the wrong trajectory.
 func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
@@ -276,7 +276,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 		tamper(src.Edges())
 		var buf, head bytes.Buffer
 		w := ckpt.NewWriter(&buf)
-		src.CheckpointTo(w)
+		src.Layout(w.Fields())
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -310,13 +310,13 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 		"negative epoch":        {intact, -3},
 		"no epoch":              {intact, -1},
 	} {
-		err := New(Waypoint(0.02, 2), opts).RestoreFrom(snapshot(tc.tamper, tc.epoch))
+		err := New(Waypoint(0.02, 2), opts).Layout(snapshot(tc.tamper, tc.epoch).Fields())
 		if err == nil || !strings.HasPrefix(err.Error(), "mobility: ") {
 			t.Errorf("%s: corrupt checkpoint restored with error %v", name, err)
 		}
 	}
 	fresh, want := New(Waypoint(0.02, 2), opts), New(Waypoint(0.02, 2), opts)
-	if err := fresh.RestoreFrom(snapshot(intact, 4)); err != nil {
+	if err := fresh.Layout(snapshot(intact, 4).Fields()); err != nil {
 		t.Fatalf("clean restore failed: %v", err)
 	}
 	if !fresh.At(9).EqualCSR(want.At(9)) {
@@ -326,7 +326,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 
 // TestRestoreRejectsPositionOutsideSquare: the scan buckets a node by its
 // position, so a checkpoint that puts one outside the unit square, or at NaN,
-// must fail RestoreFrom instead of resuming on another trajectory. The far
+// must fail a Layout read instead of resuming on another trajectory. The far
 // border, 1, is a position the scan clamps into the last cell.
 func TestRestoreRejectsPositionOutsideSquare(t *testing.T) {
 	opts := Options{N: 60, Tau: 1, Seed: 4}
@@ -337,12 +337,12 @@ func TestRestoreRejectsPositionOutsideSquare(t *testing.T) {
 		c.x[7], c.y[11] = x, y
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
-		src.CheckpointTo(w)
+		src.Layout(w.Fields())
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		s := New(Waypoint(0.02, 2), opts)
-		err := s.RestoreFrom(ckpt.NewReader(&buf))
+		err := s.Layout(ckpt.NewReader(&buf).Fields())
 		if err == nil {
 			s.At(6)
 		}
@@ -392,7 +392,7 @@ func checkpointOf(t *testing.T, s *Schedule) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	s.CheckpointTo(w)
+	s.Layout(w.Fields())
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 // methods are called in a fixed order, so a (model, seed) pair replays to
 // identical trajectories — the determinism the sweep runner depends on.
 //
-// CheckpointTo and RestoreFrom serialize the model's mutable per-node
-// state (destinations, velocities, leg counters, …) so a Schedule can be
-// resumed mid-trajectory without replaying every epoch from the seed; both
-// are called only after Init has sized the state arrays.
+// Layout lays out the model's mutable per-node state (destinations,
+// velocities, leg counters, …) so a Schedule can be resumed mid-trajectory
+// without replaying every epoch from the seed; it is called only after Init
+// has sized the state arrays, which a read fills in place.
 //
 // Mirror copies the state Step moves into dst — nil, or a model an earlier
 // Mirror of this one returned — and returns it; the per-node arrays Init
@@ -28,8 +28,7 @@ type Model interface {
 	Init(n int, rng *prand.RNG, x, y []float64)
 	Step(epoch int, rng *prand.RNG, x, y []float64)
 	Mirror(dst Model) Model
-	CheckpointTo(w *ckpt.Writer)
-	RestoreFrom(r *ckpt.Reader) error
+	Layout(c ckpt.Fields) error
 }
 
 // ---------------------------------------------------------------------------
@@ -72,23 +71,14 @@ func (w *waypoint) Init(n int, rng *prand.RNG, x, y []float64) {
 	}
 }
 
-// CheckpointTo implements Model.
-func (w *waypoint) CheckpointTo(ck *ckpt.Writer) {
-	ck.Section("model.waypoint")
-	ck.F64s(w.tx)
-	ck.F64s(w.ty)
-	ck.F64s(w.vel)
-	ck.Ints(w.wait)
-}
-
-// RestoreFrom implements Model.
-func (w *waypoint) RestoreFrom(ck *ckpt.Reader) error {
-	ck.Section("model.waypoint")
-	ck.F64sInto(w.tx)
-	ck.F64sInto(w.ty)
-	ck.F64sInto(w.vel)
-	ck.IntsInto(w.wait)
-	return ck.Err()
+// Layout implements Model.
+func (w *waypoint) Layout(c ckpt.Fields) error {
+	c.Section("model.waypoint")
+	c.F64sInto(w.tx)
+	c.F64sInto(w.ty)
+	c.F64sInto(w.vel)
+	c.IntsInto(w.wait)
+	return c.Err()
 }
 
 // Mirror implements Model: vel is fixed at Init.
@@ -161,21 +151,13 @@ func (l *levy) Init(n int, rng *prand.RNG, x, y []float64) {
 	}
 }
 
-// CheckpointTo implements Model.
-func (l *levy) CheckpointTo(ck *ckpt.Writer) {
-	ck.Section("model.levy")
-	ck.F64s(l.dx)
-	ck.F64s(l.dy)
-	ck.Ints(l.left)
-}
-
-// RestoreFrom implements Model.
-func (l *levy) RestoreFrom(ck *ckpt.Reader) error {
-	ck.Section("model.levy")
-	ck.F64sInto(l.dx)
-	ck.F64sInto(l.dy)
-	ck.IntsInto(l.left)
-	return ck.Err()
+// Layout implements Model.
+func (l *levy) Layout(c ckpt.Fields) error {
+	c.Section("model.levy")
+	c.F64sInto(l.dx)
+	c.F64sInto(l.dy)
+	c.IntsInto(l.left)
+	return c.Err()
 }
 
 // Mirror implements Model.
@@ -307,26 +289,14 @@ func (g *group) Init(n int, rng *prand.RNG, x, y []float64) {
 	}
 }
 
-// CheckpointTo implements Model.
-func (g *group) CheckpointTo(ck *ckpt.Writer) {
-	ck.Section("model.group")
-	ck.F64s(g.cx)
-	ck.F64s(g.cy)
-	ck.F64s(g.ctx)
-	ck.F64s(g.cty)
-	ck.F64s(g.ox)
-	ck.F64s(g.oy)
-	ck.Int32s(g.member)
-}
-
-// RestoreFrom implements Model.
-func (g *group) RestoreFrom(ck *ckpt.Reader) error {
-	ck.Section("model.group")
-	for _, dst := range [][]float64{g.cx, g.cy, g.ctx, g.cty, g.ox, g.oy} {
-		ck.F64sInto(dst)
+// Layout implements Model.
+func (g *group) Layout(c ckpt.Fields) error {
+	c.Section("model.group")
+	for _, s := range [][]float64{g.cx, g.cy, g.ctx, g.cty, g.ox, g.oy} {
+		c.F64sInto(s)
 	}
-	ck.Int32sInto(g.member)
-	return ck.Err()
+	c.Int32sInto(g.member)
+	return c.Err()
 }
 
 // Mirror implements Model: the members' anchor offsets and groups are
@@ -438,25 +408,15 @@ func (c *commuter) Init(n int, rng *prand.RNG, x, y []float64) {
 	}
 }
 
-// CheckpointTo implements Model. The commuter's per-node state is fixed at
-// Init, but serializing it keeps every model uniform and robust against
-// future mutation.
-func (c *commuter) CheckpointTo(ck *ckpt.Writer) {
-	ck.Section("model.commuter")
-	ck.F64s(c.hx)
-	ck.F64s(c.hy)
-	ck.F64s(c.wx)
-	ck.F64s(c.wy)
-	ck.F64s(c.vel)
-}
-
-// RestoreFrom implements Model.
-func (c *commuter) RestoreFrom(ck *ckpt.Reader) error {
-	ck.Section("model.commuter")
-	for _, dst := range [][]float64{c.hx, c.hy, c.wx, c.wy, c.vel} {
-		ck.F64sInto(dst)
+// Layout implements Model. The commuter's per-node state is fixed at Init,
+// but laying it out keeps every model uniform and robust against future
+// mutation.
+func (c *commuter) Layout(f ckpt.Fields) error {
+	f.Section("model.commuter")
+	for _, s := range [][]float64{c.hx, c.hy, c.wx, c.wy, c.vel} {
+		f.F64sInto(s)
 	}
-	return ck.Err()
+	return f.Err()
 }
 
 // Mirror implements Model: homes, workplaces and speeds are fixed at Init,

@@ -106,64 +106,55 @@ func (s *Schedule) copy(dst, src int) {
 	d.model = c.model.Mirror(d.model)
 }
 
-// CheckpointTo serializes the schedule's mutable trajectory state — its
-// committed slot: the shared RNG stream, the epoch index, every node's
-// position, the model's per-node state, and the current epoch's sorted edge
-// list. A resumed schedule therefore continues its trajectory directly
-// instead of replaying every motion epoch from the seed. A staged epoch is
-// not written.
-func (s *Schedule) CheckpointTo(w *ckpt.Writer) {
-	c := &s.crowd[s.Slot()]
-	w.Section("mobility.schedule")
-	w.Int(s.N())
-	st := c.rng.State()
-	w.U64(st[0])
-	w.U64(st[1])
-	w.U64(st[2])
-	w.U64(st[3])
-	w.Int(s.Epoch())
-	w.F64s(c.x)
-	w.F64s(c.y)
-	c.model.CheckpointTo(w)
-	w.U64s(s.Edges())
-}
-
-// RestoreFrom loads a CheckpointTo stream into a schedule freshly built
-// with the same Options, overwriting the round-1 state New materialized.
-func (s *Schedule) RestoreFrom(r *ckpt.Reader) error {
-	c := &s.crowd[s.Slot()]
-	r.Section("mobility.schedule")
-	n := r.Int()
-	if err := r.Err(); err != nil {
+// Layout lays out the schedule's mutable trajectory state — its committed
+// slot: the shared RNG stream, the epoch index, every node's position, the
+// model's per-node state, and the current epoch's sorted edge list. A
+// resumed schedule therefore continues its trajectory directly instead of
+// replaying every motion epoch from the seed. A staged epoch is not laid
+// out. A read overwrites the round-1 state New materialized in a schedule
+// freshly built with the same Options.
+func (s *Schedule) Layout(c ckpt.Fields) error {
+	cr := &s.crowd[s.Slot()]
+	c.Section("mobility.schedule")
+	n := s.N()
+	c.Int(&n)
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if n != s.N() {
 		return fmt.Errorf("mobility: checkpoint for %d nodes, schedule has %d", n, s.N())
 	}
-	rng := [4]uint64{r.U64(), r.U64(), r.U64(), r.U64()}
-	epoch := r.Int()
+	rng := cr.rng.State()
+	for i := range rng {
+		c.U64(&rng[i])
+	}
+	epoch := s.Epoch()
+	c.Int(&epoch)
 	if epoch < 0 { // New is eager: a written schedule has produced round 1
 		return fmt.Errorf("mobility: checkpoint epoch %d < 0", epoch)
 	}
-	c.rng.SetState(rng)
-	r.F64sInto(c.x)
-	r.F64sInto(c.y)
-	if err := r.Err(); err != nil {
+	cr.rng.SetState(rng)
+	c.F64sInto(cr.x)
+	c.F64sInto(cr.y)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	// The scan buckets a point by its coordinates, so one outside the square
-	// (or NaN) would land in the wrong cell and the run would go on along
-	// another trajectory. 1 is the far border, which the scan clamps.
-	for i, x := range c.x {
-		if y := c.y[i]; !(x >= 0 && x <= 1 && y >= 0 && y <= 1) {
-			return fmt.Errorf("mobility: checkpoint puts node %d at (%g, %g), outside the unit square", i, x, y)
+	// The scan buckets a point by its coordinates, so one read outside the
+	// square (or NaN) would land in the wrong cell and the run would go on
+	// along another trajectory. 1 is the far border, which the scan clamps.
+	if c.Reading() {
+		for i, x := range cr.x {
+			if y := cr.y[i]; !(x >= 0 && x <= 1 && y >= 0 && y <= 1) {
+				return fmt.Errorf("mobility: checkpoint puts node %d at (%g, %g), outside the unit square", i, x, y)
+			}
 		}
 	}
-	if err := c.model.RestoreFrom(r); err != nil {
+	if err := cr.model.Layout(c); err != nil {
 		return err
 	}
-	edges := r.U64s()
-	if err := r.Err(); err != nil {
+	edges := s.Edges()
+	c.U64s(&edges)
+	if err := c.Err(); err != nil || !c.Reading() {
 		return err
 	}
 	if err := s.Install(epoch, edges); err != nil {

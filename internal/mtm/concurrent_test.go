@@ -75,7 +75,7 @@ func runPPUSH(t *testing.T) concurrentRun {
 		fmt.Fprintf(&rounds, "%+v\n", st)
 		if e.Round() == 3 {
 			w := ckpt.NewWriter(&ckpt3)
-			e.CheckpointTo(w)
+			e.Layout(w.Fields())
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}

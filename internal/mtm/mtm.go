@@ -72,7 +72,7 @@ func Propose(target NodeID) Action { return Action{Propose: true, Target: target
 // the start of round r, after the topology step. On true it skips that
 // round's Tag and Decide calls. Quiet(r) may return true only if, in round
 // r, no node would advertise a nonzero tag, propose, or change any state
-// that a later round, Done or CheckpointTo reads. A wrapper that does not
+// that a later round, Done or a checkpoint reads. A wrapper that does not
 // forward Quiet simply runs every round in full.
 type Protocol interface {
 	// TagBits returns the tag length b >= 0 the protocol uses.
@@ -191,7 +191,7 @@ type RoundStats struct {
 
 // Engine drives a Protocol over a dynamic topology. It is a resumable step
 // state machine: Step executes exactly one round, Run loops Step to
-// completion, and CheckpointTo/RestoreFrom serialize the engine's mutable
+// completion, and Layout lays out the engine's mutable
 // state (round counter, meters, per-node RNG streams) so a run can be
 // resumed byte-identically at any round boundary.
 //
@@ -716,58 +716,38 @@ func (e *Engine) Run() (Result, error) {
 	return e.res, nil
 }
 
-// CheckpointTo serializes the engine's mutable state: the step-machine
-// flags, the running meters, and every node's RNG stream. Scratch buffers
-// carry no live state at a round boundary and are not serialized.
-func (e *Engine) CheckpointTo(w *ckpt.Writer) {
-	w.Section("mtm.engine")
-	w.Bool(e.started)
-	w.Bool(e.completed)
-	w.Bool(e.overBudget)
-	w.Int(e.round)
-	w.Int(e.res.Rounds)
-	w.Bool(e.res.Completed)
-	w.I64(e.res.Connections)
-	w.I64(e.res.Proposals)
-	w.I64(e.res.ControlBits)
-	w.I64(e.res.TokensMoved)
-	w.I64(e.res.EdgesAdded)
-	w.I64(e.res.EdgesRemoved)
-	w.U64(uint64(len(e.rngs)))
-	for _, rng := range e.rngs {
-		s := rng.State()
-		w.U64(s[0])
-		w.U64(s[1])
-		w.U64(s[2])
-		w.U64(s[3])
-	}
-}
-
-// RestoreFrom loads a CheckpointTo stream into a freshly constructed
-// engine for the same configuration.
-func (e *Engine) RestoreFrom(r *ckpt.Reader) error {
-	r.Section("mtm.engine")
-	e.started = r.Bool()
-	e.completed = r.Bool()
-	e.overBudget = r.Bool()
-	e.round = r.Int()
-	e.res.Rounds = r.Int()
-	e.res.Completed = r.Bool()
-	e.res.Connections = r.I64()
-	e.res.Proposals = r.I64()
-	e.res.ControlBits = r.I64()
-	e.res.TokensMoved = r.I64()
-	e.res.EdgesAdded = r.I64()
-	e.res.EdgesRemoved = r.I64()
-	n := int(r.U64())
-	if err := r.Err(); err != nil {
+// Layout lays out the engine's mutable state: the step-machine flags, the
+// running meters, and every node's RNG stream. Scratch buffers carry no
+// live state at a round boundary and are not laid out.
+func (e *Engine) Layout(c ckpt.Fields) error {
+	c.Section("mtm.engine")
+	c.Bool(&e.started)
+	c.Bool(&e.completed)
+	c.Bool(&e.overBudget)
+	c.Int(&e.round)
+	c.Int(&e.res.Rounds)
+	c.Bool(&e.res.Completed)
+	c.I64(&e.res.Connections)
+	c.I64(&e.res.Proposals)
+	c.I64(&e.res.ControlBits)
+	c.I64(&e.res.TokensMoved)
+	c.I64(&e.res.EdgesAdded)
+	c.I64(&e.res.EdgesRemoved)
+	n := uint64(len(e.rngs))
+	c.U64(&n)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	if n != len(e.rngs) {
-		return fmt.Errorf("mtm: checkpoint has %d node RNGs, engine has %d", n, len(e.rngs))
+	if int(n) != len(e.rngs) {
+		return fmt.Errorf("mtm: checkpoint has %d node RNGs, engine has %d", int(n), len(e.rngs))
 	}
+	var st [4]uint64
 	for _, rng := range e.rngs {
-		rng.SetState([4]uint64{r.U64(), r.U64(), r.U64(), r.U64()})
+		st = rng.State()
+		for i := range st {
+			c.U64(&st[i])
+		}
+		rng.SetState(st)
 	}
-	return r.Err()
+	return c.Err()
 }

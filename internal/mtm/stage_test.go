@@ -89,8 +89,8 @@ func stageRun(t *testing.T, topo mobilegossip.Topology, n, tau, rounds, rebind, 
 	checkpoint := func() []byte {
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
-		eng.CheckpointTo(w)
-		sched.CheckpointTo(w)
+		eng.Layout(w.Fields())
+		sched.Layout(w.Fields())
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -107,10 +107,10 @@ func stageRun(t *testing.T, topo mobilegossip.Topology, n, tau, rounds, rebind, 
 			sched = build()
 			eng = mtm.NewEngine(sched, coinProposer{}, cfg)
 			rd := ckpt.NewReader(bytes.NewReader(b))
-			if err := eng.RestoreFrom(rd); err != nil {
+			if err := eng.Layout(rd.Fields()); err != nil {
 				t.Fatal(err)
 			}
-			if err := sched.RestoreFrom(rd); err != nil {
+			if err := sched.Layout(rd.Fields()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -140,7 +140,7 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 		var buf bytes.Buffer
 		w := ckpt.NewWriter(&buf)
 		for i := 0; i < nodes; i++ {
-			a.Sets()[i].CheckpointTo(w)
+			a.Sets()[i].Layout(w.Fields())
 		}
 		if w.Flush() != nil {
 			return false
@@ -148,7 +148,7 @@ func TestArenaQuickAgainstMapOracle(t *testing.T) {
 		b := NewArena(nodes, n, n)
 		r := ckpt.NewReader(&buf)
 		for i := 0; i < nodes; i++ {
-			if b.Sets()[i].RestoreFrom(r) != nil {
+			if b.Sets()[i].Layout(r.Fields()) != nil {
 				return false
 			}
 		}

@@ -80,7 +80,7 @@ func TestSpanBackedMatchesUniverseBacked(t *testing.T) {
 }
 
 // TestPastBackingRefused: an id inside the universe but past the words a
-// set carries is dropped by Add, denied by Has, and fails RestoreFrom with
+// set carries is dropped by Add, denied by Has, and fails a Layout read with
 // the backing error — never an index out of range, never a silent drop of a
 // checkpointed token.
 func TestPastBackingRefused(t *testing.T) {
@@ -92,7 +92,7 @@ func TestPastBackingRefused(t *testing.T) {
 		for _, id := range ids {
 			src.Add(id)
 		}
-		src.CheckpointTo(w)
+		src.Layout(w.Fields())
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -104,13 +104,13 @@ func TestPastBackingRefused(t *testing.T) {
 		if s.Has(id) || s.Len() != 0 || s.CountRange(1, n) != 0 {
 			t.Fatalf("id %d past the backing was stored", id)
 		}
-		err := s.RestoreFrom(stream(2, id))
+		err := s.Layout(stream(2, id).Fields())
 		if err == nil || !strings.Contains(err.Error(), "backed for") {
 			t.Fatalf("restoring id %d past the backing: err = %v, want the backing error", id, err)
 		}
 	}
 	s := NewArena(1, n, maxID).Sets()[0]
-	if err := s.RestoreFrom(stream(2, 63)); err != nil || !s.Has(63) {
+	if err := s.Layout(stream(2, 63).Fields()); err != nil || !s.Has(63) {
 		t.Fatalf("restoring ids inside the backing: err = %v", err)
 	}
 }

@@ -211,31 +211,31 @@ func (s *Set) ParityAnd(plane []uint64, first int) uint64 {
 	return uint64(bits.OnesCount64(acc) & 1)
 }
 
-// CheckpointTo serializes the set's membership as a delta-encoded token
-// list: O(|S|) varints rather than O(N/64) raw words, which keeps
-// million-node checkpoints proportional to the tokens actually learned.
-func (s *Set) CheckpointTo(w *ckpt.Writer) {
-	w.U64(uint64(s.count))
-	prev := 0
-	s.ForEach(func(t int) {
-		w.U64(uint64(t - prev))
-		prev = t
-	})
-}
-
-// RestoreFrom adds the tokens of a CheckpointTo stream into the set. The
-// set need not be empty: sets only grow, so restoring a later snapshot over
-// the run's initial assignment reproduces the checkpointed membership.
-func (s *Set) RestoreFrom(r *ckpt.Reader) error {
-	count := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
+// Layout lays out the set's membership as a delta-encoded token list:
+// O(|S|) varints rather than O(N/64) raw words, which keeps million-node
+// checkpoints proportional to the tokens actually learned. A read adds the
+// listed tokens into the set, which need not be empty: sets only grow, so
+// restoring a later snapshot over the run's initial assignment reproduces
+// the checkpointed membership.
+func (s *Set) Layout(c ckpt.Fields) error {
+	count := uint64(s.count)
+	c.U64(&count)
+	var d uint64
+	if !c.Reading() {
+		prev := 0
+		s.ForEach(func(t int) {
+			d = uint64(t - prev)
+			c.U64(&d)
+			prev = t
+		})
+		return nil
 	}
 	t := 0
-	for i := 0; i < count; i++ {
-		t += int(r.U64())
+	for i := 0; i < int(count) && c.Err() == nil; i++ {
+		c.U64(&d)
+		t += int(d)
 		if t < 1 || t > s.n {
-			if err := r.Err(); err != nil {
+			if err := c.Err(); err != nil {
 				return err
 			}
 			return fmt.Errorf("tokenset: checkpointed token %d outside [1, %d]", t, s.n)
@@ -246,7 +246,7 @@ func (s *Set) RestoreFrom(r *ckpt.Reader) error {
 		}
 		s.Add(t)
 	}
-	return r.Err()
+	return c.Err()
 }
 
 // SmallestMissingFrom returns the smallest token that is in exactly one of

@@ -2,6 +2,7 @@ package mobilegossip
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mobilegossip/internal/adversary"
@@ -44,7 +45,8 @@ const (
 	AdvTopK
 )
 
-var advNames = map[AdversaryKind]string{
+// advNames is the strategies' name table, indexed by value.
+var advNames = [...]string{
 	AdvNone: "none", AdvBipartition: "bipartition", AdvBridges: "bridges",
 	AdvCutRich: "cutrich", AdvIsolate: "isolate", AdvBlackout: "blackout",
 	AdvPartition: "partition", AdvTopK: "topk",
@@ -53,31 +55,14 @@ var advNames = map[AdversaryKind]string{
 // AdversaryKinds enumerates every adversarial strategy (excluding AdvNone),
 // in declaration order — the single source of truth for CLIs and error
 // messages.
-func AdversaryKinds() []AdversaryKind {
-	return []AdversaryKind{
-		AdvBipartition, AdvBridges, AdvCutRich, AdvIsolate,
-		AdvBlackout, AdvPartition, AdvTopK,
-	}
-}
+func AdversaryKinds() []AdversaryKind { return enumValues(advNames[:], AdvBipartition) }
 
 // AdversaryKindNames returns the parseable names of AdversaryKinds, in
 // order, with "none" first.
-func AdversaryKindNames() []string {
-	names := make([]string, 0, len(advNames))
-	names = append(names, advNames[AdvNone])
-	for _, k := range AdversaryKinds() {
-		names = append(names, k.String())
-	}
-	return names
-}
+func AdversaryKindNames() []string { return slices.Clone(advNames[:]) }
 
 // String returns the strategy name.
-func (k AdversaryKind) String() string {
-	if s, ok := advNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("AdversaryKind(%d)", int(k))
-}
+func (k AdversaryKind) String() string { return enumName(advNames[:], k, "AdversaryKind") }
 
 // ParseAdversaryKind resolves a strategy name (as printed by String).
 // "none" and "" parse to AdvNone.
@@ -85,11 +70,8 @@ func ParseAdversaryKind(s string) (AdversaryKind, error) {
 	if s == "" {
 		return AdvNone, nil
 	}
-	//det: names are distinct, so at most one entry matches.
-	for k, name := range advNames {
-		if name == s {
-			return k, nil
-		}
+	if k, ok := parseEnum[AdversaryKind](advNames[:], s); ok {
+		return k, nil
 	}
 	return 0, fmt.Errorf("mobilegossip: unknown adversary %q (valid: %s)",
 		s, strings.Join(AdversaryKindNames(), ", "))

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mobilegossip/internal/core"
@@ -28,7 +29,8 @@ const (
 	AlgCrowdedBin
 )
 
-var algNames = map[Algorithm]string{
+// algNames is the algorithms' name table, indexed by value.
+var algNames = [...]string{
 	AlgBlindMatch: "blindmatch", AlgSharedBit: "sharedbit",
 	AlgSimSharedBit: "simsharedbit", AlgCrowdedBin: "crowdedbin",
 }
@@ -36,37 +38,46 @@ var algNames = map[Algorithm]string{
 // Algorithms enumerates every built-in algorithm, in declaration order.
 // CLIs and error messages use it so the list of valid names has a single
 // source of truth.
-func Algorithms() []Algorithm {
-	return []Algorithm{AlgBlindMatch, AlgSharedBit, AlgSimSharedBit, AlgCrowdedBin}
-}
+func Algorithms() []Algorithm { return enumValues(algNames[:], AlgBlindMatch) }
 
 // AlgorithmNames returns the parseable names of Algorithms, in order.
-func AlgorithmNames() []string {
-	names := make([]string, 0, len(algNames))
-	for _, a := range Algorithms() {
-		names = append(names, a.String())
-	}
-	return names
-}
+func AlgorithmNames() []string { return slices.Clone(algNames[AlgBlindMatch:]) }
 
 // String returns the algorithm's name.
-func (a Algorithm) String() string {
-	if s, ok := algNames[a]; ok {
-		return s
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
+func (a Algorithm) String() string { return enumName(algNames[:], a, "Algorithm") }
 
 // ParseAlgorithm resolves an algorithm name (as printed by String).
 func ParseAlgorithm(s string) (Algorithm, error) {
-	//det: names are distinct, so at most one entry matches.
-	for a, name := range algNames {
-		if name == s {
-			return a, nil
-		}
+	if a, ok := parseEnum[Algorithm](algNames[:], s); ok {
+		return a, nil
 	}
 	return 0, fmt.Errorf("mobilegossip: unknown algorithm %q (valid: %s)",
 		s, strings.Join(AlgorithmNames(), ", "))
+}
+
+// enumValues lists the values from first up that a name table indexed by
+// value names.
+func enumValues[E ~int](names []string, first E) []E {
+	vals := make([]E, 0, len(names)-int(first))
+	for v := first; int(v) < len(names); v++ {
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// enumName returns v's entry in its name table, or typ(v) for a value the
+// table does not name.
+func enumName[E ~int](names []string, v E, typ string) string {
+	if v >= 0 && int(v) < len(names) && names[v] != "" {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, int(v))
+}
+
+// parseEnum resolves a name by walking its table in value order.
+func parseEnum[E ~int](names []string, s string) (E, bool) {
+	v := slices.Index(names, s)
+	return E(v), s != "" && v >= 0
 }
 
 // Config parameterizes one gossip run.

@@ -3,6 +3,7 @@ package mobilegossip
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mobilegossip/internal/adversary"
@@ -49,7 +50,8 @@ const (
 	MobileCommuter // home↔work schedules with churn bursts (Speed, Period)
 )
 
-var kindNames = map[TopologyKind]string{
+// kindNames is the topology families' name table, indexed by value.
+var kindNames = [...]string{
 	Cycle: "cycle", Path: "path", Complete: "complete", Star: "star",
 	DoubleStar: "doublestar", Grid: "grid", Hypercube: "hypercube",
 	GNP: "gnp", RandomRegular: "regular", Barbell: "barbell",
@@ -62,38 +64,18 @@ var kindNames = map[TopologyKind]string{
 // order (the static generators first, then the mobility models). CLIs and
 // error messages use it so the list of valid names has a single source of
 // truth.
-func TopologyKinds() []TopologyKind {
-	return []TopologyKind{
-		Cycle, Path, Complete, Star, DoubleStar, Grid, Hypercube,
-		GNP, RandomRegular, Barbell, RandomGeometric, PreferentialAttachment,
-		MobileWaypoint, MobileLevy, MobileGroup, MobileCommuter,
-	}
-}
+func TopologyKinds() []TopologyKind { return enumValues(kindNames[:], Cycle) }
 
 // TopologyKindNames returns the parseable names of TopologyKinds, in order.
-func TopologyKindNames() []string {
-	names := make([]string, 0, len(kindNames))
-	for _, k := range TopologyKinds() {
-		names = append(names, k.String())
-	}
-	return names
-}
+func TopologyKindNames() []string { return slices.Clone(kindNames[Cycle:]) }
 
 // String returns the family name.
-func (k TopologyKind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("TopologyKind(%d)", int(k))
-}
+func (k TopologyKind) String() string { return enumName(kindNames[:], k, "TopologyKind") }
 
 // ParseTopologyKind resolves a family name (as printed by String).
 func ParseTopologyKind(s string) (TopologyKind, error) {
-	//det: names are distinct, so at most one entry matches.
-	for k, name := range kindNames {
-		if name == s {
-			return k, nil
-		}
+	if k, ok := parseEnum[TopologyKind](kindNames[:], s); ok {
+		return k, nil
 	}
 	return 0, fmt.Errorf("mobilegossip: unknown topology %q (valid: %s)",
 		s, strings.Join(TopologyKindNames(), ", "))
