@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mobilegossip/internal/ckpt"
 	"mobilegossip/internal/prand"
@@ -112,5 +113,28 @@ func TestPastBackingRefused(t *testing.T) {
 	s := NewArena(1, n, maxID).Sets()[0]
 	if err := s.Layout(stream(2, 63).Fields()); err != nil || !s.Has(63) {
 		t.Fatalf("restoring ids inside the backing: err = %v", err)
+	}
+}
+
+// TestLayoutReadStopsAtStreamEnd: a set whose stream claims 2⁴⁰ tokens
+// and holds one fails at the end of the stream, instead of adding that
+// token again for each of the missing entries.
+func TestLayoutReadStopsAtStreamEnd(t *testing.T) {
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	w.U64(1 << 40) // the token count
+	w.U64(5)       // the first delta: token 5
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- NewSet(10).Layout(ckpt.NewReader(&buf).Fields()) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a stream of one token read as 2^40")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the read went on past the end of the stream")
 	}
 }
