@@ -133,7 +133,7 @@ func (s *Schedule) Layout(c ckpt.Fields) error {
 	if epoch < 0 { // New is eager: a written schedule has produced round 1
 		return fmt.Errorf("mobility: checkpoint epoch %d < 0", epoch)
 	}
-	cr.rng.SetState(rng)
+	cr.rng.SetState(rng) // on a write, the state it already holds
 	c.F64sInto(cr.x)
 	c.F64sInto(cr.y)
 	if err := c.Err(); err != nil {

@@ -747,7 +747,7 @@ func (e *Engine) Layout(c ckpt.Fields) error {
 		for i := range st {
 			c.U64(&st[i])
 		}
-		rng.SetState(st)
+		rng.SetState(st) // on a write, the state it already holds
 	}
 	return c.Err()
 }
